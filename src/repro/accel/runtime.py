@@ -93,15 +93,6 @@ class KernelTimings:
         with self._lock:
             return {name: (entry[0], entry[1]) for name, entry in self._data.items()}
 
-    def diff(self, before: dict[str, tuple[float, int]]) -> dict[str, tuple[float, int]]:
-        """Per-stage delta since a :meth:`snapshot` (drops empty entries)."""
-        delta: dict[str, tuple[float, int]] = {}
-        for name, (seconds, calls) in self.snapshot().items():
-            base_s, base_c = before.get(name, (0.0, 0))
-            if calls > base_c or seconds > base_s:
-                delta[name] = (seconds - base_s, calls - base_c)
-        return delta
-
     def merge(self, delta: dict[str, tuple[float, int]]) -> None:
         for name, (seconds, calls) in delta.items():
             self.add(name, seconds, calls)

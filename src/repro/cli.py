@@ -54,7 +54,6 @@ import time
 from pathlib import Path
 
 from repro.core import Remp, RempConfig
-from repro.crowd import CrowdPlatform
 from repro.datasets import DATASET_NAMES, EVOLVING_NAME, load_dataset
 from repro.eval import evaluate_matches
 from repro.kb import describe, save_kb_json
@@ -190,13 +189,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.store or args.resume or os.environ.get("REPRO_STORE"):
         return _run_via_service(args, config)
     bundle = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
+    crowd = CrowdSpec(
+        truth=bundle.gold_matches, error_rate=args.error_rate, seed=args.seed
+    )
     if args.workers is not None:
         # Partitioned in-process run: shard the ER graph and fan the
         # shards onto a worker pool, streaming per-partition progress.
         state = Remp(config, seed=args.seed).prepare(bundle.kb1, bundle.kb2)
-        crowd = CrowdSpec(
-            truth=bundle.gold_matches, error_rate=args.error_rate, seed=args.seed
-        )
         progress = ShardProgressPrinter()
         runner = ParallelRunner(
             config, seed=args.seed, workers=args.workers, on_event=progress
@@ -213,13 +212,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             progress.close()
         _print_run_summary(result, bundle.gold_matches)
         return 0
-    if args.error_rate > 0:
-        platform = CrowdPlatform.with_simulated_workers(
-            bundle.gold_matches, error_rate=args.error_rate, seed=args.seed
-        )
-    else:
-        platform = CrowdPlatform.with_oracle(bundle.gold_matches)
-    result = Remp(config).run(bundle.kb1, bundle.kb2, platform)
+    result = Remp(config, seed=args.seed).run(
+        bundle.kb1, bundle.kb2, crowd.build_seeded(args.seed)
+    )
     _print_run_summary(result, bundle.gold_matches)
     return 0
 
@@ -547,15 +542,15 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             print(f"accel: {'on' if timings.get('accel') else 'off (REPRO_NO_ACCEL)'}")
             stages = timings.get("stages", {})
             if stages:
-                print("kernel timings (seconds x calls):")
+                # Stages nest (prepare.candidates contains candidates.score,
+                # which contains kernel.candidates), so rows do not add up.
+                print("kernel timings (inclusive seconds x calls; nested stages overlap):")
                 for name, entry in sorted(
                     stages.items(), key=lambda item: -item[1]["seconds"]
                 ):
                     print(
                         f"  {name:<28} {entry['seconds']:>9.3f}s x{entry['calls']}"
                     )
-                total = sum(entry["seconds"] for entry in stages.values())
-                print(f"  {'total (wall-clock)':<28} {total:>9.3f}s")
         result = store.get_result(args.run_id)
         if result is not None:
             print(

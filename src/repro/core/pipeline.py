@@ -12,7 +12,8 @@ The loop is resumable: :class:`LoopState` snapshots its resolution sets to
 a JSON-able document, ``run`` accepts a :class:`LoopCheckpoint` to continue
 an interrupted run mid-loop, and an ``on_checkpoint`` callback receives a
 fresh checkpoint after every batch of crowd answers (persisted by
-:mod:`repro.store`).
+:mod:`repro.store`).  :class:`LoopDriver` is the one place the loop is
+advanced, billed and checkpointed.
 """
 
 from __future__ import annotations
@@ -245,9 +246,14 @@ class Remp:
         (Algorithm 3), ``"maxinf"`` or ``"maxpr"`` (the Figure 5 baselines).
         A pre-computed ``state`` may be passed to share offline work across
         runs.  ``resume_from`` continues an interrupted run from a
-        checkpoint (the caller must replay the checkpoint's answer log into
-        ``platform`` so past questions are not re-billed); ``on_checkpoint``
-        receives a fresh :class:`LoopCheckpoint` after every labeling round.
+        checkpoint, replaying its answer log into ``platform`` so past
+        questions are not re-billed (a caller that already replayed it
+        loses nothing: :meth:`CrowdPlatform.load_answer_log` keeps labels
+        that are already recorded); ``on_checkpoint`` receives a fresh
+        :class:`LoopCheckpoint` after every labeling round.  The loop is
+        advanced by a :class:`LoopDriver`, the same one that drives the
+        shards of :mod:`repro.partition` and the stepwise sessions of
+        :mod:`repro.service`.
 
         ``questions_asked`` counts the *distinct* questions billed by the
         platform during the run (plus those recorded in ``resume_from``):
@@ -256,13 +262,9 @@ class Remp:
         classifier, or replayed on resume — costs nothing extra.
         """
         state = state or self.prepare(kb1, kb2)
-        loop_state, history, loop_questions = self.run_loop_phase(
-            state, platform, strategy, resume_from=resume_from, on_checkpoint=on_checkpoint
-        )
-        billed_after_loop = platform.questions_asked
-        isolated_matches, _ = self._classify_isolated(state, loop_state, platform)
-        questions_asked = loop_questions + (platform.questions_asked - billed_after_loop)
-        return assemble_result(loop_state, isolated_matches, questions_asked, history)
+        driver = LoopDriver(self, state, platform, strategy, resume_from)
+        driver.run(on_checkpoint)
+        return driver.finish()
 
     def run_loop_phase(
         self,
@@ -274,53 +276,15 @@ class Remp:
     ) -> tuple["LoopState", list[LoopRecord], int]:
         """Drive the human–machine loop to convergence (no isolated pairs).
 
-        The loop half of :meth:`run`, exposed so :mod:`repro.partition`
-        can execute it per shard and classify isolated pairs against the
-        merged resolutions afterwards.  Ends with the final propagation
-        pass for the last batch of labels; returns the finished loop
+        The loop half of :meth:`run`: ends with the final propagation
+        pass for the last batch of labels and returns the finished loop
         state, the loop history and the questions billed so far
         (including those recorded in ``resume_from``).
         """
-        config = self.config
-        loop_state = self._make_loop_state(state)
-        kb1, kb2 = state.kb1, state.kb2
-
-        history: list[LoopRecord] = []
-        base_questions = 0
-        start_loop = 0
-        if resume_from is not None:
-            loop_state.restore(resume_from.loop_state)
-            history = list(resume_from.history)
-            base_questions = resume_from.questions_asked
-            start_loop = resume_from.next_loop_index
-        billed_at_start = platform.questions_asked
-
-        for loop_index in range(start_loop, config.max_loops):
-            questions_asked = base_questions + (platform.questions_asked - billed_at_start)
-            remaining_budget = None
-            if config.budget is not None:
-                remaining_budget = config.budget - questions_asked
-            record = self._loop_once(
-                loop_state, platform, strategy, loop_index, remaining_budget
-            )
-            if record is None:
-                break
-            history.append(record)
-            if on_checkpoint is not None:
-                on_checkpoint(
-                    LoopCheckpoint(
-                        next_loop_index=loop_index + 1,
-                        questions_asked=base_questions
-                        + (platform.questions_asked - billed_at_start),
-                        history=list(history),
-                        loop_state=loop_state.snapshot(),
-                        answer_log=platform.export_answer_log(),
-                    )
-                )
-        # Final propagation pass for the last batch of labels.
-        loop_state.propagate(kb1, kb2)
-        questions_asked = base_questions + (platform.questions_asked - billed_at_start)
-        return loop_state, history, questions_asked
+        driver = LoopDriver(self, state, platform, strategy, resume_from)
+        driver.run(on_checkpoint)
+        driver.loop_state.propagate(state.kb1, state.kb2)
+        return driver.loop_state, driver.history, driver.questions_asked
 
     def _loop_once(
         self,
@@ -333,8 +297,7 @@ class Remp:
         """One human–machine loop: propagate, select, ask, infer truth.
 
         Returns ``None`` once the loop has converged (no askable question
-        remains) or the budget is exhausted.  Shared by :meth:`run` and the
-        stepwise sessions of :mod:`repro.service`.
+        remains) or the budget is exhausted.  Called by :class:`LoopDriver`.
         """
         config = self.config
         kb1, kb2 = loop_state.state.kb1, loop_state.state.kb2
@@ -673,29 +636,123 @@ class LoopState:
         ]
 
 
-def assemble_result(
-    loop_state: LoopState,
-    isolated_matches: set[Pair],
-    questions_asked: int,
-    history: list[LoopRecord],
-) -> RempResult:
-    """Package a finished loop state into a :class:`RempResult`.
+class LoopDriver:
+    """Advances, bills and checkpoints one run of the human–machine loop.
 
-    Shared by :meth:`Remp.run` and the stepwise sessions of
-    :mod:`repro.service`, which finalize a loop state they advanced
-    themselves.
+    The one copy of the loop's bookkeeping, driven by :meth:`Remp.run`,
+    by the graph shards of :mod:`repro.partition` and by the stepwise
+    sessions of :mod:`repro.service`: loop-state construction (through
+    :meth:`Remp._make_loop_state`, so subclasses keep their inference
+    rules), resume from a :class:`LoopCheckpoint` (state restore and
+    answer-log replay), the question budget, the itemised cost ledger,
+    checkpoints, and the finish (final propagation, isolated-pair
+    classifier, result assembly).
     """
-    matches = loop_state.labeled_matches | loop_state.inferred_matches | isolated_matches
-    return RempResult(
-        matches=matches,
-        questions_asked=questions_asked,
-        num_loops=len(history),
-        history=history,
-        labeled_matches=set(loop_state.labeled_matches),
-        inferred_matches=set(loop_state.inferred_matches),
-        isolated_matches=isolated_matches,
-        non_matches=set(loop_state.resolved_non_matches),
-    )
+
+    def __init__(
+        self,
+        remp: Remp,
+        state: PreparedState,
+        platform: CrowdPlatform,
+        strategy: str = "remp",
+        resume_from: LoopCheckpoint | None = None,
+    ):
+        self.remp = remp
+        self.platform = platform
+        self.strategy = strategy
+        self.loop_state = remp._make_loop_state(state)
+        self.history: list[LoopRecord] = []
+        self.next_loop = 0
+        self._converged = False
+        #: Billed questions itemised per loop, isolated-pair phase and
+        #: resume; they sum to :attr:`questions_asked` exactly.
+        self.cost_items: list[dict] = []
+        self._base_questions = 0
+        if resume_from is not None:
+            self.loop_state.restore(resume_from.loop_state)
+            platform.load_answer_log(resume_from.answer_log)
+            self.history = list(resume_from.history)
+            self.next_loop = resume_from.next_loop_index
+            self._base_questions = resume_from.questions_asked
+            if self._base_questions:
+                # Loops billed before the restart are no longer itemisable
+                # per loop; one checkpoint item keeps the ledger total
+                # equal to the result's question count.
+                self.cost_items.append(
+                    {"scope": "checkpoint", "key": "resume", "questions": self._base_questions}
+                )
+        self._billed_at_start = platform.questions_asked
+
+    @property
+    def questions_asked(self) -> int:
+        """Questions billed so far, including those recorded before a resume."""
+        return self._base_questions + (self.platform.questions_asked - self._billed_at_start)
+
+    def step(self) -> LoopRecord | None:
+        """Run one loop; ``None`` once converged, out of budget or at ``max_loops``."""
+        config = self.remp.config
+        if self._converged or self.next_loop >= config.max_loops:
+            self._converged = True
+            return None
+        remaining_budget = None
+        if config.budget is not None:
+            remaining_budget = config.budget - self.questions_asked
+        billed_before = self.platform.questions_asked
+        record = self.remp._loop_once(
+            self.loop_state, self.platform, self.strategy, self.next_loop, remaining_budget
+        )
+        if record is None:
+            self._converged = True
+            return None
+        self.cost_items.append(
+            {
+                "scope": "loop",
+                "key": str(self.next_loop),
+                "questions": self.platform.questions_asked - billed_before,
+            }
+        )
+        self.history.append(record)
+        self.next_loop += 1
+        return record
+
+    def checkpoint(self) -> LoopCheckpoint:
+        """Everything needed to resume after the loops run so far."""
+        return LoopCheckpoint(
+            next_loop_index=self.next_loop,
+            questions_asked=self.questions_asked,
+            history=list(self.history),
+            loop_state=self.loop_state.snapshot(),
+            answer_log=self.platform.export_answer_log(),
+        )
+
+    def run(self, on_checkpoint: CheckpointSink | None = None) -> None:
+        """Step to convergence, handing ``on_checkpoint`` a checkpoint per loop."""
+        while self.step() is not None:
+            if on_checkpoint is not None:
+                on_checkpoint(self.checkpoint())
+
+    def finish(self) -> RempResult:
+        """Final propagation, isolated-pair classification, the result."""
+        loop_state, platform = self.loop_state, self.platform
+        state = loop_state.state
+        loop_state.propagate(state.kb1, state.kb2)
+        billed_before = platform.questions_asked
+        isolated_matches, _ = self.remp._classify_isolated(state, loop_state, platform)
+        isolated_billed = platform.questions_asked - billed_before
+        if isolated_billed:
+            self.cost_items.append(
+                {"scope": "isolated", "key": "classifier", "questions": isolated_billed}
+            )
+        return RempResult(
+            matches=loop_state.labeled_matches | loop_state.inferred_matches | isolated_matches,
+            questions_asked=self.questions_asked,
+            num_loops=len(self.history),
+            history=list(self.history),
+            labeled_matches=set(loop_state.labeled_matches),
+            inferred_matches=set(loop_state.inferred_matches),
+            isolated_matches=isolated_matches,
+            non_matches=set(loop_state.resolved_non_matches),
+        )
 
 
 def merge_loop_snapshots(state: PreparedState, snapshots: list[dict]) -> dict:
@@ -727,7 +784,3 @@ def merge_loop_snapshots(state: PreparedState, snapshots: list[dict]) -> dict:
         "resolved_matches": sorted(map(list, resolved)),
         "resolved_non_matches": sorted(map(list, non_matches - resolved)),
     }
-
-
-#: Backward-compatible alias from before LoopState became public API.
-_LoopState = LoopState

@@ -12,7 +12,9 @@ from repro.datasets import load_dataset
 from repro.datasets.registry import DISPLAY_NAMES
 from repro.datasets.synthesis import DatasetBundle
 from repro.partition import CrowdSpec, ParallelRunner
-from repro.store import RunStore, config_hash
+from repro.service.service import PreparedCache
+from repro.store import RunStore
+from repro.substrate import substrate_key
 
 Pair = tuple[str, str]
 
@@ -51,9 +53,10 @@ def display_name(dataset: str) -> str:
 
 
 #: Process-wide prepared-state cache shared by every experiment driver and
-#: benchmark repetition.  Keyed by dataset provenance, a KB fingerprint
-#: (guarding against hand-built bundles reusing a name) and config hash.
-_PREPARED_CACHE: dict[tuple, PreparedState] = {}
+#: benchmark repetition, keyed by :func:`repro.substrate.substrate_key` (a
+#: digest of both KBs' content plus the config hash) and bounded like the
+#: service's in-process level.
+_PREPARED_CACHE = PreparedCache(8)
 _ENV_STORE: RunStore | None = None
 
 
@@ -72,15 +75,6 @@ def _env_store() -> RunStore | None:
     return _ENV_STORE
 
 
-def _kb_fingerprint(kb) -> tuple:
-    return (len(kb), kb.num_attribute_triples, kb.num_relationship_triples)
-
-
-def _bundle_key(bundle: DatasetBundle, config: RempConfig | None) -> tuple:
-    fingerprint = _kb_fingerprint(bundle.kb1) + _kb_fingerprint(bundle.kb2)
-    return (bundle.name, bundle.seed, bundle.scale, fingerprint, config_hash(config))
-
-
 def prepared_state(bundle: DatasetBundle, config: RempConfig | None = None) -> PreparedState:
     """Offline Remp artifacts for a bundle, via the prepared-state cache.
 
@@ -89,26 +83,23 @@ def prepared_state(bundle: DatasetBundle, config: RempConfig | None = None) -> P
     processes.  Cache hits return the identical object, so approaches
     compared in one table really do share offline work.
     """
-    key = _bundle_key(bundle, config)
+    key = substrate_key(bundle.kb1, bundle.kb2, config)
     state = _PREPARED_CACHE.get(key)
     if state is not None:
         return state
     store = _env_store()
     if store is not None:
         state = store.load_prepared(bundle.name, bundle.seed, bundle.scale, config)
-        # The store key carries no KB fingerprint; a hand-built bundle can
+        # The store key carries no KB content; a hand-built bundle can
         # collide with a canonical dataset's row.  Treat a stored state
         # whose KBs don't match this bundle as a miss (and recompute).
-        if state is not None and (
-            _kb_fingerprint(state.kb1) != _kb_fingerprint(bundle.kb1)
-            or _kb_fingerprint(state.kb2) != _kb_fingerprint(bundle.kb2)
-        ):
+        if state is not None and substrate_key(state.kb1, state.kb2, config) != key:
             state = None
     if state is None:
         state = Remp(config or RempConfig()).prepare(bundle.kb1, bundle.kb2)
         if store is not None:
             store.save_prepared(bundle.name, bundle.seed, bundle.scale, config, state)
-    _PREPARED_CACHE[key] = state
+    _PREPARED_CACHE.put(key, state)
     return state
 
 

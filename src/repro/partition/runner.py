@@ -45,10 +45,10 @@ from repro.obs import runtime as obs
 from repro.obs.logging import get_logger
 from repro.core.pipeline import (
     LoopCheckpoint,
+    LoopDriver,
     PreparedState,
     Remp,
     RempResult,
-    assemble_result,
     merge_loop_snapshots,
 )
 from repro.crowd.interfaces import CrowdUnavailableError
@@ -114,13 +114,12 @@ def content_seed(seed: int, key: str) -> int:
 
 @dataclass(slots=True)
 class CrowdSpec:
-    """A picklable recipe for building per-shard crowd platforms.
+    """A picklable recipe for building crowd platforms.
 
     Shard workers run in separate processes, so they receive the *recipe*
     for a platform rather than the platform itself; :meth:`build` derives
     the worker-assignment seed from ``(seed, shard_id)``.  An
-    ``error_rate`` of 0 yields a perfect oracle (mirroring
-    :mod:`repro.service`).
+    ``error_rate`` of 0 yields a perfect oracle.
     """
 
     truth: set[Pair]
@@ -130,21 +129,14 @@ class CrowdSpec:
     workers_per_question: int = 5
 
     def build(self, shard_id: int) -> CrowdPlatform:
-        if self.error_rate <= 0.0:
-            return CrowdPlatform.with_oracle(set(self.truth))
-        return CrowdPlatform.with_simulated_workers(
-            set(self.truth),
-            num_workers=self.num_workers,
-            error_rate=self.error_rate,
-            workers_per_question=self.workers_per_question,
-            seed=shard_seed(self.seed, shard_id),
-        )
+        return self.build_seeded(shard_seed(self.seed, shard_id))
 
     def build_seeded(self, platform_seed: int) -> CrowdPlatform:
-        """Like :meth:`build`, but from a pre-derived platform seed.
+        """The platform for a pre-derived platform seed.
 
-        Used by the stream layer, whose per-unit seeds derive from shard
-        *content* rather than position so they survive layout changes.
+        Used directly by monolithic runs (seeded with the run seed) and by
+        the stream layer, whose per-unit seeds derive from shard *content*
+        rather than position so they survive layout changes.
         """
         if self.error_rate <= 0.0:
             return CrowdPlatform.with_oracle(set(self.truth))
@@ -306,9 +298,6 @@ def _run_shard(
         )
     )
     if shard.kind == GRAPH:
-        resume = task.checkpoint
-        if resume is not None:
-            platform.load_answer_log(resume.answer_log)
 
         def on_checkpoint(checkpoint: LoopCheckpoint) -> None:
             # Probe BEFORE the checkpoint ships: a mid-shard kill here
@@ -336,19 +325,16 @@ def _run_shard(
                 )
             )
 
-        loop_state, history, questions = remp.run_loop_phase(
-            shard_state,
-            platform,
-            task.strategy,
-            resume_from=resume,
-            on_checkpoint=on_checkpoint,
-        )
-        result = assemble_result(loop_state, set(), questions, history)
+        driver = LoopDriver(remp, shard_state, platform, task.strategy, task.checkpoint)
+        driver.run(on_checkpoint)
+        # A graph slice carries no isolated pairs, so the finish's
+        # classifier has nothing to do; phase 2 classifies them.
+        result = driver.finish()
         outcome = _ShardOutcome(
             shard.shard_id,
             shard.kind,
             result,
-            loop_state.snapshot(),
+            driver.loop_state.snapshot(),
             answer_log=platform.export_answer_log(),
         )
     else:

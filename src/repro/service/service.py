@@ -44,13 +44,7 @@ from contextlib import contextmanager, nullcontext
 
 from repro.accel.runtime import accel_enabled, stages_doc
 from repro.core import Remp, RempConfig
-from repro.core.pipeline import (
-    LoopCheckpoint,
-    PreparedState,
-    RempResult,
-    assemble_result,
-)
-from repro.crowd import CrowdPlatform
+from repro.core.pipeline import LoopDriver, PreparedState, RempResult
 from repro.datasets import load_dataset
 from repro.obs import runtime as obs
 from repro.obs.artifacts import run_meta
@@ -82,13 +76,39 @@ DONE = "done"
 FAILED = "failed"
 
 
-def _build_platform(bundle, error_rate: float, seed: int) -> CrowdPlatform:
-    """The crowd for one session: an oracle, or seeded noisy workers."""
-    if error_rate <= 0.0:
-        return CrowdPlatform.with_oracle(bundle.gold_matches)
-    return CrowdPlatform.with_simulated_workers(
-        bundle.gold_matches, error_rate=error_rate, seed=seed
-    )
+class PreparedCache:
+    """A size-capped LRU of prepared states; callers serialise access.
+
+    The in-process level of :meth:`MatchingService.prepared` and the
+    experiment drivers' process-wide cache.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = max(1, capacity)
+        self.evictions = 0
+        self._entries: OrderedDict[tuple, PreparedState] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def get(self, key: tuple) -> PreparedState | None:
+        """The cached state, marked most recently used; ``None`` on a miss."""
+        state = self._entries.get(key)
+        if state is not None:
+            self._entries.move_to_end(key)
+        return state
+
+    def put(self, key: tuple, state: PreparedState) -> None:
+        """Insert ``state``, evicting least recently used entries past capacity."""
+        self._entries[key] = state
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+            obs.count("prepared.cache.evictions")
 
 
 class MatchingSession:
@@ -143,24 +163,14 @@ class MatchingSession:
         self._store = store
         self._prepared_provider = prepared_provider
         self._stream_provider = stream_provider
-        self._remp = Remp(self.config, seed=seed)
         self._lock = threading.RLock()
-        self._loop_state = None
-        self._platform: CrowdPlatform | None = None
+        #: The monolithic run's loop driver, built on first step or finalize.
+        self._driver: LoopDriver | None = None
         #: The session's observability scope: every execution path runs
         #: under its activation, so stage timings, spans and metrics are
         #: attributed to exactly this run — concurrent sessions in the
         #: same process no longer contaminate each other's profiles.
         self._scope = obs.RunScope(run_id, stream_step=stream_step)
-        #: Itemised billed questions (loop / shard / stream-unit scoped);
-        #: persisted as the run's cost ledger, summing to the result's
-        #: ``questions_asked`` exactly.
-        self._cost_items: list[dict] = []
-        self._history = []
-        self._base_questions = 0
-        self._billed_at_start = 0
-        self._next_loop = 0
-        self._loop_converged = False
         self._result: RempResult | None = None
 
     # ------------------------------------------------------------------
@@ -168,15 +178,11 @@ class MatchingSession:
     def questions_asked(self) -> int:
         if self._result is not None:
             return self._result.questions_asked
-        if self._platform is None:
-            return self._base_questions
-        return self._base_questions + (
-            self._platform.questions_asked - self._billed_at_start
-        )
+        return self._driver.questions_asked if self._driver is not None else 0
 
     @property
     def num_loops(self) -> int:
-        return len(self._history)
+        return len(self._driver.history) if self._driver is not None else 0
 
     # ------------------------------------------------------------------
     @contextmanager
@@ -201,15 +207,25 @@ class MatchingSession:
         self._store.update_run_status(self.run_id, status)
         self._scope.publish(f"status.{status}", **fields)
 
-    # ------------------------------------------------------------------
-    def _save_timings(self) -> None:
-        """Persist the kernel/stage timings this session's scope collected.
+    def _finish(self, result: RempResult, cost_items: list[dict]) -> RempResult:
+        """Record a finished run: ledger row, done event, timings, obs document.
 
-        The scope's private registry holds only stages that ran under
-        this session's activations (plus shard deltas merged back from
-        its own pool workers) — exact attribution, not a diff against
-        the shared process-wide singleton.
+        ``cost_items`` itemise the billed questions (loop / shard /
+        stream-unit scoped) and become the run's cost ledger, summing to
+        the result's ``questions_asked`` exactly.  The timings are the
+        scope's private registry: only stages that ran under this
+        session's activations (plus shard deltas merged back from its
+        own pool workers) — exact attribution, not a diff against the
+        shared process-wide singleton.
         """
+        self._result = result
+        self.status = DONE
+        self._store.finish_run(self.run_id, result)
+        self._scope.publish(
+            "status.done",
+            questions=result.questions_asked,
+            matches=len(result.matches),
+        )
         self._store.save_run_timings(
             self.run_id,
             {
@@ -217,16 +233,13 @@ class MatchingSession:
                 "stages": stages_doc(self._scope.timings.snapshot()),
             },
         )
-
-    def _save_obs(self, result: RempResult) -> None:
-        """Persist the run's observability document (trace/metrics/ledger)."""
         record = self._store.get_run(self.run_id)
         doc = self._scope.export()
         if record is not None:
             doc["meta"] = run_meta(record, accel=accel_enabled())
         ledger = {
-            "total": sum(item["questions"] for item in self._cost_items),
-            "items": list(self._cost_items),
+            "total": sum(item["questions"] for item in cost_items),
+            "items": list(cost_items),
         }
         if self.stream_outcome is not None:
             ledger["questions_new"] = self.stream_outcome.questions_new
@@ -236,49 +249,45 @@ class MatchingSession:
             ledger["mismatch"] = result.questions_asked - ledger["total"]
         doc["cost_ledger"] = ledger
         self._store.save_run_obs(self.run_id, doc)
+        log.info(
+            "run %s done: %d matches, %d questions, %d loops",
+            self.run_id,
+            len(result.matches),
+            result.questions_asked,
+            result.num_loops,
+        )
+        return result
 
     # ------------------------------------------------------------------
     def _ensure_started(self) -> None:
         """Prepare (through the cache), build the crowd, load any checkpoint."""
-        if self._loop_state is not None:
+        if self._driver is not None:
             return
         self._set_status(PREPARING)
         state: PreparedState = self._prepared_provider(
             self.dataset, self.seed, self.scale, self.config
         )
         bundle = load_dataset(self.dataset, seed=self.seed, scale=self.scale)
-        self._platform = _build_platform(bundle, self.error_rate, self.seed)
-        self._loop_state = self._remp._make_loop_state(state)
+        crowd = CrowdSpec(
+            truth=bundle.gold_matches, error_rate=self.error_rate, seed=self.seed
+        )
         checkpoint = self._store.load_checkpoint(self.run_id)
+        remp = Remp(self.config, seed=self.seed)
+        self._driver = LoopDriver(
+            remp, state, crowd.build_seeded(self.seed), self.strategy, checkpoint
+        )
         if checkpoint is not None:
-            self._loop_state.restore(checkpoint.loop_state)
-            self._platform.load_answer_log(checkpoint.answer_log)
-            self._history = list(checkpoint.history)
-            self._base_questions = checkpoint.questions_asked
-            self._next_loop = checkpoint.next_loop_index
-            if self._base_questions:
-                # Loops billed before the restart are no longer itemisable
-                # per loop; one checkpoint item keeps the ledger total
-                # equal to the result's question count.
-                self._cost_items.append(
-                    {
-                        "scope": "checkpoint",
-                        "key": "resume",
-                        "questions": self._base_questions,
-                    }
-                )
             obs.event(
                 "session.checkpoint_restored",
-                loops=self._next_loop,
-                questions=self._base_questions,
+                loops=checkpoint.next_loop_index,
+                questions=checkpoint.questions_asked,
             )
             log.info(
                 "run %s restored from checkpoint: %d loops, %d questions",
                 self.run_id,
-                self._next_loop,
-                self._base_questions,
+                checkpoint.next_loop_index,
+                checkpoint.questions_asked,
             )
-        self._billed_at_start = self._platform.questions_asked
         self._set_status(RUNNING)
 
     def step(self) -> bool:
@@ -298,57 +307,29 @@ class MatchingSession:
                 "use run()/result() instead of step()"
             )
         with self._observed():
-            if self._result is not None or self._loop_converged:
+            if self._result is not None:
                 return False
             self._ensure_started()
-            config = self._remp.config
-            if self._next_loop >= config.max_loops:
-                self._loop_converged = True
+            if self._driver.step() is None:
                 return False
-            remaining_budget = None
-            if config.budget is not None:
-                remaining_budget = config.budget - self.questions_asked
-            billed_before = self._platform.questions_asked
-            record = self._remp._loop_once(
-                self._loop_state,
-                self._platform,
-                self.strategy,
-                self._next_loop,
-                remaining_budget,
-            )
-            if record is None:
-                self._loop_converged = True
-                return False
-            self._cost_items.append(
-                {
-                    "scope": "loop",
-                    "key": str(self._next_loop),
-                    "questions": self._platform.questions_asked - billed_before,
-                }
-            )
-            self._next_loop += 1
-            self._history.append(record)
-            self._store.save_checkpoint(
-                self.run_id,
-                LoopCheckpoint(
-                    next_loop_index=self._next_loop,
-                    questions_asked=self.questions_asked,
-                    history=list(self._history),
-                    loop_state=self._loop_state.snapshot(),
-                    answer_log=self._platform.export_answer_log(),
-                ),
-            )
+            self._store.save_checkpoint(self.run_id, self._driver.checkpoint())
             # The per-loop heartbeat watchers poll for: cheap, and on
             # even under REPRO_NO_TRACE (operational, like counters).
             obs.publish(
                 "loop.checkpointed",
-                loops=self._next_loop,
-                questions=self.questions_asked,
+                loops=self._driver.next_loop,
+                questions=self._driver.questions_asked,
             )
             return True
 
     def finalize(self) -> RempResult:
         """Final propagation, isolated-pair classification, ledger write."""
+        # The mode dispatch.  A monolithic run is not executed as a
+        # one-shard plan: shards seed their crowd and classifier with
+        # shard_seed(seed, shard_id), which would change every monolithic
+        # output (among them the seed-0 outputs perfbench pins: 181
+        # questions, F1 0.9581 on clustered-loop); shards have no
+        # per-loop step(); and shard checkpoints live in another table.
         if self.stream:
             return self._run_stream()
         if self.workers is not None:
@@ -357,55 +338,14 @@ class MatchingSession:
             if self._result is not None:
                 return self._result
             self._ensure_started()
-            state = self._loop_state.state
-            self._loop_state.propagate(state.kb1, state.kb2)
-            billed_before = self._platform.questions_asked
-            isolated_matches, _ = self._remp._classify_isolated(
-                state, self._loop_state, self._platform
-            )
-            isolated_billed = self._platform.questions_asked - billed_before
-            if isolated_billed:
-                self._cost_items.append(
-                    {
-                        "scope": "isolated",
-                        "key": "classifier",
-                        "questions": isolated_billed,
-                    }
-                )
-            result = assemble_result(
-                self._loop_state,
-                isolated_matches,
-                self.questions_asked,
-                list(self._history),
-            )
-            self._result = result
-            self.status = DONE
-            self._store.finish_run(self.run_id, result)
-            self._scope.publish(
-                "status.done",
-                questions=result.questions_asked,
-                matches=len(result.matches),
-            )
-            self._save_timings()
-            self._save_obs(result)
-            log.info(
-                "run %s done: %d matches, %d questions, %d loops",
-                self.run_id,
-                len(result.matches),
-                result.questions_asked,
-                result.num_loops,
-            )
-            return result
+            return self._finish(self._driver.finish(), self._driver.cost_items)
 
     def run(self) -> RempResult:
         """Drive the session to completion (the thread-pool entry point)."""
         try:
-            if self.stream:
-                return self._run_stream()
-            if self.workers is not None:
-                return self._run_partitioned()
-            while self.step():
-                pass
+            if not self.stream and self.workers is None:
+                while self.step():
+                    pass
             return self.finalize()
         except PartialResult as exc:
             # Graceful degradation: the run failed, but structured — the
@@ -481,25 +421,7 @@ class MatchingSession:
             result = runner.run(state, crowd)
             # Shard billing is additive over disjoint pair sets, so the
             # per-shard items sum to the merged question count exactly.
-            self._cost_items.extend(runner.shard_costs)
-            self._result = result
-            self.status = DONE
-            self._store.finish_run(self.run_id, result)
-            self._scope.publish(
-                "status.done",
-                questions=result.questions_asked,
-                matches=len(result.matches),
-            )
-            self._save_timings()
-            self._save_obs(result)
-            log.info(
-                "run %s done (partitioned, workers=%d): %d matches, %d questions",
-                self.run_id,
-                self.workers,
-                len(result.matches),
-                result.questions_asked,
-            )
-            return result
+            return self._finish(result, runner.shard_costs)
 
     def _run_stream(self) -> RempResult:
         """Execute (or incrementally update) unit-wise via the stream runner.
@@ -541,7 +463,7 @@ class MatchingSession:
             # Unit records cover every shard of the run (reused ones bill
             # their recorded, i.e. logical, question count), so the items
             # sum to the merged result's questions_asked.
-            self._cost_items.extend(
+            cost_items = [
                 {
                     "scope": "stream_unit",
                     "key": key,
@@ -550,25 +472,8 @@ class MatchingSession:
                     "reused": key in outcome.reused_keys,
                 }
                 for key, record in sorted(outcome.records.items())
-            )
-            self._result = outcome.result
-            self.status = DONE
-            self._store.finish_run(self.run_id, outcome.result)
-            self._scope.publish(
-                "status.done",
-                questions=outcome.result.questions_asked,
-                matches=len(outcome.result.matches),
-            )
-            self._save_timings()
-            self._save_obs(outcome.result)
-            log.info(
-                "run %s done (stream): %d units, %d reused, %d new questions",
-                self.run_id,
-                len(outcome.records),
-                len(outcome.reused_keys),
-                outcome.questions_new,
-            )
-            return self._result
+            ]
+            return self._finish(outcome.result, cost_items)
 
     def result(self) -> RempResult | None:
         return self._result
@@ -605,9 +510,9 @@ class MatchingService:
         )
         self._sessions: dict[str, MatchingSession] = {}
         self._futures: dict[str, Future] = {}
-        #: In-memory prepared-state LRU, size-capped at ``memory_cache_size``.
-        self._memory_cache: OrderedDict[tuple, PreparedState] = OrderedDict()
-        self._memory_cache_size = max(1, memory_cache_size)
+        #: In-memory prepared-state LRU, size-capped at ``memory_cache_size``
+        #: (callers hold ``self._lock``).
+        self._memory_cache = PreparedCache(memory_cache_size)
         #: Per-key compute locks; pruned as computes finish, so the dict
         #: size is bounded by the number of *in-flight* prepares.
         self._key_locks: dict[tuple, threading.Lock] = {}
@@ -620,12 +525,15 @@ class MatchingService:
         #: Prepared-state cache accounting (memory or store hits vs. computes).
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_evictions = 0
 
     # ------------------------------------------------------------------
     @property
     def store(self) -> RunStore:
         return self._store
+
+    @property
+    def cache_evictions(self) -> int:
+        return self._memory_cache.evictions
 
     def close(self, wait: bool = True) -> None:
         self._executor.shutdown(wait=wait)
@@ -641,22 +549,6 @@ class MatchingService:
     # ------------------------------------------------------------------
     # Prepared-state cache
     # ------------------------------------------------------------------
-    def _cache_get(self, key: tuple) -> PreparedState | None:
-        """LRU probe (caller holds ``self._lock``)."""
-        state = self._memory_cache.get(key)
-        if state is not None:
-            self._memory_cache.move_to_end(key)
-        return state
-
-    def _cache_put(self, key: tuple, state: PreparedState) -> None:
-        """LRU insert with size-cap eviction (caller holds ``self._lock``)."""
-        self._memory_cache[key] = state
-        self._memory_cache.move_to_end(key)
-        while len(self._memory_cache) > self._memory_cache_size:
-            self._memory_cache.popitem(last=False)
-            self.cache_evictions += 1
-            obs.count("prepared.cache.evictions")
-
     def _attach_substrate(
         self, state: PreparedState, config: RempConfig | None
     ) -> PreparedState:
@@ -687,7 +579,7 @@ class MatchingService:
         """
         key = (dataset, seed, scale, config_hash(config))
         with self._lock:
-            state = self._cache_get(key)
+            state = self._memory_cache.get(key)
             if state is not None:
                 self.cache_hits += 1
                 obs.count("prepared.cache.hits")
@@ -696,7 +588,7 @@ class MatchingService:
         try:
             with key_lock:
                 with self._lock:
-                    state = self._cache_get(key)
+                    state = self._memory_cache.get(key)
                     if state is not None:
                         self.cache_hits += 1
                         obs.count("prepared.cache.hits")
@@ -706,7 +598,7 @@ class MatchingService:
                     state = self._attach_substrate(state, config)
                     with self._lock:
                         self.cache_hits += 1
-                        self._cache_put(key, state)
+                        self._memory_cache.put(key, state)
                     obs.count("prepared.cache.hits")
                     return state
                 bundle = load_dataset(dataset, seed=seed, scale=scale)
@@ -724,7 +616,7 @@ class MatchingService:
                     arena.attach(state, store=self._store)
                 with self._lock:
                     self.cache_misses += 1
-                    self._cache_put(key, state)
+                    self._memory_cache.put(key, state)
                 obs.count("prepared.cache.misses")
                 log.info("prepared state computed for %s", key)
                 return state
@@ -987,7 +879,7 @@ class MatchingService:
             )
         key = (f"fp:{record.kb_fingerprint}", record.seed, record.scale, config_hash(config))
         with self._lock:
-            state = self._cache_get(key)
+            state = self._memory_cache.get(key)
         if state is not None:
             return state
         state = self._store.load_prepared(
@@ -1000,7 +892,7 @@ class MatchingService:
             )
         state = self._attach_substrate(state, config)
         with self._lock:
-            self._cache_put(key, state)
+            self._memory_cache.put(key, state)
         return state
 
     def _stream_inputs(self, session: MatchingSession):
@@ -1070,7 +962,7 @@ class MatchingService:
             # time, with nothing ever reclaiming them.
             child.attach(prepared.state, store=self._store, persist=False)
         with self._lock:
-            self._cache_put(
+            self._memory_cache.put(
                 (fp_dataset, session.seed, session.scale, config_hash(config)),
                 prepared.state,
             )

@@ -103,3 +103,54 @@ def test_render_alignment():
     lines = rendered.splitlines()
     assert lines[0] == "T"
     assert len(lines) == 2 + 2 + 2  # title, blank, header, rule, 2 rows
+
+
+def _relabeled(bundle):
+    """``bundle`` with one ``rdfs:label`` literal rewritten: same counts, new content."""
+    from dataclasses import replace
+
+    from repro.kb.model import LABEL_ATTRIBUTE
+
+    kb1 = bundle.kb1.copy()
+    entity = min(e for e in kb1.entities if kb1.label(e))
+    label = kb1.label(entity)
+    assert kb1.remove_attribute_triple(entity, LABEL_ATTRIBUTE, label)
+    kb1.add_attribute_triple(entity, LABEL_ATTRIBUTE, label + " rewritten")
+    counts = (len(kb1), kb1.num_attribute_triples, kb1.num_relationship_triples)
+    original = bundle.kb1
+    assert counts == (
+        len(original), original.num_attribute_triples, original.num_relationship_triples
+    )
+    return replace(bundle, kb1=kb1)
+
+
+def test_prepared_state_cache_keys_on_content(monkeypatch):
+    from repro.datasets import load_dataset
+    from repro.experiments import common
+
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    common._PREPARED_CACHE.clear()
+    bundle = load_dataset("iimb", seed=0, scale=0.2)
+    first = common.prepared_state(bundle)
+    second = common.prepared_state(_relabeled(bundle))
+    assert second is not first
+    assert common.prepared_state(bundle) is first
+
+
+def test_store_guard_rejects_same_counts_other_content(tmp_path, monkeypatch):
+    from repro.datasets import load_dataset
+    from repro.experiments import common
+    from repro.substrate import kb_fingerprint
+
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store.db"))
+    monkeypatch.setattr(common, "_ENV_STORE", None)
+    bundle = load_dataset("iimb", seed=0, scale=0.2)
+    relabeled = _relabeled(bundle)
+    common._PREPARED_CACHE.clear()
+    try:
+        common.prepared_state(bundle)  # persisted under (iimb, 0, 0.2, config)
+        common._PREPARED_CACHE.clear()
+        state = common.prepared_state(relabeled)
+    finally:
+        common._ENV_STORE.close()
+    assert kb_fingerprint(state.kb1) == kb_fingerprint(relabeled.kb1)

@@ -8,6 +8,7 @@ from repro.core import Remp, RempConfig
 from repro.crowd import CrowdPlatform
 from repro.service import MatchingService
 from repro.store import RunStore
+from repro.store.serialize import checkpoint_to_doc, result_to_doc
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +196,42 @@ class TestServiceResume:
             resumed = service.result(run_id)
         assert resumed.matches == uninterrupted.matches
         assert resumed.questions_asked == uninterrupted.questions_asked
+
+
+class TestStepwiseEqualsLibrary:
+    @pytest.mark.parametrize("budget", [None, 2])
+    def test_service_loop_is_byte_identical_to_library(self, tmp_path, bundle, budget):
+        """Stepped sessions, their checkpoints and their resumes equal ``Remp.run``."""
+        config = RempConfig(budget=budget)
+        platform = CrowdPlatform.with_simulated_workers(
+            bundle.gold_matches, error_rate=0.1, seed=0
+        )
+        checkpoints = []
+        library = Remp(config, seed=0).run(
+            bundle.kb1, bundle.kb2, platform, on_checkpoint=checkpoints.append
+        )
+        expected = result_to_doc(library)
+
+        def submit(service):
+            return service.submit(
+                "iimb", scale=0.2, config=config, error_rate=0.1, background=False
+            )
+
+        with MatchingService(RunStore(tmp_path / "a.db")) as service:
+            run_id = submit(service)
+            persisted = []
+            while service.step(run_id):
+                persisted.append(checkpoint_to_doc(service.store.load_checkpoint(run_id)))
+            assert result_to_doc(service.result(run_id)) == expected
+        assert persisted == [checkpoint_to_doc(c) for c in checkpoints]
+
+        with MatchingService(RunStore(tmp_path / "b.db")) as service:
+            run_id = submit(service)
+            assert service.step(run_id)
+            assert service.step(run_id)
+        with MatchingService(RunStore(tmp_path / "b.db")) as service:
+            service.resume(run_id, background=False)
+            assert result_to_doc(service.result(run_id)) == expected
 
 
 class TestStreamSessions:
