@@ -132,30 +132,21 @@ def strict_dominance_counts(
 
 
 class PackedVectors:
-    """A whole vector index packed once into a ``float64`` matrix.
+    """A vector index packed into one ``float64`` matrix.
 
     Per-block kernels then slice by row index instead of re-converting
     Python tuples — the conversion, not the comparisons, dominates the
     kernel cost on realistic block sizes.  ``available`` is ``False``
     when NumPy is absent or the accel layer is off; callers fall back to
-    the reference loops.
-
-    A packed instance is self-contained (it carries its own pair→row map
-    and vector dict), so one matrix can be *shared* by every
-    equal-content ``VectorIndex`` — that is what the substrate layer
-    (:mod:`repro.substrate`) does across sessions.  It also pickles:
-    normally by shipping the matrix bytes, or — after
-    :meth:`export_shared` — by shipping a ``multiprocessing.shared_memory``
-    segment name, so a spawn-started pool maps one physical copy instead
-    of deserializing one per worker.
+    the reference loops.  :func:`repro.core.pruning.partial_order_pruning`
+    packs one per call and drops it on return.
     """
 
-    __slots__ = ("_np", "_shm", "_vectors", "matrix", "row")
+    __slots__ = ("_np", "_vectors", "matrix", "row")
 
     def __init__(self, vectors: dict):
         np = numpy_or_none()
         self._np = np
-        self._shm = None
         self._vectors = vectors
         self.row: dict = {}
         self.matrix = None
@@ -170,136 +161,6 @@ class PackedVectors:
     @property
     def available(self) -> bool:
         return self.matrix is not None
-
-    def same_content(self, vectors: dict) -> bool:
-        """Whether this packing is valid for ``vectors`` (full equality)."""
-        return self._vectors == vectors
-
-    # -- sharing --------------------------------------------------------
-    def sorted_blob(self) -> tuple[int, int, bytes] | None:
-        """``(rows, cols, payload)`` with rows in sorted-pair order.
-
-        Sorted order is the canonical on-disk layout: a freshly prepared
-        index and a store-loaded one enumerate their pairs differently,
-        so the blob must not depend on either insertion order.
-        """
-        if self.matrix is None:
-            return None
-        np = self._np
-        order = [self.row[pair] for pair in sorted(self.row)]
-        payload = np.ascontiguousarray(self.matrix[order]).tobytes()
-        return len(order), int(self.matrix.shape[1]), payload
-
-    @classmethod
-    def from_sorted_blob(
-        cls, vectors: dict, rows: int, cols: int, payload: bytes
-    ) -> "PackedVectors | None":
-        """Rebuild a packing for ``vectors`` from a sorted-row blob.
-
-        Returns ``None`` when NumPy is unavailable or the blob does not
-        fit the index — wrong pair count / vector width / byte length,
-        or rows whose floats disagree with the index's actual vectors
-        (a blob saved under a colliding key, since the store key
-        truncates the KB fingerprints to 64 bits).  The caller falls
-        back to packing from the tuples.  The row check is a strided
-        sample: full verification would cost exactly the re-pack the
-        blob exists to skip, while ~64 rows of a colliding pair's
-        matrix agreeing with this pair's by chance is negligible.
-        """
-        np = numpy_or_none()
-        if np is None or not vectors:
-            return None
-        width = len(next(iter(vectors.values())))
-        if rows != len(vectors) or cols != width or len(payload) != rows * cols * 8:
-            return None
-        order = sorted(vectors)
-        matrix = np.frombuffer(payload, dtype=np.float64).reshape(rows, cols)
-        stride = max(1, rows // 64)
-        for i in {*range(0, rows, stride), rows - 1}:
-            if tuple(matrix[i]) != tuple(vectors[order[i]]):
-                return None
-        packed = cls.__new__(cls)
-        packed._np = np
-        packed._shm = None
-        packed._vectors = vectors
-        packed.row = {pair: i for i, pair in enumerate(order)}
-        packed.matrix = matrix.copy()
-        return packed
-
-    def export_shared(self) -> bool:
-        """Copy the matrix into a shared-memory segment for pickling.
-
-        The in-process matrix is untouched (so releasing the segment can
-        never corrupt the exporter); only *pickles* made while the
-        export is live reference the segment.  Returns ``False`` when
-        there is nothing to export or the platform refuses.
-        """
-        if self.matrix is None:
-            return False
-        if self._shm is not None:
-            return True
-        try:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(self.matrix.nbytes, 1)
-            )
-        except Exception:  # pragma: no cover - platform without shm
-            return False
-        np = self._np
-        view = np.ndarray(self.matrix.shape, dtype=np.float64, buffer=shm.buf)
-        view[...] = self.matrix
-        self._shm = shm
-        return True
-
-    def release_shared(self) -> None:
-        """Close and unlink the exported segment (after workers joined)."""
-        shm = self._shm
-        if shm is None:
-            return
-        self._shm = None
-        for step in (shm.close, shm.unlink):
-            try:
-                step()
-            except Exception:  # pragma: no cover - already reaped
-                pass
-
-    def __getstate__(self):
-        state = {"vectors": self._vectors, "row": self.row}
-        if self.matrix is not None:
-            if self._shm is not None:
-                state["shm"] = (self._shm.name, tuple(self.matrix.shape))
-            else:
-                state["shape"] = tuple(self.matrix.shape)
-                state["data"] = self.matrix.tobytes()
-        return state
-
-    def __setstate__(self, state):
-        self._np = np = numpy_or_none()
-        self._shm = None
-        self._vectors = state["vectors"]
-        self.row = state["row"]
-        self.matrix = None
-        if np is None:
-            return
-        if "shm" in state:
-            from multiprocessing import shared_memory
-
-            name, shape = state["shm"]
-            shm = shared_memory.SharedMemory(name=name)
-            try:
-                # The exporter owns the segment's lifetime; stop this
-                # process's resource tracker from unlinking it at exit.
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker internals moved
-                pass
-            self._shm = shm  # hold the handle: keeps the mapping alive
-            self.matrix = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-        elif "data" in state:
-            matrix = np.frombuffer(state["data"], dtype=np.float64)
-            self.matrix = matrix.reshape(state["shape"]).copy()
 
     def counts(self, pairs: Sequence, cap: int | None = None) -> list[int]:
         """Strict-dominance counts for the block formed by ``pairs``.
@@ -336,18 +197,6 @@ class PackedVectors:
                 np.asarray(multiplicity, dtype=np.int64),
             )
             return [unique_counts[slot] for slot in slot_of]
-
-    def any_dominator(self, targets: Sequence, candidates: Sequence) -> list[bool]:
-        """Per target pair, whether any candidate pair strictly dominates it."""
-        np = self._np
-        if not targets:
-            return []
-        if not candidates:
-            return [False] * len(targets)
-        with TIMINGS.timed("kernel.dominance"):
-            target_matrix = self.matrix[[self.row[p] for p in targets]]
-            candidate_matrix = self.matrix[[self.row[p] for p in candidates]]
-            return _any_dominator_numpy(np, target_matrix, candidate_matrix)
 
 
 def _any_dominator_python(

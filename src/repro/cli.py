@@ -655,16 +655,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     with RunStore(_store_path(args)) as store:
         if args.cache_command == "clear":
             removed = store.clear_prepared()
-            blobs = store.clear_substrate_blobs()
             print(f"removed {removed} prepared state(s) from {store.path}")
-            print(f"removed {blobs} substrate blob(s)")
         else:  # info
             stats = store.stats()
             print(f"store: {stats['path']}")
             print(f"prepared states: {stats['prepared_states']}")
             for dataset, seed, scale, digest in store.list_prepared():
                 print(f"  {dataset} seed={seed} scale={scale} config={digest}")
-            print(f"substrate blobs: {stats['substrate_blobs']}")
             print(f"runs: {stats['runs']} {stats['runs_by_status']}")
             print(f"checkpoints: {stats['checkpoints']}")
     return 0

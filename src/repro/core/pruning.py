@@ -9,6 +9,9 @@ entities); the survivors form the retained match set ``M_rd``.
 
 from __future__ import annotations
 
+from functools import cache
+from typing import Callable
+
 from repro.accel.dominance import (
     _MIN_NUMPY_BLOCK,
     PackedVectors,
@@ -25,32 +28,28 @@ def _prune_one_way(
     index: VectorIndex,
     k: int,
     side: int,
-    use_kernel: bool = False,
+    pack: Callable[[], PackedVectors] | None,
 ) -> set[Pair]:
     """One PruningInOneWay pass of Algorithm 1 over the given side.
 
     ``side`` 0 groups blocks by the KB1 entity, 1 by the KB2 entity.
-    On the accel path large blocks are sliced out of the index's packed
-    matrix and dominators counted (clipped at ``k``) by broadcast
-    comparison; the keep decision ``rank < k`` is identical to the
-    reference loop's early-exit count.  Packing is deferred to the first
-    block that is actually large enough — incremental re-prunes over a
-    few dirty closures never pay the whole-index pack.
+    On the accel path (``pack`` given) large blocks are sliced out of
+    the packed matrix ``pack()`` returns and dominators counted (clipped
+    at ``k``) by broadcast comparison; the keep decision ``rank < k`` is
+    identical to the reference loop's early-exit count.
     """
     blocks: dict[str, list[Pair]] = {}
     for pair in pairs:
         blocks.setdefault(pair[side], []).append(pair)
 
-    packed: PackedVectors | None = None
     retained: set[Pair] = set()
     for block in blocks.values():
         if len(block) <= k:
             retained.update(block)
             continue
         vectors = index.vectors
-        if use_kernel and len(block) >= _MIN_NUMPY_BLOCK:
-            if packed is None:
-                packed = index.packed()
+        if pack is not None and len(block) >= _MIN_NUMPY_BLOCK:
+            packed = pack()
             if packed.available:
                 ranks = packed.counts(block, cap=k)
                 retained.update(
@@ -82,9 +81,12 @@ def partial_order_pruning(candidates: set[Pair], index: VectorIndex, k: int = 4)
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    use_kernel = accel_enabled()
-    retained = _prune_one_way(candidates, index, k, side=0, use_kernel=use_kernel)
-    retained = _prune_one_way(retained, index, k, side=1, use_kernel=use_kernel)
+    # One matrix for both passes, packed only once a block is large
+    # enough to use it (incremental re-prunes over a few dirty closures
+    # never pay the whole-index pack) and dropped on return.
+    pack = cache(lambda: PackedVectors(index.vectors)) if accel_enabled() else None
+    retained = _prune_one_way(candidates, index, k, side=0, pack=pack)
+    retained = _prune_one_way(retained, index, k, side=1, pack=pack)
     return retained
 
 
@@ -109,15 +111,11 @@ def pruning_error_rate(
     matches = [p for p in retained if p in gold]
     non_matches = [p for p in retained if p not in gold]
     if accel_enabled():
-        # Packed kernel: one chunked broadcast instead of the
+        # Dominance kernel: one chunked broadcast instead of the
         # O(|matches|·|non_matches|) Python scan.
-        packed = index.packed()
-        if packed.available:
-            dominated = packed.any_dominator(matches, non_matches)
-        else:
-            dominated = any_strict_dominator(
-                [vectors[m] for m in matches], [vectors[nm] for nm in non_matches]
-            )
+        dominated = any_strict_dominator(
+            [vectors[m] for m in matches], [vectors[nm] for nm in non_matches]
+        )
         return sum(dominated) / len(retained)
     conflicts = 0
     for match in matches:

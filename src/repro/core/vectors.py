@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.accel.dominance import PackedVectors, strict_dominance_counts
+from repro.accel.dominance import strict_dominance_counts
 from repro.accel.literals import LiteralScorer
 from repro.accel.runtime import TIMINGS, accel_enabled
 from repro.core.attributes import AttributeMatch
 from repro.kb.model import KnowledgeBase
-from repro.obs import runtime as obs
 from repro.substrate import current_substrate
 from repro.text.literal import literal_set_similarity
 
@@ -100,36 +99,18 @@ class VectorIndex:
     _rank_cache: dict[tuple[int, str], dict[Pair, int]] = field(
         default_factory=dict, init=False, repr=False
     )
-    #: Lazily-packed float64 matrix shared by the dominance kernels.
-    _packed: PackedVectors | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for pair in self.vectors:
             self.by_left.setdefault(pair[0], []).append(pair)
             self.by_right.setdefault(pair[1], []).append(pair)
 
-    def packed(self) -> PackedVectors:
-        """The index's vectors packed once for the dominance kernels.
-
-        ``substrate.pack.builds`` counts actual packings: an index whose
-        matrix was adopted from the shared substrate (or shipped to a
-        pool worker pre-packed) never increments it.
-        """
-        if self._packed is None:
-            self._packed = PackedVectors(self.vectors)
-            obs.count("substrate.pack.builds")
-        return self._packed
-
     def _block_ranks(self, side: int, entity: str) -> dict[Pair, int]:
-        """Dominance counts of one whole block via the packed kernel."""
+        """Dominance counts of one whole block via the dominance kernel."""
         ranks = self._rank_cache.get((side, entity))
         if ranks is None:
             block = (self.by_left if side == 0 else self.by_right).get(entity, [])
-            packed = self.packed()
-            if packed.available and len(block) > 1:
-                counts = packed.counts(block)
-            else:
-                counts = strict_dominance_counts([self.vectors[p] for p in block])
+            counts = strict_dominance_counts([self.vectors[p] for p in block])
             ranks = dict(zip(block, counts))
             self._rank_cache[(side, entity)] = ranks
         return ranks

@@ -30,14 +30,13 @@ from fnmatch import fnmatchcase
 #: (probes are just strings), but these are the documented contract.
 FAULT_SITES = (
     "store.write",
-    "substrate.blob.load",
     "crowd.answer",
     "worker.start",
     "worker.mid_shard",
 )
 
 #: Actions a matching rule may take at its probe.
-FAULT_ACTIONS = ("error", "kill", "delay", "corrupt")
+FAULT_ACTIONS = ("error", "kill", "delay")
 
 
 class InjectedFault(RuntimeError):

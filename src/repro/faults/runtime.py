@@ -94,10 +94,9 @@ def disabled():
 def check(site: str, **context) -> str | None:
     """Probe *site*; fire the first matching rule of the active plan.
 
-    Returns the action name for ``delay`` / ``corrupt`` firings (the
-    caller implements the corruption), ``None`` when nothing fired.
-    ``error`` raises :class:`InjectedFault`; ``kill`` SIGKILLs the
-    current process — exactly what a crashed worker looks like.
+    Returns ``"delay"`` after a ``delay`` firing, ``None`` when nothing
+    fired.  ``error`` raises :class:`InjectedFault`; ``kill`` SIGKILLs
+    the current process — exactly what a crashed worker looks like.
     """
     plan = current_plan()
     if plan is None or not plan.rules:

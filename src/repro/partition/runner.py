@@ -39,7 +39,7 @@ import traceback
 from dataclasses import dataclass, field, replace
 
 from repro import faults
-from repro.accel.runtime import TIMINGS, accel_enabled
+from repro.accel.runtime import TIMINGS
 from repro.core.config import RempConfig
 from repro.obs import runtime as obs
 from repro.obs.logging import get_logger
@@ -383,9 +383,7 @@ def _worker_main(base_state, crowd, conn, worker_index=0) -> None:
 
     ``base_state`` and ``crowd`` arrive through the process arguments:
     free under the ``fork`` start method (copy-on-write memory), pickled
-    once per worker — never once per shard — under ``spawn`` (where the
-    packed dominance matrix travels as a shared-memory segment name, so
-    all workers map one physical copy).
+    once per worker — never once per shard — under ``spawn``.
 
     ``conn`` is this worker's *private* duplex pipe to the supervisor.
     A per-worker pipe — instead of one shared event queue — is what
@@ -407,7 +405,6 @@ def _worker_main(base_state, crowd, conn, worker_index=0) -> None:
     # workers that survived startup, so a stillborn worker never burns a
     # shard's retry budget.
     conn.send(("ready", worker_index))
-    attached = False
     while True:
         try:
             task = conn.recv()
@@ -422,17 +419,6 @@ def _worker_main(base_state, crowd, conn, worker_index=0) -> None:
             # — no snapshot/diff against the process-wide registry.
             scope = obs.RunScope(shard_id=task.shard.shard_id)
             with scope.activate():
-                if not attached:
-                    # Once per worker, on its first task's scope: the
-                    # substrate contract is that the parent pre-packed
-                    # the base state, so a worker that would have to
-                    # re-pack is a regression — base_unpacked flags it.
-                    attached = True
-                    obs.count("substrate.worker.attach")
-                    prepacked = base_state.vector_index._packed is not None
-                    if accel_enabled() and not prepacked:
-                        obs.count("substrate.worker.base_unpacked")
-                    obs.event("substrate.worker.attach", prepacked=prepacked)
                 outcome = _execute_shard(task, base_state, crowd, conn.send)
             outcome.timings = scope.timings.snapshot()
             outcome.spans = scope.tracer.spans()
@@ -617,15 +603,6 @@ class ParallelRunner:
             len(plan.isolated_shards),
             self.workers,
         )
-
-        if accel_enabled():
-            # Materialize the packed dominance matrix in the parent
-            # BEFORE any worker exists: forked workers then share the
-            # float64 pages copy-on-write (and spawn ships one
-            # shared-memory segment) instead of each shard's first
-            # min_rank call lazily re-packing a private copy per worker.
-            with TIMINGS.timed("partition.prepack"):
-                state.vector_index.packed()
 
         graph_shards = plan.graph_shards
         # Weight by loop pairs: rider isolated pairs can never consume a
@@ -856,7 +833,7 @@ class ParallelRunner:
         # advertised but unsafe) stay with the platform default — under
         # spawn the state is pickled once per worker via the process args.
         # REPRO_START_METHOD overrides the choice (tests pin ``spawn`` to
-        # exercise the shared-memory transport on Linux).
+        # exercise the pickled transport on Linux).
         method = os.environ.get("REPRO_START_METHOD", "").strip().lower()
         if method:
             context = multiprocessing.get_context(method)
@@ -866,16 +843,6 @@ class ParallelRunner:
             context = multiprocessing.get_context("fork")
         else:
             context = multiprocessing.get_context()
-        shared_packed = None
-        if context.get_start_method() != "fork":
-            packed = state.vector_index._packed
-            # Non-fork workers receive the state by pickle; exporting the
-            # packed matrix into shared memory first makes each worker's
-            # pickle carry a segment *name* instead of an n×d float64
-            # copy, and every worker maps the same physical pages.
-            if packed is not None and packed.export_shared():
-                shared_packed = packed
-                obs.count("substrate.shm.exported")
         workers: list[_PoolWorker] = []
         next_worker_index = 0
 
@@ -911,9 +878,6 @@ class ParallelRunner:
             clean_exit = True
         finally:
             self._shutdown_pool(workers, graceful=clean_exit)
-            if shared_packed is not None:
-                # Workers have joined; nobody maps the segment any more.
-                shared_packed.release_shared()
 
     def _assign_tasks(self, workers: list[_PoolWorker], backlog: list) -> None:
         """Hand backlog tasks to idle, ready workers (supervisor-side)."""

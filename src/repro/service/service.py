@@ -11,7 +11,7 @@ one :class:`repro.store.RunStore`:
   blocks until the artifact is ready.  Computes run inside, and every
   returned state is attached to, the key's shared kernel arena
   (:mod:`repro.substrate`), so sessions on the same KB pair share one
-  literal-interning arena and one packed dominance matrix.
+  literal-interning arena.
 * Each submitted run becomes a :class:`MatchingSession` with an explicit
   ``submit / step / status / result`` lifecycle.  Background sessions run
   on a thread pool; foreground sessions are advanced by calling
@@ -558,7 +558,7 @@ class MatchingService:
         arena = self._substrate.get_or_create(
             substrate_key(state.kb1, state.kb2, config)
         )
-        return arena.attach(state, store=self._store)
+        return arena.attach(state)
 
     def prepared(
         self,
@@ -575,7 +575,7 @@ class MatchingService:
         compute runs inside the key's shared substrate arena
         (:mod:`repro.substrate`), and every state returned is attached
         to it, so concurrent sessions on the same KB pair share one
-        literal-interning arena and one packed dominance matrix.
+        literal-interning arena.
         """
         key = (dataset, seed, scale, config_hash(config))
         with self._lock:
@@ -613,7 +613,7 @@ class MatchingService:
                     )
                 self._store.save_prepared(dataset, seed, scale, config, state)
                 if arena is not None:
-                    arena.attach(state, store=self._store)
+                    arena.attach(state)
                 with self._lock:
                     self.cache_misses += 1
                     self._memory_cache.put(key, state)
@@ -957,10 +957,7 @@ class MatchingService:
                 parent_arena,
                 substrate_key(prepared.state.kb1, prepared.state.kb2, config),
             )
-            # persist=False: a delta step per stream update would
-            # otherwise append one full packed matrix to the store each
-            # time, with nothing ever reclaiming them.
-            child.attach(prepared.state, store=self._store, persist=False)
+            child.attach(prepared.state)
         with self._lock:
             self._memory_cache.put(
                 (fp_dataset, session.seed, session.scale, config_hash(config)),

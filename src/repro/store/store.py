@@ -21,7 +21,6 @@ the service's worker threads; payloads are stable JSON documents from
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
@@ -103,14 +102,6 @@ CREATE TABLE IF NOT EXISTS stream_units (
     updated_at TEXT NOT NULL,
     PRIMARY KEY (run_id, unit_key)
 );
-CREATE TABLE IF NOT EXISTS substrate_blobs (
-    key        TEXT PRIMARY KEY,
-    rows       INTEGER NOT NULL,
-    cols       INTEGER NOT NULL,
-    payload    BLOB NOT NULL,
-    digest     TEXT,
-    created_at TEXT NOT NULL
-);
 CREATE TABLE IF NOT EXISTS run_timings (
     run_id     TEXT PRIMARY KEY,
     payload    TEXT NOT NULL,
@@ -133,18 +124,19 @@ CREATE TABLE IF NOT EXISTS run_events (
 CREATE INDEX IF NOT EXISTS run_events_by_run ON run_events (run_id, seq);
 """
 
-#: Columns added after the v1 schema.  New databases get them through
-#: ``_SCHEMA`` directly; the ALTER TABLE only upgrades stores created by
-#: earlier releases (it fails with "duplicate column" otherwise, which
-#: is the one error the open path may swallow).  The last four are the
+#: Upgrades for stores created by earlier releases.  New databases get
+#: the added columns through ``_SCHEMA`` directly; there the ALTER TABLE
+#: fails with "duplicate column", the one error the open path may
+#: swallow.  The four ``runs`` columns after ``workers`` are the
 #: *lineage migration*: run provenance for incremental (stream) runs.
+#: The DROP removes a table of cached dominance matrices nothing read.
 _MIGRATIONS = (
     "ALTER TABLE runs ADD COLUMN workers INTEGER",
     "ALTER TABLE runs ADD COLUMN parent_run_id TEXT",
     "ALTER TABLE runs ADD COLUMN delta_json TEXT",
     "ALTER TABLE runs ADD COLUMN stream_step INTEGER",
     "ALTER TABLE runs ADD COLUMN kb_fingerprint TEXT",
-    "ALTER TABLE substrate_blobs ADD COLUMN digest TEXT",
+    "DROP TABLE IF EXISTS substrate_blobs",
     "ALTER TABLE shard_checkpoints ADD COLUMN lease_owner TEXT",
     "ALTER TABLE shard_checkpoints ADD COLUMN lease_expires REAL",
     "ALTER TABLE shard_checkpoints ADD COLUMN heartbeat_at REAL",
@@ -161,11 +153,6 @@ RUN_STATUSES = ("queued", "preparing", "running", "done", "failed")
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _blob_digest(payload: bytes) -> str:
-    """Integrity digest stored (and checked) with each substrate blob."""
-    return hashlib.sha256(payload).hexdigest()
 
 
 @dataclass(slots=True)
@@ -353,61 +340,6 @@ class RunStore:
         return self._write(
             "clear_prepared",
             lambda conn: conn.execute("DELETE FROM prepared_states").rowcount,
-        )
-
-    # ------------------------------------------------------------------
-    # Substrate blobs (repro.substrate packed dominance matrices)
-    # ------------------------------------------------------------------
-    def save_substrate_blob(
-        self, key: str, rows: int, cols: int, payload: bytes
-    ) -> None:
-        """Persist one packed float64 matrix (sorted-pair row order).
-
-        ``key`` is the flattened substrate key — KB-pair fingerprints
-        plus config hash — so the blob is valid for any equal-content
-        index and a fresh process skips the re-pack.  A payload digest
-        rides along and is verified on load, so a corrupt row degrades
-        to a re-pack instead of a silently wrong canonical matrix.
-        """
-        def op(conn):
-            conn.execute(
-                "INSERT OR REPLACE INTO substrate_blobs"
-                " (key, rows, cols, payload, digest, created_at)"
-                " VALUES (?, ?, ?, ?, ?, ?)",
-                (key, rows, cols, payload, _blob_digest(payload), _now()),
-            )
-
-        self._write("save_substrate_blob", op)
-
-    def load_substrate_blob(self, key: str) -> tuple[int, int, bytes] | None:
-        """``(rows, cols, payload)`` for a stored matrix, or ``None``.
-
-        A row whose payload fails its digest check — corruption, or a
-        pre-digest row from an older store — is treated as absent; the
-        caller re-packs (and re-saves, restoring the digest).
-        """
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT rows, cols, payload, digest FROM substrate_blobs"
-                " WHERE key = ?",
-                (key,),
-            ).fetchone()
-        if row is None:
-            return None
-        payload = bytes(row["payload"])
-        if faults.check("substrate.blob.load", key=key) == "corrupt" and payload:
-            # Flip bits *before* the digest check so the injected
-            # corruption exercises the real refusal → re-pack path.
-            payload = bytes([payload[0] ^ 0xFF]) + payload[1:]
-        if row["digest"] != _blob_digest(payload):
-            return None
-        return int(row["rows"]), int(row["cols"]), payload
-
-    def clear_substrate_blobs(self) -> int:
-        """Drop every stored packed matrix; returns the number removed."""
-        return self._write(
-            "clear_substrate_blobs",
-            lambda conn: conn.execute("DELETE FROM substrate_blobs").rowcount,
         )
 
     # ------------------------------------------------------------------
@@ -1104,13 +1036,9 @@ class RunStore:
             run_events = self._conn.execute(
                 "SELECT COUNT(*) AS n FROM run_events"
             ).fetchone()["n"]
-            substrate_blobs = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM substrate_blobs"
-            ).fetchone()["n"]
         return {
             "path": self.path,
             "prepared_states": prepared,
-            "substrate_blobs": substrate_blobs,
             "runs": runs,
             "runs_by_status": by_status,
             "checkpoints": checkpoints,

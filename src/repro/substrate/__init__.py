@@ -1,15 +1,13 @@
 """Shared prepare substrate: one kernel arena per (KB pair, config).
 
-The expensive prepare artifacts — the packed dominance matrix
-(:class:`repro.accel.dominance.PackedVectors`), the
-:class:`repro.accel.literals.LiteralScorer` interning arena, and the
-candidate-generation token indexes — depend only on the two KBs and the
+The prepare-time memos — the :class:`repro.accel.literals.LiteralScorer`
+interning arenas, the candidate-generation token and label indexes, and
+the ER-graph relation adjacency — depend only on the two KBs and the
 Remp configuration.  This package owns them once per
 ``(kb1 fingerprint, kb2 fingerprint, config hash)`` and hands them to
-every pass that would otherwise rebuild its own: concurrent
-:class:`repro.service.MatchingService` sessions, partition pool workers
-(copy-on-write under ``fork``, ``multiprocessing.shared_memory`` under
-``spawn``), and incremental stream steps deriving from a parent run.
+every prepare pass that would otherwise rebuild its own: concurrent
+:class:`repro.service.MatchingService` sessions on one KB pair, and
+incremental stream steps deriving from a parent run.
 
 Under ``REPRO_NO_ACCEL=1`` the substrate is a no-op passthrough —
 :func:`current_substrate` returns ``None`` and every caller falls back

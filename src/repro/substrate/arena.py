@@ -7,12 +7,10 @@ so everything it caches is a pure function of the key:
 * per-threshold :class:`repro.accel.LiteralScorer` arenas (their caches
   are content-addressed, so one scorer soundly serves every prepare,
   attribute-matching round, and incremental splice over the pair);
-* the candidate-generation token indexes, keyed by KB *identity* (a
-  different KB object — e.g. a delta-spliced copy — always rebuilds, so
-  a stale index can never leak across stream steps);
-* the canonical :class:`repro.accel.dominance.PackedVectors` float64
-  matrix, adopted by every equal-content ``VectorIndex`` and optionally
-  persisted as a store blob so a fresh process skips the re-pack.
+* the candidate-generation token indexes, the raw-label maps and the
+  ER-graph relation adjacency, keyed by KB *identity* (a different KB
+  object — e.g. a delta-spliced copy — always rebuilds, so a stale
+  index can never leak across stream steps).
 
 Activation is scoped through a context variable:
 ``arena.activation()`` makes :func:`current_substrate` return the arena
@@ -32,18 +30,14 @@ import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from repro.accel.dominance import PackedVectors
 from repro.accel.literals import LiteralScorer
 from repro.accel.runtime import accel_enabled
 from repro.kb.io import kb_to_doc
 from repro.kb.model import KnowledgeBase
 from repro.obs import runtime as obs
-from repro.obs.logging import get_logger
 
 #: A substrate key: (kb1 fingerprint, kb2 fingerprint, config hash).
 Key = tuple[str, str, str]
-
-log = get_logger("substrate")
 
 _ACTIVE: ContextVar["PrepareSubstrate | None"] = ContextVar(
     "repro_substrate", default=None
@@ -89,13 +83,12 @@ class PrepareSubstrate:
         self._token_indexes: dict[int, tuple[weakref.ref, object]] = {}
         self._adjacencies: dict[int, tuple[weakref.ref, object]] = {}
         self._labels_indexes: dict[int, tuple[weakref.ref, object]] = {}
-        self._packed: PackedVectors | None = None
-        #: How many prepared states attached (diagnostics + bench).
+        #: How many prepared states attached (the attach event's count).
         self.attached = 0
 
     @property
     def key_str(self) -> str:
-        """The key flattened for store blobs and telemetry payloads."""
+        """The key flattened for telemetry payloads."""
         return ":".join(self.key)
 
     # -- activation -----------------------------------------------------
@@ -160,71 +153,16 @@ class PrepareSubstrate:
             self._labels_indexes, side, kb, builder, "substrate.labels_index.reused"
         )
 
-    # -- packed matrix --------------------------------------------------
-    def attach(self, state, store=None, persist=True):
-        """Bind a prepared state to this arena's canonical packed matrix.
+    # -- attachment -----------------------------------------------------
+    def attach(self, state):
+        """Stamp ``state`` with this arena's key and publish the attach.
 
-        The first attach registers (or builds, via a store blob when one
-        is available) the pair's ``PackedVectors``; later attaches of
-        equal-content states adopt it instead of re-packing, so every
-        session and pool worker on the key shares one float64 matrix.
-        Content equality is checked outright — a mismatch (a restricted
-        slice, a different pair under a colliding key) just re-packs.
-        ``persist=False`` still *loads* a matching store blob but never
-        saves one — stream delta steps use it, since one full matrix per
-        delta step would grow ``substrate_blobs`` without bound and the
-        hot arena already covers same-process reuse.  Passthrough when
-        the accel layer is off.
+        The stream path finds a parent run's arena again through the
+        stamped ``substrate_key``.
         """
-        if not accel_enabled():
-            return state
-        index = state.vector_index
         with self._lock:
-            packed = self._packed
-            if packed is not None and packed.same_content(index.vectors):
-                if index._packed is not packed:
-                    index._packed = packed
-                    obs.count("substrate.packed.adopted")
-            else:
-                loaded = False
-                if index._packed is None and store is not None:
-                    adopted = _packed_from_store(store, self.key_str, index.vectors)
-                    if adopted is not None:
-                        index._packed = adopted
-                        loaded = True
-                        obs.count("substrate.blob.loaded")
-                packed = index.packed()
-                if packed.available:
-                    self._packed = packed
-                    if store is not None and not loaded and persist:
-                        _packed_to_store(store, self.key_str, packed)
             self.attached += 1
             sessions = self.attached
         state.substrate_key = self.key
         obs.event("substrate.attach", key=self.key_str, sessions=sessions)
         return state
-
-
-def _packed_to_store(store, key: str, packed: PackedVectors) -> None:
-    """Best-effort persist of the canonical matrix (sorted-pair rows)."""
-    blob = packed.sorted_blob()
-    if blob is None:
-        return
-    rows, cols, payload = blob
-    try:
-        store.save_substrate_blob(key, rows, cols, payload)
-        obs.count("substrate.blob.saved")
-    except Exception:  # pragma: no cover - store closed / readonly
-        log.debug("substrate blob save failed for %s", key, exc_info=True)
-
-
-def _packed_from_store(store, key: str, vectors) -> PackedVectors | None:
-    """Rebuild the canonical matrix from a store blob, or ``None``."""
-    try:
-        blob = store.load_substrate_blob(key)
-    except Exception:  # pragma: no cover - store closed / readonly
-        return None
-    if blob is None:
-        return None
-    rows, cols, payload = blob
-    return PackedVectors.from_sorted_blob(vectors, rows, cols, payload)

@@ -4,13 +4,11 @@ One :class:`SubstrateCache` (normally the module singleton behind
 :func:`shared_cache`) maps each ``(kb1 fingerprint, kb2 fingerprint,
 config hash)`` key to its :class:`repro.substrate.PrepareSubstrate`.
 Concurrent :class:`repro.service.MatchingService` instances in one
-process — and the pool workers forked under them — therefore converge on
-one arena per KB pair instead of one per session.
+process therefore converge on one arena per KB pair instead of one per
+session.
 
 Capacity is bounded: the least-recently-used arena is dropped past
-``capacity`` entries (its kernels stay alive only while an attached
-prepared state still references them), counted by
-``substrate.evictions``.  ``derive`` seeds a delta-spliced child pair's
+``capacity`` entries, counted by ``substrate.evictions``.  ``derive`` seeds a delta-spliced child pair's
 arena with *copies* of the parent's literal scorers — their caches are
 content-addressed, so the child only pays for literals the delta
 introduced, while each arena keeps sole ownership of its (mutable)
@@ -72,7 +70,7 @@ class SubstrateCache:
         KB pair.  They carry over as *snapshots*, never aliases: the two
         arenas have separate locks, so a scorer shared by both could be
         mutated by a parent-activated session and a child-activated
-        stream step at once.  Token indexes and the packed matrix are
+        stream step at once.  The identity-keyed indexes are
         pair-specific and rebuilt by the child.
         """
         arena = self.get_or_create(key)

@@ -256,6 +256,51 @@ class TestStoreCommands:
         assert main(["cache", "clear", "--store", store_path]) == 0
         assert "removed 1" in capsys.readouterr().out
 
+    def test_store_with_substrate_blobs_upgrades_cleanly(self, store_path, capsys):
+        """A store from before the blob table's removal opens and serves.
+
+        Such a store holds every current table plus ``substrate_blobs``
+        (packed dominance matrices).  Opening it drops the table; a
+        service job and ``cache info`` / ``cache clear`` then work and
+        print no blob line.
+        """
+        import sqlite3
+
+        from repro.service import MatchingService
+
+        RunStore(store_path).close()
+        legacy = sqlite3.connect(store_path)
+        legacy.executescript(
+            """
+            CREATE TABLE IF NOT EXISTS substrate_blobs (
+                key TEXT PRIMARY KEY, rows INTEGER NOT NULL,
+                cols INTEGER NOT NULL, payload BLOB NOT NULL,
+                digest TEXT, created_at TEXT NOT NULL);
+            INSERT INTO substrate_blobs VALUES
+                ('a:b:c', 1, 1, zeroblob(8), NULL, '2026-01-01');
+            """
+        )
+        legacy.commit()
+        legacy.close()
+
+        with MatchingService(RunStore(store_path)) as service:
+            service.result(service.submit("iimb", scale=0.2, background=False))
+        tables = sqlite3.connect(store_path)
+        try:
+            assert tables.execute(
+                "SELECT name FROM sqlite_master WHERE name = 'substrate_blobs'"
+            ).fetchall() == []
+        finally:
+            tables.close()
+        assert main(["cache", "info", "--store", store_path]) == 0
+        out = capsys.readouterr().out
+        assert "prepared states: 1" in out
+        assert "substrate blob" not in out
+        assert main(["cache", "clear", "--store", store_path]) == 0
+        out = capsys.readouterr().out
+        assert "removed 1" in out
+        assert "substrate blob" not in out
+
     def test_run_honors_repro_store_env(self, store_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", store_path)
         assert main(["run", "iimb", "--scale", "0.2", "--error-rate", "0"]) == 0

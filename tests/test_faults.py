@@ -76,6 +76,8 @@ class TestFaultPlanModel:
             faults.FaultRule("store.write", times=0)
         with pytest.raises(ValueError):
             faults.FaultRule("store.write", action="delay", delay=-1.0)
+        with pytest.raises(ValueError):
+            faults.FaultRule("store.write", action="corrupt")
 
     def test_times_budget_and_where_filters(self):
         plan = faults.FaultPlan(
@@ -207,8 +209,8 @@ class TestStoreFaults:
         scope = RunScope("run-s")
         with RunStore(tmp_path / "runs.db") as store:
             with scope.activate(), faults.activate(plan):
-                store.save_substrate_blob("k", 1, 1, b"\x00" * 8)
-            assert store.load_substrate_blob("k") == (1, 1, b"\x00" * 8)
+                store.save_run_timings("r", {"stage": 1.0})
+            assert store.load_run_timings("r") == {"stage": 1.0}
         assert plan.fired() == 1
         assert scope.metrics.counter("store.write.retry") == 1
 
@@ -218,8 +220,8 @@ class TestStoreFaults:
         with RunStore(tmp_path / "runs.db") as store:
             with faults.activate(plan):
                 with pytest.raises(faults.InjectedFault):
-                    store.save_substrate_blob("k", 1, 1, b"\x00" * 8)
-            assert store.load_substrate_blob("k") is None
+                    store.save_run_timings("r", {"stage": 1.0})
+            assert store.load_run_timings("r") is None
         assert plan.fired() == 2  # initial attempt + one retry
 
     def test_locked_error_is_transient_other_errors_are_not(self, tmp_path):
@@ -287,24 +289,6 @@ class TestStoreFaults:
             records = store.load_shard_records("r")
             assert records[0][0] == "loop"
             assert records[0][1].questions_asked == 4
-
-    def test_corrupted_blob_degrades_to_repack(self, tmp_path):
-        payload = bytes(range(64))
-        plan = faults.FaultPlan(
-            [faults.FaultRule("substrate.blob.load", action="corrupt")]
-        )
-        with RunStore(tmp_path / "runs.db") as store:
-            store.save_substrate_blob("k", 8, 1, payload)
-            with faults.activate(plan):
-                # The corrupted payload fails its digest check: absent, so
-                # the caller re-packs rather than trusting a wrong matrix.
-                assert store.load_substrate_blob("k") is None
-            assert plan.fired() == 1
-            assert store.load_substrate_blob("k") == (8, 1, payload)
-            # Re-saving (what the caller does after the re-pack) restores
-            # a verified row.
-            store.save_substrate_blob("k", 8, 1, payload)
-            assert store.load_substrate_blob("k") == (8, 1, payload)
 
 
 # ----------------------------------------------------------------------

@@ -10,15 +10,11 @@ regression tests for the two leaks the substrate work exposed
 """
 
 import gc
-import pickle
 import threading
 import weakref
 
-import pytest
-
-from repro.accel.dominance import PackedVectors
 from repro.accel.literals import LiteralScorer
-from repro.accel.runtime import force_accel, numpy_or_none
+from repro.accel.runtime import force_accel
 from repro.core import Remp
 from repro.datasets import evolving_bundle
 from repro.kb.model import KnowledgeBase
@@ -71,6 +67,7 @@ class TestFingerprints:
 
 class TestArenaSharing:
     def test_sessions_on_one_key_share_one_packed_matrix(self, tmp_path):
+        """A state reloaded from the store attaches to the same arena."""
         with force_accel(True), _service(RunStore(tmp_path / "s.db")) as service:
             first = service.prepared("iimb", scale=0.2)
             assert first.substrate_key is not None
@@ -80,19 +77,17 @@ class TestArenaSharing:
             second = service.prepared("iimb", scale=0.2)
             assert second is not first
             assert second.vector_index.vectors == first.vector_index.vectors
-            assert second.vector_index._packed is first.vector_index._packed
             assert service._substrate.stats()["hits"] >= 1
 
     def test_two_services_converge_on_shared_cache(self):
         cache = SubstrateCache()
         with force_accel(True):
             with MatchingService(":memory:", substrate_cache=cache) as one:
-                state_a = one.prepared("iimb", scale=0.2)
+                one.prepared("iimb", scale=0.2)
                 result_a = one.result(one.submit("iimb", scale=0.2, background=False))
             with MatchingService(":memory:", substrate_cache=cache) as two:
-                state_b = two.prepared("iimb", scale=0.2)
+                two.prepared("iimb", scale=0.2)
                 result_b = two.result(two.submit("iimb", scale=0.2, background=False))
-        assert state_b.vector_index._packed is state_a.vector_index._packed
         assert len(cache) == 1
         assert result_b.matches == result_a.matches
         assert result_b.questions_asked == result_a.questions_asked
@@ -145,30 +140,22 @@ class TestArenaSharing:
 
 
 class TestWorkers:
-    def _counters(self, service, run_id):
-        doc = service.store.load_run_obs(run_id)
-        return doc["metrics"]["counters"]
-
     def test_partitioned_run_matches_monolithic_and_never_repacks(self, tmp_path):
+        """A ``workers=4`` run matches the monolithic run."""
         with force_accel(True), _service(RunStore(tmp_path / "a.db")) as service:
             mono = service.result(service.submit("evolving", scale=0.4, background=False))
         with force_accel(True), _service(RunStore(tmp_path / "b.db")) as service:
             run_id = service.submit("evolving", scale=0.4, workers=4, background=False)
             parallel = service.result(run_id)
-            counters = self._counters(service, run_id)
         assert parallel.matches == mono.matches
         assert parallel.questions_asked == mono.questions_asked
-        assert counters.get("substrate.worker.attach", 0) >= 1
-        # The parent pre-packed before the pool started, so no forked
-        # worker ever saw an unpacked base state.
-        assert "substrate.worker.base_unpacked" not in counters
 
     def test_spawn_pool_ships_shared_memory_matrix(self, tmp_path, monkeypatch):
+        """A spawn-started pool (base state pickled) matches a forked one."""
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         with force_accel(True), _service(RunStore(tmp_path / "spawn.db")) as service:
             run_id = service.submit("evolving", scale=0.4, workers=2, background=False)
             spawned = service.result(run_id)
-            counters = self._counters(service, run_id)
         monkeypatch.delenv("REPRO_START_METHOD")
         with force_accel(True), _service(RunStore(tmp_path / "fork.db")) as service:
             forked = service.result(
@@ -176,116 +163,6 @@ class TestWorkers:
             )
         assert spawned.matches == forked.matches
         assert spawned.questions_asked == forked.questions_asked
-        if numpy_or_none() is not None:
-            assert counters.get("substrate.shm.exported", 0) >= 1
-        assert "substrate.worker.base_unpacked" not in counters
-
-
-class TestPackedSharing:
-    pairs = {("a", "x"): (1.0, 0.5), ("b", "y"): (0.5, 0.5), ("c", "z"): (0.0, 1.0)}
-
-    def test_pickle_round_trip(self):
-        with force_accel(True):
-            packed = PackedVectors(dict(self.pairs))
-            clone = pickle.loads(pickle.dumps(packed))
-            if packed.available:
-                assert clone.counts(list(self.pairs)) == packed.counts(list(self.pairs))
-            else:  # pragma: no cover - numpy-less environment
-                assert not clone.available
-
-    def test_shared_memory_export_round_trip(self):
-        np = numpy_or_none()
-        if np is None:  # pragma: no cover
-            pytest.skip("requires numpy")
-        with force_accel(True):
-            packed = PackedVectors(dict(self.pairs))
-            assert packed.export_shared()
-            try:
-                clone = pickle.loads(pickle.dumps(packed))
-                assert np.array_equal(clone.matrix, packed.matrix)
-                assert clone.counts(list(self.pairs)) == packed.counts(list(self.pairs))
-                clone.matrix = None
-                clone._shm.close()
-                clone._shm = None
-            finally:
-                packed.release_shared()
-            # Releasing is idempotent and the exporter's matrix survives.
-            packed.release_shared()
-            assert packed.available
-
-    def test_sorted_blob_round_trip_and_mismatch(self):
-        np = numpy_or_none()
-        if np is None:  # pragma: no cover
-            pytest.skip("requires numpy")
-        with force_accel(True):
-            packed = PackedVectors(dict(self.pairs))
-            rows, cols, payload = packed.sorted_blob()
-            rebuilt = PackedVectors.from_sorted_blob(dict(self.pairs), rows, cols, payload)
-            assert rebuilt.counts(list(self.pairs)) == packed.counts(list(self.pairs))
-            # A blob that does not fit the index is refused, not adopted.
-            assert PackedVectors.from_sorted_blob(dict(self.pairs), rows + 1, cols, payload) is None
-            wrong = {("a", "x"): (1.0,)}
-            assert PackedVectors.from_sorted_blob(wrong, rows, cols, payload) is None
-            # Same shape but different floats — the key-collision case
-            # (store keys truncate KB fingerprints): the row spot-check
-            # refuses it instead of adopting a wrong canonical matrix.
-            collided = dict(self.pairs)
-            collided[("a", "x")] = (0.25, 0.75)
-            assert PackedVectors.from_sorted_blob(collided, rows, cols, payload) is None
-
-    def test_corrupt_store_blob_falls_back_to_repack(self, tmp_path):
-        np = numpy_or_none()
-        if np is None:  # pragma: no cover
-            pytest.skip("requires numpy")
-        path = tmp_path / "blob.db"
-        with force_accel(True):
-            with _service(RunStore(path)) as service:
-                first = service.prepared("iimb", scale=0.2)
-                key = ":".join(first.substrate_key)
-                rows, cols, payload = service.store.load_substrate_blob(key)
-                bad = bytearray(payload)
-                bad[0] ^= 0xFF
-                with service.store._lock, service.store._conn:
-                    service.store._conn.execute(
-                        "UPDATE substrate_blobs SET payload = ? WHERE key = ?",
-                        (bytes(bad), key),
-                    )
-                # The digest check treats the corrupt row as absent.
-                assert service.store.load_substrate_blob(key) is None
-            with _service(RunStore(path)) as service:
-                second = service.prepared("iimb", scale=0.2)
-        # The fresh process re-packed from the tuples, not the bad blob.
-        packed = second.vector_index._packed
-        assert packed.available
-        assert np.array_equal(
-            packed.matrix[[packed.row[p] for p in sorted(second.vector_index.vectors)]],
-            first.vector_index._packed.matrix[
-                [first.vector_index._packed.row[p] for p in sorted(first.vector_index.vectors)]
-            ],
-        )
-
-    def test_store_blob_survives_to_a_fresh_process(self, tmp_path):
-        """A second 'process' (fresh substrate cache) adopts the blob."""
-        np = numpy_or_none()
-        if np is None:  # pragma: no cover
-            pytest.skip("requires numpy")
-        path = tmp_path / "blob.db"
-        with force_accel(True):
-            with _service(RunStore(path)) as service:
-                first = service.prepared("iimb", scale=0.2)
-                key = ":".join(first.substrate_key)
-                assert service.store.load_substrate_blob(key) is not None
-            with _service(RunStore(path)) as service:
-                second = service.prepared("iimb", scale=0.2)
-        assert second.vector_index._packed.available
-        assert np.array_equal(
-            second.vector_index._packed.matrix[
-                [second.vector_index._packed.row[p] for p in sorted(second.vector_index.vectors)]
-            ],
-            first.vector_index._packed.matrix[
-                [first.vector_index._packed.row[p] for p in sorted(first.vector_index.vectors)]
-            ],
-        )
 
 
 class TestStreamDerive:
@@ -315,20 +192,6 @@ class TestStreamDerive:
             assert set(parent._scorers[threshold]._ids) <= set(
                 child._scorers[threshold]._ids
             )
-
-    def test_stream_updates_do_not_accumulate_store_blobs(self, tmp_path):
-        evolving = evolving_bundle(seed=0, scale=0.4, steps=2)
-        with force_accel(True), _service(RunStore(tmp_path / "s.db")) as service:
-            run = service.submit("evolving", scale=0.4, stream=True, background=False)
-            service.result(run)
-            before = service.store.stats()["substrate_blobs"]
-            for delta in evolving.deltas:
-                run = service.update(run, delta, background=False)
-                service.result(run)
-            after = service.store.stats()["substrate_blobs"]
-        # Delta steps reuse the hot arena; persisting one full packed
-        # matrix per step would grow the table with nothing evicting it.
-        assert after == before
 
     def test_stream_update_equivalent_to_isolated(self, tmp_path):
         evolving = evolving_bundle(seed=0, scale=0.4, steps=1)
@@ -398,12 +261,11 @@ class TestLeakFixes:
             with arena.activation():
                 state = Remp().prepare(kb1, kb2)
             arena.attach(state)
-        assert arena._packed is not None or numpy_or_none() is None
         ref1, ref2 = weakref.ref(kb1), weakref.ref(kb2)
         del kb1, kb2, state
         gc.collect()
-        # The arena (scorers, token indexes, packed matrix) lives on,
-        # yet holds no strong reference to either KB.
+        # The arena (scorers, token indexes) lives on, yet holds no
+        # strong reference to either KB.
         assert ref1() is None
         assert ref2() is None
         assert arena._scorers or arena._token_indexes
@@ -456,6 +318,5 @@ class TestSubstrateCache:
         seeded.intern("only in child")
         assert (False, "only in child") not in scorer._ids
         assert child._token_indexes == {}
-        assert child._packed is None
         # Deriving onto the same key is a no-op identity.
         assert cache.derive(parent, parent.key) is parent
