@@ -12,26 +12,36 @@ regions the last round could have influenced:
   KB relation indexes).  A label whose observations did not change keeps
   its cached :class:`~repro.core.consistency.Consistency` verbatim.
 * **Edges** — a neighbor group's Eq. 9 marginals are recomputed only
-  when its label's consistency changed or a member pair's effective
-  prior did; a vertex's edge/length rows are rebuilt only from dirty
-  groups, preserving the reference construction order (labels in group
-  order, members sorted) so downstream float accumulations see the
-  same operand order.
+  when its label's γ = ε₁ε₂/((1−ε₁)(1−ε₂)) changed or a member pair's
+  effective prior did.  The marginals read the consistency only through
+  γ, so a re-estimation that grows a label's support without moving γ
+  (ε₁, ε₂ held at the ceiling, say) dirties nothing.  A vertex's
+  edge/length rows are rebuilt only from dirty groups, preserving the
+  reference construction order (labels in group order, members sorted)
+  so downstream float accumulations see the same operand order.
 * **Dijkstra** — a cached per-source distance map stays valid while its
   reachable region is disjoint from the vertices whose length rows
   changed: any path from the source either uses no changed row (same
   distance as cached) or reaches a changed row's vertex through
   unchanged edges — impossible when the cached reachable set avoids all
-  changed vertices.
+  changed vertices.  A vertex → sources reverse index, filled whenever
+  a source's map is computed, finds the maps to drop: each changed
+  vertex pops its sources, and those whose current map still reaches
+  it are dropped.  Entries of dropped or recomputed maps go stale
+  rather than being removed, hence the membership re-check.
 
-Equivalence with the full rebuild is pinned by the accel test suite: the
-incremental maps must be ``==`` *and* iterate in the same order (benefit
-sums are float accumulations over map order).
+Equivalence with the full rebuild is pinned by the accel test suite,
+after every round of a loop: the incremental maps must be ``==`` *and*
+iterate in the same order (benefit sums are float accumulations over map
+order).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from repro.accel.runtime import TIMINGS
+from repro.obs import runtime as obs
 from repro.core.config import RempConfig
 from repro.core.consistency import (
     Consistency,
@@ -66,7 +76,9 @@ class IncrementalPropagator:
 
     The returned distance maps are shared with the internal cache and
     must be treated as read-only by callers (the pipeline only reads
-    them; ``restricted_inferred_sets`` copies).
+    them; ``restricted_inferred_sets`` copies).  Each :meth:`update`
+    counts its work in the active run scope:
+    ``propagation.groups_recomputed`` and ``propagation.dijkstra_runs``.
     """
 
     def __init__(
@@ -100,19 +112,21 @@ class IncrementalPropagator:
         self._consistencies: dict[RelPair, Consistency] = {}
         # Edge / Dijkstra state.
         self._primed = False
-        self._last_consistencies: dict[RelPair, Consistency] = {}
+        self._last_gammas: dict[RelPair, float] = {}
         self._last_priors: dict[Pair, float] = {}
         self._marginals: dict[GroupKey, dict[Pair, float]] = {}
         self._lengths: dict[Pair, DistanceMap] = {}
         self._maps: dict[Pair, DistanceMap] = {}
+        # Vertex -> sources whose map reached it when computed (may hold
+        # stale sources; see the module docstring).
+        self._reached_from: defaultdict[Pair, set[Pair]] = defaultdict(set)
         # Structural marginal memo: Eq. 9 marginals depend only on γ, the
         # reduced pairs' priors and their 1:1 collision pattern — not on
-        # the entity names.  Repetitive graphs (and re-estimated γs that
-        # leave a group's inputs unchanged) hit this cache hard.
+        # the entity names.  Repetitive graphs hit this cache hard.
         self._marginal_memo: dict[tuple, tuple[float, ...]] = {}
         # Per-group (sorted pairs, reduced pairs, γ-free signature),
-        # valid until a member pair's effective prior changes — γ-only
-        # re-estimations (every crowd loop) skip the sort + reduction.
+        # valid until a member pair's effective prior changes — rounds
+        # that move only γ skip the sort + reduction.
         self._group_cache: dict[GroupKey, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -206,33 +220,39 @@ class IncrementalPropagator:
         fallback = Consistency(
             self._config.epsilon_default, self._config.epsilon_default, 0
         )
+        gammas = {
+            label: consistencies.get(label, fallback).gamma() for label in self._labels
+        }
         with TIMINGS.timed("loop.edges"):
-            dirty_groups, prior_dirty = self._dirty_groups(
-                effective_priors, consistencies
-            )
+            dirty_groups, prior_dirty = self._dirty_groups(effective_priors, gammas)
             for key in dirty_groups:
-                vertex, label = key
-                consistency = consistencies.get(label, fallback)
                 self._marginals[key] = self._group_marginals(
                     key,
                     effective_priors,
-                    consistency.gamma(),
+                    gammas[key[1]],
                     rebuild_signature=key in prior_dirty,
                 )
             dirty_vertices = self._rebuild_rows({v for v, _ in dirty_groups})
         with TIMINGS.timed("loop.dijkstra"):
-            if dirty_vertices:
-                for source in list(self._maps):
-                    if not dirty_vertices.isdisjoint(self._maps[source]):
-                        del self._maps[source]
+            maps = self._maps
+            for vertex in dirty_vertices:
+                for source in self._reached_from.pop(vertex, ()):
+                    if vertex in maps.get(source, ()):
+                        del maps[source]
+            runs = 0
             result: dict[Pair, DistanceMap] = {}
             for source in sources:
-                cached = self._maps.get(source)
+                cached = maps.get(source)
                 if cached is None:
                     cached = bounded_dijkstra(self._lengths, source, self._zeta)
-                    self._maps[source] = cached
+                    maps[source] = cached
+                    runs += 1
+                    for vertex in cached:
+                        self._reached_from[vertex].add(source)
                 result[source] = cached
-        self._last_consistencies = dict(consistencies)
+        obs.count("propagation.groups_recomputed", len(dirty_groups))
+        obs.count("propagation.dijkstra_runs", runs)
+        self._last_gammas = gammas
         self._last_priors = dict(effective_priors)
         self._primed = True
         return result
@@ -288,7 +308,7 @@ class IncrementalPropagator:
     def _dirty_groups(
         self,
         effective_priors: dict[Pair, float],
-        consistencies: dict[RelPair, Consistency],
+        gammas: dict[RelPair, float],
     ) -> tuple[set[GroupKey], set[GroupKey]]:
         """(all dirty groups, groups dirty because a member prior moved)."""
         if not self._primed:
@@ -304,9 +324,9 @@ class IncrementalPropagator:
             if effective_priors.get(pair) != old_priors.get(pair):
                 prior_dirty.update(groups)
         dirty = set(prior_dirty)
-        previous = self._last_consistencies
+        previous = self._last_gammas
         for label in self._labels:
-            if consistencies.get(label) != previous.get(label):
+            if gammas[label] != previous.get(label):
                 for vertex in self._label_vertices.get(label, ()):
                     dirty.add((vertex, label))
         return dirty, prior_dirty

@@ -303,12 +303,13 @@ class Remp:
         kb1, kb2 = loop_state.state.kb1, loop_state.state.kb2
         with obs.span("loop.iteration", loop=loop_index):
             loop_state.propagate(kb1, kb2)
-            candidates = loop_state.askable_questions()
+            restricted = loop_state.restricted_inferred_sets()
+            candidates = loop_state.askable_questions(restricted)
             if not candidates:
                 return None
             if remaining_budget is not None and remaining_budget <= 0:
                 return None
-            batch = self._select(strategy, candidates, loop_state, remaining_budget)
+            batch = self._select(strategy, candidates, loop_state, remaining_budget, restricted)
             if not batch:
                 return None
             billed_before = platform.questions_asked
@@ -366,11 +367,11 @@ class Remp:
         candidates: list[Pair],
         loop_state: "LoopState",
         remaining_budget: int | None,
+        restricted: dict[Pair, dict[Pair, float]],
     ) -> list[Pair]:
         mu = self.config.mu
         if remaining_budget is not None:
             mu = min(mu, remaining_budget)
-        restricted = loop_state.restricted_inferred_sets()
         if strategy == "remp":
             return greedy_question_selection(candidates, restricted, loop_state.priors, mu)
         if strategy == "maxinf":
@@ -544,7 +545,7 @@ class LoopState:
         rebuild is *incremental*: an :class:`IncrementalPropagator`
         re-estimates only labels whose observations moved, recomputes
         only neighbor groups containing a pair whose effective prior (or
-        label consistency) changed, and re-runs Dijkstra only from
+        label γ) changed, and re-runs Dijkstra only from
         sources whose ζ-reachable region intersects the changed
         vertices.  The fallback path is the original full rebuild; both
         produce identical inferred sets (identical map contents *and*
@@ -620,15 +621,16 @@ class LoopState:
             if question in unresolved
         }
 
-    def askable_questions(self) -> list[Pair]:
+    def askable_questions(self, restricted: dict[Pair, dict[Pair, float]]) -> list[Pair]:
         """Unresolved questions that can still infer something by relations.
 
         The paper stops "when there is no unresolved entity pair that can
         be inferred by relational match propagation": a question is worth
         asking only while its inferred set reaches beyond the question
-        itself.
+        itself.  ``restricted`` is this state's
+        :meth:`restricted_inferred_sets`, built once per loop by the
+        caller and shared with question selection.
         """
-        restricted = self.restricted_inferred_sets()
         return [
             question
             for question, inferred in restricted.items()

@@ -26,6 +26,7 @@ from repro.core.config import RempConfig
 from repro.core.consistency import Consistency
 from repro.core.er_graph import ERGraph, RelPair
 from repro.kb.model import KnowledgeBase
+from repro.obs import runtime as obs
 
 Pair = tuple[str, str]
 
@@ -48,7 +49,9 @@ def _reduce_group(
     Keeps the ``per_value`` strongest candidates for every left and right
     value, then caps the total at ``max_pairs`` by prior.  This preserves
     the pairs whose marginals matter (weak candidates have near-zero
-    posterior anyway).
+    posterior anyway).  Every cut is counted (``propagation.group.reduced``
+    and ``propagation.group.pairs_dropped``), since dropped pairs get
+    marginal 0.0.
     """
     if len(pairs) <= max_pairs:
         return pairs
@@ -65,6 +68,8 @@ def _reduce_group(
     # prior-only key would cut at ``max_pairs`` in hash-seed-dependent
     # iteration order — different processes would reduce differently.
     reduced = sorted(kept, key=lambda p: (-priors.get(p, 0.0), p))[:max_pairs]
+    obs.count("propagation.group.reduced")
+    obs.count("propagation.group.pairs_dropped", len(pairs) - len(reduced))
     return reduced
 
 

@@ -1,7 +1,7 @@
 """The accel equivalence oracle: kernels vs pure-Python reference.
 
 Every kernel in :mod:`repro.accel` claims *byte-identical* results to the
-reference path it replaces.  This suite pins that claim three ways:
+reference path it replaces.  This suite pins that claim four ways:
 
 * property-based (hypothesis) equivalence of the dominance kernels and
   the interned simL scorer against the reference functions, across
@@ -11,11 +11,14 @@ reference path it replaces.  This suite pins that claim three ways:
   layer on vs off;
 * full-run identity (including per-loop question batches, which are
   sensitive to inferred-set iteration order) through the incremental
-  propagator, with and without a mid-run checkpoint restore.
+  propagator, with and without a mid-run checkpoint restore;
+* per-round identity: after every incremental propagate, the inferred
+  sets equal a from-scratch reference rebuild of the same state.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,10 +32,12 @@ from repro.accel.dominance import (
 from repro.accel.candidates import score_candidates
 from repro.accel.literals import LiteralScorer
 from repro.accel.marginals import _marginals_dp, _marginals_reference
+from repro.accel.propagation import IncrementalPropagator
 from repro.accel.runtime import accel_enabled, force_accel
 from repro.core import Remp, RempConfig
 from repro.core.attributes import AttributeMatch
 from repro.core.candidates import _token_index
+from repro.core.pipeline import LoopState
 from repro.core.er_graph import build_er_graph
 from repro.core.isolated import build_signatures
 from repro.core.propagation import _marginals_exact, _odds
@@ -40,7 +45,8 @@ from repro.kb.model import KnowledgeBase
 from repro.core.pruning import partial_order_pruning, pruning_error_rate
 from repro.core.vectors import VectorIndex
 from repro.crowd import CrowdPlatform
-from repro.datasets import clustered_bundle
+from repro.datasets import clustered_bundle, load_dataset
+from repro.obs.runtime import RunScope
 from repro.store.serialize import prepared_state_to_doc, result_to_doc
 from repro.text.literal import literal_set_similarity
 
@@ -256,6 +262,112 @@ def test_checkpoint_restore_resets_propagator():
             )
         )
     assert _dump(resumed) == _dump(straight)
+
+
+class _CheckedLoopState(LoopState):
+    """Checks every incremental propagate against a from-scratch rebuild.
+
+    Each propagate snapshots the state first; afterwards a fresh loop
+    state restored from that snapshot propagates through the reference
+    path (``build_probabilistic_graph`` + ``inferred_sets``).  Both must
+    give the same inferred sets, in content and in per-source iteration
+    order.  Each round's consistency records are kept so the test can
+    tell which re-estimation cases the run went through.
+    """
+
+    def __init__(self, state, config):
+        super().__init__(state, config)
+        self.rounds: list[dict] = []
+
+    def propagate(self, kb1, kb2):
+        before = self.snapshot()
+        super().propagate(kb1, kb2)
+        reference = LoopState(self.state, self.config)
+        reference.restore(before)
+        with force_accel(False):
+            reference.propagate(kb1, kb2)
+        assert _ordered(self._inferred_sets) == _ordered(reference._inferred_sets)
+        self.rounds.append(dict(self._propagator._consistencies))
+
+
+class _CheckedRemp(Remp):
+    def _make_loop_state(self, state):
+        return _CheckedLoopState(state, self.config)
+
+
+def _ordered(inferred: dict) -> dict:
+    return {source: list(distances.items()) for source, distances in inferred.items()}
+
+
+def _round_cases(rounds: list[dict]) -> set[str]:
+    """Which re-estimation cases consecutive rounds went through.
+
+    ``"support-only"``: some label's consistency record changed but no
+    changed label's γ moved, so the propagator dirtied no group for it.
+    ``"gamma-moved"``: some label's γ changed.
+    """
+    cases = set()
+    for previous, current in zip(rounds, rounds[1:]):
+        changed = [label for label in current if current[label] != previous.get(label)]
+        moved = [
+            label
+            for label in changed
+            if label not in previous or current[label].gamma() != previous[label].gamma()
+        ]
+        if moved:
+            cases.add("gamma-moved")
+        elif changed:
+            cases.add("support-only")
+    return cases
+
+
+@pytest.mark.parametrize(
+    "world, case",
+    [
+        # γ sits at the ε ceiling while support grows.
+        ("bundle", "support-only"),
+        # Re-estimation moves γ for some labels.
+        ("dbpedia_yago", "gamma-moved"),
+    ],
+)
+def test_incremental_propagate_matches_rebuild_every_round(world, case):
+    bundle = _bundle() if world == "bundle" else load_dataset(world, seed=0, scale=0.5)
+    platform = CrowdPlatform.with_simulated_workers(
+        bundle.gold_matches, error_rate=0.1, seed=3
+    )
+    remp = _CheckedRemp()
+    with force_accel(True):
+        loop_state, _, _ = remp.run_loop_phase(remp.prepare(bundle.kb1, bundle.kb2), platform)
+    rounds = loop_state.rounds
+    assert len(rounds) >= 3
+    assert case in _round_cases(rounds), f"{world} never hit the {case} case"
+
+
+def test_propagator_work_counters():
+    """One work count per update; unchanged inputs add nothing."""
+    bundle = _bundle()
+    config = RempConfig()
+    with force_accel(True):
+        state = Remp(config).prepare(bundle.kb1, bundle.kb2)
+    propagator = IncrementalPropagator(state.graph, state.kb1, state.kb2, config)
+    consistencies = propagator.estimate_consistencies(state.candidates.initial_matches)
+    sources = set(state.graph.groups)
+
+    def work():
+        return (
+            scope.metrics.counter("propagation.groups_recomputed"),
+            scope.metrics.counter("propagation.dijkstra_runs"),
+        )
+
+    scope = RunScope("work-counters")
+    with scope.activate():
+        propagator.update(dict(state.priors), consistencies, sources)
+        first = work()
+        propagator.update(dict(state.priors), consistencies, sources)
+        second = work()
+    groups = sum(len(by_label) for by_label in state.graph.groups.values())
+    assert first == (groups, len(sources))
+    assert second == first
 
 
 def test_accel_enabled_by_default_and_env_gated(monkeypatch):

@@ -1,7 +1,13 @@
 """Tests for match propagation (Sections V-B, V-C)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.config import RempConfig
 from repro.core.consistency import Consistency
 from repro.core.er_graph import build_er_graph
@@ -11,6 +17,7 @@ from repro.core.propagation import (
     neighbor_marginals,
 )
 from repro.kb import KnowledgeBase
+from repro.obs.runtime import RunScope
 
 
 class TestNeighborMarginals:
@@ -64,9 +71,19 @@ class TestNeighborMarginals:
         group = {(f"a{i}", f"b{j}") for i in range(8) for j in range(8)}
         priors = {p: 0.4 for p in group}
         config = RempConfig(max_exact_pairs=10, max_candidates_per_value=2)
-        marginals = neighbor_marginals(group, priors, Consistency(0.9, 0.9, 5), config)
+        scope = RunScope("reduce")
+        with scope.activate():
+            marginals = neighbor_marginals(
+                group, priors, Consistency(0.9, 0.9, 5), config
+            )
+            # A group within the cap is not reduced and not counted.
+            neighbor_marginals(
+                {("a0", "b0"), ("a0", "b1")}, priors, Consistency(0.9, 0.9, 5), config
+            )
         assert len(marginals) == len(group)
         assert all(0.0 <= v <= 1.0 for v in marginals.values())
+        assert scope.metrics.counter("propagation.group.reduced") == 1
+        assert scope.metrics.counter("propagation.group.pairs_dropped") == len(group) - 10
 
 
 class TestProbabilisticGraph:
@@ -122,6 +139,27 @@ class TestBuildProbabilisticGraph:
         assert 0.2 < forward < 0.8
 
 
+def _run_under_hash_seeds(script: str, seeds: tuple[str, ...]) -> list[str]:
+    """stdout of ``script`` run in one fresh interpreter per hash seed."""
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env.pop("REPRO_NO_ACCEL", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH", "")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    return outputs
+
+
 class TestReduceGroupDeterminism:
     def test_tie_break_is_deterministic_across_hash_seeds(self):
         """Equal-prior ties must not fall back to set iteration order.
@@ -132,14 +170,6 @@ class TestReduceGroupDeterminism:
         in two subprocesses with different ``PYTHONHASHSEED`` values
         and require identical output.
         """
-        import json
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         script = (
             "import json, sys\n"
             "from repro.core.propagation import _reduce_group\n"
@@ -148,19 +178,35 @@ class TestReduceGroupDeterminism:
             "priors[('l0', 'r0')] = 0.9\n"
             "print(json.dumps(_reduce_group(pairs, priors, 12, 3)))\n"
         )
-        outputs = []
-        for seed in ("1", "20"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (src_dir, env.get("PYTHONPATH", "")) if p
-            )
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            )
-            outputs.append(json.loads(proc.stdout))
+        outputs = _run_under_hash_seeds(script, ("1", "20"))
         assert outputs[0] == outputs[1]
-        assert len(outputs[0]) == 12
+        assert len(json.loads(outputs[0])) == 12
+
+
+class TestFullLoopDeterminism:
+    def test_run_is_independent_of_hash_seed(self):
+        """A whole accel run must not follow set iteration order.
+
+        The incremental propagator iterates sets (dirty vertices, the
+        sources reached through them); only the result may not depend on
+        it.  Compare the result document and every loop's question batch
+        across two interpreters with different ``PYTHONHASHSEED`` values.
+        """
+        script = (
+            "import json\n"
+            "from repro.core import Remp\n"
+            "from repro.crowd import CrowdPlatform\n"
+            "from repro.datasets import clustered_bundle\n"
+            "from repro.store.serialize import result_to_doc\n"
+            "bundle = clustered_bundle(num_clusters=8, movies_per_cluster=4, seed=0,\n"
+            "                          label_noise=0.5, critics_per_cluster=1)\n"
+            "platform = CrowdPlatform.with_simulated_workers(\n"
+            "    bundle.gold_matches, error_rate=0.1, seed=3)\n"
+            "result = Remp().run(bundle.kb1, bundle.kb2, platform)\n"
+            "print(json.dumps({'result': result_to_doc(result),\n"
+            "                  'batches': [r.questions for r in result.history]},\n"
+            "                 sort_keys=True))\n"
+        )
+        outputs = _run_under_hash_seeds(script, ("0", "7"))
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["batches"]) >= 5
