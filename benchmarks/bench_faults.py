@@ -8,8 +8,8 @@ Two acceptance bars, both self-gated the way ``bench_partition`` gates:
   pins the price of keeping the fault plane compiled into every
   execution path instead of behind a build flag.
 * **recovery** — a run whose deepest-checkpointing shard's worker is
-  SIGKILLed mid-shard (lease expiry → requeue from checkpoint → pool
-  replenishment) must finish within 2x the fault-free wall clock.
+  SIGKILLed mid-shard (dead-worker reaping → requeue from checkpoint →
+  pool replenishment) must finish within 2x the fault-free wall clock.
 
 Byte-identity is asserted in every mode, always — the armed-plan run,
 the killed-worker run and the fault-free baseline produce identical
@@ -149,7 +149,7 @@ def test_fault_plane_overhead():
 
 def test_killed_worker_recovery_cost():
     """SIGKILL the deepest shard's worker mid-shard: byte-identical
-    result via lease/requeue, within 2x the fault-free wall clock."""
+    result via reaping and requeue, within 2x the fault-free wall clock."""
     state, crowd = _world()
     events = []
     t_clean, baseline = _timed(lambda: _run(state, crowd, events))

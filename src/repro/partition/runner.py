@@ -485,7 +485,11 @@ class ParallelRunner:
         of ``workers`` by design.
     store, run_id:
         Optional :class:`repro.store.RunStore` (or compatible) plus run
-        id; enables per-shard checkpointing and :meth:`run` resume.
+        id; enables per-shard checkpointing and :meth:`run` resume.  The
+        runner calls exactly three store methods: ``load_shard_records``
+        once per run, ``save_shard_checkpoint`` after every labeling
+        round of a graph shard and ``save_shard_result`` once per
+        finished shard.
     on_event:
         Callback receiving every :class:`ShardEvent`.
     localize, content_seeds, dirty, reuse, collect_records:
@@ -518,7 +522,6 @@ class ParallelRunner:
         reuse: dict[str, UnitRecord] | None = None,
         collect_records: bool = False,
         max_shard_retries: int | None = None,
-        lease_ttl: float | None = None,
     ):
         if workers < 1:
             raise ValueError("workers must be positive")
@@ -560,18 +563,10 @@ class ParallelRunner:
             if max_shard_retries is not None
             else max(0, int(os.environ.get("REPRO_SHARD_RETRIES", "2")))
         )
-        #: Lease duration the supervisor grants per claimed shard.
-        self._lease_ttl = (
-            lease_ttl
-            if lease_ttl is not None
-            else float(os.environ.get("REPRO_SHARD_LEASE_TTL", "30"))
-        )
         #: Quarantine records of the last :meth:`run` (poison shards).
         self.quarantined: list[dict] = []
         #: Latest checkpoint seen per shard — the requeue resume point.
         self._last_checkpoints: dict[int, LoopCheckpoint] = {}
-        #: Current lease owner per claimed shard (heartbeat identity).
-        self._lease_owners: dict[int, str] = {}
         self._backoff_rng = random.Random(0xFA17)  # never the global RNG
 
     # ------------------------------------------------------------------
@@ -594,7 +589,6 @@ class ParallelRunner:
         self.shard_costs = []
         self.quarantined = []
         self._last_checkpoints = {}
-        self._lease_owners = {}
         keys = self._shard_keys(plan)
         obs.gauge("partition.shards", len(plan.shards))
         log.info(
@@ -714,13 +708,6 @@ class ParallelRunner:
         record = self._reuse.get(key)
         if record is None or self._dirty.intersection(shard.vertices):
             return False
-        outcomes[shard.shard_id] = _ShardOutcome(
-            shard.shard_id,
-            shard.kind,
-            record.result,
-            record.snapshot,
-            answer_log=record.answer_log,
-        )
         self.reused_keys.add(key)
         if self._store is not None:
             self._store.save_shard_result(
@@ -730,16 +717,8 @@ class ParallelRunner:
                 record.snapshot,
                 answer_log=record.answer_log,
             )
-        self._emit(
-            ShardEvent(
-                shard.shard_id,
-                "restored",
-                shard.kind,
-                pairs=shard.num_pairs,
-                loops=record.result.num_loops,
-                questions=record.result.questions_asked,
-                matches=len(record.result.matches),
-            )
+        self._adopt_outcome(
+            shard, record.result, record.snapshot, record.answer_log, outcomes
         )
         return True
 
@@ -759,6 +738,18 @@ class ParallelRunner:
         if record is None or record[0] != "done":
             return False
         _, result, snapshot, answer_log = record
+        self._adopt_outcome(shard, result, snapshot, answer_log, outcomes)
+        return True
+
+    def _adopt_outcome(
+        self,
+        shard: Shard,
+        result: RempResult,
+        snapshot: dict,
+        answer_log: list,
+        outcomes: dict[int, _ShardOutcome],
+    ) -> None:
+        """Take a recorded outcome in place of execution; emits ``restored``."""
         outcomes[shard.shard_id] = _ShardOutcome(
             shard.shard_id, shard.kind, result, snapshot, answer_log=answer_log
         )
@@ -773,7 +764,6 @@ class ParallelRunner:
                 matches=len(result.matches),
             )
         )
-        return True
 
     # ------------------------------------------------------------------
     # Execution backends
@@ -806,10 +796,8 @@ class ParallelRunner:
         parent-side problem and propagates unchanged, mirroring the pool
         supervisor's split between worker errors and parent errors.
         """
-        owner = f"pid:{os.getpid()}"
         for task in tasks:
             while True:
-                self._acquire_lease(task.shard.shard_id, owner)
                 try:
                     outcome = _execute_shard(task, state, crowd, self._handle_message)
                 except (faults.InjectedFault, CrowdUnavailableError) as exc:
@@ -817,7 +805,6 @@ class ParallelRunner:
                         continue
                     break
                 self._finish_shard(outcome, outcomes)
-                self._release_lease(task.shard.shard_id)
                 break
 
     def _execute_pool(
@@ -890,14 +877,12 @@ class ParallelRunner:
                 continue
             task = backlog.pop(0)
             worker.task = task
-            self._acquire_lease(task.shard.shard_id, f"pid:{worker.process.pid}")
             try:
                 worker.conn.send(task)
             except (BrokenPipeError, OSError):
                 # Died between the liveness check and the send: the reaper
                 # books the retry; the task goes back to the backlog head.
                 worker.task = None
-                self._release_lease(task.shard.shard_id)
                 backlog.insert(0, task)
                 return
 
@@ -924,7 +909,6 @@ class ParallelRunner:
                 if shard_id in pending:
                     self._finish_shard(outcome, outcomes)
                     del pending[shard_id]
-                    self._release_lease(shard_id)
             elif kind == "error":
                 _, shard_id, trace = message
                 worker.task = None
@@ -985,9 +969,6 @@ class ParallelRunner:
         """
         shard = task.shard
         task.attempt += 1
-        if self._store is not None and hasattr(self._store, "bump_shard_attempts"):
-            self._store.bump_shard_attempts(self._run_id, shard.shard_id)
-        self._release_lease(shard.shard_id)
         if task.attempt <= self.max_shard_retries:
             checkpoint = self._last_checkpoints.get(shard.shard_id)
             if checkpoint is not None:
@@ -1105,25 +1086,6 @@ class ParallelRunner:
             self._last_checkpoints[shard_id] = checkpoint
             if self._store is not None:
                 self._store.save_shard_checkpoint(self._run_id, shard_id, checkpoint)
-                # Every checkpoint doubles as a heartbeat: the lease stays
-                # fresh exactly as long as the shard keeps making progress.
-                owner = self._lease_owners.get(shard_id)
-                if owner is not None and hasattr(self._store, "heartbeat_shard_lease"):
-                    self._store.heartbeat_shard_lease(
-                        self._run_id, shard_id, owner, ttl=self._lease_ttl
-                    )
-
-    def _acquire_lease(self, shard_id: int, owner: str) -> None:
-        self._lease_owners[shard_id] = owner
-        if self._store is not None and hasattr(self._store, "acquire_shard_lease"):
-            self._store.acquire_shard_lease(
-                self._run_id, shard_id, owner, ttl=self._lease_ttl
-            )
-
-    def _release_lease(self, shard_id: int) -> None:
-        self._lease_owners.pop(shard_id, None)
-        if self._store is not None and hasattr(self._store, "release_shard_lease"):
-            self._store.release_shard_lease(self._run_id, shard_id)
 
     def _finish_shard(
         self, outcome: _ShardOutcome, outcomes: dict[int, _ShardOutcome]

@@ -84,15 +84,11 @@ CREATE TABLE IF NOT EXISTS checkpoints (
     updated_at TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS shard_checkpoints (
-    run_id        TEXT NOT NULL,
-    shard_id      INTEGER NOT NULL,
-    kind          TEXT NOT NULL,
-    payload       TEXT NOT NULL,
-    updated_at    TEXT NOT NULL,
-    lease_owner   TEXT,
-    lease_expires REAL,
-    heartbeat_at  REAL,
-    attempts      INTEGER NOT NULL DEFAULT 0,
+    run_id     TEXT NOT NULL,
+    shard_id   INTEGER NOT NULL,
+    kind       TEXT NOT NULL,
+    payload    TEXT NOT NULL,
+    updated_at TEXT NOT NULL,
     PRIMARY KEY (run_id, shard_id)
 );
 CREATE TABLE IF NOT EXISTS stream_units (
@@ -137,10 +133,6 @@ _MIGRATIONS = (
     "ALTER TABLE runs ADD COLUMN stream_step INTEGER",
     "ALTER TABLE runs ADD COLUMN kb_fingerprint TEXT",
     "DROP TABLE IF EXISTS substrate_blobs",
-    "ALTER TABLE shard_checkpoints ADD COLUMN lease_owner TEXT",
-    "ALTER TABLE shard_checkpoints ADD COLUMN lease_expires REAL",
-    "ALTER TABLE shard_checkpoints ADD COLUMN heartbeat_at REAL",
-    "ALTER TABLE shard_checkpoints ADD COLUMN attempts INTEGER NOT NULL DEFAULT 0",
 )
 
 #: SQLite error fragments that mark a *transient* write failure — another
@@ -580,7 +572,9 @@ class RunStore:
             {"kind": "loop", "checkpoint": checkpoint_to_doc(checkpoint)},
             sort_keys=True,
         )
-        self._write_shard_row(run_id, shard_id, "loop", payload)
+        self._write_shard_row(
+            "save_shard_checkpoint", run_id, shard_id, "loop", payload
+        )
 
     def save_shard_result(
         self,
@@ -606,25 +600,22 @@ class RunStore:
             },
             sort_keys=True,
         )
-        self._write_shard_row(run_id, shard_id, "done", payload)
+        self._write_shard_row(
+            "save_shard_result", run_id, shard_id, "done", payload
+        )
 
     def _write_shard_row(
-        self, run_id: str, shard_id: int, kind: str, payload: str
+        self, op: str, run_id: str, shard_id: int, kind: str, payload: str
     ) -> None:
-        # Upsert (not REPLACE) so checkpoint writes never clobber the
-        # lease/attempt columns the supervisor maintains on the same row.
-        def op(conn):
-            conn.execute(
-                "INSERT INTO shard_checkpoints"
+        self._write(
+            op,
+            lambda conn: conn.execute(
+                "INSERT OR REPLACE INTO shard_checkpoints"
                 " (run_id, shard_id, kind, payload, updated_at)"
-                " VALUES (?, ?, ?, ?, ?)"
-                " ON CONFLICT(run_id, shard_id) DO UPDATE SET"
-                " kind = excluded.kind, payload = excluded.payload,"
-                " updated_at = excluded.updated_at",
+                " VALUES (?, ?, ?, ?, ?)",
                 (run_id, shard_id, kind, payload, _now()),
-            )
-
-        self._write("save_shard_checkpoint", op)
+            ),
+        )
 
     def load_shard_records(self, run_id: str) -> dict[int, tuple]:
         """All persisted shard states of a partitioned run.
@@ -644,8 +635,11 @@ class RunStore:
         for row in rows:
             doc = json.loads(row["payload"])
             if doc.get("kind") not in ("loop", "done"):
-                # Lease-stub rows carry no execution state; a shard whose
-                # lease exists but never checkpointed restarts from scratch.
+                # A store written by a release with shard leases can hold
+                # kind='lease' stub rows from an interrupted run (and four
+                # unread lease columns, kept because DROP COLUMN needs
+                # SQLite >= 3.35).  A stub carries no execution state:
+                # its shard starts from scratch.
                 continue
             if doc["kind"] == "loop":
                 records[row["shard_id"]] = (
@@ -669,151 +663,6 @@ class RunStore:
                 "DELETE FROM shard_checkpoints WHERE run_id = ?", (run_id,)
             ).rowcount,
         )
-
-    # ------------------------------------------------------------------
-    # Shard leases (supervised execution, repro.partition)
-    # ------------------------------------------------------------------
-    # Leases live on the same per-shard rows as the checkpoints: the
-    # supervisor acquires one when a worker claims a shard, heartbeats it
-    # on every checkpoint, and releases it when the shard finishes or is
-    # requeued.  An expired lease is how a *different* process (the
-    # future distributed shard queue) recognises an abandoned shard.
-
-    def acquire_shard_lease(
-        self,
-        run_id: str,
-        shard_id: int,
-        owner: str,
-        ttl: float = 30.0,
-        *,
-        now: float | None = None,
-    ) -> bool:
-        """Claim a shard for ``owner`` for ``ttl`` seconds.
-
-        Succeeds when the shard has no lease, the lease already belongs
-        to ``owner``, or the previous lease expired.  Creates a stub row
-        (kind ``lease``) when the shard has no checkpoint yet.
-        """
-        if now is None:
-            now = time.time()
-
-        def op(conn):
-            conn.execute(
-                "INSERT OR IGNORE INTO shard_checkpoints"
-                " (run_id, shard_id, kind, payload, updated_at)"
-                " VALUES (?, ?, 'lease', '{}', ?)",
-                (run_id, shard_id, _now()),
-            )
-            cursor = conn.execute(
-                "UPDATE shard_checkpoints"
-                " SET lease_owner = ?, lease_expires = ?, heartbeat_at = ?"
-                " WHERE run_id = ? AND shard_id = ?"
-                " AND (lease_owner IS NULL OR lease_owner = ?"
-                "      OR lease_expires IS NULL OR lease_expires < ?)",
-                (owner, now + ttl, now, run_id, shard_id, owner, now),
-            )
-            return cursor.rowcount > 0
-
-        return self._write("acquire_shard_lease", op)
-
-    def heartbeat_shard_lease(
-        self,
-        run_id: str,
-        shard_id: int,
-        owner: str,
-        ttl: float = 30.0,
-        *,
-        now: float | None = None,
-    ) -> bool:
-        """Extend ``owner``'s lease; fails if the lease moved elsewhere."""
-        if now is None:
-            now = time.time()
-
-        def op(conn):
-            cursor = conn.execute(
-                "UPDATE shard_checkpoints"
-                " SET lease_expires = ?, heartbeat_at = ?"
-                " WHERE run_id = ? AND shard_id = ? AND lease_owner = ?",
-                (now + ttl, now, run_id, shard_id, owner),
-            )
-            return cursor.rowcount > 0
-
-        return self._write("heartbeat_shard_lease", op)
-
-    def release_shard_lease(
-        self, run_id: str, shard_id: int, owner: str | None = None
-    ) -> bool:
-        """Clear a shard's lease (any owner's, unless one is named)."""
-
-        def op(conn):
-            query = (
-                "UPDATE shard_checkpoints SET lease_owner = NULL,"
-                " lease_expires = NULL WHERE run_id = ? AND shard_id = ?"
-            )
-            params: tuple = (run_id, shard_id)
-            if owner is not None:
-                query += " AND lease_owner = ?"
-                params = (*params, owner)
-            return conn.execute(query, params).rowcount > 0
-
-        return self._write("release_shard_lease", op)
-
-    def expired_shard_leases(
-        self, run_id: str, *, now: float | None = None
-    ) -> list[int]:
-        """Shard ids whose lease is held but past its expiry."""
-        if now is None:
-            now = time.time()
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT shard_id FROM shard_checkpoints"
-                " WHERE run_id = ? AND lease_owner IS NOT NULL"
-                " AND lease_expires IS NOT NULL AND lease_expires < ?"
-                " ORDER BY shard_id",
-                (run_id, now),
-            ).fetchall()
-        return [row["shard_id"] for row in rows]
-
-    def shard_lease(self, run_id: str, shard_id: int) -> dict | None:
-        """The lease columns of one shard row, or ``None`` if no row."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT lease_owner, lease_expires, heartbeat_at, attempts"
-                " FROM shard_checkpoints WHERE run_id = ? AND shard_id = ?",
-                (run_id, shard_id),
-            ).fetchone()
-        if row is None:
-            return None
-        return {
-            "owner": row["lease_owner"],
-            "expires": row["lease_expires"],
-            "heartbeat_at": row["heartbeat_at"],
-            "attempts": row["attempts"],
-        }
-
-    def bump_shard_attempts(self, run_id: str, shard_id: int) -> int:
-        """Increment a shard's durable attempt counter; returns the total."""
-
-        def op(conn):
-            conn.execute(
-                "INSERT OR IGNORE INTO shard_checkpoints"
-                " (run_id, shard_id, kind, payload, updated_at)"
-                " VALUES (?, ?, 'lease', '{}', ?)",
-                (run_id, shard_id, _now()),
-            )
-            conn.execute(
-                "UPDATE shard_checkpoints SET attempts = attempts + 1"
-                " WHERE run_id = ? AND shard_id = ?",
-                (run_id, shard_id),
-            )
-            row = conn.execute(
-                "SELECT attempts FROM shard_checkpoints"
-                " WHERE run_id = ? AND shard_id = ?",
-                (run_id, shard_id),
-            ).fetchone()
-            return int(row["attempts"])
-
-        return self._write("bump_shard_attempts", op)
 
     # ------------------------------------------------------------------
     # Stream unit records (incremental runs, repro.stream)

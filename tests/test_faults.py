@@ -16,7 +16,7 @@ import pytest
 
 from repro import faults
 from repro.core import RempConfig
-from repro.core.pipeline import LoopCheckpoint
+from repro.core.pipeline import LoopCheckpoint, RempResult
 from repro.crowd import CrowdPlatform, CrowdRetryPolicy, CrowdUnavailableError, Oracle
 from repro.obs import RunScope
 from repro.obs.live import BUS
@@ -190,8 +190,36 @@ class TestProbeRuntime:
 
 
 # ----------------------------------------------------------------------
-# Store: write retry, busy timeout, leases
+# Store: write retry, busy timeout, legacy shard rows
 # ----------------------------------------------------------------------
+_LEASE_COLUMNS = ("lease_owner", "lease_expires", "heartbeat_at", "attempts")
+
+
+def _legacy_shard_store(tmp_path, *stubs: tuple[str, int]) -> str:
+    """A store whose ``shard_checkpoints`` has the lease columns and stubs."""
+    path = str(tmp_path / "legacy.db")
+    legacy = sqlite3.connect(path)
+    legacy.execute(
+        """
+        CREATE TABLE shard_checkpoints (
+            run_id TEXT NOT NULL, shard_id INTEGER NOT NULL,
+            kind TEXT NOT NULL, payload TEXT NOT NULL,
+            updated_at TEXT NOT NULL, lease_owner TEXT,
+            lease_expires REAL, heartbeat_at REAL,
+            attempts INTEGER NOT NULL DEFAULT 0,
+            PRIMARY KEY (run_id, shard_id))
+        """
+    )
+    legacy.executemany(
+        "INSERT INTO shard_checkpoints VALUES "
+        "(?, ?, 'lease', '{}', '2026-01-01', 'pid:1', 130.0, 100.0, 1)",
+        stubs,
+    )
+    legacy.commit()
+    legacy.close()
+    return path
+
+
 class TestStoreFaults:
     def test_busy_timeout_pragma(self, tmp_path, monkeypatch):
         with RunStore(tmp_path / "a.db") as store:
@@ -247,31 +275,45 @@ class TestStoreFaults:
                 store._write("test_op", always_broken)
             assert len(attempts) == 1  # non-transient: no retry
 
-    def test_lease_lifecycle(self, tmp_path):
+    def test_fault_rule_can_target_shard_result_writes(self, tmp_path):
+        plan = faults.FaultPlan(
+            [faults.FaultRule("store.write", where={"op": "save_shard_result"})]
+        )
         with RunStore(tmp_path / "runs.db") as store:
-            assert store.acquire_shard_lease("r", 0, "pid:1", ttl=10.0, now=100.0)
-            assert not store.acquire_shard_lease("r", 0, "pid:2", ttl=10.0, now=105.0)
-            assert store.acquire_shard_lease("r", 0, "pid:1", ttl=10.0, now=105.0)
-            lease = store.shard_lease("r", 0)
-            assert lease["owner"] == "pid:1"
-            assert lease["expires"] == 115.0
-            assert store.heartbeat_shard_lease("r", 0, "pid:1", ttl=10.0, now=110.0)
-            assert not store.heartbeat_shard_lease("r", 0, "pid:9", ttl=10.0, now=110.0)
-            assert store.expired_shard_leases("r", now=119.0) == []
-            assert store.expired_shard_leases("r", now=121.0) == [0]
-            # An expired lease is free for the taking.
-            assert store.acquire_shard_lease("r", 0, "pid:2", ttl=10.0, now=121.0)
-            assert store.release_shard_lease("r", 0, "pid:2")
-            assert store.shard_lease("r", 0)["owner"] is None
-            assert store.bump_shard_attempts("r", 0) == 1
-            assert store.bump_shard_attempts("r", 0) == 2
+            with faults.activate(plan):
+                store.save_shard_result("r", 0, RempResult(set(), 0, 0), {})
+            assert store.load_shard_records("r")[0][0] == "done"
+        assert plan.fired() == 1  # fired once, then the write retried
 
-    def test_lease_stub_rows_are_invisible_to_resume(self, tmp_path):
-        with RunStore(tmp_path / "runs.db") as store:
-            store.acquire_shard_lease("r", 3, "pid:1")
+    def test_lease_stub_rows_are_invisible_to_resume(
+        self, tmp_path, state, crowd, reference
+    ):
+        """A ``kind='lease'`` stub row left in a legacy store is skipped.
+
+        Stores written while shards held leases keep four extra
+        ``shard_checkpoints`` columns and may hold such stubs from an
+        interrupted run.  The stubbed shard starts from scratch, so a
+        run on that run id lands on the storeless reference.
+        """
+        ref_result, loops = reference
+        path = _legacy_shard_store(tmp_path, ("r", _victim(loops)))
+        with RunStore(path) as store:
             assert store.load_shard_records("r") == {}
+            result = ParallelRunner(workers=1, store=store, run_id="r").run(
+                state, crowd
+            )
+            # The victim checkpoints, so the run wrote over its stub.
+            assert store.load_shard_records("r")[_victim(loops)][0] == "done"
+        assert _doc(result) == _doc(ref_result)
 
     def test_checkpoint_write_preserves_lease_columns(self, tmp_path):
+        """A checkpoint written over a legacy stub reads back as a loop.
+
+        The store no longer maintains lease values, but it keeps a
+        legacy table's four lease columns (no ``DROP COLUMN``, which
+        needs SQLite >= 3.35) and must write rows into that table.
+        """
+        path = _legacy_shard_store(tmp_path, ("r", 0))
         checkpoint = LoopCheckpoint(
             next_loop_index=1,
             questions_asked=4,
@@ -279,16 +321,18 @@ class TestStoreFaults:
             loop_state={},
             answer_log=[],
         )
-        with RunStore(tmp_path / "runs.db") as store:
-            store.acquire_shard_lease("r", 0, "pid:1", ttl=10.0, now=100.0)
-            store.bump_shard_attempts("r", 0)
+        with RunStore(path) as store:
             store.save_shard_checkpoint("r", 0, checkpoint)
-            lease = store.shard_lease("r", 0)
-            assert lease["owner"] == "pid:1"
-            assert lease["attempts"] == 1
             records = store.load_shard_records("r")
             assert records[0][0] == "loop"
             assert records[0][1].questions_asked == 4
+            columns = {
+                row[1]
+                for row in store._conn.execute(
+                    "PRAGMA table_info(shard_checkpoints)"
+                )
+            }
+        assert set(_LEASE_COLUMNS) <= columns
 
 
 # ----------------------------------------------------------------------
@@ -525,8 +569,8 @@ class TestSupervisedPool:
                     workers=2, store=store, run_id="r", max_shard_retries=0
                 ).run(state, crowd)
             _assert_no_stray_children()
-            # The healthy shards persisted their results; the victim's
-            # lease stub must not masquerade as a checkpoint.
+            # The healthy shards persisted their results; the victim
+            # died before its first checkpoint shipped, so it has none.
             records = store.load_shard_records("r")
             assert records and victim not in records
             assert all(record[0] == "done" for record in records.values())

@@ -256,16 +256,35 @@ class TestParallelRunner:
 
 
 class TestShardCheckpointStore:
-    def test_runner_persists_and_finish_clears(self, tmp_path, state, crowd):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runner_persists_and_finish_clears(
+        self, tmp_path, state, crowd, workers, monkeypatch
+    ):
         store = RunStore(tmp_path / "s.db")
-        run_id = store.create_run("clustered", 0, 1.0, None, workers=1)
-        runner = ParallelRunner(workers=1, store=store, run_id=run_id)
+        run_id = store.create_run("clustered", 0, 1.0, None, workers=workers)
+        runner = ParallelRunner(workers=workers, store=store, run_id=run_id)
+        ops = []
+        write = store._write
+
+        def recording_write(op, fn):
+            ops.append(op)
+            return write(op, fn)
+
+        monkeypatch.setattr(store, "_write", recording_write)
         result = runner.run(state, crowd)
+        monkeypatch.undo()
         records = store.load_shard_records(run_id)
         plan = partition_state(state)
         assert set(records) == {s.shard_id for s in plan.shards}
         assert all(record[0] == "done" for record in records.values())
         assert store.stats()["shard_checkpoints"] == len(plan.shards)
+        # The supervisor's whole write set: one checkpoint per labeling
+        # round of each graph shard, one result per shard, nothing else.
+        rounds = sum(records[s.shard_id][1].num_loops for s in plan.graph_shards)
+        assert rounds > 0
+        assert ops.count("save_shard_result") == len(plan.shards)
+        assert ops.count("save_shard_checkpoint") == rounds
+        assert set(ops) == {"save_shard_result", "save_shard_checkpoint"}
         store.finish_run(run_id, result)
         assert store.load_shard_records(run_id) == {}
         store.close()
