@@ -1,9 +1,9 @@
 """Benchmark: the PR-10 kernel floor — ER-graph build, exact marginals,
 candidate scoring.
 
-Times the three kernels against their pure-Python references
-(``REPRO_NO_ACCEL=1`` semantics via ``force_accel``) on workloads shaped
-to stress exactly what each kernel indexes away:
+Times the three kernels against their pure-Python references (the
+product call under :func:`repro.accel.reference.reference_kernels`) on
+workloads shaped to stress exactly what each kernel indexes away:
 
 * **er_graph** — a hub world (each hub publishes many papers) where the
   reference probes the full ``|N1| x |N2|`` value-set product per hub
@@ -18,9 +18,9 @@ to stress exactly what each kernel indexes away:
   reference pays per-hit dict work the vectorized join folds into one
   ``np.unique`` (>= 2x bar on the ``candidates.score`` stage).
 
-All three assert byte-identical results between the two modes even when
-the speedup bars self-gate (fallback too fast to grade at CI smoke
-scales, same policy as ``bench_prepare``).
+All three assert byte-identical results between kernel and reference
+even when the speedup bars self-gate (fallback too fast to grade at CI
+smoke scales, same policy as ``bench_prepare``).
 
 Scale knobs (environment):
 
@@ -39,11 +39,13 @@ import json
 import os
 import random
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
-from repro.accel.runtime import TIMINGS, force_accel
+from repro.accel.reference import reference_kernels
+from repro.accel.runtime import TIMINGS
 from repro.core.candidates import generate_candidates
 from repro.core.er_graph import build_er_graph
 from repro.core.propagation import _marginals_exact
@@ -134,7 +136,7 @@ def _hub_world(hubs: int, papers: int):
 
 def _timed_er_graph(kb1, kb2, vertices, accel: bool):
     TIMINGS.reset()
-    with force_accel(accel):
+    with nullcontext() if accel else reference_kernels():
         start = time.perf_counter()
         graph = build_er_graph(kb1, kb2, vertices)
         elapsed = time.perf_counter() - start
@@ -203,7 +205,7 @@ def _mixed_groups(count: int):
 
 def _timed_marginals(groups, accel: bool):
     TIMINGS.reset()
-    with force_accel(accel):
+    with nullcontext() if accel else reference_kernels():
         start = time.perf_counter()
         results = [
             _marginals_exact(pairs, priors, gamma) for pairs, priors, gamma in groups
@@ -271,7 +273,7 @@ def _timed_candidates(kb1, kb2, accel: bool):
     """(candidates.score stage seconds, result, stage timings)."""
     TIMINGS.reset()
     normalize.normalize_label.cache_clear()
-    with force_accel(accel):
+    with nullcontext() if accel else reference_kernels():
         result = generate_candidates(kb1, kb2)
     snapshot = TIMINGS.snapshot()
     return snapshot["candidates.score"][0], result, TIMINGS.as_doc()

@@ -1,8 +1,9 @@
 """Benchmark: vectorized prepare kernels + incremental loop propagation.
 
-Times ``Remp.prepare`` end-to-end with the accel layer on vs off
-(``REPRO_NO_ACCEL=1`` semantics via ``force_accel``) over increasing
-scales of two workloads:
+Times the product path against the paper-faithful references of
+:mod:`repro.accel.reference` (``reference_kernels()`` for the kernels,
+``RebuildRemp`` for the full-rebuild loop) over increasing scales of
+two workloads:
 
 * **blocking stress** — a clustered world whose label noise collapses
   many labels, producing the large ambiguous dominance blocks the packed
@@ -13,9 +14,10 @@ scales of two workloads:
   human–machine loop (≥ 3x bar for the incremental propagator).
 
 Both assertions self-gate the same way ``bench_partition`` gates on
-cores: when the fallback measurement is too small to time reliably
-(tiny CI smoke scales), the bar is skipped and only the harness
-correctness — byte-identical results between the two modes — is checked.
+cores: when the fallback (reference) measurement is too small to time
+reliably (tiny CI smoke scales), the bar is skipped and only the
+harness correctness — byte-identical results between product and
+reference — is checked.
 
 Scale knobs (environment):
 
@@ -34,11 +36,13 @@ diffs across CI runs.
 import json
 import os
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
-from repro.accel.runtime import TIMINGS, force_accel
+from repro.accel.reference import RebuildRemp, reference_kernels
+from repro.accel.runtime import TIMINGS
 from repro.core import Remp
 from repro.crowd import CrowdPlatform
 from repro.datasets import clustered_bundle
@@ -73,7 +77,7 @@ def _timed_prepare(bundle, accel: bool):
     """(wall seconds, prepared state, stage timings) for one cold prepare."""
     TIMINGS.reset()
     normalize.normalize_label.cache_clear()
-    with force_accel(accel):
+    with nullcontext() if accel else reference_kernels():
         start = time.perf_counter()
         state = Remp().prepare(bundle.kb1, bundle.kb2)
         elapsed = time.perf_counter() - start
@@ -84,8 +88,8 @@ def _timed_loop(bundle, accel: bool):
     """Cumulative propagate seconds + loop doc for one full loop phase."""
     TIMINGS.reset()
     normalize.normalize_label.cache_clear()
-    with force_accel(accel):
-        remp = Remp()
+    with nullcontext() if accel else reference_kernels():
+        remp = Remp() if accel else RebuildRemp()
         state = remp.prepare(bundle.kb1, bundle.kb2)
         platform = CrowdPlatform.with_simulated_workers(
             bundle.gold_matches, error_rate=ERROR_RATE, seed=0

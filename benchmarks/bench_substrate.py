@@ -4,9 +4,10 @@ The substrate (:mod:`repro.substrate`) shares prepare-time memos — the
 literal-interning arenas, token and label indexes, ER-graph adjacency —
 across every pass over one ``(KB pair, config)`` key.  Sharing must
 never change a result, so this bench asserts byte-identity across two
-concurrent shared sessions, an isolated session, a ``REPRO_NO_ACCEL=1``
-session, and a ``workers``-wide partitioned run; the partitioned run's
-wall clock is recorded as a trajectory sample.
+concurrent shared sessions, an isolated session, a session on the
+reference kernels and full-rebuild loop (:mod:`repro.accel.reference`),
+and a ``workers``-wide partitioned run; the partitioned run's wall clock
+is recorded as a trajectory sample.
 
 Scale knobs (environment):
 
@@ -22,7 +23,8 @@ diffs across CI runs.
 import os
 import time
 
-from repro.accel.runtime import force_accel
+import repro.service.service
+from repro.accel.reference import RebuildRemp, reference_kernels
 from repro.obs import append_bench_history
 from repro.service import MatchingService
 from repro.store import RunStore
@@ -39,8 +41,8 @@ def _service(store, cache=None):
     return MatchingService(store, substrate_cache=cache)
 
 
-def test_concurrent_sessions_identical_in_every_mode(tmp_path):
-    """Two shared sessions == isolated session == pure-Python session."""
+def test_concurrent_sessions_identical_in_every_mode(tmp_path, monkeypatch):
+    """Two shared sessions == isolated session == reference session."""
     cache = SubstrateCache()
     shared_results = []
     for name in ("a", "b"):
@@ -52,11 +54,11 @@ def test_concurrent_sessions_identical_in_every_mode(tmp_path):
         isolated = service.result(
             service.submit(DATASET, scale=SCALE, background=False)
         )
-    with force_accel(False):
-        with _service(RunStore(tmp_path / "fallback.db")) as service:
-            fallback = service.result(
-                service.submit(DATASET, scale=SCALE, background=False)
-            )
+    monkeypatch.setattr(repro.service.service, "Remp", RebuildRemp)
+    with reference_kernels(), _service(RunStore(tmp_path / "fallback.db")) as service:
+        fallback = service.result(
+            service.submit(DATASET, scale=SCALE, background=False)
+        )
     for result in (*shared_results, fallback):
         assert result.matches == isolated.matches
         assert result.questions_asked == isolated.questions_asked

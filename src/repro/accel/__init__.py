@@ -1,32 +1,30 @@
 """Vectorized/incremental kernels behind the Remp hot paths.
 
-Everything here is gated by ``REPRO_NO_ACCEL=1`` (see
-:mod:`repro.accel.runtime`) and guaranteed byte-identical to the pure
-Python reference paths it replaces — the accel equivalence suite and the
-stream/partition byte-equality oracles pin that contract.
+Each kernel is the only product path for its stage and is byte-identical
+to the paper-faithful reference it replaced.  Those references survive
+only as test oracles (:mod:`repro.accel.reference`); the accel
+equivalence suite and the stream/partition byte-equality oracles pin
+the contract.
 """
 
 from repro.accel.candidates import intern_signatures, score_candidates
-from repro.accel.dominance import any_strict_dominator, strict_dominance_counts
+from repro.accel.dominance import any_strict_dominator
 from repro.accel.er_graph import accel_groups, relation_adjacency
 from repro.accel.literals import LiteralScorer
 from repro.accel.marginals import exact_marginal_map, matching_plan
 from repro.accel.propagation import IncrementalPropagator
-from repro.accel.runtime import TIMINGS, KernelTimings, accel_enabled, force_accel
+from repro.accel.runtime import TIMINGS, KernelTimings
 
 __all__ = [
     "TIMINGS",
     "IncrementalPropagator",
     "KernelTimings",
     "LiteralScorer",
-    "accel_enabled",
     "accel_groups",
     "any_strict_dominator",
     "exact_marginal_map",
-    "force_accel",
     "intern_signatures",
     "matching_plan",
     "relation_adjacency",
     "score_candidates",
-    "strict_dominance_counts",
 ]

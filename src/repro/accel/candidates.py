@@ -12,16 +12,19 @@ however it is computed — and the serializers sort candidate docs, so
 equal contents are byte-identical documents.
 
 **Signatures** (``kernel.signatures``): the reference signature loop
-calls both KBs' attribute accessors once per (retained pair, attribute
-match).  The kernel computes one presence bitmask per *entity* and
-side (entities repeat across many pairs), ANDs two masks per pair, and
-interns one frozenset per distinct mask — identical frozensets, shared
-instead of duplicated.
+(:func:`repro.accel.reference.signatures`) calls both KBs' attribute
+accessors once per (retained pair, attribute match).  The kernel
+computes one presence bitmask per *entity* and side (entities repeat
+across many pairs), ANDs two masks per pair, and interns one frozenset
+per distinct mask — identical frozensets, shared instead of
+duplicated.
 """
 
 from __future__ import annotations
 
-from repro.accel.runtime import TIMINGS, accel_enabled, numpy_or_none
+import numpy as np
+
+from repro.accel.runtime import TIMINGS
 from repro.kb.model import KnowledgeBase
 
 Pair = tuple[str, str]
@@ -40,15 +43,17 @@ def score_candidates(
     threshold: float,
     min_entities: int = _MIN_ENTITIES,
 ) -> dict[Pair, float] | None:
-    """Scored ``{(entity1, entity2): sim}`` map, or ``None`` to fall back.
+    """Scored ``{(entity1, entity2): sim}`` map, or ``None`` below the cutoff.
+
+    ``None`` hands worlds with fewer than ``min_entities`` labeled
+    entities on either side to the caller's dict loop, which wins there.
 
     Entries come out grouped by ``tokens1`` iteration order; the caller's
     containers (a set and a dict) make entry order immaterial.
     ``min_entities`` exists for the equivalence suite, which exercises
     the kernel on worlds below the production cutoff.
     """
-    np = numpy_or_none()
-    if np is None or len(tokens1) < min_entities or len(tokens2) < min_entities:
+    if len(tokens1) < min_entities or len(tokens2) < min_entities:
         return None
     with TIMINGS.timed("kernel.candidates"):
         entities1 = list(tokens1)
@@ -115,14 +120,12 @@ def intern_signatures(
     kb2: KnowledgeBase,
     retained,
     attribute_matches,
-) -> dict[Pair, frozenset[int]] | None:
-    """Signature map over ``retained``, or ``None`` when accel is off.
+) -> dict[Pair, frozenset[int]]:
+    """Signature map over ``retained``.
 
     Key order follows ``retained`` iteration order — the same order the
     reference loop produces.
     """
-    if not accel_enabled():
-        return None
     with TIMINGS.timed("kernel.signatures"):
         masks1: dict[str, int] = {}
         masks2: dict[str, int] = {}

@@ -1,10 +1,12 @@
 """Packed strict-dominance kernels for similarity-vector blocks.
 
 A block ``B`` is the list of similarity vectors of all candidate pairs
-sharing one entity (Algorithm 1's unit of work).  The reference code
-answers "how many vectors of ``B`` strictly dominate ``v``" with an
-O(|B|²·d) Python loop; here the block is packed into a ``float64``
-matrix and the counts come from broadcast comparisons.
+sharing one entity (Algorithm 1's unit of work).  The reference loop
+(:func:`repro.accel.reference.dominance_counts`; pruning keeps the same
+loop for blocks below ``_MIN_NUMPY_BLOCK``) answers "how many vectors of
+``B`` strictly dominate ``v``" in O(|B|²·d) Python; here the block is
+packed into a ``float64`` matrix and the counts come from broadcast
+comparisons.
 
 Strict dominance is exact boolean work, so the kernel's counts equal the
 reference loop's by construction.  A sort-by-component-sum prefilter
@@ -20,7 +22,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.accel.runtime import TIMINGS, numpy_or_none
+import numpy as np
+
+from repro.accel.runtime import TIMINGS
 
 Vector = tuple[float, ...]
 
@@ -31,31 +35,15 @@ _MIN_NUMPY_BLOCK = 24
 _CHUNK_BUDGET = 1 << 22
 
 
-def _counts_python(vectors: Sequence[Vector], cap: int | None) -> list[int]:
-    """Reference loop: per vector, dominators counted (clipped at ``cap``)."""
-    counts = []
-    for vector in vectors:
-        rank = 0
-        for other in vectors:
-            if other != vector and all(x >= y for x, y in zip(other, vector)):
-                rank += 1
-                if cap is not None and rank >= cap:
-                    break
-        counts.append(rank)
-    return counts
-
-
-def _counts_numpy(np, matrix, cap: int | None, weights=None) -> list[int]:
+def _counts_numpy(matrix, cap: int | None, weights) -> list[int]:
     """Broadcast dominance counts over a packed (n, d) float64 block.
 
-    ``weights`` (int64, optional) carries row multiplicities: row ``j``'s
-    count is the weighted number of rows strictly dominating it.  Used by
-    the dedup path — identical vectors share one row, and a dominator's
-    multiplicity is how many originals it stands for.
+    ``weights`` (int64) carries row multiplicities: row ``j``'s count is
+    the weighted number of rows strictly dominating it.  Identical
+    vectors share one row, and a dominator's multiplicity is how many
+    originals it stands for.
     """
     n = len(matrix)
-    if weights is None:
-        weights = np.ones(n, dtype=np.int64)
     if n * n * max(matrix.shape[1], 1) <= _CHUNK_BUDGET // 4:
         # Small block: one direct broadcast beats the sort prefilter's
         # fixed overhead (argsort + searchsorted + masking).
@@ -110,57 +98,25 @@ def _counts_numpy(np, matrix, cap: int | None, weights=None) -> list[int]:
     return result.tolist()
 
 
-def strict_dominance_counts(
-    vectors: Sequence[Vector], cap: int | None = None
-) -> list[int]:
-    """For each vector, how many *other* vectors strictly dominate it.
-
-    Duplicates never dominate each other (strictness requires one
-    strictly larger component).  With ``cap`` the counts are clipped at
-    ``cap`` — callers that only compare against a threshold ``k`` pass
-    ``cap=k`` so the fallback loop can stop early; both paths return
-    ``min(count, cap)``.
-    """
-    n = len(vectors)
-    if n <= 1:
-        return [0] * n
-    np = numpy_or_none()
-    if np is None or n < _MIN_NUMPY_BLOCK:
-        return _counts_python(vectors, cap)
-    with TIMINGS.timed("kernel.dominance"):
-        return _counts_numpy(np, np.asarray(vectors, dtype=np.float64), cap)
-
-
 class PackedVectors:
     """A vector index packed into one ``float64`` matrix.
 
     Per-block kernels then slice by row index instead of re-converting
     Python tuples — the conversion, not the comparisons, dominates the
-    kernel cost on realistic block sizes.  ``available`` is ``False``
-    when NumPy is absent or the accel layer is off; callers fall back to
-    the reference loops.  :func:`repro.core.pruning.partial_order_pruning`
-    packs one per call and drops it on return.
+    kernel cost on realistic block sizes.
+    :func:`repro.core.pruning.partial_order_pruning` packs one per call
+    and drops it on return.
     """
 
-    __slots__ = ("_np", "_vectors", "matrix", "row")
+    __slots__ = ("_vectors", "matrix", "row")
 
     def __init__(self, vectors: dict):
-        np = numpy_or_none()
-        self._np = np
         self._vectors = vectors
-        self.row: dict = {}
-        self.matrix = None
-        if np is None or not vectors:
-            return
         self.row = {pair: i for i, pair in enumerate(vectors)}
         matrix = np.asarray(tuple(vectors.values()), dtype=np.float64)
         if matrix.ndim == 1:  # zero-width vectors (no attribute matches)
             matrix = matrix.reshape(len(vectors), 0)
         self.matrix = matrix
-
-    @property
-    def available(self) -> bool:
-        return self.matrix is not None
 
     def counts(self, pairs: Sequence, cap: int | None = None) -> list[int]:
         """Strict-dominance counts for the block formed by ``pairs``.
@@ -189,9 +145,7 @@ class PackedVectors:
             if len(first_rows) <= 1:
                 # One distinct vector: ties all around, nothing dominates.
                 return [0] * len(pairs)
-            np = self._np
             unique_counts = _counts_numpy(
-                np,
                 self.matrix[first_rows],
                 cap,
                 np.asarray(multiplicity, dtype=np.int64),
@@ -213,7 +167,7 @@ def _any_dominator_python(
     return flags
 
 
-def _any_dominator_numpy(np, target_matrix, candidate_matrix) -> list[bool]:
+def _any_dominator_numpy(target_matrix, candidate_matrix) -> list[bool]:
     m, width = candidate_matrix.shape
     flags = np.zeros(len(target_matrix), dtype=bool)
     chunk = max(1, _CHUNK_BUDGET // max(m * width, 1))
@@ -233,13 +187,11 @@ def any_strict_dominator(
         return []
     if not candidates:
         return [False] * len(targets)
-    np = numpy_or_none()
-    if np is None or len(targets) * len(candidates) < _MIN_NUMPY_BLOCK**2:
+    if len(targets) * len(candidates) < _MIN_NUMPY_BLOCK**2:
         return _any_dominator_python(targets, candidates)
 
     with TIMINGS.timed("kernel.dominance"):
         return _any_dominator_numpy(
-            np,
             np.asarray(targets, dtype=np.float64),
             np.asarray(candidates, dtype=np.float64),
         )

@@ -1,15 +1,16 @@
 """Adjacency-indexed ER-graph construction (accel kernel).
 
-The reference ``build_er_graph`` forms, for every vertex and every
-relationship-pair label, the full value-set product ``N^{r1}_{u1} ×
-N^{r2}_{u2}`` and filters it against the vertex set — a candidate pair
-is probed once per product cell, which blows up on high-degree inverse
-relations (every reviewer of a popular movie × every reviewer of its
-counterpart).  This kernel inverts the membership test: two partner
-indexes map each KB-1 / KB-2 entity to the vertices it appears in, and
-a group's members are gathered by walking the *smaller* value set
-through its partner lists and checking the other side's set — each
-vertex is touched O(shared relations) times instead of once per cell.
+The reference construction (:func:`repro.accel.reference.er_graph_groups`)
+forms, for every vertex and every relationship-pair label, the full
+value-set product ``N^{r1}_{u1} × N^{r2}_{u2}`` and filters it against
+the vertex set — a candidate pair is probed once per product cell,
+which blows up on high-degree inverse relations (every reviewer of a
+popular movie × every reviewer of its counterpart).  This kernel
+inverts the membership test: two partner indexes map each KB-1 / KB-2
+entity to the vertices it appears in, and a group's members are
+gathered by walking the *smaller* value set through its partner lists
+and checking the other side's set — each vertex is touched O(shared
+relations) times instead of once per cell.
 
 Byte-identity with the reference is structural: the vertex iteration
 order and the per-vertex label order (forward ``rels1 × rels2`` then
@@ -26,7 +27,7 @@ it once.
 
 from __future__ import annotations
 
-from repro.accel.runtime import TIMINGS, accel_enabled
+from repro.accel.runtime import TIMINGS
 from repro.core.er_graph import INVERSE_PREFIX
 from repro.kb.model import KnowledgeBase
 
@@ -60,10 +61,8 @@ def accel_groups(
     kb1: KnowledgeBase,
     kb2: KnowledgeBase,
     vertices,
-) -> dict[Pair, dict[RelPair, set[Pair]]] | None:
-    """The ER graph's ``groups`` map, or ``None`` when accel is off."""
-    if not accel_enabled():
-        return None
+) -> dict[Pair, dict[RelPair, set[Pair]]]:
+    """The ER graph's ``groups`` map over ``vertices``."""
     from repro.substrate import current_substrate
 
     with TIMINGS.timed("kernel.er_graph"):

@@ -19,17 +19,18 @@ evaluates the *same sum* as a dynamic program over value groups:
   ``odds_i · S(0, bit_i)`` evaluated with pair *i*'s whole group
   skipped (its large-side value is consumed by *i* itself).
 
-Both implementations below — the unmemoized reference recursion and the
-memoized DP — walk the identical expression tree in the identical
-order; memoization only collapses *repeated subtrees*, whose floats are
-pure functions of ``(g, mask)``, so the two paths are byte-identical by
-construction (the accel equivalence suite pins it).  The DP visits at
-most ``groups · 2^min(|L|,|R|)`` states instead of every matching.
+The memoized DP below and the unmemoized reference recursion
+(:func:`repro.accel.reference.exact_marginal_map`) walk the identical
+expression tree in the identical order; memoization only collapses
+*repeated subtrees*, whose floats are pure functions of ``(g, mask)``,
+so the two are byte-identical by construction (the accel equivalence
+suite pins it).  The DP visits at most ``groups · 2^min(|L|,|R|)``
+states instead of every matching.
 """
 
 from __future__ import annotations
 
-from repro.accel.runtime import TIMINGS, accel_enabled
+from repro.accel.runtime import TIMINGS
 
 Pair = tuple[str, str]
 
@@ -93,28 +94,6 @@ def matching_plan(pairs: list[Pair]) -> MatchingPlan:
     return MatchingPlan(groups, pair_group, pair_bits)
 
 
-def _sum_reference(
-    plan: MatchingPlan, odds: list[float], skip: int, seed_mask: int
-) -> float:
-    """``S(0, seed_mask)`` with group ``skip`` left out — unmemoized."""
-    groups, pair_bits = plan.groups, plan.pair_bits
-    num_groups = len(groups)
-
-    def sum_from(g: int, mask: int) -> float:
-        if g == num_groups:
-            return 1.0
-        if g == skip:
-            return sum_from(g + 1, mask)
-        acc = sum_from(g + 1, mask)
-        for i in groups[g]:
-            bit = pair_bits[i]
-            if not mask & bit:
-                acc = acc + odds[i] * sum_from(g + 1, mask | bit)
-        return acc
-
-    return sum_from(0, seed_mask)
-
-
 def _sum_dp(
     plan: MatchingPlan,
     odds: list[float],
@@ -122,7 +101,7 @@ def _sum_dp(
     seed_mask: int,
     memo: dict[tuple[int, int], float],
 ) -> float:
-    """Same recursion, memoized on ``(g, mask)``.
+    """``S(0, seed_mask)`` with group ``skip`` left out, memoized on ``(g, mask)``.
 
     ``memo`` is valid for one ``skip`` value (the state value depends on
     it) and is shared across seed masks — every pair in a skipped group
@@ -150,20 +129,8 @@ def _sum_dp(
     return sum_from(0, seed_mask)
 
 
-def _marginals_reference(pairs: list[Pair], odds: list[float]) -> dict[Pair, float]:
-    """Pure-Python reference: the recursion above, no memoization."""
-    plan = matching_plan(pairs)
-    total = _sum_reference(plan, odds, -1, 0)
-    if total <= 0.0:
-        return {p: 0.0 for p in pairs}
-    return {
-        pair: odds[i] * _sum_reference(plan, odds, plan.pair_group[i], plan.pair_bits[i]) / total
-        for i, pair in enumerate(pairs)
-    }
-
-
 def _marginals_dp(pairs: list[Pair], odds: list[float]) -> dict[Pair, float]:
-    """Memoized permanent DP — byte-identical to the reference."""
+    """Memoized permanent DP — byte-identical to the reference recursion."""
     plan = matching_plan(pairs)
     total = _sum_dp(plan, odds, -1, 0, {})
     if total <= 0.0:
@@ -179,14 +146,8 @@ def _marginals_dp(pairs: list[Pair], odds: list[float]) -> dict[Pair, float]:
 
 
 def exact_marginal_map(pairs: list[Pair], odds: list[float]) -> dict[Pair, float]:
-    """Marginal ``Pr[p ∈ M]`` per pair, given each pair's prior odds.
-
-    Dispatches between the memoized DP and the unmemoized reference on
-    the accel gate; both produce bit-equal floats (see module docstring).
-    """
+    """Marginal ``Pr[p ∈ M]`` per pair, given each pair's prior odds."""
     if not pairs:
         return {}
     with TIMINGS.timed("kernel.marginals"):
-        if accel_enabled():
-            return _marginals_dp(pairs, odds)
-        return _marginals_reference(pairs, odds)
+        return _marginals_dp(pairs, odds)

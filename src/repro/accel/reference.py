@@ -1,0 +1,233 @@
+"""Paper-faithful reference kernels: the oracles the accel layer is pinned to.
+
+Every accel kernel is the only product path for its stage.  The code it
+replaced lives on here so the equivalence suite (``tests/test_accel.py``)
+and the kernel benches can keep comparing the product against it.  No
+module under :mod:`repro` imports this one.
+
+* :func:`dominance_counts` — Algorithm 1's strict-dominance count per
+  vector, one O(|B|²·d) loop (pins
+  :class:`repro.accel.dominance.PackedVectors`);
+* :func:`er_graph_groups` — Definition 2's value-set-product ER-graph
+  construction (pins :func:`repro.accel.er_graph.accel_groups`);
+* :func:`signatures` — the per-pair attribute-signature loop (pins
+  :func:`repro.accel.candidates.intern_signatures`);
+* :func:`exact_marginal_map` — Eq. 9's unmemoized permanent recursion
+  (pins the memoized DP behind
+  :func:`repro.accel.marginals.exact_marginal_map`);
+* :class:`RebuildRemp` — a :class:`repro.core.Remp` whose loop rebuilds
+  the probabilistic graph and reruns Dijkstra from scratch every loop
+  (pins :class:`repro.accel.propagation.IncrementalPropagator`),
+  reached through the ``Remp._make_loop_state`` seam.
+
+:func:`reference_kernels` rebinds the product's kernel names to these
+references for the length of a ``with`` block, so a whole
+``Remp.prepare`` or ``Remp.run`` inside it takes the reference path.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Sequence
+
+import repro.accel.candidates
+import repro.accel.er_graph
+import repro.accel.marginals
+import repro.core.attributes
+import repro.core.candidates
+import repro.core.pruning
+import repro.core.vectors
+from repro.accel.dominance import _any_dominator_python
+from repro.accel.marginals import MatchingPlan, matching_plan
+from repro.core.er_graph import INVERSE_PREFIX
+from repro.core.isolated import Signature, attribute_signature
+from repro.core.pipeline import LoopState, Remp
+from repro.kb.model import KnowledgeBase
+from repro.text.literal import literal_set_similarity
+
+Pair = tuple[str, str]
+RelPair = tuple[str, str]
+Vector = tuple[float, ...]
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1: strict-dominance counts
+# ----------------------------------------------------------------------
+def dominance_counts(vectors: Sequence[Vector], cap: int | None) -> list[int]:
+    """Per vector, how many others strictly dominate it (clipped at ``cap``)."""
+    counts = []
+    for vector in vectors:
+        rank = 0
+        for other in vectors:
+            if other != vector and all(x >= y for x, y in zip(other, vector)):
+                rank += 1
+                if cap is not None and rank >= cap:
+                    break
+        counts.append(rank)
+    return counts
+
+
+class _LoopPack:
+    """Stands in for ``PackedVectors``: every block through the loop."""
+
+    def __init__(self, vectors: dict):
+        self._vectors = vectors
+
+    def counts(self, pairs: Sequence, cap: int | None = None) -> list[int]:
+        return dominance_counts([self._vectors[pair] for pair in pairs], cap)
+
+
+# ----------------------------------------------------------------------
+# Definition 2: the ER graph's neighbor groups
+# ----------------------------------------------------------------------
+def er_graph_groups(
+    kb1: KnowledgeBase, kb2: KnowledgeBase, vertices
+) -> dict[Pair, dict[RelPair, set[Pair]]]:
+    """Probe every cell of each vertex's value-set product against ``vertices``."""
+    groups: dict[Pair, dict[RelPair, set[Pair]]] = {}
+    for vertex in vertices:
+        entity1, entity2 = vertex
+        by_label: dict[RelPair, set[Pair]] = {}
+        directions = (
+            (kb1.entity_relations(entity1), kb2.entity_relations(entity2), ""),
+            (
+                kb1.entity_inverse_relations(entity1),
+                kb2.entity_inverse_relations(entity2),
+                INVERSE_PREFIX,
+            ),
+        )
+        for rels1, rels2, prefix in directions:
+            for r1, targets1 in rels1.items():
+                for r2, targets2 in rels2.items():
+                    members = {
+                        (t1, t2) for t1 in targets1 for t2 in targets2 if (t1, t2) in vertices
+                    }
+                    if members:
+                        by_label[(prefix + r1, prefix + r2)] = members
+        if by_label:
+            groups[vertex] = by_label
+    return groups
+
+
+# ----------------------------------------------------------------------
+# Section VII-B: attribute signatures
+# ----------------------------------------------------------------------
+def signatures(kb1, kb2, retained, attribute_matches) -> dict[Pair, Signature]:
+    """Probe both KBs' attribute accessors once per (pair, attribute match)."""
+    result: dict[Pair, Signature] = {}
+    for pair in retained:
+        presence = tuple(
+            bool(kb1.attribute_values(pair[0], match.attr1))
+            and bool(kb2.attribute_values(pair[1], match.attr2))
+            for match in attribute_matches
+        )
+        result[pair] = attribute_signature(presence)
+    return result
+
+
+# ----------------------------------------------------------------------
+# Eq. 9: exact marginals over all partial 1:1 matchings
+# ----------------------------------------------------------------------
+def _sum_reference(
+    plan: MatchingPlan, odds: list[float], skip: int, seed_mask: int
+) -> float:
+    """``S(0, seed_mask)`` with group ``skip`` left out — unmemoized."""
+    groups, pair_bits = plan.groups, plan.pair_bits
+    num_groups = len(groups)
+
+    def sum_from(g: int, mask: int) -> float:
+        if g == num_groups:
+            return 1.0
+        if g == skip:
+            return sum_from(g + 1, mask)
+        acc = sum_from(g + 1, mask)
+        for i in groups[g]:
+            bit = pair_bits[i]
+            if not mask & bit:
+                acc = acc + odds[i] * sum_from(g + 1, mask | bit)
+        return acc
+
+    return sum_from(0, seed_mask)
+
+
+def exact_marginal_map(pairs: list[Pair], odds: list[float]) -> dict[Pair, float]:
+    """The permanent recursion of :mod:`repro.accel.marginals`, no memoization."""
+    plan = matching_plan(pairs)
+    total = _sum_reference(plan, odds, -1, 0)
+    if total <= 0.0:
+        return {p: 0.0 for p in pairs}
+    return {
+        pair: odds[i] * _sum_reference(plan, odds, plan.pair_group[i], plan.pair_bits[i]) / total
+        for i, pair in enumerate(pairs)
+    }
+
+
+# ----------------------------------------------------------------------
+# simL and candidate scoring
+# ----------------------------------------------------------------------
+class _ReferenceScorer:
+    """Stands in for ``LiteralScorer``: plain ``literal_set_similarity``."""
+
+    def __init__(self, threshold: float):
+        self.threshold = threshold
+
+    def set_similarity(self, values1, values2) -> float:
+        return literal_set_similarity(values1, values2, self.threshold)
+
+
+def _decline_scoring(*args, **kwargs) -> None:
+    """Decline like a below-cutoff world, so the dict loop scores every pair."""
+    return None
+
+
+# ----------------------------------------------------------------------
+# The loop: full rebuild with Dijkstra discovery
+# ----------------------------------------------------------------------
+class RebuildLoopState(LoopState):
+    """A loop state that never uses the incremental propagator.
+
+    Every propagate re-estimates all consistencies, rebuilds the whole
+    probabilistic graph and reruns discovery from every source — the
+    path ``LoopState`` takes for the Floyd–Warshall config, here also
+    under ``use_dijkstra``.
+    """
+
+    def _infer_incremental(self, kb1, kb2, matches, effective_priors, sources):
+        return self._infer_rebuild(kb1, kb2, matches, effective_priors, sources)
+
+
+class RebuildRemp(Remp):
+    """:class:`repro.core.Remp` with :class:`RebuildLoopState` loops."""
+
+    def _make_loop_state(self, state) -> LoopState:
+        return RebuildLoopState(state, self.config)
+
+
+@contextmanager
+def reference_kernels():
+    """Rebind the product's kernel names to the references for a block.
+
+    Candidate scoring falls to the product's dict loop, simL to
+    ``literal_set_similarity``, pruning and ``pruning_error_rate`` to
+    the dominance loops, and the ER graph, signatures and exact
+    marginals to the functions above.  The rebinding is process-wide
+    and not thread-safe: for tests and benchmarks only.
+    """
+    bindings = [
+        (repro.core.candidates, "score_candidates", _decline_scoring),
+        (repro.core.attributes, "literal_scorer", _ReferenceScorer),
+        (repro.core.vectors, "literal_scorer", _ReferenceScorer),
+        (repro.core.pruning, "PackedVectors", _LoopPack),
+        (repro.core.pruning, "any_strict_dominator", _any_dominator_python),
+        (repro.accel.er_graph, "accel_groups", er_graph_groups),
+        (repro.accel.candidates, "intern_signatures", signatures),
+        (repro.accel.marginals, "_marginals_dp", exact_marginal_map),
+    ]
+    saved = [(module, name, getattr(module, name)) for module, name, _ in bindings]
+    for module, name, reference in bindings:
+        setattr(module, name, reference)
+    try:
+        yield
+    finally:
+        for module, name, product in saved:
+            setattr(module, name, product)

@@ -1,18 +1,11 @@
-"""Accel runtime: feature gating and kernel timing collection.
+"""Accel runtime: kernel timing collection.
 
 The accel layer is an *optimization*, never a semantics change: every
-kernel has a pure-Python fallback that produces byte-identical results
+kernel is byte-identical to the paper-faithful reference it replaced
 (dominance is exact boolean work; simL/Jaccard are ratios of small
 integers, which IEEE-754 doubles represent identically however they are
-computed).  Two independent switches select the implementation:
-
-* ``REPRO_NO_ACCEL=1`` (environment) disables the whole layer — the
-  interning/caching paths *and* the NumPy kernels — restoring the
-  original reference code paths.  The equivalence suite runs both modes
-  against each other.
-* NumPy availability gates only the packed-array kernels; the
-  interning, memoization and incremental-propagation paths are pure
-  Python and work without it.
+computed).  The references live on as test oracles in
+:mod:`repro.accel.reference`, which no product module imports.
 
 :data:`TIMINGS` aggregates wall-clock per named stage/kernel so the
 service can persist per-run timing profiles (surfaced by
@@ -32,40 +25,6 @@ from contextlib import contextmanager
 from threading import Lock
 
 from repro.obs.context import clear_scope, current_scope
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-try:  # NumPy is an existing dependency (ml/, core/isolated), but the
-    import numpy as _np  # accel layer degrades gracefully without it.
-except ImportError:  # pragma: no cover - image always ships numpy
-    _np = None
-
-
-def accel_enabled() -> bool:
-    """Whether the accelerated code paths are active (env-controlled)."""
-    return os.environ.get("REPRO_NO_ACCEL", "").strip().lower() not in _TRUTHY
-
-
-def numpy_or_none():
-    """The NumPy module when packed kernels may be used, else ``None``."""
-    return _np if accel_enabled() else None
-
-
-@contextmanager
-def force_accel(enabled: bool):
-    """Temporarily force the accel layer on or off (tests/benchmarks)."""
-    previous = os.environ.get("REPRO_NO_ACCEL")
-    if enabled:
-        os.environ.pop("REPRO_NO_ACCEL", None)
-    else:
-        os.environ["REPRO_NO_ACCEL"] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NO_ACCEL", None)
-        else:
-            os.environ["REPRO_NO_ACCEL"] = previous
 
 
 class KernelTimings:

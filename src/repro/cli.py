@@ -89,15 +89,13 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_accel_flag(args: argparse.Namespace) -> None:
-    """``--no-accel`` drops to the pure-Python reference kernels.
+def _apply_env_flags(args: argparse.Namespace) -> None:
+    """``--profile`` and ``--faults`` take effect through the environment.
 
-    ``--profile`` turns on the sampling wall-clock profiler the same
-    way — through the environment, so shard worker processes inherit it
-    and the run's artifact directory gains ``profile.folded``.
+    ``--profile`` turns on the sampling wall-clock profiler, so shard
+    worker processes inherit it and the run's artifact directory gains
+    ``profile.folded``.
     """
-    if getattr(args, "no_accel", False):
-        os.environ["REPRO_NO_ACCEL"] = "1"
     if getattr(args, "profile", False):
         os.environ["REPRO_PROFILE"] = "1"
     if getattr(args, "faults", None):
@@ -107,7 +105,7 @@ def _apply_accel_flag(args: argparse.Namespace) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _apply_accel_flag(args)
+    _apply_env_flags(args)
     if args.dataset is None and args.resume is None and args.since is None:
         print(
             "run: a dataset is required unless --resume or --since is given",
@@ -362,7 +360,7 @@ def _run_since(args: argparse.Namespace) -> int:
 
 def _cmd_update(args: argparse.Namespace) -> int:
     """``update RUN_ID --delta FILE``: apply one KB delta incrementally."""
-    _apply_accel_flag(args)
+    _apply_env_flags(args)
     delta_path = Path(args.delta)
     if not delta_path.exists():
         print(f"update: no such delta file {args.delta!r}", file=sys.stderr)
@@ -539,7 +537,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             )
         timings = store.load_run_timings(args.run_id)
         if timings is not None:
-            print(f"accel: {'on' if timings.get('accel') else 'off (REPRO_NO_ACCEL)'}")
             stages = timings.get("stages", {})
             if stages:
                 # Stages nest (prepare.candidates contains candidates.score,
@@ -761,11 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="target stream step for --since",
     )
     p_run.add_argument(
-        "--no-accel", action="store_true", dest="no_accel",
-        help="disable the vectorized/incremental kernels (repro.accel);"
-        " results are byte-identical, only slower",
-    )
-    p_run.add_argument(
         "--profile", action="store_true",
         help="sample wall-clock stacks during the run (REPRO_PROFILE=1);"
         " with --store the folded stacks land in the run's artifacts",
@@ -787,10 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_update.add_argument("--workers", type=int, default=None, metavar="N")
     p_update.add_argument("--store", default=None)
-    p_update.add_argument(
-        "--no-accel", action="store_true", dest="no_accel",
-        help="disable the vectorized/incremental kernels (repro.accel)",
-    )
     p_update.add_argument(
         "--faults", default=None, metavar="JSON_OR_@FILE",
         help="activate a deterministic fault plan (repro.faults) for the"
@@ -971,14 +959,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # --no-accel / --profile work by setting REPRO_NO_ACCEL /
-    # REPRO_PROFILE (checked at call sites, including in worker
-    # processes); restore the prior values so embedding callers can
-    # invoke main() repeatedly without one command's flag leaking into
-    # the next.
+    # --profile / --faults work by setting REPRO_PROFILE / REPRO_FAULTS
+    # (checked at call sites, including in worker processes); restore
+    # the prior values so embedding callers can invoke main() repeatedly
+    # without one command's flag leaking into the next.
     previous = {
-        name: os.environ.get(name)
-        for name in ("REPRO_NO_ACCEL", "REPRO_PROFILE", "REPRO_FAULTS")
+        name: os.environ.get(name) for name in ("REPRO_PROFILE", "REPRO_FAULTS")
     }
     try:
         return args.func(args)

@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.accel.literals import LiteralScorer
-from repro.accel.runtime import accel_enabled
 from repro.assignment import hungarian_max
 from repro.kb.model import LABEL_ATTRIBUTE, KnowledgeBase
-from repro.substrate import current_substrate
-from repro.text.literal import literal_set_similarity
+from repro.substrate import literal_scorer
 
 Pair = tuple[str, str]
 
@@ -43,22 +40,7 @@ def attribute_similarity_matrix(
     match get a score; everything else is implicitly zero.  ``rdfs:label``
     is excluded by default — it is handled by candidate generation.
     """
-    if accel_enabled():
-        substrate = current_substrate()
-        scorer = (
-            substrate.scorer(literal_threshold)
-            if substrate is not None
-            else LiteralScorer(literal_threshold)
-        )
-
-        def simL(values1, values2):
-            return scorer.set_similarity(values1, values2)
-
-    else:
-
-        def simL(values1, values2):
-            return literal_set_similarity(values1, values2, literal_threshold)
-
+    simL = literal_scorer(literal_threshold).set_similarity
     sums: dict[tuple[str, str], float] = {}
     counts: dict[tuple[str, str], int] = {}
     for entity1, entity2 in initial_matches:

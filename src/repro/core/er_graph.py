@@ -155,40 +155,14 @@ def build_er_graph(
     value-set product become a neighbor group.  Groups are kept per label
     because propagation reasons about one relationship pair at a time.
 
-    The accel path (:mod:`repro.accel.er_graph`) builds the same map by
-    joining per-KB adjacency through partner indexes instead of probing
-    every value-set product cell; it replays this function's vertex and
-    label iteration orders, so the graphs are identical either way.
+    The groups come from :func:`repro.accel.er_graph.accel_groups`, which
+    joins per-KB adjacency through partner indexes instead of probing
+    every value-set product cell, in the same vertex and label order as
+    the cell-probing reference (:mod:`repro.accel.reference`).
     """
     # Imported lazily: the accel package imports this module back.
     from repro.accel.er_graph import accel_groups
 
-    indexed = accel_groups(kb1, kb2, vertices)
-    if indexed is not None:
-        graph = ERGraph(vertices=set(vertices))
-        graph.groups = indexed
-        return graph
-
     graph = ERGraph(vertices=set(vertices))
-    for vertex in vertices:
-        entity1, entity2 = vertex
-        by_label: dict[RelPair, set[Pair]] = {}
-        directions = (
-            (kb1.entity_relations(entity1), kb2.entity_relations(entity2), ""),
-            (
-                kb1.entity_inverse_relations(entity1),
-                kb2.entity_inverse_relations(entity2),
-                INVERSE_PREFIX,
-            ),
-        )
-        for rels1, rels2, prefix in directions:
-            for r1, targets1 in rels1.items():
-                for r2, targets2 in rels2.items():
-                    members = {
-                        (t1, t2) for t1 in targets1 for t2 in targets2 if (t1, t2) in vertices
-                    }
-                    if members:
-                        by_label[(prefix + r1, prefix + r2)] = members
-        if by_label:
-            graph.groups[vertex] = by_label
+    graph.groups = accel_groups(kb1, kb2, vertices)
     return graph

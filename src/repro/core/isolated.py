@@ -48,26 +48,15 @@ def attribute_signature(vector_presence: tuple[bool, ...]) -> Signature:
 def build_signatures(kb1, kb2, retained, attribute_matches) -> dict[Pair, Signature]:
     """Attribute signature of every retained pair.
 
-    The accel path (:mod:`repro.accel.candidates`) computes one presence
-    bitmask per entity and side instead of probing the KB accessors per
-    pair, and interns one frozenset per distinct signature; the contents
-    — and the ``retained`` iteration order of the keys — are identical
-    to this reference loop's.
+    :func:`repro.accel.candidates.intern_signatures` computes one
+    presence bitmask per entity and side instead of probing the KB
+    accessors per pair, and interns one frozenset per distinct
+    signature; contents and key order (``retained`` iteration order)
+    match the per-pair reference loop (:mod:`repro.accel.reference`).
     """
     from repro.accel.candidates import intern_signatures
 
-    interned = intern_signatures(kb1, kb2, retained, attribute_matches)
-    if interned is not None:
-        return interned
-    signatures: dict[Pair, Signature] = {}
-    for pair in retained:
-        presence = tuple(
-            bool(kb1.attribute_values(pair[0], match.attr1))
-            and bool(kb2.attribute_values(pair[1], match.attr2))
-            for match in attribute_matches
-        )
-        signatures[pair] = attribute_signature(presence)
-    return signatures
+    return intern_signatures(kb1, kb2, retained, attribute_matches)
 
 
 class IsolatedPairClassifier:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.accel.propagation import IncrementalPropagator
-from repro.accel.runtime import TIMINGS, accel_enabled
+from repro.accel.runtime import TIMINGS
 from repro.obs import runtime as obs
 from repro.core.attributes import AttributeMatch, match_attributes
 from repro.core.candidates import CandidateSet, generate_candidates
@@ -65,7 +65,7 @@ class PreparedState:
     priors: dict[Pair, float]
     isolated: set[Pair]
     #: Content address of the shared kernel arena this state attached to
-    #: (:mod:`repro.substrate`), or ``None`` when unattached / accel off.
+    #: (:mod:`repro.substrate`), or ``None`` when unattached.
     #: A plain string tuple — never the arena itself — so states stay
     #: picklable and serializable; slices (:meth:`restrict`) drop it.
     substrate_key: tuple[str, str, str] | None = None
@@ -457,7 +457,7 @@ class LoopState:
         self._inferred_sets: dict[Pair, dict[Pair, float]] = {}
         self._by_left: dict[str, list[Pair]] = {}
         self._by_right: dict[str, list[Pair]] = {}
-        #: Accel only: caches derived propagation state across loops.
+        #: Dijkstra discovery only: derived propagation state across loops.
         self._propagator: IncrementalPropagator | None = None
         for pair in state.retained:
             self._by_left.setdefault(pair[0], []).append(pair)
@@ -541,48 +541,24 @@ class LoopState:
     def propagate(self, kb1: KnowledgeBase, kb2: KnowledgeBase) -> None:
         """Rebuild the probabilistic graph and infer from labeled matches.
 
-        With the accel layer on (and Dijkstra discovery selected), the
-        rebuild is *incremental*: an :class:`IncrementalPropagator`
-        re-estimates only labels whose observations moved, recomputes
-        only neighbor groups containing a pair whose effective prior (or
-        label γ) changed, and re-runs Dijkstra only from
-        sources whose ζ-reachable region intersects the changed
-        vertices.  The fallback path is the original full rebuild; both
-        produce identical inferred sets (identical map contents *and*
-        iteration order).
+        With Dijkstra discovery (the default), the rebuild is
+        *incremental*: an :class:`IncrementalPropagator` re-estimates
+        only labels whose observations moved, recomputes only neighbor
+        groups containing a pair whose effective prior (or label γ)
+        changed, and re-runs Dijkstra only from sources whose
+        ζ-reachable region intersects the changed vertices.  The
+        paper's Floyd–Warshall config (``use_dijkstra=False``) takes the
+        full rebuild every loop.  The two produce identical inferred
+        sets (identical map contents *and* iteration order); the
+        equivalence oracles run the full rebuild under Dijkstra too
+        (:class:`repro.accel.reference.RebuildLoopState`).
         """
-        config = self.config
         matches_for_estimation = (
             self.state.candidates.initial_matches
             | self.labeled_matches
             | self.inferred_matches
         )
-        incremental = accel_enabled() and config.use_dijkstra
         with TIMINGS.timed("loop.propagate"):
-            if incremental:
-                if self._propagator is None:
-                    self._propagator = IncrementalPropagator(
-                        self.state.graph, kb1, kb2, config
-                    )
-                consistencies = self._propagator.estimate_consistencies(
-                    matches_for_estimation
-                )
-            else:
-                labels = {
-                    label
-                    for by_label in self.state.graph.groups.values()
-                    for label in by_label
-                }
-                consistencies = estimate_all_consistencies(
-                    kb1,
-                    kb2,
-                    labels,
-                    matches_for_estimation,
-                    min_support=config.min_consistency_support,
-                    epsilon_default=config.epsilon_default,
-                    epsilon_floor=config.epsilon_floor,
-                    epsilon_ceiling=config.epsilon_ceiling,
-                )
             effective_priors = dict(self.priors)
             for pair in self.resolved_matches:
                 effective_priors[pair] = _RESOLVED_MATCH_PRIOR
@@ -592,17 +568,12 @@ class LoopState:
             sources.update(
                 q for q in self._unresolved if self.state.graph.groups.get(q)
             )
-            if incremental:
-                self._inferred_sets = self._propagator.update(
-                    effective_priors, consistencies, sources
-                )
-            else:
-                prob_graph = build_probabilistic_graph(
-                    self.state.graph, kb1, kb2, effective_priors, consistencies, config
-                )
-                self._inferred_sets = inferred_sets(
-                    prob_graph, sources, config.tau, config.use_dijkstra
-                )
+            infer = (
+                self._infer_incremental if self.config.use_dijkstra else self._infer_rebuild
+            )
+            self._inferred_sets = infer(
+                kb1, kb2, matches_for_estimation, effective_priors, sources
+            )
         # Distant propagation: everything within ζ of a labeled match.  The
         # incrementally-maintained unresolved set keeps the membership test
         # O(1); resolve_match (and its competitor demotions) updates it.
@@ -610,6 +581,38 @@ class LoopState:
             for pair in self._inferred_sets.get(match, ()):
                 if pair in self._unresolved:
                     self.resolve_match(pair, labeled=False)
+
+    def _infer_incremental(self, kb1, kb2, matches, effective_priors, sources):
+        """Inferred sets through the cached :class:`IncrementalPropagator`."""
+        if self._propagator is None:
+            self._propagator = IncrementalPropagator(
+                self.state.graph, kb1, kb2, self.config
+            )
+        consistencies = self._propagator.estimate_consistencies(matches)
+        return self._propagator.update(effective_priors, consistencies, sources)
+
+    def _infer_rebuild(self, kb1, kb2, matches, effective_priors, sources):
+        """Inferred sets from a from-scratch probabilistic graph."""
+        config = self.config
+        labels = {
+            label
+            for by_label in self.state.graph.groups.values()
+            for label in by_label
+        }
+        consistencies = estimate_all_consistencies(
+            kb1,
+            kb2,
+            labels,
+            matches,
+            min_support=config.min_consistency_support,
+            epsilon_default=config.epsilon_default,
+            epsilon_floor=config.epsilon_floor,
+            epsilon_ceiling=config.epsilon_ceiling,
+        )
+        prob_graph = build_probabilistic_graph(
+            self.state.graph, kb1, kb2, effective_priors, consistencies, config
+        )
+        return inferred_sets(prob_graph, sources, config.tau, config.use_dijkstra)
 
     # -- question candidates -------------------------------------------
     def restricted_inferred_sets(self) -> dict[Pair, dict[Pair, float]]:

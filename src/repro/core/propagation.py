@@ -80,11 +80,10 @@ def _marginals_exact(
 ) -> dict[Pair, float]:
     """Exact marginal Pr[p ∈ M] over all partial 1:1 matchings.
 
-    The sums over matchings are weighted permanents, evaluated by
-    :mod:`repro.accel.marginals` — a grouped recursion whose memoized
-    form (the accel path) and unmemoized form (the ``REPRO_NO_ACCEL=1``
-    reference) share one expression tree, so both modes return
-    bit-equal floats.
+    The sums over matchings are weighted permanents, evaluated by the
+    memoized grouped recursion of :mod:`repro.accel.marginals`.  It
+    walks the same expression tree as the unmemoized reference in
+    :mod:`repro.accel.reference`, so the two return bit-equal floats.
     """
     from repro.accel.marginals import exact_marginal_map
 

@@ -17,7 +17,6 @@ from repro.accel.dominance import (
     PackedVectors,
     any_strict_dominator,
 )
-from repro.accel.runtime import accel_enabled
 from repro.core.vectors import VectorIndex, strictly_dominates
 
 Pair = tuple[str, str]
@@ -28,15 +27,16 @@ def _prune_one_way(
     index: VectorIndex,
     k: int,
     side: int,
-    pack: Callable[[], PackedVectors] | None,
+    pack: Callable[[], PackedVectors],
 ) -> set[Pair]:
     """One PruningInOneWay pass of Algorithm 1 over the given side.
 
     ``side`` 0 groups blocks by the KB1 entity, 1 by the KB2 entity.
-    On the accel path (``pack`` given) large blocks are sliced out of
-    the packed matrix ``pack()`` returns and dominators counted (clipped
-    at ``k``) by broadcast comparison; the keep decision ``rank < k`` is
-    identical to the reference loop's early-exit count.
+    Blocks of at least ``_MIN_NUMPY_BLOCK`` pairs are sliced out of the
+    packed matrix ``pack()`` returns and dominators counted (clipped at
+    ``k``) by broadcast comparison; smaller blocks, where NumPy's call
+    overhead dominates, take the early-exit loop.  Both keep exactly the
+    pairs with ``rank < k``.
     """
     blocks: dict[str, list[Pair]] = {}
     for pair in pairs:
@@ -48,14 +48,10 @@ def _prune_one_way(
             retained.update(block)
             continue
         vectors = index.vectors
-        if pack is not None and len(block) >= _MIN_NUMPY_BLOCK:
-            packed = pack()
-            if packed.available:
-                ranks = packed.counts(block, cap=k)
-                retained.update(
-                    pair for pair, rank in zip(block, ranks) if rank < k
-                )
-                continue
+        if len(block) >= _MIN_NUMPY_BLOCK:
+            ranks = pack().counts(block, cap=k)
+            retained.update(pair for pair, rank in zip(block, ranks) if rank < k)
+            continue
         keep = []
         for pair in block:
             vector = vectors[pair]
@@ -84,7 +80,7 @@ def partial_order_pruning(candidates: set[Pair], index: VectorIndex, k: int = 4)
     # One matrix for both passes, packed only once a block is large
     # enough to use it (incremental re-prunes over a few dirty closures
     # never pay the whole-index pack) and dropped on return.
-    pack = cache(lambda: PackedVectors(index.vectors)) if accel_enabled() else None
+    pack = cache(lambda: PackedVectors(index.vectors))
     retained = _prune_one_way(candidates, index, k, side=0, pack=pack)
     retained = _prune_one_way(retained, index, k, side=1, pack=pack)
     return retained
@@ -110,16 +106,7 @@ def pruning_error_rate(
     vectors = index.vectors
     matches = [p for p in retained if p in gold]
     non_matches = [p for p in retained if p not in gold]
-    if accel_enabled():
-        # Dominance kernel: one chunked broadcast instead of the
-        # O(|matches|·|non_matches|) Python scan.
-        dominated = any_strict_dominator(
-            [vectors[m] for m in matches], [vectors[nm] for nm in non_matches]
-        )
-        return sum(dominated) / len(retained)
-    conflicts = 0
-    for match in matches:
-        mv = vectors[match]
-        if any(strictly_dominates(vectors[nm], mv) for nm in non_matches):
-            conflicts += 1
-    return conflicts / len(retained)
+    dominated = any_strict_dominator(
+        [vectors[m] for m in matches], [vectors[nm] for nm in non_matches]
+    )
+    return sum(dominated) / len(retained)

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.accel.dominance import strict_dominance_counts
-from repro.accel.literals import LiteralScorer
-from repro.accel.runtime import TIMINGS, accel_enabled
+from repro.accel.runtime import TIMINGS
 from repro.core.attributes import AttributeMatch
 from repro.kb.model import KnowledgeBase
-from repro.substrate import current_substrate
-from repro.text.literal import literal_set_similarity
+from repro.substrate import literal_scorer
 
 Pair = tuple[str, str]
 Vector = tuple[float, ...]
@@ -33,29 +30,13 @@ def build_similarity_vectors(
 ) -> dict[Pair, Vector]:
     """Pre-compute the similarity vector of every candidate pair.
 
-    With the accel layer on, literals are interned once and every
-    distinct simL comparison is scored exactly once
-    (:class:`repro.accel.LiteralScorer`) — same greedy matching, same
-    integer ratios, byte-identical components.  Under an activated
-    prepare substrate the scorer (and its interning caches) is shared
-    with every other pass over the same KB pair.
+    Literals are interned once and every distinct simL comparison is
+    scored exactly once (:class:`repro.accel.LiteralScorer`) — same
+    greedy matching, same integer ratios as ``literal_set_similarity``.
+    Under an activated prepare substrate the scorer (and its interning
+    caches) is shared with every other pass over the same KB pair.
     """
-    if accel_enabled():
-        substrate = current_substrate()
-        scorer = (
-            substrate.scorer(literal_threshold)
-            if substrate is not None
-            else LiteralScorer(literal_threshold)
-        )
-
-        def simL(values1, values2):
-            return scorer.set_similarity(values1, values2)
-
-    else:
-
-        def simL(values1, values2):
-            return literal_set_similarity(values1, values2, literal_threshold)
-
+    simL = literal_scorer(literal_threshold).set_similarity
     vectors: dict[Pair, Vector] = {}
     with TIMINGS.timed("kernel.simL"):
         for entity1, entity2 in pairs:
@@ -95,30 +76,14 @@ class VectorIndex:
     vectors: dict[Pair, Vector]
     by_left: dict[str, list[Pair]] = field(default_factory=dict)
     by_right: dict[str, list[Pair]] = field(default_factory=dict)
-    #: Lazily-filled per-block dominance counts (accel path only).
-    _rank_cache: dict[tuple[int, str], dict[Pair, int]] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         for pair in self.vectors:
             self.by_left.setdefault(pair[0], []).append(pair)
             self.by_right.setdefault(pair[1], []).append(pair)
 
-    def _block_ranks(self, side: int, entity: str) -> dict[Pair, int]:
-        """Dominance counts of one whole block via the dominance kernel."""
-        ranks = self._rank_cache.get((side, entity))
-        if ranks is None:
-            block = (self.by_left if side == 0 else self.by_right).get(entity, [])
-            counts = strict_dominance_counts([self.vectors[p] for p in block])
-            ranks = dict(zip(block, counts))
-            self._rank_cache[(side, entity)] = ranks
-        return ranks
-
     def min_rank_left(self, pair: Pair) -> int:
         """|{u2' : s(u1, u2') ≻ s(u1, u2)}| over candidates sharing u1."""
-        if accel_enabled():
-            return self._block_ranks(0, pair[0])[pair]
         vector = self.vectors[pair]
         return sum(
             1
@@ -128,8 +93,6 @@ class VectorIndex:
 
     def min_rank_right(self, pair: Pair) -> int:
         """|{u1' : s(u1', u2) ≻ s(u1, u2)}| over candidates sharing u2."""
-        if accel_enabled():
-            return self._block_ranks(1, pair[1])[pair]
         vector = self.vectors[pair]
         return sum(
             1

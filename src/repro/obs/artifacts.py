@@ -4,8 +4,8 @@ Every stored run exports one directory with a fixed layout, so benches,
 CI and serving front ends all read the same shape:
 
 ``meta.json``
-    Run identity and provenance: config hash, dataset/seed/scale, accel
-    flag, package version, strategy, pool size, stream lineage fields.
+    Run identity and provenance: config hash, dataset/seed/scale,
+    package version, strategy, pool size, stream lineage fields.
 ``trace.jsonl``
     One span per line (start order) from the run's tracer.
 ``metrics.json``
@@ -52,7 +52,7 @@ ARTIFACT_FILES = (
 )
 
 
-def run_meta(record, *, accel: bool | None = None, extra: dict | None = None) -> dict:
+def run_meta(record, *, extra: dict | None = None) -> dict:
     """The ``meta.json`` document for a ledger row."""
     meta = {
         "run_id": record.run_id,
@@ -71,8 +71,6 @@ def run_meta(record, *, accel: bool | None = None, extra: dict | None = None) ->
         "updated_at": record.updated_at,
         "repro_version": _package_version(),
     }
-    if accel is not None:
-        meta["accel"] = accel
     if extra:
         meta.update(extra)
     return meta
@@ -125,9 +123,7 @@ def export_run_artifacts(
         )
     dest.mkdir(parents=True, exist_ok=True)
 
-    meta = obs_doc.get("meta") or run_meta(
-        record, accel=None if timings is None else bool(timings.get("accel"))
-    )
+    meta = obs_doc.get("meta") or run_meta(record)
     if timings is not None and "stage_timings" not in meta:
         meta["stage_timings"] = timings.get("stages", {})
     _dump(dest / "meta.json", meta)

@@ -40,9 +40,9 @@ import threading
 import traceback
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
-from repro.accel.runtime import accel_enabled, stages_doc
+from repro.accel.runtime import stages_doc
 from repro.core import Remp, RempConfig
 from repro.core.pipeline import LoopDriver, PreparedState, RempResult
 from repro.datasets import load_dataset
@@ -227,16 +227,12 @@ class MatchingSession:
             matches=len(result.matches),
         )
         self._store.save_run_timings(
-            self.run_id,
-            {
-                "accel": accel_enabled(),
-                "stages": stages_doc(self._scope.timings.snapshot()),
-            },
+            self.run_id, {"stages": stages_doc(self._scope.timings.snapshot())}
         )
         record = self._store.get_run(self.run_id)
         doc = self._scope.export()
         if record is not None:
-            doc["meta"] = run_meta(record, accel=accel_enabled())
+            doc["meta"] = run_meta(record)
         ledger = {
             "total": sum(item["questions"] for item in cost_items),
             "items": list(cost_items),
@@ -552,9 +548,7 @@ class MatchingService:
     def _attach_substrate(
         self, state: PreparedState, config: RempConfig | None
     ) -> PreparedState:
-        """Bind ``state`` to its shared kernel arena (no-op accel-off)."""
-        if not accel_enabled():
-            return state
+        """Bind ``state`` to its shared kernel arena."""
         arena = self._substrate.get_or_create(
             substrate_key(state.kb1, state.kb2, config)
         )
@@ -602,18 +596,15 @@ class MatchingService:
                     obs.count("prepared.cache.hits")
                     return state
                 bundle = load_dataset(dataset, seed=seed, scale=scale)
-                arena = None
-                if accel_enabled():
-                    arena = self._substrate.get_or_create(
-                        substrate_key(bundle.kb1, bundle.kb2, config)
-                    )
-                with arena.activation() if arena is not None else nullcontext():
+                arena = self._substrate.get_or_create(
+                    substrate_key(bundle.kb1, bundle.kb2, config)
+                )
+                with arena.activation():
                     state = Remp(config or RempConfig(), seed=seed).prepare(
                         bundle.kb1, bundle.kb2
                     )
                 self._store.save_prepared(dataset, seed, scale, config, state)
-                if arena is not None:
-                    arena.attach(state)
+                arena.attach(state)
                 with self._lock:
                     self.cache_misses += 1
                     self._memory_cache.put(key, state)
@@ -931,19 +922,10 @@ class MatchingService:
         # The splice runs inside the parent's arena so it reuses the
         # parent's literal scorers; the spliced state then attaches to
         # its own (derived) arena under the post-delta fingerprints.
-        parent_arena = None
-        if accel_enabled():
-            parent_key = parent_state.substrate_key
-            if parent_key is None:
-                parent_state = self._attach_substrate(parent_state, config)
-                parent_key = parent_state.substrate_key
-            if parent_key is not None:
-                parent_arena = self._substrate.get_or_create(parent_key)
-        with (
-            parent_arena.activation()
-            if parent_arena is not None
-            else nullcontext()
-        ):
+        if parent_state.substrate_key is None:
+            parent_state = self._attach_substrate(parent_state, config)
+        parent_arena = self._substrate.get_or_create(parent_state.substrate_key)
+        with parent_arena.activation():
             prepared = incremental_prepare(
                 parent_state, delta, config, check_fingerprint=False
             )
@@ -952,12 +934,11 @@ class MatchingService:
         self._store.save_prepared(
             fp_dataset, session.seed, session.scale, config, prepared.state
         )
-        if accel_enabled():
-            child = self._substrate.derive(
-                parent_arena,
-                substrate_key(prepared.state.kb1, prepared.state.kb2, config),
-            )
-            child.attach(prepared.state)
+        child = self._substrate.derive(
+            parent_arena,
+            substrate_key(prepared.state.kb1, prepared.state.kb2, config),
+        )
+        child.attach(prepared.state)
         with self._lock:
             self._memory_cache.put(
                 (fp_dataset, session.seed, session.scale, config_hash(config)),

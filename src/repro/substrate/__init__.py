@@ -7,17 +7,15 @@ Remp configuration.  This package owns them once per
 ``(kb1 fingerprint, kb2 fingerprint, config hash)`` and hands them to
 every prepare pass that would otherwise rebuild its own: concurrent
 :class:`repro.service.MatchingService` sessions on one KB pair, and
-incremental stream steps deriving from a parent run.
-
-Under ``REPRO_NO_ACCEL=1`` the substrate is a no-op passthrough —
-:func:`current_substrate` returns ``None`` and every caller falls back
-to the reference path, byte-identically.
+incremental stream steps deriving from a parent run.  A prepare pass
+outside any arena builds private memos instead, with identical results.
 """
 
 from repro.substrate.arena import (
     PrepareSubstrate,
     current_substrate,
     kb_fingerprint,
+    literal_scorer,
     substrate_key,
 )
 from repro.substrate.cache import SubstrateCache, shared_cache
@@ -27,6 +25,7 @@ __all__ = [
     "SubstrateCache",
     "current_substrate",
     "kb_fingerprint",
+    "literal_scorer",
     "shared_cache",
     "substrate_key",
 ]

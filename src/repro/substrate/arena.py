@@ -16,9 +16,8 @@ Activation is scoped through a context variable:
 ``arena.activation()`` makes :func:`current_substrate` return the arena
 for the duration (holding the arena lock, so concurrent passes over the
 same pair serialize instead of racing the plain-dict caches), and the
-prepare stages consult it.  When the accel layer is off
-(``REPRO_NO_ACCEL=1``) :func:`current_substrate` always returns ``None``
-and the pipeline takes the untouched reference path.
+prepare stages consult it.  Outside any activation they build private
+memos, with identical results.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 from repro.accel.literals import LiteralScorer
-from repro.accel.runtime import accel_enabled
 from repro.kb.io import kb_to_doc
 from repro.kb.model import KnowledgeBase
 from repro.obs import runtime as obs
@@ -67,10 +65,16 @@ def substrate_key(kb1: KnowledgeBase, kb2: KnowledgeBase, config=None) -> Key:
 
 
 def current_substrate() -> "PrepareSubstrate | None":
-    """The arena activated for this context, or ``None`` (reference path)."""
-    if not accel_enabled():
-        return None
+    """The arena activated for this context, or ``None``."""
     return _ACTIVE.get()
+
+
+def literal_scorer(threshold: float) -> LiteralScorer:
+    """The active arena's simL scorer for ``threshold``, else a fresh one."""
+    substrate = _ACTIVE.get()
+    if substrate is None:
+        return LiteralScorer(threshold)
+    return substrate.scorer(threshold)
 
 
 class PrepareSubstrate:

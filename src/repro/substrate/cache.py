@@ -60,9 +60,7 @@ class SubstrateCache:
                 obs.count("substrate.evictions")
             return arena
 
-    def derive(
-        self, parent: PrepareSubstrate | None, key: Key
-    ) -> PrepareSubstrate:
+    def derive(self, parent: PrepareSubstrate, key: Key) -> PrepareSubstrate:
         """The arena for a child (delta-spliced) key, seeded by ``parent``.
 
         Only the literal scorers carry over — their interning caches are
@@ -74,7 +72,7 @@ class SubstrateCache:
         pair-specific and rebuilt by the child.
         """
         arena = self.get_or_create(key)
-        if parent is None or parent.key == key:
+        if parent.key == key:
             return arena
         first, second = sorted((arena, parent), key=lambda a: a.key)
         with first._lock, second._lock:  # key-ordered: no AB/BA deadlock

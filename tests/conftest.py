@@ -17,16 +17,8 @@ import faulthandler
 
 import pytest
 
-from repro.accel.dominance import _counts_python, strict_dominance_counts
-from repro.accel.literals import LiteralScorer
-from repro.accel.marginals import _marginals_dp, _marginals_reference
-from repro.accel.runtime import accel_enabled, force_accel
 from repro.core import Remp
-from repro.core.er_graph import build_er_graph
-from repro.core.isolated import build_signatures
 from repro.datasets import clustered_bundle, load_dataset
-from repro.kb.model import KnowledgeBase
-from repro.text.literal import literal_set_similarity
 
 
 # ----------------------------------------------------------------------
@@ -49,66 +41,6 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     if not config.pluginmanager.hasplugin("timeout"):
         faulthandler.cancel_dump_traceback_later()
-
-
-# ----------------------------------------------------------------------
-# Accel smoke: both kernel paths stay covered every session
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="session", autouse=True)
-def _accel_smoke():
-    """Cross-check the accel kernels against the reference in BOTH modes.
-
-    The suite runs with whatever ``REPRO_NO_ACCEL`` the environment set
-    (CI exercises both); this smoke forces each mode once per session so
-    a kernel regression cannot hide behind the suite-wide default.
-    """
-    block = [(1.0, 0.5), (0.5, 0.5), (1.0, 1.0), (0.5, 0.5), (0.0, 1.0)] * 6
-    values_a, values_b = ("cradle rock", 1999, "!!!"), ("rock cradle", "1999")
-    pairs = [("l0", "r0"), ("l0", "r1"), ("l1", "r0"), ("l2", "r2")]
-    odds = [0.4, 1.5, 0.9, 2.0]
-    smoke1, smoke2 = KnowledgeBase("smoke1"), KnowledgeBase("smoke2")
-    for i in range(3):
-        smoke1.add_entity(f"a{i}")
-        smoke2.add_entity(f"b{i}")
-        smoke1.add_attribute_triple(f"a{i}", "year", 1990 + i)
-    smoke2.add_attribute_triple("b0", "year", 1990)
-    smoke1.add_relationship_triple("a0", "directed", "a1")
-    smoke1.add_relationship_triple("a0", "directed", "a2")
-    smoke2.add_relationship_triple("b0", "directed", "b1")
-    smoke_vertices = [("a0", "b0"), ("a1", "b1"), ("a2", "b1")]
-    from repro.core.attributes import AttributeMatch
-
-    smoke_matches = [AttributeMatch("year", "year", 1.0)]
-    graphs, signatures = [], []
-    for enabled in (True, False):
-        with force_accel(enabled):
-            assert accel_enabled() is enabled
-            assert strict_dominance_counts(block, cap=4) == _counts_python(block, 4)
-            assert LiteralScorer(0.9).set_similarity(
-                values_a, values_b
-            ) == literal_set_similarity(values_a, values_b, 0.9)
-            assert _marginals_dp(pairs, odds) == _marginals_reference(pairs, odds)
-            if enabled:
-                from repro.accel.candidates import score_candidates
-
-                tokens1 = {"a0": frozenset({"north", "star"})}
-                tokens2 = {"b0": frozenset({"north"}), "b1": frozenset({"star", "x"})}
-                inverted2 = {"north": {"b0"}, "star": {"b1"}, "x": {"b1"}}
-                scored = score_candidates(
-                    tokens1, tokens2, inverted2, 0.3, min_entities=0
-                )
-                assert scored == {
-                    ("a0", "b0"): 1 / 2,
-                    ("a0", "b1"): 1 / 3,
-                }
-            graphs.append(build_er_graph(smoke1, smoke2, smoke_vertices))
-            signatures.append(
-                build_signatures(smoke1, smoke2, smoke_vertices, smoke_matches)
-            )
-    assert graphs[0].groups == graphs[1].groups
-    assert list(graphs[0].groups) == list(graphs[1].groups)
-    assert signatures[0] == signatures[1]
-    yield
 
 
 # ----------------------------------------------------------------------

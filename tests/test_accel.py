@@ -1,39 +1,50 @@
-"""The accel equivalence oracle: kernels vs pure-Python reference.
+"""The accel equivalence oracle: kernels vs the paper-faithful references.
 
-Every kernel in :mod:`repro.accel` claims *byte-identical* results to the
-reference path it replaces.  This suite pins that claim four ways:
+Every kernel in :mod:`repro.accel` is the only product path for its
+stage and claims *byte-identical* results to the reference it replaced,
+which lives on in :mod:`repro.accel.reference`.  This suite pins that
+claim four ways:
 
 * property-based (hypothesis) equivalence of the dominance kernels and
   the interned simL scorer against the reference functions, across
   seeds, scales, attribute counts, degenerate blocks of size <= k,
   duplicate vectors and empty-token labels;
-* serialized-document identity of a full ``Remp.prepare`` with the accel
-  layer on vs off;
+* serialized-document identity of a full ``Remp.prepare`` against the
+  same prepare under :func:`repro.accel.reference.reference_kernels`;
 * full-run identity (including per-loop question batches, which are
   sensitive to inferred-set iteration order) through the incremental
-  propagator, with and without a mid-run checkpoint restore;
+  propagator against the full-rebuild reference, and resumption from
+  every checkpoint of a run;
 * per-round identity: after every incremental propagate, the inferred
   sets equal a from-scratch reference rebuild of the same state.
 """
 
 import json
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accel.dominance import (
+    _MIN_NUMPY_BLOCK,
     PackedVectors,
     _any_dominator_python,
-    _counts_python,
     any_strict_dominator,
-    strict_dominance_counts,
 )
 from repro.accel.candidates import score_candidates
 from repro.accel.literals import LiteralScorer
-from repro.accel.marginals import _marginals_dp, _marginals_reference
+from repro.accel.marginals import _marginals_dp
 from repro.accel.propagation import IncrementalPropagator
-from repro.accel.runtime import accel_enabled, force_accel
+from repro.accel.reference import (
+    RebuildLoopState,
+    RebuildRemp,
+    dominance_counts,
+    er_graph_groups,
+    exact_marginal_map,
+    reference_kernels,
+    signatures,
+)
 from repro.core import Remp, RempConfig
 from repro.core.attributes import AttributeMatch
 from repro.core.candidates import _token_index
@@ -55,7 +66,8 @@ from repro.text.literal import literal_set_similarity
 # ----------------------------------------------------------------------
 #: Tied component values dominate real blocks; a coarse grid maximizes
 #: duplicate vectors and equal-sum prefixes (the tricky kernel paths).
-_component = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+_component = st.sampled_from(_GRID)
 
 
 @st.composite
@@ -66,21 +78,24 @@ def _blocks(draw):
     return draw(st.lists(vector, min_size=size, max_size=size))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_blocks(), st.sampled_from([None, 1, 2, 4]))
-def test_dominance_counts_match_reference(block, cap):
-    assert strict_dominance_counts(block, cap) == _counts_python(block, cap)
+def _seeded_block() -> list[tuple]:
+    """A fixed block wide enough for ``_counts_numpy``'s sort prefilter.
+
+    1,200 5-wide vectors on the grid; after merging duplicates the
+    1,003 distinct rows exceed the single-broadcast budget, so the
+    chunked sum-sorted path runs.
+    """
+    rng = random.Random(0)
+    return [tuple(rng.choice(_GRID) for _ in range(5)) for _ in range(1200)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(_blocks(), st.sampled_from([None, 4]))
+@example(_seeded_block(), 4)
 def test_packed_counts_match_reference(block, cap):
     vectors = {(f"L{i}", f"R{i}"): v for i, v in enumerate(block)}
     packed = PackedVectors(vectors)
-    pairs = list(vectors)
-    if not packed.available:
-        return
-    assert packed.counts(pairs, cap) == _counts_python(block, cap)
+    assert packed.counts(list(vectors), cap) == dominance_counts(block, cap)
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,7 +145,7 @@ def test_literal_scorer_matches_reference(values_a, values_b, threshold):
 
 
 # ----------------------------------------------------------------------
-# Index / pruning equivalence (accel on vs REPRO_NO_ACCEL)
+# Index / pruning equivalence (product vs reference loops)
 # ----------------------------------------------------------------------
 @st.composite
 def _vector_indexes(draw):
@@ -146,20 +161,41 @@ def _vector_indexes(draw):
     return vectors
 
 
+@st.composite
+def _hub_indexes(draw):
+    """A random index plus one left and one right hub of packed size.
+
+    ``HUB`` has at least ``_MIN_NUMPY_BLOCK`` partners, so the KB1-side
+    pass packs its block; each ``HL*`` entity has a single candidate
+    that survives that pass, so the KB2-side pass packs ``RHUB``'s block.
+    """
+    vectors = draw(_vector_indexes())
+    width = len(next(iter(vectors.values()))) if vectors else 1
+    vector = st.tuples(*[_component] * width)
+    left_size = draw(st.integers(min_value=_MIN_NUMPY_BLOCK, max_value=40))
+    right_size = draw(st.integers(min_value=_MIN_NUMPY_BLOCK, max_value=40))
+    for j in range(left_size):
+        vectors[("HUB", f"H{j}")] = draw(vector)
+    for i in range(right_size):
+        vectors[(f"HL{i}", "RHUB")] = draw(vector)
+    return vectors
+
+
 @settings(max_examples=40, deadline=None)
-@given(_vector_indexes(), st.integers(min_value=1, max_value=5))
+@given(_hub_indexes(), st.integers(min_value=1, max_value=5))
 def test_pruning_and_min_rank_equivalence(vectors, k):
+    """Packed pruning equals the reference loop; packed counts equal Eq. 2."""
     pairs = set(vectors)
-    with force_accel(True):
-        index = VectorIndex(dict(vectors))
-        retained_on = partial_order_pruning(pairs, index, k)
-        ranks_on = {p: index.min_rank(p) for p in pairs}
-    with force_accel(False):
-        index = VectorIndex(dict(vectors))
-        retained_off = partial_order_pruning(pairs, index, k)
-        ranks_off = {p: index.min_rank(p) for p in pairs}
-    assert retained_on == retained_off
-    assert ranks_on == ranks_off
+    index = VectorIndex(dict(vectors))
+    retained = partial_order_pruning(pairs, index, k)
+    with reference_kernels():
+        reference = partial_order_pruning(pairs, VectorIndex(dict(vectors)), k)
+    assert retained == reference
+    packed = PackedVectors(index.vectors)
+    left_hub = index.by_left["HUB"]
+    assert packed.counts(left_hub) == [index.min_rank_left(p) for p in left_hub]
+    right_hub = index.by_right["RHUB"]
+    assert packed.counts(right_hub) == [index.min_rank_right(p) for p in right_hub]
 
 
 @settings(max_examples=30, deadline=None)
@@ -169,11 +205,10 @@ def test_pruning_error_rate_equivalence(vectors, data):
     gold = set(
         data.draw(st.lists(st.sampled_from(pairs), unique=True))
     ) if pairs else set()
-    with force_accel(True):
-        rate_on = pruning_error_rate(set(pairs), VectorIndex(dict(vectors)), gold)
-    with force_accel(False):
-        rate_off = pruning_error_rate(set(pairs), VectorIndex(dict(vectors)), gold)
-    assert rate_on == rate_off
+    rate = pruning_error_rate(set(pairs), VectorIndex(dict(vectors)), gold)
+    with reference_kernels():
+        reference = pruning_error_rate(set(pairs), VectorIndex(dict(vectors)), gold)
+    assert rate == reference
 
 
 # ----------------------------------------------------------------------
@@ -195,41 +230,45 @@ def _dump(doc) -> str:
 
 def test_prepare_byte_identity():
     bundle = _bundle()
-    with force_accel(True):
-        doc_on = prepared_state_to_doc(Remp().prepare(bundle.kb1, bundle.kb2))
-    with force_accel(False):
-        doc_off = prepared_state_to_doc(Remp().prepare(bundle.kb1, bundle.kb2))
-    assert _dump(doc_on) == _dump(doc_off)
+    doc = prepared_state_to_doc(Remp().prepare(bundle.kb1, bundle.kb2))
+    with reference_kernels():
+        reference = prepared_state_to_doc(Remp().prepare(bundle.kb1, bundle.kb2))
+    assert _dump(doc) == _dump(reference)
 
 
 def test_full_run_byte_identity():
     """Loops, question batches and all resolution sets must coincide."""
     bundle = _bundle()
 
-    def run():
+    def run(remp):
         platform = CrowdPlatform.with_simulated_workers(
             bundle.gold_matches, error_rate=0.1, seed=3
         )
-        return Remp().run(bundle.kb1, bundle.kb2, platform)
+        return remp.run(bundle.kb1, bundle.kb2, platform)
 
-    with force_accel(True):
-        result_on = run()
-    with force_accel(False):
-        result_off = run()
-    assert _dump(result_to_doc(result_on)) == _dump(result_to_doc(result_off))
-    assert [r.questions for r in result_on.history] == [
-        r.questions for r in result_off.history
+    result = run(Remp())
+    with reference_kernels():
+        reference = run(RebuildRemp())
+    assert _dump(result_to_doc(result)) == _dump(result_to_doc(reference))
+    assert [r.questions for r in result.history] == [
+        r.questions for r in reference.history
     ]
 
 
 def test_checkpoint_restore_resets_propagator():
-    """A restored loop state re-primes the incremental propagator.
+    """Resuming from *every* checkpoint reproduces the uninterrupted run.
 
-    Resolutions restored from a snapshot arrive without the propagator
-    having seen the intermediate diffs; the run must still finish
-    byte-identically to an uninterrupted one.
+    A restored loop state re-primes the incremental propagator cold:
+    resolutions restored from a snapshot arrive without the propagator
+    having seen the intermediate diffs.  Each resume must still finish
+    with the uninterrupted result document and per-loop batches.  The
+    evolving world runs 15 loops.
     """
-    bundle = _bundle()
+    for bundle in (_bundle(), load_dataset("evolving", seed=0, scale=2)):
+        _assert_every_resume_matches(bundle)
+
+
+def _assert_every_resume_matches(bundle) -> None:
     config = RempConfig()
 
     def platform():
@@ -237,31 +276,28 @@ def test_checkpoint_restore_resets_propagator():
             bundle.gold_matches, error_rate=0.1, seed=1
         )
 
-    with force_accel(True):
-        state = Remp(config).prepare(bundle.kb1, bundle.kb2)
-        straight = result_to_doc(
-            Remp(config).run(bundle.kb1, bundle.kb2, platform(), state=state)
-        )
-        # Collect checkpoints from a throwaway loop drive, then restart
-        # from the first one on a fresh platform that replays its answer
-        # log (the documented resume protocol).
-        checkpoints = []
-        Remp(config).run_loop_phase(
-            state, platform(), on_checkpoint=checkpoints.append
-        )
-        assert checkpoints, "bundle too small to checkpoint mid-loop"
+    state = Remp(config).prepare(bundle.kb1, bundle.kb2)
+    straight = Remp(config).run(bundle.kb1, bundle.kb2, platform(), state=state)
+    # Collect checkpoints from a throwaway loop drive, then restart from
+    # each on a fresh platform that replays its answer log (the
+    # documented resume protocol).
+    checkpoints = []
+    Remp(config).run_loop_phase(state, platform(), on_checkpoint=checkpoints.append)
+    assert len(checkpoints) == straight.num_loops >= 2
+    for checkpoint in checkpoints:
         resumed_platform = platform()
-        resumed_platform.load_answer_log(checkpoints[0].answer_log)
-        resumed = result_to_doc(
-            Remp(config).run(
-                bundle.kb1,
-                bundle.kb2,
-                resumed_platform,
-                state=state,
-                resume_from=checkpoints[0],
-            )
+        resumed_platform.load_answer_log(checkpoint.answer_log)
+        resumed = Remp(config).run(
+            bundle.kb1,
+            bundle.kb2,
+            resumed_platform,
+            state=state,
+            resume_from=checkpoint,
         )
-    assert _dump(resumed) == _dump(straight)
+        assert _dump(result_to_doc(resumed)) == _dump(result_to_doc(straight))
+        assert [r.questions for r in resumed.history] == [
+            r.questions for r in straight.history
+        ]
 
 
 class _CheckedLoopState(LoopState):
@@ -269,7 +305,8 @@ class _CheckedLoopState(LoopState):
 
     Each propagate snapshots the state first; afterwards a fresh loop
     state restored from that snapshot propagates through the reference
-    path (``build_probabilistic_graph`` + ``inferred_sets``).  Both must
+    path (``build_probabilistic_graph`` + ``inferred_sets``) with the
+    reference kernels.  Both must
     give the same inferred sets, in content and in per-source iteration
     order.  Each round's consistency records are kept so the test can
     tell which re-estimation cases the run went through.
@@ -282,9 +319,9 @@ class _CheckedLoopState(LoopState):
     def propagate(self, kb1, kb2):
         before = self.snapshot()
         super().propagate(kb1, kb2)
-        reference = LoopState(self.state, self.config)
+        reference = RebuildLoopState(self.state, self.config)
         reference.restore(before)
-        with force_accel(False):
+        with reference_kernels():
             reference.propagate(kb1, kb2)
         assert _ordered(self._inferred_sets) == _ordered(reference._inferred_sets)
         self.rounds.append(dict(self._propagator._consistencies))
@@ -336,8 +373,7 @@ def test_incremental_propagate_matches_rebuild_every_round(world, case):
         bundle.gold_matches, error_rate=0.1, seed=3
     )
     remp = _CheckedRemp()
-    with force_accel(True):
-        loop_state, _, _ = remp.run_loop_phase(remp.prepare(bundle.kb1, bundle.kb2), platform)
+    loop_state, _, _ = remp.run_loop_phase(remp.prepare(bundle.kb1, bundle.kb2), platform)
     rounds = loop_state.rounds
     assert len(rounds) >= 3
     assert case in _round_cases(rounds), f"{world} never hit the {case} case"
@@ -347,8 +383,7 @@ def test_propagator_work_counters():
     """One work count per update; unchanged inputs add nothing."""
     bundle = _bundle()
     config = RempConfig()
-    with force_accel(True):
-        state = Remp(config).prepare(bundle.kb1, bundle.kb2)
+    state = Remp(config).prepare(bundle.kb1, bundle.kb2)
     propagator = IncrementalPropagator(state.graph, state.kb1, state.kb2, config)
     consistencies = propagator.estimate_consistencies(state.candidates.initial_matches)
     sources = set(state.graph.groups)
@@ -368,15 +403,6 @@ def test_propagator_work_counters():
     groups = sum(len(by_label) for by_label in state.graph.groups.values())
     assert first == (groups, len(sources))
     assert second == first
-
-
-def test_accel_enabled_by_default_and_env_gated(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_ACCEL", raising=False)
-    assert accel_enabled()
-    monkeypatch.setenv("REPRO_NO_ACCEL", "1")
-    assert not accel_enabled()
-    monkeypatch.setenv("REPRO_NO_ACCEL", "")
-    assert accel_enabled()
 
 
 # ----------------------------------------------------------------------
@@ -410,15 +436,14 @@ def test_marginal_dp_matches_reference(group):
     """The memoized permanent DP is bit-equal to the plain recursion."""
     pairs, priors, gamma = group
     odds = [_odds(priors.get(p, 0.5)) * gamma for p in pairs]
-    reference = _marginals_reference(pairs, odds)
+    reference = exact_marginal_map(pairs, odds)
     dp = _marginals_dp(pairs, odds)
     assert list(dp) == list(reference)
     assert all(dp[p].hex() == reference[p].hex() for p in pairs)
-    with force_accel(True):
-        on = _marginals_exact(pairs, priors, gamma)
-    with force_accel(False):
-        off = _marginals_exact(pairs, priors, gamma)
-    assert all(on[p].hex() == off[p].hex() for p in pairs)
+    product = _marginals_exact(pairs, priors, gamma)
+    with reference_kernels():
+        rebound = _marginals_exact(pairs, priors, gamma)
+    assert all(product[p].hex() == rebound[p].hex() for p in pairs)
 
 
 @st.composite
@@ -455,13 +480,11 @@ def _relational_worlds(draw):
 def test_er_graph_kernel_matches_reference(world):
     """Adjacency-joined groups replay the reference's dict orders exactly."""
     kb1, kb2, vertices = world
-    with force_accel(True):
-        accel = build_er_graph(kb1, kb2, vertices)
-    with force_accel(False):
-        pure = build_er_graph(kb1, kb2, vertices)
-    assert accel.vertices == pure.vertices
-    assert list(accel.groups) == list(pure.groups)
-    for vertex, by_label in pure.groups.items():
+    accel = build_er_graph(kb1, kb2, vertices)
+    pure = er_graph_groups(kb1, kb2, vertices)
+    assert accel.vertices == set(vertices)
+    assert list(accel.groups) == list(pure)
+    for vertex, by_label in pure.items():
         assert list(accel.groups[vertex]) == list(by_label)
         for label, members in by_label.items():
             assert accel.groups[vertex][label] == members
@@ -500,10 +523,7 @@ def test_candidate_scoring_kernel_matches_reference(world):
             sim = shared / (len(tset1) + len(tokens2[entity2]) - shared)
             if sim >= threshold:
                 expected[(entity1, entity2)] = sim
-    with force_accel(True):
-        scored = score_candidates(
-            tokens1, tokens2, inverted2, threshold, min_entities=0
-        )
+    scored = score_candidates(tokens1, tokens2, inverted2, threshold, min_entities=0)
     assert scored is not None
     assert scored.keys() == expected.keys()
     assert all(scored[pair].hex() == expected[pair].hex() for pair in expected)
@@ -544,10 +564,8 @@ def _attribute_worlds(draw):
 def test_signature_interning_matches_reference(world):
     """Interned signatures equal the per-pair accessor loop's, key order too."""
     kb1, kb2, retained, matches = world
-    with force_accel(True):
-        interned = build_signatures(kb1, kb2, retained, matches)
-    with force_accel(False):
-        reference = build_signatures(kb1, kb2, retained, matches)
+    interned = build_signatures(kb1, kb2, retained, matches)
+    reference = signatures(kb1, kb2, retained, matches)
     assert list(interned) == list(reference)
     assert interned == reference
     by_value: dict[frozenset, int] = {}
@@ -566,8 +584,7 @@ def test_prepare_byte_identity_above_scoring_cutoff():
         label_noise=0.5,
         critics_per_cluster=2,
     )
-    with force_accel(True):
-        doc_on = prepared_state_to_doc(Remp().prepare(bundle.kb1, bundle.kb2))
-    with force_accel(False):
-        doc_off = prepared_state_to_doc(Remp().prepare(bundle.kb1, bundle.kb2))
-    assert _dump(doc_on) == _dump(doc_off)
+    doc = prepared_state_to_doc(Remp().prepare(bundle.kb1, bundle.kb2))
+    with reference_kernels():
+        reference = prepared_state_to_doc(Remp().prepare(bundle.kb1, bundle.kb2))
+    assert _dump(doc) == _dump(reference)

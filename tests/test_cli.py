@@ -144,6 +144,14 @@ class TestStoreCommands:
         detail = capsys.readouterr().out
         assert f"run_id: {run_id}" in detail
         assert "result:" in detail
+        # Timing rows from older versions carry an "accel" key; it is ignored.
+        store = RunStore(store_path)
+        timings = store.load_run_timings(run_id)
+        assert "accel" not in timings
+        store.save_run_timings(run_id, {**timings, "accel": False})
+        store.close()
+        assert main(["runs", "show", run_id, "--store", store_path]) == 0
+        assert "accel" not in capsys.readouterr().out
 
     def test_runs_show_unknown_run(self, store_path, capsys):
         assert main(["runs", "show", "nope", "--store", store_path]) == 1

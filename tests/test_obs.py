@@ -230,7 +230,7 @@ class TestArtifactContract:
             meta = json.loads((dest / "meta.json").read_text())
             assert meta["run_id"] == run_id
             assert meta["dataset"] == "iimb"
-            assert "repro_version" in meta and "accel" in meta
+            assert "repro_version" in meta and "accel" not in meta
             ledger = _read_ledger(dest)
             assert ledger["total"] == result.questions_asked
             assert sum(i["questions"] for i in ledger["items"]) == ledger["total"]

@@ -145,7 +145,6 @@ def _run_under_hash_seeds(script: str, seeds: tuple[str, ...]) -> list[str]:
     outputs = []
     for seed in seeds:
         env = dict(os.environ, PYTHONHASHSEED=seed)
-        env.pop("REPRO_NO_ACCEL", None)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src_dir, env.get("PYTHONPATH", "")) if p
         )

@@ -3,7 +3,7 @@
 Covers the :mod:`repro.substrate` contract end to end — concurrent
 sessions on one (KB pair, config) key share a single kernel arena and
 still produce results byte-identical to fully isolated runs, across
-monolithic / partitioned execution, both accel modes, spawn-started
+monolithic / partitioned execution, the reference kernels, spawn-started
 pools, kill-and-resume, and delta-stream derivation — plus gc-based
 regression tests for the two leaks the substrate work exposed
 (``MatchingService._key_locks`` and ``LiteralScorer`` value pinning).
@@ -13,8 +13,9 @@ import gc
 import threading
 import weakref
 
+import repro.service.service
 from repro.accel.literals import LiteralScorer
-from repro.accel.runtime import force_accel
+from repro.accel.reference import RebuildRemp, reference_kernels
 from repro.core import Remp
 from repro.datasets import evolving_bundle
 from repro.kb.model import KnowledgeBase
@@ -68,7 +69,7 @@ class TestFingerprints:
 class TestArenaSharing:
     def test_sessions_on_one_key_share_one_packed_matrix(self, tmp_path):
         """A state reloaded from the store attaches to the same arena."""
-        with force_accel(True), _service(RunStore(tmp_path / "s.db")) as service:
+        with _service(RunStore(tmp_path / "s.db")) as service:
             first = service.prepared("iimb", scale=0.2)
             assert first.substrate_key is not None
             # Evict the memory cache: the second request round-trips the
@@ -81,13 +82,12 @@ class TestArenaSharing:
 
     def test_two_services_converge_on_shared_cache(self):
         cache = SubstrateCache()
-        with force_accel(True):
-            with MatchingService(":memory:", substrate_cache=cache) as one:
-                one.prepared("iimb", scale=0.2)
-                result_a = one.result(one.submit("iimb", scale=0.2, background=False))
-            with MatchingService(":memory:", substrate_cache=cache) as two:
-                two.prepared("iimb", scale=0.2)
-                result_b = two.result(two.submit("iimb", scale=0.2, background=False))
+        with MatchingService(":memory:", substrate_cache=cache) as one:
+            one.prepared("iimb", scale=0.2)
+            result_a = one.result(one.submit("iimb", scale=0.2, background=False))
+        with MatchingService(":memory:", substrate_cache=cache) as two:
+            two.prepared("iimb", scale=0.2)
+            result_b = two.result(two.submit("iimb", scale=0.2, background=False))
         assert len(cache) == 1
         assert result_b.matches == result_a.matches
         assert result_b.questions_asked == result_a.questions_asked
@@ -108,23 +108,26 @@ class TestArenaSharing:
             assert result.history == isolated_results[0].history
         assert isolated_results[0].matches == isolated_results[1].matches
 
-    def test_no_accel_passthrough(self):
+    def test_reference_kernels_service_identity(self, monkeypatch):
+        """A service on the reference kernels and full-rebuild loop
+        matches the product service; both attach their arenas."""
+        with _service() as service:
+            product = service.result(service.submit("iimb", scale=0.2, background=False))
+        monkeypatch.setattr(repro.service.service, "Remp", RebuildRemp)
+        with reference_kernels(), _service() as service:
+            state = service.prepared("iimb", scale=0.2)
+            assert state.substrate_key is not None
+            reference = service.result(
+                service.submit("iimb", scale=0.2, background=False)
+            )
+        assert reference.matches == product.matches
+        assert reference.questions_asked == product.questions_asked
+        assert reference.history == product.history
         kb1, kb2 = _tiny_pair()
         arena = PrepareSubstrate(substrate_key(kb1, kb2, None))
-        with force_accel(False):
-            with arena.activation():
-                assert current_substrate() is None
-            with _service() as service:
-                state = service.prepared("iimb", scale=0.2)
-                assert state.substrate_key is None
-                off = service.result(service.submit("iimb", scale=0.2, background=False))
-        with force_accel(True):
-            with _service() as service:
-                on = service.result(service.submit("iimb", scale=0.2, background=False))
-        assert off.matches == on.matches
-        assert off.questions_asked == on.questions_asked
-        with force_accel(True), arena.activation():
+        with arena.activation():
             assert current_substrate() is arena
+        assert current_substrate() is None
 
     def test_kill_and_resume_keeps_shared_equivalence(self, tmp_path):
         path = tmp_path / "store.db"
@@ -142,9 +145,9 @@ class TestArenaSharing:
 class TestWorkers:
     def test_partitioned_run_matches_monolithic_and_never_repacks(self, tmp_path):
         """A ``workers=4`` run matches the monolithic run."""
-        with force_accel(True), _service(RunStore(tmp_path / "a.db")) as service:
+        with _service(RunStore(tmp_path / "a.db")) as service:
             mono = service.result(service.submit("evolving", scale=0.4, background=False))
-        with force_accel(True), _service(RunStore(tmp_path / "b.db")) as service:
+        with _service(RunStore(tmp_path / "b.db")) as service:
             run_id = service.submit("evolving", scale=0.4, workers=4, background=False)
             parallel = service.result(run_id)
         assert parallel.matches == mono.matches
@@ -153,11 +156,11 @@ class TestWorkers:
     def test_spawn_pool_ships_shared_memory_matrix(self, tmp_path, monkeypatch):
         """A spawn-started pool (base state pickled) matches a forked one."""
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        with force_accel(True), _service(RunStore(tmp_path / "spawn.db")) as service:
+        with _service(RunStore(tmp_path / "spawn.db")) as service:
             run_id = service.submit("evolving", scale=0.4, workers=2, background=False)
             spawned = service.result(run_id)
         monkeypatch.delenv("REPRO_START_METHOD")
-        with force_accel(True), _service(RunStore(tmp_path / "fork.db")) as service:
+        with _service(RunStore(tmp_path / "fork.db")) as service:
             forked = service.result(
                 service.submit("evolving", scale=0.4, workers=2, background=False)
             )
@@ -169,16 +172,13 @@ class TestStreamDerive:
     def test_update_derives_child_arena_seeded_scorers(self, tmp_path):
         evolving = evolving_bundle(seed=0, scale=0.4, steps=1)
         cache = SubstrateCache()
-        with force_accel(True):
-            with MatchingService(
-                RunStore(tmp_path / "stream.db"), substrate_cache=cache
-            ) as service:
-                root = service.submit(
-                    "evolving", scale=0.4, stream=True, background=False
-                )
-                service.result(root)
-                updated = service.update(root, evolving.deltas[0], background=False)
-                service.result(updated)
+        with MatchingService(
+            RunStore(tmp_path / "stream.db"), substrate_cache=cache
+        ) as service:
+            root = service.submit("evolving", scale=0.4, stream=True, background=False)
+            service.result(root)
+            updated = service.update(root, evolving.deltas[0], background=False)
+            service.result(updated)
         arenas = list(cache._entries.values())
         assert len(arenas) == 2
         parent, child = arenas
@@ -257,10 +257,9 @@ class TestLeakFixes:
     def test_dropped_kb_collectable_while_arena_lives(self):
         kb1, kb2 = _tiny_pair()
         arena = PrepareSubstrate(substrate_key(kb1, kb2, None))
-        with force_accel(True):
-            with arena.activation():
-                state = Remp().prepare(kb1, kb2)
-            arena.attach(state)
+        with arena.activation():
+            state = Remp().prepare(kb1, kb2)
+        arena.attach(state)
         ref1, ref2 = weakref.ref(kb1), weakref.ref(kb2)
         del kb1, kb2, state
         gc.collect()
