@@ -71,6 +71,10 @@ def _env_store() -> RunStore | None:
     if not path:
         return None
     if _ENV_STORE is None or _ENV_STORE.path != path:
+        if _ENV_STORE is not None:
+            # Close the store for the old path: closing is what folds its
+            # WAL back into the file.
+            _ENV_STORE.close()
         _ENV_STORE = RunStore(path)
     return _ENV_STORE
 

@@ -148,6 +148,8 @@ class RunWatch:
         self.shards: dict[int, dict] = {}
         self.loop: dict | None = None
         self.stream: dict | None = None
+        #: The finished run's billed questions (``status.done``).
+        self.final_questions: int | None = None
         self.events = 0
 
     # ------------------------------------------------------------------
@@ -161,6 +163,8 @@ class RunWatch:
             kind = event.get("kind", "")
             if kind.startswith("status."):
                 self.status = kind.split(".", 1)[1]
+                if self.status == "done":
+                    self.final_questions = event.get("questions")
             elif kind.startswith("shard."):
                 self._feed_shard(kind.split(".", 1)[1], event)
             elif kind == "loop.checkpointed":
@@ -186,7 +190,14 @@ class RunWatch:
     # ------------------------------------------------------------------
     @property
     def questions(self) -> int:
-        """Questions billed so far, from the freshest signal available."""
+        """Questions billed so far, from the freshest signal available.
+
+        A finished run reports its result's count: a stream update logs
+        no per-shard event for the units it reused, so the shard sum
+        covers only the executed ones.
+        """
+        if self.final_questions is not None:
+            return self.final_questions
         if self.shards:
             return sum(s["questions"] for s in self.shards.values())
         if self.loop is not None:

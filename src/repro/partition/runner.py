@@ -489,7 +489,7 @@ class ParallelRunner:
         runner calls exactly three store methods: ``load_shard_records``
         once per run, ``save_shard_checkpoint`` after every labeling
         round of a graph shard and ``save_shard_result`` once per
-        finished shard.
+        executed shard.  A shard reused from ``reuse`` writes nothing.
     on_event:
         Callback receiving every :class:`ShardEvent`.
     localize, content_seeds, dirty, reuse, collect_records:
@@ -609,9 +609,12 @@ class ParallelRunner:
             task = self._make_task(
                 shard, replace(self.config, budget=budget), keys[shard.shard_id]
             )
-            if self._restore_outcome(shard, stored, outcomes):
-                continue
+            # Reuse before restore, so a reused unit counts as reused on
+            # resume even where the store holds a ``done`` row for it
+            # (stores written by earlier releases).
             if self._reuse_outcome(shard, keys[shard.shard_id], outcomes):
+                continue
+            if self._restore_outcome(shard, stored, outcomes):
                 continue
             record = stored.get(shard.shard_id)
             if record is not None and record[0] == "loop":
@@ -709,16 +712,16 @@ class ParallelRunner:
         if record is None or self._dirty.intersection(shard.vertices):
             return False
         self.reused_keys.add(key)
-        if self._store is not None:
-            self._store.save_shard_result(
-                self._run_id,
-                shard.shard_id,
-                record.result,
-                record.snapshot,
-                answer_log=record.answer_log,
-            )
+        # By reference: no shard row and no ``run_events`` row.  A resumed
+        # run re-derives the same reuse from the same parent records, and
+        # the durable log counts reused units on ``stream.summary``.
         self._adopt_outcome(
-            shard, record.result, record.snapshot, record.answer_log, outcomes
+            shard,
+            record.result,
+            record.snapshot,
+            record.answer_log,
+            outcomes,
+            publish=False,
         )
         return True
 
@@ -748,6 +751,8 @@ class ParallelRunner:
         snapshot: dict,
         answer_log: list,
         outcomes: dict[int, _ShardOutcome],
+        *,
+        publish: bool = True,
     ) -> None:
         """Take a recorded outcome in place of execution; emits ``restored``."""
         outcomes[shard.shard_id] = _ShardOutcome(
@@ -762,7 +767,8 @@ class ParallelRunner:
                 loops=result.num_loops,
                 questions=result.questions_asked,
                 matches=len(result.matches),
-            )
+            ),
+            publish=publish,
         )
 
     # ------------------------------------------------------------------
@@ -1111,22 +1117,29 @@ class ParallelRunner:
                 answer_log=outcome.answer_log,
             )
 
-    def _emit(self, event: ShardEvent) -> None:
+    def _emit(self, event: ShardEvent, *, publish: bool = True) -> None:
+        """Count ``event``, publish it on the bus, hand it to ``on_event``.
+
+        ``publish=False`` keeps the event off the telemetry bus, and so
+        out of the store's ``run_events``; the counter and ``on_event``
+        still see it.
+        """
         obs.count(f"partition.shard.{event.kind}")
-        # Shard lifecycle heartbeats for the live plane: _emit always
-        # runs in the parent (workers funnel through the event queue),
-        # so the session scope is active and its event writer persists
-        # the row with the shard id as a dedicated column.
-        obs.publish(
-            f"shard.{event.kind}",
-            shard_id=event.shard_id,
-            phase=event.phase,
-            pairs=event.pairs,
-            loops=event.loops,
-            questions=event.questions,
-            matches=event.matches,
-            attempt=event.attempt,
-        )
+        if publish:
+            # Shard lifecycle heartbeats for the live plane: _emit always
+            # runs in the parent (workers funnel through the event
+            # queue), so the session scope is active and its event
+            # writer persists the row with the shard id as a column.
+            obs.publish(
+                f"shard.{event.kind}",
+                shard_id=event.shard_id,
+                phase=event.phase,
+                pairs=event.pairs,
+                loops=event.loops,
+                questions=event.questions,
+                matches=event.matches,
+                attempt=event.attempt,
+            )
         log.debug(
             "shard %d %s (%s): pairs=%d loops=%d questions=%d",
             event.shard_id,

@@ -55,6 +55,7 @@ from repro.store import RunStore, config_hash
 from repro.store.store import RunRecord
 from repro.stream import (
     DeltaConflictError,
+    IncrementalPrepared,
     KBDelta,
     StreamRunner,
     incremental_prepare,
@@ -68,12 +69,25 @@ Pair = tuple[str, str]
 
 log = get_logger("service")
 
+#: A stream update stores its full post-delta prepared state only at
+#: stream steps divisible by this.  The states in between are rebuilt on
+#: demand by replaying recorded deltas from the nearest stored ancestor,
+#: so a cold service replays at most ``FULL_STATE_EVERY - 1`` of them.
+FULL_STATE_EVERY = 4
+
 #: Session lifecycle states (mirrors the ledger's run statuses).
 QUEUED = "queued"
 PREPARING = "preparing"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
+
+
+def _state_key(
+    fingerprint: str, seed: int, scale: float, config: RempConfig | None
+) -> tuple:
+    """Cache key of a post-delta prepared state (the store's ``fp:`` rows)."""
+    return (f"fp:{fingerprint}", seed, scale, config_hash(config))
 
 
 class PreparedCache:
@@ -155,6 +169,8 @@ class MatchingSession:
         self.stream = stream
         self.parent_run_id = parent_run_id
         self.delta = delta
+        #: Position in the delta lineage (``None`` for non-stream runs).
+        self.stream_step = stream_step
         #: The last stream execution's :class:`repro.stream.StreamOutcome`
         #: (reuse/new-spend accounting); ``None`` until the run finishes.
         self.stream_outcome = None
@@ -857,34 +873,103 @@ class MatchingService:
     def _stream_state_for(self, record: RunRecord) -> PreparedState:
         """The prepared state a finished stream run matched.
 
-        Roots live in the ordinary dataset-keyed cache; updated states
-        are stored under their KB fingerprint.
+        Roots live in the ordinary dataset-keyed cache; post-delta states
+        are keyed by KB fingerprint, in memory and (every
+        ``FULL_STATE_EVERY`` steps) in the store.  On a miss this walks
+        up the lineage to the nearest state either level holds, or to
+        the root, and replays each later run's recorded delta.
         """
         config = self._store.get_run_config(record.run_id)
-        if record.parent_run_id is None:
-            return self.prepared(record.dataset, record.seed, record.scale, config)
-        if record.kb_fingerprint is None:
-            raise ValueError(
-                f"run {record.run_id!r} predates the lineage migration; "
-                "its prepared state cannot be located"
-            )
-        key = (f"fp:{record.kb_fingerprint}", record.seed, record.scale, config_hash(config))
+        replay: list[tuple[RunRecord, tuple]] = []
+        current = record
+        state = None
+        while current.parent_run_id is not None:
+            if current.kb_fingerprint is None:
+                raise ValueError(
+                    f"run {current.run_id!r} predates the lineage migration; "
+                    "its prepared state cannot be located"
+                )
+            key = _state_key(current.kb_fingerprint, current.seed, current.scale, config)
+            state = self._cached_stream_state(key, config)
+            if state is not None:
+                break
+            replay.append((current, key))
+            parent = self._store.get_run(current.parent_run_id)
+            if parent is None:
+                raise KeyError(f"unknown parent run {current.parent_run_id!r}")
+            current = parent
+        if state is None:
+            state = self.prepared(current.dataset, current.seed, current.scale, config)
+        for run, key in reversed(replay):
+            prepared = self._splice(state, self._recorded_delta(run.run_id), config)
+            if prepared.fingerprint != run.kb_fingerprint:
+                raise ValueError(
+                    f"replaying run {run.run_id!r}'s delta gave KB fingerprint "
+                    f"{prepared.fingerprint}, but the run matched "
+                    f"{run.kb_fingerprint}"
+                )
+            self._keep_stream_state(key, run.stream_step, config, prepared.state)
+            state = prepared.state
+        if replay:
+            obs.count("stream.state.replayed", len(replay))
+        return state
+
+    def _cached_stream_state(
+        self, key: tuple, config: RempConfig | None
+    ) -> PreparedState | None:
+        """A post-delta state from memory, else from the store, else ``None``."""
         with self._lock:
             state = self._memory_cache.get(key)
         if state is not None:
             return state
-        state = self._store.load_prepared(
-            f"fp:{record.kb_fingerprint}", record.seed, record.scale, config
-        )
+        state = self._store.load_prepared(*key[:3], config)
         if state is None:
-            raise ValueError(
-                f"run {record.run_id!r}'s prepared state "
-                f"(fingerprint {record.kb_fingerprint}) is not in the store"
-            )
+            return None
         state = self._attach_substrate(state, config)
         with self._lock:
             self._memory_cache.put(key, state)
         return state
+
+    def _keep_stream_state(
+        self, key: tuple, step: int, config: RempConfig | None, state: PreparedState
+    ) -> None:
+        """Cache a post-delta state; store it every ``FULL_STATE_EVERY`` steps."""
+        if step % FULL_STATE_EVERY == 0:
+            self._store.save_prepared(*key[:3], config, state)
+        with self._lock:
+            self._memory_cache.put(key, state)
+
+    def _splice(
+        self, parent_state: PreparedState, delta: KBDelta, config: RempConfig | None
+    ) -> IncrementalPrepared:
+        """Apply ``delta`` to ``parent_state``: the one post-delta splice.
+
+        The splice runs inside the parent's arena so it reuses the
+        parent's literal scorers; the spliced state then attaches to its
+        own (derived) arena under the post-delta fingerprints.  Both a
+        new update and a lineage replay come through here.
+        """
+        if parent_state.substrate_key is None:
+            parent_state = self._attach_substrate(parent_state, config)
+        parent_arena = self._substrate.get_or_create(parent_state.substrate_key)
+        with parent_arena.activation():
+            # The fingerprint guard already ran in update(); a replay
+            # checks the spliced fingerprint against the ledger instead.
+            prepared = incremental_prepare(
+                parent_state, delta, config, check_fingerprint=False
+            )
+        child = self._substrate.derive(
+            parent_arena,
+            substrate_key(prepared.state.kb1, prepared.state.kb2, config),
+        )
+        child.attach(prepared.state)
+        return prepared
+
+    def _recorded_delta(self, run_id: str) -> KBDelta:
+        delta_json = self._store.get_run_delta_json(run_id)
+        if delta_json is None:
+            raise ValueError(f"stream run {run_id!r} has no recorded delta")
+        return KBDelta.from_doc(json.loads(delta_json))
 
     def _stream_inputs(self, session: MatchingSession):
         """(state, dirty, reuse, truth) for a stream session.
@@ -909,41 +994,18 @@ class MatchingService:
         if parent is None:
             raise KeyError(f"unknown parent run {session.parent_run_id!r}")
         parent_state = self._stream_state_for(parent)
+        # A resumed session replays the recorded delta.
         delta = session.delta
         if delta is None:
-            delta_json = self._store.get_run_delta_json(session.run_id)
-            if delta_json is None:
-                raise ValueError(
-                    f"stream run {session.run_id!r} has no recorded delta"
-                )
-            delta = KBDelta.from_doc(json.loads(delta_json))
-        # The fingerprint guard already ran in update(); a resumed
-        # session replays the recorded delta against the recorded state.
-        # The splice runs inside the parent's arena so it reuses the
-        # parent's literal scorers; the spliced state then attaches to
-        # its own (derived) arena under the post-delta fingerprints.
-        if parent_state.substrate_key is None:
-            parent_state = self._attach_substrate(parent_state, config)
-        parent_arena = self._substrate.get_or_create(parent_state.substrate_key)
-        with parent_arena.activation():
-            prepared = incremental_prepare(
-                parent_state, delta, config, check_fingerprint=False
-            )
+            delta = self._recorded_delta(session.run_id)
+        prepared = self._splice(parent_state, delta, config)
         self._store.set_run_fingerprint(session.run_id, prepared.fingerprint)
-        fp_dataset = f"fp:{prepared.fingerprint}"
-        self._store.save_prepared(
-            fp_dataset, session.seed, session.scale, config, prepared.state
+        self._keep_stream_state(
+            _state_key(prepared.fingerprint, session.seed, session.scale, config),
+            session.stream_step,
+            config,
+            prepared.state,
         )
-        child = self._substrate.derive(
-            parent_arena,
-            substrate_key(prepared.state.kb1, prepared.state.kb2, config),
-        )
-        child.attach(prepared.state)
-        with self._lock:
-            self._memory_cache.put(
-                (fp_dataset, session.seed, session.scale, config_hash(config)),
-                prepared.state,
-            )
         reuse = {
             key: unit_record_from_doc(doc)
             for key, doc in self._store.load_unit_record_docs(

@@ -16,7 +16,9 @@ One :class:`RunStore` file holds three kinds of durable state:
 Uses only the stdlib ``sqlite3`` module.  A single connection is shared
 and guarded by a re-entrant lock, so one store instance may be used from
 the service's worker threads; payloads are stable JSON documents from
-:mod:`repro.store.serialize`, never pickles.
+:mod:`repro.store.serialize`, never pickles.  File stores run in WAL
+mode: while one is open its file has ``-wal`` and ``-shm`` sidecars,
+which the last ``close()`` folds back in and removes.
 """
 
 from __future__ import annotations
@@ -208,6 +210,14 @@ class RunStore:
         # wrapper layers bounded retries with jittered backoff on top.
         busy_ms = int(os.environ.get("REPRO_SQLITE_BUSY_TIMEOUT_MS", "5000"))
         self._conn.execute(f"PRAGMA busy_timeout = {busy_ms}")
+        if self.path != ":memory:":
+            # Write-ahead logging: a commit appends to the -wal file
+            # instead of rewriting pages through a rollback journal.
+            # ``synchronous`` stays at SQLite's default FULL, so every
+            # commit is still fsynced before it returns.  The last
+            # connection to close checkpoints the log into the main file
+            # and deletes the -wal and -shm sidecars.
+            self._conn.execute("PRAGMA journal_mode = WAL")
         self._write_attempts = 1 + max(
             0, int(os.environ.get("REPRO_STORE_WRITE_RETRIES", "5"))
         )

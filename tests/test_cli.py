@@ -375,6 +375,44 @@ class TestStoreCommands:
         assert "step 1:" in out and "step 2:" in out
         assert "F1=" in out
 
+    def test_update_after_cache_clear_replays_lineage(
+        self, store_path, tmp_path, capsys
+    ):
+        """``cache clear`` drops every prepared state, not the lineage.
+
+        The ledger still records each delta, so ``update`` from a
+        non-root run rebuilds its parent state from the root and lands
+        on the same result as the same update before the clear.
+        """
+        import re
+        import shutil
+
+        from repro.datasets import evolving_bundle
+
+        assert main(["run", "evolving", "--scale", "0.4", "--error-rate", "0",
+                     "--stream", "--store", store_path]) == 0
+        root = capsys.readouterr().out.split("run=")[1].split()[0]
+        assert main(["run", "--since", root, "--steps", "2",
+                     "--store", store_path]) == 0
+        step2 = capsys.readouterr().out.split("run=")[-1].split()[0]
+        delta_file = tmp_path / "delta.json"
+        delta_file.write_text(json.dumps(
+            evolving_bundle(seed=0, scale=0.4, steps=3).deltas[2].to_doc()
+        ))
+        warm_path = str(tmp_path / "warm.db")
+        shutil.copyfile(store_path, warm_path)
+        assert main(["update", step2, "--delta", str(delta_file),
+                     "--store", warm_path]) == 0
+        warm = capsys.readouterr().out
+        assert main(["cache", "clear", "--store", store_path]) == 0
+        assert "removed" in capsys.readouterr().out
+        assert main(["update", step2, "--delta", str(delta_file),
+                     "--store", store_path]) == 0
+        cold = capsys.readouterr().out
+        assert "F1=" in cold
+        # Same F1 row, questions and reuse split; only the run id differs.
+        assert re.sub(r"run=\w+ ", "", cold) == re.sub(r"run=\w+ ", "", warm)
+
     def test_runs_show_prints_lineage(self, store_path, capsys):
         main(["run", "evolving", "--scale", "0.4", "--error-rate", "0",
               "--stream", "--store", store_path])

@@ -224,6 +224,25 @@ class TestLiveRunEvents:
         assert all(s["state"] == "finished" for s in watch.shards.values())
         assert watch.questions == result.questions_asked
 
+    def test_stream_update_logs_reuse_on_the_summary(self, tmp_path):
+        """Reused units log no shard rows; the watch still totals the run."""
+        from repro.datasets import evolving_bundle
+
+        delta = evolving_bundle(seed=0, scale=0.4, steps=1).deltas[0]
+        with MatchingService(str(tmp_path / "s.db")) as service:
+            root = service.submit("evolving", scale=0.4, background=False, stream=True)
+            service.result(root)
+            run_id = service.update(root, delta, background=False)
+            result = service.result(run_id)
+            outcome = service.stream_outcome(run_id)
+            events = service.store.tail_run_events(run_id)
+        watch = RunWatch()
+        watch.feed(events)
+        assert outcome.reused_keys
+        assert len(watch.shards) == len(outcome.executed_keys)
+        assert watch.stream["reused"] == len(outcome.reused_keys)
+        assert watch.questions == result.questions_asked
+
     def test_second_connection_tails_inflight_run(self, tmp_path):
         """A separate store handle on the same SQLite file sees progress
         while the run is still executing — the ``repro runs watch``

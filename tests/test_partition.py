@@ -289,6 +289,50 @@ class TestShardCheckpointStore:
         assert store.load_shard_records(run_id) == {}
         store.close()
 
+    def test_reused_units_write_nothing(self, tmp_path, monkeypatch):
+        """A stream update's write set covers only the units it executed.
+
+        Reused units take their outcome by reference: no shard row and
+        no ``shard.restored`` row in ``run_events``.  ``on_event`` and
+        the ``partition.shard.restored`` counter still see each one, and
+        the durable log counts them on ``stream.summary``.
+        """
+        from repro.datasets import evolving_bundle
+
+        delta = evolving_bundle(seed=0, scale=0.4, steps=1).deltas[0]
+        with MatchingService(str(tmp_path / "svc.db")) as service:
+            store = service.store
+            root = service.submit("evolving", scale=0.4, background=False, stream=True)
+            service.result(root)
+            ops = []
+            write = store._write
+
+            def recording_write(op, fn):
+                ops.append(op)
+                return write(op, fn)
+
+            monkeypatch.setattr(store, "_write", recording_write)
+            events = []
+            run_id = service.update(
+                root, delta, background=False, on_event=events.append
+            )
+            service.result(run_id)
+            monkeypatch.undo()
+            outcome = service.stream_outcome(run_id)
+            rows = store.tail_run_events(run_id)
+            counters = store.load_run_obs(run_id)["metrics"]["counters"]
+        assert outcome.reused_keys and outcome.executed_keys
+        assert ops.count("save_shard_result") == len(outcome.executed_keys)
+        assert [e for e in rows if e["kind"] == "shard.restored"] == []
+        assert sum(1 for e in rows if e["kind"] == "shard.finished") == len(
+            outcome.executed_keys
+        )
+        (summary,) = [e for e in rows if e["kind"] == "stream.summary"]
+        assert summary["reused"] == len(outcome.reused_keys)
+        restored = [e for e in events if e.kind == "restored"]
+        assert len(restored) == len(outcome.reused_keys)
+        assert counters["partition.shard.restored"] == len(outcome.reused_keys)
+
     def test_second_run_restores_all_shards(self, tmp_path, state, crowd):
         store = RunStore(tmp_path / "s.db")
         run_id = store.create_run("clustered", 0, 1.0, None, workers=1)

@@ -143,30 +143,54 @@ class TestStreamUpdateResume:
     def evolving(self):
         from repro.datasets import evolving_bundle
 
-        return evolving_bundle(seed=0, scale=self.SCALE, steps=1)
+        return evolving_bundle(seed=0, scale=self.SCALE, steps=2)
+
+    @staticmethod
+    def _summary(service, run_id) -> dict:
+        """What a resumed update must reproduce of the uninterrupted one."""
+        from repro.store.serialize import result_to_doc
+
+        result = service.result(run_id)
+        outcome = service.stream_outcome(run_id)
+        ledger = service.store.load_run_obs(run_id)["cost_ledger"]
+        return {
+            "result": result_to_doc(result),
+            "reused_keys": outcome.reused_keys,
+            "executed_keys": outcome.executed_keys,
+            "questions_new": outcome.questions_new,
+            "ledger_reused": {item["key"]: item["reused"] for item in ledger["items"]},
+        }
+
+    def _root(self, service) -> str:
+        root = service.submit(
+            "evolving",
+            scale=self.SCALE,
+            error_rate=self.ERROR_RATE,
+            background=False,
+            stream=True,
+        )
+        service.result(root)
+        return root
 
     @pytest.fixture(scope="class")
     def reference(self, evolving, tmp_path_factory):
-        """The uninterrupted root + update, for byte-comparison."""
+        """The uninterrupted root + both updates, summarized per step."""
         from repro.service import MatchingService
-        from repro.store.serialize import result_to_doc
 
         path = tmp_path_factory.mktemp("stream-ref") / "ref.db"
+        steps = {}
         with MatchingService(str(path)) as service:
-            root = service.submit(
-                "evolving",
-                scale=self.SCALE,
-                error_rate=self.ERROR_RATE,
-                background=False,
-                stream=True,
-            )
-            service.result(root)
-            updated = service.update(root, evolving.deltas[0], background=False)
-            result = service.result(updated)
-        return result_to_doc(result)
+            run_id = self._root(service)
+            for step, delta in enumerate(evolving.deltas, start=1):
+                run_id = service.update(run_id, delta, background=False)
+                steps[step] = self._summary(service, run_id)
+        # Each update reuses some units and executes others, so every
+        # kill point below has an event to die on.
+        assert all(s["reused_keys"] and s["executed_keys"] for s in steps.values())
+        return steps
 
-    def _interrupted_store(self, evolving, tmp_path, kill_on: str):
-        """Run root + update, dying at the first ``kill_on`` unit event."""
+    def _interrupted_store(self, evolving, tmp_path, kill_on: str, step: int = 1):
+        """Run root + updates up to ``step``, dying at its first ``kill_on`` event."""
         from repro.service import MatchingService
 
         class _Die(Exception):
@@ -183,39 +207,53 @@ class TestStreamUpdateResume:
 
         path = tmp_path / "interrupted.db"
         with MatchingService(str(path)) as service:
-            root = service.submit(
-                "evolving",
-                scale=self.SCALE,
-                error_rate=self.ERROR_RATE,
-                background=False,
-                stream=True,
-            )
-            service.result(root)
+            run_id = self._root(service)
+            for delta in evolving.deltas[: step - 1]:
+                run_id = service.update(run_id, delta, background=False)
+                service.result(run_id)
             run_id = service.update(
-                root, evolving.deltas[0], background=False, on_event=killer
+                run_id, evolving.deltas[step - 1], background=False, on_event=killer
             )
             with pytest.raises(_Die):
                 service.result(run_id)
             assert service.store.get_run(run_id).status == "failed"
         return path, run_id
 
-    @pytest.mark.parametrize("kill_on", ["checkpointed", "finished"])
+    def _resume(self, path, run_id):
+        """Resume in a fresh service, as after a process restart."""
+        from repro.service import MatchingService
+        from repro.substrate import SubstrateCache
+
+        with MatchingService(str(path), substrate_cache=SubstrateCache()) as service:
+            service.resume(run_id, background=False)
+            service.result(run_id)
+            assert service.store.get_run(run_id).status == "done"
+            counters = service.store.load_run_obs(run_id)["metrics"]["counters"]
+            return self._summary(service, run_id), counters
+
+    @pytest.mark.parametrize("kill_on", ["restored", "checkpointed", "finished"])
     def test_resume_converges_to_uninterrupted_result(
         self, evolving, reference, tmp_path, kill_on
     ):
-        """Mid-loop and between-unit kills both resume to the exact result."""
-        from repro.service import MatchingService
-        from repro.store.serialize import result_to_doc
+        """Kills during reuse, mid-loop and between units resume exactly.
 
+        Exactly means the result document and the reuse accounting: the
+        reused and executed unit keys, the new crowd spend and the cost
+        ledger's ``reused`` flags all equal the uninterrupted update's.
+        """
         path, run_id = self._interrupted_store(evolving, tmp_path, kill_on)
-        # A fresh service simulates a process restart.
-        with MatchingService(str(path)) as service:
-            service.resume(run_id, background=False)
-            resumed = service.result(run_id)
-            assert service.store.get_run(run_id).status == "done"
-            outcome = service.stream_outcome(run_id)
-        assert result_to_doc(resumed) == reference
-        # Resume restores persisted work instead of re-running everything:
-        # nothing that finished before the kill is re-billed as new spend.
-        assert outcome is not None
-        assert outcome.questions_new <= resumed.questions_asked
+        resumed, _ = self._resume(path, run_id)
+        assert resumed == reference[1]
+
+    def test_resume_at_step_two_replays_the_parent_state(
+        self, evolving, reference, tmp_path
+    ):
+        """Step 1's post-delta state is not stored; a cold resume rebuilds it."""
+        from repro.store import RunStore
+
+        path, run_id = self._interrupted_store(evolving, tmp_path, "finished", step=2)
+        with RunStore(path) as store:
+            assert not [k for k in store.list_prepared() if k[0].startswith("fp:")]
+        resumed, counters = self._resume(path, run_id)
+        assert counters["stream.state.replayed"] == 1
+        assert resumed == reference[2]

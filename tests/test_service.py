@@ -255,6 +255,49 @@ class TestStreamSessions:
             service.result(second)
             assert service.store.get_run(second).workers == 1
 
+    def test_cold_update_from_every_step_equals_warm(self, tmp_path):
+        """A cold service rebuilds any parent state and matches the warm run.
+
+        Only every ``FULL_STATE_EVERY``-th step stores its post-delta
+        state; a fresh service (own substrate cache, copy of the store)
+        updating from any other step replays the recorded deltas from
+        the nearest stored ancestor, or from the root.
+        """
+        import shutil
+
+        from repro.datasets import evolving_bundle
+        from repro.service.service import FULL_STATE_EVERY
+        from repro.store.serialize import result_to_doc
+        from repro.substrate import SubstrateCache
+
+        assert FULL_STATE_EVERY == 4
+        evolving = evolving_bundle(seed=0, scale=0.4, steps=9)
+        warm_path = tmp_path / "warm.db"
+        with MatchingService(str(warm_path)) as service:
+            run_ids = [
+                service.submit(
+                    "evolving", scale=0.4, error_rate=0.1, background=False, stream=True
+                )
+            ]
+            for delta in evolving.deltas:
+                service.result(run_ids[-1])
+                run_ids.append(service.update(run_ids[-1], delta, background=False))
+            warm = [result_to_doc(service.result(run_id)) for run_id in run_ids]
+            stored = {k[0] for k in service.store.list_prepared() if k[0].startswith("fp:")}
+            expected = {
+                f"fp:{service.store.get_run(run_ids[step]).kb_fingerprint}"
+                for step in (4, 8)
+            }
+        assert stored == expected
+        for step, delta in enumerate(evolving.deltas):
+            path = tmp_path / f"cold-{step}.db"
+            shutil.copyfile(warm_path, path)
+            with MatchingService(str(path), substrate_cache=SubstrateCache()) as cold:
+                run_id = cold.update(run_ids[step], delta, background=False)
+                assert result_to_doc(cold.result(run_id)) == warm[step + 1]
+                counters = cold.store.load_run_obs(run_id)["metrics"]["counters"]
+            assert counters.get("stream.state.replayed", 0) == step % FULL_STATE_EVERY
+
 
 class TestTimingIsolation:
     def test_concurrent_timings_do_not_contaminate_run(self, tmp_path):

@@ -128,6 +128,35 @@ class TestRunStore:
             assert store.clear_prepared() == 1
             assert not store.has_prepared("iimb", 0, 0.2, None)
 
+    def test_file_store_journals_in_wal_at_full_sync(self, tmp_path):
+        """WAL changes how a commit is written, not when it is durable."""
+        with RunStore(tmp_path / "store.db") as store:
+            assert store._conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+            # FULL: every commit is fsynced before it returns.
+            assert store._conn.execute("PRAGMA synchronous").fetchone()[0] == 2
+        with RunStore(":memory:") as store:
+            assert store._conn.execute("PRAGMA journal_mode").fetchone()[0] == "memory"
+            assert store._conn.execute("PRAGMA synchronous").fetchone()[0] == 2
+
+    def test_close_folds_the_wal_into_the_main_file(self, tmp_path):
+        """After close no sidecar remains, and the main file holds every row."""
+        import sqlite3
+
+        path = tmp_path / "store.db"
+        sidecars = [tmp_path / "store.db-wal", tmp_path / "store.db-shm"]
+        store = RunStore(path)
+        run_ids = {store.create_run("iimb", 0, 0.2, None) for _ in range(3)}
+        store.append_run_event(sorted(run_ids)[0], "status.done")
+        assert all(sidecar.exists() for sidecar in sidecars)
+        store.close()
+        assert not any(sidecar.exists() for sidecar in sidecars)
+        conn = sqlite3.connect(path)
+        try:
+            assert {row[0] for row in conn.execute("SELECT run_id FROM runs")} == run_ids
+            assert conn.execute("SELECT COUNT(*) FROM run_events").fetchone()[0] == 1
+        finally:
+            conn.close()
+
     def test_run_ledger_lifecycle(self, tmp_path):
         with RunStore(tmp_path / "store.db") as store:
             run_id = store.create_run("iimb", 0, 0.2, RempConfig(mu=5), error_rate=0.1)
