@@ -11,6 +11,7 @@ import pytest
 from repro.core import Remp
 from repro.datasets import load_dataset
 from repro.store import RunStore
+from repro.substrate import substrate_key
 
 SCALE = 0.4
 
@@ -30,9 +31,10 @@ def test_prepare_cold(benchmark, bundle):
 def test_prepared_state_cache_hit(benchmark, bundle, tmp_path):
     store = RunStore(tmp_path / "bench.db")
     state = Remp().prepare(bundle.kb1, bundle.kb2)
-    store.save_prepared("iimb", 0, SCALE, None, state)
+    key = substrate_key(bundle.kb1, bundle.kb2, None)
+    store.save_prepared(key, state)
     loaded = benchmark.pedantic(
-        lambda: store.load_prepared("iimb", 0, SCALE, None), rounds=3, iterations=1
+        lambda: store.load_prepared(key), rounds=3, iterations=1
     )
     assert loaded is not None
     assert loaded.retained == state.retained

@@ -10,7 +10,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 * :mod:`repro.baselines` — HIKE, POWER, Corleone, PARIS, SiGMa
 * :mod:`repro.experiments` — one driver per paper table/figure
 * :mod:`repro.store` — SQLite-backed persistence: a prepared-state cache
-  keyed by ``(dataset, seed, scale, config-hash)``, per-run loop
+  keyed by content (KB-pair fingerprint, config hash), per-run loop
   checkpoints for kill-and-resume, and a queryable ledger of every run
 * :mod:`repro.service` — the concurrent matching service: deduplicated
   ``prepare()`` through the cache and thread-pooled sessions with an
@@ -36,7 +36,7 @@ from repro.service import MatchingService
 from repro.store import RunStore
 from repro.stream import KBDelta
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "Remp",

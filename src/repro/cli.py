@@ -657,8 +657,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             stats = store.stats()
             print(f"store: {stats['path']}")
             print(f"prepared states: {stats['prepared_states']}")
-            for dataset, seed, scale, digest in store.list_prepared():
-                print(f"  {dataset} seed={seed} scale={scale} config={digest}")
+            for fingerprint, digest, version in store.list_prepared():
+                print(f"  kb={fingerprint} config={digest} version={version}")
             print(f"runs: {stats['runs']} {stats['runs_by_status']}")
             print(f"checkpoints: {stats['checkpoints']}")
     return 0

@@ -64,11 +64,12 @@ class PreparedState:
     signatures: dict[Pair, Signature]
     priors: dict[Pair, float]
     isolated: set[Pair]
-    #: Content address of the shared kernel arena this state attached to
-    #: (:mod:`repro.substrate`), or ``None`` when unattached.
-    #: A plain string tuple — never the arena itself — so states stay
-    #: picklable and serializable; slices (:meth:`restrict`) drop it.
-    substrate_key: tuple[str, str, str] | None = None
+    #: Content key (KB-pair fingerprint, config hash) of the kernel arena
+    #: this state attached to (:mod:`repro.substrate`), or ``None`` when
+    #: unattached.  A plain string tuple — never the arena itself — so
+    #: states stay picklable and serializable; slices (:meth:`restrict`)
+    #: drop it.
+    substrate_key: tuple[str, str] | None = None
 
     def restrict(self, vertices: set[Pair], *, isolated: set[Pair] | None = None) -> "PreparedState":
         """A self-contained slice of this state over ``vertices``.

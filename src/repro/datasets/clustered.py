@@ -136,6 +136,5 @@ def clustered_bundle(
         },
         gold_relationship_matches={("directed", "directed"), ("stars", "stars")},
         entity_types=entity_types,
-        seed=seed,
     )
     return bundle

@@ -23,7 +23,8 @@ from functools import lru_cache
 
 from repro.datasets.clustered import _word, clustered_bundle
 from repro.datasets.synthesis import DatasetBundle
-from repro.stream.delta import DeltaOp, KBDelta, kb_pair_fingerprint
+from repro.kb.io import kb_pair_fingerprint
+from repro.stream.delta import DeltaOp, KBDelta
 
 Pair = tuple[str, str]
 
@@ -67,8 +68,6 @@ class EvolvingBundle:
             gold_attribute_matches=set(self.base.gold_attribute_matches),
             gold_relationship_matches=set(self.base.gold_relationship_matches),
             entity_types=dict(self.base.entity_types),
-            seed=self.base.seed,
-            scale=self.base.scale,
         )
 
 
@@ -239,7 +238,6 @@ def evolving_bundle(
         critics_per_cluster=1,
         name=f"evolving-{num_clusters}x{movies_per_cluster}",
     )
-    base.scale = scale
     author = _StreamAuthor(
         random.Random(seed * 7919 + 17), movies_per_cluster, label_noise
     )

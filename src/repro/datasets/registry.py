@@ -49,6 +49,4 @@ def load_dataset(name: str, seed: int = 0, scale: float = 1.0) -> DatasetBundle:
             f"unknown dataset {name!r}; expected one of "
             f"{DATASET_NAMES + (EVOLVING_NAME,)}"
         ) from None
-    bundle = generate_dataset(builder(scale), seed=seed)
-    bundle.scale = scale
-    return bundle
+    return generate_dataset(builder(scale), seed=seed)

@@ -130,10 +130,6 @@ class DatasetBundle:
     gold_relationship_matches: set[tuple[str, str]]
     #: kb-entity id -> world type name (for analysis and partitioning).
     entity_types: dict[str, str]
-    #: Generation provenance, the dataset half of a store cache key
-    #: (:mod:`repro.store`); set by ``generate_dataset`` / ``load_dataset``.
-    seed: int = 0
-    scale: float = 1.0
 
     @property
     def num_matches(self) -> int:
@@ -410,6 +406,4 @@ def generate_dataset(config: WorldConfig, seed: int = 0) -> DatasetBundle:
     """Generate a :class:`DatasetBundle` from ``config`` deterministically."""
     builder = _WorldBuilder(config, seed)
     builder.build_world()
-    bundle = builder.derive()
-    bundle.seed = seed
-    return bundle
+    return builder.derive()

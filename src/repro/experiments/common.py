@@ -53,9 +53,8 @@ def display_name(dataset: str) -> str:
 
 
 #: Process-wide prepared-state cache shared by every experiment driver and
-#: benchmark repetition, keyed by :func:`repro.substrate.substrate_key` (a
-#: digest of both KBs' content plus the config hash) and bounded like the
-#: service's in-process level.
+#: benchmark repetition, keyed like the service's by the content key
+#: :func:`repro.substrate.substrate_key` and bounded like it.
 _PREPARED_CACHE = PreparedCache(8)
 _ENV_STORE: RunStore | None = None
 
@@ -93,16 +92,11 @@ def prepared_state(bundle: DatasetBundle, config: RempConfig | None = None) -> P
         return state
     store = _env_store()
     if store is not None:
-        state = store.load_prepared(bundle.name, bundle.seed, bundle.scale, config)
-        # The store key carries no KB content; a hand-built bundle can
-        # collide with a canonical dataset's row.  Treat a stored state
-        # whose KBs don't match this bundle as a miss (and recompute).
-        if state is not None and substrate_key(state.kb1, state.kb2, config) != key:
-            state = None
+        state = store.load_prepared(key)
     if state is None:
         state = Remp(config or RempConfig()).prepare(bundle.kb1, bundle.kb2)
         if store is not None:
-            store.save_prepared(bundle.name, bundle.seed, bundle.scale, config, state)
+            store.save_prepared(key, state)
     _PREPARED_CACHE.put(key, state)
     return state
 

@@ -6,10 +6,15 @@ Two formats are supported:
   triple lists.  Lossless for any literal type JSON can express.
 * **TSV** — one triple per line (``subject<TAB>property<TAB>value<TAB>kind``)
   in the style of common public KB dumps.  Literals are stored as strings.
+
+:func:`kb_pair_fingerprint` digests the JSON documents of a KB pair.  It
+is the one function that hashes KB content: prepared states, kernel
+arenas, run lineage and delta conflict checks all key on it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -40,6 +45,21 @@ def kb_to_doc(kb: KnowledgeBase) -> dict:
             [t.subject, t.prop, t.value] for t in kb.iter_relationship_triples()
         ),
     }
+
+
+def kb_pair_fingerprint(kb1: KnowledgeBase, kb2: KnowledgeBase) -> str:
+    """Stable digest identifying the *content* of a KB pair.
+
+    Equal KB pairs (same entities and triples, regardless of insertion
+    order or mutation history) produce equal fingerprints.
+    """
+    blob = json.dumps(
+        [kb_to_doc(kb1), kb_to_doc(kb2)],
+        sort_keys=True,
+        separators=(",", ":"),
+        default=str,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def kb_from_doc(doc: dict) -> KnowledgeBase:

@@ -50,7 +50,7 @@ ISOLATED = "isolated"
 DEFAULT_TARGET_SHARDS = 8
 
 
-class _UnionFind:
+class UnionFind:
     """Path-halving union–find over candidate pairs."""
 
     def __init__(self) -> None:
@@ -81,7 +81,7 @@ def entity_closure_components(state: PreparedState) -> list[set[Pair]]:
     partition the human–machine loop cannot leak across: propagation
     follows edges, competitor demotion follows shared entities.
     """
-    uf = _UnionFind()
+    uf = UnionFind()
     by_left: dict[str, Pair] = {}
     by_right: dict[str, Pair] = {}
     for pair in state.retained:

@@ -2,7 +2,7 @@
 
 :class:`MatchingService` owns a :class:`repro.store.RunStore`, serves
 ``PreparedState`` through a concurrency-safe two-level cache (offline
-work is computed at most once per ``(dataset, seed, scale, config)``),
+work is computed at most once per KB-pair content and config),
 and runs many Remp sessions on a thread pool with an explicit
 ``submit / step / status / result`` lifecycle.  Interrupted sessions
 resume from their latest checkpoint, replaying recorded crowd answers.

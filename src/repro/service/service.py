@@ -5,9 +5,10 @@ one :class:`repro.store.RunStore`:
 
 * ``prepare()`` work is deduplicated through a two-level cache — a
   size-capped in-process LRU in front of the store's SQLite table —
-  with one lock per cache key (pruned when its compute finishes), so
-  concurrent submissions of the same ``(dataset, seed, scale, config)``
-  compute the offline stages exactly once and every other session
+  keyed by content: :func:`repro.substrate.substrate_key`, the KB pair's
+  fingerprint plus the config hash.  One lock per key (pruned when its
+  compute finishes) makes concurrent submissions on the same KB pair
+  compute the offline stages exactly once while every other session
   blocks until the artifact is ready.  Computes run inside, and every
   returned state is attached to, the key's shared kernel arena
   (:mod:`repro.substrate`), so sessions on the same KB pair share one
@@ -59,7 +60,6 @@ from repro.stream import (
     KBDelta,
     StreamRunner,
     incremental_prepare,
-    kb_pair_fingerprint,
     unit_record_from_doc,
     unit_record_to_doc,
 )
@@ -83,18 +83,12 @@ DONE = "done"
 FAILED = "failed"
 
 
-def _state_key(
-    fingerprint: str, seed: int, scale: float, config: RempConfig | None
-) -> tuple:
-    """Cache key of a post-delta prepared state (the store's ``fp:`` rows)."""
-    return (f"fp:{fingerprint}", seed, scale, config_hash(config))
-
-
 class PreparedCache:
-    """A size-capped LRU of prepared states; callers serialise access.
+    """A size-capped LRU of prepared states by content key.
 
-    The in-process level of :meth:`MatchingService.prepared` and the
-    experiment drivers' process-wide cache.
+    Callers serialise access.  Each service holds one, and so do the
+    experiment drivers: a shared instance would let one service's hits
+    come from another's computes, which it would then never store.
     """
 
     def __init__(self, capacity: int):
@@ -561,15 +555,6 @@ class MatchingService:
     # ------------------------------------------------------------------
     # Prepared-state cache
     # ------------------------------------------------------------------
-    def _attach_substrate(
-        self, state: PreparedState, config: RempConfig | None
-    ) -> PreparedState:
-        """Bind ``state`` to its shared kernel arena."""
-        arena = self._substrate.get_or_create(
-            substrate_key(state.kb1, state.kb2, config)
-        )
-        return arena.attach(state)
-
     def prepared(
         self,
         dataset: str,
@@ -577,55 +562,43 @@ class MatchingService:
         scale: float = 1.0,
         config: RempConfig | None = None,
     ) -> PreparedState:
-        """The offline artifacts for a key, computed at most once.
+        """The offline artifacts for a dataset, computed at most once.
 
-        Memory LRU first, then the store; a miss runs ``Remp.prepare``
-        under a per-key lock so concurrent sessions asking for the same
-        key wait for the one computation instead of repeating it.  The
-        compute runs inside the key's shared substrate arena
+        The cache key is the content key of the dataset's KB pair
+        (:func:`repro.substrate.substrate_key`), so a changed dataset
+        generator misses instead of being served a stale state.  Memory
+        LRU first, then the store; a miss runs ``Remp.prepare`` under a
+        per-key lock so concurrent sessions asking for the same key wait
+        for the one computation instead of repeating it.  The compute
+        runs inside the key's shared substrate arena
         (:mod:`repro.substrate`), and every state returned is attached
         to it, so concurrent sessions on the same KB pair share one
         literal-interning arena.
         """
-        key = (dataset, seed, scale, config_hash(config))
+        bundle = load_dataset(dataset, seed=seed, scale=scale)
+        key = substrate_key(bundle.kb1, bundle.kb2, config)
         with self._lock:
-            state = self._memory_cache.get(key)
-            if state is not None:
-                self.cache_hits += 1
-                obs.count("prepared.cache.hits")
-                return state
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         try:
             with key_lock:
-                with self._lock:
-                    state = self._memory_cache.get(key)
-                    if state is not None:
-                        self.cache_hits += 1
-                        obs.count("prepared.cache.hits")
-                        return state
-                state = self._store.load_prepared(dataset, seed, scale, config)
+                state = self._cached(key)
                 if state is not None:
-                    state = self._attach_substrate(state, config)
                     with self._lock:
                         self.cache_hits += 1
-                        self._memory_cache.put(key, state)
                     obs.count("prepared.cache.hits")
                     return state
-                bundle = load_dataset(dataset, seed=seed, scale=scale)
-                arena = self._substrate.get_or_create(
-                    substrate_key(bundle.kb1, bundle.kb2, config)
-                )
+                arena = self._substrate.get_or_create(key)
                 with arena.activation():
                     state = Remp(config or RempConfig(), seed=seed).prepare(
                         bundle.kb1, bundle.kb2
                     )
-                self._store.save_prepared(dataset, seed, scale, config, state)
+                self._store.save_prepared(key, state)
                 arena.attach(state)
                 with self._lock:
                     self.cache_misses += 1
                     self._memory_cache.put(key, state)
                 obs.count("prepared.cache.misses")
-                log.info("prepared state computed for %s", key)
+                log.info("prepared state computed for %s %s", dataset, key)
                 return state
         finally:
             # The per-key lock exists only to deduplicate in-flight
@@ -636,6 +609,22 @@ class MatchingService:
             with self._lock:
                 if self._key_locks.get(key) is key_lock:
                     del self._key_locks[key]
+
+    def _cached(self, key: tuple[str, str]) -> PreparedState | None:
+        """The state for a content key from memory, else from the store.
+
+        A store hit is attached to the key's arena and kept in memory.
+        Roots and post-delta states are both looked up here.
+        """
+        with self._lock:
+            state = self._memory_cache.get(key)
+        if state is None:
+            state = self._store.load_prepared(key)
+            if state is not None:
+                self._substrate.get_or_create(key).attach(state)
+                with self._lock:
+                    self._memory_cache.put(key, state)
+        return state
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -873,14 +862,15 @@ class MatchingService:
     def _stream_state_for(self, record: RunRecord) -> PreparedState:
         """The prepared state a finished stream run matched.
 
-        Roots live in the ordinary dataset-keyed cache; post-delta states
-        are keyed by KB fingerprint, in memory and (every
+        Roots come from :meth:`prepared`; a post-delta state is looked
+        up by its ledger fingerprint, in memory and (every
         ``FULL_STATE_EVERY`` steps) in the store.  On a miss this walks
         up the lineage to the nearest state either level holds, or to
         the root, and replays each later run's recorded delta.
         """
         config = self._store.get_run_config(record.run_id)
-        replay: list[tuple[RunRecord, tuple]] = []
+        digest = config_hash(config)
+        replay: list[RunRecord] = []
         current = record
         state = None
         while current.parent_run_id is not None:
@@ -889,18 +879,17 @@ class MatchingService:
                     f"run {current.run_id!r} predates the lineage migration; "
                     "its prepared state cannot be located"
                 )
-            key = _state_key(current.kb_fingerprint, current.seed, current.scale, config)
-            state = self._cached_stream_state(key, config)
+            state = self._cached((current.kb_fingerprint, digest))
             if state is not None:
                 break
-            replay.append((current, key))
+            replay.append(current)
             parent = self._store.get_run(current.parent_run_id)
             if parent is None:
                 raise KeyError(f"unknown parent run {current.parent_run_id!r}")
             current = parent
         if state is None:
             state = self.prepared(current.dataset, current.seed, current.scale, config)
-        for run, key in reversed(replay):
+        for run in reversed(replay):
             prepared = self._splice(state, self._recorded_delta(run.run_id), config)
             if prepared.fingerprint != run.kb_fingerprint:
                 raise ValueError(
@@ -908,34 +897,17 @@ class MatchingService:
                     f"{prepared.fingerprint}, but the run matched "
                     f"{run.kb_fingerprint}"
                 )
-            self._keep_stream_state(key, run.stream_step, config, prepared.state)
+            self._keep_stream_state(run.stream_step, prepared.state)
             state = prepared.state
         if replay:
             obs.count("stream.state.replayed", len(replay))
         return state
 
-    def _cached_stream_state(
-        self, key: tuple, config: RempConfig | None
-    ) -> PreparedState | None:
-        """A post-delta state from memory, else from the store, else ``None``."""
-        with self._lock:
-            state = self._memory_cache.get(key)
-        if state is not None:
-            return state
-        state = self._store.load_prepared(*key[:3], config)
-        if state is None:
-            return None
-        state = self._attach_substrate(state, config)
-        with self._lock:
-            self._memory_cache.put(key, state)
-        return state
-
-    def _keep_stream_state(
-        self, key: tuple, step: int, config: RempConfig | None, state: PreparedState
-    ) -> None:
+    def _keep_stream_state(self, step: int, state: PreparedState) -> None:
         """Cache a post-delta state; store it every ``FULL_STATE_EVERY`` steps."""
+        key = state.substrate_key
         if step % FULL_STATE_EVERY == 0:
-            self._store.save_prepared(*key[:3], config, state)
+            self._store.save_prepared(key, state)
         with self._lock:
             self._memory_cache.put(key, state)
 
@@ -946,11 +918,9 @@ class MatchingService:
 
         The splice runs inside the parent's arena so it reuses the
         parent's literal scorers; the spliced state then attaches to its
-        own (derived) arena under the post-delta fingerprints.  Both a
+        own (derived) arena under the post-delta fingerprint.  Both a
         new update and a lineage replay come through here.
         """
-        if parent_state.substrate_key is None:
-            parent_state = self._attach_substrate(parent_state, config)
         parent_arena = self._substrate.get_or_create(parent_state.substrate_key)
         with parent_arena.activation():
             # The fingerprint guard already ran in update(); a replay
@@ -959,8 +929,7 @@ class MatchingService:
                 parent_state, delta, config, check_fingerprint=False
             )
         child = self._substrate.derive(
-            parent_arena,
-            substrate_key(prepared.state.kb1, prepared.state.kb2, config),
+            parent_arena, (prepared.fingerprint, config_hash(config))
         )
         child.attach(prepared.state)
         return prepared
@@ -982,9 +951,7 @@ class MatchingService:
             state = self.prepared(
                 session.dataset, session.seed, session.scale, config
             )
-            self._store.set_run_fingerprint(
-                session.run_id, kb_pair_fingerprint(state.kb1, state.kb2)
-            )
+            self._store.set_run_fingerprint(session.run_id, state.substrate_key[0])
             bundle = load_dataset(
                 session.dataset, seed=session.seed, scale=session.scale
             )
@@ -1000,12 +967,7 @@ class MatchingService:
             delta = self._recorded_delta(session.run_id)
         prepared = self._splice(parent_state, delta, config)
         self._store.set_run_fingerprint(session.run_id, prepared.fingerprint)
-        self._keep_stream_state(
-            _state_key(prepared.fingerprint, session.seed, session.scale, config),
-            session.stream_step,
-            config,
-            prepared.state,
-        )
+        self._keep_stream_state(session.stream_step, prepared.state)
         reuse = {
             key: unit_record_from_doc(doc)
             for key, doc in self._store.load_unit_record_docs(

@@ -4,8 +4,8 @@
 state backed by a single SQLite file (stdlib ``sqlite3``, no extra
 dependencies):
 
-* :class:`RunStore` — prepared-state cache keyed by
-  ``(dataset, seed, scale, config-hash)``, per-run loop checkpoints, and
+* :class:`RunStore` — prepared-state cache keyed by content
+  ``(KB-pair fingerprint, config hash)``, per-run loop checkpoints, and
   a queryable ledger of every run's config, cost and final result.
 * :mod:`repro.store.serialize` — stable JSON documents for
   :class:`~repro.kb.KnowledgeBase`, :class:`~repro.core.PreparedState`,

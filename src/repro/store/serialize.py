@@ -6,9 +6,10 @@ documents, so ``json.dumps(doc, sort_keys=True)`` is byte-stable and safe
 to hash or diff.  Nothing is pickled — documents survive refactors of the
 in-memory classes as long as the schema version is honoured.
 
-The keyed artifacts (``PreparedState``) carry a ``version`` field;
-:mod:`repro.store.store` refuses to load documents with an unknown version
-rather than guessing.
+The keyed artifacts (``PreparedState``) carry a ``version`` field:
+:func:`prepared_state_from_doc` refuses an unknown version rather than
+guessing, and :mod:`repro.store.store` keys its rows by it, so a state
+stored under another version is a cache miss.
 """
 
 from __future__ import annotations

@@ -3,9 +3,11 @@
 One :class:`RunStore` file holds three kinds of durable state:
 
 * **Prepared states** — the offline artifacts of ``Remp.prepare`` keyed by
-  ``(dataset, seed, scale, config-hash)``, so repeated runs on the same
-  inputs skip candidate generation, attribute matching, pruning and
-  ER-graph construction entirely.
+  content: ``(KB-pair fingerprint, config hash)`` plus the document's
+  format version, so repeated runs on the same KBs skip candidate
+  generation, attribute matching, pruning and ER-graph construction
+  entirely, and an edited KB or an older format is a miss, never a
+  stale hit.
 * **Checkpoints** — one :class:`repro.core.LoopCheckpoint` per run,
   overwritten after every batch of crowd answers; an interrupted run
   resumes mid-loop without re-asking questions.
@@ -38,6 +40,7 @@ from repro import faults
 from repro.core.config import RempConfig
 from repro.core.pipeline import LoopCheckpoint, PreparedState, RempResult
 from repro.store.serialize import (
+    PREPARED_STATE_VERSION,
     checkpoint_from_doc,
     checkpoint_to_doc,
     config_from_doc,
@@ -50,14 +53,13 @@ from repro.store.serialize import (
 )
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS prepared_states (
-    dataset     TEXT NOT NULL,
-    seed        INTEGER NOT NULL,
-    scale       REAL NOT NULL,
+CREATE TABLE IF NOT EXISTS prepared (
+    fingerprint TEXT NOT NULL,
     config_hash TEXT NOT NULL,
+    version     INTEGER NOT NULL,
     payload     TEXT NOT NULL,
     created_at  TEXT NOT NULL,
-    PRIMARY KEY (dataset, seed, scale, config_hash)
+    PRIMARY KEY (fingerprint, config_hash, version)
 );
 CREATE TABLE IF NOT EXISTS runs (
     run_id          TEXT PRIMARY KEY,
@@ -127,7 +129,10 @@ CREATE INDEX IF NOT EXISTS run_events_by_run ON run_events (run_id, seq);
 #: fails with "duplicate column", the one error the open path may
 #: swallow.  The four ``runs`` columns after ``workers`` are the
 #: *lineage migration*: run provenance for incremental (stream) runs.
-#: The DROP removes a table of cached dominance matrices nothing read.
+#: The first DROP removes a table of cached dominance matrices nothing
+#: read.  The second removes the prepared-state cache keyed by dataset
+#: name (its ``fp:`` rows held post-delta states): it is only a cache,
+#: and every stream lineage can be rebuilt from its root.
 _MIGRATIONS = (
     "ALTER TABLE runs ADD COLUMN workers INTEGER",
     "ALTER TABLE runs ADD COLUMN parent_run_id TEXT",
@@ -135,6 +140,7 @@ _MIGRATIONS = (
     "ALTER TABLE runs ADD COLUMN stream_step INTEGER",
     "ALTER TABLE runs ADD COLUMN kb_fingerprint TEXT",
     "DROP TABLE IF EXISTS substrate_blobs",
+    "DROP TABLE IF EXISTS prepared_states",
 )
 
 #: SQLite error fragments that mark a *transient* write failure — another
@@ -280,60 +286,46 @@ class RunStore:
     # ------------------------------------------------------------------
     # Prepared-state cache
     # ------------------------------------------------------------------
-    def save_prepared(
-        self,
-        dataset: str,
-        seed: int,
-        scale: float,
-        config: RempConfig | None,
-        state: PreparedState,
-    ) -> str:
-        """Persist ``state`` under its cache key; returns the config hash."""
-        digest = config_hash(config)
-        payload = json.dumps(prepared_state_to_doc(state), sort_keys=True)
+    def save_prepared(self, key: tuple[str, str], state: PreparedState) -> None:
+        """Persist ``state`` under its content key and format version.
+
+        ``key`` is :func:`repro.substrate.substrate_key`'s
+        ``(KB-pair fingerprint, config hash)``.
+        """
+        doc = prepared_state_to_doc(state)
+        payload = json.dumps(doc, sort_keys=True)
 
         def op(conn):
             conn.execute(
-                "INSERT OR REPLACE INTO prepared_states"
-                " (dataset, seed, scale, config_hash, payload, created_at)"
-                " VALUES (?, ?, ?, ?, ?, ?)",
-                (dataset, seed, scale, digest, payload, _now()),
+                "INSERT OR REPLACE INTO prepared"
+                " (fingerprint, config_hash, version, payload, created_at)"
+                " VALUES (?, ?, ?, ?, ?)",
+                (*key, doc["version"], payload, _now()),
             )
 
         self._write("save_prepared", op)
-        return digest
 
-    def load_prepared(
-        self, dataset: str, seed: int, scale: float, config: RempConfig | None
-    ) -> PreparedState | None:
-        """Round-trip a cached prepared state, or ``None`` on a miss."""
+    def load_prepared(self, key: tuple[str, str]) -> PreparedState | None:
+        """The state stored under ``key``, or ``None`` on a miss.
+
+        A row written under another format version is a miss.
+        """
         with self._lock:
             row = self._conn.execute(
-                "SELECT payload FROM prepared_states"
-                " WHERE dataset = ? AND seed = ? AND scale = ? AND config_hash = ?",
-                (dataset, seed, scale, config_hash(config)),
+                "SELECT payload FROM prepared"
+                " WHERE fingerprint = ? AND config_hash = ? AND version = ?",
+                (*key, PREPARED_STATE_VERSION),
             ).fetchone()
         if row is None:
             return None
         return prepared_state_from_doc(json.loads(row["payload"]))
 
-    def has_prepared(
-        self, dataset: str, seed: int, scale: float, config: RempConfig | None
-    ) -> bool:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM prepared_states"
-                " WHERE dataset = ? AND seed = ? AND scale = ? AND config_hash = ?",
-                (dataset, seed, scale, config_hash(config)),
-            ).fetchone()
-        return row is not None
-
-    def list_prepared(self) -> list[tuple[str, int, float, str]]:
-        """Cache keys of every stored prepared state."""
+    def list_prepared(self) -> list[tuple[str, str, int]]:
+        """``(fingerprint, config hash, version)`` of every stored state."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT dataset, seed, scale, config_hash FROM prepared_states"
-                " ORDER BY dataset, seed, scale, config_hash"
+                "SELECT fingerprint, config_hash, version FROM prepared"
+                " ORDER BY fingerprint, config_hash, version"
             ).fetchall()
         return [tuple(row) for row in rows]
 
@@ -341,7 +333,7 @@ class RunStore:
         """Drop every cached prepared state; returns the number removed."""
         return self._write(
             "clear_prepared",
-            lambda conn: conn.execute("DELETE FROM prepared_states").rowcount,
+            lambda conn: conn.execute("DELETE FROM prepared").rowcount,
         )
 
     # ------------------------------------------------------------------
@@ -872,7 +864,7 @@ class RunStore:
         """Row counts for ``repro cache info`` and diagnostics."""
         with self._lock:
             prepared = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM prepared_states"
+                "SELECT COUNT(*) AS n FROM prepared"
             ).fetchone()["n"]
             runs = self._conn.execute("SELECT COUNT(*) AS n FROM runs").fetchone()["n"]
             by_status = dict(

@@ -11,18 +11,15 @@ KB pair they apply to, so a stale delta is rejected instead of silently
 corrupting a cached state.
 
 ``apply`` never mutates its inputs: it deep-copies both KBs, replays the
-ops and returns the new pair.  :func:`kb_pair_fingerprint` is the stable
-identity of a KB pair used throughout the stream layer (run lineage,
-prepared-state cache keys, conflict detection).
+ops and returns the new pair.  The pinned fingerprint is
+:func:`repro.kb.io.kb_pair_fingerprint`, re-exported here.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
-from repro.kb.io import kb_to_doc
+from repro.kb.io import kb_pair_fingerprint
 from repro.kb.model import KnowledgeBase
 
 Pair = tuple[str, str]
@@ -39,21 +36,6 @@ OP_KINDS = (
 
 #: Schema version written into (and required of) delta documents.
 DELTA_VERSION = 1
-
-
-def kb_pair_fingerprint(kb1: KnowledgeBase, kb2: KnowledgeBase) -> str:
-    """Stable digest identifying the *content* of a KB pair.
-
-    Equal KB pairs (same entities and triples, regardless of insertion
-    order or mutation history) produce equal fingerprints.
-    """
-    blob = json.dumps(
-        [kb_to_doc(kb1), kb_to_doc(kb2)],
-        sort_keys=True,
-        separators=(",", ":"),
-        default=str,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True, slots=True)

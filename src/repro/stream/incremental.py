@@ -45,8 +45,10 @@ from repro.core.isolated import attribute_signature
 from repro.core.pipeline import PreparedState, Remp
 from repro.core.pruning import partial_order_pruning
 from repro.core.vectors import VectorIndex, build_similarity_vectors
+from repro.kb.io import kb_pair_fingerprint
 from repro.kb.model import KnowledgeBase
-from repro.stream.delta import KBDelta, kb_pair_fingerprint
+from repro.partition.partitioner import UnionFind
+from repro.stream.delta import KBDelta
 
 Pair = tuple[str, str]
 
@@ -65,28 +67,6 @@ class IncrementalPrepared:
     fingerprint: str
     #: Whether attribute matching changed and forced a full re-prepare.
     fell_back: bool = False
-
-
-class _PairUnionFind:
-    """Path-halving union–find keyed by candidate pair."""
-
-    def __init__(self) -> None:
-        self._parent: dict[Pair, Pair] = {}
-
-    def find(self, item: Pair) -> Pair:
-        parent = self._parent.setdefault(item, item)
-        while parent != item:
-            grandparent = self._parent[parent]
-            self._parent[item] = grandparent
-            item, parent = parent, self._parent.setdefault(grandparent, grandparent)
-        return item
-
-    def union(self, a: Pair, b: Pair) -> None:
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a != root_b:
-            if root_b < root_a:
-                root_a, root_b = root_b, root_a
-            self._parent[root_b] = root_a
 
 
 def _entity_neighbors(kb: KnowledgeBase, entity: str) -> set[str]:
@@ -222,7 +202,7 @@ def _dirty_closure(
     pruning verdict provably stands.
     """
     universe = old_pairs | new_pairs
-    uf = _PairUnionFind()
+    uf = UnionFind()
     anchors_left: dict[str, Pair] = {}
     anchors_right: dict[str, Pair] = {}
     for pair in universe:

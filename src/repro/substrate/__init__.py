@@ -3,8 +3,8 @@
 The prepare-time memos — the :class:`repro.accel.literals.LiteralScorer`
 interning arenas, the candidate-generation token and label indexes, and
 the ER-graph relation adjacency — depend only on the two KBs and the
-Remp configuration.  This package owns them once per
-``(kb1 fingerprint, kb2 fingerprint, config hash)`` and hands them to
+Remp configuration.  This package owns them once per content key
+``(KB-pair fingerprint, config hash)`` and hands them to
 every prepare pass that would otherwise rebuild its own: concurrent
 :class:`repro.service.MatchingService` sessions on one KB pair, and
 incremental stream steps deriving from a parent run.  A prepare pass
@@ -14,7 +14,6 @@ outside any arena builds private memos instead, with identical results.
 from repro.substrate.arena import (
     PrepareSubstrate,
     current_substrate,
-    kb_fingerprint,
     literal_scorer,
     substrate_key,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "PrepareSubstrate",
     "SubstrateCache",
     "current_substrate",
-    "kb_fingerprint",
     "literal_scorer",
     "shared_cache",
     "substrate_key",

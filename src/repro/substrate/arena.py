@@ -1,8 +1,10 @@
 """The prepare arena: shared kernels for one (KB pair, config) key.
 
 A :class:`PrepareSubstrate` is content-addressed — its key is
-``(kb_fingerprint(kb1), kb_fingerprint(kb2), config_hash(config))`` —
-so everything it caches is a pure function of the key:
+:func:`substrate_key`, ``(kb_pair_fingerprint(kb1, kb2),
+config_hash(config))``, the same content key the service's prepared-state
+caches and the store use — so everything it caches is a pure function of
+the key:
 
 * per-threshold :class:`repro.accel.LiteralScorer` arenas (their caches
   are content-addressed, so one scorer soundly serves every prepare,
@@ -22,46 +24,35 @@ memos, with identical results.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 
 from repro.accel.literals import LiteralScorer
-from repro.kb.io import kb_to_doc
+from repro.kb.io import kb_pair_fingerprint
 from repro.kb.model import KnowledgeBase
 from repro.obs import runtime as obs
 
-#: A substrate key: (kb1 fingerprint, kb2 fingerprint, config hash).
-Key = tuple[str, str, str]
+#: A content key: (KB-pair fingerprint, config hash).
+Key = tuple[str, str]
 
 _ACTIVE: ContextVar["PrepareSubstrate | None"] = ContextVar(
     "repro_substrate", default=None
 )
 
 
-def kb_fingerprint(kb: KnowledgeBase) -> str:
-    """Stable digest of one KB's *content* (entities + triples).
-
-    The single-KB analogue of :func:`repro.stream.kb_pair_fingerprint`:
-    equal KBs produce equal fingerprints regardless of insertion order
-    or mutation history.
-    """
-    blob = json.dumps(
-        kb_to_doc(kb), sort_keys=True, separators=(",", ":"), default=str
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def substrate_key(kb1: KnowledgeBase, kb2: KnowledgeBase, config=None) -> Key:
-    """The content address of the shared kernels for this pair + config."""
+    """The content key of a KB pair + config.
+
+    It addresses the pair's kernel arena, its prepared state in every
+    memory cache, and its row in the store.
+    """
     # Runtime import: the store's serializers import the core pipeline,
     # which imports this package for current_substrate().
     from repro.store.serialize import config_hash
 
-    return (kb_fingerprint(kb1), kb_fingerprint(kb2), config_hash(config))
+    return (kb_pair_fingerprint(kb1, kb2), config_hash(config))
 
 
 def current_substrate() -> "PrepareSubstrate | None":

@@ -1,8 +1,8 @@
 """The process-wide substrate cache: LRU of prepare arenas by content key.
 
 One :class:`SubstrateCache` (normally the module singleton behind
-:func:`shared_cache`) maps each ``(kb1 fingerprint, kb2 fingerprint,
-config hash)`` key to its :class:`repro.substrate.PrepareSubstrate`.
+:func:`shared_cache`) maps each ``(KB-pair fingerprint, config hash)``
+key to its :class:`repro.substrate.PrepareSubstrate`.
 Concurrent :class:`repro.service.MatchingService` instances in one
 process therefore converge on one arena per KB pair instead of one per
 session.

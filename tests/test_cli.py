@@ -309,6 +309,56 @@ class TestStoreCommands:
         assert "removed 1" in out
         assert "substrate blob" not in out
 
+    def test_store_with_dataset_keyed_prepared_states_upgrades_cleanly(
+        self, store_path, capsys
+    ):
+        """A store from before content keys drops its old prepared table.
+
+        That ``prepared_states`` table keyed states by dataset name, and
+        post-delta states by ``fp:`` names.  Opening the store drops it:
+        ``cache info`` reports no states, and a service job then stores
+        exactly one row, under its content key.
+        """
+        import sqlite3
+
+        from repro.datasets import load_dataset
+        from repro.service import MatchingService
+        from repro.store.serialize import PREPARED_STATE_VERSION
+        from repro.substrate import substrate_key
+
+        RunStore(store_path).close()
+        legacy = sqlite3.connect(store_path)
+        legacy.executescript(
+            """
+            CREATE TABLE prepared_states (
+                dataset TEXT NOT NULL, seed INTEGER NOT NULL,
+                scale REAL NOT NULL, config_hash TEXT NOT NULL,
+                payload TEXT NOT NULL, created_at TEXT NOT NULL,
+                PRIMARY KEY (dataset, seed, scale, config_hash));
+            INSERT INTO prepared_states VALUES
+                ('iimb', 0, 0.2, 'x', '{}', '2026-01-01'),
+                ('fp:0123456789abcdef', 0, 0.2, 'x', '{}', '2026-01-01');
+            """
+        )
+        legacy.commit()
+        legacy.close()
+
+        assert main(["cache", "info", "--store", store_path]) == 0
+        assert "prepared states: 0" in capsys.readouterr().out
+        tables = sqlite3.connect(store_path)
+        try:
+            assert tables.execute(
+                "SELECT name FROM sqlite_master WHERE name = 'prepared_states'"
+            ).fetchall() == []
+        finally:
+            tables.close()
+        with MatchingService(store_path) as service:
+            service.result(service.submit("iimb", scale=0.2, background=False))
+        bundle = load_dataset("iimb", seed=0, scale=0.2)
+        key = substrate_key(bundle.kb1, bundle.kb2, None)
+        with RunStore(store_path) as store:
+            assert store.list_prepared() == [(*key, PREPARED_STATE_VERSION)]
+
     def test_run_honors_repro_store_env(self, store_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", store_path)
         assert main(["run", "iimb", "--scale", "0.2", "--error-rate", "0"]) == 0

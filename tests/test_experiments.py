@@ -140,7 +140,7 @@ def test_prepared_state_cache_keys_on_content(monkeypatch):
 def test_store_guard_rejects_same_counts_other_content(tmp_path, monkeypatch):
     from repro.datasets import load_dataset
     from repro.experiments import common
-    from repro.substrate import kb_fingerprint
+    from repro.kb.io import kb_to_doc
 
     monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store.db"))
     monkeypatch.setattr(common, "_ENV_STORE", None)
@@ -148,9 +148,11 @@ def test_store_guard_rejects_same_counts_other_content(tmp_path, monkeypatch):
     relabeled = _relabeled(bundle)
     common._PREPARED_CACHE.clear()
     try:
-        common.prepared_state(bundle)  # persisted under (iimb, 0, 0.2, config)
+        common.prepared_state(bundle)  # persisted under the bundle's content key
         common._PREPARED_CACHE.clear()
         state = common.prepared_state(relabeled)
+        stored = len(common._ENV_STORE.list_prepared())
     finally:
         common._ENV_STORE.close()
-    assert kb_fingerprint(state.kb1) == kb_fingerprint(relabeled.kb1)
+    assert kb_to_doc(state.kb1) == kb_to_doc(relabeled.kb1)
+    assert stored == 2  # the relabeled bundle missed and stored its own row

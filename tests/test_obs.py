@@ -2,6 +2,8 @@
 
 import json
 import logging
+import tomllib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -230,7 +232,10 @@ class TestArtifactContract:
             meta = json.loads((dest / "meta.json").read_text())
             assert meta["run_id"] == run_id
             assert meta["dataset"] == "iimb"
-            assert "repro_version" in meta and "accel" not in meta
+            assert "accel" not in meta
+            pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+            project = tomllib.loads(pyproject.read_text())["project"]
+            assert meta["repro_version"] == project["version"]
             ledger = _read_ledger(dest)
             assert ledger["total"] == result.questions_asked
             assert sum(i["questions"] for i in ledger["items"]) == ledger["total"]

@@ -253,7 +253,9 @@ class TestStreamUpdateResume:
 
         path, run_id = self._interrupted_store(evolving, tmp_path, "finished", step=2)
         with RunStore(path) as store:
-            assert not [k for k in store.list_prepared() if k[0].startswith("fp:")]
+            root = store.lineage(run_id)[0]
+            # Only the root's state is stored, under its content key.
+            assert [k[0] for k in store.list_prepared()] == [root.kb_fingerprint]
         resumed, counters = self._resume(path, run_id)
         assert counters["stream.state.replayed"] == 1
         assert resumed == reference[2]

@@ -60,6 +60,35 @@ class TestPreparedCache:
         assert second.retained == first.retained
         assert second.priors == first.priors
 
+    def test_edited_dataset_misses_the_stored_state(self, tmp_path, monkeypatch):
+        """The key holds KB content, so an edited generator is never served
+        the state stored for the old KBs."""
+        from dataclasses import replace
+
+        import repro.service.service as service_module
+        from repro.datasets import load_dataset
+        from repro.kb.io import kb_to_doc
+        from repro.kb.model import LABEL_ATTRIBUTE
+
+        path = str(tmp_path / "store.db")
+        with MatchingService(path) as service:
+            service.prepared("iimb", scale=0.2)
+        bundle = load_dataset("iimb", seed=0, scale=0.2)
+        kb1 = bundle.kb1.copy()
+        entity = min(e for e in kb1.entities if kb1.label(e))
+        label = kb1.label(entity)
+        assert kb1.remove_attribute_triple(entity, LABEL_ATTRIBUTE, label)
+        kb1.add_attribute_triple(entity, LABEL_ATTRIBUTE, label + " rewritten")
+        edited = replace(bundle, kb1=kb1)
+        monkeypatch.setattr(
+            service_module, "load_dataset", lambda name, seed=0, scale=1.0: edited
+        )
+        with MatchingService(path) as service:
+            state = service.prepared("iimb", scale=0.2)
+            assert service.cache_misses == 1
+            assert service.cache_hits == 0
+        assert kb_to_doc(state.kb1) == kb_to_doc(edited.kb1)
+
     def test_concurrent_prepare_deduplicated(self, tmp_path, monkeypatch):
         calls = []
         original = Remp.prepare
@@ -283,10 +312,10 @@ class TestStreamSessions:
                 service.result(run_ids[-1])
                 run_ids.append(service.update(run_ids[-1], delta, background=False))
             warm = [result_to_doc(service.result(run_id)) for run_id in run_ids]
-            stored = {k[0] for k in service.store.list_prepared() if k[0].startswith("fp:")}
+            stored = {k[0] for k in service.store.list_prepared()}
             expected = {
-                f"fp:{service.store.get_run(run_ids[step]).kb_fingerprint}"
-                for step in (4, 8)
+                service.store.get_run(run_ids[step]).kb_fingerprint
+                for step in (0, 4, 8)
             }
         assert stored == expected
         for step, delta in enumerate(evolving.deltas):

@@ -19,6 +19,8 @@ from repro.store import (
     result_from_doc,
     result_to_doc,
 )
+from repro.store.serialize import PREPARED_STATE_VERSION
+from repro.substrate import substrate_key
 
 
 @pytest.fixture(scope="module")
@@ -103,30 +105,48 @@ class TestPreparedStateSerialization:
 
 class TestRunStore:
     def test_prepared_cache_hit_and_miss(self, tmp_path, state):
+        key = substrate_key(state.kb1, state.kb2, None)
         with RunStore(tmp_path / "store.db") as store:
-            assert store.load_prepared("iimb", 0, 0.2, None) is None
-            store.save_prepared("iimb", 0, 0.2, None, state)
-            assert store.has_prepared("iimb", 0, 0.2, None)
-            cached = store.load_prepared("iimb", 0, 0.2, None)
+            assert store.load_prepared(key) is None
+            store.save_prepared(key, state)
+            assert store.list_prepared() == [(*key, PREPARED_STATE_VERSION)]
+            cached = store.load_prepared(key)
             assert cached.retained == state.retained
             assert cached.priors == state.priors
-            # Different key components miss.
-            assert store.load_prepared("iimb", 1, 0.2, None) is None
-            assert store.load_prepared("iimb", 0, 0.4, None) is None
-            assert store.load_prepared("iimb", 0, 0.2, RempConfig(mu=3)) is None
+            # Different key components miss: other KB content, other config.
+            assert store.load_prepared(("0" * 16, key[1])) is None
+            other_config = substrate_key(state.kb1, state.kb2, RempConfig(mu=3))
+            assert store.load_prepared(other_config) is None
 
     def test_prepared_cache_survives_reopen(self, tmp_path, state):
         path = tmp_path / "store.db"
+        key = substrate_key(state.kb1, state.kb2, None)
         with RunStore(path) as store:
-            store.save_prepared("iimb", 0, 0.2, None, state)
+            store.save_prepared(key, state)
         with RunStore(path) as store:
-            assert store.has_prepared("iimb", 0, 0.2, None)
+            assert store.load_prepared(key).retained == state.retained
 
     def test_clear_prepared(self, tmp_path, state):
+        key = substrate_key(state.kb1, state.kb2, None)
         with RunStore(tmp_path / "store.db") as store:
-            store.save_prepared("iimb", 0, 0.2, None, state)
+            store.save_prepared(key, state)
             assert store.clear_prepared() == 1
-            assert not store.has_prepared("iimb", 0, 0.2, None)
+            assert store.load_prepared(key) is None
+            assert store.list_prepared() == []
+
+    def test_prepared_row_of_other_version_is_a_miss(self, tmp_path, state, monkeypatch):
+        """A state stored under another format version reads back as a miss."""
+        import repro.store.serialize as serialize
+
+        key = substrate_key(state.kb1, state.kb2, None)
+        with RunStore(tmp_path / "store.db") as store:
+            monkeypatch.setattr(
+                serialize, "PREPARED_STATE_VERSION", PREPARED_STATE_VERSION + 1
+            )
+            store.save_prepared(key, state)
+            monkeypatch.undo()
+            assert store.list_prepared() == [(*key, PREPARED_STATE_VERSION + 1)]
+            assert store.load_prepared(key) is None
 
     def test_file_store_journals_in_wal_at_full_sync(self, tmp_path):
         """WAL changes how a commit is written, not when it is durable."""

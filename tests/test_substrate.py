@@ -18,14 +18,14 @@ from repro.accel.literals import LiteralScorer
 from repro.accel.reference import RebuildRemp, reference_kernels
 from repro.core import Remp
 from repro.datasets import evolving_bundle
+from repro.kb.io import kb_pair_fingerprint
 from repro.kb.model import KnowledgeBase
 from repro.service import MatchingService
-from repro.store import RunStore
+from repro.store import RunStore, config_hash
 from repro.substrate import (
     PrepareSubstrate,
     SubstrateCache,
     current_substrate,
-    kb_fingerprint,
     substrate_key,
 )
 
@@ -51,17 +51,18 @@ def _tiny_pair():
 
 class TestFingerprints:
     def test_kb_fingerprint_is_content_addressed(self):
-        kb1, _ = _tiny_pair()
-        again, _ = _tiny_pair()
-        assert kb_fingerprint(kb1) == kb_fingerprint(again)
-        again.add_entity("extra", label="something else")
-        assert kb_fingerprint(kb1) != kb_fingerprint(again)
+        kb1, kb2 = _tiny_pair()
+        again1, again2 = _tiny_pair()
+        assert kb_pair_fingerprint(kb1, kb2) == kb_pair_fingerprint(again1, again2)
+        again2.add_entity("extra", label="something else")
+        assert kb_pair_fingerprint(kb1, kb2) != kb_pair_fingerprint(again1, again2)
 
     def test_substrate_key_covers_config(self):
         from repro.core import RempConfig
 
         kb1, kb2 = _tiny_pair()
         base = substrate_key(kb1, kb2, None)
+        assert base == (kb_pair_fingerprint(kb1, kb2), config_hash(None))
         assert base == substrate_key(kb1, kb2, RempConfig())
         assert base != substrate_key(kb1, kb2, RempConfig(k=7))
 
@@ -213,7 +214,7 @@ class TestLeakFixes:
         with _service() as service:
             service.prepared("iimb", scale=0.2)
             assert service._key_locks == {}
-            service.prepared("iimb", scale=0.2)  # cache hit: no lock at all
+            service.prepared("iimb", scale=0.2)  # cache hit: its lock is pruned too
             assert service._key_locks == {}
 
     def test_key_locks_pruned_under_concurrency(self):
