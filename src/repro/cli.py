@@ -250,8 +250,6 @@ def _run_via_service(args: argparse.Namespace, config: RempConfig) -> int:
                 message = exc.args[0] if exc.args else str(exc)
                 print(f"run: cannot resume: {message}", file=sys.stderr)
                 return 1
-            record = service.store.get_run(run_id)
-            dataset, seed, scale = record.dataset, record.seed, record.scale
         else:
             run_id = service.submit(
                 args.dataset,
@@ -264,7 +262,6 @@ def _run_via_service(args: argparse.Namespace, config: RempConfig) -> int:
                 on_event=progress,
                 stream=args.stream,
             )
-            dataset, seed, scale = args.dataset, args.seed, args.scale
         try:
             result = service.result(run_id)
         except PartialResult as exc:
@@ -272,24 +269,12 @@ def _run_via_service(args: argparse.Namespace, config: RempConfig) -> int:
             # as failed with the quarantined shards; show the merged
             # healthy remainder instead of a traceback.
             print(f"run: degraded: {exc}", file=sys.stderr)
-            record = service.store.get_run(run_id)
-            if record is not None and record.streaming:
-                gold = service.stream_truth(run_id)
-            else:
-                gold = load_dataset(dataset, seed=seed, scale=scale).gold_matches
-            _print_run_summary(exc.result, gold, run_id=run_id)
+            _print_run_summary(exc.result, service.truth(run_id), run_id=run_id)
             return 1
         finally:
             if progress is not None:
                 progress.close()
-        record = service.store.get_run(run_id)
-        if record is not None and record.streaming:
-            # Stream runs match an evolved KB pair; fold the lineage's
-            # gold updates instead of reading the base dataset's.
-            gold = service.stream_truth(run_id)
-        else:
-            gold = load_dataset(dataset, seed=seed, scale=scale).gold_matches
-        _print_run_summary(result, gold, run_id=run_id)
+        _print_run_summary(result, service.truth(run_id), run_id=run_id)
     return 0
 
 
@@ -395,7 +380,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
             return 1
         progress.close()
         outcome = service.stream_outcome(run_id)
-        _print_run_summary(result, service.stream_truth(run_id), run_id=run_id)
+        _print_run_summary(result, service.truth(run_id), run_id=run_id)
         if outcome is not None:
             print(
                 f"reused {len(outcome.reused_keys)}/{len(outcome.records)} units, "
@@ -565,7 +550,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
 def _watch_run(store: RunStore, args: argparse.Namespace) -> int:
     """``runs watch RUN_ID``: tail the live event stream of one run.
 
-    Polls the ``run_events`` table (the telemetry bus's durable half) by
+    Polls the ``run_events`` table (which the run's scope writes) by
     sequence number, so it works from a *different process* than the one
     executing the run.  On a TTY the multi-line frame redraws in place;
     on a pipe each changed frame prints once.  Exits when the run
@@ -609,15 +594,18 @@ def _watch_run(store: RunStore, args: argparse.Namespace) -> int:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """``repro top``: every in-flight run of the store, one line each."""
-    from repro.obs.live import render_top
+    from repro.obs.live import RunWatch, render_top
 
     deadline = None if args.duration is None else time.monotonic() + args.duration
+    watches: dict[str, RunWatch] = {}
     with RunStore(_store_path(args)) as store:
         while True:
-            rows = [
-                (record, store.last_run_event(record.run_id))
-                for record in store.active_runs()
-            ]
+            rows = []
+            for record in store.active_runs():
+                watch = watches.get(record.run_id) or RunWatch()
+                watch.feed(store.tail_run_events(record.run_id, watch.last_seq))
+                rows.append((record, watch))
+            watches = {record.run_id: watch for record, watch in rows}
             print(render_top(rows))
             if not args.watch:
                 return 0

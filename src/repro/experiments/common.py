@@ -6,12 +6,10 @@ import os
 from dataclasses import dataclass, field
 
 from repro.core import Remp, RempConfig
-from repro.core.pipeline import PreparedState, RempResult
-from repro.crowd import CrowdPlatform
+from repro.core.pipeline import PreparedState
 from repro.datasets import load_dataset
 from repro.datasets.registry import DISPLAY_NAMES
 from repro.datasets.synthesis import DatasetBundle
-from repro.partition import CrowdSpec, ParallelRunner
 from repro.service.service import PreparedCache
 from repro.store import RunStore
 from repro.substrate import substrate_key
@@ -19,9 +17,9 @@ from repro.substrate import substrate_key
 Pair = tuple[str, str]
 
 #: Error rate of the simulated "real" MTurk workers (≥95% approval).
+#: The crowd is the service's recipe, :class:`repro.partition.CrowdSpec`:
+#: 50 workers, five labels per question.
 REAL_WORKER_ERROR_RATE = 0.05
-#: Redundancy used throughout the paper.
-WORKERS_PER_QUESTION = 5
 
 
 @dataclass(slots=True)
@@ -99,65 +97,6 @@ def prepared_state(bundle: DatasetBundle, config: RempConfig | None = None) -> P
             store.save_prepared(key, state)
     _PREPARED_CACHE.put(key, state)
     return state
-
-
-def real_worker_platform(bundle: DatasetBundle, seed: int = 0) -> CrowdPlatform:
-    """The Table III crowd: high-quality workers, 5 labels per question."""
-    return CrowdPlatform.with_simulated_workers(
-        bundle.gold_matches,
-        num_workers=50,
-        error_rate=REAL_WORKER_ERROR_RATE,
-        workers_per_question=WORKERS_PER_QUESTION,
-        seed=seed,
-    )
-
-
-def error_rate_platform(
-    bundle: DatasetBundle, error_rate: float, seed: int = 0
-) -> CrowdPlatform:
-    """The Figure 3 crowd: fixed error rate, 5 labels per question."""
-    return CrowdPlatform.with_simulated_workers(
-        bundle.gold_matches,
-        num_workers=50,
-        error_rate=error_rate,
-        workers_per_question=WORKERS_PER_QUESTION,
-        seed=seed,
-    )
-
-
-def partitioned_result(
-    bundle: DatasetBundle,
-    *,
-    workers: int = 1,
-    config: RempConfig | None = None,
-    strategy: str = "remp",
-    seed: int = 0,
-    error_rate: float = 0.0,
-    max_shard_size: int | None = None,
-    target_shards: int | None = None,
-    on_event=None,
-) -> RempResult:
-    """Run a bundle through the partition layer (:mod:`repro.partition`).
-
-    Offline work comes from the shared prepared-state cache; the crowd
-    is the service's (oracle at ``error_rate`` 0, else seeded simulated
-    workers, derived per shard).  The merged result is identical for
-    every ``workers`` value — experiments and benchmarks can fan out on
-    all cores without perturbing reported numbers.
-    """
-    state = prepared_state(bundle, config)
-    crowd = CrowdSpec(truth=bundle.gold_matches, error_rate=error_rate, seed=seed)
-    kwargs = {} if target_shards is None else {"target_shards": target_shards}
-    runner = ParallelRunner(
-        config,
-        seed=seed,
-        workers=workers,
-        strategy=strategy,
-        max_shard_size=max_shard_size,
-        on_event=on_event,
-        **kwargs,
-    )
-    return runner.run(state, crowd)
 
 
 def load(dataset: str, seed: int = 0, scale: float = 1.0) -> DatasetBundle:

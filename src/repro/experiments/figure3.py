@@ -14,11 +14,11 @@ from repro.eval import evaluate_matches
 from repro.experiments.common import (
     ExperimentResult,
     display_name,
-    error_rate_platform,
     load,
     percent,
     prepared_state,
 )
+from repro.partition import CrowdSpec
 
 ERROR_RATES = (0.05, 0.15, 0.25)
 
@@ -38,7 +38,7 @@ def run(
         bundle = load(dataset, seed=seed, scale=scale)
         state = prepared_state(bundle)
         for error_rate in error_rates:
-            platform = error_rate_platform(bundle, error_rate, seed=seed)
+            platform = CrowdSpec(bundle.gold_matches, error_rate).build_seeded(seed)
             row = [display_name(dataset), f"{error_rate:.2f}"]
             cells: dict[str, tuple[float, int]] = {}
 

@@ -13,13 +13,14 @@ from repro.core import Remp
 from repro.datasets import DATASET_NAMES
 from repro.eval import evaluate_matches
 from repro.experiments.common import (
+    REAL_WORKER_ERROR_RATE,
     ExperimentResult,
     display_name,
     load,
     percent,
     prepared_state,
-    real_worker_platform,
 )
+from repro.partition import CrowdSpec
 
 
 def run(scale: float = 1.0, seed: int = 0, datasets: tuple[str, ...] = DATASET_NAMES) -> ExperimentResult:
@@ -31,7 +32,7 @@ def run(scale: float = 1.0, seed: int = 0, datasets: tuple[str, ...] = DATASET_N
     for dataset in datasets:
         bundle = load(dataset, seed=seed, scale=scale)
         state = prepared_state(bundle)
-        platform = real_worker_platform(bundle, seed=seed)
+        platform = CrowdSpec(bundle.gold_matches, REAL_WORKER_ERROR_RATE).build_seeded(seed)
         row = [display_name(dataset)]
         cells: dict[str, tuple[float, int]] = {}
 

@@ -14,13 +14,14 @@ from repro.core import Remp
 from repro.datasets import DATASET_NAMES
 from repro.eval import evaluate_matches
 from repro.experiments.common import (
+    REAL_WORKER_ERROR_RATE,
     ExperimentResult,
     display_name,
     load,
     percent,
     prepared_state,
-    real_worker_platform,
 )
+from repro.partition import CrowdSpec
 
 
 def run(
@@ -32,7 +33,7 @@ def run(
     for dataset in datasets:
         bundle = load(dataset, seed=seed, scale=scale)
         state = prepared_state(bundle)
-        platform = real_worker_platform(bundle, seed=seed)
+        platform = CrowdSpec(bundle.gold_matches, REAL_WORKER_ERROR_RATE).build_seeded(seed)
         result = Remp().run(bundle.kb1, bundle.kb2, platform, state=state)
 
         isolated_gold = {

@@ -38,10 +38,7 @@ _EXPORTS = {
     "load_bench_history": "repro.obs.export",
     "prometheus_text": "repro.obs.export",
     "validate_chrome_trace": "repro.obs.export",
-    "BUS": "repro.obs.live",
     "RunWatch": "repro.obs.live",
-    "StoreEventWriter": "repro.obs.live",
-    "TelemetryBus": "repro.obs.live",
     "render_top": "repro.obs.live",
     "get_logger": "repro.obs.logging",
     "MetricsRegistry": "repro.obs.metrics",

@@ -1,133 +1,30 @@
-"""The live telemetry plane: bus, store writer, and watch/top models.
+"""The live telemetry plane: the watch and top models.
 
 Post-hoc observability (:mod:`repro.obs.runtime` + the ``run_obs``
 table) answers "what happened"; this module answers "what is happening
-*right now*":
+*right now*".  Each :class:`~repro.service.MatchingSession`'s run scope
+appends its run's progress events (status transitions, loop
+heartbeats, shard lifecycle events funnelled through the parent, stream
+summaries) to the store's append-only ``run_events`` table
+(:meth:`repro.obs.runtime.RunScope.publish`), so a *second process* can
+tail the run through the shared SQLite file:
 
-* :class:`TelemetryBus` — a process-wide publish/subscribe fan-out.
-  :func:`repro.obs.runtime.publish` stamps the active scope's
-  correlation fields (run_id / shard_id / stream_step) on a progress
-  event and posts it here; subscribers are plain callables.  Publishing
-  never raises into the pipeline — a broken subscriber is detached and
-  logged, results stay byte-identical.
-* :class:`StoreEventWriter` — the bridge from bus to the append-only
-  ``run_events`` store table.  A :class:`~repro.service.MatchingSession`
-  subscribes one per execution path, filtered to its own run id, so a
-  *second process* can tail the run through the shared SQLite file.
 * :class:`RunWatch` — folds a tailed event stream into the per-shard /
   loop / stream progress model behind ``repro runs watch``.
 * :func:`render_top` — the one-line-per-run table behind ``repro top``.
 
-Everything here is write-path-passive: no subscriber ever feeds back
-into pipeline control flow, so the live plane inherits the tracing
-layer's byte-identity guarantee (``REPRO_NO_TRACE`` does not disable
-progress events — they are operational, like counters).
+The live plane is write-path-passive: a failing event write is logged
+and dropped, never raised into the pipeline, and nothing read here
+feeds back into control flow, so it inherits the tracing layer's
+byte-identity guarantee (``REPRO_NO_TRACE`` does not disable progress
+events — they are operational, like counters).
 """
 
 from __future__ import annotations
 
-import threading
-
-from repro.obs.logging import get_logger
-
-log = get_logger("obs.live")
-
 #: Event kinds that mean a shard will do no further work (mirrors
 #: :mod:`repro.partition.progress`).
 SHARD_TERMINAL = ("finished", "restored", "failed", "quarantined")
-
-#: Event field names persisted as dedicated ``run_events`` columns.
-_COLUMN_FIELDS = ("run_id", "ts", "kind", "shard_id", "stream_step")
-
-
-class TelemetryBus:
-    """Process-wide fan-out of live progress events.
-
-    Subscribers are callables receiving one event dict each.  The bus is
-    deliberately dumb: no buffering, no replay — durability is the
-    :class:`StoreEventWriter`'s job.  A subscriber that raises is
-    detached (and the error logged once) rather than allowed to poison
-    the publishing pipeline.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._subscribers: dict[int, callable] = {}
-        self._next_token = 0
-
-    def subscribe(self, callback) -> int:
-        """Register ``callback`` for every future event; returns a token."""
-        with self._lock:
-            token = self._next_token
-            self._next_token += 1
-            self._subscribers[token] = callback
-        return token
-
-    def unsubscribe(self, token: int) -> None:
-        with self._lock:
-            self._subscribers.pop(token, None)
-
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subscribers)
-
-    def publish(self, event: dict) -> None:
-        """Deliver ``event`` to every subscriber; never raises."""
-        with self._lock:
-            subscribers = list(self._subscribers.items())
-        for token, callback in subscribers:
-            try:
-                callback(event)
-            except Exception:
-                log.exception("telemetry subscriber failed; detaching")
-                self.unsubscribe(token)
-
-
-#: The process-wide bus every :class:`~repro.obs.runtime.RunScope`
-#: publishes onto.
-BUS = TelemetryBus()
-
-
-class StoreEventWriter:
-    """Bus subscriber persisting one run's events to ``run_events``.
-
-    Used as a context manager around an execution path::
-
-        with StoreEventWriter(store, run_id):
-            ...  # everything published under this run id lands in SQLite
-
-    Events carrying a different ``run_id`` (another session on the same
-    bus) are ignored.  The writer is thread-safe by delegation — the
-    store serialises access behind its own lock.
-    """
-
-    def __init__(self, store, run_id: str, bus: TelemetryBus | None = None):
-        self._store = store
-        self._run_id = run_id
-        self._bus = bus if bus is not None else BUS
-        self._token: int | None = None
-
-    def __enter__(self) -> "StoreEventWriter":
-        self._token = self._bus.subscribe(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._token is not None:
-            self._bus.unsubscribe(self._token)
-            self._token = None
-
-    def __call__(self, event: dict) -> None:
-        if event.get("run_id") != self._run_id:
-            return
-        payload = {k: v for k, v in event.items() if k not in _COLUMN_FIELDS}
-        self._store.append_run_event(
-            self._run_id,
-            event["kind"],
-            payload,
-            ts=event.get("ts"),
-            shard_id=event.get("shard_id"),
-            stream_step=event.get("stream_step"),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +48,8 @@ class RunWatch:
         #: The finished run's billed questions (``status.done``).
         self.final_questions: int | None = None
         self.events = 0
+        #: The newest event fed in (``None`` before the first).
+        self.last: dict | None = None
 
     # ------------------------------------------------------------------
     def feed(self, events: list[dict]) -> bool:
@@ -159,6 +58,7 @@ class RunWatch:
         for event in events:
             self.last_seq = max(self.last_seq, event.get("seq", 0))
             self.events += 1
+            self.last = event
             changed = True
             kind = event.get("kind", "")
             if kind.startswith("status."):
@@ -259,8 +159,9 @@ class RunWatch:
 def render_top(rows: list[tuple]) -> str:
     """The ``repro top`` table: one line per in-flight run.
 
-    ``rows`` pairs each active :class:`~repro.store.RunRecord` with its
-    latest event dict (or ``None`` when nothing has been published yet).
+    ``rows`` pairs each active :class:`~repro.store.RunRecord` with a
+    :class:`RunWatch` fed that run's events.  The question count is the
+    watch's (summed over shards), or the ledger's before the first event.
     """
     if not rows:
         return "no runs in flight"
@@ -268,7 +169,8 @@ def render_top(rows: list[tuple]) -> str:
         f"{'RUN':<14} {'STATUS':<10} {'DATASET':<18} {'WORKERS':>7} "
         f"{'QUESTIONS':>9}  LAST EVENT"
     ]
-    for record, last in rows:
+    for record, watch in rows:
+        last = watch.last
         if last is None:
             activity = "-"
             questions = record.questions_asked or 0
@@ -276,7 +178,7 @@ def render_top(rows: list[tuple]) -> str:
             activity = last.get("kind", "-")
             if last.get("shard_id") is not None:
                 activity += f" (shard {last['shard_id']})"
-            questions = last.get("questions", record.questions_asked or 0)
+            questions = watch.questions
         lines.append(
             f"{record.run_id[:12]:<14} {record.status:<10} "
             f"{record.dataset[:16]:<18} {record.workers or 1:>7} "
@@ -286,10 +188,7 @@ def render_top(rows: list[tuple]) -> str:
 
 
 __all__ = [
-    "BUS",
     "RunWatch",
     "SHARD_TERMINAL",
-    "StoreEventWriter",
-    "TelemetryBus",
     "render_top",
 ]

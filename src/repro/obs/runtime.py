@@ -14,7 +14,9 @@ no-ops, so library code can instrument unconditionally.
 This replaces the snapshot/diff dance against the global ``TIMINGS``
 singleton: a session persists ``scope.timings`` — only what ran under
 its own activations — so concurrent sessions can no longer contaminate
-each other's profiles.
+each other's profiles.  A scope built with a store also writes its run's
+progress events (:meth:`RunScope.publish`) to that store's
+``run_events`` table, which is what lets another process watch the run.
 """
 
 from __future__ import annotations
@@ -24,9 +26,12 @@ from contextlib import contextmanager
 
 from repro.accel.runtime import KernelTimings, stages_doc
 from repro.obs.context import current_scope, pop_scope, push_scope
+from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SamplingProfiler, profiling_enabled
 from repro.obs.trace import NO_SPAN, Tracer
+
+log = get_logger("obs")
 
 
 class RunScope:
@@ -40,6 +45,7 @@ class RunScope:
         stream_step: int | None = None,
         trace: bool | None = None,
         profile: bool | None = None,
+        store=None,
     ):
         self.run_id = run_id
         self.tracer = Tracer(
@@ -53,6 +59,11 @@ class RunScope:
         # scope built before the gate flips still honours it.
         self._profile = profile
         self.profiler: SamplingProfiler | None = None
+        #: The :class:`repro.store.RunStore` that :meth:`publish` appends
+        #: to (``None``: events are dropped).  Needs a ``run_id``.
+        self._store = store
+        #: Set while :meth:`publish` writes an event.
+        self._writing = False
 
     @property
     def profiling(self) -> bool:
@@ -82,22 +93,39 @@ class RunScope:
 
     # ------------------------------------------------------------------
     def publish(self, kind: str, **fields) -> None:
-        """Post one progress event onto the process-wide telemetry bus.
+        """Append one progress event to the run's ``run_events`` rows.
 
-        The event carries the scope's correlation fields (run_id /
-        shard_id / stream_step) plus ``fields``; a subscribed
-        :class:`~repro.obs.live.StoreEventWriter` persists it so other
-        processes can tail the run.  Progress events are operational —
+        ``shard_id`` and ``stream_step`` — from ``fields`` or the
+        scope's correlation fields — go to their own columns, the other
+        fields to the payload, so another process can tail the run
+        through the shared store.  Progress events are operational —
         like counters, they stay on under ``REPRO_NO_TRACE``.
-        """
-        from repro.obs.live import BUS
 
-        event = {"kind": kind, "ts": time.time()}
-        if self.run_id is not None:
-            event["run_id"] = self.run_id
-        event.update(self.tracer.correlation)
-        event.update(fields)
-        BUS.publish(event)
+        A failing write is logged and dropped; it never raises into the
+        pipeline.  An event published while another is being written (a
+        fault injected into that very write) is dropped too: writing it
+        would recurse.
+        """
+        if self._store is None or self._writing:
+            return
+        payload = {**self.tracer.correlation, **fields}
+        payload.pop("run_id", None)
+        shard_id = payload.pop("shard_id", None)
+        stream_step = payload.pop("stream_step", None)
+        self._writing = True
+        try:
+            self._store.append_run_event(
+                self.run_id,
+                kind,
+                payload,
+                ts=time.time(),
+                shard_id=shard_id,
+                stream_step=stream_step,
+            )
+        except Exception:
+            log.exception("run %s: %s event not written", self.run_id, kind)
+        finally:
+            self._writing = False
 
     # ------------------------------------------------------------------
     def absorb(
@@ -166,7 +194,7 @@ def event(name: str, **fields) -> None:
 
 
 def publish(kind: str, **fields) -> None:
-    """Post a progress event onto the telemetry bus via the active scope."""
+    """Write a progress event through the active scope, if any."""
     scope = current_scope()
     if scope is not None:
         scope.publish(kind, **fields)

@@ -33,7 +33,6 @@ from repro.partition.runner import (
     UnitRecord,
     content_seed,
     merge_shard_results,
-    shard_seed,
     split_budget,
     unit_content_key,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "merge_shard_results",
     "pack_components",
     "partition_state",
-    "shard_seed",
     "split_budget",
     "unit_content_key",
 ]

@@ -87,12 +87,6 @@ class PartialResult(RuntimeError):
         self.quarantined = quarantined
 
 
-def shard_seed(seed: int, shard_id: int) -> int:
-    """Stable 63-bit seed derived from the run seed and a shard id."""
-    key = f"{seed}\x1f{shard_id}".encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") >> 1
-
-
 def unit_content_key(vertices) -> str:
     """Content identity of a shard: a digest of its sorted vertex list.
 
@@ -107,7 +101,11 @@ def unit_content_key(vertices) -> str:
 
 
 def content_seed(seed: int, key: str) -> int:
-    """Stable 63-bit seed derived from the run seed and a content key."""
+    """Stable 63-bit seed derived from the run seed and a key.
+
+    The key is a shard's content key (stream units) or its positional
+    id as a string (partitioned runs).
+    """
     blob = f"{seed}\x1f{key}".encode()
     return int.from_bytes(hashlib.blake2b(blob, digest_size=8).digest(), "big") >> 1
 
@@ -129,7 +127,7 @@ class CrowdSpec:
     workers_per_question: int = 5
 
     def build(self, shard_id: int) -> CrowdPlatform:
-        return self.build_seeded(shard_seed(self.seed, shard_id))
+        return self.build_seeded(content_seed(self.seed, str(shard_id)))
 
     def build_seeded(self, platform_seed: int) -> CrowdPlatform:
         """The platform for a pre-derived platform seed.
@@ -200,7 +198,7 @@ class _ShardTask:
     checkpoint: LoopCheckpoint | None = None
     merged_snapshot: dict | None = None  # isolated shards only
     #: Content-derived seed overrides (stream mode); ``None`` falls back
-    #: to the positional ``shard_seed(seed, shard_id)`` derivation.
+    #: to the positional ``content_seed(seed, str(shard_id))`` derivation.
     remp_seed: int | None = None
     platform_seed: int | None = None
     #: Restrict the slice's candidate set to the shard's entities.
@@ -283,7 +281,7 @@ def _run_shard(
     remp_seed = (
         task.remp_seed
         if task.remp_seed is not None
-        else shard_seed(task.seed, shard.shard_id)
+        else content_seed(task.seed, str(shard.shard_id))
     )
     remp = Remp(task.config, seed=remp_seed)
     platform = (
@@ -480,7 +478,7 @@ class ParallelRunner:
     workers:
         Pool size.  ``1`` executes shards inline in deterministic order —
         the reference semantics every pool size must reproduce.
-    max_shard_size, target_shards, isolated_shards:
+    max_shard_size, target_shards:
         Partition parameters (see :func:`partition_state`).  Independent
         of ``workers`` by design.
     store, run_id:
@@ -512,7 +510,6 @@ class ParallelRunner:
         strategy: str = "remp",
         max_shard_size: int | None = None,
         target_shards: int = DEFAULT_TARGET_SHARDS,
-        isolated_shards: int = 1,
         store=None,
         run_id: str | None = None,
         on_event=None,
@@ -538,7 +535,6 @@ class ParallelRunner:
         self.strategy = strategy
         self.max_shard_size = max_shard_size
         self.target_shards = target_shards
-        self.isolated_shards = isolated_shards
         self._store = store
         self._run_id = run_id
         self._on_event = on_event
@@ -576,7 +572,6 @@ class ParallelRunner:
             state,
             max_shard_size=self.max_shard_size,
             target_shards=self.target_shards,
-            isolated_shards=self.isolated_shards,
         )
 
     def run(self, state: PreparedState, crowd: CrowdSpec) -> RempResult:
@@ -1118,18 +1113,17 @@ class ParallelRunner:
             )
 
     def _emit(self, event: ShardEvent, *, publish: bool = True) -> None:
-        """Count ``event``, publish it on the bus, hand it to ``on_event``.
+        """Count ``event``, publish it as a run event, hand it to ``on_event``.
 
-        ``publish=False`` keeps the event off the telemetry bus, and so
-        out of the store's ``run_events``; the counter and ``on_event``
-        still see it.
+        ``publish=False`` keeps the event out of the store's
+        ``run_events``; the counter and ``on_event`` still see it.
         """
         obs.count(f"partition.shard.{event.kind}")
         if publish:
             # Shard lifecycle heartbeats for the live plane: _emit always
             # runs in the parent (workers funnel through the event
-            # queue), so the session scope is active and its event
-            # writer persists the row with the shard id as a column.
+            # queue), so the session scope is active and writes the row,
+            # with the shard id as a column.
             obs.publish(
                 f"shard.{event.kind}",
                 shard_id=event.shard_id,
@@ -1162,7 +1156,6 @@ __all__ = [
     "UnitRecord",
     "content_seed",
     "merge_shard_results",
-    "shard_seed",
     "split_budget",
     "unit_content_key",
 ]

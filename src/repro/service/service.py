@@ -14,9 +14,13 @@ one :class:`repro.store.RunStore`:
   (:mod:`repro.substrate`), so sessions on the same KB pair share one
   literal-interning arena.
 * Each submitted run becomes a :class:`MatchingSession` with an explicit
-  ``submit / step / status / result`` lifecycle.  Background sessions run
-  on a thread pool; foreground sessions are advanced by calling
-  :meth:`MatchingService.step` one human–machine loop at a time.
+  ``submit / step / status / result`` lifecycle.  ``submit``, ``update``
+  and ``resume`` write the run's ledger row first, and the session is
+  built from that row.  Background sessions run on a thread pool;
+  foreground sessions are advanced by calling
+  :meth:`MatchingService.step` one human–machine loop at a time.  A
+  session's run scope appends its progress events to the store's
+  ``run_events`` table, so another process can watch the run live.
 * Every labeling round checkpoints to the store, so a killed process (or
   a failed session) resumes mid-loop via :meth:`MatchingService.resume`,
   replaying the recorded crowd answers instead of re-asking.
@@ -43,13 +47,11 @@ from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 
-from repro.accel.runtime import stages_doc
 from repro.core import Remp, RempConfig
 from repro.core.pipeline import LoopDriver, PreparedState, RempResult
 from repro.datasets import load_dataset
 from repro.obs import runtime as obs
 from repro.obs.artifacts import run_meta
-from repro.obs.live import StoreEventWriter
 from repro.obs.logging import get_logger
 from repro.partition import CrowdSpec, ParallelRunner, PartialResult
 from repro.store import RunStore, config_hash
@@ -122,65 +124,50 @@ class PreparedCache:
 class MatchingSession:
     """One resumable Remp run with an explicit stepwise lifecycle.
 
-    Sessions are created by :class:`MatchingService` and advanced either
-    by its thread pool (:meth:`run`) or manually (:meth:`step` …
-    :meth:`finalize`).  All mutating methods take the session lock, so a
-    session may be driven from any single thread at a time.
+    A session is its ledger row: ``record`` (a :class:`RunRecord`) fixes
+    the dataset, seed, scale, strategy, error rate, pool size and
+    lineage, and ``config`` is the row's config.  ``inputs(session)``
+    returns the run's ``(state, dirty, reuse, truth)`` — the service's
+    one input path for every mode.  Sessions are created by
+    :class:`MatchingService` and advanced either by its thread pool
+    (:meth:`run`) or manually (:meth:`step` … :meth:`finalize`).  All
+    mutating methods take the session lock, so a session may be driven
+    from any single thread at a time.
     """
 
     def __init__(
         self,
-        run_id: str,
-        *,
-        dataset: str,
-        seed: int,
-        scale: float,
+        record: RunRecord,
         config: RempConfig | None,
-        strategy: str,
-        error_rate: float,
         store: RunStore,
-        prepared_provider,
-        workers: int | None = None,
-        on_event=None,
-        stream: bool = False,
-        parent_run_id: str | None = None,
+        inputs,
+        *,
         delta: KBDelta | None = None,
-        stream_provider=None,
-        stream_step: int | None = None,
+        on_event=None,
     ):
-        self.run_id = run_id
-        self.dataset = dataset
-        self.seed = seed
-        self.scale = scale
+        self.record = record
+        self.run_id = record.run_id
         self.config = config or RempConfig()
-        self.strategy = strategy
-        self.error_rate = error_rate
-        #: Partitioned-run pool size; ``None`` = monolithic stepwise run.
-        self.workers = workers
-        self.on_event = on_event
-        #: Stream (incremental) session: executes unit-wise through
-        #: :class:`repro.stream.StreamRunner` and keeps unit records.
-        self.stream = stream
-        self.parent_run_id = parent_run_id
+        #: A new stream update's delta; ``None`` replays the recorded one.
         self.delta = delta
-        #: Position in the delta lineage (``None`` for non-stream runs).
-        self.stream_step = stream_step
+        self.on_event = on_event
         #: The last stream execution's :class:`repro.stream.StreamOutcome`
         #: (reuse/new-spend accounting); ``None`` until the run finishes.
         self.stream_outcome = None
         self.status = QUEUED
         self.error: str | None = None
         self._store = store
-        self._prepared_provider = prepared_provider
-        self._stream_provider = stream_provider
+        self._inputs = inputs
         self._lock = threading.RLock()
         #: The monolithic run's loop driver, built on first step or finalize.
         self._driver: LoopDriver | None = None
         #: The session's observability scope: every execution path runs
         #: under its activation, so stage timings, spans and metrics are
-        #: attributed to exactly this run — concurrent sessions in the
-        #: same process no longer contaminate each other's profiles.
-        self._scope = obs.RunScope(run_id, stream_step=stream_step)
+        #: attributed to exactly this run, and its progress events are
+        #: appended to this run's ``run_events`` rows.
+        self._scope = obs.RunScope(
+            record.run_id, stream_step=record.stream_step, store=store
+        )
         self._result: RempResult | None = None
 
     # ------------------------------------------------------------------
@@ -197,36 +184,26 @@ class MatchingSession:
     # ------------------------------------------------------------------
     @contextmanager
     def _observed(self):
-        """Lock + scope activation + live-event persistence, together.
-
-        Every execution path runs under this: while it is open, anything
-        published on the telemetry bus under this run id (status
-        transitions, loop heartbeats, shard lifecycle events funnelled
-        through the parent, stream summaries) is appended to the store's
-        ``run_events`` table — which is what lets a *second process*
-        watch the run live (``repro runs watch`` / ``repro top``).
-        """
-        with self._lock, StoreEventWriter(self._store, self.run_id), (
-            self._scope.activate()
-        ):
+        """The session lock plus the scope activation, together."""
+        with self._lock, self._scope.activate():
             yield
 
     def _set_status(self, status: str, **fields) -> None:
-        """Record a lifecycle transition in the ledger and on the bus."""
+        """Record a lifecycle transition in the ledger and the run's events."""
         self.status = status
         self._store.update_run_status(self.run_id, status)
         self._scope.publish(f"status.{status}", **fields)
 
     def _finish(self, result: RempResult, cost_items: list[dict]) -> RempResult:
-        """Record a finished run: ledger row, done event, timings, obs document.
+        """Record a finished run: ledger row, done event, obs document.
 
         ``cost_items`` itemise the billed questions (loop / shard /
         stream-unit scoped) and become the run's cost ledger, summing to
-        the result's ``questions_asked`` exactly.  The timings are the
-        scope's private registry: only stages that ran under this
-        session's activations (plus shard deltas merged back from its
-        own pool workers) — exact attribution, not a diff against the
-        shared process-wide singleton.
+        the result's ``questions_asked`` exactly.  The document's
+        timings are the scope's private registry: only stages that ran
+        under this session's activations (plus shard deltas merged back
+        from its own pool workers) — exact attribution, not a diff
+        against the shared process-wide singleton.
         """
         self._result = result
         self.status = DONE
@@ -235,9 +212,6 @@ class MatchingSession:
             "status.done",
             questions=result.questions_asked,
             matches=len(result.matches),
-        )
-        self._store.save_run_timings(
-            self.run_id, {"stages": stages_doc(self._scope.timings.snapshot())}
         )
         record = self._store.get_run(self.run_id)
         doc = self._scope.export()
@@ -265,22 +239,33 @@ class MatchingSession:
         return result
 
     # ------------------------------------------------------------------
+    def _start(self) -> tuple:
+        """Fetch the run's inputs and build its crowd: every mode starts here.
+
+        Returns ``(state, dirty, reuse, crowd)``; the run is ``preparing``
+        while the inputs are fetched and ``running`` afterwards.
+        """
+        self._set_status(PREPARING)
+        state, dirty, reuse, truth = self._inputs(self)
+        crowd = CrowdSpec(
+            truth=truth, error_rate=self.record.error_rate, seed=self.record.seed
+        )
+        self._set_status(RUNNING)
+        return state, dirty, reuse, crowd
+
     def _ensure_started(self) -> None:
-        """Prepare (through the cache), build the crowd, load any checkpoint."""
+        """Start the run and build its loop driver from any checkpoint."""
         if self._driver is not None:
             return
-        self._set_status(PREPARING)
-        state: PreparedState = self._prepared_provider(
-            self.dataset, self.seed, self.scale, self.config
-        )
-        bundle = load_dataset(self.dataset, seed=self.seed, scale=self.scale)
-        crowd = CrowdSpec(
-            truth=bundle.gold_matches, error_rate=self.error_rate, seed=self.seed
-        )
+        state, _, _, crowd = self._start()
+        seed = self.record.seed
         checkpoint = self._store.load_checkpoint(self.run_id)
-        remp = Remp(self.config, seed=self.seed)
         self._driver = LoopDriver(
-            remp, state, crowd.build_seeded(self.seed), self.strategy, checkpoint
+            Remp(self.config, seed=seed),
+            state,
+            crowd.build_seeded(seed),
+            self.record.strategy,
+            checkpoint,
         )
         if checkpoint is not None:
             obs.event(
@@ -294,7 +279,6 @@ class MatchingSession:
                 checkpoint.next_loop_index,
                 checkpoint.questions_asked,
             )
-        self._set_status(RUNNING)
 
     def step(self) -> bool:
         """Advance one human–machine loop and checkpoint it.
@@ -302,12 +286,12 @@ class MatchingSession:
         Returns ``False`` once the loop has converged (or already
         finished); call :meth:`finalize` afterwards for the result.
         """
-        if self.stream:
+        if self.record.streaming:
             raise ValueError(
                 "stream sessions advance whole units, not loops; "
                 "use run()/result() instead of step()"
             )
-        if self.workers is not None:
+        if self.record.partitioned:
             raise ValueError(
                 "partitioned sessions advance whole shards, not loops; "
                 "use run()/result() instead of step()"
@@ -332,13 +316,13 @@ class MatchingSession:
         """Final propagation, isolated-pair classification, ledger write."""
         # The mode dispatch.  A monolithic run is not executed as a
         # one-shard plan: shards seed their crowd and classifier with
-        # shard_seed(seed, shard_id), which would change every monolithic
-        # output (among them the seed-0 outputs perfbench pins: 181
-        # questions, F1 0.9581 on clustered-loop); shards have no
-        # per-loop step(); and shard checkpoints live in another table.
-        if self.stream:
+        # content_seed(seed, str(shard_id)), which would change every
+        # monolithic output (among them the seed-0 outputs perfbench
+        # pins: 181 questions, F1 0.9581 on clustered-loop); shards have
+        # no per-loop step(); and shard checkpoints live in another table.
+        if self.record.streaming:
             return self._run_stream()
-        if self.workers is not None:
+        if self.record.partitioned:
             return self._run_partitioned()
         with self._observed():
             if self._result is not None:
@@ -349,44 +333,26 @@ class MatchingSession:
     def run(self) -> RempResult:
         """Drive the session to completion (the thread-pool entry point)."""
         try:
-            if not self.stream and self.workers is None:
+            if not self.record.streaming and not self.record.partitioned:
                 while self.step():
                     pass
             return self.finalize()
-        except PartialResult as exc:
-            # Graceful degradation: the run failed, but structured — the
-            # error names the quarantined shards and the merged healthy
-            # result stays reachable on the exception itself.
-            ids = [entry["shard_id"] for entry in exc.quarantined]
-            with self._lock:
-                self.status = FAILED
-                self.error = f"PartialResult: {exc}"
-                self._store.fail_run(self.run_id, traceback.format_exc())
-                with StoreEventWriter(self._store, self.run_id):
-                    self._scope.publish(
-                        "status.failed",
-                        error=self.error,
-                        quarantined=ids,
-                        partial_matches=len(exc.result.matches),
-                        partial_questions=exc.result.questions_asked,
-                    )
-            log.error(
-                "run %s degraded: shards %s quarantined (%d healthy matches kept)",
-                self.run_id,
-                ids,
-                len(exc.result.matches),
-            )
-            raise
         except Exception as exc:
+            fields = {}
+            if isinstance(exc, PartialResult):
+                # Graceful degradation: the run failed, but structured —
+                # the event names the quarantined shards, and the merged
+                # healthy result stays reachable on the exception itself.
+                fields = {
+                    "quarantined": [entry["shard_id"] for entry in exc.quarantined],
+                    "partial_matches": len(exc.result.matches),
+                    "partial_questions": exc.result.questions_asked,
+                }
             with self._lock:
                 self.status = FAILED
                 self.error = f"{type(exc).__name__}: {exc}"
                 self._store.fail_run(self.run_id, traceback.format_exc())
-                # The execution path's event writer unwound with the
-                # exception; a short-lived one records the terminal
-                # transition so watchers see the failure, not a stall.
-                with StoreEventWriter(self._store, self.run_id):
-                    self._scope.publish("status.failed", error=self.error)
+                self._scope.publish("status.failed", error=self.error, **fields)
             log.error("run %s failed: %s", self.run_id, self.error)
             raise
 
@@ -406,24 +372,16 @@ class MatchingSession:
         with self._observed():
             if self._result is not None:
                 return self._result
-            self._set_status(PREPARING)
-            state: PreparedState = self._prepared_provider(
-                self.dataset, self.seed, self.scale, self.config
-            )
-            bundle = load_dataset(self.dataset, seed=self.seed, scale=self.scale)
-            crowd = CrowdSpec(
-                truth=bundle.gold_matches, error_rate=self.error_rate, seed=self.seed
-            )
+            state, _, _, crowd = self._start()
             runner = ParallelRunner(
                 self.config,
-                seed=self.seed,
-                workers=self.workers,
-                strategy=self.strategy,
+                seed=self.record.seed,
+                workers=self.record.workers,
+                strategy=self.record.strategy,
                 store=self._store,
                 run_id=self.run_id,
                 on_event=self.on_event,
             )
-            self._set_status(RUNNING)
             result = runner.run(state, crowd)
             # Shard billing is additive over disjoint pair sets, so the
             # per-shard items sum to the merged question count exactly.
@@ -432,31 +390,26 @@ class MatchingSession:
     def _run_stream(self) -> RempResult:
         """Execute (or incrementally update) unit-wise via the stream runner.
 
-        The stream provider hands back the prepared state, the dirty
-        pair set and the parent's unit records; clean units restore from
-        those records, dirty ones execute with per-unit checkpoints
-        under ``(run_id, shard_id)`` — so an interrupted update resumes
-        without re-asking a question.  Unit records persist past
-        ``finish_run``: they are what the *next* update reuses.
+        An update's inputs carry the dirty pair set and the parent's
+        unit records; clean units restore from those records, dirty ones
+        execute with per-unit checkpoints under ``(run_id, shard_id)`` —
+        so an interrupted update resumes without re-asking a question.
+        Unit records persist past ``finish_run``: they are what the
+        *next* update reuses.
         """
         with self._observed():
             if self._result is not None:
                 return self._result
-            self._set_status(PREPARING)
-            state, dirty, reuse, truth = self._stream_provider(self)
-            crowd = CrowdSpec(
-                truth=truth, error_rate=self.error_rate, seed=self.seed
-            )
+            state, dirty, reuse, crowd = self._start()
             runner = StreamRunner(
                 self.config,
-                seed=self.seed,
-                workers=self.workers or 1,
-                strategy=self.strategy,
+                seed=self.record.seed,
+                workers=self.record.workers or 1,
+                strategy=self.record.strategy,
                 store=self._store,
                 run_id=self.run_id,
                 on_event=self.on_event,
             )
-            self._set_status(RUNNING)
             outcome = runner.run_incremental(state, crowd, dirty=dirty, reuse=reuse)
             self._store.replace_unit_records(
                 self.run_id,
@@ -668,37 +621,7 @@ class MatchingService:
             workers=workers,
             stream_step=0 if stream else None,
         )
-        session = MatchingSession(
-            run_id,
-            dataset=dataset,
-            seed=seed,
-            scale=scale,
-            config=config,
-            strategy=strategy,
-            error_rate=error_rate,
-            store=self._store,
-            prepared_provider=self.prepared,
-            workers=workers,
-            on_event=on_event,
-            stream=stream,
-            stream_provider=self._stream_inputs,
-            stream_step=0 if stream else None,
-        )
-        log.info(
-            "submit run %s: dataset=%s seed=%d scale=%s workers=%s stream=%s",
-            run_id,
-            dataset,
-            seed,
-            scale,
-            workers,
-            stream,
-        )
-        with self._lock:
-            self._sessions[run_id] = session
-        if background:
-            with self._lock:
-                self._futures[run_id] = self._executor.submit(session.run)
-        return run_id
+        return self._open(run_id, background=background, on_event=on_event)
 
     def update(
         self,
@@ -748,12 +671,11 @@ class MatchingService:
                 f"{delta.parent_fingerprint}, but run {run_id!r} matched "
                 f"fingerprint {record.kb_fingerprint}"
             )
-        config = self._store.get_run_config(run_id)
         new_run_id = self._store.create_run(
             record.dataset,
             record.seed,
             record.scale,
-            config,
+            self._store.get_run_config(run_id),
             strategy=record.strategy,
             error_rate=record.error_rate,
             workers=workers,
@@ -761,35 +683,9 @@ class MatchingService:
             delta_json=json.dumps(delta.to_doc(), sort_keys=True),
             stream_step=(record.stream_step or 0) + 1,
         )
-        session = MatchingSession(
-            new_run_id,
-            dataset=record.dataset,
-            seed=record.seed,
-            scale=record.scale,
-            config=config,
-            strategy=record.strategy,
-            error_rate=record.error_rate,
-            store=self._store,
-            prepared_provider=self.prepared,
-            workers=workers,
-            on_event=on_event,
-            stream=True,
-            parent_run_id=run_id,
-            delta=delta,
-            stream_provider=self._stream_inputs,
-            stream_step=(record.stream_step or 0) + 1,
+        return self._open(
+            new_run_id, background=background, on_event=on_event, delta=delta
         )
-        log.info(
-            "update run %s -> %s (stream step %d)",
-            run_id,
-            new_run_id,
-            (record.stream_step or 0) + 1,
-        )
-        with self._lock:
-            self._sessions[new_run_id] = session
-            if background:
-                self._futures[new_run_id] = self._executor.submit(session.run)
-        return new_run_id
 
     def resume(
         self,
@@ -831,25 +727,30 @@ class MatchingService:
             # Persist the override: later resumes must keep treating the
             # run as partitioned and reuse its shard checkpoints.
             self._store.set_run_workers(run_id, workers)
-        config = self._store.get_run_config(run_id)
+        return self._open(run_id, background=background, on_event=on_event)
+
+    def _open(
+        self,
+        run_id: str,
+        *,
+        background: bool,
+        on_event,
+        delta: KBDelta | None = None,
+    ) -> str:
+        """Build a ledger run's session, register it, maybe schedule it.
+
+        The session reads everything but ``delta`` and ``on_event`` from
+        the run's ledger row and config, so the three lifecycle verbs
+        write the ledger first and then all come through here.
+        """
         session = MatchingSession(
-            run_id,
-            dataset=record.dataset,
-            seed=record.seed,
-            scale=record.scale,
-            config=config,
-            strategy=record.strategy,
-            error_rate=record.error_rate,
-            store=self._store,
-            prepared_provider=self.prepared,
-            workers=workers if workers is not None else record.workers,
+            self._store.get_run(run_id),
+            self._store.get_run_config(run_id),
+            self._store,
+            self._inputs,
+            delta=delta,
             on_event=on_event,
-            stream=record.streaming,
-            parent_run_id=record.parent_run_id,
-            stream_provider=self._stream_inputs,
-            stream_step=record.stream_step,
         )
-        log.info("resume run %s (status was %s)", run_id, record.status)
         with self._lock:
             self._sessions[run_id] = session
             if background:
@@ -940,47 +841,49 @@ class MatchingService:
             raise ValueError(f"stream run {run_id!r} has no recorded delta")
         return KBDelta.from_doc(json.loads(delta_json))
 
-    def _stream_inputs(self, session: MatchingSession):
-        """(state, dirty, reuse, truth) for a stream session.
+    def _inputs(self, session: MatchingSession) -> tuple:
+        """``(state, dirty, reuse, truth)``: every session's one input path.
 
-        Pure given the ledger: a resumed update recomputes the same
-        state, dirty set and reuse records the interrupted run saw.
+        A run without a parent gets its dataset's prepared state and
+        gold, with no dirty set and nothing to reuse.  A stream update
+        splices its delta into its parent's state and reuses the
+        parent's unit records.  Either way the ledger records the
+        KB-pair fingerprint the run matched.  Pure given the ledger: a
+        resumed run recomputes the inputs the interrupted one saw.
         """
-        config = session.config
-        if session.parent_run_id is None:
+        record = session.record
+        if record.parent_run_id is None:
             state = self.prepared(
-                session.dataset, session.seed, session.scale, config
+                record.dataset, record.seed, record.scale, session.config
             )
-            self._store.set_run_fingerprint(session.run_id, state.substrate_key[0])
-            bundle = load_dataset(
-                session.dataset, seed=session.seed, scale=session.scale
-            )
-            return state, None, None, set(bundle.gold_matches)
+            self._store.set_run_fingerprint(record.run_id, state.substrate_key[0])
+            return state, None, None, self.truth(record.run_id)
 
-        parent = self._store.get_run(session.parent_run_id)
+        parent = self._store.get_run(record.parent_run_id)
         if parent is None:
-            raise KeyError(f"unknown parent run {session.parent_run_id!r}")
+            raise KeyError(f"unknown parent run {record.parent_run_id!r}")
         parent_state = self._stream_state_for(parent)
         # A resumed session replays the recorded delta.
         delta = session.delta
         if delta is None:
-            delta = self._recorded_delta(session.run_id)
-        prepared = self._splice(parent_state, delta, config)
-        self._store.set_run_fingerprint(session.run_id, prepared.fingerprint)
-        self._keep_stream_state(session.stream_step, prepared.state)
+            delta = self._recorded_delta(record.run_id)
+        prepared = self._splice(parent_state, delta, session.config)
+        self._store.set_run_fingerprint(record.run_id, prepared.fingerprint)
+        self._keep_stream_state(record.stream_step, prepared.state)
         reuse = {
             key: unit_record_from_doc(doc)
             for key, doc in self._store.load_unit_record_docs(
-                session.parent_run_id
+                record.parent_run_id
             ).items()
         }
-        return prepared.state, prepared.changed, reuse, self.stream_truth(session.run_id)
+        return prepared.state, prepared.changed, reuse, self.truth(record.run_id)
 
-    def stream_truth(self, run_id: str) -> set:
-        """The simulation gold standard of a stream run's KB pair.
+    def truth(self, run_id: str) -> set:
+        """The simulation gold standard of a run's KB pair.
 
-        The root's dataset gold, folded through every delta's
-        ``gold_add``/``gold_remove`` along the lineage.
+        The lineage root's dataset gold, folded through every later
+        delta's ``gold_add``/``gold_remove``.  A run without a parent is
+        its own root, so it gets its dataset's gold.
         """
         chain = self._store.lineage(run_id)
         if not chain:

@@ -102,11 +102,6 @@ CREATE TABLE IF NOT EXISTS stream_units (
     updated_at TEXT NOT NULL,
     PRIMARY KEY (run_id, unit_key)
 );
-CREATE TABLE IF NOT EXISTS run_timings (
-    run_id     TEXT PRIMARY KEY,
-    payload    TEXT NOT NULL,
-    updated_at TEXT NOT NULL
-);
 CREATE TABLE IF NOT EXISTS run_obs (
     run_id     TEXT PRIMARY KEY,
     payload    TEXT NOT NULL,
@@ -132,7 +127,9 @@ CREATE INDEX IF NOT EXISTS run_events_by_run ON run_events (run_id, seq);
 #: The first DROP removes a table of cached dominance matrices nothing
 #: read.  The second removes the prepared-state cache keyed by dataset
 #: name (its ``fp:`` rows held post-delta states): it is only a cache,
-#: and every stream lineage can be rebuilt from its root.
+#: and every stream lineage can be rebuilt from its root.  Older stores
+#: also keep a ``run_timings`` table nothing reads any more: a run's
+#: stage timings live in its ``run_obs`` document.
 _MIGRATIONS = (
     "ALTER TABLE runs ADD COLUMN workers INTEGER",
     "ALTER TABLE runs ADD COLUMN parent_run_id TEXT",
@@ -711,31 +708,6 @@ class RunStore:
         )
 
     # ------------------------------------------------------------------
-    # Kernel / stage timing profiles (repro.accel)
-    # ------------------------------------------------------------------
-    def save_run_timings(self, run_id: str, timings: dict) -> None:
-        """Persist a run's stage/kernel timing profile (JSON document)."""
-
-        def op(conn):
-            conn.execute(
-                "INSERT INTO run_timings (run_id, payload, updated_at)"
-                " VALUES (?, ?, ?)"
-                " ON CONFLICT(run_id) DO UPDATE SET"
-                " payload = excluded.payload, updated_at = excluded.updated_at",
-                (run_id, json.dumps(timings, sort_keys=True), _now()),
-            )
-
-        self._write("save_run_timings", op)
-
-    def load_run_timings(self, run_id: str) -> dict | None:
-        """The timing profile saved for a run, or ``None``."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT payload FROM run_timings WHERE run_id = ?", (run_id,)
-            ).fetchone()
-        return None if row is None else json.loads(row["payload"])
-
-    # ------------------------------------------------------------------
     # Observability documents (repro.obs): trace + metrics + cost ledger
     # ------------------------------------------------------------------
     def save_run_obs(self, run_id: str, doc: dict) -> None:
@@ -765,13 +737,23 @@ class RunStore:
             ).fetchone()
         return None if row is None else json.loads(row["payload"])
 
+    def load_run_timings(self, run_id: str) -> dict | None:
+        """A run's stage timings as ``{"stages": ...}``, or ``None``.
+
+        The stages are the ``timings`` section of the run's
+        observability document.
+        """
+        doc = self.load_run_obs(run_id)
+        return None if doc is None else {"stages": doc.get("timings", {})}
+
     # ------------------------------------------------------------------
     # Live telemetry events (repro.obs.live): append-only, tailable
     # ------------------------------------------------------------------
-    # The ``run_events`` table is the cross-process half of the telemetry
-    # bus: sessions append progress/heartbeat rows while they run, and a
-    # *second* process tails them by sequence number (``repro runs watch``,
-    # ``repro top``).  Stores created before this release upgrade on open
+    # The ``run_events`` table is the cross-process half of the live
+    # plane: each session's run scope appends progress/heartbeat rows
+    # while it runs, and a *second* process tails them by sequence
+    # number (``repro runs watch``, ``repro top``).  Stores created
+    # before this release upgrade on open
     # — ``_SCHEMA`` runs every time, so the table appears without an
     # explicit ALTER migration.
 

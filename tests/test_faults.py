@@ -19,7 +19,6 @@ from repro.core import RempConfig
 from repro.core.pipeline import LoopCheckpoint, RempResult
 from repro.crowd import CrowdPlatform, CrowdRetryPolicy, CrowdUnavailableError, Oracle
 from repro.obs import RunScope
-from repro.obs.live import BUS
 from repro.partition import CrowdSpec, ParallelRunner, PartialResult
 from repro.store import RunStore
 from repro.store.serialize import result_to_doc
@@ -172,21 +171,18 @@ class TestProbeRuntime:
         monkeypatch.delenv(faults.ENV_VAR)
         assert faults.current_plan() is None
 
-    def test_injection_publishes_bus_event(self):
-        seen = []
-        token = BUS.subscribe(seen.append)
-        try:
+    def test_injection_writes_run_event(self, tmp_path):
+        with RunStore(tmp_path / "runs.db") as store:
+            run_id = store.create_run("iimb", 0, 0.2, None)
             plan = faults.FaultPlan([faults.FaultRule("worker.mid_shard")])
-            with RunScope("run-bus").activate(), faults.activate(plan):
+            with RunScope(run_id, store=store).activate(), faults.activate(plan):
                 with pytest.raises(faults.InjectedFault):
                     faults.check("worker.mid_shard", shard_id=7)
-        finally:
-            BUS.unsubscribe(token)
-        kinds = [event["kind"] for event in seen]
-        assert "fault.injected" in kinds
-        event = seen[kinds.index("fault.injected")]
+            (event,) = store.tail_run_events(run_id)
+        assert event["kind"] == "fault.injected"
         assert event["site"] == "worker.mid_shard"
         assert event["action"] == "error"
+        assert event["shard_id"] == 7
 
 
 # ----------------------------------------------------------------------
@@ -237,8 +233,8 @@ class TestStoreFaults:
         scope = RunScope("run-s")
         with RunStore(tmp_path / "runs.db") as store:
             with scope.activate(), faults.activate(plan):
-                store.save_run_timings("r", {"stage": 1.0})
-            assert store.load_run_timings("r") == {"stage": 1.0}
+                store.save_run_obs("r", {"timings": {"stage": 1.0}})
+            assert store.load_run_obs("r") == {"timings": {"stage": 1.0}}
         assert plan.fired() == 1
         assert scope.metrics.counter("store.write.retry") == 1
 
@@ -248,8 +244,8 @@ class TestStoreFaults:
         with RunStore(tmp_path / "runs.db") as store:
             with faults.activate(plan):
                 with pytest.raises(faults.InjectedFault):
-                    store.save_run_timings("r", {"stage": 1.0})
-            assert store.load_run_timings("r") is None
+                    store.save_run_obs("r", {"timings": {"stage": 1.0}})
+            assert store.load_run_obs("r") is None
         assert plan.fired() == 2  # initial attempt + one retry
 
     def test_locked_error_is_transient_other_errors_are_not(self, tmp_path):

@@ -1,57 +1,29 @@
-"""Live telemetry plane: bus, run_events store, watch/top, CLI tailing."""
+"""Live telemetry plane: scope-written run_events, watch/top, CLI tailing."""
 
 import json
 import threading
 
 import pytest
 
+from repro import faults
 from repro.cli import main
-from repro.obs.live import (
-    BUS,
-    RunWatch,
-    StoreEventWriter,
-    TelemetryBus,
-    render_top,
-)
+from repro.obs import RunScope
+from repro.obs.live import RunWatch, render_top
 from repro.service import MatchingService
 from repro.store import RunStore
 from repro.store.serialize import result_to_doc
 
 
-class TestTelemetryBus:
-    def test_publish_fans_out_to_subscribers(self):
-        bus = TelemetryBus()
-        seen, also = [], []
-        bus.subscribe(seen.append)
-        token = bus.subscribe(also.append)
-        bus.publish({"kind": "x"})
-        bus.unsubscribe(token)
-        bus.publish({"kind": "y"})
-        assert [e["kind"] for e in seen] == ["x", "y"]
-        assert [e["kind"] for e in also] == ["x"]
-
-    def test_failing_subscriber_is_detached_not_raised(self):
-        bus = TelemetryBus()
-        healthy = []
-
-        def broken(event):
-            raise RuntimeError("boom")
-
-        bus.subscribe(broken)
-        bus.subscribe(healthy.append)
-        bus.publish({"kind": "a"})  # must not raise
-        assert bus.subscriber_count() == 1
-        bus.publish({"kind": "b"})
-        assert [e["kind"] for e in healthy] == ["a", "b"]
-
-    def test_module_bus_is_shared(self):
-        seen = []
-        token = BUS.subscribe(seen.append)
-        try:
-            BUS.publish({"kind": "shared"})
-        finally:
-            BUS.unsubscribe(token)
-        assert seen and seen[0]["kind"] == "shared"
+def _fail_event_writes(monkeypatch, times=None):
+    """A plan failing ``append_run_event`` writes, with no write retries."""
+    monkeypatch.setenv("REPRO_STORE_WRITE_RETRIES", "0")
+    return faults.FaultPlan(
+        [
+            faults.FaultRule(
+                "store.write", where={"op": "append_run_event"}, times=times
+            )
+        ]
+    )
 
 
 class TestRunEventsStore:
@@ -85,41 +57,47 @@ class TestRunEventsStore:
         store.close()
 
 
-class TestStoreEventWriter:
-    def test_writes_only_its_run_and_unsubscribes(self, tmp_path):
+class TestScopeEvents:
+    def test_scope_writes_only_its_own_run(self, tmp_path):
         store = RunStore(tmp_path / "s.db")
         run_id = store.create_run("iimb", 0, 0.2, None)
-        bus = TelemetryBus()
-        with StoreEventWriter(store, run_id, bus=bus):
-            bus.publish({"kind": "status.running", "run_id": run_id, "ts": 1.0})
-            bus.publish({"kind": "status.running", "run_id": "other", "ts": 2.0})
-        bus.publish({"kind": "status.done", "run_id": run_id, "ts": 3.0})
+        other = store.create_run("iimb", 1, 0.2, None)
+        RunScope(run_id, store=store).publish("status.running")
+        RunScope(other, store=store).publish("status.done")
+        RunScope(run_id).publish("status.failed")  # no store: dropped
         events = store.tail_run_events(run_id)
         assert [e["kind"] for e in events] == ["status.running"]
-        assert events[0]["ts"] == 1.0
-        assert bus.subscriber_count() == 0
+        assert events[0]["ts"] > 0
+        assert [e["kind"] for e in store.tail_run_events(other)] == ["status.done"]
         store.close()
 
     def test_column_fields_split_from_payload(self, tmp_path):
         store = RunStore(tmp_path / "s.db")
         run_id = store.create_run("iimb", 0, 0.2, None)
-        bus = TelemetryBus()
-        with StoreEventWriter(store, run_id, bus=bus):
-            bus.publish(
-                {
-                    "kind": "shard.checkpointed",
-                    "run_id": run_id,
-                    "ts": 5.0,
-                    "shard_id": 2,
-                    "stream_step": 1,
-                    "loops": 4,
-                }
-            )
+        scope = RunScope(run_id, shard_id=2, stream_step=1, store=store)
+        scope.publish("shard.checkpointed", loops=4)
         (event,) = store.tail_run_events(run_id)
         assert event["shard_id"] == 2
         assert event["stream_step"] == 1
         assert event["loops"] == 4
         assert "run_id" not in event  # implied by the query
+        store.close()
+
+    def test_failing_write_is_dropped_not_raised(self, tmp_path, monkeypatch):
+        plan = _fail_event_writes(monkeypatch, times=1)
+        store = RunStore(tmp_path / "s.db")
+        run_id = store.create_run("iimb", 0, 0.2, None)
+        scope = RunScope(run_id, store=store)
+        with scope.activate(), faults.activate(plan):
+            scope.publish("status.preparing")  # must not raise
+            scope.publish("status.running")
+        assert plan.fired() == 1
+        # The fault's own event, raised inside the failing write, is
+        # dropped too; the next event lands.
+        assert [e["kind"] for e in store.tail_run_events(run_id)] == [
+            "status.running"
+        ]
+        assert scope.metrics.counter("fault.injected") == 1
         store.close()
 
 
@@ -184,9 +162,12 @@ class TestRunWatch:
         run_id = store.create_run("iimb", 0, 0.2, None)
         record = store.get_run(run_id)
         assert render_top([]) == "no runs in flight"
-        table = render_top(
-            [(record, {"kind": "shard.checkpointed", "shard_id": 1, "questions": 7})]
+        watch = RunWatch()
+        assert "  -" in render_top([(record, watch)])
+        self._feed(
+            watch, [{"kind": "shard.checkpointed", "shard_id": 1, "questions": 7}]
         )
+        table = render_top([(record, watch)])
         assert run_id[:12] in table
         assert "shard.checkpointed (shard 1)" in table
         assert " 7 " in table
@@ -380,6 +361,25 @@ class TestWatchAndTopCLI:
         assert done[:12] not in out
         assert "shard.checkpointed (shard 0)" in out
 
+    def test_top_sums_shard_questions(self, tmp_path, monkeypatch, capsys):
+        """The count is the run's, not the last shard event's."""
+        path = tmp_path / "s.db"
+        monkeypatch.setenv("REPRO_STORE", str(path))
+        with RunStore(path) as store:
+            live = store.create_run("iimb", 0, 0.2, None, workers=3)
+            store.update_run_status(live, "running")
+            for shard_id, questions in ((0, 3), (1, 4)):
+                store.append_run_event(
+                    live, "shard.checkpointed", {"questions": questions},
+                    shard_id=shard_id,
+                )
+            store.append_run_event(live, "shard.started", shard_id=2)
+        assert main(["top"]) == 0
+        (row,) = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith(live[:12])]
+        assert row.split()[4] == "7"
+        assert row.endswith("shard.started (shard 2)")
+
     def test_top_empty_store(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "s.db"))
         assert main(["top"]) == 0
@@ -387,24 +387,26 @@ class TestWatchAndTopCLI:
 
 
 class TestProgressEventsAreWritePathPassive:
-    def test_partitioned_result_identical_with_busy_bus(self, tmp_path):
-        """A live subscriber on the bus never perturbs the result."""
+    def test_failing_event_writes_keep_result(
+        self, tmp_path, monkeypatch
+    ):
+        """Event writes that all fail never perturb the result."""
 
         def run(path):
             with MatchingService(RunStore(path)) as service:
                 run_id = service.submit(
                     "iimb", scale=0.2, workers=2, background=False
                 )
-                return service.result(run_id)
+                return service.result(run_id), service.store.count_run_events(
+                    run_id
+                )
 
-        quiet = run(tmp_path / "quiet.db")
-        seen = []
-        token = BUS.subscribe(seen.append)
-        try:
-            noisy = run(tmp_path / "noisy.db")
-        finally:
-            BUS.unsubscribe(token)
-        assert seen  # the subscriber really observed the run
+        quiet, written = run(tmp_path / "quiet.db")
+        plan = _fail_event_writes(monkeypatch)
+        with faults.activate(plan):
+            noisy, dropped = run(tmp_path / "noisy.db")
+        assert written and dropped == 0
+        assert plan.fired() >= written  # every event write really failed
         assert json.dumps(result_to_doc(noisy), sort_keys=True) == json.dumps(
             result_to_doc(quiet), sort_keys=True
         )

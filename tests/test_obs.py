@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel.runtime import TIMINGS
+from repro.datasets import load_dataset
+from repro.kb.io import kb_pair_fingerprint
 from repro.obs import (
     ARTIFACT_FILES,
     MetricsRegistry,
@@ -222,6 +224,11 @@ def _read_ledger(dest):
     return json.loads((dest / "cost_ledger.json").read_text())
 
 
+def _iimb_fingerprint():
+    bundle = load_dataset("iimb", scale=0.2)
+    return kb_pair_fingerprint(bundle.kb1, bundle.kb2)
+
+
 class TestArtifactContract:
     def test_plain_run_exports_full_contract(self, tmp_path):
         with MatchingService(RunStore(tmp_path / "store.db")) as service:
@@ -232,6 +239,7 @@ class TestArtifactContract:
             meta = json.loads((dest / "meta.json").read_text())
             assert meta["run_id"] == run_id
             assert meta["dataset"] == "iimb"
+            assert meta["kb_fingerprint"] == _iimb_fingerprint()
             assert "accel" not in meta
             pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
             project = tomllib.loads(pyproject.read_text())["project"]
@@ -260,6 +268,8 @@ class TestArtifactContract:
             )
             result = service.result(run_id)
             dest = _export(service, run_id, tmp_path / "runs")
+            meta = json.loads((dest / "meta.json").read_text())
+            assert meta["kb_fingerprint"] == _iimb_fingerprint()
             ledger = _read_ledger(dest)
             assert ledger["total"] == result.questions_asked
             assert all(i["scope"] == "shard" for i in ledger["items"])

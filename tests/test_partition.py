@@ -13,8 +13,8 @@ from repro.partition import (
     ShardProgressPrinter,
     entity_closure_components,
     pack_components,
+    content_seed,
     partition_state,
-    shard_seed,
     split_budget,
 )
 from repro.service import MatchingService
@@ -179,10 +179,10 @@ class TestSplitBudget:
 
 class TestShardSeed:
     def test_distinct_and_stable(self):
-        seeds = {shard_seed(0, i) for i in range(100)}
+        seeds = {content_seed(0, str(i)) for i in range(100)}
         assert len(seeds) == 100
-        assert shard_seed(7, 3) == shard_seed(7, 3)
-        assert shard_seed(7, 3) != shard_seed(8, 3)
+        assert content_seed(7, "3") == content_seed(7, "3")
+        assert content_seed(7, "3") != content_seed(8, "3")
 
 
 class TestParallelRunner:
@@ -412,18 +412,6 @@ class TestServiceWorkers:
             service.store.fail_run(run_id, "killed")
             with pytest.raises(ValueError):
                 service.resume(run_id, workers=2)
-
-
-class TestExperimentsHelper:
-    def test_partitioned_result_uses_shared_cache(self, bundle):
-        from repro.experiments.common import partitioned_result, prepared_state
-
-        first = partitioned_result(bundle, workers=1, error_rate=0.08, seed=3)
-        second = partitioned_result(bundle, workers=1, error_rate=0.08, seed=3)
-        assert first.matches == second.matches
-        assert first.questions_asked == second.questions_asked
-        # The helper rides the process-wide prepared-state cache.
-        assert prepared_state(bundle) is prepared_state(bundle)
 
 
 class TestProgressPrinter:
