@@ -8,12 +8,14 @@ labeling and truth inference — iterating until no unresolved pair can be
 inferred by relational match propagation — then resolves isolated pairs
 with the random-forest classifier.
 
-The loop is resumable: :class:`LoopState` snapshots its resolution sets to
-a JSON-able document, ``run`` accepts a :class:`LoopCheckpoint` to continue
-an interrupted run mid-loop, and an ``on_checkpoint`` callback receives a
-fresh checkpoint after every batch of crowd answers (persisted by
-:mod:`repro.store`).  :class:`LoopDriver` is the one place the loop is
-advanced, billed and checkpointed.
+The loop is resumable.  :class:`LoopState` records what each loop
+changes, and :class:`LoopDriver` (the one place the loop is advanced,
+billed and checkpointed) hands that change set out as a
+:class:`LoopCheckpoint` *delta* after every batch of crowd answers:
+:mod:`repro.store` appends each delta as one journal row.
+:func:`fold_checkpoints` folds deltas back into one resumable checkpoint,
+``run`` accepts such a checkpoint to continue an interrupted run
+mid-loop, and its ``on_checkpoint`` callback receives the running fold.
 """
 
 from __future__ import annotations
@@ -131,12 +133,20 @@ class RempResult:
 
 @dataclass(slots=True)
 class LoopCheckpoint:
-    """Everything needed to resume an interrupted run mid-loop.
+    """Everything needed to resume an interrupted run mid-loop — or a delta.
 
-    ``loop_state`` is a :meth:`LoopState.snapshot` document and
+    ``loop_state`` is a :meth:`LoopState.snapshot`-shaped document and
     ``answer_log`` a :meth:`repro.crowd.CrowdPlatform.export_answer_log`
     record list — both plain JSON-able values, so a checkpoint can be
     persisted and reloaded by :mod:`repro.store` without pickling.
+
+    The same shape carries a loop's *delta* (:meth:`LoopDriver.checkpoint`):
+    ``history`` holds the new loop records, ``loop_state`` the moved
+    priors and the pairs newly added to each resolution set,
+    ``answer_log`` the newly recorded labels, and the two counters are
+    cumulative.  A full checkpoint is a delta from the prepared state, and
+    :func:`fold_checkpoints` turns a journal of deltas back into one
+    resumable checkpoint.
     """
 
     next_loop_index: int
@@ -146,8 +156,16 @@ class LoopCheckpoint:
     answer_log: list[dict]
 
 
-#: Callback invoked with a fresh checkpoint after each labeling round.
+#: Callback invoked with a checkpoint after each labeling round.
 CheckpointSink = Callable[[LoopCheckpoint], None]
+
+#: The resolution sets of a :meth:`LoopState.snapshot` document.
+_RESOLUTION_SETS = (
+    "labeled_matches",
+    "inferred_matches",
+    "resolved_matches",
+    "resolved_non_matches",
+)
 
 
 class Remp:
@@ -250,8 +268,10 @@ class Remp:
         checkpoint, replaying its answer log into ``platform`` so past
         questions are not re-billed (a caller that already replayed it
         loses nothing: :meth:`CrowdPlatform.load_answer_log` keeps labels
-        that are already recorded); ``on_checkpoint`` receives a fresh
-        :class:`LoopCheckpoint` after every labeling round.  The loop is
+        that are already recorded); ``on_checkpoint`` receives a
+        resumable :class:`LoopCheckpoint` after every labeling round —
+        the fold of ``resume_from`` and every loop's delta so far, equal
+        to what :mod:`repro.store` returns after the same loop.  The loop is
         advanced by a :class:`LoopDriver`, the same one that drives the
         shards of :mod:`repro.partition` and the stepwise sessions of
         :mod:`repro.service`.
@@ -264,7 +284,7 @@ class Remp:
         """
         state = state or self.prepare(kb1, kb2)
         driver = LoopDriver(self, state, platform, strategy, resume_from)
-        driver.run(on_checkpoint)
+        driver.run(_folding(on_checkpoint, resume_from))
         return driver.finish()
 
     def run_loop_phase(
@@ -280,10 +300,11 @@ class Remp:
         The loop half of :meth:`run`: ends with the final propagation
         pass for the last batch of labels and returns the finished loop
         state, the loop history and the questions billed so far
-        (including those recorded in ``resume_from``).
+        (including those recorded in ``resume_from``).  ``on_checkpoint``
+        receives resumable checkpoints, as in :meth:`run`.
         """
         driver = LoopDriver(self, state, platform, strategy, resume_from)
-        driver.run(on_checkpoint)
+        driver.run(_folding(on_checkpoint, resume_from))
         driver.loop_state.propagate(state.kb1, state.kb2)
         return driver.loop_state, driver.history, driver.questions_asked
 
@@ -444,6 +465,11 @@ class LoopState:
     are O(1) instead of rebuilding a set difference over all retained
     pairs.  :meth:`snapshot` and :meth:`restore` round-trip the resolution
     state through a JSON-able document for checkpoint/resume.
+
+    During the loops the state changes only through :meth:`resolve_match`,
+    :meth:`resolve_non_match` (and the competitor demotions) and the prior
+    update in :meth:`apply_truth`, and each records what it changed, so
+    :meth:`take_changes` hands out the delta since the last call.
     """
 
     def __init__(self, state: PreparedState, config: RempConfig):
@@ -463,6 +489,13 @@ class LoopState:
         for pair in state.retained:
             self._by_left.setdefault(pair[0], []).append(pair)
             self._by_right.setdefault(pair[1], []).append(pair)
+        self._clear_changes()
+
+    def _clear_changes(self) -> None:
+        #: Priors moved and pairs newly added to each resolution set since
+        #: the last :meth:`take_changes` (or :meth:`restore`).
+        self._moved_priors: dict[Pair, float] = {}
+        self._added: dict[str, set[Pair]] = {name: set() for name in _RESOLUTION_SETS}
 
     # -- resolution bookkeeping ---------------------------------------
     def resolve_match(self, pair: Pair, labeled: bool) -> None:
@@ -471,18 +504,27 @@ class LoopState:
         # A positive label overrides an earlier competitor demotion.
         self.resolved_non_matches.discard(pair)
         self.resolved_matches.add(pair)
+        self._added["resolved_matches"].add(pair)
         self._unresolved.discard(pair)
         if labeled:
             self.labeled_matches.add(pair)
+            self._added["labeled_matches"].add(pair)
         else:
             self.inferred_matches.add(pair)
+            self._added["inferred_matches"].add(pair)
         if self.config.enforce_one_to_one:
             self._demote_competitors(pair)
 
     def resolve_non_match(self, pair: Pair) -> None:
         if pair not in self.resolved_matches:
+            self._add_non_match(pair)
+
+    def _add_non_match(self, pair: Pair) -> None:
+        # Only a real addition is a change; a re-demotion is not.
+        if pair not in self.resolved_non_matches:
             self.resolved_non_matches.add(pair)
-            self._unresolved.discard(pair)
+            self._added["resolved_non_matches"].add(pair)
+        self._unresolved.discard(pair)
 
     def apply_truth(self, truth) -> None:
         """Fold one round of truth inference into the resolution state."""
@@ -491,17 +533,16 @@ class LoopState:
         for question in sorted(truth.non_matches):
             self.resolve_non_match(question)
         self.priors.update(truth.unresolved)
+        self._moved_priors.update(truth.unresolved)
 
     def _demote_competitors(self, pair: Pair) -> None:
         """The 1:1 assumption: siblings of a resolved match are non-matches."""
         for sibling in self._by_left.get(pair[0], ()):
             if sibling != pair and sibling not in self.resolved_matches:
-                self.resolved_non_matches.add(sibling)
-                self._unresolved.discard(sibling)
+                self._add_non_match(sibling)
         for sibling in self._by_right.get(pair[1], ()):
             if sibling != pair and sibling not in self.resolved_matches:
-                self.resolved_non_matches.add(sibling)
-                self._unresolved.discard(sibling)
+                self._add_non_match(sibling)
 
     def unresolved(self) -> set[Pair]:
         """A copy of the currently-unresolved retained pairs."""
@@ -515,17 +556,27 @@ class LoopState:
         and are rebuilt by the next :meth:`propagate` call after
         :meth:`restore`.
         """
-        return {
-            "priors": sorted([left, right, p] for (left, right), p in self.priors.items()),
-            "labeled_matches": sorted(map(list, self.labeled_matches)),
-            "inferred_matches": sorted(map(list, self.inferred_matches)),
-            "resolved_matches": sorted(map(list, self.resolved_matches)),
-            "resolved_non_matches": sorted(map(list, self.resolved_non_matches)),
-        }
+        return _state_doc(self.priors, {name: getattr(self, name) for name in _RESOLUTION_SETS})
+
+    def take_changes(self) -> dict:
+        """The :meth:`snapshot`-shaped delta since the last call, then reset.
+
+        It holds the moved priors and the pairs newly added to each
+        resolution set; :func:`fold_checkpoints` folds such deltas.
+        """
+        changes = _state_doc(self._moved_priors, self._added)
+        self._clear_changes()
+        return changes
 
     def restore(self, snapshot: dict) -> None:
-        """Reset this state to a previously captured :meth:`snapshot`."""
-        self.priors = {(left, right): p for left, right, p in snapshot["priors"]}
+        """Reset this state to a :meth:`snapshot` or a fold of deltas.
+
+        The prepared state's priors are overlaid with the document's, so
+        a sparse fold and a full snapshot restore the same state, and the
+        priors keep the live run's key order.
+        """
+        self.priors = dict(self.state.priors)
+        self.priors.update(((left, right), p) for left, right, p in snapshot["priors"])
         self.labeled_matches = {(l, r) for l, r in snapshot["labeled_matches"]}
         self.inferred_matches = {(l, r) for l, r in snapshot["inferred_matches"]}
         self.resolved_matches = {(l, r) for l, r in snapshot["resolved_matches"]}
@@ -537,6 +588,7 @@ class LoopState:
         # The propagator's diffs assume continuous history; a restore
         # breaks it, so the next propagate re-primes from scratch.
         self._propagator = None
+        self._clear_changes()
 
     # -- propagation ----------------------------------------------------
     def propagate(self, kb1: KnowledgeBase, kb2: KnowledgeBase) -> None:
@@ -674,9 +726,12 @@ class LoopDriver:
         #: resume; they sum to :attr:`questions_asked` exactly.
         self.cost_items: list[dict] = []
         self._base_questions = 0
+        held = platform.recorded_questions()
+        logged: set[Pair] = set()
         if resume_from is not None:
             self.loop_state.restore(resume_from.loop_state)
             platform.load_answer_log(resume_from.answer_log)
+            logged = {tuple(entry["question"]) for entry in resume_from.answer_log}
             self.history = list(resume_from.history)
             self.next_loop = resume_from.next_loop_index
             self._base_questions = resume_from.questions_asked
@@ -688,6 +743,13 @@ class LoopDriver:
                     {"scope": "checkpoint", "key": "resume", "questions": self._base_questions}
                 )
         self._billed_at_start = platform.questions_asked
+        # What the next checkpoint still owes the journal.  The first one
+        # carries every label the platform held that the resumed-from log
+        # lacks (on a shared platform, labels of earlier runs); after that
+        # each carries the labels recorded past the cursor.
+        self._unlogged = [question for question in held if question not in logged]
+        self._label_cursor = len(platform.recorded_questions())
+        self._history_cursor = len(self.history)
 
     @property
     def questions_asked(self) -> int:
@@ -722,17 +784,30 @@ class LoopDriver:
         return record
 
     def checkpoint(self) -> LoopCheckpoint:
-        """Everything needed to resume after the loops run so far."""
+        """The delta since the last checkpoint (or the start): one journal row.
+
+        It carries the new loop records, the loop state's
+        :meth:`LoopState.take_changes`, the newly recorded labels and the
+        cumulative counters, so its size follows what the loops changed,
+        not the run's state.  Folding every delta onto the resumed-from
+        checkpoint (:func:`fold_checkpoints`) gives everything needed to
+        resume after the loops run so far.
+        """
+        new = self.platform.recorded_questions(self._label_cursor)
+        self._label_cursor += len(new)
+        questions, self._unlogged = self._unlogged + new, []
+        history = self.history[self._history_cursor :]
+        self._history_cursor = len(self.history)
         return LoopCheckpoint(
             next_loop_index=self.next_loop,
             questions_asked=self.questions_asked,
-            history=list(self.history),
-            loop_state=self.loop_state.snapshot(),
-            answer_log=self.platform.export_answer_log(),
+            history=history,
+            loop_state=self.loop_state.take_changes(),
+            answer_log=self.platform.export_answer_log(questions),
         )
 
     def run(self, on_checkpoint: CheckpointSink | None = None) -> None:
-        """Step to convergence, handing ``on_checkpoint`` a checkpoint per loop."""
+        """Step to convergence, handing ``on_checkpoint`` each loop's delta."""
         while self.step() is not None:
             if on_checkpoint is not None:
                 on_checkpoint(self.checkpoint())
@@ -772,21 +847,71 @@ def merge_loop_snapshots(state: PreparedState, snapshots: list[dict]) -> dict:
     :class:`LoopState` over the *full* ``state`` — the training input for
     the isolated-pair classification phase of :mod:`repro.partition`.
     """
-    priors: dict[Pair, float] = dict(state.priors)
-    labeled: set[Pair] = set()
-    inferred: set[Pair] = set()
-    resolved: set[Pair] = set()
-    non_matches: set[Pair] = set()
-    for snapshot in snapshots:
-        priors.update({(left, right): p for left, right, p in snapshot["priors"]})
-        labeled.update((l, r) for l, r in snapshot["labeled_matches"])
-        inferred.update((l, r) for l, r in snapshot["inferred_matches"])
-        resolved.update((l, r) for l, r in snapshot["resolved_matches"])
-        non_matches.update((l, r) for l, r in snapshot["resolved_non_matches"])
-    return {
-        "priors": sorted([left, right, p] for (left, right), p in priors.items()),
-        "labeled_matches": sorted(map(list, labeled)),
-        "inferred_matches": sorted(map(list, inferred)),
-        "resolved_matches": sorted(map(list, resolved)),
-        "resolved_non_matches": sorted(map(list, non_matches - resolved)),
-    }
+    return _merge_state_docs(snapshots, dict(state.priors))
+
+
+def fold_checkpoints(checkpoints: list[LoopCheckpoint]) -> LoopCheckpoint | None:
+    """One resumable checkpoint from a journal of deltas, oldest first.
+
+    The counters come from the last delta and the histories concatenate.
+    The loop states merge by :func:`merge_loop_snapshots`' rule, from no
+    priors instead of the prepared state's: later priors overlay earlier
+    ones, and the resolution sets union, with a resolved match winning
+    over a non-match.  The answer log is sorted by question, and the
+    first delta that recorded a question supplies its labels
+    (:meth:`repro.crowd.CrowdPlatform.load_answer_log`'s rule).  A full
+    checkpoint is a delta from the prepared state, so it folds like any
+    other row.  The fold is associative: folding a fold with later
+    deltas equals folding every delta at once.  ``None`` for no rows.
+    """
+    if not checkpoints:
+        return None
+    labels: dict[tuple, list[dict]] = {}
+    for checkpoint in checkpoints:
+        recorded: dict[tuple, list[dict]] = {}
+        for entry in checkpoint.answer_log:
+            recorded.setdefault(tuple(entry["question"]), []).append(entry)
+        for question, entries in recorded.items():
+            labels.setdefault(question, entries)
+    last = checkpoints[-1]
+    return LoopCheckpoint(
+        next_loop_index=last.next_loop_index,
+        questions_asked=last.questions_asked,
+        history=[record for checkpoint in checkpoints for record in checkpoint.history],
+        loop_state=_merge_state_docs([c.loop_state for c in checkpoints], {}),
+        answer_log=[entry for question in sorted(labels) for entry in labels[question]],
+    )
+
+
+def _merge_state_docs(docs: list[dict], priors: dict[Pair, float]) -> dict:
+    """Overlay the documents' priors onto ``priors`` and union their sets."""
+    merged: dict[str, set[Pair]] = {name: set() for name in _RESOLUTION_SETS}
+    for doc in docs:
+        priors.update(((left, right), p) for left, right, p in doc.get("priors", ()))
+        for name, pairs in merged.items():
+            pairs.update((left, right) for left, right in doc.get(name, ()))
+    merged["resolved_non_matches"] -= merged["resolved_matches"]
+    return _state_doc(priors, merged)
+
+
+def _state_doc(priors: dict[Pair, float], sets: dict[str, set[Pair]]) -> dict:
+    """The canonical (sorted) :meth:`LoopState.snapshot` document."""
+    doc = {"priors": sorted([left, right, p] for (left, right), p in priors.items())}
+    doc.update((name, sorted(map(list, sets[name]))) for name in _RESOLUTION_SETS)
+    return doc
+
+
+def _folding(
+    sink: CheckpointSink | None, base: LoopCheckpoint | None
+) -> CheckpointSink | None:
+    """``sink`` fed resumable checkpoints: each delta folded onto the last fold."""
+    if sink is None:
+        return None
+    folded = base
+
+    def fold(delta: LoopCheckpoint) -> None:
+        nonlocal folded
+        folded = fold_checkpoints([delta] if folded is None else [folded, delta])
+        sink(folded)
+
+    return fold

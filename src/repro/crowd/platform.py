@@ -21,6 +21,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 from repro import faults
 from repro.crowd.interfaces import CrowdRetryPolicy, CrowdUnavailableError
@@ -175,9 +176,20 @@ class CrowdPlatform:
         """Every recorded label so far, keyed by question (read-only view)."""
         return dict(self._label_cache)
 
-    def export_answer_log(self) -> list[dict]:
-        """JSON-able log of all recorded labels, ordered by question.
+    def recorded_questions(self, start: int = 0) -> list[Question]:
+        """Questions with recorded labels in recording order, from ``start`` on.
 
+        Recording order covers asked and replayed questions alike, so a
+        caller that remembers how many it has seen gets exactly the
+        questions recorded since.
+        """
+        return list(islice(self._label_cache, start, None))
+
+    def export_answer_log(self, questions: list[Question] | None = None) -> list[dict]:
+        """JSON-able log of recorded labels, ordered by question.
+
+        ``questions`` limits the log to those questions (each must have
+        recorded labels); by default it covers every recorded label.
         Feed the result to :meth:`load_answer_log` on a fresh platform to
         replay past answers instead of re-sampling workers.
         """
@@ -188,7 +200,7 @@ class CrowdPlatform:
                 "label": record.label,
                 "worker_quality": record.worker_quality,
             }
-            for question in sorted(self._label_cache)
+            for question in sorted(self._label_cache if questions is None else questions)
             for record in self._label_cache[question]
         ]
 

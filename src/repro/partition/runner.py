@@ -16,10 +16,10 @@ in two phases:
 A deterministic merger reassembles the shard results into one
 :class:`RempResult`; because shard executions are order-independent, the
 merged result is identical for every worker count.  With a
-:class:`repro.store.RunStore` attached, every labeling round checkpoints
-under a partition-aware key ``(run_id, shard_id)`` and finished shards
-persist their results, so a killed run resumes shard-by-shard without
-re-asking a single question.
+:class:`repro.store.RunStore` attached, every labeling round appends its
+delta to a journal under a partition-aware key ``(run_id, shard_id)``
+and finished shards persist their results, so a killed run resumes
+shard-by-shard without re-asking a single question.
 
 Lifecycle events (started / checkpointed / finished / restored / failed,
 with loop and question counts) stream to an ``on_event`` callback — the
@@ -49,6 +49,7 @@ from repro.core.pipeline import (
     PreparedState,
     Remp,
     RempResult,
+    fold_checkpoints,
     merge_loop_snapshots,
 )
 from repro.crowd.interfaces import CrowdUnavailableError
@@ -262,8 +263,9 @@ def _execute_shard(
     worker under spawn) rather than shipped per task, so a queued task
     costs only its vertex list.  ``emit`` receives
     ``("event", ShardEvent)`` and, after each labeling round,
-    ``("checkpoint", shard_id, LoopCheckpoint)`` messages; the parent
-    persists checkpoints so children never touch the store.
+    ``("checkpoint", shard_id, LoopCheckpoint)`` messages carrying that
+    round's delta; the parent persists the deltas so children never
+    touch the store.
     """
     shard = task.shard
     with obs.span(
@@ -561,8 +563,9 @@ class ParallelRunner:
         )
         #: Quarantine records of the last :meth:`run` (poison shards).
         self.quarantined: list[dict] = []
-        #: Latest checkpoint seen per shard — the requeue resume point.
-        self._last_checkpoints: dict[int, LoopCheckpoint] = {}
+        #: Deltas received per shard since its task's checkpoint; a
+        #: requeue folds them onto it to get the resume point.
+        self._shard_deltas: dict[int, list[LoopCheckpoint]] = {}
         self._backoff_rng = random.Random(0xFA17)  # never the global RNG
 
     # ------------------------------------------------------------------
@@ -583,7 +586,7 @@ class ParallelRunner:
         self.reused_keys = set()
         self.shard_costs = []
         self.quarantined = []
-        self._last_checkpoints = {}
+        self._shard_deltas = {}
         keys = self._shard_keys(plan)
         obs.gauge("partition.shards", len(plan.shards))
         log.info(
@@ -963,17 +966,19 @@ class ParallelRunner:
     def _note_retry(self, task: _ShardTask, reason: str) -> bool:
         """Book a shard failure: retry (True) or quarantine (False).
 
-        On retry the task resumes from the latest checkpoint the parent
-        saw, after a capped, jittered exponential backoff; on quarantine
+        On retry the task resumes from its checkpoint folded with every
+        delta the parent has received since, after a capped, jittered
+        exponential backoff; on quarantine
         the shard is recorded and the run degrades to a
         :class:`PartialResult` once the healthy shards finish.
         """
         shard = task.shard
         task.attempt += 1
         if task.attempt <= self.max_shard_retries:
-            checkpoint = self._last_checkpoints.get(shard.shard_id)
-            if checkpoint is not None:
-                task.checkpoint = checkpoint
+            deltas = self._shard_deltas.pop(shard.shard_id, [])
+            if deltas:
+                base = [task.checkpoint] if task.checkpoint is not None else []
+                task.checkpoint = fold_checkpoints(base + deltas)
             obs.count("fault.shard_retry")
             log.warning(
                 "shard %d attempt %d failed, requeueing: %s",
@@ -1084,9 +1089,11 @@ class ParallelRunner:
             self._emit(message[1])
         elif message[0] == "checkpoint":
             _, shard_id, checkpoint = message
-            self._last_checkpoints[shard_id] = checkpoint
+            # Journal first: a delta the store lost stays out of the
+            # requeue fold too, so a retry never runs ahead of the journal.
             if self._store is not None:
                 self._store.save_shard_checkpoint(self._run_id, shard_id, checkpoint)
+            self._shard_deltas.setdefault(shard_id, []).append(checkpoint)
 
     def _finish_shard(
         self, outcome: _ShardOutcome, outcomes: dict[int, _ShardOutcome]

@@ -21,8 +21,9 @@ one :class:`repro.store.RunStore`:
   :meth:`MatchingService.step` one human–machine loop at a time.  A
   session's run scope appends its progress events to the store's
   ``run_events`` table, so another process can watch the run live.
-* Every labeling round checkpoints to the store, so a killed process (or
-  a failed session) resumes mid-loop via :meth:`MatchingService.resume`,
+* Every labeling round appends its checkpoint delta to the run's journal
+  in the store, so a killed process (or a failed session) resumes
+  mid-loop via :meth:`MatchingService.resume` from the folded journal,
   replaying the recorded crowd answers instead of re-asking.
 * Sessions submitted with ``workers=N`` run partitioned
   (:mod:`repro.partition`): the ER graph is sharded into entity-closure
@@ -281,7 +282,7 @@ class MatchingSession:
             )
 
     def step(self) -> bool:
-        """Advance one human–machine loop and checkpoint it.
+        """Advance one human–machine loop and journal its checkpoint delta.
 
         Returns ``False`` once the loop has converged (or already
         finished); call :meth:`finalize` afterwards for the result.
@@ -302,7 +303,14 @@ class MatchingSession:
             self._ensure_started()
             if self._driver.step() is None:
                 return False
-            self._store.save_checkpoint(self.run_id, self._driver.checkpoint())
+            try:
+                self._store.save_checkpoint(self.run_id, self._driver.checkpoint())
+            except Exception:
+                # The driver handed out this loop's delta and the store
+                # lost it; continuing would leave a gap in the journal, so
+                # the next step restarts from the journal instead.
+                self._driver = None
+                raise
             # The per-loop heartbeat watchers poll for: cheap, and on
             # even under REPRO_NO_TRACE (operational, like counters).
             obs.publish(

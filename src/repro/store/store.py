@@ -8,8 +8,11 @@ One :class:`RunStore` file holds three kinds of durable state:
   generation, attribute matching, pruning and ER-graph construction
   entirely, and an edited KB or an older format is a miss, never a
   stale hit.
-* **Checkpoints** — one :class:`repro.core.LoopCheckpoint` per run,
-  overwritten after every batch of crowd answers; an interrupted run
+* **Checkpoints** — a journal per run (and per shard of a partitioned
+  run): every batch of crowd answers appends one row holding that
+  loop's :class:`repro.core.LoopCheckpoint` delta, and loading folds the
+  rows back into one resumable checkpoint
+  (:func:`repro.core.pipeline.fold_checkpoints`), so an interrupted run
   resumes mid-loop without re-asking questions.
 * **A run ledger** — configuration, status, question counts and the final
   :class:`repro.core.RempResult` of every run ever submitted, for later
@@ -38,7 +41,12 @@ from pathlib import Path
 
 from repro import faults
 from repro.core.config import RempConfig
-from repro.core.pipeline import LoopCheckpoint, PreparedState, RempResult
+from repro.core.pipeline import (
+    LoopCheckpoint,
+    PreparedState,
+    RempResult,
+    fold_checkpoints,
+)
 from repro.store.serialize import (
     PREPARED_STATE_VERSION,
     checkpoint_from_doc,
@@ -87,6 +95,15 @@ CREATE TABLE IF NOT EXISTS checkpoints (
     payload    TEXT NOT NULL,
     updated_at TEXT NOT NULL
 );
+CREATE TABLE IF NOT EXISTS checkpoint_journal (
+    seq        INTEGER PRIMARY KEY,
+    run_id     TEXT NOT NULL,
+    shard_id   INTEGER,
+    payload    TEXT NOT NULL,
+    created_at TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS checkpoint_journal_by_run
+    ON checkpoint_journal (run_id, shard_id);
 CREATE TABLE IF NOT EXISTS shard_checkpoints (
     run_id     TEXT NOT NULL,
     shard_id   INTEGER NOT NULL,
@@ -124,6 +141,9 @@ CREATE INDEX IF NOT EXISTS run_events_by_run ON run_events (run_id, seq);
 #: fails with "duplicate column", the one error the open path may
 #: swallow.  The four ``runs`` columns after ``workers`` are the
 #: *lineage migration*: run provenance for incremental (stream) runs.
+#: Checkpoint rows written before the journal need no migration: a full
+#: ``checkpoints`` row (or ``kind='loop'`` shard row) is a delta from the
+#: prepared state, folded as the first row of its run's (shard's) journal.
 #: The first DROP removes a table of cached dominance matrices nothing
 #: read.  The second removes the prepared-state cache keyed by dataset
 #: name (its ``fp:`` rows held post-delta states): it is only a cache,
@@ -455,7 +475,7 @@ class RunStore:
         self._write("update_run_status", op)
 
     def finish_run(self, run_id: str, result: RempResult) -> None:
-        """Record the final result, mark ``done`` and drop the checkpoint."""
+        """Record the final result, mark ``done`` and drop the checkpoints."""
 
         def op(conn):
             conn.execute(
@@ -469,12 +489,13 @@ class RunStore:
                 ),
             )
             conn.execute("DELETE FROM checkpoints WHERE run_id = ?", (run_id,))
+            conn.execute("DELETE FROM checkpoint_journal WHERE run_id = ?", (run_id,))
             conn.execute("DELETE FROM shard_checkpoints WHERE run_id = ?", (run_id,))
 
         self._write("finish_run", op)
 
     def fail_run(self, run_id: str, error: str) -> None:
-        """Mark ``failed``; the checkpoint is kept so the run can resume."""
+        """Mark ``failed``; the checkpoints are kept so the run can resume."""
 
         def op(conn):
             conn.execute(
@@ -531,19 +552,21 @@ class RunStore:
         return [_run_record(row) for row in rows]
 
     # ------------------------------------------------------------------
-    # Checkpoints
+    # Checkpoints: a journal of loop deltas per run and per shard
     # ------------------------------------------------------------------
+    # ``checkpoint_journal`` rows are keyed by run and shard (``NULL`` for
+    # a monolithic run) and ordered by ``seq``.  Stores written before the
+    # journal hold at most one full row per run in ``checkpoints`` (and
+    # ``kind='loop'`` rows in ``shard_checkpoints``); nothing writes them
+    # any more, and loading folds each in as its journal's first row.
+
     def save_checkpoint(self, run_id: str, checkpoint: LoopCheckpoint) -> None:
-        """Overwrite the run's checkpoint and its ledger question count."""
+        """Append one loop's delta to the run's journal; record its question count."""
         payload = json.dumps(checkpoint_to_doc(checkpoint), sort_keys=True)
         now = _now()
 
         def op(conn):
-            conn.execute(
-                "INSERT OR REPLACE INTO checkpoints (run_id, payload, updated_at)"
-                " VALUES (?, ?, ?)",
-                (run_id, payload, now),
-            )
+            _append_journal(conn, run_id, None, payload, now)
             conn.execute(
                 "UPDATE runs SET questions_asked = ?, updated_at = ? WHERE run_id = ?",
                 (checkpoint.questions_asked, now, run_id),
@@ -552,13 +575,19 @@ class RunStore:
         self._write("save_checkpoint", op)
 
     def load_checkpoint(self, run_id: str) -> LoopCheckpoint | None:
+        """The run's journal folded into one resumable checkpoint, or ``None``."""
         with self._lock:
-            row = self._conn.execute(
+            legacy = self._conn.execute(
                 "SELECT payload FROM checkpoints WHERE run_id = ?", (run_id,)
-            ).fetchone()
-        if row is None:
-            return None
-        return checkpoint_from_doc(json.loads(row["payload"]))
+            ).fetchall()
+            rows = self._conn.execute(
+                "SELECT payload FROM checkpoint_journal"
+                " WHERE run_id = ? AND shard_id IS NULL ORDER BY seq",
+                (run_id,),
+            ).fetchall()
+        return fold_checkpoints(
+            [checkpoint_from_doc(json.loads(row["payload"])) for row in legacy + rows]
+        )
 
     # ------------------------------------------------------------------
     # Per-shard checkpoints (partitioned runs, repro.partition)
@@ -566,13 +595,11 @@ class RunStore:
     def save_shard_checkpoint(
         self, run_id: str, shard_id: int, checkpoint: LoopCheckpoint
     ) -> None:
-        """Overwrite one shard's mid-loop checkpoint for a partitioned run."""
-        payload = json.dumps(
-            {"kind": "loop", "checkpoint": checkpoint_to_doc(checkpoint)},
-            sort_keys=True,
-        )
-        self._write_shard_row(
-            "save_shard_checkpoint", run_id, shard_id, "loop", payload
+        """Append one loop's delta to a partitioned run's shard journal."""
+        payload = json.dumps(checkpoint_to_doc(checkpoint), sort_keys=True)
+        self._write(
+            "save_shard_checkpoint",
+            lambda conn: _append_journal(conn, run_id, shard_id, payload, _now()),
         )
 
     def save_shard_result(
@@ -588,7 +615,8 @@ class RunStore:
         The snapshot feeds the isolated-pair classification phase on
         resume, so a restored shard contributes exactly the training
         data it produced live; the answer log keeps a resumed stream
-        run's new-spend accounting exact.
+        run's new-spend accounting exact.  The row supersedes the
+        shard's journal, which the same transaction deletes.
         """
         payload = json.dumps(
             {
@@ -599,30 +627,28 @@ class RunStore:
             },
             sort_keys=True,
         )
-        self._write_shard_row(
-            "save_shard_result", run_id, shard_id, "done", payload
-        )
 
-    def _write_shard_row(
-        self, op: str, run_id: str, shard_id: int, kind: str, payload: str
-    ) -> None:
-        self._write(
-            op,
-            lambda conn: conn.execute(
+        def op(conn):
+            conn.execute(
                 "INSERT OR REPLACE INTO shard_checkpoints"
                 " (run_id, shard_id, kind, payload, updated_at)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (run_id, shard_id, kind, payload, _now()),
-            ),
-        )
+                " VALUES (?, ?, 'done', ?, ?)",
+                (run_id, shard_id, payload, _now()),
+            )
+            conn.execute(
+                "DELETE FROM checkpoint_journal WHERE run_id = ? AND shard_id = ?",
+                (run_id, shard_id),
+            )
+
+        self._write("save_shard_result", op)
 
     def load_shard_records(self, run_id: str) -> dict[int, tuple]:
         """All persisted shard states of a partitioned run.
 
         Returns ``{shard_id: ("loop", LoopCheckpoint)}`` for shards
-        interrupted mid-loop and ``{shard_id: ("done", RempResult,
-        snapshot, answer_log)}`` for finished shards — the resume input
-        of :class:`repro.partition.ParallelRunner`.
+        interrupted mid-loop (their journal, folded) and ``{shard_id:
+        ("done", RempResult, snapshot, answer_log)}`` for finished shards
+        — the resume input of :class:`repro.partition.ParallelRunner`.
         """
         with self._lock:
             rows = self._conn.execute(
@@ -630,38 +656,52 @@ class RunStore:
                 " ORDER BY shard_id",
                 (run_id,),
             ).fetchall()
+            journal = self._conn.execute(
+                "SELECT shard_id, payload FROM checkpoint_journal"
+                " WHERE run_id = ? AND shard_id IS NOT NULL ORDER BY shard_id, seq",
+                (run_id,),
+            ).fetchall()
         records: dict[int, tuple] = {}
+        deltas: dict[int, list[LoopCheckpoint]] = {}
         for row in rows:
+            # A store written by a release with shard leases can hold
+            # kind='lease' stub rows from an interrupted run (and four
+            # unread lease columns, kept because DROP COLUMN needs
+            # SQLite >= 3.35).  A stub carries no execution state: its
+            # shard starts from scratch.
             doc = json.loads(row["payload"])
-            if doc.get("kind") not in ("loop", "done"):
-                # A store written by a release with shard leases can hold
-                # kind='lease' stub rows from an interrupted run (and four
-                # unread lease columns, kept because DROP COLUMN needs
-                # SQLite >= 3.35).  A stub carries no execution state:
-                # its shard starts from scratch.
-                continue
-            if doc["kind"] == "loop":
-                records[row["shard_id"]] = (
-                    "loop",
-                    checkpoint_from_doc(doc["checkpoint"]),
-                )
-            else:
+            if doc.get("kind") == "done":
                 records[row["shard_id"]] = (
                     "done",
                     result_from_doc(doc["result"]),
                     doc["snapshot"],
                     doc.get("answer_log", []),
                 )
-        return records
+            elif doc.get("kind") == "loop":
+                # A full checkpoint from before the journal: its first row.
+                deltas[row["shard_id"]] = [checkpoint_from_doc(doc["checkpoint"])]
+        for row in journal:
+            deltas.setdefault(row["shard_id"], []).append(
+                checkpoint_from_doc(json.loads(row["payload"]))
+            )
+        for shard_id, checkpoints in sorted(deltas.items()):
+            records.setdefault(shard_id, ("loop", fold_checkpoints(checkpoints)))
+        return dict(sorted(records.items()))
 
     def clear_shard_checkpoints(self, run_id: str) -> int:
-        """Drop every shard row of a run; returns the number removed."""
-        return self._write(
-            "clear_shard_checkpoints",
-            lambda conn: conn.execute(
+        """Drop every shard row of a run; returns the number of rows removed."""
+
+        def op(conn):
+            removed = conn.execute(
                 "DELETE FROM shard_checkpoints WHERE run_id = ?", (run_id,)
-            ).rowcount,
-        )
+            ).rowcount
+            return removed + conn.execute(
+                "DELETE FROM checkpoint_journal"
+                " WHERE run_id = ? AND shard_id IS NOT NULL",
+                (run_id,),
+            ).rowcount
+
+        return self._write("clear_shard_checkpoints", op)
 
     # ------------------------------------------------------------------
     # Stream unit records (incremental runs, repro.stream)
@@ -811,16 +851,6 @@ class RunStore:
             rows = self._conn.execute(query, params).fetchall()
         return [_event_doc(row) for row in rows]
 
-    def last_run_event(self, run_id: str) -> dict | None:
-        """The most recent event of a run, or ``None``."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT seq, ts, kind, shard_id, stream_step, payload"
-                " FROM run_events WHERE run_id = ? ORDER BY seq DESC LIMIT 1",
-                (run_id,),
-            ).fetchone()
-        return None if row is None else _event_doc(row)
-
     def count_run_events(self, run_id: str) -> int:
         with self._lock:
             row = self._conn.execute(
@@ -854,11 +884,17 @@ class RunStore:
                     "SELECT status, COUNT(*) FROM runs GROUP BY status"
                 ).fetchall()
             )
+            # A run (shard) with a resumable checkpoint counts once, however
+            # many journal rows it holds.
             checkpoints = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM checkpoints"
+                "SELECT COUNT(*) AS n FROM (SELECT run_id FROM checkpoints"
+                " UNION SELECT run_id FROM checkpoint_journal"
+                " WHERE shard_id IS NULL)"
             ).fetchone()["n"]
             shard_checkpoints = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM shard_checkpoints"
+                "SELECT COUNT(*) AS n FROM (SELECT run_id, shard_id"
+                " FROM shard_checkpoints UNION SELECT run_id, shard_id"
+                " FROM checkpoint_journal WHERE shard_id IS NOT NULL)"
             ).fetchone()["n"]
             stream_units = self._conn.execute(
                 "SELECT COUNT(*) AS n FROM stream_units"
@@ -880,6 +916,16 @@ class RunStore:
             "run_obs": run_obs,
             "run_events": run_events,
         }
+
+
+def _append_journal(
+    conn: sqlite3.Connection, run_id: str, shard_id: int | None, payload: str, now: str
+) -> None:
+    conn.execute(
+        "INSERT INTO checkpoint_journal (run_id, shard_id, payload, created_at)"
+        " VALUES (?, ?, ?, ?)",
+        (run_id, shard_id, payload, now),
+    )
 
 
 def _event_doc(row: sqlite3.Row) -> dict:

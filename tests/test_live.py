@@ -41,11 +41,9 @@ class TestRunEventsStore:
         # Tailing is by sequence: only events after the cursor come back.
         tail = store.tail_run_events(run_id, after_seq=first)
         assert [e["kind"] for e in tail] == ["shard.finished"]
-        assert store.last_run_event(run_id)["kind"] == "shard.finished"
         assert store.count_run_events(run_id) == 2
         assert store.clear_run_events(run_id) == 2
         assert store.tail_run_events(run_id) == []
-        assert store.last_run_event(run_id) is None
         store.close()
 
     def test_active_runs_excludes_finished(self, tmp_path):
