@@ -47,7 +47,7 @@ from repro.core.consistency import (
     Consistency,
     _Observation,
     _observed_match_count,
-    estimate_consistency,
+    label_consistency,
 )
 from repro.core.discovery import bounded_dijkstra, edge_length_row, zeta_from_tau
 from repro.core.er_graph import INVERSE_PREFIX, ERGraph, RelPair, value_sets
@@ -75,9 +75,12 @@ class IncrementalPropagator:
     """Caches the derived propagation state of one :class:`LoopState`.
 
     The returned distance maps are shared with the internal cache and
-    must be treated as read-only by callers (the pipeline only reads
-    them; ``restricted_inferred_sets`` copies).  Each :meth:`update`
-    counts its work in the active run scope:
+    must be treated as read-only by callers.  :meth:`update` replaces a
+    source's map when it recomputes it and never mutates one, so a map
+    object that comes back unchanged has unchanged contents:
+    ``LoopState.restricted_inferred_sets`` keeps a question's Eq. 12
+    restricted set for as long as its map is the same object.  Each
+    :meth:`update` counts its work in the active run scope:
     ``propagation.groups_recomputed`` and ``propagation.dijkstra_runs``.
     """
 
@@ -142,11 +145,17 @@ class IncrementalPropagator:
                 self._observations = {label: {} for label in self._labels}
                 self._consistencies = {}
             new_matches = matches - self._folded
+            config = self._config
             for label in self._labels:
-                if self._update_label_observations(label, new_matches, matches):
-                    self._consistencies[label] = self._estimate_label(label)
-                elif label not in self._consistencies:
-                    self._consistencies[label] = self._estimate_label(label)
+                changed = self._update_label_observations(label, new_matches, matches)
+                if changed or label not in self._consistencies:
+                    self._consistencies[label] = label_consistency(
+                        list(self._observations[label].values()),
+                        config.min_consistency_support,
+                        config.epsilon_default,
+                        config.epsilon_floor,
+                        config.epsilon_ceiling,
+                    )
             self._folded = set(matches)
             return dict(self._consistencies)
 
@@ -194,18 +203,6 @@ class IncrementalPropagator:
             )
             changed = True
         return changed
-
-    def _estimate_label(self, label: RelPair) -> Consistency:
-        config = self._config
-        observations = list(self._observations[label].values())
-        informative = [o for o in observations if o.n1 and o.n2]
-        if len(informative) < config.min_consistency_support:
-            return Consistency(
-                config.epsilon_default, config.epsilon_default, len(informative)
-            )
-        return estimate_consistency(
-            observations, config.epsilon_floor, config.epsilon_ceiling
-        )
 
     # ------------------------------------------------------------------
     # Incremental edges + Dijkstra

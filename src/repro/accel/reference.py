@@ -16,9 +16,14 @@ module under :mod:`repro` imports this one.
   (pins the memoized DP behind
   :func:`repro.accel.marginals.exact_marginal_map`);
 * :class:`RebuildRemp` — a :class:`repro.core.Remp` whose loop rebuilds
-  the probabilistic graph and reruns Dijkstra from scratch every loop
-  (pins :class:`repro.accel.propagation.IncrementalPropagator`),
-  reached through the ``Remp._make_loop_state`` seam.
+  the probabilistic graph, reruns Dijkstra and filters every Eq. 12
+  restricted set from scratch every loop (pins
+  :class:`repro.accel.propagation.IncrementalPropagator` and the
+  restricted sets :class:`repro.core.pipeline.LoopState` keeps across
+  loops), reached through the ``Remp._make_loop_state`` seam;
+* :func:`greedy_question_selection` — Algorithm 3's lazy greedy with
+  every initial gain summed per candidate (pins the memoized initial
+  gains of :func:`repro.core.selection.greedy_question_selection`).
 
 :func:`reference_kernels` rebinds the product's kernel names to these
 references for the length of a ``with`` block, so a whole
@@ -27,14 +32,16 @@ references for the length of a ``with`` block, so a whole
 
 from __future__ import annotations
 
+import heapq
 from contextlib import contextmanager
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import repro.accel.candidates
 import repro.accel.er_graph
 import repro.accel.marginals
 import repro.core.attributes
 import repro.core.candidates
+import repro.core.pipeline
 import repro.core.pruning
 import repro.core.vectors
 from repro.accel.dominance import _any_dominator_python
@@ -189,11 +196,20 @@ class RebuildLoopState(LoopState):
     Every propagate re-estimates all consistencies, rebuilds the whole
     probabilistic graph and reruns discovery from every source — the
     path ``LoopState`` takes for the Floyd–Warshall config, here also
-    under ``use_dijkstra``.
+    under ``use_dijkstra`` — and every loop filters each restricted set
+    afresh from its inferred map.
     """
 
     def _infer_incremental(self, kb1, kb2, matches, effective_priors, sources):
         return self._infer_rebuild(kb1, kb2, matches, effective_priors, sources)
+
+    def restricted_inferred_sets(self) -> dict[Pair, dict[Pair, float]]:
+        unresolved = self._unresolved
+        return {
+            question: {p: d for p, d in inferred.items() if p in unresolved}
+            for question, inferred in self._inferred_sets.items()
+            if question in unresolved
+        }
 
 
 class RebuildRemp(Remp):
@@ -203,15 +219,67 @@ class RebuildRemp(Remp):
         return RebuildLoopState(state, self.config)
 
 
+# ----------------------------------------------------------------------
+# Algorithm 3: lazy greedy question selection
+# ----------------------------------------------------------------------
+def greedy_question_selection(
+    candidates: list[Pair],
+    inferred: Mapping[Pair, Mapping[Pair, float]],
+    priors: Mapping[Pair, float],
+    mu: int,
+) -> list[Pair]:
+    """The lazy greedy with every candidate's initial gain summed afresh."""
+    if mu < 1:
+        raise ValueError("mu must be positive")
+    resolved_prob: dict[Pair, float] = {}
+
+    def marginal_gain(question: Pair) -> float:
+        prior = priors.get(question, 0.0)
+        if prior <= 0.0:
+            return 0.0
+        return sum(
+            (1.0 - resolved_prob.get(pair, 0.0)) * prior
+            for pair in inferred.get(question, ())
+        )
+
+    heap: list[tuple[float, Pair]] = []
+    for question in candidates:
+        gain = marginal_gain(question)
+        if gain > 0.0:
+            heap.append((-gain, question))
+    heapq.heapify(heap)
+
+    selected: list[Pair] = []
+    chosen: set[Pair] = set()
+    while heap and len(selected) < mu:
+        neg_gain, question = heapq.heappop(heap)
+        if question in chosen:
+            continue
+        gain = marginal_gain(question)
+        if gain <= 0.0:
+            break
+        if heap and gain < -heap[0][0] - 1e-12:
+            heapq.heappush(heap, (-gain, question))
+            continue
+        selected.append(question)
+        chosen.add(question)
+        prior = priors.get(question, 0.0)
+        for pair in inferred.get(question, ()):
+            previous = resolved_prob.get(pair, 0.0)
+            resolved_prob[pair] = previous + (1.0 - previous) * prior
+    return selected
+
+
 @contextmanager
 def reference_kernels():
     """Rebind the product's kernel names to the references for a block.
 
     Candidate scoring falls to the product's dict loop, simL to
     ``literal_set_similarity``, pruning and ``pruning_error_rate`` to
-    the dominance loops, and the ER graph, signatures and exact
-    marginals to the functions above.  The rebinding is process-wide
-    and not thread-safe: for tests and benchmarks only.
+    the dominance loops, and the ER graph, signatures, exact marginals
+    and the loop's greedy selection to the functions above.  The
+    rebinding is process-wide and not thread-safe: for tests and
+    benchmarks only.
     """
     bindings = [
         (repro.core.candidates, "score_candidates", _decline_scoring),
@@ -222,6 +290,7 @@ def reference_kernels():
         (repro.accel.er_graph, "accel_groups", er_graph_groups),
         (repro.accel.candidates, "intern_signatures", signatures),
         (repro.accel.marginals, "_marginals_dp", exact_marginal_map),
+        (repro.core.pipeline, "greedy_question_selection", greedy_question_selection),
     ]
     saved = [(module, name, getattr(module, name)) for module, name, _ in bindings]
     for module, name, reference in bindings:

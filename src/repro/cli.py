@@ -75,6 +75,15 @@ RUN_DATASET_CHOICES = DATASET_NAMES + (EVOLVING_NAME,)
 #: Default store location; overridable per-command or via REPRO_STORE.
 DEFAULT_STORE = ".repro/store.db"
 
+#: Run counters that say which approximations fired; ``runs show``
+#: prints them, zeros included.
+_APPROXIMATIONS = (
+    "propagation.group.reduced",
+    "propagation.group.pairs_dropped",
+    "consistency.default_fallback",
+    "consistency.not_converged",
+)
+
 
 def _store_path(args: argparse.Namespace) -> str:
     return args.store or os.environ.get("REPRO_STORE") or DEFAULT_STORE
@@ -520,9 +529,9 @@ def _cmd_runs(args: argparse.Namespace) -> int:
                 f"{checkpoint.questions_asked} questions asked, "
                 f"{len(checkpoint.answer_log)} labels recorded"
             )
-        timings = store.load_run_timings(args.run_id)
-        if timings is not None:
-            stages = timings.get("stages", {})
+        obs_doc = store.load_run_obs(args.run_id)
+        if obs_doc is not None:
+            stages = obs_doc.get("timings", {})
             if stages:
                 # Stages nest (prepare.candidates contains candidates.score,
                 # which contains kernel.candidates), so rows do not add up.
@@ -533,6 +542,11 @@ def _cmd_runs(args: argparse.Namespace) -> int:
                     print(
                         f"  {name:<28} {entry['seconds']:>9.3f}s x{entry['calls']}"
                     )
+            counters = (obs_doc.get("metrics") or {}).get("counters", {})
+            print(
+                "approximations: "
+                + " ".join(f"{name}={counters.get(name, 0)}" for name in _APPROXIMATIONS)
+            )
         result = store.get_result(args.run_id)
         if result is not None:
             print(

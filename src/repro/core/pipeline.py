@@ -490,12 +490,31 @@ class LoopState:
             self._by_left.setdefault(pair[0], []).append(pair)
             self._by_right.setdefault(pair[1], []).append(pair)
         self._clear_changes()
+        self._clear_restricted()
 
     def _clear_changes(self) -> None:
         #: Priors moved and pairs newly added to each resolution set since
         #: the last :meth:`take_changes` (or :meth:`restore`).
         self._moved_priors: dict[Pair, float] = {}
         self._added: dict[str, set[Pair]] = {name: set() for name in _RESOLUTION_SETS}
+
+    def _clear_restricted(self) -> None:
+        #: The Eq. 12 restricted sets kept across loops, per question, and
+        #: the inferred maps they were built from (the last call's
+        #: ``_inferred_sets``).  ``_holders`` maps a pair to (at least) the
+        #: questions whose set holds it, and ``_taken`` lists the pairs
+        #: taken out of ``_unresolved`` since the last
+        #: :meth:`restricted_inferred_sets`.
+        self._restricted: dict[Pair, dict[Pair, float]] = {}
+        self._built_from: dict[Pair, dict[Pair, float]] = {}
+        self._holders: dict[Pair, tuple[Pair, ...]] = {}
+        self._taken: list[Pair] = []
+
+    def _take(self, pair: Pair) -> None:
+        """Take ``pair`` out of the unresolved set, once."""
+        if pair in self._unresolved:
+            self._unresolved.remove(pair)
+            self._taken.append(pair)
 
     # -- resolution bookkeeping ---------------------------------------
     def resolve_match(self, pair: Pair, labeled: bool) -> None:
@@ -505,7 +524,7 @@ class LoopState:
         self.resolved_non_matches.discard(pair)
         self.resolved_matches.add(pair)
         self._added["resolved_matches"].add(pair)
-        self._unresolved.discard(pair)
+        self._take(pair)
         if labeled:
             self.labeled_matches.add(pair)
             self._added["labeled_matches"].add(pair)
@@ -524,7 +543,7 @@ class LoopState:
         if pair not in self.resolved_non_matches:
             self.resolved_non_matches.add(pair)
             self._added["resolved_non_matches"].add(pair)
-        self._unresolved.discard(pair)
+        self._take(pair)
 
     def apply_truth(self, truth) -> None:
         """Fold one round of truth inference into the resolution state."""
@@ -589,6 +608,7 @@ class LoopState:
         # breaks it, so the next propagate re-primes from scratch.
         self._propagator = None
         self._clear_changes()
+        self._clear_restricted()
 
     # -- propagation ----------------------------------------------------
     def propagate(self, kb1: KnowledgeBase, kb2: KnowledgeBase) -> None:
@@ -669,13 +689,38 @@ class LoopState:
 
     # -- question candidates -------------------------------------------
     def restricted_inferred_sets(self) -> dict[Pair, dict[Pair, float]]:
-        """Inferred sets restricted to currently unresolved pairs (Eq. 12)."""
-        unresolved = self._unresolved
-        return {
-            question: {p: d for p, d in inferred.items() if p in unresolved}
-            for question, inferred in self._inferred_sets.items()
-            if question in unresolved
-        }
+        """Inferred sets restricted to currently unresolved pairs (Eq. 12).
+
+        The sets are kept across loops, and a call pays only for what
+        moved since the last one: a resolved question's set is dropped,
+        each pair resolved since then is deleted from the sets that hold
+        it, and a set is rebuilt only when its question's inferred map is
+        a new object.  That relies on propagation replacing a map rather
+        than mutating it (:class:`IncrementalPropagator` keeps unchanged
+        maps, the full rebuild returns fresh ones).  Deleting keys keeps
+        the survivors' order, so every set equals, in content and order,
+        a from-scratch filter of its map.  The returned mapping and its
+        sets are this state's own and must be treated as read-only.
+        """
+        unresolved, sets, holders = self._unresolved, self._restricted, self._holders
+        for pair in self._taken:
+            sets.pop(pair, None)
+            for question in holders.pop(pair, ()):
+                held = sets.get(question)
+                if held is not None:
+                    held.pop(pair, None)
+        self._taken = []
+        built_from, self._built_from = self._built_from, self._inferred_sets
+        for question, inferred in self._inferred_sets.items():
+            if built_from.get(question) is inferred or question not in unresolved:
+                continue
+            held = sets.get(question, {})
+            restricted = {p: d for p, d in inferred.items() if p in unresolved}
+            for pair in restricted:
+                if pair not in held:
+                    holders[pair] = holders.get(pair, ()) + (question,)
+            sets[question] = restricted
+        return sets
 
     def askable_questions(self, restricted: dict[Pair, dict[Pair, float]]) -> list[Pair]:
         """Unresolved questions that can still infer something by relations.
@@ -684,8 +729,8 @@ class LoopState:
         be inferred by relational match propagation": a question is worth
         asking only while its inferred set reaches beyond the question
         itself.  ``restricted`` is this state's
-        :meth:`restricted_inferred_sets`, built once per loop by the
-        caller and shared with question selection.
+        :meth:`restricted_inferred_sets`, kept across loops by this state
+        and shared with question selection.
         """
         return [
             question

@@ -14,6 +14,7 @@ provided.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Mapping
 
 Pair = tuple[str, str]
@@ -46,6 +47,11 @@ def greedy_question_selection(
     submodularity guarantees a recomputed gain that still tops the heap is
     exact, so most candidates are never re-evaluated.  Selection stops at
     ``mu`` questions or when no candidate has positive gain.
+
+    Before the first pick a gain is the prior summed once per inferred
+    pair, so the initial gains are computed once per distinct (prior,
+    set size).  They keep that repeated sum: ``prior * n`` can differ in
+    the last bit and reorder near-ties.
     """
     if mu < 1:
         raise ValueError("mu must be positive")
@@ -61,9 +67,16 @@ def greedy_question_selection(
             for pair in inferred.get(question, ())
         )
 
+    initial_gains: dict[tuple[float, int], float] = {}
     heap: list[tuple[float, Pair]] = []
     for question in candidates:
-        gain = marginal_gain(question)
+        prior = priors.get(question, 0.0)
+        if prior <= 0.0:
+            continue
+        key = (prior, len(inferred.get(question, ())))
+        gain = initial_gains.get(key)
+        if gain is None:
+            gain = initial_gains[key] = sum(itertools.repeat(prior, key[1]))
         if gain > 0.0:
             heap.append((-gain, question))
     heapq.heapify(heap)

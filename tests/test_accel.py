@@ -16,7 +16,9 @@ claim four ways:
   propagator against the full-rebuild reference, and resumption from
   every checkpoint of a run;
 * per-round identity: after every incremental propagate, the inferred
-  sets equal a from-scratch reference rebuild of the same state.
+  sets equal a from-scratch reference rebuild of the same state, the
+  Eq. 12 restricted sets kept across loops equal a from-scratch filter,
+  and the memoized greedy picks the reference greedy's batch.
 """
 
 import json
@@ -308,13 +310,21 @@ class _CheckedLoopState(LoopState):
     path (``build_probabilistic_graph`` + ``inferred_sets``) with the
     reference kernels.  Both must
     give the same inferred sets, in content and in per-source iteration
-    order.  Each round's consistency records are kept so the test can
-    tell which re-estimation cases the run went through.
+    order.  The restricted sets this state keeps across loops must then
+    equal the reference's from-scratch filter, in content and in
+    per-set order.  Each round's consistency records are kept so the
+    test can tell which re-estimation cases the run went through, and
+    the kept sets that lost pairs (``pruned``) and the sets rebuilt
+    from a replaced map (``rebuilt``) are counted, so a test can tell
+    which restricted-set paths it went through.
     """
 
     def __init__(self, state, config):
         super().__init__(state, config)
         self.rounds: list[dict] = []
+        self.restricted_rounds = 0
+        self.pruned = 0
+        self.rebuilt = 0
 
     def propagate(self, kb1, kb2):
         before = self.snapshot()
@@ -325,11 +335,39 @@ class _CheckedLoopState(LoopState):
             reference.propagate(kb1, kb2)
         assert _ordered(self._inferred_sets) == _ordered(reference._inferred_sets)
         self.rounds.append(dict(self._propagator._consistencies))
+        self._reference = reference
+
+    def restricted_inferred_sets(self):
+        built_from = self._built_from
+        sizes = {question: len(kept) for question, kept in self._restricted.items()}
+        restricted = super().restricted_inferred_sets()
+        expected = self._reference.restricted_inferred_sets()
+        assert _ordered(restricted) == _ordered(expected)
+        self.restricted_rounds += 1
+        for question, kept in restricted.items():
+            if question not in sizes:
+                continue
+            if built_from[question] is not self._inferred_sets[question]:
+                self.rebuilt += 1
+            elif len(kept) < sizes[question]:
+                self.pruned += 1
+        return restricted
 
 
 class _CheckedRemp(Remp):
+    """Also checks every batch against the reference greedy's."""
+
     def _make_loop_state(self, state):
         return _CheckedLoopState(state, self.config)
+
+    def _select(self, strategy, candidates, loop_state, remaining_budget, restricted):
+        batch = super()._select(strategy, candidates, loop_state, remaining_budget, restricted)
+        with reference_kernels():
+            expected = super()._select(
+                strategy, candidates, loop_state, remaining_budget, restricted
+            )
+        assert batch == expected
+        return batch
 
 
 def _ordered(inferred: dict) -> dict:
@@ -376,7 +414,27 @@ def test_incremental_propagate_matches_rebuild_every_round(world, case):
     loop_state, _, _ = remp.run_loop_phase(remp.prepare(bundle.kb1, bundle.kb2), platform)
     rounds = loop_state.rounds
     assert len(rounds) >= 3
+    assert loop_state.restricted_rounds == len(rounds) - 1
     assert case in _round_cases(rounds), f"{world} never hit the {case} case"
+
+
+@pytest.mark.parametrize(
+    "world, scale, path",
+    [
+        # Resolutions shrink sets whose inferred maps propagation kept.
+        ("evolving", 2, "pruned"),
+        # Propagation replaces maps of questions that stay unresolved.
+        ("iimb", 0.4, "rebuilt"),
+    ],
+)
+def test_kept_restricted_sets_match_rebuild_every_round(world, scale, path):
+    bundle = load_dataset(world, seed=0, scale=scale)
+    platform = CrowdPlatform.with_simulated_workers(
+        bundle.gold_matches, error_rate=0.1, seed=3
+    )
+    remp = _CheckedRemp()
+    loop_state, _, _ = remp.run_loop_phase(remp.prepare(bundle.kb1, bundle.kb2), platform)
+    assert getattr(loop_state, path) > 0, f"{world} never took the {path} path"
 
 
 def test_propagator_work_counters():

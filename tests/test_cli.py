@@ -149,6 +149,37 @@ class TestStoreCommands:
         assert "accel" not in timings
         store.close()
 
+    def test_runs_show_prints_approximation_counters(self, store_path, capsys):
+        main(["run", "dbpedia_yago", "--scale", "0.2", "--error-rate", "0",
+              "--store", store_path])
+        run_id = capsys.readouterr().out.split("run=")[1].split()[0]
+        assert main(["runs", "show", run_id, "--store", store_path]) == 0
+        lines = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("approximations: ")
+        ]
+        with RunStore(store_path) as store:
+            counters = store.load_run_obs(run_id)["metrics"]["counters"]
+            bare = store.create_run("iimb", 0, 0.2, None)
+        names = (
+            "propagation.group.reduced",
+            "propagation.group.pairs_dropped",
+            "consistency.default_fallback",
+            "consistency.not_converged",
+        )
+        # Zeros included: here no group is cut and every estimation
+        # converges, but labels with too little support fall back.
+        assert lines == [
+            "approximations: "
+            + " ".join(f"{name}={counters.get(name, 0)}" for name in names)
+        ]
+        assert "propagation.group.reduced=0" in lines[0]
+        assert counters["consistency.default_fallback"] > 0
+        # A run without an observability document prints no line.
+        assert main(["runs", "show", bare, "--store", store_path]) == 0
+        assert "approximations:" not in capsys.readouterr().out
+
     def test_runs_show_unknown_run(self, store_path, capsys):
         assert main(["runs", "show", "nope", "--store", store_path]) == 1
 

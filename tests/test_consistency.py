@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.accel.propagation import IncrementalPropagator
+from repro.core import RempConfig
 from repro.core.consistency import (
     Consistency,
     _best_latent,
@@ -9,7 +11,9 @@ from repro.core.consistency import (
     estimate_all_consistencies,
     estimate_consistency,
 )
+from repro.core.er_graph import build_er_graph
 from repro.kb import KnowledgeBase
+from repro.obs.runtime import RunScope
 
 
 class TestBestLatent:
@@ -120,3 +124,59 @@ class TestEstimateAll:
         result = estimate_all_consistencies(kb1, kb2, {("r", "s")}, matches)
         c = result[("r", "s")]
         assert 0.3 < c.epsilon1 < 0.8
+
+
+def _counted(counter, fn) -> float:
+    """How much ``fn`` adds to ``counter`` in a fresh run scope."""
+    scope = RunScope("consistency-counters")
+    with scope.activate():
+        fn()
+    return scope.metrics.counter(counter)
+
+
+class TestApproximationCounters:
+    def test_exhausted_iterations_count_one_non_convergence(self):
+        # The latent counts settle on the second iteration.
+        observations = [_Observation(1, 1, 0), _Observation(2, 2, 2)]
+
+        def non_converged(iterations):
+            return _counted(
+                "consistency.not_converged",
+                lambda: estimate_consistency(observations, max_iterations=iterations),
+            )
+
+        assert non_converged(1) == 1
+        assert non_converged(2) == 0
+        assert non_converged(30) == 0
+
+    def test_label_under_support_counts_one_fallback_on_both_paths(self):
+        """The full rebuild and the incremental propagator count alike."""
+        kb1, kb2 = KnowledgeBase("x"), KnowledgeBase("y")
+        kb1.add_relationship_triple("a", "bornIn", "ac")
+        kb2.add_relationship_triple("b", "birthPlace", "bc")
+        matches = {("a", "b"), ("ac", "bc")}
+        graph = build_er_graph(kb1, kb2, matches)
+        labels = {label for by_label in graph.groups.values() for label in by_label}
+        config = RempConfig()
+        # The forward and the inverse label each have one informative
+        # matched pair, under the default support of 2.
+        assert len(labels) == 2 and config.min_consistency_support == 2
+
+        def fallbacks(fn):
+            return _counted("consistency.default_fallback", fn)
+
+        rebuild = fallbacks(
+            lambda: estimate_all_consistencies(
+                kb1, kb2, labels, matches, min_support=config.min_consistency_support
+            )
+        )
+        incremental = fallbacks(
+            lambda: IncrementalPropagator(graph, kb1, kb2, config).estimate_consistencies(
+                matches
+            )
+        )
+        assert rebuild == incremental == len(labels)
+        supported = fallbacks(
+            lambda: estimate_all_consistencies(kb1, kb2, labels, matches, min_support=1)
+        )
+        assert supported == 0

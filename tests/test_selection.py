@@ -3,9 +3,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.accel.reference import greedy_question_selection as reference_greedy
 from repro.core.selection import (
     benefit,
     greedy_question_selection,
@@ -133,6 +134,47 @@ class TestGreedySelection:
         for subset in itertools.combinations(questions, min(mu, len(questions))):
             best = max(best, benefit(list(subset), inferred, priors))
         assert greedy_value >= (1 - 1 / 2.718281828) * best - 1e-9
+
+
+@st.composite
+def _tied_selection_inputs(draw):
+    """Candidates whose (prior, set size) keys repeat and whose gains tie.
+
+    Few priors and sizes up to 10 make keys repeat and give exact ties
+    across keys (0.25 x 4 and 0.5 x 2 both sum to 1.0), while 0.1
+    summed ten times lands just below 1.0, where ``prior * n`` would
+    not.  Some candidates have no prior or no inferred set.
+    """
+    count = draw(st.integers(min_value=1, max_value=10))
+    questions = [f"q{i}" for i in range(count)]
+    pool = [f"p{i}" for i in range(12)] + questions
+    inferred, priors = {}, {}
+    for question in questions:
+        if draw(st.integers(0, 9)):
+            size = draw(st.sampled_from([0, 1, 2, 4, 10]))
+            members = draw(st.permutations(pool))[:size]
+            inferred[question] = {pair: 0.0 for pair in members}
+        if draw(st.integers(0, 9)):
+            priors[question] = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.5, 1.0]))
+    return questions, inferred, priors
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_selection_inputs())
+@example(
+    (
+        ["q0", "q1"],
+        {"q0": {f"p{i}": 0.0 for i in range(10)}, "q1": {f"p{i}": 0.0 for i in range(4)}},
+        {"q0": 0.1, "q1": 0.25},
+    )
+)
+def test_greedy_matches_reference_greedy(inputs):
+    """Memoized initial gains pick exactly the reference greedy's batch."""
+    questions, inferred, priors = inputs
+    for mu in range(1, len(questions) + 3):
+        assert greedy_question_selection(questions, inferred, priors, mu) == reference_greedy(
+            questions, inferred, priors, mu
+        )
 
 
 class TestHeuristics:
