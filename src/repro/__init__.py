@@ -9,12 +9,12 @@ Top-level convenience re-exports; see the subpackages for the full API:
 * :mod:`repro.datasets` — the synthetic evaluation datasets
 * :mod:`repro.baselines` — HIKE, POWER, Corleone, PARIS, SiGMa
 * :mod:`repro.experiments` — one driver per paper table/figure
-* :mod:`repro.store` — SQLite-backed persistence: a prepared-state cache
-  keyed by content (KB-pair fingerprint, config hash), per-run loop
-  checkpoints for kill-and-resume, and a queryable ledger of every run
-* :mod:`repro.service` — the concurrent matching service: deduplicated
-  ``prepare()`` through the cache and thread-pooled sessions with an
-  explicit ``submit / step / status / result`` lifecycle
+* :mod:`repro.store` — SQLite-backed persistence: per-run loop
+  checkpoints for kill-and-resume and a queryable ledger of every run
+* :mod:`repro.service` — the concurrent matching service: ``prepare()``
+  deduplicated through a memory cache keyed by content (KB-pair
+  fingerprint, config hash) and thread-pooled sessions with an explicit
+  ``submit / step / status / result`` lifecycle
 * :mod:`repro.partition` — partitioned parallel execution: the ER graph
   sharded into entity-closure components and run across a process pool,
   with per-shard checkpoints and a deterministic merge

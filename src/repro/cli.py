@@ -6,9 +6,9 @@ Commands
     Print Table II-style statistics for the four synthetic profiles.
 ``run``
     Run the Remp pipeline on one dataset and report quality and cost.
-    With ``--store`` the run is resumable: offline work comes from the
-    prepared-state cache, every loop checkpoints, and ``--resume RUN_ID``
-    continues an interrupted run without re-asking questions.  With
+    With ``--store`` the run is resumable: the ledger records it, every
+    loop checkpoints, and ``--resume RUN_ID`` continues an interrupted
+    run without re-asking questions.  With
     ``--workers N`` the ER graph is sharded into entity-closure
     components and executed on ``N`` processes (``repro.partition``),
     with per-shard checkpoints and a live per-partition status line; the
@@ -37,7 +37,7 @@ Commands
     per-stage timings between two artifacts and flags slowdowns beyond
     a noise-modelled threshold (the CI regression sentinel).
 ``cache``
-    Inspect or clear the prepared-state cache (``cache info`` / ``clear``).
+    Inspect the store: its path, run counts and checkpoints (``cache info``).
 ``experiment``
     Regenerate one paper artifact (``table3`` … ``figure6``).
 ``export``
@@ -240,7 +240,7 @@ def _print_run_summary(result, gold_matches, run_id: str | None = None) -> None:
 
 
 def _run_via_service(args: argparse.Namespace, config: RempConfig) -> int:
-    """Durable variant of ``run``: cached prepare, checkpoints, resume."""
+    """Durable variant of ``run``: ledger row, checkpoints, resume."""
     # A resumed run may turn out to be partitioned (the ledger remembers);
     # give it a printer too — monolithic sessions simply emit no events.
     progress = (
@@ -651,18 +651,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    """``cache info``: the store's path, run counts and checkpoints."""
     with RunStore(_store_path(args)) as store:
-        if args.cache_command == "clear":
-            removed = store.clear_prepared()
-            print(f"removed {removed} prepared state(s) from {store.path}")
-        else:  # info
-            stats = store.stats()
-            print(f"store: {stats['path']}")
-            print(f"prepared states: {stats['prepared_states']}")
-            for fingerprint, digest, version in store.list_prepared():
-                print(f"  kb={fingerprint} config={digest} version={version}")
-            print(f"runs: {stats['runs']} {stats['runs_by_status']}")
-            print(f"checkpoints: {stats['checkpoints']}")
+        stats = store.stats()
+    print(f"store: {stats['path']}")
+    print(f"runs: {stats['runs']} {stats['runs_by_status']}")
+    print(f"checkpoints: {stats['checkpoints']}")
     return 0
 
 
@@ -734,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--store", default=None,
-        help="run durably through this store: cached prepare + loop checkpoints",
+        help="run durably through this store: ledger row + loop checkpoints",
     )
     p_run.add_argument(
         "--resume", default=None, metavar="RUN_ID",
@@ -934,13 +928,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.set_defaults(func=_cmd_bench)
 
-    p_cache = sub.add_parser("cache", help="inspect or clear the prepared-state cache")
+    p_cache = sub.add_parser("cache", help="inspect the store")
     p_cache.add_argument("--store", default=None)
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-    p_cache_info = cache_sub.add_parser("info", help="show cache and ledger statistics")
+    p_cache_info = cache_sub.add_parser("info", help="show ledger statistics")
     p_cache_info.add_argument("--store", default=argparse.SUPPRESS)
-    p_cache_clear = cache_sub.add_parser("clear", help="drop all cached prepared states")
-    p_cache_clear.add_argument("--store", default=argparse.SUPPRESS)
     p_cache.set_defaults(func=_cmd_cache)
 
     p_exp = sub.add_parser("experiment", help="regenerate one paper artifact")

@@ -1,7 +1,8 @@
 """Evolving two-KB worlds: a base bundle plus a seeded stream of deltas.
 
 ``evolving_bundle`` grows a :func:`~repro.datasets.clustered.clustered_bundle`
-world and authors a deterministic sequence of :class:`~repro.stream.KBDelta`
+world (:func:`evolving_base`, which is all ``load_dataset("evolving")``
+builds) and authors a deterministic sequence of :class:`~repro.stream.KBDelta`
 steps against it — add a movie (and its actor) to a cluster, rename a
 movie in both KBs, remove a movie, touch an attribute value, or open a
 whole new cluster.  Every delta carries the fingerprint of the KB pair it
@@ -212,6 +213,33 @@ class _StreamAuthor:
         return self.remove_movie(self.rng.choice(candidates))
 
 
+def _cluster_count(scale: float, num_clusters: int | None) -> int:
+    """An explicit ``num_clusters``, else the default count scaled."""
+    return max(3, round(8 * scale)) if num_clusters is None else num_clusters
+
+
+def evolving_base(
+    seed: int = 0,
+    scale: float = 1.0,
+    num_clusters: int | None = None,
+    movies_per_cluster: int = 4,
+    label_noise: float = 0.3,
+) -> DatasetBundle:
+    """The step-0 world of :func:`evolving_bundle` with the same arguments.
+
+    It authors no deltas, so it costs a fraction of the full bundle.
+    """
+    num_clusters = _cluster_count(scale, num_clusters)
+    return clustered_bundle(
+        num_clusters=num_clusters,
+        movies_per_cluster=movies_per_cluster,
+        seed=seed,
+        label_noise=label_noise,
+        critics_per_cluster=1,
+        name=f"evolving-{num_clusters}x{movies_per_cluster}",
+    )
+
+
 @lru_cache(maxsize=16)
 def evolving_bundle(
     seed: int = 0,
@@ -228,15 +256,12 @@ def evolving_bundle(
     The result is cached — deltas carry chained fingerprints, so
     regeneration is deterministic anyway.
     """
-    if num_clusters is None:
-        num_clusters = max(3, round(8 * scale))
-    base = clustered_bundle(
+    num_clusters = _cluster_count(scale, num_clusters)
+    base = evolving_base(
+        seed,
         num_clusters=num_clusters,
         movies_per_cluster=movies_per_cluster,
-        seed=seed,
         label_noise=label_noise,
-        critics_per_cluster=1,
-        name=f"evolving-{num_clusters}x{movies_per_cluster}",
     )
     author = _StreamAuthor(
         random.Random(seed * 7919 + 17), movies_per_cluster, label_noise

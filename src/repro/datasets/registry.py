@@ -11,7 +11,8 @@ from repro.datasets.synthesis import DatasetBundle, generate_dataset
 DATASET_NAMES: tuple[str, ...] = ("iimb", "dblp_acm", "imdb_yago", "dbpedia_yago")
 
 #: The evolving-KB dataset (``repro.stream``); loads as its step-0 base
-#: world, with deltas available via :func:`repro.datasets.evolving_bundle`.
+#: world (:func:`repro.datasets.evolving.evolving_base`), with deltas
+#: available via :func:`repro.datasets.evolving_bundle`.
 EVOLVING_NAME = "evolving"
 
 #: Short display names matching the paper's abbreviations.
@@ -39,9 +40,9 @@ def load_dataset(name: str, seed: int = 0, scale: float = 1.0) -> DatasetBundle:
         are needed).
     """
     if name == EVOLVING_NAME:
-        from repro.datasets.evolving import evolving_bundle
+        from repro.datasets.evolving import evolving_base
 
-        return evolving_bundle(seed=seed, scale=scale).base
+        return evolving_base(seed=seed, scale=scale)
     try:
         builder = PROFILE_BUILDERS[name]
     except KeyError:

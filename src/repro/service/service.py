@@ -3,16 +3,17 @@
 :class:`MatchingService` multiplexes many Remp human–machine loops over
 one :class:`repro.store.RunStore`:
 
-* ``prepare()`` work is deduplicated through a two-level cache — a
-  size-capped in-process LRU in front of the store's SQLite table —
-  keyed by content: :func:`repro.substrate.substrate_key`, the KB pair's
-  fingerprint plus the config hash.  One lock per key (pruned when its
-  compute finishes) makes concurrent submissions on the same KB pair
-  compute the offline stages exactly once while every other session
-  blocks until the artifact is ready.  Computes run inside, and every
-  returned state is attached to, the key's shared kernel arena
-  (:mod:`repro.substrate`), so sessions on the same KB pair share one
-  literal-interning arena.
+* ``prepare()`` work is deduplicated through a size-capped in-process
+  LRU keyed by content: :func:`repro.substrate.substrate_key`, the KB
+  pair's fingerprint plus the config hash.  Nothing is persisted: a
+  prepared state is a function of its KB pair, and ``Remp.prepare``
+  rebuilds it about as fast as a stored copy loads.  One lock per key
+  (pruned when its compute finishes) makes concurrent submissions on
+  the same KB pair compute the offline stages exactly once while every
+  other session blocks until the artifact is ready.  Computes run
+  inside, and every returned state is attached to, the key's shared
+  kernel arena (:mod:`repro.substrate`), so sessions on the same KB pair
+  share one literal-interning arena.
 * Each submitted run becomes a :class:`MatchingSession` with an explicit
   ``submit / step / status / result`` lifecycle.  ``submit``, ``update``
   and ``resume`` write the run's ledger row first, and the session is
@@ -36,7 +37,8 @@ one :class:`repro.store.RunStore`:
   :class:`repro.stream.KBDelta` incrementally — re-preparing and
   re-running only the entity closures the delta touches, reusing every
   clean unit's recorded outcome and crowd answers, with full lineage
-  (parent run, delta, KB fingerprint) in the ledger.
+  (parent run, delta, KB fingerprint) in the ledger.  A parent state the
+  LRU no longer holds is rebuilt from that lineage with one prepare.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ from repro.stream import (
     IncrementalPrepared,
     KBDelta,
     StreamRunner,
+    compose_deltas,
     incremental_prepare,
+    kb_pair_fingerprint,
     unit_record_from_doc,
     unit_record_to_doc,
 )
@@ -71,12 +75,6 @@ from repro.substrate import SubstrateCache, shared_cache, substrate_key
 Pair = tuple[str, str]
 
 log = get_logger("service")
-
-#: A stream update stores its full post-delta prepared state only at
-#: stream steps divisible by this.  The states in between are rebuilt on
-#: demand by replaying recorded deltas from the nearest stored ancestor,
-#: so a cold service replays at most ``FULL_STATE_EVERY - 1`` of them.
-FULL_STATE_EVERY = 4
 
 #: Session lifecycle states (mirrors the ledger's run statuses).
 QUEUED = "queued"
@@ -89,9 +87,9 @@ FAILED = "failed"
 class PreparedCache:
     """A size-capped LRU of prepared states by content key.
 
-    Callers serialise access.  Each service holds one, and so do the
-    experiment drivers: a shared instance would let one service's hits
-    come from another's computes, which it would then never store.
+    Callers serialise access.  Each service holds its own, and so do
+    the experiment drivers: a new service starts empty, so its hit and
+    miss counts describe its own work.
     """
 
     def __init__(self, capacity: int):
@@ -489,7 +487,7 @@ class MatchingService:
         self._substrate = (
             substrate_cache if substrate_cache is not None else shared_cache()
         )
-        #: Prepared-state cache accounting (memory or store hits vs. computes).
+        #: Prepared-state cache accounting (LRU hits vs. computes).
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -527,22 +525,31 @@ class MatchingService:
 
         The cache key is the content key of the dataset's KB pair
         (:func:`repro.substrate.substrate_key`), so a changed dataset
-        generator misses instead of being served a stale state.  Memory
-        LRU first, then the store; a miss runs ``Remp.prepare`` under a
-        per-key lock so concurrent sessions asking for the same key wait
-        for the one computation instead of repeating it.  The compute
-        runs inside the key's shared substrate arena
-        (:mod:`repro.substrate`), and every state returned is attached
-        to it, so concurrent sessions on the same KB pair share one
-        literal-interning arena.
+        generator misses instead of being served a stale state.
         """
         bundle = load_dataset(dataset, seed=seed, scale=scale)
         key = substrate_key(bundle.kb1, bundle.kb2, config)
+        return self._prepared(key, bundle.kb1, bundle.kb2, config)
+
+    def _prepared(
+        self, key: tuple[str, str], kb1, kb2, config: RempConfig | None
+    ) -> PreparedState:
+        """The state of content key ``key``: the LRU's, else one prepare.
+
+        A miss runs ``Remp.prepare`` on ``kb1``/``kb2`` under a per-key
+        lock, so concurrent sessions asking for the same key wait for the
+        one computation instead of repeating it.  The compute runs inside
+        the key's shared substrate arena (:mod:`repro.substrate`), and
+        every state returned is attached to it, so concurrent sessions on
+        the same KB pair share one literal-interning arena.  Roots and
+        rebuilt stream parents both come through here.
+        """
         with self._lock:
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         try:
             with key_lock:
-                state = self._cached(key)
+                with self._lock:
+                    state = self._memory_cache.get(key)
                 if state is not None:
                     with self._lock:
                         self.cache_hits += 1
@@ -550,16 +557,13 @@ class MatchingService:
                     return state
                 arena = self._substrate.get_or_create(key)
                 with arena.activation():
-                    state = Remp(config or RempConfig(), seed=seed).prepare(
-                        bundle.kb1, bundle.kb2
-                    )
-                self._store.save_prepared(key, state)
+                    state = Remp(config or RempConfig()).prepare(kb1, kb2)
                 arena.attach(state)
                 with self._lock:
                     self.cache_misses += 1
                     self._memory_cache.put(key, state)
                 obs.count("prepared.cache.misses")
-                log.info("prepared state computed for %s %s", dataset, key)
+                log.info("prepared state computed for %s", key)
                 return state
         finally:
             # The per-key lock exists only to deduplicate in-flight
@@ -570,22 +574,6 @@ class MatchingService:
             with self._lock:
                 if self._key_locks.get(key) is key_lock:
                     del self._key_locks[key]
-
-    def _cached(self, key: tuple[str, str]) -> PreparedState | None:
-        """The state for a content key from memory, else from the store.
-
-        A store hit is attached to the key's arena and kept in memory.
-        Roots and post-delta states are both looked up here.
-        """
-        with self._lock:
-            state = self._memory_cache.get(key)
-        if state is None:
-            state = self._store.load_prepared(key)
-            if state is not None:
-                self._substrate.get_or_create(key).attach(state)
-                with self._lock:
-                    self._memory_cache.put(key, state)
-        return state
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -771,54 +759,40 @@ class MatchingService:
     def _stream_state_for(self, record: RunRecord) -> PreparedState:
         """The prepared state a finished stream run matched.
 
-        Roots come from :meth:`prepared`; a post-delta state is looked
-        up by its ledger fingerprint, in memory and (every
-        ``FULL_STATE_EVERY`` steps) in the store.  On a miss this walks
-        up the lineage to the nearest state either level holds, or to
-        the root, and replays each later run's recorded delta.
+        Roots come from :meth:`prepared`.  A post-delta state comes from
+        the LRU under the run's ledger fingerprint; on a miss it is
+        rebuilt the way a root is built: the lineage's recorded deltas
+        are folded into the root's KBs, the folded pair must carry that
+        fingerprint, and it is prepared once.  A spliced state equals a
+        from-scratch prepare of its KB pair, so the rebuild is exact at
+        any lineage depth.
         """
         config = self._store.get_run_config(record.run_id)
-        digest = config_hash(config)
-        replay: list[RunRecord] = []
-        current = record
-        state = None
-        while current.parent_run_id is not None:
-            if current.kb_fingerprint is None:
-                raise ValueError(
-                    f"run {current.run_id!r} predates the lineage migration; "
-                    "its prepared state cannot be located"
-                )
-            state = self._cached((current.kb_fingerprint, digest))
-            if state is not None:
-                break
-            replay.append(current)
-            parent = self._store.get_run(current.parent_run_id)
-            if parent is None:
-                raise KeyError(f"unknown parent run {current.parent_run_id!r}")
-            current = parent
-        if state is None:
-            state = self.prepared(current.dataset, current.seed, current.scale, config)
-        for run in reversed(replay):
-            prepared = self._splice(state, self._recorded_delta(run.run_id), config)
-            if prepared.fingerprint != run.kb_fingerprint:
-                raise ValueError(
-                    f"replaying run {run.run_id!r}'s delta gave KB fingerprint "
-                    f"{prepared.fingerprint}, but the run matched "
-                    f"{run.kb_fingerprint}"
-                )
-            self._keep_stream_state(run.stream_step, prepared.state)
-            state = prepared.state
-        if replay:
-            obs.count("stream.state.replayed", len(replay))
-        return state
-
-    def _keep_stream_state(self, step: int, state: PreparedState) -> None:
-        """Cache a post-delta state; store it every ``FULL_STATE_EVERY`` steps."""
-        key = state.substrate_key
-        if step % FULL_STATE_EVERY == 0:
-            self._store.save_prepared(key, state)
+        if record.parent_run_id is None:
+            return self.prepared(record.dataset, record.seed, record.scale, config)
+        if record.kb_fingerprint is None:
+            raise ValueError(
+                f"run {record.run_id!r} predates the lineage migration; "
+                "its prepared state cannot be located"
+            )
+        key = (record.kb_fingerprint, config_hash(config))
         with self._lock:
-            self._memory_cache.put(key, state)
+            state = self._memory_cache.get(key)
+        if state is not None:
+            return state
+        root, deltas = self._lineage(record.run_id)
+        bundle = load_dataset(root.dataset, seed=root.seed, scale=root.scale)
+        kb1, kb2 = compose_deltas(deltas).apply(
+            bundle.kb1, bundle.kb2, check_fingerprint=False
+        )
+        fingerprint = kb_pair_fingerprint(kb1, kb2)
+        if fingerprint != record.kb_fingerprint:
+            raise ValueError(
+                f"folding the recorded deltas up to run {record.run_id!r} gave "
+                f"KB fingerprint {fingerprint}, but the run matched "
+                f"{record.kb_fingerprint}"
+            )
+        return self._prepared(key, kb1, kb2, config)
 
     def _splice(
         self, parent_state: PreparedState, delta: KBDelta, config: RempConfig | None
@@ -827,13 +801,12 @@ class MatchingService:
 
         The splice runs inside the parent's arena so it reuses the
         parent's literal scorers; the spliced state then attaches to its
-        own (derived) arena under the post-delta fingerprint.  Both a
-        new update and a lineage replay come through here.
+        own (derived) arena under the post-delta fingerprint.
         """
         parent_arena = self._substrate.get_or_create(parent_state.substrate_key)
         with parent_arena.activation():
-            # The fingerprint guard already ran in update(); a replay
-            # checks the spliced fingerprint against the ledger instead.
+            # The fingerprint guard already ran in update(), against the
+            # parent's ledger fingerprint; a resume replays the same delta.
             prepared = incremental_prepare(
                 parent_state, delta, config, check_fingerprint=False
             )
@@ -848,6 +821,20 @@ class MatchingService:
         if delta_json is None:
             raise ValueError(f"stream run {run_id!r} has no recorded delta")
         return KBDelta.from_doc(json.loads(delta_json))
+
+    def _lineage(self, run_id: str) -> tuple[RunRecord, list[KBDelta]]:
+        """A run's lineage root and the deltas recorded after it, in order.
+
+        One walk of the ledger.  Every run after the root must carry the
+        delta it applied.
+        """
+        chain = self._store.lineage(run_id)
+        if not chain:
+            raise KeyError(f"unknown run {run_id!r}")
+        root = chain[0]
+        if root.parent_run_id is not None:
+            raise KeyError(f"unknown parent run {root.parent_run_id!r}")
+        return root, [self._recorded_delta(record.run_id) for record in chain[1:]]
 
     def _inputs(self, session: MatchingSession) -> tuple:
         """``(state, dirty, reuse, truth)``: every session's one input path.
@@ -877,7 +864,8 @@ class MatchingService:
             delta = self._recorded_delta(record.run_id)
         prepared = self._splice(parent_state, delta, session.config)
         self._store.set_run_fingerprint(record.run_id, prepared.fingerprint)
-        self._keep_stream_state(record.stream_step, prepared.state)
+        with self._lock:
+            self._memory_cache.put(prepared.state.substrate_key, prepared.state)
         reuse = {
             key: unit_record_from_doc(doc)
             for key, doc in self._store.load_unit_record_docs(
@@ -893,16 +881,11 @@ class MatchingService:
         delta's ``gold_add``/``gold_remove``.  A run without a parent is
         its own root, so it gets its dataset's gold.
         """
-        chain = self._store.lineage(run_id)
-        if not chain:
-            raise KeyError(f"unknown run {run_id!r}")
-        root = chain[0]
+        root, deltas = self._lineage(run_id)
         bundle = load_dataset(root.dataset, seed=root.seed, scale=root.scale)
         truth = set(bundle.gold_matches)
-        for record in chain[1:]:
-            delta_json = self._store.get_run_delta_json(record.run_id)
-            if delta_json is not None:
-                truth = KBDelta.from_doc(json.loads(delta_json)).apply_gold(truth)
+        for delta in deltas:
+            truth = delta.apply_gold(truth)
         return truth
 
     def stream_outcome(self, run_id: str):

@@ -4,9 +4,8 @@
 state backed by a single SQLite file (stdlib ``sqlite3``, no extra
 dependencies):
 
-* :class:`RunStore` — prepared-state cache keyed by content
-  ``(KB-pair fingerprint, config hash)``, per-run loop checkpoints, and
-  a queryable ledger of every run's config, cost and final result.
+* :class:`RunStore` — per-run loop checkpoints and a queryable ledger of
+  every run's config, lineage, cost and final result.
 * :mod:`repro.store.serialize` — stable JSON documents for
   :class:`~repro.kb.KnowledgeBase`, :class:`~repro.core.PreparedState`,
   checkpoints and results; equal objects serialize to equal documents.
@@ -22,7 +21,6 @@ from repro.store.serialize import (
     config_from_doc,
     config_hash,
     config_to_doc,
-    prepared_state_from_doc,
     prepared_state_to_doc,
     result_from_doc,
     result_to_doc,
@@ -36,7 +34,6 @@ __all__ = [
     "config_to_doc",
     "config_from_doc",
     "prepared_state_to_doc",
-    "prepared_state_from_doc",
     "checkpoint_to_doc",
     "checkpoint_from_doc",
     "result_to_doc",

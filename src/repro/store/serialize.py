@@ -6,10 +6,11 @@ documents, so ``json.dumps(doc, sort_keys=True)`` is byte-stable and safe
 to hash or diff.  Nothing is pickled — documents survive refactors of the
 in-memory classes as long as the schema version is honoured.
 
-The keyed artifacts (``PreparedState``) carry a ``version`` field:
-:func:`prepared_state_from_doc` refuses an unknown version rather than
-guessing, and :mod:`repro.store.store` keys its rows by it, so a state
-stored under another version is a cache miss.
+Checkpoints carry a ``version`` field, and their reader refuses an
+unknown one rather than guessing.  A ``PreparedState`` is written but
+never read back: nothing stores one (it is a function of its KB pair),
+and :func:`prepared_state_to_doc` serves as the equality witness of the
+stream equivalence tests.
 """
 
 from __future__ import annotations
@@ -18,18 +19,14 @@ import hashlib
 import json
 from dataclasses import asdict
 
-from repro.core.attributes import AttributeMatch
 from repro.core.candidates import CandidateSet
 from repro.core.config import RempConfig
 from repro.core.er_graph import ERGraph
 from repro.core.pipeline import LoopCheckpoint, LoopRecord, PreparedState, RempResult
-from repro.core.vectors import VectorIndex
-from repro.kb.io import kb_from_doc, kb_to_doc
+from repro.kb.io import kb_to_doc
 
 Pair = tuple[str, str]
 
-#: Schema version written into (and required of) PreparedState documents.
-PREPARED_STATE_VERSION = 1
 #: Schema version for loop checkpoints.
 CHECKPOINT_VERSION = 1
 
@@ -47,10 +44,6 @@ def pairs_from_doc(doc) -> set[Pair]:
 
 def priors_to_doc(priors: dict[Pair, float]) -> list[list]:
     return sorted([left, right, p] for (left, right), p in priors.items())
-
-
-def priors_from_doc(doc) -> dict[Pair, float]:
-    return {(left, right): p for left, right, p in doc}
 
 
 # ----------------------------------------------------------------------
@@ -86,14 +79,6 @@ def candidates_to_doc(candidates: CandidateSet) -> dict:
     }
 
 
-def candidates_from_doc(doc: dict) -> CandidateSet:
-    return CandidateSet(
-        pairs=pairs_from_doc(doc["pairs"]),
-        priors=priors_from_doc(doc["priors"]),
-        initial_matches=pairs_from_doc(doc["initial_matches"]),
-    )
-
-
 def er_graph_to_doc(graph: ERGraph) -> dict:
     groups = []
     for vertex in sorted(graph.groups):
@@ -105,19 +90,9 @@ def er_graph_to_doc(graph: ERGraph) -> dict:
     return {"vertices": pairs_to_doc(graph.vertices), "groups": groups}
 
 
-def er_graph_from_doc(doc: dict) -> ERGraph:
-    graph = ERGraph(vertices=pairs_from_doc(doc["vertices"]))
-    for left, right, by_label in doc["groups"]:
-        graph.groups[(left, right)] = {
-            (r1, r2): pairs_from_doc(members) for r1, r2, members in by_label
-        }
-    return graph
-
-
 def prepared_state_to_doc(state: PreparedState) -> dict:
     """Serialize every offline artifact of a prepared pipeline."""
     return {
-        "version": PREPARED_STATE_VERSION,
         "kb1": kb_to_doc(state.kb1),
         "kb2": kb_to_doc(state.kb2),
         "candidates": candidates_to_doc(state.candidates),
@@ -137,35 +112,6 @@ def prepared_state_to_doc(state: PreparedState) -> dict:
         "priors": priors_to_doc(state.priors),
         "isolated": pairs_to_doc(state.isolated),
     }
-
-
-def prepared_state_from_doc(doc: dict) -> PreparedState:
-    version = doc.get("version")
-    if version != PREPARED_STATE_VERSION:
-        raise ValueError(
-            f"unsupported PreparedState document version {version!r}; "
-            f"expected {PREPARED_STATE_VERSION}"
-        )
-    return PreparedState(
-        kb1=kb_from_doc(doc["kb1"]),
-        kb2=kb_from_doc(doc["kb2"]),
-        candidates=candidates_from_doc(doc["candidates"]),
-        attribute_matches=[
-            AttributeMatch(attr1, attr2, similarity)
-            for attr1, attr2, similarity in doc["attribute_matches"]
-        ],
-        vector_index=VectorIndex(
-            {(left, right): tuple(vector) for left, right, vector in doc["vectors"]}
-        ),
-        retained=pairs_from_doc(doc["retained"]),
-        graph=er_graph_from_doc(doc["graph"]),
-        signatures={
-            (left, right): frozenset(signature)
-            for left, right, signature in doc["signatures"]
-        },
-        priors=priors_from_doc(doc["priors"]),
-        isolated=pairs_from_doc(doc["isolated"]),
-    )
 
 
 # ----------------------------------------------------------------------

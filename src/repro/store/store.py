@@ -1,22 +1,22 @@
 """SQLite-backed artifact store for Remp runs.
 
-One :class:`RunStore` file holds three kinds of durable state:
+One :class:`RunStore` file holds the durable state of runs:
 
-* **Prepared states** — the offline artifacts of ``Remp.prepare`` keyed by
-  content: ``(KB-pair fingerprint, config hash)`` plus the document's
-  format version, so repeated runs on the same KBs skip candidate
-  generation, attribute matching, pruning and ER-graph construction
-  entirely, and an edited KB or an older format is a miss, never a
-  stale hit.
 * **Checkpoints** — a journal per run (and per shard of a partitioned
   run): every batch of crowd answers appends one row holding that
   loop's :class:`repro.core.LoopCheckpoint` delta, and loading folds the
   rows back into one resumable checkpoint
   (:func:`repro.core.pipeline.fold_checkpoints`), so an interrupted run
   resumes mid-loop without re-asking questions.
-* **A run ledger** — configuration, status, question counts and the final
-  :class:`repro.core.RempResult` of every run ever submitted, for later
-  querying (``repro runs list`` / ``repro runs show``).
+* **A run ledger** — configuration, status, question counts, lineage and
+  the final :class:`repro.core.RempResult` of every run ever submitted,
+  for later querying (``repro runs list`` / ``repro runs show``).
+* **Stream unit records and observability documents** — what the next
+  stream update reuses, and each run's trace, metrics and cost ledger.
+
+It holds no offline artifacts of ``Remp.prepare``: a prepared state is a
+function of its KB pair, which the ledger pins, and rebuilding one costs
+about what loading a stored copy would.
 
 Uses only the stdlib ``sqlite3`` module.  A single connection is shared
 and guarded by a re-entrant lock, so one store instance may be used from
@@ -41,34 +41,18 @@ from pathlib import Path
 
 from repro import faults
 from repro.core.config import RempConfig
-from repro.core.pipeline import (
-    LoopCheckpoint,
-    PreparedState,
-    RempResult,
-    fold_checkpoints,
-)
+from repro.core.pipeline import LoopCheckpoint, RempResult, fold_checkpoints
 from repro.store.serialize import (
-    PREPARED_STATE_VERSION,
     checkpoint_from_doc,
     checkpoint_to_doc,
     config_from_doc,
     config_hash,
     config_to_doc,
-    prepared_state_from_doc,
-    prepared_state_to_doc,
     result_from_doc,
     result_to_doc,
 )
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS prepared (
-    fingerprint TEXT NOT NULL,
-    config_hash TEXT NOT NULL,
-    version     INTEGER NOT NULL,
-    payload     TEXT NOT NULL,
-    created_at  TEXT NOT NULL,
-    PRIMARY KEY (fingerprint, config_hash, version)
-);
 CREATE TABLE IF NOT EXISTS runs (
     run_id          TEXT PRIMARY KEY,
     dataset         TEXT NOT NULL,
@@ -145,11 +129,12 @@ CREATE INDEX IF NOT EXISTS run_events_by_run ON run_events (run_id, seq);
 #: ``checkpoints`` row (or ``kind='loop'`` shard row) is a delta from the
 #: prepared state, folded as the first row of its run's (shard's) journal.
 #: The first DROP removes a table of cached dominance matrices nothing
-#: read.  The second removes the prepared-state cache keyed by dataset
-#: name (its ``fp:`` rows held post-delta states): it is only a cache,
-#: and every stream lineage can be rebuilt from its root.  Older stores
-#: also keep a ``run_timings`` table nothing reads any more: a run's
-#: stage timings live in its ``run_obs`` document.
+#: read.  The other two remove the prepared-state caches, keyed first by
+#: dataset name and then by content: every root is rebuilt from its
+#: dataset and every stream state from its lineage, so they held
+#: nothing the ledger cannot rebuild.  Older stores also keep a
+#: ``run_timings`` table nothing reads any more: a run's stage timings
+#: live in its ``run_obs`` document.
 _MIGRATIONS = (
     "ALTER TABLE runs ADD COLUMN workers INTEGER",
     "ALTER TABLE runs ADD COLUMN parent_run_id TEXT",
@@ -158,6 +143,7 @@ _MIGRATIONS = (
     "ALTER TABLE runs ADD COLUMN kb_fingerprint TEXT",
     "DROP TABLE IF EXISTS substrate_blobs",
     "DROP TABLE IF EXISTS prepared_states",
+    "DROP TABLE IF EXISTS prepared",
 )
 
 #: SQLite error fragments that mark a *transient* write failure — another
@@ -212,7 +198,7 @@ class RunRecord:
 
 
 class RunStore:
-    """Persistent store for prepared states, checkpoints and run results.
+    """Persistent store for run ledgers, checkpoints and run results.
 
     Parameters
     ----------
@@ -299,59 +285,6 @@ class RunStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Prepared-state cache
-    # ------------------------------------------------------------------
-    def save_prepared(self, key: tuple[str, str], state: PreparedState) -> None:
-        """Persist ``state`` under its content key and format version.
-
-        ``key`` is :func:`repro.substrate.substrate_key`'s
-        ``(KB-pair fingerprint, config hash)``.
-        """
-        doc = prepared_state_to_doc(state)
-        payload = json.dumps(doc, sort_keys=True)
-
-        def op(conn):
-            conn.execute(
-                "INSERT OR REPLACE INTO prepared"
-                " (fingerprint, config_hash, version, payload, created_at)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (*key, doc["version"], payload, _now()),
-            )
-
-        self._write("save_prepared", op)
-
-    def load_prepared(self, key: tuple[str, str]) -> PreparedState | None:
-        """The state stored under ``key``, or ``None`` on a miss.
-
-        A row written under another format version is a miss.
-        """
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT payload FROM prepared"
-                " WHERE fingerprint = ? AND config_hash = ? AND version = ?",
-                (*key, PREPARED_STATE_VERSION),
-            ).fetchone()
-        if row is None:
-            return None
-        return prepared_state_from_doc(json.loads(row["payload"]))
-
-    def list_prepared(self) -> list[tuple[str, str, int]]:
-        """``(fingerprint, config hash, version)`` of every stored state."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT fingerprint, config_hash, version FROM prepared"
-                " ORDER BY fingerprint, config_hash, version"
-            ).fetchall()
-        return [tuple(row) for row in rows]
-
-    def clear_prepared(self) -> int:
-        """Drop every cached prepared state; returns the number removed."""
-        return self._write(
-            "clear_prepared",
-            lambda conn: conn.execute("DELETE FROM prepared").rowcount,
-        )
 
     # ------------------------------------------------------------------
     # Run ledger
@@ -875,9 +808,6 @@ class RunStore:
     def stats(self) -> dict:
         """Row counts for ``repro cache info`` and diagnostics."""
         with self._lock:
-            prepared = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM prepared"
-            ).fetchone()["n"]
             runs = self._conn.execute("SELECT COUNT(*) AS n FROM runs").fetchone()["n"]
             by_status = dict(
                 self._conn.execute(
@@ -907,7 +837,6 @@ class RunStore:
             ).fetchone()["n"]
         return {
             "path": self.path,
-            "prepared_states": prepared,
             "runs": runs,
             "runs_by_status": by_status,
             "checkpoints": checkpoints,

@@ -2,9 +2,8 @@
 
 A :class:`PrepareSubstrate` is content-addressed — its key is
 :func:`substrate_key`, ``(kb_pair_fingerprint(kb1, kb2),
-config_hash(config))``, the same content key the service's prepared-state
-caches and the store use — so everything it caches is a pure function of
-the key:
+config_hash(config))``, the same content key the prepared-state caches
+use — so everything it caches is a pure function of the key:
 
 * per-threshold :class:`repro.accel.LiteralScorer` arenas (their caches
   are content-addressed, so one scorer soundly serves every prepare,
@@ -45,8 +44,8 @@ _ACTIVE: ContextVar["PrepareSubstrate | None"] = ContextVar(
 def substrate_key(kb1: KnowledgeBase, kb2: KnowledgeBase, config=None) -> Key:
     """The content key of a KB pair + config.
 
-    It addresses the pair's kernel arena, its prepared state in every
-    memory cache, and its row in the store.
+    It addresses the pair's kernel arena and its prepared state in every
+    memory cache.
     """
     # Runtime import: the store's serializers import the core pipeline,
     # which imports this package for current_substrate().

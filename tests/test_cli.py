@@ -119,14 +119,6 @@ class TestStoreCommands:
         assert prefix.startswith("run=")
         assert durable == in_process
 
-    def test_second_run_hits_prepared_cache(self, store_path, capsys):
-        argv = ["serve-batch", "iimb", "--scale", "0.2", "--store", store_path]
-        assert main(argv) == 0
-        assert "1 misses" in capsys.readouterr().out
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "1 hits, 0 misses" in out
-
     def test_serve_batch_multiple_datasets(self, store_path, capsys):
         argv = ["serve-batch", "iimb", "dblp_acm", "--scale", "0.2",
                 "--workers", "2", "--store", store_path]
@@ -283,21 +275,29 @@ class TestStoreCommands:
         assert os.environ.get("REPRO_PROFILE") is None
 
     def test_cache_info_and_clear(self, store_path, capsys):
+        """``cache info`` prints the store path, run counts and checkpoints.
+
+        The store keeps no prepared states, so there is nothing to clear.
+        """
         main(["run", "iimb", "--scale", "0.2", "--error-rate", "0",
               "--store", store_path])
         capsys.readouterr()
         assert main(["cache", "info", "--store", store_path]) == 0
-        assert "prepared states: 1" in capsys.readouterr().out
-        assert main(["cache", "clear", "--store", store_path]) == 0
-        assert "removed 1" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            f"store: {store_path}",
+            "runs: 1 {'done': 1}",
+            "checkpoints: 0",
+        ]
+        with pytest.raises(SystemExit):
+            main(["cache", "clear", "--store", store_path])
 
     def test_store_with_substrate_blobs_upgrades_cleanly(self, store_path, capsys):
         """A store from before the blob table's removal opens and serves.
 
         Such a store holds every current table plus ``substrate_blobs``
         (packed dominance matrices).  Opening it drops the table; a
-        service job and ``cache info`` / ``cache clear`` then work and
-        print no blob line.
+        service job and ``cache info`` then work, and ``cache info``
+        prints no blob line.
         """
         import sqlite3
 
@@ -329,29 +329,21 @@ class TestStoreCommands:
             tables.close()
         assert main(["cache", "info", "--store", store_path]) == 0
         out = capsys.readouterr().out
-        assert "prepared states: 1" in out
-        assert "substrate blob" not in out
-        assert main(["cache", "clear", "--store", store_path]) == 0
-        out = capsys.readouterr().out
-        assert "removed 1" in out
+        assert "runs: 1 {'done': 1}" in out
         assert "substrate blob" not in out
 
     def test_store_with_dataset_keyed_prepared_states_upgrades_cleanly(
         self, store_path, capsys
     ):
-        """A store from before content keys drops its old prepared table.
+        """A store from before prepared states left it drops both their tables.
 
-        That ``prepared_states`` table keyed states by dataset name, and
-        post-delta states by ``fp:`` names.  Opening the store drops it:
-        ``cache info`` reports no states, and a service job then stores
-        exactly one row, under its content key.
+        ``prepared_states`` keyed states by dataset name (and post-delta
+        states by ``fp:`` names); ``prepared`` keyed them by content.
+        Opening the store drops both, and a service job then runs.
         """
         import sqlite3
 
-        from repro.datasets import load_dataset
         from repro.service import MatchingService
-        from repro.store.serialize import PREPARED_STATE_VERSION
-        from repro.substrate import substrate_key
 
         RunStore(store_path).close()
         legacy = sqlite3.connect(store_path)
@@ -365,26 +357,32 @@ class TestStoreCommands:
             INSERT INTO prepared_states VALUES
                 ('iimb', 0, 0.2, 'x', '{}', '2026-01-01'),
                 ('fp:0123456789abcdef', 0, 0.2, 'x', '{}', '2026-01-01');
+            CREATE TABLE prepared (
+                fingerprint TEXT NOT NULL, config_hash TEXT NOT NULL,
+                version INTEGER NOT NULL, payload TEXT NOT NULL,
+                created_at TEXT NOT NULL,
+                PRIMARY KEY (fingerprint, config_hash, version));
+            INSERT INTO prepared VALUES
+                ('0123456789abcdef', 'x', 1, '{}', '2026-01-01');
             """
         )
         legacy.commit()
         legacy.close()
 
         assert main(["cache", "info", "--store", store_path]) == 0
-        assert "prepared states: 0" in capsys.readouterr().out
+        assert "runs: 0" in capsys.readouterr().out
         tables = sqlite3.connect(store_path)
         try:
             assert tables.execute(
-                "SELECT name FROM sqlite_master WHERE name = 'prepared_states'"
+                "SELECT name FROM sqlite_master"
+                " WHERE name IN ('prepared', 'prepared_states')"
             ).fetchall() == []
         finally:
             tables.close()
         with MatchingService(store_path) as service:
-            service.result(service.submit("iimb", scale=0.2, background=False))
-        bundle = load_dataset("iimb", seed=0, scale=0.2)
-        key = substrate_key(bundle.kb1, bundle.kb2, None)
-        with RunStore(store_path) as store:
-            assert store.list_prepared() == [(*key, PREPARED_STATE_VERSION)]
+            run_id = service.submit("iimb", scale=0.2, background=False)
+            assert service.result(run_id).questions_asked > 0
+            assert service.store.get_run(run_id).status == "done"
 
     def test_run_honors_repro_store_env(self, store_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", store_path)
@@ -455,40 +453,46 @@ class TestStoreCommands:
     def test_update_after_cache_clear_replays_lineage(
         self, store_path, tmp_path, capsys
     ):
-        """``cache clear`` drops every prepared state, not the lineage.
+        """A CLI ``update`` in a fresh service equals the warm update.
 
-        The ledger still records each delta, so ``update`` from a
-        non-root run rebuilds its parent state from the root and lands
-        on the same result as the same update before the clear.
+        A service that built a lineage holds every parent state in
+        memory; the CLI's new service holds none.  It rebuilds the step-2
+        parent from the root's KBs and the recorded deltas, and lands on
+        the result and reuse split of the same update in the process that
+        built the lineage.
         """
-        import re
-        import shutil
-
         from repro.datasets import evolving_bundle
+        from repro.service import MatchingService
+        from repro.store.serialize import result_to_doc
 
-        assert main(["run", "evolving", "--scale", "0.4", "--error-rate", "0",
-                     "--stream", "--store", store_path]) == 0
-        root = capsys.readouterr().out.split("run=")[1].split()[0]
-        assert main(["run", "--since", root, "--steps", "2",
-                     "--store", store_path]) == 0
-        step2 = capsys.readouterr().out.split("run=")[-1].split()[0]
+        deltas = evolving_bundle(seed=0, scale=0.4, steps=3).deltas
+        with MatchingService(store_path) as service:
+            step2 = service.submit(
+                "evolving", scale=0.4, error_rate=0.0, background=False, stream=True
+            )
+            for delta in deltas[:2]:
+                service.result(step2)
+                step2 = service.update(step2, delta, background=False)
+            service.result(step2)
+            warm_id = service.update(step2, deltas[2], background=False)
+            warm = result_to_doc(service.result(warm_id))
+            outcome = service.stream_outcome(warm_id)
         delta_file = tmp_path / "delta.json"
-        delta_file.write_text(json.dumps(
-            evolving_bundle(seed=0, scale=0.4, steps=3).deltas[2].to_doc()
-        ))
-        warm_path = str(tmp_path / "warm.db")
-        shutil.copyfile(store_path, warm_path)
-        assert main(["update", step2, "--delta", str(delta_file),
-                     "--store", warm_path]) == 0
-        warm = capsys.readouterr().out
-        assert main(["cache", "clear", "--store", store_path]) == 0
-        assert "removed" in capsys.readouterr().out
+        delta_file.write_text(json.dumps(deltas[2].to_doc()))
+        capsys.readouterr()
         assert main(["update", step2, "--delta", str(delta_file),
                      "--store", store_path]) == 0
         cold = capsys.readouterr().out
-        assert "F1=" in cold
-        # Same F1 row, questions and reuse split; only the run id differs.
-        assert re.sub(r"run=\w+ ", "", cold) == re.sub(r"run=\w+ ", "", warm)
+        cold_id = cold.split("run=")[1].split()[0]
+        assert cold_id != warm_id
+        assert (
+            f"reused {len(outcome.reused_keys)}/{len(outcome.records)} units, "
+            f"{outcome.questions_new} newly billed question(s)"
+        ) in cold
+        with RunStore(store_path) as store:
+            assert result_to_doc(store.get_result(cold_id)) == warm
+            counters = store.load_run_obs(cold_id)["metrics"]["counters"]
+        assert counters["prepared.cache.misses"] == 1
 
     def test_runs_show_prints_lineage(self, store_path, capsys):
         main(["run", "evolving", "--scale", "0.4", "--error-rate", "0",

@@ -165,6 +165,28 @@ class TestProfiles:
         assert a is b
 
 
+@pytest.mark.parametrize("seed, scale", [(0, 0.4), (0, 6), (3, 1.0), (65, 16)])
+def test_evolving_base_is_the_bundles_base_world(seed, scale):
+    """``load_dataset("evolving")`` builds only the base world, and it is
+    the world ``evolving_bundle`` authors its deltas against."""
+    from repro.datasets import evolving_bundle
+    from repro.datasets.evolving import evolving_base
+    from repro.kb import kb_to_doc
+
+    base = evolving_bundle(seed, scale).base
+    for world in (
+        evolving_base(seed, scale),
+        load_dataset("evolving", seed=seed, scale=scale),
+    ):
+        assert world.name == base.name
+        assert kb_to_doc(world.kb1) == kb_to_doc(base.kb1)
+        assert kb_to_doc(world.kb2) == kb_to_doc(base.kb2)
+        assert world.gold_matches == base.gold_matches
+        assert world.gold_attribute_matches == base.gold_attribute_matches
+        assert world.gold_relationship_matches == base.gold_relationship_matches
+        assert world.entity_types == base.entity_types
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 1000))
 def test_world_generation_invariants(seed):

@@ -124,35 +124,13 @@ def _relabeled(bundle):
     return replace(bundle, kb1=kb1)
 
 
-def test_prepared_state_cache_keys_on_content(monkeypatch):
+def test_prepared_state_cache_keys_on_content():
     from repro.datasets import load_dataset
     from repro.experiments import common
 
-    monkeypatch.delenv("REPRO_STORE", raising=False)
     common._PREPARED_CACHE.clear()
     bundle = load_dataset("iimb", seed=0, scale=0.2)
     first = common.prepared_state(bundle)
     second = common.prepared_state(_relabeled(bundle))
     assert second is not first
     assert common.prepared_state(bundle) is first
-
-
-def test_store_guard_rejects_same_counts_other_content(tmp_path, monkeypatch):
-    from repro.datasets import load_dataset
-    from repro.experiments import common
-    from repro.kb.io import kb_to_doc
-
-    monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store.db"))
-    monkeypatch.setattr(common, "_ENV_STORE", None)
-    bundle = load_dataset("iimb", seed=0, scale=0.2)
-    relabeled = _relabeled(bundle)
-    common._PREPARED_CACHE.clear()
-    try:
-        common.prepared_state(bundle)  # persisted under the bundle's content key
-        common._PREPARED_CACHE.clear()
-        state = common.prepared_state(relabeled)
-        stored = len(common._ENV_STORE.list_prepared())
-    finally:
-        common._ENV_STORE.close()
-    assert kb_to_doc(state.kb1) == kb_to_doc(relabeled.kb1)
-    assert stored == 2  # the relabeled bundle missed and stored its own row

@@ -1,6 +1,10 @@
 """Tests for the concurrent matching service."""
 
+import json
+import shutil
+import sqlite3
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -9,6 +13,8 @@ from repro.crowd import CrowdPlatform
 from repro.service import MatchingService
 from repro.store import RunStore
 from repro.store.serialize import checkpoint_to_doc, result_to_doc
+from repro.stream import DeltaOp, KBDelta
+from repro.substrate import SubstrateCache
 
 
 @pytest.fixture(scope="module")
@@ -49,20 +55,9 @@ class TestPreparedCache:
             assert service.cache_hits == 1
             assert service.cache_misses == 1
 
-    def test_store_cache_survives_new_service(self, tmp_path):
-        path = tmp_path / "store.db"
-        with MatchingService(RunStore(path)) as service:
-            first = service.prepared("iimb", scale=0.2)
-        with MatchingService(RunStore(path)) as service:
-            second = service.prepared("iimb", scale=0.2)
-            assert service.cache_misses == 0
-            assert service.cache_hits == 1
-        assert second.retained == first.retained
-        assert second.priors == first.priors
-
-    def test_edited_dataset_misses_the_stored_state(self, tmp_path, monkeypatch):
+    def test_edited_dataset_misses_the_stored_state(self, monkeypatch):
         """The key holds KB content, so an edited generator is never served
-        the state stored for the old KBs."""
+        the state cached for the old KBs under the same dataset name."""
         from dataclasses import replace
 
         import repro.service.service as service_module
@@ -70,9 +65,6 @@ class TestPreparedCache:
         from repro.kb.io import kb_to_doc
         from repro.kb.model import LABEL_ATTRIBUTE
 
-        path = str(tmp_path / "store.db")
-        with MatchingService(path) as service:
-            service.prepared("iimb", scale=0.2)
         bundle = load_dataset("iimb", seed=0, scale=0.2)
         kb1 = bundle.kb1.copy()
         entity = min(e for e in kb1.entities if kb1.label(e))
@@ -80,14 +72,16 @@ class TestPreparedCache:
         assert kb1.remove_attribute_triple(entity, LABEL_ATTRIBUTE, label)
         kb1.add_attribute_triple(entity, LABEL_ATTRIBUTE, label + " rewritten")
         edited = replace(bundle, kb1=kb1)
-        monkeypatch.setattr(
-            service_module, "load_dataset", lambda name, seed=0, scale=1.0: edited
-        )
-        with MatchingService(path) as service:
+        with MatchingService(":memory:") as service:
+            first = service.prepared("iimb", scale=0.2)
+            monkeypatch.setattr(
+                service_module, "load_dataset", lambda name, seed=0, scale=1.0: edited
+            )
             state = service.prepared("iimb", scale=0.2)
-            assert service.cache_misses == 1
-            assert service.cache_hits == 0
+            assert (service.cache_hits, service.cache_misses) == (0, 2)
+        assert state is not first
         assert kb_to_doc(state.kb1) == kb_to_doc(edited.kb1)
+        assert kb_to_doc(first.kb1) == kb_to_doc(bundle.kb1)
 
     def test_concurrent_prepare_deduplicated(self, tmp_path, monkeypatch):
         calls = []
@@ -263,6 +257,30 @@ class TestStepwiseEqualsLibrary:
             assert result_to_doc(service.result(run_id)) == expected
 
 
+@pytest.fixture(scope="class")
+def warm_lineage(tmp_path_factory):
+    """A 9-update ``evolving`` x0.4 stream lineage built in one service.
+
+    Returns the closed store's path, the run ids (root first), each
+    run's result document and the deltas.
+    """
+    from repro.datasets import evolving_bundle
+
+    evolving = evolving_bundle(seed=0, scale=0.4, steps=9)
+    path = tmp_path_factory.mktemp("lineage") / "warm.db"
+    with MatchingService(str(path)) as service:
+        run_ids = [
+            service.submit(
+                "evolving", scale=0.4, error_rate=0.1, background=False, stream=True
+            )
+        ]
+        for delta in evolving.deltas:
+            service.result(run_ids[-1])
+            run_ids.append(service.update(run_ids[-1], delta, background=False))
+        warm = [result_to_doc(service.result(run_id)) for run_id in run_ids]
+    return path, run_ids, warm, evolving.deltas
+
+
 class TestStreamSessions:
     def test_update_inherits_parent_workers(self, tmp_path):
         """A lineage started parallel stays parallel across updates."""
@@ -284,48 +302,82 @@ class TestStreamSessions:
             service.result(second)
             assert service.store.get_run(second).workers == 1
 
-    def test_cold_update_from_every_step_equals_warm(self, tmp_path):
-        """A cold service rebuilds any parent state and matches the warm run.
+    def test_cold_update_from_every_step_equals_warm(self, warm_lineage, tmp_path):
+        """A cold service rebuilds any parent state with one prepare.
 
-        Only every ``FULL_STATE_EVERY``-th step stores its post-delta
-        state; a fresh service (own substrate cache, copy of the store)
-        updating from any other step replays the recorded deltas from
-        the nearest stored ancestor, or from the root.
+        The warm service held every parent state in memory.  A fresh
+        service (own substrate cache, copy of the store) holds none:
+        updating from any step folds the recorded deltas into the root's
+        KBs, prepares the folded pair once and lands on the warm result.
         """
-        import shutil
-
-        from repro.datasets import evolving_bundle
-        from repro.service.service import FULL_STATE_EVERY
-        from repro.store.serialize import result_to_doc
-        from repro.substrate import SubstrateCache
-
-        assert FULL_STATE_EVERY == 4
-        evolving = evolving_bundle(seed=0, scale=0.4, steps=9)
-        warm_path = tmp_path / "warm.db"
-        with MatchingService(str(warm_path)) as service:
-            run_ids = [
-                service.submit(
-                    "evolving", scale=0.4, error_rate=0.1, background=False, stream=True
-                )
-            ]
-            for delta in evolving.deltas:
-                service.result(run_ids[-1])
-                run_ids.append(service.update(run_ids[-1], delta, background=False))
-            warm = [result_to_doc(service.result(run_id)) for run_id in run_ids]
-            stored = {k[0] for k in service.store.list_prepared()}
-            expected = {
-                service.store.get_run(run_ids[step]).kb_fingerprint
-                for step in (0, 4, 8)
-            }
-        assert stored == expected
-        for step, delta in enumerate(evolving.deltas):
-            path = tmp_path / f"cold-{step}.db"
-            shutil.copyfile(warm_path, path)
-            with MatchingService(str(path), substrate_cache=SubstrateCache()) as cold:
+        path, run_ids, warm, deltas = warm_lineage
+        for step, delta in enumerate(deltas):
+            copy = tmp_path / f"cold-{step}.db"
+            shutil.copyfile(path, copy)
+            with MatchingService(str(copy), substrate_cache=SubstrateCache()) as cold:
                 run_id = cold.update(run_ids[step], delta, background=False)
                 assert result_to_doc(cold.result(run_id)) == warm[step + 1]
+                assert (cold.cache_hits, cold.cache_misses) == (0, 1)
                 counters = cold.store.load_run_obs(run_id)["metrics"]["counters"]
-            assert counters.get("stream.state.replayed", 0) == step % FULL_STATE_EVERY
+            assert counters["prepared.cache.misses"] == 1
+            assert "prepared.cache.hits" not in counters
+
+    @staticmethod
+    def _cold_update_after_edit(warm_lineage, tmp_path, sql, params, step):
+        """Edit a copy of the warm store, then update from ``step`` cold."""
+        path, run_ids, _, deltas = warm_lineage
+        copy = tmp_path / "edited.db"
+        shutil.copyfile(path, copy)
+        with closing(sqlite3.connect(copy)) as conn, conn:
+            assert conn.execute(sql, params).rowcount == 1
+        with MatchingService(str(copy), substrate_cache=SubstrateCache()) as cold:
+            run_id = cold.update(run_ids[step], deltas[step], background=False)
+            try:
+                cold.result(run_id)
+            finally:
+                # Every guard fires before the rebuild's prepare.
+                assert cold.cache_misses == 0
+
+    def test_cold_rebuild_rejects_an_edited_delta(self, warm_lineage, tmp_path):
+        """A recorded delta that no longer folds to its run's KB pair is refused."""
+        _, run_ids, _, deltas = warm_lineage
+        # run_ids[2] applied deltas[1]; later runs keep it mid-lineage.
+        extra = DeltaOp("add_entity", 1, "x:edited", value="edited entity")
+        edited = KBDelta(ops=deltas[1].ops + (extra,), gold_add=deltas[1].gold_add)
+        with pytest.raises(ValueError, match=f"run '{run_ids[2]}'"):
+            self._cold_update_after_edit(
+                warm_lineage,
+                tmp_path,
+                "UPDATE runs SET delta_json = ? WHERE run_id = ?",
+                (json.dumps(edited.to_doc()), run_ids[2]),
+                step=2,
+            )
+
+    def test_cold_rebuild_rejects_a_parent_without_fingerprint(
+        self, warm_lineage, tmp_path
+    ):
+        _, run_ids, _, _ = warm_lineage
+        with pytest.raises(ValueError, match="predates the lineage migration"):
+            self._cold_update_after_edit(
+                warm_lineage,
+                tmp_path,
+                "UPDATE runs SET kb_fingerprint = NULL WHERE run_id = ?",
+                (run_ids[2],),
+                step=2,
+            )
+
+    def test_cold_rebuild_rejects_a_run_without_recorded_delta(
+        self, warm_lineage, tmp_path
+    ):
+        _, run_ids, _, _ = warm_lineage
+        with pytest.raises(ValueError, match=f"'{run_ids[1]}' has no recorded delta"):
+            self._cold_update_after_edit(
+                warm_lineage,
+                tmp_path,
+                "UPDATE runs SET delta_json = NULL WHERE run_id = ?",
+                (run_ids[1],),
+                step=2,
+            )
 
 
 class TestTimingIsolation:

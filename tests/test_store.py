@@ -1,7 +1,5 @@
 """Tests for the persistent run store and its stable serialization."""
 
-import json
-
 import pytest
 
 from repro.core import RempConfig
@@ -14,23 +12,14 @@ from repro.store import (
     config_from_doc,
     config_hash,
     config_to_doc,
-    prepared_state_from_doc,
-    prepared_state_to_doc,
     result_from_doc,
     result_to_doc,
 )
-from repro.store.serialize import PREPARED_STATE_VERSION
-from repro.substrate import substrate_key
 
 
 @pytest.fixture(scope="module")
 def bundle(bundle_iimb_02):
     return bundle_iimb_02
-
-
-@pytest.fixture(scope="module")
-def state(prepared_iimb_02):
-    return prepared_iimb_02
 
 
 class TestKBSerialization:
@@ -76,78 +65,7 @@ class TestConfigHash:
         assert config_hash(rebuilt) == config_hash(config)
 
 
-class TestPreparedStateSerialization:
-    def test_round_trip_is_byte_stable(self, state):
-        doc = prepared_state_to_doc(state)
-        blob = json.dumps(doc, sort_keys=True)
-        rebuilt = prepared_state_from_doc(json.loads(blob))
-        assert json.dumps(prepared_state_to_doc(rebuilt), sort_keys=True) == blob
-
-    def test_round_trip_preserves_artifacts(self, state):
-        rebuilt = prepared_state_from_doc(prepared_state_to_doc(state))
-        assert rebuilt.retained == state.retained
-        assert rebuilt.priors == state.priors
-        assert rebuilt.isolated == state.isolated
-        assert rebuilt.signatures == state.signatures
-        assert rebuilt.vector_index.vectors == state.vector_index.vectors
-        assert rebuilt.graph.vertices == state.graph.vertices
-        assert rebuilt.graph.groups == state.graph.groups
-        assert rebuilt.candidates.pairs == state.candidates.pairs
-        assert rebuilt.candidates.initial_matches == state.candidates.initial_matches
-        assert rebuilt.attribute_matches == state.attribute_matches
-
-    def test_unknown_version_rejected(self, state):
-        doc = prepared_state_to_doc(state)
-        doc["version"] = 999
-        with pytest.raises(ValueError, match="version"):
-            prepared_state_from_doc(doc)
-
-
 class TestRunStore:
-    def test_prepared_cache_hit_and_miss(self, tmp_path, state):
-        key = substrate_key(state.kb1, state.kb2, None)
-        with RunStore(tmp_path / "store.db") as store:
-            assert store.load_prepared(key) is None
-            store.save_prepared(key, state)
-            assert store.list_prepared() == [(*key, PREPARED_STATE_VERSION)]
-            cached = store.load_prepared(key)
-            assert cached.retained == state.retained
-            assert cached.priors == state.priors
-            # Different key components miss: other KB content, other config.
-            assert store.load_prepared(("0" * 16, key[1])) is None
-            other_config = substrate_key(state.kb1, state.kb2, RempConfig(mu=3))
-            assert store.load_prepared(other_config) is None
-
-    def test_prepared_cache_survives_reopen(self, tmp_path, state):
-        path = tmp_path / "store.db"
-        key = substrate_key(state.kb1, state.kb2, None)
-        with RunStore(path) as store:
-            store.save_prepared(key, state)
-        with RunStore(path) as store:
-            assert store.load_prepared(key).retained == state.retained
-
-    def test_clear_prepared(self, tmp_path, state):
-        key = substrate_key(state.kb1, state.kb2, None)
-        with RunStore(tmp_path / "store.db") as store:
-            store.save_prepared(key, state)
-            assert store.clear_prepared() == 1
-            assert store.load_prepared(key) is None
-            assert store.list_prepared() == []
-
-    def test_prepared_row_of_other_version_is_a_miss(self, tmp_path, state, monkeypatch):
-        """A state stored under another format version reads back as a miss."""
-        import repro.store.serialize as serialize
-
-        key = substrate_key(state.kb1, state.kb2, None)
-        with RunStore(tmp_path / "store.db") as store:
-            monkeypatch.setattr(
-                serialize, "PREPARED_STATE_VERSION", PREPARED_STATE_VERSION + 1
-            )
-            store.save_prepared(key, state)
-            monkeypatch.undo()
-            assert store.list_prepared() == [(*key, PREPARED_STATE_VERSION + 1)]
-            assert store.load_prepared(key) is None
-
     def test_file_store_journals_in_wal_at_full_sync(self, tmp_path):
         """WAL changes how a commit is written, not when it is durable."""
         with RunStore(tmp_path / "store.db") as store:

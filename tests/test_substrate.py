@@ -68,18 +68,22 @@ class TestFingerprints:
 
 
 class TestArenaSharing:
-    def test_sessions_on_one_key_share_one_packed_matrix(self, tmp_path):
-        """A state reloaded from the store attaches to the same arena."""
+    def test_recompute_after_eviction_reuses_the_key_arena(self, tmp_path):
+        """A state recomputed after an LRU eviction attaches to the same arena."""
         with _service(RunStore(tmp_path / "s.db")) as service:
             first = service.prepared("iimb", scale=0.2)
             assert first.substrate_key is not None
-            # Evict the memory cache: the second request round-trips the
-            # store into a *distinct* state object on the same key.
+            # Evict the memory cache: the second request prepares again,
+            # into a *distinct* state object on the same key.
             service._memory_cache.clear()
             second = service.prepared("iimb", scale=0.2)
             assert second is not first
+            assert service.cache_misses == 2
+            assert second.substrate_key == first.substrate_key
             assert second.vector_index.vectors == first.vector_index.vectors
-            assert service._substrate.stats()["hits"] >= 1
+            # One arena, created by the first compute, found by the second.
+            stats = service._substrate.stats()
+            assert (stats["entries"], stats["misses"], stats["hits"]) == (1, 1, 1)
 
     def test_two_services_converge_on_shared_cache(self):
         cache = SubstrateCache()
