@@ -9,7 +9,7 @@ same snapshot; the ``incremental`` variant is the shipped code path.
 """
 
 from repro.core import Remp
-from repro.core.pipeline import LoopState
+from repro.core.pipeline import LoopState, parse_state_doc
 from repro.datasets import load_dataset
 
 SCALE = 0.6
@@ -64,7 +64,7 @@ def _bench(benchmark, body):
     loop_state, snapshot, inferred = _labeled_loop_state()
 
     def setup():
-        loop_state.restore(snapshot)
+        loop_state.restore(*parse_state_doc(snapshot))
         loop_state._inferred_sets = inferred
         return (loop_state,), {}
 
@@ -83,7 +83,7 @@ def test_both_variants_resolve_identically():
     loop_state, snapshot, inferred = _labeled_loop_state()
     _distant_incremental(loop_state)
     fast = set(loop_state.inferred_matches)
-    loop_state.restore(snapshot)
+    loop_state.restore(*parse_state_doc(snapshot))
     loop_state._inferred_sets = inferred
     _distant_naive(loop_state)
     assert set(loop_state.inferred_matches) == fast

@@ -521,7 +521,11 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             units = store.load_unit_record_docs(args.run_id)
             if units:
                 reusable = sum(1 for doc in units.values() if doc["kind"] == "graph")
-                print(f"stream units: {len(units)} recorded ({reusable} reusable)")
+                written = sum(1 for doc in units.values() if doc["origin"] == args.run_id)
+                print(
+                    f"stream units: {len(units)} recorded ({reusable} reusable; "
+                    f"{written} written, {len(units) - written} by reference)"
+                )
         checkpoint = store.load_checkpoint(args.run_id)
         if checkpoint is not None:
             print(

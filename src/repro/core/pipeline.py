@@ -463,8 +463,9 @@ class LoopState:
     The currently-unresolved pair set is maintained incrementally (every
     resolution removes its pair), so membership checks inside propagation
     are O(1) instead of rebuilding a set difference over all retained
-    pairs.  :meth:`snapshot` and :meth:`restore` round-trip the resolution
-    state through a JSON-able document for checkpoint/resume.
+    pairs.  :meth:`snapshot` writes the resolution state as a JSON-able
+    document for checkpoint/resume, and :meth:`restore` reads it back
+    through :func:`parse_state_doc`.
 
     During the loops the state changes only through :meth:`resolve_match`,
     :meth:`resolve_non_match` (and the competitor demotions) and the prior
@@ -587,19 +588,23 @@ class LoopState:
         self._clear_changes()
         return changes
 
-    def restore(self, snapshot: dict) -> None:
-        """Reset this state to a :meth:`snapshot` or a fold of deltas.
+    def restore(self, priors: dict[Pair, float], sets: dict[str, set[Pair]]) -> None:
+        """Reset this state to ``priors`` and the four resolution ``sets``.
 
-        The prepared state's priors are overlaid with the document's, so
-        a sparse fold and a full snapshot restore the same state, and the
-        priors keep the live run's key order.
+        The prepared state's priors are overlaid with ``priors``, so a
+        sparse fold and a full snapshot restore the same state, and the
+        priors keep the prepared state's key order.  The sets are copied,
+        so one merged state may restore several loop states.  A
+        :meth:`snapshot`-shaped document restores through
+        :func:`parse_state_doc`; :func:`merge_loop_snapshots` returns
+        these arguments directly.
         """
         self.priors = dict(self.state.priors)
-        self.priors.update(((left, right), p) for left, right, p in snapshot["priors"])
-        self.labeled_matches = {(l, r) for l, r in snapshot["labeled_matches"]}
-        self.inferred_matches = {(l, r) for l, r in snapshot["inferred_matches"]}
-        self.resolved_matches = {(l, r) for l, r in snapshot["resolved_matches"]}
-        self.resolved_non_matches = {(l, r) for l, r in snapshot["resolved_non_matches"]}
+        self.priors.update(priors)
+        self.labeled_matches = set(sets["labeled_matches"])
+        self.inferred_matches = set(sets["inferred_matches"])
+        self.resolved_matches = set(sets["resolved_matches"])
+        self.resolved_non_matches = set(sets["resolved_non_matches"])
         self._unresolved = (
             self.state.retained - self.resolved_matches - self.resolved_non_matches
         )
@@ -774,7 +779,7 @@ class LoopDriver:
         held = platform.recorded_questions()
         logged: set[Pair] = set()
         if resume_from is not None:
-            self.loop_state.restore(resume_from.loop_state)
+            self.loop_state.restore(*parse_state_doc(resume_from.loop_state))
             platform.load_answer_log(resume_from.answer_log)
             logged = {tuple(entry["question"]) for entry in resume_from.answer_log}
             self.history = list(resume_from.history)
@@ -881,18 +886,32 @@ class LoopDriver:
         )
 
 
-def merge_loop_snapshots(state: PreparedState, snapshots: list[dict]) -> dict:
-    """Combine per-shard :meth:`LoopState.snapshot` documents into one.
+def merge_loop_snapshots(
+    state: PreparedState, snapshots: list[dict]
+) -> tuple[dict[Pair, float], dict[str, set[Pair]]]:
+    """Combine per-shard :meth:`LoopState.snapshot` documents into one state.
 
     Priors start from the prepared state's and are overlaid with each
     snapshot's (shard priors cover disjoint retained subsets, so later
     snapshots never clobber earlier ones); the resolution sets are
     unioned, with resolved matches winning over a non-match recorded for
-    the same pair by another shard.  The result restores into a
-    :class:`LoopState` over the *full* ``state`` — the training input for
-    the isolated-pair classification phase of :mod:`repro.partition`.
+    the same pair by another shard.  Returns ``(priors, sets)``, the
+    arguments of :meth:`LoopState.restore` over the *full* ``state`` —
+    the training input for the isolated-pair classification phase of
+    :mod:`repro.partition`.  No document is built: the priors keep the
+    prepared state's key order, which is the order a restore gives them.
     """
     return _merge_state_docs(snapshots, dict(state.priors))
+
+
+def parse_state_doc(doc: dict) -> tuple[dict[Pair, float], dict[str, set[Pair]]]:
+    """The ``(priors, sets)`` of a :meth:`LoopState.snapshot`-shaped document.
+
+    A document that :meth:`LoopState.snapshot` or
+    :func:`fold_checkpoints` wrote holds no pair in both resolved sets,
+    so reading it as a merge of one document changes nothing.
+    """
+    return _merge_state_docs([doc], {})
 
 
 def fold_checkpoints(checkpoints: list[LoopCheckpoint]) -> LoopCheckpoint | None:
@@ -923,12 +942,14 @@ def fold_checkpoints(checkpoints: list[LoopCheckpoint]) -> LoopCheckpoint | None
         next_loop_index=last.next_loop_index,
         questions_asked=last.questions_asked,
         history=[record for checkpoint in checkpoints for record in checkpoint.history],
-        loop_state=_merge_state_docs([c.loop_state for c in checkpoints], {}),
+        loop_state=_state_doc(*_merge_state_docs([c.loop_state for c in checkpoints], {})),
         answer_log=[entry for question in sorted(labels) for entry in labels[question]],
     )
 
 
-def _merge_state_docs(docs: list[dict], priors: dict[Pair, float]) -> dict:
+def _merge_state_docs(
+    docs: list[dict], priors: dict[Pair, float]
+) -> tuple[dict[Pair, float], dict[str, set[Pair]]]:
     """Overlay the documents' priors onto ``priors`` and union their sets."""
     merged: dict[str, set[Pair]] = {name: set() for name in _RESOLUTION_SETS}
     for doc in docs:
@@ -936,7 +957,7 @@ def _merge_state_docs(docs: list[dict], priors: dict[Pair, float]) -> dict:
         for name, pairs in merged.items():
             pairs.update((left, right) for left, right in doc.get(name, ()))
     merged["resolved_non_matches"] -= merged["resolved_matches"]
-    return _state_doc(priors, merged)
+    return priors, merged
 
 
 def _state_doc(priors: dict[Pair, float], sets: dict[str, set[Pair]]) -> dict:

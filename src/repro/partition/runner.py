@@ -197,7 +197,9 @@ class _ShardTask:
     strategy: str
     seed: int
     checkpoint: LoopCheckpoint | None = None
-    merged_snapshot: dict | None = None  # isolated shards only
+    #: The graph shards' merged ``(priors, resolution sets)``
+    #: (:func:`merge_loop_snapshots`); isolated shards only.
+    merged_state: tuple | None = None
     #: Content-derived seed overrides (stream mode); ``None`` falls back
     #: to the positional ``content_seed(seed, str(shard_id))`` derivation.
     remp_seed: int | None = None
@@ -243,6 +245,13 @@ class UnitRecord:
     and none of its pairs are dirty.  ``answer_log`` carries the crowd
     labels the shard collected, so new-spend accounting can tell a
     replayed question from a genuinely new one.
+
+    ``origin`` names the run that executed the unit, whose store row
+    holds the payload: the building run for a unit it executed (or
+    restored from its own shard rows on resume), the reused record's
+    origin for a reused one.  A store writes a unit whose origin is
+    another run as a reference to that run's row.  Records are shared
+    between runs, never mutated.
     """
 
     key: str
@@ -250,7 +259,7 @@ class UnitRecord:
     result: RempResult
     snapshot: dict = field(default_factory=dict)
     answer_log: list = field(default_factory=list)
-    reused: bool = False
+    origin: str | None = None
 
 
 def _execute_shard(
@@ -342,7 +351,7 @@ def _run_shard(
         # and let the monolithic isolated-pair path do the rest.  The
         # shard result carries only the *delta* this shard produced.
         loop_state = remp._make_loop_state(shard_state)
-        loop_state.restore(task.merged_snapshot or loop_state.snapshot())
+        loop_state.restore(*task.merged_state)
         base_labeled = set(loop_state.labeled_matches)
         base_non_matches = set(loop_state.resolved_non_matches)
         isolated_matches, _ = remp._classify_isolated(shard_state, loop_state, platform)
@@ -620,12 +629,12 @@ class ParallelRunner:
             tasks.append(task)
         self._execute(tasks, state, crowd, outcomes)
         if self.quarantined:
-            # A quarantined graph shard means the merged snapshot would
+            # A quarantined graph shard means the merged state would
             # be missing training data — degrade now rather than let the
             # isolated phase classify against partial resolutions.
             self._raise_partial(outcomes)
 
-        merged_snapshot = merge_loop_snapshots(
+        merged_state = merge_loop_snapshots(
             state,
             [
                 outcomes[shard.shard_id].snapshot
@@ -637,7 +646,7 @@ class ParallelRunner:
         for shard in plan.isolated_shards:
             if not self._restore_outcome(shard, stored, outcomes):
                 task = self._make_task(shard, self.config, keys[shard.shard_id])
-                task.merged_snapshot = merged_snapshot
+                task.merged_state = merged_state
                 isolated_tasks.append(task)
         self._execute(isolated_tasks, state, crowd, outcomes)
         if self.quarantined:
@@ -655,7 +664,11 @@ class ParallelRunner:
                     result=outcome.result,
                     snapshot=outcome.snapshot,
                     answer_log=outcome.answer_log,
-                    reused=key in self.reused_keys,
+                    origin=(
+                        self._reuse[key].origin
+                        if key in self.reused_keys
+                        else self._run_id
+                    ),
                 )
 
         self.shard_costs = [

@@ -38,7 +38,9 @@ one :class:`repro.store.RunStore`:
   re-running only the entity closures the delta touches, reusing every
   clean unit's recorded outcome and crowd answers, with full lineage
   (parent run, delta, KB fingerprint) in the ledger.  A parent state the
-  LRU no longer holds is rebuilt from that lineage with one prepare.
+  LRU no longer holds is rebuilt from that lineage with one prepare, and
+  parent unit records that no finished session in the service holds are
+  loaded from the store.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ class MatchingSession:
         self.delta = delta
         self.on_event = on_event
         #: The last stream execution's :class:`repro.stream.StreamOutcome`
-        #: (reuse/new-spend accounting); ``None`` until the run finishes.
+        #: (reuse/new-spend accounting, and its records are a child
+        #: update's reuse input); ``None`` until the run finishes.
         self.stream_outcome = None
         self.status = QUEUED
         self.error: str | None = None
@@ -401,7 +404,8 @@ class MatchingSession:
         execute with per-unit checkpoints under ``(run_id, shard_id)`` —
         so an interrupted update resumes without re-asking a question.
         Unit records persist past ``finish_run``: they are what the
-        *next* update reuses.
+        *next* update reuses.  Only the units this run executed write a
+        payload; each reused unit writes a reference to its origin's row.
         """
         with self._observed():
             if self._result is not None:
@@ -417,13 +421,15 @@ class MatchingSession:
                 on_event=self.on_event,
             )
             outcome = runner.run_incremental(state, crowd, dirty=dirty, reuse=reuse)
-            self._store.replace_unit_records(
-                self.run_id,
-                {
-                    key: unit_record_to_doc(record)
-                    for key, record in outcome.records.items()
-                },
-            )
+            # A reused unit's payload stays in its origin's row: this run
+            # writes a reference to it, and serializes only what it ran.
+            payloads, references = {}, {}
+            for key, record in outcome.records.items():
+                if record.origin == self.run_id:
+                    payloads[key] = unit_record_to_doc(record)
+                else:
+                    references[key] = record.origin
+            self._store.replace_unit_records(self.run_id, payloads, references)
             self.stream_outcome = outcome
             # Unit records cover every shard of the run (reused ones bill
             # their recorded, i.e. logical, question count), so the items
@@ -548,12 +554,8 @@ class MatchingService:
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         try:
             with key_lock:
-                with self._lock:
-                    state = self._memory_cache.get(key)
+                state = self._lru_hit(key)
                 if state is not None:
-                    with self._lock:
-                        self.cache_hits += 1
-                    obs.count("prepared.cache.hits")
                     return state
                 arena = self._substrate.get_or_create(key)
                 with arena.activation():
@@ -574,6 +576,16 @@ class MatchingService:
             with self._lock:
                 if self._key_locks.get(key) is key_lock:
                     del self._key_locks[key]
+
+    def _lru_hit(self, key: tuple[str, str]) -> PreparedState | None:
+        """The LRU's state for ``key``, counted as a hit; ``None`` on a miss."""
+        with self._lock:
+            state = self._memory_cache.get(key)
+            if state is None:
+                return None
+            self.cache_hits += 1
+        obs.count("prepared.cache.hits")
+        return state
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -760,12 +772,12 @@ class MatchingService:
         """The prepared state a finished stream run matched.
 
         Roots come from :meth:`prepared`.  A post-delta state comes from
-        the LRU under the run's ledger fingerprint; on a miss it is
-        rebuilt the way a root is built: the lineage's recorded deltas
-        are folded into the root's KBs, the folded pair must carry that
-        fingerprint, and it is prepared once.  A spliced state equals a
-        from-scratch prepare of its KB pair, so the rebuild is exact at
-        any lineage depth.
+        the LRU under the run's ledger fingerprint, counted as a hit like
+        a root's; on a miss it is rebuilt the way a root is built: the
+        lineage's recorded deltas are folded into the root's KBs, the
+        folded pair must carry that fingerprint, and it is prepared once,
+        counted as a miss.  A spliced state equals a from-scratch prepare
+        of its KB pair, so the rebuild is exact at any lineage depth.
         """
         config = self._store.get_run_config(record.run_id)
         if record.parent_run_id is None:
@@ -776,8 +788,7 @@ class MatchingService:
                 "its prepared state cannot be located"
             )
         key = (record.kb_fingerprint, config_hash(config))
-        with self._lock:
-            state = self._memory_cache.get(key)
+        state = self._lru_hit(key)
         if state is not None:
             return state
         root, deltas = self._lineage(record.run_id)
@@ -842,9 +853,13 @@ class MatchingService:
         A run without a parent gets its dataset's prepared state and
         gold, with no dirty set and nothing to reuse.  A stream update
         splices its delta into its parent's state and reuses the
-        parent's unit records.  Either way the ledger records the
-        KB-pair fingerprint the run matched.  Pure given the ledger: a
-        resumed run recomputes the inputs the interrupted one saw.
+        parent's unit records: the ones the parent's finished session in
+        this service holds, shared and never copied, or else the
+        parent's rows loaded from the store (a CLI ``update`` or ``run
+        --since``, or a resume in a fresh process).  Either way the
+        ledger records the KB-pair fingerprint the run matched.  Pure
+        given the ledger: a resumed run recomputes the inputs the
+        interrupted one saw.
         """
         record = session.record
         if record.parent_run_id is None:
@@ -866,12 +881,14 @@ class MatchingService:
         self._store.set_run_fingerprint(record.run_id, prepared.fingerprint)
         with self._lock:
             self._memory_cache.put(prepared.state.substrate_key, prepared.state)
-        reuse = {
-            key: unit_record_from_doc(doc)
-            for key, doc in self._store.load_unit_record_docs(
-                record.parent_run_id
-            ).items()
-        }
+        outcome = self.stream_outcome(parent.run_id)
+        if outcome is not None:
+            reuse = outcome.records
+        else:
+            reuse = {
+                key: unit_record_from_doc(doc)
+                for key, doc in self._store.load_unit_record_docs(parent.run_id).items()
+            }
         return prepared.state, prepared.changed, reuse, self.truth(record.run_id)
 
     def truth(self, run_id: str) -> set:

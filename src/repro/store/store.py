@@ -13,6 +13,9 @@ One :class:`RunStore` file holds the durable state of runs:
   for later querying (``repro runs list`` / ``repro runs show``).
 * **Stream unit records and observability documents** — what the next
   stream update reuses, and each run's trace, metrics and cost ledger.
+  A stream run writes a payload row only for the units it executed; a
+  unit it reused gets a reference row naming the run that holds the
+  payload, which a cold load resolves with one self-join.
 
 It holds no offline artifacts of ``Remp.prepare``: a prepared state is a
 function of its KB pair, which the ledger pins, and rebuilding one costs
@@ -97,10 +100,11 @@ CREATE TABLE IF NOT EXISTS shard_checkpoints (
     PRIMARY KEY (run_id, shard_id)
 );
 CREATE TABLE IF NOT EXISTS stream_units (
-    run_id     TEXT NOT NULL,
-    unit_key   TEXT NOT NULL,
-    payload    TEXT NOT NULL,
-    updated_at TEXT NOT NULL,
+    run_id        TEXT NOT NULL,
+    unit_key      TEXT NOT NULL,
+    payload       TEXT NOT NULL,
+    updated_at    TEXT NOT NULL,
+    origin_run_id TEXT,
     PRIMARY KEY (run_id, unit_key)
 );
 CREATE TABLE IF NOT EXISTS run_obs (
@@ -125,6 +129,9 @@ CREATE INDEX IF NOT EXISTS run_events_by_run ON run_events (run_id, seq);
 #: fails with "duplicate column", the one error the open path may
 #: swallow.  The four ``runs`` columns after ``workers`` are the
 #: *lineage migration*: run provenance for incremental (stream) runs.
+#: ``stream_units.origin_run_id`` makes a reused unit's row a reference
+#: to the run that holds its payload; rows written before it have none,
+#: which reads as "this row is its own origin", so no row is rewritten.
 #: Checkpoint rows written before the journal need no migration: a full
 #: ``checkpoints`` row (or ``kind='loop'`` shard row) is a delta from the
 #: prepared state, folded as the first row of its run's (shard's) journal.
@@ -141,6 +148,7 @@ _MIGRATIONS = (
     "ALTER TABLE runs ADD COLUMN delta_json TEXT",
     "ALTER TABLE runs ADD COLUMN stream_step INTEGER",
     "ALTER TABLE runs ADD COLUMN kb_fingerprint TEXT",
+    "ALTER TABLE stream_units ADD COLUMN origin_run_id TEXT",
     "DROP TABLE IF EXISTS substrate_blobs",
     "DROP TABLE IF EXISTS prepared_states",
     "DROP TABLE IF EXISTS prepared",
@@ -639,46 +647,73 @@ class RunStore:
     # ------------------------------------------------------------------
     # Stream unit records (incremental runs, repro.stream)
     # ------------------------------------------------------------------
-    def replace_unit_records(self, run_id: str, records: dict[str, dict]) -> None:
-        """Overwrite a stream run's content-keyed unit record documents.
+    def replace_unit_records(
+        self, run_id: str, payloads: dict[str, dict], references: dict[str, str]
+    ) -> None:
+        """Overwrite a stream run's unit rows: its payloads and its references.
 
-        Unlike shard checkpoints these *survive* ``finish_run`` — they
-        are what the next ``update()`` reuses for clean closures.
+        ``payloads`` maps the content key of each unit the run executed
+        (or restored from its own shard rows on resume) to its record
+        document.  ``references`` maps each reused unit's key to its
+        origin, the run whose row for that key holds the payload; the
+        unit's row gets an empty payload and the origin in
+        ``origin_run_id``.  An origin always holds a payload row, so
+        references never chain.  Rows are addressed by origin and key
+        together: a dirty unit can re-execute on an unchanged vertex
+        set, so one key can carry different payloads in different runs.
+
+        Unlike shard checkpoints these rows *survive* ``finish_run`` —
+        they are what the next ``update()`` reuses for clean closures.
         """
         now = _now()
-        payloads = [
-            (run_id, key, json.dumps(doc, sort_keys=True), now)
-            for key, doc in records.items()
+        rows = [
+            (run_id, key, json.dumps(doc, sort_keys=True), None, now)
+            for key, doc in payloads.items()
         ]
+        rows.extend(
+            (run_id, key, "", origin, now) for key, origin in references.items()
+        )
 
         def op(conn):
             conn.execute("DELETE FROM stream_units WHERE run_id = ?", (run_id,))
             conn.executemany(
-                "INSERT INTO stream_units (run_id, unit_key, payload, updated_at)"
-                " VALUES (?, ?, ?, ?)",
-                payloads,
+                "INSERT INTO stream_units"
+                " (run_id, unit_key, payload, origin_run_id, updated_at)"
+                " VALUES (?, ?, ?, ?, ?)",
+                rows,
             )
 
         self._write("replace_unit_records", op)
 
     def load_unit_record_docs(self, run_id: str) -> dict[str, dict]:
-        """All unit record documents of a stream run, keyed by content key."""
+        """All unit record documents of a stream run, keyed by content key.
+
+        One self-join resolves references: a row with an
+        ``origin_run_id`` reads its payload from its origin's row for the
+        same unit key.  A row without one is its own origin, which is how
+        every row a store written before references holds reads.  Each
+        document's ``origin`` names the run whose row holds its payload.
+        Raises ``ValueError`` for a reference whose origin holds no
+        payload row for its unit.
+        """
         with self._lock:
             rows = self._conn.execute(
-                "SELECT unit_key, payload FROM stream_units WHERE run_id = ?"
-                " ORDER BY unit_key",
+                "SELECT u.unit_key, COALESCE(u.origin_run_id, u.run_id) AS origin,"
+                " COALESCE(o.payload, u.payload) AS payload"
+                " FROM stream_units AS u LEFT JOIN stream_units AS o"
+                " ON o.run_id = u.origin_run_id AND o.unit_key = u.unit_key"
+                " WHERE u.run_id = ? ORDER BY u.unit_key",
                 (run_id,),
             ).fetchall()
-        return {row["unit_key"]: json.loads(row["payload"]) for row in rows}
-
-    def clear_unit_records(self, run_id: str) -> int:
-        """Drop a stream run's unit records; returns the number removed."""
-        return self._write(
-            "clear_unit_records",
-            lambda conn: conn.execute(
-                "DELETE FROM stream_units WHERE run_id = ?", (run_id,)
-            ).rowcount,
-        )
+        docs = {}
+        for row in rows:
+            if not row["payload"]:
+                raise ValueError(
+                    f"unit {row['unit_key']!r} of run {run_id!r} references run "
+                    f"{row['origin']!r}, which holds no payload for it"
+                )
+            docs[row["unit_key"]] = {**json.loads(row["payload"]), "origin": row["origin"]}
+        return docs
 
     # ------------------------------------------------------------------
     # Observability documents (repro.obs): trace + metrics + cost ledger

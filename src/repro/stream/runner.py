@@ -47,6 +47,7 @@ def unit_record_to_doc(record: UnitRecord) -> dict:
         "result": result_to_doc(record.result),
         "snapshot": record.snapshot,
         "answer_log": record.answer_log,
+        "origin": record.origin,
     }
 
 
@@ -57,6 +58,7 @@ def unit_record_from_doc(doc: dict) -> UnitRecord:
         result=result_from_doc(doc["result"]),
         snapshot=doc["snapshot"],
         answer_log=doc["answer_log"],
+        origin=doc["origin"],
     )
 
 

@@ -50,7 +50,7 @@ from repro.accel.reference import (
 from repro.core import Remp, RempConfig
 from repro.core.attributes import AttributeMatch
 from repro.core.candidates import _token_index
-from repro.core.pipeline import LoopState
+from repro.core.pipeline import LoopState, parse_state_doc
 from repro.core.er_graph import build_er_graph
 from repro.core.isolated import build_signatures
 from repro.core.propagation import _marginals_exact, _odds
@@ -330,7 +330,7 @@ class _CheckedLoopState(LoopState):
         before = self.snapshot()
         super().propagate(kb1, kb2)
         reference = RebuildLoopState(self.state, self.config)
-        reference.restore(before)
+        reference.restore(*parse_state_doc(before))
         with reference_kernels():
             reference.propagate(kb1, kb2)
         assert _ordered(self._inferred_sets) == _ordered(reference._inferred_sets)

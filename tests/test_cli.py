@@ -507,6 +507,36 @@ class TestStoreCommands:
         assert "kb_fingerprint:" in detail
 
 
+    def test_runs_show_counts_written_and_referenced_units(self, store_path, capsys):
+        """``runs show`` splits a stream run's units into payloads and references.
+
+        A root writes every unit; an update writes the units it executed
+        and references the ones it reused.
+        """
+        from repro.datasets import evolving_bundle
+        from repro.service import MatchingService
+
+        delta = evolving_bundle(seed=0, scale=0.4, steps=1).deltas[0]
+        with MatchingService(store_path) as service:
+            root = service.submit(
+                "evolving", scale=0.4, error_rate=0.0, background=False, stream=True
+            )
+            service.result(root)
+            child = service.update(root, delta, background=False)
+            service.result(child)
+            outcomes = {run_id: service.stream_outcome(run_id) for run_id in (root, child)}
+        assert outcomes[root].reused_keys == set()
+        assert outcomes[child].reused_keys and outcomes[child].executed_keys
+        for run_id, outcome in outcomes.items():
+            units = len(outcome.records)
+            reusable = sum(1 for r in outcome.records.values() if r.kind == "graph")
+            written = len(outcome.executed_keys)
+            assert main(["runs", "show", run_id, "--store", store_path]) == 0
+            assert (
+                f"stream units: {units} recorded ({reusable} reusable; "
+                f"{written} written, {units - written} by reference)"
+            ) in capsys.readouterr().out
+
 class TestStreamErrorPaths:
     """CLI error paths for the stream verbs (``update`` / ``run --since``)."""
 

@@ -16,7 +16,7 @@ from repro import faults
 from repro.cli import main
 from repro.core import Remp, RempConfig
 from repro.core.hybrid import HybridRemp
-from repro.core.pipeline import LoopDriver, fold_checkpoints
+from repro.core.pipeline import LoopDriver, fold_checkpoints, parse_state_doc
 from repro.crowd import CrowdPlatform
 from repro.partition import CrowdSpec, ParallelRunner
 from repro.service import MatchingService
@@ -65,7 +65,7 @@ class TestFoldOracle:
             deltas.append(driver.checkpoint())
             folded = fold_checkpoints(deltas)
             restored = remp._make_loop_state(state)
-            restored.restore(folded.loop_state)
+            restored.restore(*parse_state_doc(folded.loop_state))
             live = driver.loop_state
             assert restored.snapshot() == live.snapshot()
             # The overlay keeps the live run's prior key order.
@@ -232,7 +232,7 @@ class TestStoreJournal:
             assert service.step(run_id)
             folded = service.store.load_checkpoint(run_id)
         loop_state = Remp()._make_loop_state(state)
-        loop_state.restore(folded.loop_state)
+        loop_state.restore(*parse_state_doc(folded.loop_state))
         full = checkpoint_to_doc(folded)
         full["loop_state"] = loop_state.snapshot()
         conn = sqlite3.connect(path)

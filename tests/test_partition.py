@@ -1,10 +1,14 @@
 """Tests for the partition subsystem: partitioner, runner, merger, events."""
 
 import io
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Remp, RempConfig
+from repro.core.pipeline import LoopState, merge_loop_snapshots, parse_state_doc
 from repro.crowd import CrowdPlatform
 from repro.eval import evaluate_matches
 from repro.partition import (
@@ -351,6 +355,95 @@ class TestShardCheckpointStore:
         ]
         store.close()
 
+
+_SETS = ("labeled_matches", "inferred_matches", "resolved_matches", "resolved_non_matches")
+_PAIRS = [(f"l{i}", f"r{j}") for i in range(4) for j in range(3)]
+
+
+def _merged_document(priors, snapshots) -> dict:
+    """The graph units' merge as one sorted snapshot document.
+
+    The isolated shard restored from this document before the direct
+    merge: the prepared priors overlaid with each snapshot's, the sets
+    unioned, and a resolved match winning over a non-match.
+    """
+    priors = dict(priors)
+    sets = {name: set() for name in _SETS}
+    for doc in snapshots:
+        priors.update(((left, right), p) for left, right, p in doc["priors"])
+        for name in _SETS:
+            sets[name].update((left, right) for left, right in doc[name])
+    sets["resolved_non_matches"] -= sets["resolved_matches"]
+    document = {"priors": sorted([left, right, p] for (left, right), p in priors.items())}
+    document.update((name, sorted(map(list, sets[name]))) for name in _SETS)
+    return document
+
+
+def _assert_direct_merge_restores_the_document(state, snapshots) -> LoopState:
+    direct = LoopState(state, RempConfig())
+    direct.restore(*merge_loop_snapshots(state, snapshots))
+    documented = LoopState(state, RempConfig())
+    documented.restore(*parse_state_doc(_merged_document(state.priors, snapshots)))
+    assert direct.priors == documented.priors
+    assert list(direct.priors) == list(documented.priors) == list(state.priors)
+    for name in _SETS:
+        assert getattr(direct, name) == getattr(documented, name), name
+    assert direct.unresolved() == documented.unresolved()
+    return direct
+
+
+@st.composite
+def _unit_snapshots(draw):
+    """Prepared priors in a drawn key order, and unit snapshots over shared pairs.
+
+    One contested pair is a resolved match in the first snapshot and a
+    resolved non-match in the last.
+    """
+    probability = st.floats(0.0, 1.0)
+    pair_sets = st.sets(st.sampled_from(_PAIRS), max_size=6)
+    priors = {pair: draw(probability) for pair in draw(st.permutations(_PAIRS))}
+    units = [
+        (draw(pair_sets), {name: draw(pair_sets) for name in _SETS})
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    contested = draw(st.sampled_from(_PAIRS))
+    units[0][1]["resolved_matches"].add(contested)
+    units[0][1]["resolved_non_matches"].discard(contested)
+    units[-1][1]["resolved_non_matches"].add(contested)
+    units[-1][1]["resolved_matches"].discard(contested)
+    snapshots = []
+    for prior_pairs, sets in units:
+        doc = {"priors": sorted([left, right, draw(probability)] for left, right in prior_pairs)}
+        doc.update((name, sorted(map(list, sets[name]))) for name in _SETS)
+        snapshots.append(doc)
+    return priors, snapshots, contested
+
+
+class TestMergeLoopSnapshots:
+    """The isolated shard's input: unit snapshots merged without a document."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_unit_snapshots())
+    def test_direct_merge_restores_as_the_merged_document(self, drawn):
+        priors, snapshots, contested = drawn
+        state = SimpleNamespace(priors=priors, retained=set(_PAIRS))
+        restored = _assert_direct_merge_restores_the_document(state, snapshots)
+        assert contested in restored.resolved_matches
+        assert contested not in restored.resolved_non_matches
+
+    def test_direct_merge_on_a_real_stream_step(self):
+        from repro.datasets import evolving_bundle
+        from repro.stream import StreamRunner
+
+        bundle = evolving_bundle(seed=0, scale=0.4, steps=1).bundle_at(1)
+        state = Remp().prepare(bundle.kb1, bundle.kb2)
+        crowd = CrowdSpec(truth=bundle.gold_matches, error_rate=0.1, seed=0)
+        outcome = StreamRunner(seed=0).run_full(state, crowd)
+        snapshots = [
+            record.snapshot for record in outcome.records.values() if record.kind == "graph"
+        ]
+        restored = _assert_direct_merge_restores_the_document(state, snapshots)
+        assert len(snapshots) > 1 and restored.resolved_matches
 
 class TestServiceWorkers:
     def test_partitioned_session_round_trip(self, tmp_path):

@@ -245,6 +245,54 @@ class TestStreamUpdateResume:
         resumed, _ = self._resume(path, run_id)
         assert resumed == reference[1]
 
+    def test_resume_in_the_same_service_reads_the_parent_records_from_memory(
+        self, evolving, reference, tmp_path
+    ):
+        """A resume in the service that ran the parent loads no unit rows.
+
+        The update dies as its isolated unit starts, after its graph unit
+        finished.  The resumed update reuses the parent's in-memory
+        records and restores that graph unit from its own shard row.  It
+        lands on the uninterrupted update, and its payload rows are
+        exactly the units it executed.
+        """
+        from repro.service import MatchingService
+
+        class _Die(Exception):
+            pass
+
+        def killer(event):
+            if event.kind == "started" and event.phase == "isolated":
+                raise _Die
+
+        with MatchingService(str(tmp_path / "warm.db")) as service:
+            root = self._root(service)
+            run_id = service.update(
+                root, evolving.deltas[0], background=False, on_event=killer
+            )
+            with pytest.raises(_Die):
+                service.result(run_id)
+            stored = service.store.load_shard_records(run_id).values()
+            assert [record[0] for record in stored] == ["done"]
+            loads = []
+            load = service.store.load_unit_record_docs
+
+            def counted_load(run_id):
+                loads.append(run_id)
+                return load(run_id)
+
+            service.store.load_unit_record_docs = counted_load
+            service.resume(run_id, background=False)
+            resumed = self._summary(service, run_id)
+            written = {
+                key
+                for key, doc in load(run_id).items()
+                if doc["origin"] == run_id
+            }
+        assert loads == []
+        assert resumed == reference[1]
+        assert written == reference[1]["executed_keys"]
+
     def test_resume_at_step_two_replays_the_parent_state(
         self, evolving, reference, tmp_path
     ):

@@ -5,6 +5,7 @@ import shutil
 import sqlite3
 import threading
 from contextlib import closing
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.crowd import CrowdPlatform
 from repro.service import MatchingService
 from repro.store import RunStore
 from repro.store.serialize import checkpoint_to_doc, result_to_doc
-from repro.stream import DeltaOp, KBDelta
+from repro.stream import DeltaOp, KBDelta, unit_record_to_doc
 from repro.substrate import SubstrateCache
 
 
@@ -261,14 +262,25 @@ class TestStepwiseEqualsLibrary:
 def warm_lineage(tmp_path_factory):
     """A 9-update ``evolving`` x0.4 stream lineage built in one service.
 
-    Returns the closed store's path, the run ids (root first), each
-    run's result document and the deltas.
+    Holds the closed store's ``path``, the ``run_ids`` (root first), each
+    run's ``warm`` result document, the ``deltas``, each run's in-memory
+    unit ``records`` as documents and ``executed`` keys, the
+    service's final ``(cache_hits, cache_misses)`` as ``cache`` and the
+    runs whose unit rows it loaded as ``unit_loads``.
     """
     from repro.datasets import evolving_bundle
 
     evolving = evolving_bundle(seed=0, scale=0.4, steps=9)
     path = tmp_path_factory.mktemp("lineage") / "warm.db"
     with MatchingService(str(path)) as service:
+        unit_loads = []
+        load = service.store.load_unit_record_docs
+
+        def counted_load(run_id):
+            unit_loads.append(run_id)
+            return load(run_id)
+
+        service.store.load_unit_record_docs = counted_load
         run_ids = [
             service.submit(
                 "evolving", scale=0.4, error_rate=0.1, background=False, stream=True
@@ -278,7 +290,21 @@ def warm_lineage(tmp_path_factory):
             service.result(run_ids[-1])
             run_ids.append(service.update(run_ids[-1], delta, background=False))
         warm = [result_to_doc(service.result(run_id)) for run_id in run_ids]
-    return path, run_ids, warm, evolving.deltas
+        outcomes = [service.stream_outcome(run_id) for run_id in run_ids]
+        cache = (service.cache_hits, service.cache_misses)
+    return SimpleNamespace(
+        path=path,
+        run_ids=run_ids,
+        warm=warm,
+        deltas=evolving.deltas,
+        records=[
+            {key: unit_record_to_doc(record) for key, record in outcome.records.items()}
+            for outcome in outcomes
+        ],
+        executed=[outcome.executed_keys for outcome in outcomes],
+        cache=cache,
+        unit_loads=unit_loads,
+    )
 
 
 class TestStreamSessions:
@@ -310,10 +336,10 @@ class TestStreamSessions:
         updating from any step folds the recorded deltas into the root's
         KBs, prepares the folded pair once and lands on the warm result.
         """
-        path, run_ids, warm, deltas = warm_lineage
-        for step, delta in enumerate(deltas):
+        run_ids, warm = warm_lineage.run_ids, warm_lineage.warm
+        for step, delta in enumerate(warm_lineage.deltas):
             copy = tmp_path / f"cold-{step}.db"
-            shutil.copyfile(path, copy)
+            shutil.copyfile(warm_lineage.path, copy)
             with MatchingService(str(copy), substrate_cache=SubstrateCache()) as cold:
                 run_id = cold.update(run_ids[step], delta, background=False)
                 assert result_to_doc(cold.result(run_id)) == warm[step + 1]
@@ -325,13 +351,14 @@ class TestStreamSessions:
     @staticmethod
     def _cold_update_after_edit(warm_lineage, tmp_path, sql, params, step):
         """Edit a copy of the warm store, then update from ``step`` cold."""
-        path, run_ids, _, deltas = warm_lineage
         copy = tmp_path / "edited.db"
-        shutil.copyfile(path, copy)
+        shutil.copyfile(warm_lineage.path, copy)
         with closing(sqlite3.connect(copy)) as conn, conn:
             assert conn.execute(sql, params).rowcount == 1
         with MatchingService(str(copy), substrate_cache=SubstrateCache()) as cold:
-            run_id = cold.update(run_ids[step], deltas[step], background=False)
+            run_id = cold.update(
+                warm_lineage.run_ids[step], warm_lineage.deltas[step], background=False
+            )
             try:
                 cold.result(run_id)
             finally:
@@ -340,7 +367,7 @@ class TestStreamSessions:
 
     def test_cold_rebuild_rejects_an_edited_delta(self, warm_lineage, tmp_path):
         """A recorded delta that no longer folds to its run's KB pair is refused."""
-        _, run_ids, _, deltas = warm_lineage
+        run_ids, deltas = warm_lineage.run_ids, warm_lineage.deltas
         # run_ids[2] applied deltas[1]; later runs keep it mid-lineage.
         extra = DeltaOp("add_entity", 1, "x:edited", value="edited entity")
         edited = KBDelta(ops=deltas[1].ops + (extra,), gold_add=deltas[1].gold_add)
@@ -356,7 +383,7 @@ class TestStreamSessions:
     def test_cold_rebuild_rejects_a_parent_without_fingerprint(
         self, warm_lineage, tmp_path
     ):
-        _, run_ids, _, _ = warm_lineage
+        run_ids = warm_lineage.run_ids
         with pytest.raises(ValueError, match="predates the lineage migration"):
             self._cold_update_after_edit(
                 warm_lineage,
@@ -369,7 +396,7 @@ class TestStreamSessions:
     def test_cold_rebuild_rejects_a_run_without_recorded_delta(
         self, warm_lineage, tmp_path
     ):
-        _, run_ids, _, _ = warm_lineage
+        run_ids = warm_lineage.run_ids
         with pytest.raises(ValueError, match=f"'{run_ids[1]}' has no recorded delta"):
             self._cold_update_after_edit(
                 warm_lineage,
@@ -379,6 +406,142 @@ class TestStreamSessions:
                 step=2,
             )
 
+
+    def test_warm_lineage_counts_every_parent_hit(self, warm_lineage):
+        """Every warm update finds its parent's state and records in memory.
+
+        The root's prepare is the one miss.  Each update then hits: the
+        first on the root's state, the rest on post-delta states.  No
+        update loads its parent's unit rows from the store.
+        """
+        assert warm_lineage.cache == (len(warm_lineage.deltas), 1)
+        assert warm_lineage.unit_loads == []
+        with RunStore(warm_lineage.path) as store:
+            for run_id in warm_lineage.run_ids[1:]:
+                counters = store.load_run_obs(run_id)["metrics"]["counters"]
+                assert counters["prepared.cache.hits"] == 1
+                assert "prepared.cache.misses" not in counters
+
+    def test_unit_rows_are_payloads_for_executed_units_only(self, warm_lineage):
+        """A run writes the payloads of what it executed and references the rest.
+
+        Every reference names the run that executed the unit, and that
+        run's row for the unit holds the payload, so references never
+        chain.
+        """
+        with closing(sqlite3.connect(warm_lineage.path)) as conn:
+            rows = conn.execute(
+                "SELECT run_id, unit_key, payload, origin_run_id FROM stream_units"
+            ).fetchall()
+        table = {(run_id, key): (payload, origin) for run_id, key, payload, origin in rows}
+        run_ids, executed = warm_lineage.run_ids, warm_lineage.executed
+        references = 0
+        for step, run_id in enumerate(run_ids):
+            mine = {key: row for (run, key), row in table.items() if run == run_id}
+            assert set(mine) == set(warm_lineage.records[step])
+            written = {key for key, (_, origin) in mine.items() if origin is None}
+            assert written == executed[step]
+            assert "isolated\x1f0" in written
+            for key, (payload, origin) in mine.items():
+                if origin is None:
+                    assert payload
+                    continue
+                references += 1
+                assert payload == ""
+                assert origin == warm_lineage.records[step][key]["origin"]
+                assert key in executed[run_ids.index(origin)]
+                assert run_ids.index(origin) < step
+                origin_payload, origin_origin = table[(origin, key)]
+                assert origin_origin is None and origin_payload
+        assert references > len(run_ids)
+
+    def test_cold_load_equals_the_warm_records(self, warm_lineage, tmp_path):
+        """A fresh service reads each run's records as the warm one held them."""
+        copy = tmp_path / "cold.db"
+        shutil.copyfile(warm_lineage.path, copy)
+        with MatchingService(str(copy), substrate_cache=SubstrateCache()) as cold:
+            for run_id, records in zip(warm_lineage.run_ids, warm_lineage.records):
+                assert cold.store.load_unit_record_docs(run_id) == records
+
+    def test_store_with_full_payload_rows_upgrades_cleanly(
+        self, warm_lineage, tmp_path, capsys
+    ):
+        """A store whose every unit row holds its payload opens, reads and updates.
+
+        Stores written before references have no ``origin_run_id`` column
+        and a full payload in every run's row for every unit.  Opening one
+        adds the column and rewrites no row, every row reads as its own
+        origin, ``runs show`` counts the same units (all written), and an
+        update from it in a fresh service lands on the warm result.
+        """
+        from repro.cli import main
+
+        run_ids = warm_lineage.run_ids
+        copy = tmp_path / "legacy.db"
+        shutil.copyfile(warm_lineage.path, copy)
+        with RunStore(copy) as store:
+            docs = {run_id: store.load_unit_record_docs(run_id) for run_id in run_ids}
+        with closing(sqlite3.connect(copy)) as conn, conn:
+            conn.executescript(
+                """
+                DROP TABLE stream_units;
+                CREATE TABLE stream_units (
+                    run_id TEXT NOT NULL, unit_key TEXT NOT NULL,
+                    payload TEXT NOT NULL, updated_at TEXT NOT NULL,
+                    PRIMARY KEY (run_id, unit_key));
+                """
+            )
+            conn.executemany(
+                "INSERT INTO stream_units VALUES (?, ?, ?, '2026-01-01')",
+                [
+                    (run_id, key, json.dumps(
+                        {name: value for name, value in doc.items() if name != "origin"},
+                        sort_keys=True,
+                    ))
+                    for run_id, units in docs.items()
+                    for key, doc in units.items()
+                ],
+            )
+        read_rows = "SELECT * FROM stream_units ORDER BY run_id, unit_key"
+        with closing(sqlite3.connect(copy)) as conn:
+            legacy = conn.execute(read_rows).fetchall()
+
+        with RunStore(copy) as store:
+            for run_id in run_ids:
+                assert store.load_unit_record_docs(run_id) == {
+                    key: {**doc, "origin": run_id} for key, doc in docs[run_id].items()
+                }
+        last = warm_lineage.records[-1]
+        reusable = sum(1 for doc in last.values() if doc["kind"] == "graph")
+        assert main(["runs", "show", run_ids[-1], "--store", str(copy)]) == 0
+        assert (
+            f"stream units: {len(last)} recorded ({reusable} reusable; "
+            f"{len(last)} written, 0 by reference)"
+        ) in capsys.readouterr().out
+
+        with MatchingService(str(copy), substrate_cache=SubstrateCache()) as cold:
+            run_id = cold.update(run_ids[-2], warm_lineage.deltas[-1], background=False)
+            assert result_to_doc(cold.result(run_id)) == warm_lineage.warm[-1]
+            outcome = cold.stream_outcome(run_id)
+        with closing(sqlite3.connect(copy)) as conn:
+            columns = [row[1] for row in conn.execute("PRAGMA table_info(stream_units)")]
+            assert "origin_run_id" in columns
+            before = conn.execute(
+                "SELECT * FROM stream_units WHERE run_id != ? ORDER BY run_id, unit_key",
+                (run_id,),
+            ).fetchall()
+            origins = dict(
+                conn.execute(
+                    "SELECT unit_key, origin_run_id FROM stream_units WHERE run_id = ?",
+                    (run_id,),
+                ).fetchall()
+            )
+        assert before == [(*row, None) for row in legacy]
+        assert outcome.reused_keys
+        assert origins == {
+            key: run_ids[-2] if key in outcome.reused_keys else None
+            for key in outcome.records
+        }
 
 class TestTimingIsolation:
     def test_concurrent_timings_do_not_contaminate_run(self, tmp_path):

@@ -249,6 +249,39 @@ class TestShardCheckpoints:
             assert store.load_shard_records(run_id) == {}
 
 
+class TestUnitRecords:
+    """Stream unit rows: payloads for executed units, references for reused ones."""
+
+    def test_reference_reads_its_origins_payload(self, tmp_path):
+        with RunStore(tmp_path / "store.db") as store:
+            store.replace_unit_records("a", {"u": {"kind": "graph"}, "v": {"kind": "x"}}, {})
+            store.replace_unit_records("b", {"v": {"kind": "y"}}, {"u": "a"})
+            assert store.load_unit_record_docs("b") == {
+                "u": {"kind": "graph", "origin": "a"},
+                "v": {"kind": "y", "origin": "b"},
+            }
+            # A rewrite replaces only the written run's rows.
+            store.replace_unit_records("b", {"u": {"kind": "z"}}, {"v": "a"})
+            assert store.load_unit_record_docs("b") == {
+                "u": {"kind": "z", "origin": "b"},
+                "v": {"kind": "x", "origin": "a"},
+            }
+            assert store.stats()["stream_units"] == 4
+
+    def test_reference_without_origin_row_is_refused(self, tmp_path):
+        import sqlite3
+
+        path = tmp_path / "store.db"
+        with RunStore(path) as store:
+            store.replace_unit_records("a", {"u": {"kind": "graph"}}, {})
+            store.replace_unit_records("b", {}, {"u": "a"})
+        with sqlite3.connect(path) as conn:
+            conn.execute("DELETE FROM stream_units WHERE run_id = 'a'")
+        conn.close()
+        with RunStore(path) as store:
+            with pytest.raises(ValueError, match="'u' of run 'b' references run 'a'"):
+                store.load_unit_record_docs("b")
+
 class TestCheckpointSerialization:
     def test_round_trip(self):
         checkpoint = LoopCheckpoint(
