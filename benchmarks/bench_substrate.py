@@ -1,13 +1,13 @@
-"""Benchmark: results under the shared prepare substrate, in every mode.
+"""Benchmark: results under the shared prepared-state cache, in every mode.
 
-The substrate (:mod:`repro.substrate`) shares prepare-time memos — the
-literal-interning arenas, token and label indexes, ER-graph adjacency —
-across every pass over one ``(KB pair, config)`` key.  Sharing must
-never change a result, so this bench asserts byte-identity across two
-concurrent shared sessions, an isolated session, a session on the
-reference kernels and full-rebuild loop (:mod:`repro.accel.reference`),
-and a ``workers``-wide partitioned run; the partitioned run's wall clock
-is recorded as a trajectory sample.
+Each service's cache (:mod:`repro.substrate`) holds one arena per
+``(KB pair, config)`` key: the key's prepared state and its
+literal-interning scorers, shared by every session on the key.  Sharing
+must never change a result, so this bench asserts byte-identity across
+two concurrent sessions in one service, a session in a service of its
+own, a session on the reference kernels and full-rebuild loop
+(:mod:`repro.accel.reference`), and a ``workers``-wide partitioned run;
+the partitioned run's wall clock is recorded as a trajectory sample.
 
 Scale knobs (environment):
 
@@ -28,34 +28,23 @@ from repro.accel.reference import RebuildRemp, reference_kernels
 from repro.obs import append_bench_history
 from repro.service import MatchingService
 from repro.store import RunStore
-from repro.substrate import SubstrateCache
 
 DATASET = os.environ.get("REPRO_BENCH_SUBSTRATE_DATASET", "dbpedia_yago")
 SCALE = float(os.environ.get("REPRO_BENCH_SUBSTRATE_SCALE", "2.0"))
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
 
 
-def _service(store, cache=None):
-    # `is None`, not `or`: an *empty* SubstrateCache is falsy (len 0).
-    cache = SubstrateCache() if cache is None else cache
-    return MatchingService(store, substrate_cache=cache)
-
-
 def test_concurrent_sessions_identical_in_every_mode(tmp_path, monkeypatch):
     """Two shared sessions == isolated session == reference session."""
-    cache = SubstrateCache()
-    shared_results = []
-    for name in ("a", "b"):
-        with _service(RunStore(tmp_path / f"{name}.db"), cache) as service:
-            shared_results.append(
-                service.result(service.submit(DATASET, scale=SCALE, background=False))
-            )
-    with _service(RunStore(tmp_path / "isolated.db")) as service:
+    with MatchingService(RunStore(tmp_path / "shared.db")) as service:
+        run_ids = [service.submit(DATASET, scale=SCALE) for _ in range(2)]
+        shared_results = [service.result(run_id) for run_id in run_ids]
+    with MatchingService(RunStore(tmp_path / "isolated.db")) as service:
         isolated = service.result(
             service.submit(DATASET, scale=SCALE, background=False)
         )
     monkeypatch.setattr(repro.service.service, "Remp", RebuildRemp)
-    with reference_kernels(), _service(RunStore(tmp_path / "fallback.db")) as service:
+    with reference_kernels(), MatchingService(RunStore(tmp_path / "fallback.db")) as service:
         fallback = service.result(
             service.submit(DATASET, scale=SCALE, background=False)
         )
@@ -67,12 +56,11 @@ def test_concurrent_sessions_identical_in_every_mode(tmp_path, monkeypatch):
 
 def test_partitioned_pool_matches_monolithic(tmp_path):
     """A ``workers``-wide run matches the monolithic run."""
-    cache = SubstrateCache()
-    with _service(RunStore(tmp_path / "mono.db"), cache) as service:
+    with MatchingService(RunStore(tmp_path / "mono.db")) as service:
         mono = service.result(
             service.submit("evolving", scale=1.0, background=False)
         )
-    with _service(RunStore(tmp_path / "pool.db"), cache) as service:
+    with MatchingService(RunStore(tmp_path / "pool.db")) as service:
         start = time.perf_counter()
         run_id = service.submit(
             "evolving", scale=1.0, workers=WORKERS, background=False

@@ -22,9 +22,10 @@ Top-level convenience re-exports; see the subpackages for the full API:
   :class:`~repro.stream.KBDelta` edits, closure-local re-preparation and
   a delta-aware run driver whose incremental results are byte-identical
   to from-scratch runs on the post-delta KBs
-* :mod:`repro.substrate` — the shared prepare substrate: one
-  content-addressed kernel arena per ``(KB pair, config)`` key, shared
-  across sessions, pool workers and stream steps
+* :mod:`repro.substrate` — the prepared-state cache: one
+  content-addressed arena per ``(KB pair, config)`` key, holding the
+  key's prepared state and literal scorers, shared by a service's
+  sessions and seeding each stream step's child arena
 """
 
 from repro.core import Remp, RempConfig

@@ -18,11 +18,6 @@ inverse, in KB insertion order) are replayed exactly — those dict
 orders feed downstream float accumulation (``combined_edge_row``,
 edge-row relaxation) — and member *sets* carry no order, so identical
 contents make identical graphs.
-
-The per-KB adjacency snapshot (entity → its relation rows, forward and
-inverse) is memoized in the substrate arena like ``token_index`` when
-one is active, so sessions and pool workers on the same KB pair build
-it once.
 """
 
 from __future__ import annotations
@@ -41,9 +36,8 @@ Adjacency = tuple[dict[str, tuple], dict[str, tuple]]
 def relation_adjacency(kb: KnowledgeBase) -> Adjacency:
     """Snapshot a KB's relation rows in accessor iteration order.
 
-    The tuples hold references to the KB's live target sets (KBs are
-    copy-on-delta, never mutated in place, so identity-keyed arena
-    entries stay sound — the same convention ``token_index`` relies on).
+    The tuples hold references to the KB's live target sets, which the
+    build only reads.
     """
     forward: dict[str, tuple] = {}
     inverse: dict[str, tuple] = {}
@@ -63,16 +57,9 @@ def accel_groups(
     vertices,
 ) -> dict[Pair, dict[RelPair, set[Pair]]]:
     """The ER graph's ``groups`` map over ``vertices``."""
-    from repro.substrate import current_substrate
-
     with TIMINGS.timed("kernel.er_graph"):
-        substrate = current_substrate()
-        if substrate is not None:
-            fwd1, inv1 = substrate.er_adjacency(1, kb1, relation_adjacency)
-            fwd2, inv2 = substrate.er_adjacency(2, kb2, relation_adjacency)
-        else:
-            fwd1, inv1 = relation_adjacency(kb1)
-            fwd2, inv2 = relation_adjacency(kb2)
+        fwd1, inv1 = relation_adjacency(kb1)
+        fwd2, inv2 = relation_adjacency(kb2)
 
         by_entity1: dict[str, list[Pair]] = {}
         by_entity2: dict[str, list[Pair]] = {}

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.accel.candidates import score_candidates
 from repro.accel.runtime import TIMINGS
 from repro.kb.model import KnowledgeBase
-from repro.substrate import current_substrate
 from repro.text.normalize import normalize_label
 
 Pair = tuple[str, str]
@@ -86,20 +85,9 @@ def generate_candidates(
     without materializing a set intersection/union per candidate pair.
     """
     with TIMINGS.timed("candidates.token_index"):
-        substrate = current_substrate()
-        if substrate is not None:
-            # Arena-memoized per KB side, keyed by KB identity — a
-            # different KB object (spliced, re-loaded) always rebuilds.
-            tokens1, _ = substrate.token_index(1, kb1, _token_index)
-            tokens2, inverted2 = substrate.token_index(2, kb2, _token_index)
-        else:
-            tokens1, _ = _token_index(kb1)
-            tokens2, inverted2 = _token_index(kb2)
-
-    if substrate is not None:
-        labels2 = substrate.labels_index(2, kb2, _labels_index)
-    else:
-        labels2 = _labels_index(kb2)
+        tokens1, _ = _token_index(kb1)
+        tokens2, inverted2 = _token_index(kb2)
+    labels2 = _labels_index(kb2)
 
     result = CandidateSet()
     with TIMINGS.timed("candidates.score"):

@@ -66,8 +66,8 @@ class PreparedState:
     signatures: dict[Pair, Signature]
     priors: dict[Pair, float]
     isolated: set[Pair]
-    #: Content key (KB-pair fingerprint, config hash) of the kernel arena
-    #: this state attached to (:mod:`repro.substrate`), or ``None`` when
+    #: Content key (KB-pair fingerprint, config hash) of the arena that
+    #: holds this state (:mod:`repro.substrate`), or ``None`` when
     #: unattached.  A plain string tuple — never the arena itself — so
     #: states stay picklable and serializable; slices (:meth:`restrict`)
     #: drop it.

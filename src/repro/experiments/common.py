@@ -9,8 +9,7 @@ from repro.core.pipeline import PreparedState
 from repro.datasets import load_dataset
 from repro.datasets.registry import DISPLAY_NAMES
 from repro.datasets.synthesis import DatasetBundle
-from repro.service.service import PreparedCache
-from repro.substrate import substrate_key
+from repro.substrate import SubstrateCache, substrate_key
 
 Pair = tuple[str, str]
 
@@ -49,9 +48,9 @@ def display_name(dataset: str) -> str:
 
 
 #: Process-wide prepared-state cache shared by every experiment driver and
-#: benchmark repetition, keyed like the service's by the content key
-#: :func:`repro.substrate.substrate_key` and bounded like it.
-_PREPARED_CACHE = PreparedCache(8)
+#: benchmark repetition: the service's LRU of arenas, keyed by the content
+#: key :func:`repro.substrate.substrate_key` and bounded like it.
+_PREPARED_CACHE = SubstrateCache(8)
 
 
 def prepared_state(bundle: DatasetBundle, config: RempConfig | None = None) -> PreparedState:
@@ -61,12 +60,10 @@ def prepared_state(bundle: DatasetBundle, config: RempConfig | None = None) -> P
     the process.  Cache hits return the identical object, so approaches
     compared in one table really do share offline work.
     """
-    key = substrate_key(bundle.kb1, bundle.kb2, config)
-    state = _PREPARED_CACHE.get(key)
-    if state is None:
-        state = Remp(config or RempConfig()).prepare(bundle.kb1, bundle.kb2)
-        _PREPARED_CACHE.put(key, state)
-    return state
+    arena = _PREPARED_CACHE.get_or_create(substrate_key(bundle.kb1, bundle.kb2, config))
+    if arena.state is None:
+        arena.attach(Remp(config or RempConfig()).prepare(bundle.kb1, bundle.kb2))
+    return arena.state
 
 
 def load(dataset: str, seed: int = 0, scale: float = 1.0) -> DatasetBundle:

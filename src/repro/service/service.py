@@ -4,16 +4,17 @@
 one :class:`repro.store.RunStore`:
 
 * ``prepare()`` work is deduplicated through a size-capped in-process
-  LRU keyed by content: :func:`repro.substrate.substrate_key`, the KB
-  pair's fingerprint plus the config hash.  Nothing is persisted: a
+  LRU of arenas (:class:`repro.substrate.SubstrateCache`) keyed by
+  content: :func:`repro.substrate.substrate_key`, the KB pair's
+  fingerprint plus the config hash.  A key's arena holds its prepared
+  state next to its literal-interning scorers.  Nothing is persisted: a
   prepared state is a function of its KB pair, and ``Remp.prepare``
   rebuilds it about as fast as a stored copy loads.  One lock per key
   (pruned when its compute finishes) makes concurrent submissions on
   the same KB pair compute the offline stages exactly once while every
   other session blocks until the artifact is ready.  Computes run
-  inside, and every returned state is attached to, the key's shared
-  kernel arena (:mod:`repro.substrate`), so sessions on the same KB pair
-  share one literal-interning arena.
+  inside the key's arena, so sessions on the same KB pair share one
+  literal-interning arena.
 * Each submitted run becomes a :class:`MatchingSession` with an explicit
   ``submit / step / status / result`` lifecycle.  ``submit``, ``update``
   and ``resume`` write the run's ledger row first, and the session is
@@ -38,9 +39,10 @@ one :class:`repro.store.RunStore`:
   re-running only the entity closures the delta touches, reusing every
   clean unit's recorded outcome and crowd answers, with full lineage
   (parent run, delta, KB fingerprint) in the ledger.  A parent state the
-  LRU no longer holds is rebuilt from that lineage with one prepare, and
-  parent unit records that no finished session in the service holds are
-  loaded from the store.
+  LRU no longer holds is rebuilt from that lineage with one prepare.  A
+  finished update releases its parent's session, so the service keeps
+  the unit records of lineage tips only; an update from any other run
+  loads its parent's records from the store.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from __future__ import annotations
 import json
 import threading
 import traceback
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -72,7 +73,7 @@ from repro.stream import (
     unit_record_from_doc,
     unit_record_to_doc,
 )
-from repro.substrate import SubstrateCache, shared_cache, substrate_key
+from repro.substrate import PrepareSubstrate, SubstrateCache, substrate_key
 
 Pair = tuple[str, str]
 
@@ -84,42 +85,6 @@ PREPARING = "preparing"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
-
-
-class PreparedCache:
-    """A size-capped LRU of prepared states by content key.
-
-    Callers serialise access.  Each service holds its own, and so do
-    the experiment drivers: a new service starts empty, so its hit and
-    miss counts describe its own work.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = max(1, capacity)
-        self.evictions = 0
-        self._entries: OrderedDict[tuple, PreparedState] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def get(self, key: tuple) -> PreparedState | None:
-        """The cached state, marked most recently used; ``None`` on a miss."""
-        state = self._entries.get(key)
-        if state is not None:
-            self._entries.move_to_end(key)
-        return state
-
-    def put(self, key: tuple, state: PreparedState) -> None:
-        """Insert ``state``, evicting least recently used entries past capacity."""
-        self._entries[key] = state
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            obs.count("prepared.cache.evictions")
 
 
 class MatchingSession:
@@ -181,6 +146,8 @@ class MatchingSession:
 
     @property
     def num_loops(self) -> int:
+        if self._result is not None:
+            return self._result.num_loops
         return len(self._driver.history) if self._driver is not None else 0
 
     # ------------------------------------------------------------------
@@ -231,6 +198,13 @@ class MatchingSession:
             ledger["mismatch"] = result.questions_asked - ledger["total"]
         doc["cost_ledger"] = ledger
         self._store.save_run_obs(self.run_id, doc)
+        # The store now holds what the driver and the scope collected;
+        # the session keeps only its result (and a stream outcome, which
+        # a child update reuses).
+        self._driver = None
+        self._scope = obs.RunScope(
+            self.run_id, stream_step=self.record.stream_step, store=self._store
+        )
         log.info(
             "run %s done: %d matches, %d questions, %d loops",
             self.run_id,
@@ -471,7 +445,6 @@ class MatchingService:
         max_workers: int = 4,
         error_rate: float = 0.0,
         memory_cache_size: int = 8,
-        substrate_cache: SubstrateCache | None = None,
     ):
         self._store = store if isinstance(store, RunStore) else RunStore(store)
         self._owns_store = not isinstance(store, RunStore)
@@ -481,18 +454,13 @@ class MatchingService:
         )
         self._sessions: dict[str, MatchingSession] = {}
         self._futures: dict[str, Future] = {}
-        #: In-memory prepared-state LRU, size-capped at ``memory_cache_size``
-        #: (callers hold ``self._lock``).
-        self._memory_cache = PreparedCache(memory_cache_size)
+        #: The prepared-state LRU: one arena per content key, holding its
+        #: state and scorers, size-capped at ``memory_cache_size``.
+        self._arenas = SubstrateCache(memory_cache_size)
         #: Per-key compute locks; pruned as computes finish, so the dict
         #: size is bounded by the number of *in-flight* prepares.
         self._key_locks: dict[tuple, threading.Lock] = {}
         self._lock = threading.Lock()
-        #: Shared kernel arenas (process-wide by default): every service
-        #: in the process converges on one arena per (KB pair, config).
-        self._substrate = (
-            substrate_cache if substrate_cache is not None else shared_cache()
-        )
         #: Prepared-state cache accounting (LRU hits vs. computes).
         self.cache_hits = 0
         self.cache_misses = 0
@@ -504,7 +472,7 @@ class MatchingService:
 
     @property
     def cache_evictions(self) -> int:
-        return self._memory_cache.evictions
+        return self._arenas.evictions
 
     def close(self, wait: bool = True) -> None:
         self._executor.shutdown(wait=wait)
@@ -540,30 +508,28 @@ class MatchingService:
     def _prepared(
         self, key: tuple[str, str], kb1, kb2, config: RempConfig | None
     ) -> PreparedState:
-        """The state of content key ``key``: the LRU's, else one prepare.
+        """The state of content key ``key``: its arena's, else one prepare.
 
         A miss runs ``Remp.prepare`` on ``kb1``/``kb2`` under a per-key
         lock, so concurrent sessions asking for the same key wait for the
         one computation instead of repeating it.  The compute runs inside
-        the key's shared substrate arena (:mod:`repro.substrate`), and
-        every state returned is attached to it, so concurrent sessions on
-        the same KB pair share one literal-interning arena.  Roots and
-        rebuilt stream parents both come through here.
+        the key's arena (:mod:`repro.substrate`), which then holds the
+        state, so concurrent sessions on the same KB pair share one
+        literal-interning arena.  Roots and rebuilt stream parents both
+        come through here.
         """
         with self._lock:
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         try:
             with key_lock:
-                state = self._lru_hit(key)
+                arena, state = self._cached(key)
                 if state is not None:
                     return state
-                arena = self._substrate.get_or_create(key)
                 with arena.activation():
                     state = Remp(config or RempConfig()).prepare(kb1, kb2)
                 arena.attach(state)
                 with self._lock:
                     self.cache_misses += 1
-                    self._memory_cache.put(key, state)
                 obs.count("prepared.cache.misses")
                 log.info("prepared state computed for %s", key)
                 return state
@@ -577,15 +543,21 @@ class MatchingService:
                 if self._key_locks.get(key) is key_lock:
                     del self._key_locks[key]
 
-    def _lru_hit(self, key: tuple[str, str]) -> PreparedState | None:
-        """The LRU's state for ``key``, counted as a hit; ``None`` on a miss."""
-        with self._lock:
-            state = self._memory_cache.get(key)
-            if state is None:
-                return None
-            self.cache_hits += 1
-        obs.count("prepared.cache.hits")
-        return state
+    def _cached(
+        self, key: tuple[str, str]
+    ) -> tuple[PrepareSubstrate, PreparedState | None]:
+        """The arena of ``key`` and its state; a held state counts as a hit.
+
+        An arena without a state (its compute failed, or a lookup
+        created it) is a miss.
+        """
+        arena = self._arenas.get_or_create(key)
+        state = arena.state
+        if state is not None:
+            with self._lock:
+                self.cache_hits += 1
+            obs.count("prepared.cache.hits")
+        return arena, state
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -762,8 +734,25 @@ class MatchingService:
         with self._lock:
             self._sessions[run_id] = session
             if background:
-                self._futures[run_id] = self._executor.submit(session.run)
+                self._futures[run_id] = self._executor.submit(self._run, session)
         return run_id
+
+    def _run(self, session: MatchingSession) -> RempResult:
+        """Drive ``session`` to its result; a finished update releases its parent.
+
+        The parent's session and future are dropped: its result stays in
+        the ledger, and a later update from it loads its unit rows from
+        the store, as a fresh service does.  A failed or interrupted
+        update raises first and keeps its parent, so its resume reuses
+        the parent's records from memory.
+        """
+        result = session.run()
+        parent = session.record.parent_run_id
+        if parent is not None:
+            with self._lock:
+                self._sessions.pop(parent, None)
+                self._futures.pop(parent, None)
+        return result
 
     # ------------------------------------------------------------------
     # Stream (incremental) plumbing
@@ -772,8 +761,8 @@ class MatchingService:
         """The prepared state a finished stream run matched.
 
         Roots come from :meth:`prepared`.  A post-delta state comes from
-        the LRU under the run's ledger fingerprint, counted as a hit like
-        a root's; on a miss it is rebuilt the way a root is built: the
+        its arena under the run's ledger fingerprint, counted as a hit
+        like a root's; on a miss it is rebuilt the way a root is built: the
         lineage's recorded deltas are folded into the root's KBs, the
         folded pair must carry that fingerprint, and it is prepared once,
         counted as a miss.  A spliced state equals a from-scratch prepare
@@ -788,7 +777,7 @@ class MatchingService:
                 "its prepared state cannot be located"
             )
         key = (record.kb_fingerprint, config_hash(config))
-        state = self._lru_hit(key)
+        _, state = self._cached(key)
         if state is not None:
             return state
         root, deltas = self._lineage(record.run_id)
@@ -812,16 +801,17 @@ class MatchingService:
 
         The splice runs inside the parent's arena so it reuses the
         parent's literal scorers; the spliced state then attaches to its
-        own (derived) arena under the post-delta fingerprint.
+        own (derived) arena under the post-delta fingerprint, which holds
+        it from then on.
         """
-        parent_arena = self._substrate.get_or_create(parent_state.substrate_key)
+        parent_arena = self._arenas.get_or_create(parent_state.substrate_key)
         with parent_arena.activation():
             # The fingerprint guard already ran in update(), against the
             # parent's ledger fingerprint; a resume replays the same delta.
             prepared = incremental_prepare(
                 parent_state, delta, config, check_fingerprint=False
             )
-        child = self._substrate.derive(
+        child = self._arenas.derive(
             parent_arena, (prepared.fingerprint, config_hash(config))
         )
         child.attach(prepared.state)
@@ -856,7 +846,8 @@ class MatchingService:
         parent's unit records: the ones the parent's finished session in
         this service holds, shared and never copied, or else the
         parent's rows loaded from the store (a CLI ``update`` or ``run
-        --since``, or a resume in a fresh process).  Either way the
+        --since``, a resume in a fresh process, or an update from a run
+        a finished child released).  Either way the
         ledger records the KB-pair fingerprint the run matched.  Pure
         given the ledger: a resumed run recomputes the inputs the
         interrupted one saw.
@@ -879,8 +870,6 @@ class MatchingService:
             delta = self._recorded_delta(record.run_id)
         prepared = self._splice(parent_state, delta, session.config)
         self._store.set_run_fingerprint(record.run_id, prepared.fingerprint)
-        with self._lock:
-            self._memory_cache.put(prepared.state.substrate_key, prepared.state)
         outcome = self.stream_outcome(parent.run_id)
         if outcome is not None:
             reuse = outcome.records
@@ -946,7 +935,7 @@ class MatchingService:
         if future is not None:
             return future.result(timeout=timeout)
         if session is not None:
-            return session.run()
+            return self._run(session)
         stored = self._store.get_result(run_id)
         if stored is None:
             raise KeyError(f"run {run_id!r} has no stored result")

@@ -38,7 +38,7 @@ from repro.accel.runtime import TIMINGS
 from repro.core.attributes import match_attributes
 from repro.obs import runtime as obs
 from repro.obs.logging import get_logger
-from repro.core.candidates import CandidateSet, _token_index
+from repro.core.candidates import CandidateSet, _labels_index, _token_index
 from repro.core.config import RempConfig
 from repro.core.er_graph import INVERSE_PREFIX, ERGraph
 from repro.core.isolated import attribute_signature
@@ -161,14 +161,8 @@ def _splice_candidates(
 
     # Exact-raw-label pass (M_in plus the empty-token special case),
     # restricted to the dirty rows and columns.
-    labels1: dict[str, set[str]] = {}
-    for entity in kb1.entities:
-        for label in kb1.labels(entity):
-            labels1.setdefault(label, set()).add(entity)
-    labels2: dict[str, set[str]] = {}
-    for entity in kb2.entities:
-        for label in kb2.labels(entity):
-            labels2.setdefault(label, set()).add(entity)
+    labels1 = _labels_index(kb1)
+    labels2 = _labels_index(kb2)
 
     def exact_label_pair(entity1: str, entity2: str) -> None:
         pair = (entity1, entity2)

@@ -62,7 +62,7 @@ def unit_record_from_doc(doc: dict) -> UnitRecord:
     )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, weakref_slot=True)
 class StreamOutcome:
     """One stream run: merged result, per-unit records, spend accounting."""
 

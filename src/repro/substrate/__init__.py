@@ -1,29 +1,26 @@
-"""Shared prepare substrate: one kernel arena per (KB pair, config).
+"""Prepared-state cache: one arena per (KB pair, config).
 
-The prepare-time memos — the :class:`repro.accel.literals.LiteralScorer`
-interning arenas, the candidate-generation token and label indexes, and
-the ER-graph relation adjacency — depend only on the two KBs and the
-Remp configuration.  This package owns them once per content key
-``(KB-pair fingerprint, config hash)`` and hands them to
-every prepare pass that would otherwise rebuild its own: concurrent
-:class:`repro.service.MatchingService` sessions on one KB pair, and
-incremental stream steps deriving from a parent run.  A prepare pass
-outside any arena builds private memos instead, with identical results.
+The offline stages are a pure function of the two KBs and the Remp
+configuration.  This package keys them by content, ``(KB-pair
+fingerprint, config hash)``: a :class:`SubstrateCache` maps each key to
+one :class:`PrepareSubstrate` arena, which holds the key's prepared
+state and its :class:`repro.accel.literals.LiteralScorer` interning
+arenas.  Concurrent :class:`repro.service.MatchingService` sessions on
+one KB pair share the arena, and a stream step's child arena starts
+from snapshots of its parent's scorers.  A prepare pass outside any
+arena builds private scorers instead, with identical results.
 """
 
 from repro.substrate.arena import (
     PrepareSubstrate,
-    current_substrate,
     literal_scorer,
     substrate_key,
 )
-from repro.substrate.cache import SubstrateCache, shared_cache
+from repro.substrate.cache import SubstrateCache
 
 __all__ = [
     "PrepareSubstrate",
     "SubstrateCache",
-    "current_substrate",
     "literal_scorer",
-    "shared_cache",
     "substrate_key",
 ]

@@ -522,9 +522,11 @@ class TestStoreCommands:
                 "evolving", scale=0.4, error_rate=0.0, background=False, stream=True
             )
             service.result(root)
+            # Collected as each run finishes: the child releases its parent.
+            outcomes = {root: service.stream_outcome(root)}
             child = service.update(root, delta, background=False)
             service.result(child)
-            outcomes = {run_id: service.stream_outcome(run_id) for run_id in (root, child)}
+            outcomes[child] = service.stream_outcome(child)
         assert outcomes[root].reused_keys == set()
         assert outcomes[child].reused_keys and outcomes[child].executed_keys
         for run_id, outcome in outcomes.items():

@@ -124,11 +124,12 @@ def _relabeled(bundle):
     return replace(bundle, kb1=kb1)
 
 
-def test_prepared_state_cache_keys_on_content():
+def test_prepared_state_cache_keys_on_content(monkeypatch):
     from repro.datasets import load_dataset
     from repro.experiments import common
+    from repro.substrate import SubstrateCache
 
-    common._PREPARED_CACHE.clear()
+    monkeypatch.setattr(common, "_PREPARED_CACHE", SubstrateCache(8))
     bundle = load_dataset("iimb", seed=0, scale=0.2)
     first = common.prepared_state(bundle)
     second = common.prepared_state(_relabeled(bundle))

@@ -222,9 +222,8 @@ class TestStreamUpdateResume:
     def _resume(self, path, run_id):
         """Resume in a fresh service, as after a process restart."""
         from repro.service import MatchingService
-        from repro.substrate import SubstrateCache
 
-        with MatchingService(str(path), substrate_cache=SubstrateCache()) as service:
+        with MatchingService(str(path)) as service:
             service.resume(run_id, background=False)
             service.result(run_id)
             assert service.store.get_run(run_id).status == "done"

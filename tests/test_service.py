@@ -1,9 +1,11 @@
 """Tests for the concurrent matching service."""
 
+import gc
 import json
 import shutil
 import sqlite3
 import threading
+import weakref
 from contextlib import closing
 from types import SimpleNamespace
 
@@ -15,7 +17,6 @@ from repro.service import MatchingService
 from repro.store import RunStore
 from repro.store.serialize import checkpoint_to_doc, result_to_doc
 from repro.stream import DeltaOp, KBDelta, unit_record_to_doc
-from repro.substrate import SubstrateCache
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,11 @@ class TestSessionLifecycle:
             assert steps == direct_result.num_loops
             assert result.matches == direct_result.matches
             assert service.status(run_id) == "done"
+            # A finished session keeps its result, not its driver or spans.
+            session = service._session(run_id)
+            assert session._driver is None
+            assert session._scope.tracer.spans() == []
+            assert session.num_loops == steps
 
     def test_stepping_checkpoints_each_loop(self, tmp_path):
         with MatchingService(RunStore(tmp_path / "store.db")) as service:
@@ -264,7 +270,8 @@ def warm_lineage(tmp_path_factory):
 
     Holds the closed store's ``path``, the ``run_ids`` (root first), each
     run's ``warm`` result document, the ``deltas``, each run's in-memory
-    unit ``records`` as documents and ``executed`` keys, the
+    unit ``records`` as documents and ``executed`` keys (collected as the
+    run finishes: a finished update releases its parent's session), the
     service's final ``(cache_hits, cache_misses)`` as ``cache`` and the
     runs whose unit rows it loaded as ``unit_loads``.
     """
@@ -281,16 +288,24 @@ def warm_lineage(tmp_path_factory):
             return load(run_id)
 
         service.store.load_unit_record_docs = counted_load
+        warm, outcomes = [], []
+
+        def finished(run_id):
+            warm.append(result_to_doc(service.result(run_id)))
+            outcomes.append(service.stream_outcome(run_id))
+            return run_id
+
         run_ids = [
-            service.submit(
-                "evolving", scale=0.4, error_rate=0.1, background=False, stream=True
+            finished(
+                service.submit(
+                    "evolving", scale=0.4, error_rate=0.1, background=False, stream=True
+                )
             )
         ]
         for delta in evolving.deltas:
-            service.result(run_ids[-1])
-            run_ids.append(service.update(run_ids[-1], delta, background=False))
-        warm = [result_to_doc(service.result(run_id)) for run_id in run_ids]
-        outcomes = [service.stream_outcome(run_id) for run_id in run_ids]
+            run_ids.append(
+                finished(service.update(run_ids[-1], delta, background=False))
+            )
         cache = (service.cache_hits, service.cache_misses)
     return SimpleNamespace(
         path=path,
@@ -308,6 +323,65 @@ def warm_lineage(tmp_path_factory):
 
 
 class TestStreamSessions:
+    def test_a_lineage_keeps_only_its_tip_session(self, tmp_path):
+        """A finished update releases its parent's session, future and outcome."""
+        from repro.datasets import evolving_bundle
+
+        evolving = evolving_bundle(seed=0, scale=0.4, steps=3)
+        with MatchingService(str(tmp_path / "svc.db")) as service:
+            run_ids = [service.submit("evolving", scale=0.4, stream=True)]
+            service.result(run_ids[0])
+            root_outcome = weakref.ref(service.stream_outcome(run_ids[0]))
+            for delta in evolving.deltas:
+                run_ids.append(service.update(run_ids[-1], delta))
+                service.result(run_ids[-1])
+            finished = [
+                run_id
+                for run_id, session in service._sessions.items()
+                if session.status == "done" and session.record.streaming
+            ]
+            assert finished == [run_ids[-1]]
+            assert list(service._futures) == [run_ids[-1]]
+            gc.collect()
+            assert root_outcome() is None
+            # A released run still answers from the ledger.
+            assert service.status(run_ids[0]) == "done"
+            assert service.result(run_ids[0]).matches
+
+    def test_update_from_a_released_parent_equals_a_fresh_service(self, tmp_path):
+        """A released parent's unit rows load as a fresh service loads them."""
+        from repro.datasets import evolving_bundle
+
+        deltas = evolving_bundle(seed=0, scale=0.4, steps=2).deltas
+        path = tmp_path / "svc.db"
+        with MatchingService(str(path)) as service:
+            run_ids = [service.submit("evolving", scale=0.4, stream=True)]
+            for delta in deltas:
+                service.result(run_ids[-1])
+                run_ids.append(service.update(run_ids[-1], delta))
+            service.result(run_ids[-1])
+            assert service.stream_outcome(run_ids[1]) is None
+            loads = []
+            load = service.store.load_unit_record_docs
+
+            def counted_load(run_id):
+                loads.append(run_id)
+                return load(run_id)
+
+            service.store.load_unit_record_docs = counted_load
+            again = service.update(run_ids[1], deltas[1], background=False)
+            released = result_to_doc(service.result(again))
+            outcome = service.stream_outcome(again)
+        assert loads == [run_ids[1]]
+        copy = tmp_path / "fresh.db"
+        shutil.copyfile(path, copy)
+        with MatchingService(str(copy)) as fresh:
+            run_id = fresh.update(run_ids[1], deltas[1], background=False)
+            assert result_to_doc(fresh.result(run_id)) == released
+            fresh_outcome = fresh.stream_outcome(run_id)
+        assert fresh_outcome.reused_keys == outcome.reused_keys
+        assert fresh_outcome.executed_keys == outcome.executed_keys
+
     def test_update_inherits_parent_workers(self, tmp_path):
         """A lineage started parallel stays parallel across updates."""
         from repro.datasets import evolving_bundle
@@ -332,7 +406,7 @@ class TestStreamSessions:
         """A cold service rebuilds any parent state with one prepare.
 
         The warm service held every parent state in memory.  A fresh
-        service (own substrate cache, copy of the store) holds none:
+        service (on a copy of the store) holds none:
         updating from any step folds the recorded deltas into the root's
         KBs, prepares the folded pair once and lands on the warm result.
         """
@@ -340,7 +414,7 @@ class TestStreamSessions:
         for step, delta in enumerate(warm_lineage.deltas):
             copy = tmp_path / f"cold-{step}.db"
             shutil.copyfile(warm_lineage.path, copy)
-            with MatchingService(str(copy), substrate_cache=SubstrateCache()) as cold:
+            with MatchingService(str(copy)) as cold:
                 run_id = cold.update(run_ids[step], delta, background=False)
                 assert result_to_doc(cold.result(run_id)) == warm[step + 1]
                 assert (cold.cache_hits, cold.cache_misses) == (0, 1)
@@ -355,7 +429,7 @@ class TestStreamSessions:
         shutil.copyfile(warm_lineage.path, copy)
         with closing(sqlite3.connect(copy)) as conn, conn:
             assert conn.execute(sql, params).rowcount == 1
-        with MatchingService(str(copy), substrate_cache=SubstrateCache()) as cold:
+        with MatchingService(str(copy)) as cold:
             run_id = cold.update(
                 warm_lineage.run_ids[step], warm_lineage.deltas[step], background=False
             )
@@ -422,6 +496,22 @@ class TestStreamSessions:
                 assert counters["prepared.cache.hits"] == 1
                 assert "prepared.cache.misses" not in counters
 
+    def test_warm_lineage_carries_the_scorer_over(self, warm_lineage):
+        """The root creates the literal scorer; every update reuses it.
+
+        An update splices inside its parent's arena, whose scorer the
+        parent's own splice (or the root's prepare) left behind.
+        """
+        with RunStore(warm_lineage.path) as store:
+            counters = [
+                store.load_run_obs(run_id)["metrics"]["counters"]
+                for run_id in warm_lineage.run_ids
+            ]
+        assert counters[0]["substrate.scorer.created"] == 1
+        for update in counters[1:]:
+            assert update["substrate.scorer.reused"] >= 1
+            assert "substrate.scorer.created" not in update
+
     def test_unit_rows_are_payloads_for_executed_units_only(self, warm_lineage):
         """A run writes the payloads of what it executed and references the rest.
 
@@ -459,7 +549,7 @@ class TestStreamSessions:
         """A fresh service reads each run's records as the warm one held them."""
         copy = tmp_path / "cold.db"
         shutil.copyfile(warm_lineage.path, copy)
-        with MatchingService(str(copy), substrate_cache=SubstrateCache()) as cold:
+        with MatchingService(str(copy)) as cold:
             for run_id, records in zip(warm_lineage.run_ids, warm_lineage.records):
                 assert cold.store.load_unit_record_docs(run_id) == records
 
@@ -519,7 +609,7 @@ class TestStreamSessions:
             f"{len(last)} written, 0 by reference)"
         ) in capsys.readouterr().out
 
-        with MatchingService(str(copy), substrate_cache=SubstrateCache()) as cold:
+        with MatchingService(str(copy)) as cold:
             run_id = cold.update(run_ids[-2], warm_lineage.deltas[-1], background=False)
             assert result_to_doc(cold.result(run_id)) == warm_lineage.warm[-1]
             outcome = cold.stream_outcome(run_id)

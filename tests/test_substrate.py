@@ -1,17 +1,20 @@
-"""The shared prepare substrate: sharing, equivalence, and the leak fixes.
+"""The prepared-state cache: sharing, equivalence, and the leak fixes.
 
 Covers the :mod:`repro.substrate` contract end to end — concurrent
-sessions on one (KB pair, config) key share a single kernel arena and
-still produce results byte-identical to fully isolated runs, across
+sessions on one (KB pair, config) key share a single arena and still
+produce results byte-identical to fully isolated runs, across
 monolithic / partitioned execution, the reference kernels, spawn-started
 pools, kill-and-resume, and delta-stream derivation — plus gc-based
-regression tests for the two leaks the substrate work exposed
-(``MatchingService._key_locks`` and ``LiteralScorer`` value pinning).
+regression tests for the leaks the cache could cause
+(``MatchingService._key_locks``, ``LiteralScorer`` value pinning and an
+evicted arena's KBs).
 """
 
 import gc
 import threading
 import weakref
+
+import pytest
 
 import repro.service.service
 from repro.accel.literals import LiteralScorer
@@ -25,16 +28,9 @@ from repro.store import RunStore, config_hash
 from repro.substrate import (
     PrepareSubstrate,
     SubstrateCache,
-    current_substrate,
+    literal_scorer,
     substrate_key,
 )
-
-
-def _service(store=":memory:", **kwargs):
-    """A service with a *private* substrate cache (isolated from the
-    process-wide singleton, so tests cannot contaminate each other)."""
-    kwargs.setdefault("substrate_cache", SubstrateCache())
-    return MatchingService(store, **kwargs)
 
 
 def _tiny_pair():
@@ -68,42 +64,48 @@ class TestFingerprints:
 
 
 class TestArenaSharing:
-    def test_recompute_after_eviction_reuses_the_key_arena(self, tmp_path):
-        """A state recomputed after an LRU eviction attaches to the same arena."""
-        with _service(RunStore(tmp_path / "s.db")) as service:
-            first = service.prepared("iimb", scale=0.2)
-            assert first.substrate_key is not None
-            # Evict the memory cache: the second request prepares again,
-            # into a *distinct* state object on the same key.
-            service._memory_cache.clear()
-            second = service.prepared("iimb", scale=0.2)
-            assert second is not first
-            assert service.cache_misses == 2
-            assert second.substrate_key == first.substrate_key
-            assert second.vector_index.vectors == first.vector_index.vectors
-            # One arena, created by the first compute, found by the second.
-            stats = service._substrate.stats()
-            assert (stats["entries"], stats["misses"], stats["hits"]) == (1, 1, 1)
+    def test_arena_without_state_is_a_miss(self, tmp_path, monkeypatch):
+        """A failed compute leaves its arena stateless; the retry fills it."""
 
-    def test_two_services_converge_on_shared_cache(self):
-        cache = SubstrateCache()
-        with MatchingService(":memory:", substrate_cache=cache) as one:
-            one.prepared("iimb", scale=0.2)
-            result_a = one.result(one.submit("iimb", scale=0.2, background=False))
-        with MatchingService(":memory:", substrate_cache=cache) as two:
-            two.prepared("iimb", scale=0.2)
-            result_b = two.result(two.submit("iimb", scale=0.2, background=False))
-        assert len(cache) == 1
-        assert result_b.matches == result_a.matches
-        assert result_b.questions_asked == result_a.questions_asked
+        def failing(self, kb1, kb2):
+            raise RuntimeError("prepare failed")
+
+        with MatchingService(RunStore(tmp_path / "s.db")) as service:
+            monkeypatch.setattr(Remp, "prepare", failing)
+            with pytest.raises(RuntimeError, match="prepare failed"):
+                service.prepared("iimb", scale=0.2)
+            (arena,) = service._arenas._entries.values()
+            assert arena.state is None
+            assert (service.cache_hits, service.cache_misses) == (0, 0)
+            monkeypatch.undo()
+            state = service.prepared("iimb", scale=0.2)
+            assert (service.cache_hits, service.cache_misses) == (0, 1)
+            assert list(service._arenas._entries.values()) == [arena]
+            assert arena.state is state
+            assert state.substrate_key == arena.key
+            assert service.prepared("iimb", scale=0.2) is state
+            assert (service.cache_hits, service.cache_misses) == (1, 1)
+
+    def test_two_services_keep_their_own_cache(self):
+        """Each service counts its own miss, and their results are equal."""
+        results = []
+        for _ in range(2):
+            with MatchingService(":memory:") as service:
+                results.append(
+                    service.result(service.submit("iimb", scale=0.2, background=False))
+                )
+                assert (service.cache_hits, service.cache_misses) == (0, 1)
+                assert len(service._arenas) == 1
+        assert results[1].matches == results[0].matches
+        assert results[1].questions_asked == results[0].questions_asked
 
     def test_concurrent_shared_sessions_match_isolated_runs(self):
-        with _service() as shared:
+        with MatchingService() as shared:
             run_ids = [shared.submit("iimb", scale=0.2) for _ in range(2)]
             shared_results = [shared.result(run_id) for run_id in run_ids]
         isolated_results = []
         for _ in range(2):
-            with _service() as isolated:
+            with MatchingService() as isolated:
                 isolated_results.append(
                     isolated.result(isolated.submit("iimb", scale=0.2, background=False))
                 )
@@ -116,10 +118,10 @@ class TestArenaSharing:
     def test_reference_kernels_service_identity(self, monkeypatch):
         """A service on the reference kernels and full-rebuild loop
         matches the product service; both attach their arenas."""
-        with _service() as service:
+        with MatchingService() as service:
             product = service.result(service.submit("iimb", scale=0.2, background=False))
         monkeypatch.setattr(repro.service.service, "Remp", RebuildRemp)
-        with reference_kernels(), _service() as service:
+        with reference_kernels(), MatchingService() as service:
             state = service.prepared("iimb", scale=0.2)
             assert state.substrate_key is not None
             reference = service.result(
@@ -131,16 +133,16 @@ class TestArenaSharing:
         kb1, kb2 = _tiny_pair()
         arena = PrepareSubstrate(substrate_key(kb1, kb2, None))
         with arena.activation():
-            assert current_substrate() is arena
-        assert current_substrate() is None
+            assert literal_scorer(0.9) is arena._scorers[0.9]
+        assert literal_scorer(0.9) is not arena._scorers[0.9]
 
     def test_kill_and_resume_keeps_shared_equivalence(self, tmp_path):
         path = tmp_path / "store.db"
-        with _service(RunStore(path)) as service:
+        with MatchingService(RunStore(path)) as service:
             baseline = service.result(service.submit("iimb", scale=0.2, background=False))
             run_id = service.submit("iimb", scale=0.2, background=False)
             assert service.step(run_id)  # one loop, then the process "dies"
-        with _service(RunStore(path)) as service:  # fresh arena cache too
+        with MatchingService(RunStore(path)) as service:  # fresh arena cache too
             service.resume(run_id, background=False)
             resumed = service.result(run_id)
         assert resumed.matches == baseline.matches
@@ -150,9 +152,9 @@ class TestArenaSharing:
 class TestWorkers:
     def test_partitioned_run_matches_monolithic_and_never_repacks(self, tmp_path):
         """A ``workers=4`` run matches the monolithic run."""
-        with _service(RunStore(tmp_path / "a.db")) as service:
+        with MatchingService(RunStore(tmp_path / "a.db")) as service:
             mono = service.result(service.submit("evolving", scale=0.4, background=False))
-        with _service(RunStore(tmp_path / "b.db")) as service:
+        with MatchingService(RunStore(tmp_path / "b.db")) as service:
             run_id = service.submit("evolving", scale=0.4, workers=4, background=False)
             parallel = service.result(run_id)
         assert parallel.matches == mono.matches
@@ -161,11 +163,11 @@ class TestWorkers:
     def test_spawn_pool_ships_shared_memory_matrix(self, tmp_path, monkeypatch):
         """A spawn-started pool (base state pickled) matches a forked one."""
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        with _service(RunStore(tmp_path / "spawn.db")) as service:
+        with MatchingService(RunStore(tmp_path / "spawn.db")) as service:
             run_id = service.submit("evolving", scale=0.4, workers=2, background=False)
             spawned = service.result(run_id)
         monkeypatch.delenv("REPRO_START_METHOD")
-        with _service(RunStore(tmp_path / "fork.db")) as service:
+        with MatchingService(RunStore(tmp_path / "fork.db")) as service:
             forked = service.result(
                 service.submit("evolving", scale=0.4, workers=2, background=False)
             )
@@ -176,17 +178,15 @@ class TestWorkers:
 class TestStreamDerive:
     def test_update_derives_child_arena_seeded_scorers(self, tmp_path):
         evolving = evolving_bundle(seed=0, scale=0.4, steps=1)
-        cache = SubstrateCache()
-        with MatchingService(
-            RunStore(tmp_path / "stream.db"), substrate_cache=cache
-        ) as service:
+        with MatchingService(RunStore(tmp_path / "stream.db")) as service:
             root = service.submit("evolving", scale=0.4, stream=True, background=False)
             service.result(root)
             updated = service.update(root, evolving.deltas[0], background=False)
             service.result(updated)
-        arenas = list(cache._entries.values())
+            arenas = list(service._arenas._entries.values())
         assert len(arenas) == 2
         parent, child = arenas
+        assert child.state.substrate_key == child.key != parent.key
         shared_thresholds = set(parent._scorers) & set(child._scorers)
         assert shared_thresholds
         for threshold in shared_thresholds:
@@ -202,7 +202,7 @@ class TestStreamDerive:
         evolving = evolving_bundle(seed=0, scale=0.4, steps=1)
         results = []
         for name in ("shared", "isolated"):
-            with _service(RunStore(tmp_path / f"{name}.db")) as service:
+            with MatchingService(RunStore(tmp_path / f"{name}.db")) as service:
                 root = service.submit(
                     "evolving", scale=0.4, stream=True, background=False
                 )
@@ -215,14 +215,14 @@ class TestStreamDerive:
 
 class TestLeakFixes:
     def test_key_locks_pruned_after_compute(self):
-        with _service() as service:
+        with MatchingService() as service:
             service.prepared("iimb", scale=0.2)
             assert service._key_locks == {}
             service.prepared("iimb", scale=0.2)  # cache hit: its lock is pruned too
             assert service._key_locks == {}
 
     def test_key_locks_pruned_under_concurrency(self):
-        with _service() as service:
+        with MatchingService() as service:
             threads = [
                 threading.Thread(target=service.prepared, args=("iimb",), kwargs={"scale": 0.2})
                 for _ in range(6)
@@ -235,10 +235,10 @@ class TestLeakFixes:
             assert service.cache_misses == 1
 
     def test_memory_cache_is_a_bounded_lru(self):
-        with _service(memory_cache_size=2) as service:
+        with MatchingService(memory_cache_size=2) as service:
             for seed in (0, 1, 2):
                 service.prepared("iimb", seed=seed, scale=0.2)
-            assert len(service._memory_cache) == 2
+            assert len(service._arenas) == 2
             assert service.cache_evictions == 1
             # Seed 0 was evicted (LRU); seeds 1 and 2 are still hits.
             hits_before = service.cache_hits
@@ -259,20 +259,22 @@ class TestLeakFixes:
         assert ref() is None
         assert scorer.set_similarity(Values(["cradle rock", "1999"]), other) == first
 
-    def test_dropped_kb_collectable_while_arena_lives(self):
-        kb1, kb2 = _tiny_pair()
-        arena = PrepareSubstrate(substrate_key(kb1, kb2, None))
-        with arena.activation():
-            state = Remp().prepare(kb1, kb2)
-        arena.attach(state)
-        ref1, ref2 = weakref.ref(kb1), weakref.ref(kb2)
-        del kb1, kb2, state
-        gc.collect()
-        # The arena (scorers, token indexes) lives on, yet holds no
-        # strong reference to either KB.
-        assert ref1() is None
-        assert ref2() is None
-        assert arena._scorers or arena._token_indexes
+    def test_evicted_arena_frees_its_kbs(self):
+        """An arena holds its state's KBs only until the LRU evicts it."""
+        with MatchingService(memory_cache_size=1) as service:
+            kb1, kb2 = _tiny_pair()
+            key = substrate_key(kb1, kb2, None)
+            service._prepared(key, kb1, kb2, None)
+            refs = [weakref.ref(kb1), weakref.ref(kb2)]
+            del kb1, kb2
+            gc.collect()
+            assert all(ref() is not None for ref in refs)  # the arena holds them
+            other1, other2 = _tiny_pair()
+            other2.add_entity("extra", label="something else")
+            service._prepared(substrate_key(other1, other2, None), other1, other2, None)
+            assert service.cache_evictions == 1
+            gc.collect()
+            assert all(ref() is None for ref in refs)
 
 
 class TestSubstrateCache:
@@ -280,18 +282,12 @@ class TestSubstrateCache:
         cache = SubstrateCache(capacity=2)
         keys = [(f"kb{i}", f"kb{i}'", "cfg") for i in range(3)]
         first = cache.get_or_create(keys[0])
-        cache.get_or_create(keys[1])
+        second = cache.get_or_create(keys[1])
         assert cache.get_or_create(keys[0]) is first  # refreshes LRU slot
         cache.get_or_create(keys[2])  # evicts keys[1]
-        stats = cache.stats()
-        assert stats == {
-            "entries": 2,
-            "capacity": 2,
-            "hits": 1,
-            "misses": 3,
-            "evictions": 1,
-        }
+        assert (len(cache), cache.evictions) == (2, 1)
         assert cache.get_or_create(keys[0]) is first
+        assert cache.get_or_create(keys[1]) is not second
 
     def test_derive_seeds_scorer_snapshots_only(self):
         cache = SubstrateCache()
@@ -321,6 +317,6 @@ class TestSubstrateCache:
         assert seeded.set_similarity(["cradle rock", "1999"], ["rock cradle"]) == sim
         seeded.intern("only in child")
         assert (False, "only in child") not in scorer._ids
-        assert child._token_indexes == {}
+        assert child.state is None
         # Deriving onto the same key is a no-op identity.
         assert cache.derive(parent, parent.key) is parent
