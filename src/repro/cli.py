@@ -475,21 +475,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         if args.runs_command == "metrics":
             doc = store.load_run_obs(args.run_id) or {}
             metrics = doc.get("metrics") or {"counters": {}, "gauges": {}}
-            if args.prometheus:
-                from repro.obs.export import prometheus_text
-
-                timings = store.load_run_timings(args.run_id) or {}
-                sys.stdout.write(
-                    prometheus_text(
-                        metrics,
-                        labels={
-                            "run_id": args.run_id,
-                            "dataset": record.dataset,
-                        },
-                        timings=timings.get("stages"),
-                    )
-                )
-                return 0
             out = {
                 "metrics": metrics,
                 "cost_ledger": doc.get("cost_ledger"),
@@ -845,10 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="print a run's metrics and cost ledger as JSON"
     )
     p_runs_metrics.add_argument("run_id")
-    p_runs_metrics.add_argument(
-        "--prometheus", action="store_true",
-        help="emit the Prometheus text exposition format instead of JSON",
-    )
     p_runs_metrics.add_argument("--store", default=argparse.SUPPRESS)
     p_runs_watch = runs_sub.add_parser(
         "watch", help="follow an in-flight run live (tails the event stream)"

@@ -36,7 +36,6 @@ _EXPORTS = {
     "chrome_trace": "repro.obs.export",
     "filter_spans": "repro.obs.export",
     "load_bench_history": "repro.obs.export",
-    "prometheus_text": "repro.obs.export",
     "validate_chrome_trace": "repro.obs.export",
     "RunWatch": "repro.obs.live",
     "render_top": "repro.obs.live",

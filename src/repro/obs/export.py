@@ -1,15 +1,12 @@
 """Standard-format exporters for run telemetry.
 
-Three interchange formats, all derived from the documents the rest of
+Two interchange formats, both derived from the documents the rest of
 :mod:`repro.obs` already produces:
 
 * :func:`chrome_trace` — the span list (``trace.jsonl`` rows) as a
   Chrome ``trace_event`` JSON object, loadable in Perfetto /
   ``chrome://tracing``; :func:`validate_chrome_trace` checks the
   structural schema so CI can assert exports stay loadable.
-* :func:`prometheus_text` — a metrics document in the Prometheus text
-  exposition format (``# TYPE`` lines, ``_total`` counter suffix,
-  escaped labels), for scraping or pushgateway upload.
 * :func:`append_bench_history` / :func:`load_bench_history` — the
   unified ``BENCH_history.jsonl`` trajectory every benchmark appends
   to, which the regression sentinel (:mod:`repro.obs.sentinel`) diffs
@@ -23,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from pathlib import Path
 
 #: Default history file; ``REPRO_BENCH_HISTORY`` overrides.
@@ -123,65 +119,6 @@ def validate_chrome_trace(doc: dict) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-_NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _metric_name(prefix: str, name: str) -> str:
-    full = f"{prefix}_{name}" if prefix else name
-    full = _NAME_SANITIZE.sub("_", full)
-    if full and full[0].isdigit():
-        full = "_" + full
-    return full
-
-
-def _label_text(labels: dict | None) -> str:
-    if not labels:
-        return ""
-    pairs = []
-    for key, value in sorted(labels.items()):
-        escaped = str(value).replace("\\", r"\\").replace('"', r"\"")
-        pairs.append(f'{_NAME_SANITIZE.sub("_", key)}="{escaped}"')
-    return "{" + ",".join(pairs) + "}"
-
-
-def prometheus_text(
-    metrics_doc: dict,
-    *,
-    prefix: str = "repro",
-    labels: dict | None = None,
-    timings: dict | None = None,
-) -> str:
-    """Render a metrics document in Prometheus text exposition format.
-
-    Counters gain the conventional ``_total`` suffix; gauges export
-    as-is; stage timings (the ``runs show`` shape) become a pair of
-    ``_stage_seconds`` / ``_stage_calls`` families labeled by stage.
-    """
-    label_text = _label_text(labels)
-    lines: list[str] = []
-    for name, value in metrics_doc.get("counters", {}).items():
-        metric = _metric_name(prefix, name) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric}{label_text} {value}")
-    for name, value in metrics_doc.get("gauges", {}).items():
-        metric = _metric_name(prefix, name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric}{label_text} {value}")
-    if timings:
-        seconds_metric = _metric_name(prefix, "stage_seconds")
-        calls_metric = _metric_name(prefix, "stage_calls")
-        lines.append(f"# TYPE {seconds_metric} gauge")
-        lines.append(f"# TYPE {calls_metric} gauge")
-        for stage, doc in sorted(timings.items()):
-            stage_labels = _label_text({**(labels or {}), "stage": stage})
-            lines.append(f"{seconds_metric}{stage_labels} {doc['seconds']}")
-            lines.append(f"{calls_metric}{stage_labels} {doc['calls']}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ----------------------------------------------------------------------
 # Unified benchmark history
 # ----------------------------------------------------------------------
 def history_path(path: str | Path | None = None) -> Path:
@@ -262,6 +199,5 @@ __all__ = [
     "filter_spans",
     "history_path",
     "load_bench_history",
-    "prometheus_text",
     "validate_chrome_trace",
 ]

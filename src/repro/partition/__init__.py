@@ -35,6 +35,7 @@ from repro.partition.runner import (
     merge_shard_results,
     split_budget,
     unit_content_key,
+    unit_record_from_doc,
 )
 
 __all__ = [
@@ -54,4 +55,5 @@ __all__ = [
     "partition_state",
     "split_budget",
     "unit_content_key",
+    "unit_record_from_doc",
 ]

@@ -18,8 +18,8 @@ A deterministic merger reassembles the shard results into one
 merged result is identical for every worker count.  With a
 :class:`repro.store.RunStore` attached, every labeling round appends its
 delta to a journal under a partition-aware key ``(run_id, shard_id)``
-and finished shards persist their results, so a killed run resumes
-shard-by-shard without re-asking a single question.
+and a finished shard writes its unit row in place of its journal, so a
+killed run resumes shard-by-shard without re-asking a single question.
 
 Lifecycle events (started / checkpointed / finished / restored / failed,
 with loop and question counts) stream to an ``on_event`` callback — the
@@ -61,6 +61,7 @@ from repro.partition.partitioner import (
     Shard,
     partition_state,
 )
+from repro.store.serialize import result_from_doc
 
 Pair = tuple[str, str]
 
@@ -248,7 +249,7 @@ class UnitRecord:
 
     ``origin`` names the run that executed the unit, whose store row
     holds the payload: the building run for a unit it executed (or
-    restored from its own shard rows on resume), the reused record's
+    restored from its own unit row on resume), the reused record's
     origin for a reused one.  A store writes a unit whose origin is
     another run as a reference to that run's row.  Records are shared
     between runs, never mutated.
@@ -260,6 +261,18 @@ class UnitRecord:
     snapshot: dict = field(default_factory=dict)
     answer_log: list = field(default_factory=list)
     origin: str | None = None
+
+
+def unit_record_from_doc(doc: dict) -> UnitRecord:
+    """A :class:`UnitRecord` from a unit row document of the store."""
+    return UnitRecord(
+        key=doc["key"],
+        kind=doc["kind"],
+        result=result_from_doc(doc["result"]),
+        snapshot=doc["snapshot"],
+        answer_log=doc["answer_log"],
+        origin=doc["origin"],
+    )
 
 
 def _execute_shard(
@@ -498,18 +511,22 @@ class ParallelRunner:
         runner calls exactly three store methods: ``load_shard_records``
         once per run, ``save_shard_checkpoint`` after every labeling
         round of a graph shard and ``save_shard_result`` once per
-        executed shard.  A shard reused from ``reuse`` writes nothing.
+        executed shard, which writes the shard's unit row under its unit
+        key (:meth:`_shard_keys`).  A resumed run restores a finished
+        shard from that row, by the same key.  A shard reused from
+        ``reuse`` writes nothing.
     on_event:
         Callback receiving every :class:`ShardEvent`.
-    localize, content_seeds, dirty, reuse, collect_records:
-        The stream-mode knobs (:mod:`repro.stream`).  ``localize``
-        restricts each graph shard's candidate set to its own entities;
-        ``content_seeds`` derives per-shard Remp and crowd seeds from the
-        shard's *content key* instead of its positional id; ``dirty``
-        (a pair set) plus ``reuse`` (content-keyed :class:`UnitRecord`
-        map from a previous run) let clean shards restore a recorded
-        outcome instead of executing; ``collect_records`` populates
-        :attr:`unit_records` with every shard's durable outcome.
+    stream:
+        Stream mode (:mod:`repro.stream`): each graph shard's candidate
+        set is restricted to its own entities, per-shard Remp and crowd
+        seeds derive from the shard's unit key instead of its positional
+        id, and :attr:`unit_records` collects every shard's durable
+        outcome.
+    dirty, reuse:
+        Stream mode only.  ``dirty`` (a pair set) plus ``reuse`` (a
+        unit-keyed :class:`UnitRecord` map from a previous run) let
+        clean shards restore a recorded outcome instead of executing.
     """
 
     def __init__(
@@ -524,20 +541,18 @@ class ParallelRunner:
         store=None,
         run_id: str | None = None,
         on_event=None,
-        localize: bool = False,
-        content_seeds: bool = False,
+        stream: bool = False,
         dirty: set[Pair] | None = None,
         reuse: dict[str, UnitRecord] | None = None,
-        collect_records: bool = False,
         max_shard_retries: int | None = None,
     ):
         if workers < 1:
             raise ValueError("workers must be positive")
         if store is not None and run_id is None:
             raise ValueError("run_id is required when a store is attached")
-        if (dirty is not None or reuse) and not content_seeds:
+        if (dirty is not None or reuse) and not stream:
             raise ValueError(
-                "dirty/reuse require content_seeds: positional seeds change "
+                "dirty/reuse require stream: positional seeds change "
                 "with the layout, so a reused record would not match"
             )
         self.config = config or RempConfig()
@@ -549,13 +564,13 @@ class ParallelRunner:
         self._store = store
         self._run_id = run_id
         self._on_event = on_event
-        self._localize = localize
-        self._content_seeds = content_seeds
+        self._stream = stream
         self._dirty = dirty
         self._reuse = reuse or {}
-        self._collect_records = collect_records
-        #: Content-keyed durable outcomes of the last :meth:`run`
-        #: (populated when ``collect_records`` is set).
+        #: Unit keys of the last :meth:`run`'s shards, by shard id.
+        self._keys: dict[int, str] = {}
+        #: Unit-keyed durable outcomes of the last :meth:`run` (stream
+        #: mode only).
         self.unit_records: dict[str, UnitRecord] = {}
         #: Content keys restored from ``reuse`` during the last run.
         self.reused_keys: set[str] = set()
@@ -589,14 +604,18 @@ class ParallelRunner:
     def run(self, state: PreparedState, crowd: CrowdSpec) -> RempResult:
         """Execute the partitioned pipeline and merge the shard results."""
         plan = self.plan(state)
-        stored = self._load_shard_records()
+        units, journals = (
+            self._store.load_shard_records(self._run_id)
+            if self._store is not None
+            else ({}, {})
+        )
         outcomes: dict[int, _ShardOutcome] = {}
         self.unit_records = {}
         self.reused_keys = set()
         self.shard_costs = []
         self.quarantined = []
         self._shard_deltas = {}
-        keys = self._shard_keys(plan)
+        self._keys = keys = self._shard_keys(plan)
         obs.gauge("partition.shards", len(plan.shards))
         log.info(
             "partition plan: %d graph + %d isolated shards, workers=%d",
@@ -613,19 +632,13 @@ class ParallelRunner:
         )
         tasks: list[_ShardTask] = []
         for shard, budget in zip(graph_shards, budgets):
-            task = self._make_task(
-                shard, replace(self.config, budget=budget), keys[shard.shard_id]
-            )
-            # Reuse before restore, so a reused unit counts as reused on
-            # resume even where the store holds a ``done`` row for it
-            # (stores written by earlier releases).
-            if self._reuse_outcome(shard, keys[shard.shard_id], outcomes):
+            key = keys[shard.shard_id]
+            if self._reuse_outcome(shard, key, outcomes):
                 continue
-            if self._restore_outcome(shard, stored, outcomes):
+            if self._restore_outcome(shard, units.get(key), outcomes):
                 continue
-            record = stored.get(shard.shard_id)
-            if record is not None and record[0] == "loop":
-                task.checkpoint = record[1]
+            task = self._make_task(shard, replace(self.config, budget=budget), key)
+            task.checkpoint = journals.get(shard.shard_id)
             tasks.append(task)
         self._execute(tasks, state, crowd, outcomes)
         if self.quarantined:
@@ -644,15 +657,16 @@ class ParallelRunner:
         )
         isolated_tasks: list[_ShardTask] = []
         for shard in plan.isolated_shards:
-            if not self._restore_outcome(shard, stored, outcomes):
-                task = self._make_task(shard, self.config, keys[shard.shard_id])
+            key = keys[shard.shard_id]
+            if not self._restore_outcome(shard, units.get(key), outcomes):
+                task = self._make_task(shard, self.config, key)
                 task.merged_state = merged_state
                 isolated_tasks.append(task)
         self._execute(isolated_tasks, state, crowd, outcomes)
         if self.quarantined:
             self._raise_partial(outcomes)
 
-        if self._collect_records:
+        if self._stream:
             for shard in plan.shards:
                 outcome = outcomes.get(shard.shard_id)
                 if outcome is None:
@@ -685,7 +699,7 @@ class ParallelRunner:
         )
 
     def _shard_keys(self, plan: PartitionPlan) -> dict[int, str]:
-        """Content keys per shard id (isolated shards keyed by position)."""
+        """Unit keys per shard id: content keys, isolated shards by position."""
         keys: dict[int, str] = {}
         for shard in plan.graph_shards:
             keys[shard.shard_id] = unit_content_key(shard.vertices)
@@ -699,9 +713,9 @@ class ParallelRunner:
             config=config,
             strategy=self.strategy,
             seed=self.seed,
-            localize=self._localize and shard.kind == GRAPH,
+            localize=self._stream and shard.kind == GRAPH,
         )
-        if self._content_seeds:
+        if self._stream:
             task.remp_seed = content_seed(self.seed, key)
             task.platform_seed = content_seed(self.seed, "crowd\x1f" + key)
         return task
@@ -723,51 +737,33 @@ class ParallelRunner:
         if record is None or self._dirty.intersection(shard.vertices):
             return False
         self.reused_keys.add(key)
-        # By reference: no shard row and no ``run_events`` row.  A resumed
+        # By reference: no unit row and no ``run_events`` row.  A resumed
         # run re-derives the same reuse from the same parent records, and
         # the durable log counts reused units on ``stream.summary``.
-        self._adopt_outcome(
-            shard,
-            record.result,
-            record.snapshot,
-            record.answer_log,
-            outcomes,
-            publish=False,
-        )
+        self._adopt_outcome(shard, record, outcomes, publish=False)
         return True
 
-    # ------------------------------------------------------------------
-    # Resume bookkeeping
-    # ------------------------------------------------------------------
-    def _load_shard_records(self) -> dict[int, tuple]:
-        if self._store is None:
-            return {}
-        return self._store.load_shard_records(self._run_id)
-
     def _restore_outcome(
-        self, shard: Shard, stored: dict[int, tuple], outcomes: dict[int, _ShardOutcome]
+        self, shard: Shard, doc: dict | None, outcomes: dict[int, _ShardOutcome]
     ) -> bool:
-        """Reuse a persisted finished shard; emits a ``restored`` event."""
-        record = stored.get(shard.shard_id)
-        if record is None or record[0] != "done":
+        """Take a finished shard from this run's unit row ``doc``, if any."""
+        if doc is None:
             return False
-        _, result, snapshot, answer_log = record
-        self._adopt_outcome(shard, result, snapshot, answer_log, outcomes)
+        self._adopt_outcome(shard, unit_record_from_doc(doc), outcomes)
         return True
 
     def _adopt_outcome(
         self,
         shard: Shard,
-        result: RempResult,
-        snapshot: dict,
-        answer_log: list,
+        record: UnitRecord,
         outcomes: dict[int, _ShardOutcome],
         *,
         publish: bool = True,
     ) -> None:
         """Take a recorded outcome in place of execution; emits ``restored``."""
+        result = record.result
         outcomes[shard.shard_id] = _ShardOutcome(
-            shard.shard_id, shard.kind, result, snapshot, answer_log=answer_log
+            shard.shard_id, shard.kind, result, record.snapshot, record.answer_log
         )
         self._emit(
             ShardEvent(
@@ -1127,9 +1123,11 @@ class ParallelRunner:
             self._store.save_shard_result(
                 self._run_id,
                 outcome.shard_id,
+                self._keys[outcome.shard_id],
+                outcome.kind,
                 outcome.result,
                 outcome.snapshot,
-                answer_log=outcome.answer_log,
+                outcome.answer_log,
             )
 
     def _emit(self, event: ShardEvent, *, publish: bool = True) -> None:
@@ -1178,4 +1176,5 @@ __all__ = [
     "merge_shard_results",
     "split_budget",
     "unit_content_key",
+    "unit_record_from_doc",
 ]

@@ -39,10 +39,13 @@ one :class:`repro.store.RunStore`:
   re-running only the entity closures the delta touches, reusing every
   clean unit's recorded outcome and crowd answers, with full lineage
   (parent run, delta, KB fingerprint) in the ledger.  A parent state the
-  LRU no longer holds is rebuilt from that lineage with one prepare.  A
-  finished update releases its parent's session, so the service keeps
-  the unit records of lineage tips only; an update from any other run
-  loads its parent's records from the store.
+  LRU no longer holds is rebuilt from that lineage with one prepare.
+* A finished session is released once the store holds what it made: a
+  non-stream run's at once, a stream run's when a child update
+  finishes.  So the service keeps the unit records of lineage tips
+  only; an update from any other run loads its parent's records from
+  the store, and a released run's status and result come from the
+  ledger.
 """
 
 from __future__ import annotations
@@ -59,7 +62,12 @@ from repro.datasets import load_dataset
 from repro.obs import runtime as obs
 from repro.obs.artifacts import run_meta
 from repro.obs.logging import get_logger
-from repro.partition import CrowdSpec, ParallelRunner, PartialResult
+from repro.partition import (
+    CrowdSpec,
+    ParallelRunner,
+    PartialResult,
+    unit_record_from_doc,
+)
 from repro.store import RunStore, config_hash
 from repro.store.store import RunRecord
 from repro.stream import (
@@ -70,8 +78,6 @@ from repro.stream import (
     compose_deltas,
     incremental_prepare,
     kb_pair_fingerprint,
-    unit_record_from_doc,
-    unit_record_to_doc,
 )
 from repro.substrate import PrepareSubstrate, SubstrateCache, substrate_key
 
@@ -302,7 +308,8 @@ class MatchingSession:
         # content_seed(seed, str(shard_id)), which would change every
         # monolithic output (among them the seed-0 outputs perfbench
         # pins: 181 questions, F1 0.9581 on clustered-loop); shards have
-        # no per-loop step(); and shard checkpoints live in another table.
+        # no per-loop step(); and a shard's journal rows and finished unit
+        # row carry a shard id and a unit key that a monolithic run lacks.
         if self.record.streaming:
             return self._run_stream()
         if self.record.partitioned:
@@ -377,9 +384,9 @@ class MatchingSession:
         unit records; clean units restore from those records, dirty ones
         execute with per-unit checkpoints under ``(run_id, shard_id)`` —
         so an interrupted update resumes without re-asking a question.
-        Unit records persist past ``finish_run``: they are what the
-        *next* update reuses.  Only the units this run executed write a
-        payload; each reused unit writes a reference to its origin's row.
+        Unit rows persist past ``finish_run``: they are what the *next*
+        update reuses.  Each unit this run executed wrote its row when it
+        finished; each reused unit writes a reference to its origin's row.
         """
         with self._observed():
             if self._result is not None:
@@ -395,15 +402,10 @@ class MatchingSession:
                 on_event=self.on_event,
             )
             outcome = runner.run_incremental(state, crowd, dirty=dirty, reuse=reuse)
-            # A reused unit's payload stays in its origin's row: this run
-            # writes a reference to it, and serializes only what it ran.
-            payloads, references = {}, {}
-            for key, record in outcome.records.items():
-                if record.origin == self.run_id:
-                    payloads[key] = unit_record_to_doc(record)
-                else:
-                    references[key] = record.origin
-            self._store.replace_unit_records(self.run_id, payloads, references)
+            self._store.replace_unit_records(
+                self.run_id,
+                {key: outcome.records[key].origin for key in outcome.reused_keys},
+            )
             self.stream_outcome = outcome
             # Unit records cover every shard of the run (reused ones bill
             # their recorded, i.e. logical, question count), so the items
@@ -738,20 +740,25 @@ class MatchingService:
         return run_id
 
     def _run(self, session: MatchingSession) -> RempResult:
-        """Drive ``session`` to its result; a finished update releases its parent.
+        """Drive ``session`` to its result, then release what is finished.
 
-        The parent's session and future are dropped: its result stays in
-        the ledger, and a later update from it loads its unit rows from
-        the store, as a fresh service does.  A failed or interrupted
-        update raises first and keeps its parent, so its resume reuses
-        the parent's records from memory.
+        A finished non-stream run drops its session and future, and a
+        finished update drops its parent's: their results stay in the
+        ledger, where :meth:`status` and :meth:`result` read them.  A
+        stream run stays until a child update finishes, because it is its
+        lineage's tip; a later update from a released run loads its unit
+        rows from the store, as a fresh service does.  A failed run
+        raises first and keeps its session, and a failed or interrupted
+        update keeps its parent, so its resume reuses the parent's
+        records from memory.
         """
         result = session.run()
-        parent = session.record.parent_run_id
-        if parent is not None:
+        record = session.record
+        released = record.parent_run_id if record.streaming else record.run_id
+        if released is not None:
             with self._lock:
-                self._sessions.pop(parent, None)
-                self._futures.pop(parent, None)
+                self._sessions.pop(released, None)
+                self._futures.pop(released, None)
         return result
 
     # ------------------------------------------------------------------

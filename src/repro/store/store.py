@@ -11,11 +11,17 @@ One :class:`RunStore` file holds the durable state of runs:
 * **A run ledger** — configuration, status, question counts, lineage and
   the final :class:`repro.core.RempResult` of every run ever submitted,
   for later querying (``repro runs list`` / ``repro runs show``).
-* **Stream unit records and observability documents** — what the next
-  stream update reuses, and each run's trace, metrics and cost ledger.
-  A stream run writes a payload row only for the units it executed; a
-  unit it reused gets a reference row naming the run that holds the
-  payload, which a cold load resolves with one self-join.
+* **Unit rows** — a finished shard's outcome, keyed by its unit key and
+  written in place of its journal.  A partitioned run resumes from them
+  and ``finish_run`` drops them; a stream run keeps them for the next
+  update, and a unit it reused gets a reference row naming the run
+  that holds the payload, which a cold load resolves with one self-join.
+* **Observability documents** — each run's trace, metrics and cost
+  ledger, and its live ``run_events``.
+
+A finished shard's outcome is serialized once, into its unit row.
+Opening a store written by an earlier release migrates it once, in one
+transaction (:func:`_migrate`).
 
 It holds no offline artifacts of ``Remp.prepare``: a prepared state is a
 function of its KB pair, which the ledger pins, and rebuilding one costs
@@ -77,6 +83,8 @@ CREATE TABLE IF NOT EXISTS runs (
     created_at      TEXT NOT NULL,
     updated_at      TEXT NOT NULL
 );
+-- Empty since the journal migration (_migrate); perfbench/tracing.py
+-- still queries it.
 CREATE TABLE IF NOT EXISTS checkpoints (
     run_id     TEXT PRIMARY KEY REFERENCES runs(run_id) ON DELETE CASCADE,
     payload    TEXT NOT NULL,
@@ -91,14 +99,6 @@ CREATE TABLE IF NOT EXISTS checkpoint_journal (
 );
 CREATE INDEX IF NOT EXISTS checkpoint_journal_by_run
     ON checkpoint_journal (run_id, shard_id);
-CREATE TABLE IF NOT EXISTS shard_checkpoints (
-    run_id     TEXT NOT NULL,
-    shard_id   INTEGER NOT NULL,
-    kind       TEXT NOT NULL,
-    payload    TEXT NOT NULL,
-    updated_at TEXT NOT NULL,
-    PRIMARY KEY (run_id, shard_id)
-);
 CREATE TABLE IF NOT EXISTS stream_units (
     run_id        TEXT NOT NULL,
     unit_key      TEXT NOT NULL,
@@ -124,24 +124,21 @@ CREATE TABLE IF NOT EXISTS run_events (
 CREATE INDEX IF NOT EXISTS run_events_by_run ON run_events (run_id, seq);
 """
 
-#: Upgrades for stores created by earlier releases.  New databases get
-#: the added columns through ``_SCHEMA`` directly; there the ALTER TABLE
-#: fails with "duplicate column", the one error the open path may
-#: swallow.  The four ``runs`` columns after ``workers`` are the
-#: *lineage migration*: run provenance for incremental (stream) runs.
-#: ``stream_units.origin_run_id`` makes a reused unit's row a reference
-#: to the run that holds its payload; rows written before it have none,
-#: which reads as "this row is its own origin", so no row is rewritten.
-#: Checkpoint rows written before the journal need no migration: a full
-#: ``checkpoints`` row (or ``kind='loop'`` shard row) is a delta from the
-#: prepared state, folded as the first row of its run's (shard's) journal.
-#: The first DROP removes a table of cached dominance matrices nothing
-#: read.  The other two remove the prepared-state caches, keyed first by
-#: dataset name and then by content: every root is rebuilt from its
-#: dataset and every stream state from its lineage, so they held
-#: nothing the ledger cannot rebuild.  Older stores also keep a
-#: ``run_timings`` table nothing reads any more: a run's stage timings
-#: live in its ``run_obs`` document.
+#: ``PRAGMA user_version`` of a store :func:`_migrate` has upgraded.
+_VERSION = 1
+
+#: The schema upgrades :func:`_migrate` applies to a store written by an
+#: earlier release.  New databases get the added columns through
+#: ``_SCHEMA`` directly; there the ALTER TABLE fails with "duplicate
+#: column", the one error the migration may swallow.  The four ``runs``
+#: columns after ``workers`` are the *lineage migration*: run provenance
+#: for incremental (stream) runs.  ``stream_units.origin_run_id`` makes a
+#: reused unit's row a reference to the run that holds its payload; rows
+#: written before it have none, which reads as "this row is its own
+#: origin", so no row is rewritten.  The DROPs remove tables nothing
+#: reads: cached dominance matrices, the two prepared-state caches (a
+#: state is rebuilt from its dataset or its lineage) and per-run stage
+#: timings (they live in each run's ``run_obs`` document).
 _MIGRATIONS = (
     "ALTER TABLE runs ADD COLUMN workers INTEGER",
     "ALTER TABLE runs ADD COLUMN parent_run_id TEXT",
@@ -152,6 +149,7 @@ _MIGRATIONS = (
     "DROP TABLE IF EXISTS substrate_blobs",
     "DROP TABLE IF EXISTS prepared_states",
     "DROP TABLE IF EXISTS prepared",
+    "DROP TABLE IF EXISTS run_timings",
 )
 
 #: SQLite error fragments that mark a *transient* write failure — another
@@ -227,27 +225,30 @@ class RunStore:
         # wrapper layers bounded retries with jittered backoff on top.
         busy_ms = int(os.environ.get("REPRO_SQLITE_BUSY_TIMEOUT_MS", "5000"))
         self._conn.execute(f"PRAGMA busy_timeout = {busy_ms}")
-        if self.path != ":memory:":
-            # Write-ahead logging: a commit appends to the -wal file
-            # instead of rewriting pages through a rollback journal.
-            # ``synchronous`` stays at SQLite's default FULL, so every
-            # commit is still fsynced before it returns.  The last
-            # connection to close checkpoints the log into the main file
-            # and deletes the -wal and -shm sidecars.
-            self._conn.execute("PRAGMA journal_mode = WAL")
         self._write_attempts = 1 + max(
             0, int(os.environ.get("REPRO_STORE_WRITE_RETRIES", "5"))
         )
         self._backoff_rng = random.Random(0x5EED)  # never the global RNG
-        with self._lock, self._conn:
-            self._conn.executescript(_SCHEMA)
-            for migration in _MIGRATIONS:
-                try:
-                    self._conn.execute(migration)
-                except sqlite3.OperationalError as exc:
-                    message = str(exc).lower()
-                    if "duplicate column" not in message:
-                        raise
+        try:
+            with self._lock, self._conn:
+                # The script's BEGIN stays open until the block commits,
+                # so the schema and the migration are one transaction: an
+                # open that raises leaves the file as it was.
+                self._conn.executescript("BEGIN;" + _SCHEMA)
+                version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+                if version < _VERSION:
+                    _migrate(self._conn)
+            if self.path != ":memory:":
+                # Write-ahead logging: a commit appends to the -wal file
+                # instead of rewriting pages through a rollback journal.
+                # ``synchronous`` stays at SQLite's default FULL, so every
+                # commit is still fsynced before it returns.  The last
+                # connection to close checkpoints the log into the main
+                # file and deletes the -wal and -shm sidecars.
+                self._conn.execute("PRAGMA journal_mode = WAL")
+        except BaseException:
+            self._conn.close()
+            raise
 
     # ------------------------------------------------------------------
     def _write(self, op: str, fn):
@@ -416,7 +417,12 @@ class RunStore:
         self._write("update_run_status", op)
 
     def finish_run(self, run_id: str, result: RempResult) -> None:
-        """Record the final result, mark ``done`` and drop the checkpoints."""
+        """Record the final result, mark ``done`` and drop the resume state.
+
+        The run's journal goes, and so do the unit rows of a non-stream
+        run: they only served its resume.  A stream run keeps them for
+        the next update.
+        """
 
         def op(conn):
             conn.execute(
@@ -429,9 +435,12 @@ class RunStore:
                     run_id,
                 ),
             )
-            conn.execute("DELETE FROM checkpoints WHERE run_id = ?", (run_id,))
             conn.execute("DELETE FROM checkpoint_journal WHERE run_id = ?", (run_id,))
-            conn.execute("DELETE FROM shard_checkpoints WHERE run_id = ?", (run_id,))
+            conn.execute(
+                "DELETE FROM stream_units WHERE run_id = ?"
+                " AND (SELECT stream_step FROM runs WHERE run_id = ?) IS NULL",
+                (run_id, run_id),
+            )
 
         self._write("finish_run", op)
 
@@ -496,10 +505,7 @@ class RunStore:
     # Checkpoints: a journal of loop deltas per run and per shard
     # ------------------------------------------------------------------
     # ``checkpoint_journal`` rows are keyed by run and shard (``NULL`` for
-    # a monolithic run) and ordered by ``seq``.  Stores written before the
-    # journal hold at most one full row per run in ``checkpoints`` (and
-    # ``kind='loop'`` rows in ``shard_checkpoints``); nothing writes them
-    # any more, and loading folds each in as its journal's first row.
+    # a monolithic run) and ordered by ``seq``.
 
     def save_checkpoint(self, run_id: str, checkpoint: LoopCheckpoint) -> None:
         """Append one loop's delta to the run's journal; record its question count."""
@@ -518,21 +524,24 @@ class RunStore:
     def load_checkpoint(self, run_id: str) -> LoopCheckpoint | None:
         """The run's journal folded into one resumable checkpoint, or ``None``."""
         with self._lock:
-            legacy = self._conn.execute(
-                "SELECT payload FROM checkpoints WHERE run_id = ?", (run_id,)
-            ).fetchall()
             rows = self._conn.execute(
                 "SELECT payload FROM checkpoint_journal"
                 " WHERE run_id = ? AND shard_id IS NULL ORDER BY seq",
                 (run_id,),
             ).fetchall()
         return fold_checkpoints(
-            [checkpoint_from_doc(json.loads(row["payload"])) for row in legacy + rows]
+            [checkpoint_from_doc(json.loads(row["payload"])) for row in rows]
         )
 
     # ------------------------------------------------------------------
-    # Per-shard checkpoints (partitioned runs, repro.partition)
+    # Shards and units (partitioned and stream runs)
     # ------------------------------------------------------------------
+    # A shard journals its loops under ``(run_id, shard_id)`` while it
+    # runs.  When it finishes, its outcome becomes one ``stream_units``
+    # row keyed by its unit key, the content key of a graph shard or
+    # ``isolated\x1f{i}`` for the i-th isolated one.  A stream run's rows
+    # survive ``finish_run``: they are what the next update reuses.
+
     def save_shard_checkpoint(
         self, run_id: str, shard_id: int, checkpoint: LoopCheckpoint
     ) -> None:
@@ -547,34 +556,37 @@ class RunStore:
         self,
         run_id: str,
         shard_id: int,
+        key: str,
+        kind: str,
         result: RempResult,
         snapshot: dict,
-        answer_log: list | None = None,
+        answer_log: list,
     ) -> None:
-        """Mark a shard finished: final result plus its loop-state snapshot.
+        """Record a finished shard: its unit row replaces its journal.
 
-        The snapshot feeds the isolated-pair classification phase on
+        The row holds the shard's kind, result, loop-state snapshot and
+        answer log.  The snapshot feeds the isolated-pair phase on
         resume, so a restored shard contributes exactly the training
-        data it produced live; the answer log keeps a resumed stream
-        run's new-spend accounting exact.  The row supersedes the
-        shard's journal, which the same transaction deletes.
+        data it produced live; the answer log keeps a stream run's
+        new-spend accounting exact.  One transaction writes the row and
+        deletes the shard's journal.
         """
         payload = json.dumps(
             {
-                "kind": "done",
+                "kind": kind,
                 "result": result_to_doc(result),
                 "snapshot": snapshot,
-                "answer_log": answer_log or [],
+                "answer_log": answer_log,
             },
             sort_keys=True,
         )
 
         def op(conn):
             conn.execute(
-                "INSERT OR REPLACE INTO shard_checkpoints"
-                " (run_id, shard_id, kind, payload, updated_at)"
-                " VALUES (?, ?, 'done', ?, ?)",
-                (run_id, shard_id, payload, _now()),
+                "INSERT OR REPLACE INTO stream_units"
+                " (run_id, unit_key, payload, origin_run_id, updated_at)"
+                " VALUES (?, ?, ?, NULL, ?)",
+                (run_id, key, payload, _now()),
             )
             conn.execute(
                 "DELETE FROM checkpoint_journal WHERE run_id = ? AND shard_id = ?",
@@ -583,18 +595,22 @@ class RunStore:
 
         self._write("save_shard_result", op)
 
-    def load_shard_records(self, run_id: str) -> dict[int, tuple]:
-        """All persisted shard states of a partitioned run.
+    def load_shard_records(
+        self, run_id: str
+    ) -> tuple[dict[str, dict], dict[int, LoopCheckpoint]]:
+        """A run's resume input: its unit rows and its shard journals.
 
-        Returns ``{shard_id: ("loop", LoopCheckpoint)}`` for shards
-        interrupted mid-loop (their journal, folded) and ``{shard_id:
-        ("done", RempResult, snapshot, answer_log)}`` for finished shards
-        — the resume input of :class:`repro.partition.ParallelRunner`.
+        Returns the documents of the shards the run finished, keyed by
+        unit key (the shape :meth:`load_unit_record_docs` returns), and
+        each mid-loop shard's journal folded into one checkpoint, keyed
+        by shard id — the resume input of
+        :class:`repro.partition.ParallelRunner`.  A stream run's
+        reference rows are not its own outcomes and are left out.
         """
         with self._lock:
-            rows = self._conn.execute(
-                "SELECT shard_id, payload FROM shard_checkpoints WHERE run_id = ?"
-                " ORDER BY shard_id",
+            units = self._conn.execute(
+                "SELECT unit_key, payload FROM stream_units"
+                " WHERE run_id = ? AND origin_run_id IS NULL",
                 (run_id,),
             ).fetchall()
             journal = self._conn.execute(
@@ -602,99 +618,57 @@ class RunStore:
                 " WHERE run_id = ? AND shard_id IS NOT NULL ORDER BY shard_id, seq",
                 (run_id,),
             ).fetchall()
-        records: dict[int, tuple] = {}
         deltas: dict[int, list[LoopCheckpoint]] = {}
-        for row in rows:
-            # A store written by a release with shard leases can hold
-            # kind='lease' stub rows from an interrupted run (and four
-            # unread lease columns, kept because DROP COLUMN needs
-            # SQLite >= 3.35).  A stub carries no execution state: its
-            # shard starts from scratch.
-            doc = json.loads(row["payload"])
-            if doc.get("kind") == "done":
-                records[row["shard_id"]] = (
-                    "done",
-                    result_from_doc(doc["result"]),
-                    doc["snapshot"],
-                    doc.get("answer_log", []),
-                )
-            elif doc.get("kind") == "loop":
-                # A full checkpoint from before the journal: its first row.
-                deltas[row["shard_id"]] = [checkpoint_from_doc(doc["checkpoint"])]
         for row in journal:
             deltas.setdefault(row["shard_id"], []).append(
                 checkpoint_from_doc(json.loads(row["payload"]))
             )
-        for shard_id, checkpoints in sorted(deltas.items()):
-            records.setdefault(shard_id, ("loop", fold_checkpoints(checkpoints)))
-        return dict(sorted(records.items()))
-
-    def clear_shard_checkpoints(self, run_id: str) -> int:
-        """Drop every shard row of a run; returns the number of rows removed."""
-
-        def op(conn):
-            removed = conn.execute(
-                "DELETE FROM shard_checkpoints WHERE run_id = ?", (run_id,)
-            ).rowcount
-            return removed + conn.execute(
-                "DELETE FROM checkpoint_journal"
-                " WHERE run_id = ? AND shard_id IS NOT NULL",
-                (run_id,),
-            ).rowcount
-
-        return self._write("clear_shard_checkpoints", op)
-
-    # ------------------------------------------------------------------
-    # Stream unit records (incremental runs, repro.stream)
-    # ------------------------------------------------------------------
-    def replace_unit_records(
-        self, run_id: str, payloads: dict[str, dict], references: dict[str, str]
-    ) -> None:
-        """Overwrite a stream run's unit rows: its payloads and its references.
-
-        ``payloads`` maps the content key of each unit the run executed
-        (or restored from its own shard rows on resume) to its record
-        document.  ``references`` maps each reused unit's key to its
-        origin, the run whose row for that key holds the payload; the
-        unit's row gets an empty payload and the origin in
-        ``origin_run_id``.  An origin always holds a payload row, so
-        references never chain.  Rows are addressed by origin and key
-        together: a dirty unit can re-execute on an unchanged vertex
-        set, so one key can carry different payloads in different runs.
-
-        Unlike shard checkpoints these rows *survive* ``finish_run`` —
-        they are what the next ``update()`` reuses for clean closures.
-        """
-        now = _now()
-        rows = [
-            (run_id, key, json.dumps(doc, sort_keys=True), None, now)
-            for key, doc in payloads.items()
-        ]
-        rows.extend(
-            (run_id, key, "", origin, now) for key, origin in references.items()
+        return (
+            {row["unit_key"]: _unit_doc(row, run_id) for row in units},
+            {shard_id: fold_checkpoints(rows) for shard_id, rows in deltas.items()},
         )
 
+    def replace_unit_records(self, run_id: str, references: dict[str, str]) -> None:
+        """Write a stream run's reference rows, one per unit it reused.
+
+        ``references`` maps each reused unit's key to its origin, the run
+        whose row for that key holds the payload; the unit's row gets an
+        empty payload and the origin in ``origin_run_id``.  An origin
+        always holds a payload row, so references never chain.  Rows are
+        addressed by origin and key together: a dirty unit can re-execute
+        on an unchanged vertex set, so one key can carry different
+        payloads in different runs.  The run's executed units wrote
+        their payload rows as they finished (:meth:`save_shard_result`);
+        this replaces only its reference rows.
+        """
+        now = _now()
+        rows = [(run_id, key, origin, now) for key, origin in references.items()]
+
         def op(conn):
-            conn.execute("DELETE FROM stream_units WHERE run_id = ?", (run_id,))
+            conn.execute(
+                "DELETE FROM stream_units WHERE run_id = ? AND origin_run_id IS NOT NULL",
+                (run_id,),
+            )
             conn.executemany(
                 "INSERT INTO stream_units"
                 " (run_id, unit_key, payload, origin_run_id, updated_at)"
-                " VALUES (?, ?, ?, ?, ?)",
+                " VALUES (?, ?, '', ?, ?)",
                 rows,
             )
 
         self._write("replace_unit_records", op)
 
     def load_unit_record_docs(self, run_id: str) -> dict[str, dict]:
-        """All unit record documents of a stream run, keyed by content key.
+        """All unit record documents of a stream run, keyed by unit key.
 
         One self-join resolves references: a row with an
         ``origin_run_id`` reads its payload from its origin's row for the
         same unit key.  A row without one is its own origin, which is how
         every row a store written before references holds reads.  Each
-        document's ``origin`` names the run whose row holds its payload.
-        Raises ``ValueError`` for a reference whose origin holds no
-        payload row for its unit.
+        document's ``key`` and ``origin`` come from the row's columns;
+        ``origin`` names the run whose row holds its payload.  Raises
+        ``ValueError`` for a reference whose origin holds no payload row
+        for its unit.
         """
         with self._lock:
             rows = self._conn.execute(
@@ -712,7 +686,7 @@ class RunStore:
                     f"unit {row['unit_key']!r} of run {run_id!r} references run "
                     f"{row['origin']!r}, which holds no payload for it"
                 )
-            docs[row["unit_key"]] = {**json.loads(row["payload"]), "origin": row["origin"]}
+            docs[row["unit_key"]] = _unit_doc(row, row["origin"])
         return docs
 
     # ------------------------------------------------------------------
@@ -819,67 +793,95 @@ class RunStore:
             rows = self._conn.execute(query, params).fetchall()
         return [_event_doc(row) for row in rows]
 
-    def count_run_events(self, run_id: str) -> int:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM run_events WHERE run_id = ?", (run_id,)
-            ).fetchone()
-        return row["n"]
-
-    def clear_run_events(self, run_id: str) -> int:
-        """Drop a run's telemetry events; returns the number removed."""
-        return self._write(
-            "clear_run_events",
-            lambda conn: conn.execute(
-                "DELETE FROM run_events WHERE run_id = ?", (run_id,)
-            ).rowcount,
-        )
-
     def active_runs(self) -> list[RunRecord]:
         """Ledger rows still in flight (queued / preparing / running)."""
         return [record for record in self.list_runs() if not record.finished]
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Row counts for ``repro cache info`` and diagnostics."""
+        """Row counts for ``repro cache info`` and diagnostics.
+
+        A run (shard) with a resumable checkpoint counts once, however
+        many journal rows it holds.
+        """
         with self._lock:
-            runs = self._conn.execute("SELECT COUNT(*) AS n FROM runs").fetchone()["n"]
+            counts = self._conn.execute(
+                "SELECT (SELECT COUNT(*) FROM runs) AS runs,"
+                " (SELECT COUNT(DISTINCT run_id) FROM checkpoint_journal"
+                " WHERE shard_id IS NULL) AS checkpoints,"
+                " (SELECT COUNT(*) FROM (SELECT DISTINCT run_id, shard_id"
+                " FROM checkpoint_journal WHERE shard_id IS NOT NULL))"
+                " AS shard_journals,"
+                " (SELECT COUNT(*) FROM stream_units) AS stream_units,"
+                " (SELECT COUNT(*) FROM run_obs) AS run_obs,"
+                " (SELECT COUNT(*) FROM run_events) AS run_events"
+            ).fetchone()
             by_status = dict(
                 self._conn.execute(
                     "SELECT status, COUNT(*) FROM runs GROUP BY status"
                 ).fetchall()
             )
-            # A run (shard) with a resumable checkpoint counts once, however
-            # many journal rows it holds.
-            checkpoints = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM (SELECT run_id FROM checkpoints"
-                " UNION SELECT run_id FROM checkpoint_journal"
-                " WHERE shard_id IS NULL)"
-            ).fetchone()["n"]
-            shard_checkpoints = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM (SELECT run_id, shard_id"
-                " FROM shard_checkpoints UNION SELECT run_id, shard_id"
-                " FROM checkpoint_journal WHERE shard_id IS NOT NULL)"
-            ).fetchone()["n"]
-            stream_units = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM stream_units"
-            ).fetchone()["n"]
-            run_obs = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM run_obs"
-            ).fetchone()["n"]
-            run_events = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM run_events"
-            ).fetchone()["n"]
-        return {
-            "path": self.path,
-            "runs": runs,
-            "runs_by_status": by_status,
-            "checkpoints": checkpoints,
-            "shard_checkpoints": shard_checkpoints,
-            "stream_units": stream_units,
-            "run_obs": run_obs,
-            "run_events": run_events,
-        }
+        return {"path": self.path, "runs_by_status": by_status, **dict(counts)}
+
+
+def _migrate(conn: sqlite3.Connection) -> None:
+    """Upgrade a store written by an earlier release to ``_VERSION``.
+
+    Besides ``_MIGRATIONS``, it moves the checkpoints written before the
+    journal into it: each full ``checkpoints`` row, and each
+    ``kind='loop'`` row of the dropped ``shard_checkpoints`` table,
+    becomes its run's (shard's) first journal row, numbered below every
+    existing row.  A full checkpoint is a delta from the prepared state,
+    so the run resumes from the fold as before.  A shard's ``done`` row
+    has no unit key, so it is not moved: that shard re-executes under the
+    same seeds.  A lease stub holds no state.  A row that does not parse
+    raises ``ValueError``, and the caller's transaction rolls back.
+    """
+    for migration in _MIGRATIONS:
+        try:
+            conn.execute(migration)
+        except sqlite3.OperationalError as exc:
+            if "duplicate column" not in str(exc).lower():
+                raise
+    legacy = conn.execute(
+        "SELECT run_id, NULL AS shard_id, payload, updated_at FROM checkpoints"
+    ).fetchall()
+    if conn.execute(
+        "SELECT 1 FROM sqlite_master WHERE name = 'shard_checkpoints'"
+    ).fetchone():
+        legacy += conn.execute(
+            "SELECT run_id, shard_id, payload, updated_at FROM shard_checkpoints"
+            " WHERE kind = 'loop'"
+        ).fetchall()
+    first = conn.execute(
+        "SELECT COALESCE(MIN(seq), 1) FROM checkpoint_journal"
+    ).fetchone()[0]
+    for offset, row in enumerate(legacy, start=1):
+        try:
+            doc = json.loads(row["payload"])
+            if row["shard_id"] is not None:
+                doc = doc["checkpoint"]
+            checkpoint = checkpoint_from_doc(doc)
+        except (ValueError, KeyError, TypeError) as exc:
+            shard = "" if row["shard_id"] is None else f" shard {row['shard_id']}"
+            raise ValueError(
+                f"the pre-journal checkpoint of run {row['run_id']!r}{shard}"
+                f" does not parse: {exc}"
+            ) from exc
+        conn.execute(
+            "INSERT INTO checkpoint_journal"
+            " (seq, run_id, shard_id, payload, created_at) VALUES (?, ?, ?, ?, ?)",
+            (
+                first - offset,
+                row["run_id"],
+                row["shard_id"],
+                json.dumps(checkpoint_to_doc(checkpoint), sort_keys=True),
+                row["updated_at"],
+            ),
+        )
+    conn.execute("DELETE FROM checkpoints")
+    conn.execute("DROP TABLE IF EXISTS shard_checkpoints")
+    conn.execute(f"PRAGMA user_version = {_VERSION}")
 
 
 def _append_journal(
@@ -890,6 +892,11 @@ def _append_journal(
         " VALUES (?, ?, ?, ?)",
         (run_id, shard_id, payload, now),
     )
+
+
+def _unit_doc(row: sqlite3.Row, origin: str) -> dict:
+    """A unit row's payload with its ``key`` and ``origin`` columns."""
+    return {**json.loads(row["payload"]), "key": row["unit_key"], "origin": origin}
 
 
 def _event_doc(row: sqlite3.Row) -> dict:

@@ -31,12 +31,7 @@ from repro.stream.delta import (
     kb_pair_fingerprint,
 )
 from repro.stream.incremental import IncrementalPrepared, incremental_prepare
-from repro.stream.runner import (
-    StreamOutcome,
-    StreamRunner,
-    unit_record_from_doc,
-    unit_record_to_doc,
-)
+from repro.stream.runner import StreamOutcome, StreamRunner
 
 __all__ = [
     "DeltaConflictError",
@@ -48,6 +43,4 @@ __all__ = [
     "compose_deltas",
     "incremental_prepare",
     "kb_pair_fingerprint",
-    "unit_record_from_doc",
-    "unit_record_to_doc",
 ]

@@ -33,33 +33,10 @@ from repro.obs import runtime as obs
 from repro.obs.logging import get_logger
 from repro.partition.partitioner import PartitionPlan, partition_state
 from repro.partition.runner import CrowdSpec, ParallelRunner, UnitRecord
-from repro.store.serialize import result_from_doc, result_to_doc
 
 Pair = tuple[str, str]
 
 log = get_logger("stream")
-
-
-def unit_record_to_doc(record: UnitRecord) -> dict:
-    return {
-        "key": record.key,
-        "kind": record.kind,
-        "result": result_to_doc(record.result),
-        "snapshot": record.snapshot,
-        "answer_log": record.answer_log,
-        "origin": record.origin,
-    }
-
-
-def unit_record_from_doc(doc: dict) -> UnitRecord:
-    return UnitRecord(
-        key=doc["key"],
-        kind=doc["kind"],
-        result=result_from_doc(doc["result"]),
-        snapshot=doc["snapshot"],
-        answer_log=doc["answer_log"],
-        origin=doc["origin"],
-    )
 
 
 @dataclass(slots=True, weakref_slot=True)
@@ -165,11 +142,9 @@ class StreamRunner:
             store=self._store,
             run_id=self._run_id,
             on_event=self._on_event,
-            localize=True,
-            content_seeds=True,
+            stream=True,
             dirty=dirty,
             reuse=reuse,
-            collect_records=True,
         )
         result = runner.run(state, crowd)
         records = runner.unit_records

@@ -295,7 +295,8 @@ class TestStoreCommands:
         """A store from before the blob table's removal opens and serves.
 
         Such a store holds every current table plus ``substrate_blobs``
-        (packed dominance matrices).  Opening it drops the table; a
+        (packed dominance matrices), and like every store an earlier
+        release wrote, ``user_version`` 0.  Opening it drops the table; a
         service job and ``cache info`` then work, and ``cache info``
         prints no blob line.
         """
@@ -313,6 +314,7 @@ class TestStoreCommands:
                 digest TEXT, created_at TEXT NOT NULL);
             INSERT INTO substrate_blobs VALUES
                 ('a:b:c', 1, 1, zeroblob(8), NULL, '2026-01-01');
+            PRAGMA user_version = 0;
             """
         )
         legacy.commit()
@@ -339,7 +341,8 @@ class TestStoreCommands:
 
         ``prepared_states`` keyed states by dataset name (and post-delta
         states by ``fp:`` names); ``prepared`` keyed them by content.
-        Opening the store drops both, and a service job then runs.
+        Opening the store (``user_version`` 0, as an earlier release left
+        it) drops both, and a service job then runs.
         """
         import sqlite3
 
@@ -364,6 +367,7 @@ class TestStoreCommands:
                 PRIMARY KEY (fingerprint, config_hash, version));
             INSERT INTO prepared VALUES
                 ('0123456789abcdef', 'x', 1, '{}', '2026-01-01');
+            PRAGMA user_version = 0;
             """
         )
         legacy.commit()

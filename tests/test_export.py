@@ -1,4 +1,4 @@
-"""Standard exporters: Chrome trace, Prometheus text, bench history, filters."""
+"""Standard exporters: Chrome trace, bench history, filters."""
 
 import json
 
@@ -9,7 +9,6 @@ from repro.obs.export import (
     filter_spans,
     history_path,
     load_bench_history,
-    prometheus_text,
     validate_chrome_trace,
 )
 from repro.service import MatchingService
@@ -69,44 +68,6 @@ class TestChromeTrace:
         assert any("bad ts" in e for e in errors)
         assert any("missing scope" in e for e in errors)
         assert any("unknown phase" in e for e in errors)
-
-
-class TestPrometheusText:
-    def test_counters_gauges_and_stage_families(self):
-        text = prometheus_text(
-            {
-                "counters": {"crowd.questions_billed": 12},
-                "gauges": {"stream.unit_reuse_rate": 0.75},
-            },
-            labels={"run_id": "r1", "dataset": "iimb"},
-            timings={"prepare.vectors": {"seconds": 1.5, "calls": 2}},
-        )
-        assert "# TYPE repro_crowd_questions_billed_total counter" in text
-        assert (
-            'repro_crowd_questions_billed_total{dataset="iimb",run_id="r1"} 12'
-            in text
-        )
-        assert "# TYPE repro_stream_unit_reuse_rate gauge" in text
-        assert (
-            'repro_stage_seconds{dataset="iimb",run_id="r1",stage="prepare.vectors"} 1.5'
-            in text
-        )
-        assert (
-            'repro_stage_calls{dataset="iimb",run_id="r1",stage="prepare.vectors"} 2'
-            in text
-        )
-        assert text.endswith("\n")
-
-    def test_names_and_label_values_escape(self):
-        text = prometheus_text(
-            {"counters": {"1weird-name": 1}, "gauges": {}},
-            labels={"path": 'a"b\\c'},
-        )
-        assert "_1weird_name_total" in text
-        assert r'path="a\"b\\c"' in text
-
-    def test_empty_document_renders_empty(self):
-        assert prometheus_text({"counters": {}, "gauges": {}}) == ""
 
 
 class TestBenchHistory:
@@ -196,11 +157,3 @@ class TestTraceCLI:
         doc = json.loads(capsys.readouterr().out)
         assert validate_chrome_trace(doc) == []
         assert doc["traceEvents"]
-
-    def test_prometheus_metrics_export(self, tmp_path, monkeypatch, capsys):
-        run_id = self._run(tmp_path, monkeypatch)
-        assert main(["runs", "metrics", run_id, "--prometheus"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_crowd_questions_billed_total counter" in out
-        assert f'run_id="{run_id}"' in out
-        assert 'stage="' in out

@@ -188,9 +188,6 @@ class TestProbeRuntime:
 # ----------------------------------------------------------------------
 # Store: write retry, busy timeout, legacy shard rows
 # ----------------------------------------------------------------------
-_LEASE_COLUMNS = ("lease_owner", "lease_expires", "heartbeat_at", "attempts")
-
-
 def _legacy_shard_store(tmp_path, *stubs: tuple[str, int]) -> str:
     """A store whose ``shard_checkpoints`` has the lease columns and stubs."""
     path = str(tmp_path / "legacy.db")
@@ -277,37 +274,41 @@ class TestStoreFaults:
         )
         with RunStore(tmp_path / "runs.db") as store:
             with faults.activate(plan):
-                store.save_shard_result("r", 0, RempResult(set(), 0, 0), {})
-            assert store.load_shard_records("r")[0][0] == "done"
+                store.save_shard_result(
+                    "r", 0, "u0", "graph", RempResult(set(), 0, 0), {}, []
+                )
+            units, _ = store.load_shard_records("r")
+            assert set(units) == {"u0"}
         assert plan.fired() == 1  # fired once, then the write retried
 
     def test_lease_stub_rows_are_invisible_to_resume(
         self, tmp_path, state, crowd, reference
     ):
-        """A ``kind='lease'`` stub row left in a legacy store is skipped.
+        """A ``kind='lease'`` stub row left in a legacy store is dropped.
 
         Stores written while shards held leases keep four extra
         ``shard_checkpoints`` columns and may hold such stubs from an
-        interrupted run.  The stubbed shard starts from scratch, so a
-        run on that run id lands on the storeless reference.
+        interrupted run.  A stub carries no execution state, so the
+        migration drops it with the table; the stubbed shard starts over,
+        and a run on that run id lands on the storeless reference.
         """
         ref_result, loops = reference
         path = _legacy_shard_store(tmp_path, ("r", _victim(loops)))
         with RunStore(path) as store:
-            assert store.load_shard_records("r") == {}
-            result = ParallelRunner(workers=1, store=store, run_id="r").run(
-                state, crowd
-            )
-            # The victim checkpoints, so the run wrote over its stub.
-            assert store.load_shard_records("r")[_victim(loops)][0] == "done"
+            assert store.load_shard_records("r") == ({}, {})
+            runner = ParallelRunner(workers=1, store=store, run_id="r")
+            result = runner.run(state, crowd)
+            units, _ = store.load_shard_records("r")
+            keys = runner._shard_keys(runner.plan(state))
+            assert keys[_victim(loops)] in units
         assert _doc(result) == _doc(ref_result)
 
-    def test_checkpoint_write_preserves_lease_columns(self, tmp_path):
-        """A checkpoint written over a legacy stub reads back as a loop.
+    def test_migration_drops_the_lease_table(self, tmp_path):
+        """A store with the lease columns opens without them.
 
-        The store no longer maintains lease values, but it keeps a
-        legacy table's four lease columns (no ``DROP COLUMN``, which
-        needs SQLite >= 3.35) and must write rows into that table.
+        The migration drops ``shard_checkpoints`` with its four lease
+        columns (no ``DROP COLUMN`` needed, which takes SQLite >= 3.35),
+        and a shard's checkpoint then reads back from its journal.
         """
         path = _legacy_shard_store(tmp_path, ("r", 0))
         checkpoint = LoopCheckpoint(
@@ -319,16 +320,13 @@ class TestStoreFaults:
         )
         with RunStore(path) as store:
             store.save_shard_checkpoint("r", 0, checkpoint)
-            records = store.load_shard_records("r")
-            assert records[0][0] == "loop"
-            assert records[0][1].questions_asked == 4
-            columns = {
-                row[1]
-                for row in store._conn.execute(
-                    "PRAGMA table_info(shard_checkpoints)"
-                )
+            units, journals = store.load_shard_records("r")
+            assert units == {} and journals[0].questions_asked == 4
+            tables = {
+                row[0]
+                for row in store._conn.execute("SELECT name FROM sqlite_master")
             }
-        assert set(_LEASE_COLUMNS) <= columns
+        assert "shard_checkpoints" not in tables
 
 
 # ----------------------------------------------------------------------
@@ -567,9 +565,12 @@ class TestSupervisedPool:
             _assert_no_stray_children()
             # The healthy shards persisted their results; the victim
             # died before its first checkpoint shipped, so it has none.
-            records = store.load_shard_records("r")
+            units, journals = store.load_shard_records("r")
+            runner = ParallelRunner()
+            keys = runner._shard_keys(runner.plan(state))
+            records = {shard_id for shard_id, key in keys.items() if key in units}
             assert records and victim not in records
-            assert all(record[0] == "done" for record in records.values())
+            assert journals == {}
             # A later run on the same store finishes the quarantined shard
             # and lands byte-identical to the fault-free reference.
             monkeypatch.delenv(faults.ENV_VAR)

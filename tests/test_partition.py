@@ -277,20 +277,25 @@ class TestShardCheckpointStore:
         monkeypatch.setattr(store, "_write", recording_write)
         result = runner.run(state, crowd)
         monkeypatch.undo()
-        records = store.load_shard_records(run_id)
+        units, journals = store.load_shard_records(run_id)
         plan = partition_state(state)
-        assert set(records) == {s.shard_id for s in plan.shards}
-        assert all(record[0] == "done" for record in records.values())
-        assert store.stats()["shard_checkpoints"] == len(plan.shards)
+        keys = runner._shard_keys(plan)
+        # One unit row per shard, under its unit key; no journal is left.
+        assert set(units) == set(keys.values())
+        assert journals == {}
+        assert store.stats()["stream_units"] == len(plan.shards)
+        assert store.stats()["shard_journals"] == 0
         # The supervisor's whole write set: one checkpoint per labeling
         # round of each graph shard, one result per shard, nothing else.
-        rounds = sum(records[s.shard_id][1].num_loops for s in plan.graph_shards)
+        rounds = sum(
+            units[keys[s.shard_id]]["result"]["num_loops"] for s in plan.graph_shards
+        )
         assert rounds > 0
         assert ops.count("save_shard_result") == len(plan.shards)
         assert ops.count("save_shard_checkpoint") == rounds
         assert set(ops) == {"save_shard_result", "save_shard_checkpoint"}
         store.finish_run(run_id, result)
-        assert store.load_shard_records(run_id) == {}
+        assert store.load_shard_records(run_id) == ({}, {})
         store.close()
 
     def test_reused_units_write_nothing(self, tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from repro.crowd import CrowdPlatform
 from repro.service import MatchingService
 from repro.store import RunStore
 from repro.store.serialize import checkpoint_to_doc, result_to_doc
-from repro.stream import DeltaOp, KBDelta, unit_record_to_doc
+from repro.stream import DeltaOp, KBDelta
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +132,26 @@ class TestSessionLifecycle:
             result = service.result(run_id)
             assert steps == direct_result.num_loops
             assert result.matches == direct_result.matches
+            # A finished session is released: the ledger answers for it.
+            with pytest.raises(KeyError):
+                service._session(run_id)
             assert service.status(run_id) == "done"
-            # A finished session keeps its result, not its driver or spans.
-            session = service._session(run_id)
-            assert session._driver is None
-            assert session._scope.tracer.spans() == []
-            assert session.num_loops == steps
+            assert service.result(run_id).matches == direct_result.matches
+
+    def test_finished_runs_release_their_sessions(self, tmp_path, direct_result):
+        """Finished monolithic and partitioned runs leave nothing in memory."""
+        with MatchingService(RunStore(tmp_path / "store.db"), max_workers=2) as service:
+            run_ids = [service.submit("iimb", scale=0.2) for _ in range(3)]
+            run_ids.append(service.submit("iimb", scale=0.2, background=False))
+            run_ids.append(service.submit("iimb", scale=0.2, workers=1))
+            results = [service.result(run_id) for run_id in run_ids]
+            assert not set(run_ids) & set(service._sessions)
+            assert not set(run_ids) & set(service._futures)
+            for run_id, result in zip(run_ids, results):
+                assert service.status(run_id) == "done"
+                assert service.result(run_id).matches == result.matches
+        for result in results[:4]:
+            assert result.matches == direct_result.matches
 
     def test_stepping_checkpoints_each_loop(self, tmp_path):
         with MatchingService(RunStore(tmp_path / "store.db")) as service:
@@ -264,6 +278,18 @@ class TestStepwiseEqualsLibrary:
             assert result_to_doc(service.result(run_id)) == expected
 
 
+def _record_doc(record) -> dict:
+    """A unit record in the shape ``load_unit_record_docs`` returns."""
+    return {
+        "key": record.key,
+        "kind": record.kind,
+        "result": result_to_doc(record.result),
+        "snapshot": record.snapshot,
+        "answer_log": record.answer_log,
+        "origin": record.origin,
+    }
+
+
 @pytest.fixture(scope="class")
 def warm_lineage(tmp_path_factory):
     """A 9-update ``evolving`` x0.4 stream lineage built in one service.
@@ -313,7 +339,7 @@ def warm_lineage(tmp_path_factory):
         warm=warm,
         deltas=evolving.deltas,
         records=[
-            {key: unit_record_to_doc(record) for key, record in outcome.records.items()}
+            {key: _record_doc(record) for key, record in outcome.records.items()}
             for outcome in outcomes
         ],
         executed=[outcome.executed_keys for outcome in outcomes],
@@ -559,7 +585,8 @@ class TestStreamSessions:
         """A store whose every unit row holds its payload opens, reads and updates.
 
         Stores written before references have no ``origin_run_id`` column
-        and a full payload in every run's row for every unit.  Opening one
+        and a full payload in every run's row for every unit, and like
+        every store an earlier release wrote, ``user_version`` 0.  Opening one
         adds the column and rewrites no row, every row reads as its own
         origin, ``runs show`` counts the same units (all written), and an
         update from it in a fresh service lands on the warm result.
@@ -579,6 +606,7 @@ class TestStreamSessions:
                     run_id TEXT NOT NULL, unit_key TEXT NOT NULL,
                     payload TEXT NOT NULL, updated_at TEXT NOT NULL,
                     PRIMARY KEY (run_id, unit_key));
+                PRAGMA user_version = 0;
                 """
             )
             conn.executemany(

@@ -202,85 +202,134 @@ class TestShardCheckpoints:
             result = RempResult(matches={("a", "b")}, questions_asked=2, num_loops=1)
             log = [{"question": ["a", "b"], "worker_id": "w0",
                     "label": True, "worker_quality": 1.0}]
-            store.save_shard_result(run_id, 1, result, {"priors": []}, answer_log=log)
-            records = store.load_shard_records(run_id)
-            assert set(records) == {0, 1}
-            kind, checkpoint = records[0]
-            assert kind == "loop"
-            assert checkpoint.questions_asked == 2
-            kind, stored_result, snapshot, answer_log = records[1]
-            assert kind == "done"
-            assert stored_result.matches == {("a", "b")}
-            assert snapshot == {"priors": []}
-            assert answer_log == log
+            store.save_shard_result(
+                run_id, 1, "u1", "graph", result, {"priors": []}, log
+            )
+            units, journals = store.load_shard_records(run_id)
+            assert set(journals) == {0}
+            assert journals[0].questions_asked == 2
+            assert units == {
+                "u1": {
+                    "key": "u1",
+                    "origin": run_id,
+                    "kind": "graph",
+                    "result": result_to_doc(result),
+                    "snapshot": {"priors": []},
+                    "answer_log": log,
+                }
+            }
 
     def test_done_overwrites_loop(self, tmp_path):
         with RunStore(tmp_path / "store.db") as store:
             run_id = store.create_run("iimb", 0, 0.2, None, workers=2)
             store.save_shard_checkpoint(run_id, 0, self._checkpoint())
             result = RempResult(matches=set(), questions_asked=2, num_loops=1)
-            store.save_shard_result(run_id, 0, result, {})
-            assert store.load_shard_records(run_id)[0][0] == "done"
+            store.save_shard_result(run_id, 0, "u0", "graph", result, {}, [])
+            units, journals = store.load_shard_records(run_id)
+            assert set(units) == {"u0"}
+            assert journals == {}
 
     def test_finish_run_clears_shard_rows(self, tmp_path):
         with RunStore(tmp_path / "store.db") as store:
             run_id = store.create_run("iimb", 0, 0.2, None, workers=2)
             store.save_shard_checkpoint(run_id, 0, self._checkpoint())
-            assert store.stats()["shard_checkpoints"] == 1
-            store.finish_run(
-                run_id, RempResult(matches=set(), questions_asked=0, num_loops=0)
-            )
-            assert store.load_shard_records(run_id) == {}
-            assert store.stats()["shard_checkpoints"] == 0
+            result = RempResult(matches=set(), questions_asked=0, num_loops=0)
+            store.save_shard_result(run_id, 1, "u1", "graph", result, {}, [])
+            assert store.stats()["shard_journals"] == 1
+            assert store.stats()["stream_units"] == 1
+            store.finish_run(run_id, result)
+            assert store.load_shard_records(run_id) == ({}, {})
+            assert store.stats()["shard_journals"] == 0
+            assert store.stats()["stream_units"] == 0
+
+    def test_finish_run_keeps_a_stream_runs_unit_rows(self, tmp_path):
+        """A stream run's unit rows are the next update's reuse input."""
+        with RunStore(tmp_path / "store.db") as store:
+            run_id = store.create_run("iimb", 0, 0.2, None, stream_step=0)
+            store.save_shard_checkpoint(run_id, 0, self._checkpoint())
+            result = RempResult(matches=set(), questions_asked=0, num_loops=0)
+            store.save_shard_result(run_id, 1, "u1", "graph", result, {}, [])
+            store.finish_run(run_id, result)
+            units, journals = store.load_shard_records(run_id)
+            assert set(units) == {"u1"} and journals == {}
+            assert set(store.load_unit_record_docs(run_id)) == {"u1"}
 
     def test_fail_run_keeps_shard_rows(self, tmp_path):
         with RunStore(tmp_path / "store.db") as store:
             run_id = store.create_run("iimb", 0, 0.2, None, workers=2)
             store.save_shard_checkpoint(run_id, 3, self._checkpoint())
             store.fail_run(run_id, "boom")
-            assert set(store.load_shard_records(run_id)) == {3}
-
-    def test_clear_shard_checkpoints(self, tmp_path):
-        with RunStore(tmp_path / "store.db") as store:
-            run_id = store.create_run("iimb", 0, 0.2, None, workers=2)
-            store.save_shard_checkpoint(run_id, 0, self._checkpoint())
-            store.save_shard_checkpoint(run_id, 1, self._checkpoint())
-            assert store.clear_shard_checkpoints(run_id) == 2
-            assert store.load_shard_records(run_id) == {}
+            units, journals = store.load_shard_records(run_id)
+            assert units == {} and set(journals) == {3}
 
 
 class TestUnitRecords:
-    """Stream unit rows: payloads for executed units, references for reused ones."""
+    """Unit rows: payloads for finished shards, references for reused units."""
+
+    @staticmethod
+    def _save(store, run_id, key, kind):
+        result = RempResult(matches=set(), questions_asked=0, num_loops=0)
+        store.save_shard_result(run_id, 0, key, kind, result, {}, [])
+
+    @staticmethod
+    def _kinds(docs):
+        return {key: (doc["kind"], doc["origin"]) for key, doc in docs.items()}
 
     def test_reference_reads_its_origins_payload(self, tmp_path):
         with RunStore(tmp_path / "store.db") as store:
-            store.replace_unit_records("a", {"u": {"kind": "graph"}, "v": {"kind": "x"}}, {})
-            store.replace_unit_records("b", {"v": {"kind": "y"}}, {"u": "a"})
-            assert store.load_unit_record_docs("b") == {
-                "u": {"kind": "graph", "origin": "a"},
-                "v": {"kind": "y", "origin": "b"},
-            }
-            # A rewrite replaces only the written run's rows.
-            store.replace_unit_records("b", {"u": {"kind": "z"}}, {"v": "a"})
-            assert store.load_unit_record_docs("b") == {
-                "u": {"kind": "z", "origin": "b"},
-                "v": {"kind": "x", "origin": "a"},
-            }
+            self._save(store, "a", "u", "graph")
+            self._save(store, "a", "v", "x")
+            self._save(store, "b", "v", "y")
+            store.replace_unit_records("b", {"u": "a"})
+            docs = store.load_unit_record_docs("b")
+            assert self._kinds(docs) == {"u": ("graph", "a"), "v": ("y", "b")}
+            assert {doc["key"] for doc in docs.values()} == {"u", "v"}
+            # A rewrite replaces only the run's reference rows.
+            store.replace_unit_records("b", {})
+            assert self._kinds(store.load_unit_record_docs("b")) == {"v": ("y", "b")}
+            store.replace_unit_records("b", {"u": "a"})
             assert store.stats()["stream_units"] == 4
+            # A resume reads the run's own payload rows, not its references.
+            units, _ = store.load_shard_records("b")
+            assert self._kinds(units) == {"v": ("y", "b")}
+
+    def test_payload_leaves_key_and_origin_to_the_columns(self, tmp_path):
+        """A row written before the columns held them reads the same."""
+        import json
+        import sqlite3
+
+        path = tmp_path / "store.db"
+        with RunStore(path) as store:
+            self._save(store, "a", "u", "graph")
+        conn = sqlite3.connect(path)
+        with conn:
+            (payload,) = conn.execute("SELECT payload FROM stream_units").fetchone()
+            doc = json.loads(payload)
+            assert set(doc) == {"kind", "result", "snapshot", "answer_log"}
+            conn.execute(
+                "INSERT INTO stream_units (run_id, unit_key, payload, updated_at)"
+                " VALUES ('old', 'u', ?, 't')",
+                (json.dumps({**doc, "key": "u", "origin": "old"}),),
+            )
+        conn.close()
+        with RunStore(path) as store:
+            new, old = store.load_unit_record_docs("a"), store.load_unit_record_docs("old")
+        assert old == {"u": {**new["u"], "origin": "old"}}
 
     def test_reference_without_origin_row_is_refused(self, tmp_path):
         import sqlite3
 
         path = tmp_path / "store.db"
         with RunStore(path) as store:
-            store.replace_unit_records("a", {"u": {"kind": "graph"}}, {})
-            store.replace_unit_records("b", {}, {"u": "a"})
+            self._save(store, "a", "u", "graph")
+            store.replace_unit_records("b", {"u": "a"})
         with sqlite3.connect(path) as conn:
             conn.execute("DELETE FROM stream_units WHERE run_id = 'a'")
         conn.close()
         with RunStore(path) as store:
             with pytest.raises(ValueError, match="'u' of run 'b' references run 'a'"):
                 store.load_unit_record_docs("b")
+
 
 class TestCheckpointSerialization:
     def test_round_trip(self):

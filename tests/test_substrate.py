@@ -160,7 +160,7 @@ class TestWorkers:
         assert parallel.matches == mono.matches
         assert parallel.questions_asked == mono.questions_asked
 
-    def test_spawn_pool_ships_shared_memory_matrix(self, tmp_path, monkeypatch):
+    def test_spawn_pool_equals_forked_pool(self, tmp_path, monkeypatch):
         """A spawn-started pool (base state pickled) matches a forked one."""
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         with MatchingService(RunStore(tmp_path / "spawn.db")) as service:
