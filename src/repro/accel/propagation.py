@@ -6,16 +6,18 @@ although one labeling round only moves a handful of priors.  This module
 maintains the derived state across iterations and recomputes exactly the
 regions the last round could have influenced:
 
-* **Consistencies** — the estimation set only grows; new matches add
-  observations and can only bump the ``observed`` lower bound of
-  existing observations whose value sets contain them (found through the
-  KB relation indexes).  A label whose observations did not change keeps
+* **Consistencies** — the estimation set only grows, and the caller
+  hands over just the matches it added; new matches add observations
+  and can only bump the ``observed`` lower bound of existing
+  observations whose value sets contain them (found through the KB
+  relation indexes).  A label whose observations did not change keeps
   its cached :class:`~repro.core.consistency.Consistency` verbatim.
 * **Edges** — a neighbor group's Eq. 9 marginals are recomputed only
   when its label's γ = ε₁ε₂/((1−ε₁)(1−ε₂)) changed or a member pair's
-  effective prior did.  The marginals read the consistency only through
-  γ, so a re-estimation that grows a label's support without moving γ
-  (ε₁, ε₂ held at the ceiling, say) dirties nothing.  A vertex's
+  effective prior did; the caller names the pairs whose prior moved.
+  The marginals read the consistency only through γ, so a
+  re-estimation that grows a label's support without moving γ (ε₁, ε₂
+  held at the ceiling, say) dirties nothing.  A vertex's
   edge/length rows are rebuilt only from dirty groups, preserving the
   reference construction order (labels in group order, members sorted)
   so downstream float accumulations see the same operand order.
@@ -28,7 +30,9 @@ regions the last round could have influenced:
   a source's map is computed, finds the maps to drop: each changed
   vertex pops its sources, and those whose current map still reaches
   it are dropped.  Entries of dropped or recomputed maps go stale
-  rather than being removed, hence the membership re-check.
+  rather than being removed, hence the membership re-check.  A round
+  returns only the maps that are new to the caller: recomputed ones and
+  those of the sources that entered the source set since the last round.
 
 Equivalence with the full rebuild is pinned by the accel test suite,
 after every round of a loop: the incremental maps must be ``==`` *and*
@@ -39,6 +43,7 @@ order).
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Iterable
 
 from repro.accel.runtime import TIMINGS
 from repro.obs import runtime as obs
@@ -76,12 +81,13 @@ class IncrementalPropagator:
 
     The returned distance maps are shared with the internal cache and
     must be treated as read-only by callers.  :meth:`update` replaces a
-    source's map when it recomputes it and never mutates one, so a map
-    object that comes back unchanged has unchanged contents:
-    ``LoopState.restricted_inferred_sets`` keeps a question's Eq. 12
-    restricted set for as long as its map is the same object.  Each
-    :meth:`update` counts its work in the active run scope:
-    ``propagation.groups_recomputed`` and ``propagation.dijkstra_runs``.
+    source's map when it recomputes it and never mutates one, and it
+    returns only the maps that are new this round, so a caller keeps
+    whatever it derived from a map until the map comes back:
+    ``LoopState.restricted_inferred_sets`` rebuilds a question's Eq. 12
+    restricted set only then.  Each :meth:`update` counts its work in
+    the active run scope: ``propagation.groups_recomputed`` and
+    ``propagation.dijkstra_runs``.
     """
 
     def __init__(
@@ -116,7 +122,6 @@ class IncrementalPropagator:
         # Edge / Dijkstra state.
         self._primed = False
         self._last_gammas: dict[RelPair, float] = {}
-        self._last_priors: dict[Pair, float] = {}
         self._marginals: dict[GroupKey, dict[Pair, float]] = {}
         self._lengths: dict[Pair, DistanceMap] = {}
         self._maps: dict[Pair, DistanceMap] = {}
@@ -135,16 +140,17 @@ class IncrementalPropagator:
     # ------------------------------------------------------------------
     # Incremental consistency estimation
     # ------------------------------------------------------------------
-    def estimate_consistencies(self, matches: set[Pair]) -> dict[RelPair, Consistency]:
-        """Mirror of ``estimate_all_consistencies`` over a growing match set."""
+    def estimate_consistencies(self, added: Iterable[Pair]) -> dict[RelPair, Consistency]:
+        """Mirror of ``estimate_all_consistencies`` over a growing match set.
+
+        ``added`` holds the matches added to the estimation set since the
+        last call (all of them on the first); one already folded in is
+        skipped.
+        """
         with TIMINGS.timed("loop.consistency"):
-            if self._folded - matches:
-                # The estimation set shrank (never happens in the loop, but
-                # correctness first): rebuild from scratch.
-                self._folded = set()
-                self._observations = {label: {} for label in self._labels}
-                self._consistencies = {}
-            new_matches = matches - self._folded
+            matches = self._folded
+            new_matches = {pair for pair in added if pair not in matches}
+            matches.update(new_matches)
             config = self._config
             for label in self._labels:
                 changed = self._update_label_observations(label, new_matches, matches)
@@ -156,7 +162,6 @@ class IncrementalPropagator:
                         config.epsilon_floor,
                         config.epsilon_ceiling,
                     )
-            self._folded = set(matches)
             return dict(self._consistencies)
 
     def _update_label_observations(
@@ -210,10 +215,21 @@ class IncrementalPropagator:
     def update(
         self,
         effective_priors: dict[Pair, float],
+        moved: Iterable[Pair],
         consistencies: dict[RelPair, Consistency],
         sources: set[Pair],
+        entered: set[Pair],
     ) -> dict[Pair, DistanceMap]:
-        """Inferred sets for ``sources``, recomputing only dirty regions."""
+        """The inferred sets new this round, recomputing only dirty regions.
+
+        ``effective_priors`` is read in place, ``moved`` names the pairs
+        whose effective prior changed since the last call, ``sources`` is
+        the current source set and ``entered`` the sources added to it
+        since the last call (every source on the first).  Returns the
+        maps of the sources whose cached map was dropped, recomputed, and
+        of the entered sources, cached or computed: every other source
+        keeps the map the caller already holds.
+        """
         fallback = Consistency(
             self._config.epsilon_default, self._config.epsilon_default, 0
         )
@@ -221,7 +237,7 @@ class IncrementalPropagator:
             label: consistencies.get(label, fallback).gamma() for label in self._labels
         }
         with TIMINGS.timed("loop.edges"):
-            dirty_groups, prior_dirty = self._dirty_groups(effective_priors, gammas)
+            dirty_groups, prior_dirty = self._dirty_groups(moved, gammas)
             for key in dirty_groups:
                 self._marginals[key] = self._group_marginals(
                     key,
@@ -232,13 +248,16 @@ class IncrementalPropagator:
             dirty_vertices = self._rebuild_rows({v for v, _ in dirty_groups})
         with TIMINGS.timed("loop.dijkstra"):
             maps = self._maps
+            stale = set(entered)
             for vertex in dirty_vertices:
                 for source in self._reached_from.pop(vertex, ()):
                     if vertex in maps.get(source, ()):
                         del maps[source]
+                        if source in sources:
+                            stale.add(source)
             runs = 0
             result: dict[Pair, DistanceMap] = {}
-            for source in sources:
+            for source in stale:
                 cached = maps.get(source)
                 if cached is None:
                     cached = bounded_dijkstra(self._lengths, source, self._zeta)
@@ -250,7 +269,6 @@ class IncrementalPropagator:
         obs.count("propagation.groups_recomputed", len(dirty_groups))
         obs.count("propagation.dijkstra_runs", runs)
         self._last_gammas = gammas
-        self._last_priors = dict(effective_priors)
         self._primed = True
         return result
 
@@ -304,7 +322,7 @@ class IncrementalPropagator:
 
     def _dirty_groups(
         self,
-        effective_priors: dict[Pair, float],
+        moved: Iterable[Pair],
         gammas: dict[RelPair, float],
     ) -> tuple[set[GroupKey], set[GroupKey]]:
         """(all dirty groups, groups dirty because a member prior moved)."""
@@ -316,10 +334,8 @@ class IncrementalPropagator:
             }
             return every, every
         prior_dirty: set[GroupKey] = set()
-        old_priors = self._last_priors
-        for pair, groups in self._pair_groups.items():
-            if effective_priors.get(pair) != old_priors.get(pair):
-                prior_dirty.update(groups)
+        for pair in moved:
+            prior_dirty.update(self._pair_groups.get(pair, ()))
         dirty = set(prior_dirty)
         previous = self._last_gammas
         for label in self._labels:

@@ -15,15 +15,19 @@ module under :mod:`repro` imports this one.
 * :func:`exact_marginal_map` — Eq. 9's unmemoized permanent recursion
   (pins the memoized DP behind
   :func:`repro.accel.marginals.exact_marginal_map`);
+* :func:`estimate_consistency` — the ε coordinate ascent once per
+  observation (pins the per-shape ascent of
+  :func:`repro.core.consistency.estimate_consistency`);
 * :class:`RebuildRemp` — a :class:`repro.core.Remp` whose loop rebuilds
   the probabilistic graph, reruns Dijkstra and filters every Eq. 12
-  restricted set from scratch every loop (pins
-  :class:`repro.accel.propagation.IncrementalPropagator` and the
-  restricted sets :class:`repro.core.pipeline.LoopState` keeps across
-  loops), reached through the ``Remp._make_loop_state`` seam;
+  restricted set and the askable questions from scratch every loop
+  (pins :class:`repro.accel.propagation.IncrementalPropagator` and the
+  restricted sets and askable gains :class:`repro.core.pipeline.LoopState`
+  keeps across loops), reached through the ``Remp._make_loop_state`` seam;
 * :func:`greedy_question_selection` — Algorithm 3's lazy greedy with
-  every initial gain summed per candidate (pins the memoized initial
-  gains of :func:`repro.core.selection.greedy_question_selection`).
+  every initial gain summed per candidate (pins the stored initial
+  gains :func:`repro.core.selection.greedy_question_selection` starts
+  from).
 
 :func:`reference_kernels` rebinds the product's kernel names to these
 references for the length of a ``with`` block, so a whole
@@ -41,15 +45,18 @@ import repro.accel.er_graph
 import repro.accel.marginals
 import repro.core.attributes
 import repro.core.candidates
+import repro.core.consistency
 import repro.core.pipeline
 import repro.core.pruning
 import repro.core.vectors
 from repro.accel.dominance import _any_dominator_python
 from repro.accel.marginals import MatchingPlan, matching_plan
+from repro.core.consistency import Consistency, _best_latent, _Observation
 from repro.core.er_graph import INVERSE_PREFIX
 from repro.core.isolated import Signature, attribute_signature
 from repro.core.pipeline import LoopState, Remp
 from repro.kb.model import KnowledgeBase
+from repro.obs import runtime as obs
 from repro.text.literal import literal_set_similarity
 
 Pair = tuple[str, str]
@@ -188,6 +195,49 @@ def _decline_scoring(*args, **kwargs) -> None:
 
 
 # ----------------------------------------------------------------------
+# Section V-A: ε coordinate ascent
+# ----------------------------------------------------------------------
+def estimate_consistency(
+    observations: list[_Observation],
+    epsilon_floor: float = 0.01,
+    epsilon_ceiling: float = 0.99,
+    max_iterations: int = 30,
+) -> Consistency:
+    """The coordinate ascent with one latent assignment per observation."""
+    relevant = [o for o in observations if o.n1 > 0 or o.n2 > 0]
+    if not relevant:
+        return Consistency(0.5, 0.5, 0)
+    b1 = sum(o.n1 for o in relevant)
+    b2 = sum(o.n2 for o in relevant)
+
+    def clamp(x: float) -> float:
+        return min(epsilon_ceiling, max(epsilon_floor, x))
+
+    total_observed = sum(o.observed for o in relevant)
+    eps1 = clamp(total_observed / b1 if b1 else 0.5)
+    eps2 = clamp(total_observed / b2 if b2 else 0.5)
+    latents = [o.observed for o in relevant]
+    for _ in range(max_iterations):
+        zeta = (eps1 * eps2) / ((1.0 - eps1) * (1.0 - eps2))
+        new_latents = [
+            _best_latent(o.n1, o.n2, o.observed, zeta) if o.n1 and o.n2 else 0
+            for o in relevant
+        ]
+        total = sum(new_latents)
+        new_eps1 = clamp(total / b1 if b1 else 0.5)
+        new_eps2 = clamp(total / b2 if b2 else 0.5)
+        converged = new_latents == latents and (
+            abs(new_eps1 - eps1) < 1e-9 and abs(new_eps2 - eps2) < 1e-9
+        )
+        latents, eps1, eps2 = new_latents, new_eps1, new_eps2
+        if converged:
+            break
+    else:
+        obs.count("consistency.not_converged")
+    return Consistency(eps1, eps2, len(relevant))
+
+
+# ----------------------------------------------------------------------
 # The loop: full rebuild with Dijkstra discovery
 # ----------------------------------------------------------------------
 class RebuildLoopState(LoopState):
@@ -197,11 +247,12 @@ class RebuildLoopState(LoopState):
     probabilistic graph and reruns discovery from every source — the
     path ``LoopState`` takes for the Floyd–Warshall config, here also
     under ``use_dijkstra`` — and every loop filters each restricted set
-    afresh from its inferred map.
+    afresh from its inferred map and sums every askable question's
+    initial gain afresh.
     """
 
-    def _infer_incremental(self, kb1, kb2, matches, effective_priors, sources):
-        return self._infer_rebuild(kb1, kb2, matches, effective_priors, sources)
+    def _infer_incremental(self, kb1, kb2):
+        return self._infer_rebuild(kb1, kb2)
 
     def restricted_inferred_sets(self) -> dict[Pair, dict[Pair, float]]:
         unresolved = self._unresolved
@@ -210,6 +261,9 @@ class RebuildLoopState(LoopState):
             for question, inferred in self._inferred_sets.items()
             if question in unresolved
         }
+
+    def askable_questions(self, restricted) -> dict[Pair, float]:
+        return self._askable_gains(restricted, restricted)
 
 
 class RebuildRemp(Remp):
@@ -276,8 +330,8 @@ def reference_kernels():
 
     Candidate scoring falls to the product's dict loop, simL to
     ``literal_set_similarity``, pruning and ``pruning_error_rate`` to
-    the dominance loops, and the ER graph, signatures, exact marginals
-    and the loop's greedy selection to the functions above.  The
+    the dominance loops, and the ER graph, signatures, exact marginals,
+    the ε ascent and the loop's greedy selection to the functions above.  The
     rebinding is process-wide and not thread-safe: for tests and
     benchmarks only.
     """
@@ -290,6 +344,7 @@ def reference_kernels():
         (repro.accel.er_graph, "accel_groups", er_graph_groups),
         (repro.accel.candidates, "intern_signatures", signatures),
         (repro.accel.marginals, "_marginals_dp", exact_marginal_map),
+        (repro.core.consistency, "estimate_consistency", estimate_consistency),
         (repro.core.pipeline, "greedy_question_selection", greedy_question_selection),
     ]
     saved = [(module, name, getattr(module, name)) for module, name, _ in bindings]

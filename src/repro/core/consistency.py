@@ -27,6 +27,7 @@ back to the neutral default for lack of support
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.er_graph import RelPair, value_sets
@@ -107,27 +108,34 @@ def estimate_consistency(
     (counted as ``consistency.not_converged``).  The fixed point is a
     local maximum of the profile likelihood, which need not be the
     global one the paper's direct maximization finds.
+
+    An observation's latent count depends only on its shape (n₁, n₂,
+    observed) and ζ, and every total is an integer sum, so the ascent
+    runs once per distinct shape, weighted by how many observations
+    share it.
     """
-    relevant = [o for o in observations if o.n1 > 0 or o.n2 > 0]
-    if not relevant:
+    shapes = Counter(
+        (o.n1, o.n2, o.observed) for o in observations if o.n1 > 0 or o.n2 > 0
+    )
+    if not shapes:
         return Consistency(0.5, 0.5, 0)
-    b1 = sum(o.n1 for o in relevant)
-    b2 = sum(o.n2 for o in relevant)
+    b1 = sum(n1 * count for (n1, _, _), count in shapes.items())
+    b2 = sum(n2 * count for (_, n2, _), count in shapes.items())
 
     def clamp(x: float) -> float:
         return min(epsilon_ceiling, max(epsilon_floor, x))
 
-    total_observed = sum(o.observed for o in relevant)
+    total_observed = sum(observed * count for (_, _, observed), count in shapes.items())
     eps1 = clamp(total_observed / b1 if b1 else 0.5)
     eps2 = clamp(total_observed / b2 if b2 else 0.5)
-    latents = [o.observed for o in relevant]
+    latents = {shape: shape[2] for shape in shapes}
     for _ in range(max_iterations):
         zeta = (eps1 * eps2) / ((1.0 - eps1) * (1.0 - eps2))
-        new_latents = [
-            _best_latent(o.n1, o.n2, o.observed, zeta) if o.n1 and o.n2 else 0
-            for o in relevant
-        ]
-        total = sum(new_latents)
+        new_latents = {
+            (n1, n2, observed): _best_latent(n1, n2, observed, zeta) if n1 and n2 else 0
+            for n1, n2, observed in shapes
+        }
+        total = sum(new_latents[shape] * count for shape, count in shapes.items())
         new_eps1 = clamp(total / b1 if b1 else 0.5)
         new_eps2 = clamp(total / b2 if b2 else 0.5)
         converged = new_latents == latents and (
@@ -138,7 +146,7 @@ def estimate_consistency(
             break
     else:
         obs.count("consistency.not_converged")
-    return Consistency(eps1, eps2, len(relevant))
+    return Consistency(eps1, eps2, sum(shapes.values()))
 
 
 def label_consistency(

@@ -37,6 +37,7 @@ from repro.core.propagation import build_probabilistic_graph
 from repro.core.pruning import partial_order_pruning
 from repro.core.selection import (
     greedy_question_selection,
+    initial_gains,
     max_inference_selection,
     max_probability_selection,
 )
@@ -386,7 +387,7 @@ class Remp:
     def _select(
         self,
         strategy: str,
-        candidates: list[Pair],
+        candidates: dict[Pair, float],
         loop_state: "LoopState",
         remaining_budget: int | None,
         restricted: dict[Pair, dict[Pair, float]],
@@ -443,7 +444,7 @@ class Remp:
                 if pair in truth.non_matches:
                     loop_state.resolve_non_match(pair)
                     return False
-                loop_state.priors.update(truth.unresolved)
+                loop_state.move_priors(truth.unresolved)
                 return None
 
         with obs.span("loop.isolated_classify", pairs=len(isolated_unresolved)):
@@ -468,9 +469,16 @@ class LoopState:
     through :func:`parse_state_doc`.
 
     During the loops the state changes only through :meth:`resolve_match`,
-    :meth:`resolve_non_match` (and the competitor demotions) and the prior
-    update in :meth:`apply_truth`, and each records what it changed, so
+    :meth:`resolve_non_match` (and the competitor demotions) and
+    :meth:`move_priors`, and each records what it changed, so
     :meth:`take_changes` hands out the delta since the last call.
+
+    The same writers keep what the loop derives from the state, so no
+    step rescans it: from the first :meth:`propagate` after construction
+    or :meth:`restore` on, propagation's inputs (effective priors,
+    Dijkstra sources, new estimation matches), and downstream the Eq. 12
+    restricted sets and the askable questions' initial gains, which also
+    follow the distance maps propagation replaces.
     """
 
     def __init__(self, state: PreparedState, config: RempConfig):
@@ -482,16 +490,13 @@ class LoopState:
         self.resolved_matches: set[Pair] = set()
         self.resolved_non_matches: set[Pair] = set()
         self._unresolved: set[Pair] = set(state.retained)
-        self._inferred_sets: dict[Pair, dict[Pair, float]] = {}
         self._by_left: dict[str, list[Pair]] = {}
         self._by_right: dict[str, list[Pair]] = {}
-        #: Dijkstra discovery only: derived propagation state across loops.
-        self._propagator: IncrementalPropagator | None = None
         for pair in state.retained:
             self._by_left.setdefault(pair[0], []).append(pair)
             self._by_right.setdefault(pair[1], []).append(pair)
         self._clear_changes()
-        self._clear_restricted()
+        self._clear_derived()
 
     def _clear_changes(self) -> None:
         #: Priors moved and pairs newly added to each resolution set since
@@ -499,23 +504,59 @@ class LoopState:
         self._moved_priors: dict[Pair, float] = {}
         self._added: dict[str, set[Pair]] = {name: set() for name in _RESOLUTION_SETS}
 
-    def _clear_restricted(self) -> None:
-        #: The Eq. 12 restricted sets kept across loops, per question, and
-        #: the inferred maps they were built from (the last call's
-        #: ``_inferred_sets``).  ``_holders`` maps a pair to (at least) the
-        #: questions whose set holds it, and ``_taken`` lists the pairs
-        #: taken out of ``_unresolved`` since the last
-        #: :meth:`restricted_inferred_sets`.
+    def _clear_derived(self) -> None:
+        """Forget the derived state; the next :meth:`propagate` rebuilds it."""
+        #: Dijkstra discovery only: derived propagation state across loops.
+        self._propagator: IncrementalPropagator | None = None
+        #: Propagation's kept inputs: each pair's effective prior (0.99 /
+        #: 0.01 once resolved, else its prior), with the value each pair
+        #: touched since the last propagate had before (``_was``); the
+        #: sources (labeled retained matches and unresolved pairs with
+        #: neighbor groups), those added since the last propagate, and
+        #: the estimation matches added since then.  ``_effective`` is
+        #: ``None`` until the next propagate builds them all from the
+        #: state (:meth:`_prime`), replacing what the writers added first.
+        self._effective: dict[Pair, float] | None = None
+        self._was: dict[Pair, float | None] = {}
+        self._sources: set[Pair] = set()
+        self._entered: set[Pair] = set()
+        self._new_matches: set[Pair] = set()
+        #: Each current source's distance map.
+        self._inferred_sets: dict[Pair, dict[Pair, float]] = {}
+        #: The Eq. 12 restricted sets kept across loops, per question.
+        #: ``_holders`` maps a pair to (at least) the questions whose set
+        #: holds it; ``_taken`` lists the pairs taken out of
+        #: ``_unresolved`` and ``_fresh`` the sources propagation handed a
+        #: new map, both since the last :meth:`restricted_inferred_sets`.
         self._restricted: dict[Pair, dict[Pair, float]] = {}
-        self._built_from: dict[Pair, dict[Pair, float]] = {}
         self._holders: dict[Pair, tuple[Pair, ...]] = {}
         self._taken: list[Pair] = []
+        self._fresh: set[Pair] = set()
+        #: The askable questions with their initial gains, and the
+        #: questions whose restricted set or prior changed since the last
+        #: :meth:`askable_questions`.
+        self._askable: dict[Pair, float] = {}
+        self._regain: set[Pair] = set()
 
     def _take(self, pair: Pair) -> None:
-        """Take ``pair`` out of the unresolved set, once."""
+        """Take ``pair`` out of the unresolved set, once.
+
+        A resolved pair stays a source only when labeled, and a labeled
+        resolve puts it back (:meth:`resolve_match`).
+        """
         if pair in self._unresolved:
             self._unresolved.remove(pair)
             self._taken.append(pair)
+            self._sources.discard(pair)
+            self._inferred_sets.pop(pair, None)
+
+    def _set_effective(self, pair: Pair, prior: float) -> None:
+        """Set a kept effective prior, noting its value before the first
+        change since the last propagate."""
+        effective = self._effective
+        if effective is not None:
+            self._was.setdefault(pair, effective.get(pair))
+            effective[pair] = prior
 
     # -- resolution bookkeeping ---------------------------------------
     def resolve_match(self, pair: Pair, labeled: bool) -> None:
@@ -526,9 +567,14 @@ class LoopState:
         self.resolved_matches.add(pair)
         self._added["resolved_matches"].add(pair)
         self._take(pair)
+        self._set_effective(pair, _RESOLVED_MATCH_PRIOR)
+        self._new_matches.add(pair)
         if labeled:
             self.labeled_matches.add(pair)
             self._added["labeled_matches"].add(pair)
+            if pair in self.state.retained:
+                self._sources.add(pair)
+                self._entered.add(pair)
         else:
             self.inferred_matches.add(pair)
             self._added["inferred_matches"].add(pair)
@@ -544,7 +590,23 @@ class LoopState:
         if pair not in self.resolved_non_matches:
             self.resolved_non_matches.add(pair)
             self._added["resolved_non_matches"].add(pair)
+            self._set_effective(pair, _RESOLVED_NON_MATCH_PRIOR)
         self._take(pair)
+
+    def move_priors(self, priors: dict[Pair, float]) -> None:
+        """Set the priors that truth inference left unresolved pairs with.
+
+        The one writer of :attr:`priors` during a run: the loop's
+        :meth:`apply_truth` and the isolated-pair phase's asks both go
+        through it, so the move reaches the next checkpoint delta, the
+        effective priors and the askable questions' gains.
+        """
+        self.priors.update(priors)
+        self._moved_priors.update(priors)
+        self._regain.update(priors)
+        for pair, prior in priors.items():
+            if pair in self._unresolved:
+                self._set_effective(pair, prior)
 
     def apply_truth(self, truth) -> None:
         """Fold one round of truth inference into the resolution state."""
@@ -552,8 +614,7 @@ class LoopState:
             self.resolve_match(question, labeled=True)
         for question in sorted(truth.non_matches):
             self.resolve_non_match(question)
-        self.priors.update(truth.unresolved)
-        self._moved_priors.update(truth.unresolved)
+        self.move_priors(truth.unresolved)
 
     def _demote_competitors(self, pair: Pair) -> None:
         """The 1:1 assumption: siblings of a resolved match are non-matches."""
@@ -597,7 +658,9 @@ class LoopState:
         so one merged state may restore several loop states.  A
         :meth:`snapshot`-shaped document restores through
         :func:`parse_state_doc`; :func:`merge_loop_snapshots` returns
-        these arguments directly.
+        these arguments directly.  The derived state is dropped (the
+        propagator's diffs assume continuous history), so the next
+        propagate rebuilds it from scratch.
         """
         self.priors = dict(self.state.priors)
         self.priors.update(priors)
@@ -608,69 +671,86 @@ class LoopState:
         self._unresolved = (
             self.state.retained - self.resolved_matches - self.resolved_non_matches
         )
-        self._inferred_sets = {}
-        # The propagator's diffs assume continuous history; a restore
-        # breaks it, so the next propagate re-primes from scratch.
-        self._propagator = None
         self._clear_changes()
-        self._clear_restricted()
+        self._clear_derived()
 
     # -- propagation ----------------------------------------------------
     def propagate(self, kb1: KnowledgeBase, kb2: KnowledgeBase) -> None:
         """Rebuild the probabilistic graph and infer from labeled matches.
 
         With Dijkstra discovery (the default), the rebuild is
-        *incremental*: an :class:`IncrementalPropagator` re-estimates
+        *incremental*: an :class:`IncrementalPropagator` takes the kept
+        inputs' changes (the estimation matches added, the pairs whose
+        effective prior moved, the sources that entered), re-estimates
         only labels whose observations moved, recomputes only neighbor
-        groups containing a pair whose effective prior (or label γ)
-        changed, and re-runs Dijkstra only from sources whose
-        ζ-reachable region intersects the changed vertices.  The
-        paper's Floyd–Warshall config (``use_dijkstra=False``) takes the
-        full rebuild every loop.  The two produce identical inferred
-        sets (identical map contents *and* iteration order); the
-        equivalence oracles run the full rebuild under Dijkstra too
+        groups containing a moved pair (or whose label's γ changed), and
+        re-runs Dijkstra only from sources whose ζ-reachable region
+        intersects the changed vertices.  It returns only the maps that
+        are new this round.  The paper's Floyd–Warshall config
+        (``use_dijkstra=False``) takes the full rebuild every loop, from
+        the same kept inputs.  The two produce identical inferred sets
+        (identical map contents *and* iteration order); the equivalence
+        oracles run the full rebuild under Dijkstra too
         (:class:`repro.accel.reference.RebuildLoopState`).
         """
-        matches_for_estimation = (
+        with TIMINGS.timed("loop.propagate"):
+            if self._effective is None:
+                self._prime()
+            infer = (
+                self._infer_incremental if self.config.use_dijkstra else self._infer_rebuild
+            )
+            fresh = infer(kb1, kb2)
+            self._was, self._entered, self._new_matches = {}, set(), set()
+            self._inferred_sets.update(fresh)
+            self._fresh.update(fresh)
+        # Distant propagation: everything within ζ of a labeled match.  A
+        # labeled match whose map is not new holds no unresolved pair:
+        # the propagate that last handed it out resolved them all, and
+        # the unresolved set only shrinks between restores.  The
+        # incrementally-maintained unresolved set keeps the membership
+        # test O(1); resolve_match (and its competitor demotions) updates
+        # it.
+        labeled = self.labeled_matches
+        for match in sorted(source for source in fresh if source in labeled):
+            for pair in fresh[match]:
+                if pair in self._unresolved:
+                    self.resolve_match(pair, labeled=False)
+
+    def _prime(self) -> None:
+        """Build propagation's kept inputs from the resolution state."""
+        effective = dict(self.priors)
+        effective.update(dict.fromkeys(self.resolved_matches, _RESOLVED_MATCH_PRIOR))
+        effective.update(dict.fromkeys(self.resolved_non_matches, _RESOLVED_NON_MATCH_PRIOR))
+        self._effective = effective
+        groups = self.state.graph.groups
+        self._sources = self.labeled_matches & self.state.retained
+        self._sources.update(q for q in self._unresolved if groups.get(q))
+        self._entered = set(self._sources)
+        self._new_matches = self._estimation_matches()
+
+    def _estimation_matches(self) -> set[Pair]:
+        """``M_in`` and every match resolved so far (Section VII-A)."""
+        return (
             self.state.candidates.initial_matches
             | self.labeled_matches
             | self.inferred_matches
         )
-        with TIMINGS.timed("loop.propagate"):
-            effective_priors = dict(self.priors)
-            for pair in self.resolved_matches:
-                effective_priors[pair] = _RESOLVED_MATCH_PRIOR
-            for pair in self.resolved_non_matches:
-                effective_priors[pair] = _RESOLVED_NON_MATCH_PRIOR
-            sources = set(self.labeled_matches & self.state.retained)
-            sources.update(
-                q for q in self._unresolved if self.state.graph.groups.get(q)
-            )
-            infer = (
-                self._infer_incremental if self.config.use_dijkstra else self._infer_rebuild
-            )
-            self._inferred_sets = infer(
-                kb1, kb2, matches_for_estimation, effective_priors, sources
-            )
-        # Distant propagation: everything within ζ of a labeled match.  The
-        # incrementally-maintained unresolved set keeps the membership test
-        # O(1); resolve_match (and its competitor demotions) updates it.
-        for match in sorted(self.labeled_matches & self.state.retained):
-            for pair in self._inferred_sets.get(match, ()):
-                if pair in self._unresolved:
-                    self.resolve_match(pair, labeled=False)
 
-    def _infer_incremental(self, kb1, kb2, matches, effective_priors, sources):
-        """Inferred sets through the cached :class:`IncrementalPropagator`."""
+    def _infer_incremental(self, kb1, kb2) -> dict[Pair, dict[Pair, float]]:
+        """The maps new this round, through the cached :class:`IncrementalPropagator`."""
         if self._propagator is None:
             self._propagator = IncrementalPropagator(
                 self.state.graph, kb1, kb2, self.config
             )
-        consistencies = self._propagator.estimate_consistencies(matches)
-        return self._propagator.update(effective_priors, consistencies, sources)
+        effective = self._effective
+        moved = [pair for pair, was in self._was.items() if effective[pair] != was]
+        consistencies = self._propagator.estimate_consistencies(self._new_matches)
+        return self._propagator.update(
+            effective, moved, consistencies, self._sources, self._entered
+        )
 
-    def _infer_rebuild(self, kb1, kb2, matches, effective_priors, sources):
-        """Inferred sets from a from-scratch probabilistic graph."""
+    def _infer_rebuild(self, kb1, kb2) -> dict[Pair, dict[Pair, float]]:
+        """Every source's map, from a from-scratch probabilistic graph."""
         config = self.config
         labels = {
             label
@@ -681,16 +761,16 @@ class LoopState:
             kb1,
             kb2,
             labels,
-            matches,
+            self._estimation_matches(),
             min_support=config.min_consistency_support,
             epsilon_default=config.epsilon_default,
             epsilon_floor=config.epsilon_floor,
             epsilon_ceiling=config.epsilon_ceiling,
         )
         prob_graph = build_probabilistic_graph(
-            self.state.graph, kb1, kb2, effective_priors, consistencies, config
+            self.state.graph, kb1, kb2, self._effective, consistencies, config
         )
-        return inferred_sets(prob_graph, sources, config.tau, config.use_dijkstra)
+        return inferred_sets(prob_graph, self._sources, config.tau, config.use_dijkstra)
 
     # -- question candidates -------------------------------------------
     def restricted_inferred_sets(self) -> dict[Pair, dict[Pair, float]]:
@@ -699,35 +779,39 @@ class LoopState:
         The sets are kept across loops, and a call pays only for what
         moved since the last one: a resolved question's set is dropped,
         each pair resolved since then is deleted from the sets that hold
-        it, and a set is rebuilt only when its question's inferred map is
-        a new object.  That relies on propagation replacing a map rather
-        than mutating it (:class:`IncrementalPropagator` keeps unchanged
-        maps, the full rebuild returns fresh ones).  Deleting keys keeps
-        the survivors' order, so every set equals, in content and order,
-        a from-scratch filter of its map.  The returned mapping and its
-        sets are this state's own and must be treated as read-only.
+        it, and a set is rebuilt only when propagation handed its
+        question a new map.  Deleting keys keeps the survivors' order, so
+        every set equals, in content and order, a from-scratch filter of
+        its map.  The returned mapping and its sets are this state's own
+        and must be treated as read-only.
         """
         unresolved, sets, holders = self._unresolved, self._restricted, self._holders
+        regain = self._regain
         for pair in self._taken:
-            sets.pop(pair, None)
+            if sets.pop(pair, None) is not None:
+                regain.add(pair)
             for question in holders.pop(pair, ()):
                 held = sets.get(question)
-                if held is not None:
-                    held.pop(pair, None)
+                if held is not None and pair in held:
+                    del held[pair]
+                    regain.add(question)
         self._taken = []
-        built_from, self._built_from = self._built_from, self._inferred_sets
-        for question, inferred in self._inferred_sets.items():
-            if built_from.get(question) is inferred or question not in unresolved:
+        for question in self._fresh:
+            if question not in unresolved:
                 continue
             held = sets.get(question, {})
-            restricted = {p: d for p, d in inferred.items() if p in unresolved}
+            restricted = {
+                p: d for p, d in self._inferred_sets[question].items() if p in unresolved
+            }
             for pair in restricted:
                 if pair not in held:
                     holders[pair] = holders.get(pair, ()) + (question,)
             sets[question] = restricted
+            regain.add(question)
+        self._fresh = set()
         return sets
 
-    def askable_questions(self, restricted: dict[Pair, dict[Pair, float]]) -> list[Pair]:
+    def askable_questions(self, restricted: dict[Pair, dict[Pair, float]]) -> dict[Pair, float]:
         """Unresolved questions that can still infer something by relations.
 
         The paper stops "when there is no unresolved entity pair that can
@@ -735,13 +819,29 @@ class LoopState:
         asking only while its inferred set reaches beyond the question
         itself.  ``restricted`` is this state's
         :meth:`restricted_inferred_sets`, kept across loops by this state
-        and shared with question selection.
+        and shared with question selection.  Returns each askable
+        question's initial gain (:func:`repro.core.selection.initial_gains`),
+        the heap greedy selection starts from.  The mapping is kept across
+        loops too: a call recomputes only the questions whose restricted
+        set or prior changed since the last one.  It is this state's own
+        and must be treated as read-only.
         """
-        return [
-            question
-            for question, inferred in restricted.items()
-            if len(inferred) > 1 and self.priors.get(question, 0.0) > 0.0
-        ]
+        regain, self._regain = self._regain, set()
+        askable = self._askable
+        for question in regain:
+            askable.pop(question, None)
+        askable.update(self._askable_gains(regain, restricted))
+        return askable
+
+    def _askable_gains(self, questions, restricted) -> dict[Pair, float]:
+        """The initial gains of those ``questions`` whose restricted set
+        reaches beyond the question and whose prior is positive."""
+        priors = self.priors
+        return initial_gains(
+            [q for q in questions if len(restricted.get(q, ())) > 1 and priors.get(q, 0.0) > 0.0],
+            restricted,
+            priors,
+        )
 
 
 class LoopDriver:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Mapping
+from typing import Iterable, Mapping
 
 Pair = tuple[str, str]
 InferredSets = Mapping[Pair, Mapping[Pair, float]]
@@ -35,23 +35,45 @@ def benefit(
     return sum(1.0 - m for m in miss.values())
 
 
+def initial_gains(
+    questions: Iterable[Pair],
+    inferred: InferredSets,
+    priors: Mapping[Pair, float],
+) -> dict[Pair, float]:
+    """Each question's marginal gain before the first pick, by question.
+
+    With nothing selected yet, a question's gain is its prior summed
+    once per inferred pair, so the sum is computed once per distinct
+    (prior, set size).  It stays a repeated sum: ``prior * n`` can differ
+    in the last bit and reorder near-ties.
+    """
+    memo: dict[tuple[float, int], float] = {}
+    gains: dict[Pair, float] = {}
+    for question in questions:
+        key = (priors.get(question, 0.0), len(inferred.get(question, ())))
+        gain = memo.get(key)
+        if gain is None:
+            gain = memo[key] = sum(itertools.repeat(*key))
+        gains[question] = gain
+    return gains
+
+
 def greedy_question_selection(
-    candidates: list[Pair],
+    gains: Mapping[Pair, float],
     inferred: InferredSets,
     priors: Mapping[Pair, float],
     mu: int,
 ) -> list[Pair]:
     """Algorithm 3: lazy greedy maximization of the benefit function.
 
-    A max-heap holds stale upper bounds on each question's marginal gain;
-    submodularity guarantees a recomputed gain that still tops the heap is
-    exact, so most candidates are never re-evaluated.  Selection stops at
-    ``mu`` questions or when no candidate has positive gain.
-
-    Before the first pick a gain is the prior summed once per inferred
-    pair, so the initial gains are computed once per distinct (prior,
-    set size).  They keep that repeated sum: ``prior * n`` can differ in
-    the last bit and reorder near-ties.
+    ``gains`` maps each candidate question to its initial gain
+    (:func:`initial_gains`).  A max-heap holds stale upper bounds on each
+    question's marginal gain; submodularity guarantees a recomputed gain
+    that still tops the heap is exact, so most candidates are never
+    re-evaluated.  Selection stops at ``mu`` questions or when no
+    candidate has positive gain.  The heap entries ``(-gain, question)``
+    are totally ordered, so the batch does not depend on the order of
+    ``gains``.
     """
     if mu < 1:
         raise ValueError("mu must be positive")
@@ -67,18 +89,7 @@ def greedy_question_selection(
             for pair in inferred.get(question, ())
         )
 
-    initial_gains: dict[tuple[float, int], float] = {}
-    heap: list[tuple[float, Pair]] = []
-    for question in candidates:
-        prior = priors.get(question, 0.0)
-        if prior <= 0.0:
-            continue
-        key = (prior, len(inferred.get(question, ())))
-        gain = initial_gains.get(key)
-        if gain is None:
-            gain = initial_gains[key] = sum(itertools.repeat(prior, key[1]))
-        if gain > 0.0:
-            heap.append((-gain, question))
+    heap = [(-gain, question) for question, gain in gains.items() if gain > 0.0]
     heapq.heapify(heap)
 
     selected: list[Pair] = []
@@ -103,7 +114,7 @@ def greedy_question_selection(
 
 
 def max_inference_selection(
-    candidates: list[Pair],
+    candidates: Iterable[Pair],
     inferred: InferredSets,
     mu: int,
 ) -> list[Pair]:
@@ -113,7 +124,7 @@ def max_inference_selection(
 
 
 def max_probability_selection(
-    candidates: list[Pair],
+    candidates: Iterable[Pair],
     priors: Mapping[Pair, float],
     mu: int,
 ) -> list[Pair]:

@@ -17,10 +17,13 @@ claim four ways:
   every checkpoint of a run;
 * per-round identity: after every incremental propagate, the inferred
   sets equal a from-scratch reference rebuild of the same state, the
-  Eq. 12 restricted sets kept across loops equal a from-scratch filter,
-  and the memoized greedy picks the reference greedy's batch.
+  kept propagation inputs equal those rebuilt from the resolution sets,
+  the Eq. 12 restricted sets and the askable questions' initial gains
+  kept across loops equal a from-scratch filter and sum, and greedy
+  picks the reference greedy's batch.
 """
 
+import functools
 import json
 import random
 
@@ -50,7 +53,9 @@ from repro.accel.reference import (
 from repro.core import Remp, RempConfig
 from repro.core.attributes import AttributeMatch
 from repro.core.candidates import _token_index
+from repro.core.hybrid import _HybridLoopState
 from repro.core.pipeline import LoopState, parse_state_doc
+from repro.core.truth import TruthInferenceResult
 from repro.core.er_graph import build_er_graph
 from repro.core.isolated import build_signatures
 from repro.core.propagation import _marginals_exact, _odds
@@ -58,6 +63,7 @@ from repro.kb.model import KnowledgeBase
 from repro.core.pruning import partial_order_pruning, pruning_error_rate
 from repro.core.vectors import VectorIndex
 from repro.crowd import CrowdPlatform
+from repro.crowd.worker import SimulatedWorker
 from repro.datasets import clustered_bundle, load_dataset
 from repro.obs.runtime import RunScope
 from repro.store.serialize import prepared_state_to_doc, result_to_doc
@@ -310,13 +316,17 @@ class _CheckedLoopState(LoopState):
     path (``build_probabilistic_graph`` + ``inferred_sets``) with the
     reference kernels.  Both must
     give the same inferred sets, in content and in per-source iteration
-    order.  The restricted sets this state keeps across loops must then
-    equal the reference's from-scratch filter, in content and in
-    per-set order.  Each round's consistency records are kept so the
-    test can tell which re-estimation cases the run went through, and
-    the kept sets that lost pairs (``pruned``) and the sets rebuilt
-    from a replaced map (``rebuilt``) are counted, so a test can tell
-    which restricted-set paths it went through.
+    order.  Before and after each propagate, the kept effective priors
+    and source set must equal those rebuilt from the resolution sets.
+    The restricted sets this state keeps across loops must equal
+    :class:`RebuildLoopState`'s from-scratch filter of those inferred
+    sets, in content and in per-set order, and the askable questions'
+    kept initial gains its from-scratch ones, whenever they are asked
+    for.  Each round's consistency records are kept so the test can tell
+    which re-estimation cases the run went through, and the kept sets
+    that lost pairs (``pruned``) and the sets rebuilt from a map new
+    this round (``rebuilt``) are counted, so a test can tell which
+    restricted-set paths it went through.
     """
 
     def __init__(self, state, config):
@@ -328,30 +338,48 @@ class _CheckedLoopState(LoopState):
 
     def propagate(self, kb1, kb2):
         before = self.snapshot()
+        _assert_kept_inputs(self)
         super().propagate(kb1, kb2)
+        _assert_kept_inputs(self)
         reference = RebuildLoopState(self.state, self.config)
         reference.restore(*parse_state_doc(before))
         with reference_kernels():
             reference.propagate(kb1, kb2)
         assert _ordered(self._inferred_sets) == _ordered(reference._inferred_sets)
-        self.rounds.append(dict(self._propagator._consistencies))
-        self._reference = reference
+        if self._propagator is not None:
+            self.rounds.append(dict(self._propagator._consistencies))
 
     def restricted_inferred_sets(self):
-        built_from = self._built_from
+        fresh = set(self._fresh)
         sizes = {question: len(kept) for question, kept in self._restricted.items()}
         restricted = super().restricted_inferred_sets()
-        expected = self._reference.restricted_inferred_sets()
+        expected = RebuildLoopState.restricted_inferred_sets(self)
         assert _ordered(restricted) == _ordered(expected)
         self.restricted_rounds += 1
         for question, kept in restricted.items():
             if question not in sizes:
                 continue
-            if built_from[question] is not self._inferred_sets[question]:
+            if question in fresh:
                 self.rebuilt += 1
             elif len(kept) < sizes[question]:
                 self.pruned += 1
         return restricted
+
+    def askable_questions(self, restricted):
+        askable = super().askable_questions(restricted)
+        assert askable == RebuildLoopState.askable_questions(self, restricted)
+        return askable
+
+
+def _assert_kept_inputs(loop_state: LoopState) -> None:
+    """The kept effective priors and sources equal a rebuild from the state."""
+    if loop_state._effective is None:
+        return
+    rebuilt = LoopState(loop_state.state, loop_state.config)
+    rebuilt.restore(*parse_state_doc(loop_state.snapshot()))
+    rebuilt._prime()
+    assert loop_state._effective == rebuilt._effective
+    assert loop_state._sources == rebuilt._sources
 
 
 class _CheckedRemp(Remp):
@@ -437,6 +465,113 @@ def test_kept_restricted_sets_match_rebuild_every_round(world, scale, path):
     assert getattr(loop_state, path) > 0, f"{world} never took the {path} path"
 
 
+class _CheckedHybridLoopState(_CheckedLoopState, _HybridLoopState):
+    """The hybrid loop state's monotone inference under the same checks."""
+
+
+@functools.lru_cache(maxsize=1)
+def _small_state():
+    bundle = _bundle()
+    return Remp().prepare(bundle.kb1, bundle.kb2)
+
+
+#: 0.99 and 0.01 are the resolved pairs' effective priors: a pair moved
+#: there and then resolved keeps its effective prior, so nothing but the
+#: resolution itself tells propagation that it changed.
+_prior = st.sampled_from([0.0, 0.01, 0.3, 0.5, 0.7, 0.99])
+_index = st.integers(min_value=0, max_value=10_000)
+_loop_op = st.one_of(
+    st.tuples(st.just("match"), _index, st.booleans()),
+    st.tuples(st.just("non_match"), _index),
+    st.tuples(
+        st.just("truth"),
+        st.lists(_index, max_size=2),
+        st.lists(_index, max_size=2),
+        st.dictionaries(_index, _prior, max_size=3),
+    ),
+    st.tuples(st.just("restore"), _index),
+    st.tuples(st.just("propagate")),
+    st.tuples(st.just("select")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hybrid=st.booleans(),
+    use_dijkstra=st.booleans(),
+    ops=st.lists(_loop_op, min_size=1, max_size=12),
+)
+def test_kept_loop_state_matches_rebuild_under_random_changes(hybrid, use_dijkstra, ops):
+    """Random resolutions, truth rounds and restores keep the kept state exact.
+
+    Every propagate checks the inferred sets against a from-scratch
+    rebuild and the kept effective priors and sources against those
+    rebuilt from the resolution sets, and every selection checks the
+    restricted sets and the askable gains (:class:`_CheckedLoopState`).
+    Between two propagates or selections, resolutions, prior moves and
+    restores pile up, so one call sees several rounds of changes at once.
+    """
+    state = _small_state()
+    pairs = sorted(state.retained)
+    checked = _CheckedHybridLoopState if hybrid else _CheckedLoopState
+    loop_state = checked(state, RempConfig(use_dijkstra=use_dijkstra))
+    snapshots = [loop_state.snapshot()]
+
+    def pair(index):
+        return pairs[index % len(pairs)]
+
+    def select():
+        loop_state.askable_questions(loop_state.restricted_inferred_sets())
+
+    for op in ops:
+        kind = op[0]
+        if kind == "match":
+            loop_state.resolve_match(pair(op[1]), labeled=op[2])
+        elif kind == "non_match":
+            loop_state.resolve_non_match(pair(op[1]))
+        elif kind == "truth":
+            loop_state.apply_truth(
+                TruthInferenceResult(
+                    matches={pair(i) for i in op[1]},
+                    non_matches={pair(i) for i in op[2]},
+                    unresolved={pair(i): prior for i, prior in op[3].items()},
+                )
+            )
+        elif kind == "restore":
+            loop_state.restore(*parse_state_doc(snapshots[op[1] % len(snapshots)]))
+        elif kind == "propagate":
+            loop_state.propagate(state.kb1, state.kb2)
+        else:
+            select()
+        snapshots.append(loop_state.snapshot())
+    loop_state.propagate(state.kb1, state.kb2)
+    select()
+
+
+def test_isolated_ask_moves_kept_effective_priors():
+    """An isolated-phase ask that leaves its pair unresolved moves its prior.
+
+    The classifier's asks write the loop's priors through
+    ``LoopState.move_priors``, so the effective priors kept since the
+    last propagate follow them.  One worker of quality 0.7 moves most
+    priors without crossing a truth-inference threshold.
+    """
+    bundle = load_dataset("dblp_acm", seed=0, scale=0.3)
+    remp = Remp()
+    state = remp.prepare(bundle.kb1, bundle.kb2)
+    loop_state = remp._make_loop_state(state)
+    loop_state.propagate(state.kb1, state.kb2)
+    platform = CrowdPlatform(
+        [SimulatedWorker("w0", error_rate=0.3, seed=0)],
+        bundle.gold_matches,
+        workers_per_question=1,
+    )
+    remp._classify_isolated(state, loop_state, platform)
+    moved = {pair for pair in state.isolated if loop_state.priors[pair] != state.priors[pair]}
+    assert moved & loop_state.unresolved()
+    _assert_kept_inputs(loop_state)
+
+
 def test_propagator_work_counters():
     """One work count per update; unchanged inputs add nothing."""
     bundle = _bundle()
@@ -452,15 +587,18 @@ def test_propagator_work_counters():
             scope.metrics.counter("propagation.dijkstra_runs"),
         )
 
+    priors = dict(state.priors)
     scope = RunScope("work-counters")
     with scope.activate():
-        propagator.update(dict(state.priors), consistencies, sources)
+        fresh = propagator.update(priors, [], consistencies, sources, sources)
         first = work()
-        propagator.update(dict(state.priors), consistencies, sources)
+        again = propagator.update(priors, [], consistencies, sources, set())
         second = work()
     groups = sum(len(by_label) for by_label in state.graph.groups.values())
     assert first == (groups, len(sources))
+    assert set(fresh) == sources
     assert second == first
+    assert again == {}
 
 
 # ----------------------------------------------------------------------

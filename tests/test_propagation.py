@@ -187,8 +187,10 @@ class TestFullLoopDeterminism:
         """A whole accel run must not follow set iteration order.
 
         The incremental propagator iterates sets (dirty vertices, the
-        sources reached through them); only the result may not depend on
-        it.  Compare the result document and every loop's question batch
+        sources reached through them), and the askable questions follow
+        the order in which propagation handed out new maps; only the
+        result may not depend on either.  For each selection strategy,
+        compare the result document and every loop's question batch
         across two interpreters with different ``PYTHONHASHSEED`` values.
         """
         script = (
@@ -199,13 +201,17 @@ class TestFullLoopDeterminism:
             "from repro.store.serialize import result_to_doc\n"
             "bundle = clustered_bundle(num_clusters=8, movies_per_cluster=4, seed=0,\n"
             "                          label_noise=0.5, critics_per_cluster=1)\n"
-            "platform = CrowdPlatform.with_simulated_workers(\n"
-            "    bundle.gold_matches, error_rate=0.1, seed=3)\n"
-            "result = Remp().run(bundle.kb1, bundle.kb2, platform)\n"
-            "print(json.dumps({'result': result_to_doc(result),\n"
-            "                  'batches': [r.questions for r in result.history]},\n"
-            "                 sort_keys=True))\n"
+            "runs = {}\n"
+            "for strategy in ('remp', 'maxinf', 'maxpr'):\n"
+            "    platform = CrowdPlatform.with_simulated_workers(\n"
+            "        bundle.gold_matches, error_rate=0.1, seed=3)\n"
+            "    result = Remp().run(bundle.kb1, bundle.kb2, platform, strategy=strategy)\n"
+            "    runs[strategy] = {'result': result_to_doc(result),\n"
+            "                      'batches': [r.questions for r in result.history]}\n"
+            "print(json.dumps(runs, sort_keys=True))\n"
         )
         outputs = _run_under_hash_seeds(script, ("0", "7"))
         assert outputs[0] == outputs[1]
-        assert len(json.loads(outputs[0])["batches"]) >= 5
+        runs = json.loads(outputs[0])
+        assert len(runs["remp"]["batches"]) >= 5
+        assert all(len(run["batches"]) >= 3 for run in runs.values())

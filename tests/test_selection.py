@@ -10,6 +10,7 @@ from repro.accel.reference import greedy_question_selection as reference_greedy
 from repro.core.selection import (
     benefit,
     greedy_question_selection,
+    initial_gains,
     max_inference_selection,
     max_probability_selection,
 )
@@ -17,6 +18,13 @@ from repro.core.selection import (
 
 def _sets(mapping):
     return {q: {p: 0.0 for p in pairs} for q, pairs in mapping.items()}
+
+
+def _greedy(questions, inferred, priors, mu):
+    """Greedy from the questions' initial gains, as the loop hands them over."""
+    return greedy_question_selection(
+        initial_gains(questions, inferred, priors), inferred, priors, mu
+    )
 
 
 class TestBenefit:
@@ -80,7 +88,7 @@ class TestGreedySelection:
     def test_picks_highest_benefit_first(self):
         inferred = _sets({"q1": ["q1", "p1", "p2", "p3"], "q2": ["q2"]})
         priors = {"q1": 0.9, "q2": 0.9}
-        selected = greedy_question_selection(["q1", "q2"], inferred, priors, mu=1)
+        selected = _greedy(["q1", "q2"], inferred, priors, mu=1)
         assert selected == ["q1"]
 
     def test_prefers_scattered_questions(self):
@@ -91,23 +99,23 @@ class TestGreedySelection:
             "q3": ["q3", "p9"],
         })
         priors = {"q1": 0.9, "q2": 0.85, "q3": 0.6}
-        selected = greedy_question_selection(["q1", "q2", "q3"], inferred, priors, mu=2)
+        selected = _greedy(["q1", "q2", "q3"], inferred, priors, mu=2)
         assert selected[0] == "q1"
         assert selected[1] == "q3"  # diversification beats overlap
 
     def test_respects_mu(self):
         inferred = _sets({f"q{i}": [f"q{i}"] for i in range(10)})
         priors = {f"q{i}": 0.5 for i in range(10)}
-        assert len(greedy_question_selection(list(priors), inferred, priors, mu=3)) == 3
+        assert len(_greedy(list(priors), inferred, priors, mu=3)) == 3
 
     def test_skips_zero_prior_questions(self):
         inferred = _sets({"q1": ["q1", "p1"]})
         priors = {"q1": 0.0}
-        assert greedy_question_selection(["q1"], inferred, priors, mu=5) == []
+        assert _greedy(["q1"], inferred, priors, mu=5) == []
 
     def test_mu_must_be_positive(self):
         with pytest.raises(ValueError):
-            greedy_question_selection([], {}, {}, mu=0)
+            greedy_question_selection({}, {}, {}, mu=0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -128,7 +136,7 @@ class TestGreedySelection:
         inferred = _sets(data)
         priors = {q: rng.uniform(0.1, 1.0) for q in data}
         questions = sorted(data)
-        greedy = greedy_question_selection(questions, inferred, priors, mu)
+        greedy = _greedy(questions, inferred, priors, mu)
         greedy_value = benefit(greedy, inferred, priors)
         best = 0.0
         for subset in itertools.combinations(questions, min(mu, len(questions))):
@@ -169,12 +177,18 @@ def _tied_selection_inputs(draw):
     )
 )
 def test_greedy_matches_reference_greedy(inputs):
-    """Memoized initial gains pick exactly the reference greedy's batch."""
+    """Greedy from the memoized initial gains picks the reference greedy's batch.
+
+    Reversing the gains' order changes nothing: the heap entries are
+    totally ordered.
+    """
     questions, inferred, priors = inputs
+    gains = initial_gains(questions, inferred, priors)
+    reversed_gains = dict(reversed(gains.items()))
     for mu in range(1, len(questions) + 3):
-        assert greedy_question_selection(questions, inferred, priors, mu) == reference_greedy(
-            questions, inferred, priors, mu
-        )
+        expected = reference_greedy(questions, inferred, priors, mu)
+        assert greedy_question_selection(gains, inferred, priors, mu) == expected
+        assert greedy_question_selection(reversed_gains, inferred, priors, mu) == expected
 
 
 class TestHeuristics:
