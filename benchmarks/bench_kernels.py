@@ -45,12 +45,11 @@ from pathlib import Path
 import pytest
 
 from repro.accel.reference import reference_kernels
-from repro.accel.runtime import TIMINGS
 from repro.core.candidates import generate_candidates
 from repro.core.er_graph import build_er_graph
 from repro.core.propagation import _marginals_exact
 from repro.kb.model import KnowledgeBase
-from repro.obs import append_bench_history
+from repro.obs import RunScope, append_bench_history
 from repro.text import normalize
 
 HUBS = int(os.environ.get("REPRO_BENCH_KERNEL_HUBS", "16"))
@@ -135,12 +134,12 @@ def _hub_world(hubs: int, papers: int):
 
 
 def _timed_er_graph(kb1, kb2, vertices, accel: bool):
-    TIMINGS.reset()
-    with nullcontext() if accel else reference_kernels():
+    scope = RunScope(trace=False)
+    with scope.activate(), nullcontext() if accel else reference_kernels():
         start = time.perf_counter()
         graph = build_er_graph(kb1, kb2, vertices)
         elapsed = time.perf_counter() - start
-    return elapsed, graph, TIMINGS.as_doc()
+    return elapsed, graph, scope.export()["timings"]
 
 
 def test_er_graph_build_speedup():
@@ -204,14 +203,14 @@ def _mixed_groups(count: int):
 
 
 def _timed_marginals(groups, accel: bool):
-    TIMINGS.reset()
-    with nullcontext() if accel else reference_kernels():
+    scope = RunScope(trace=False)
+    with scope.activate(), nullcontext() if accel else reference_kernels():
         start = time.perf_counter()
         results = [
             _marginals_exact(pairs, priors, gamma) for pairs, priors, gamma in groups
         ]
         elapsed = time.perf_counter() - start
-    return elapsed, results, TIMINGS.as_doc()
+    return elapsed, results, scope.export()["timings"]
 
 
 def test_exact_marginals_speedup():
@@ -271,12 +270,12 @@ def _stress_labels(entities: int, seed: int = 0):
 
 def _timed_candidates(kb1, kb2, accel: bool):
     """(candidates.score stage seconds, result, stage timings)."""
-    TIMINGS.reset()
     normalize.normalize_label.cache_clear()
-    with nullcontext() if accel else reference_kernels():
+    scope = RunScope(trace=False)
+    with scope.activate(), nullcontext() if accel else reference_kernels():
         result = generate_candidates(kb1, kb2)
-    snapshot = TIMINGS.snapshot()
-    return snapshot["candidates.score"][0], result, TIMINGS.as_doc()
+    seconds = scope.timings.snapshot()["candidates.score"][0]
+    return seconds, result, scope.export()["timings"]
 
 
 def test_candidate_scoring_speedup():

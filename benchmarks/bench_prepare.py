@@ -42,11 +42,10 @@ from pathlib import Path
 import pytest
 
 from repro.accel.reference import RebuildRemp, reference_kernels
-from repro.accel.runtime import TIMINGS
 from repro.core import Remp
 from repro.crowd import CrowdPlatform
 from repro.datasets import clustered_bundle
-from repro.obs import append_bench_history
+from repro.obs import RunScope, append_bench_history
 from repro.store.serialize import prepared_state_to_doc
 from repro.text import normalize
 
@@ -75,28 +74,27 @@ def _blocking_bundle(scale: int):
 
 def _timed_prepare(bundle, accel: bool):
     """(wall seconds, prepared state, stage timings) for one cold prepare."""
-    TIMINGS.reset()
     normalize.normalize_label.cache_clear()
-    with nullcontext() if accel else reference_kernels():
+    scope = RunScope(trace=False)
+    with scope.activate(), nullcontext() if accel else reference_kernels():
         start = time.perf_counter()
         state = Remp().prepare(bundle.kb1, bundle.kb2)
         elapsed = time.perf_counter() - start
-    return elapsed, state, TIMINGS.as_doc()
+    return elapsed, state, scope.export()["timings"]
 
 
 def _timed_loop(bundle, accel: bool):
     """Cumulative propagate seconds + loop doc for one full loop phase."""
-    TIMINGS.reset()
     normalize.normalize_label.cache_clear()
-    with nullcontext() if accel else reference_kernels():
+    scope = RunScope(trace=False)
+    with scope.activate(), nullcontext() if accel else reference_kernels():
         remp = Remp() if accel else RebuildRemp()
         state = remp.prepare(bundle.kb1, bundle.kb2)
         platform = CrowdPlatform.with_simulated_workers(
             bundle.gold_matches, error_rate=ERROR_RATE, seed=0
         )
         loop_state, history, questions = remp.run_loop_phase(state, platform)
-    snapshot = TIMINGS.snapshot()
-    propagate_seconds = snapshot.get("loop.propagate", (0.0, 0))[0]
+    propagate_seconds = scope.timings.snapshot().get("loop.propagate", (0.0, 0))[0]
     doc = {
         "labeled": sorted(map(list, loop_state.labeled_matches)),
         "inferred": sorted(map(list, loop_state.inferred_matches)),
@@ -104,7 +102,7 @@ def _timed_loop(bundle, accel: bool):
         "questions": questions,
         "batches": [record.questions for record in history],
     }
-    return propagate_seconds, doc, TIMINGS.as_doc()
+    return propagate_seconds, doc, scope.export()["timings"]
 
 
 def _append_trajectory(entry: dict) -> None:

@@ -4,7 +4,8 @@ Each kernel is the only product path for its stage and is byte-identical
 to the paper-faithful reference it replaced.  Those references survive
 only as test oracles (:mod:`repro.accel.reference`); the accel
 equivalence suite and the stream/partition byte-equality oracles pin
-the contract.
+the contract.  Each kernel times its stage (``kernel.*``) with
+:func:`repro.obs.timed`, into the active run scope.
 """
 
 from repro.accel.candidates import intern_signatures, score_candidates
@@ -13,12 +14,9 @@ from repro.accel.er_graph import accel_groups, relation_adjacency
 from repro.accel.literals import LiteralScorer
 from repro.accel.marginals import exact_marginal_map, matching_plan
 from repro.accel.propagation import IncrementalPropagator
-from repro.accel.runtime import TIMINGS, KernelTimings
 
 __all__ = [
-    "TIMINGS",
     "IncrementalPropagator",
-    "KernelTimings",
     "LiteralScorer",
     "accel_groups",
     "any_strict_dominator",

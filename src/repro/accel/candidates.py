@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accel.runtime import TIMINGS
 from repro.kb.model import KnowledgeBase
+from repro.obs import runtime as obs
 
 Pair = tuple[str, str]
 
@@ -55,7 +55,7 @@ def score_candidates(
     """
     if len(tokens1) < min_entities or len(tokens2) < min_entities:
         return None
-    with TIMINGS.timed("kernel.candidates"):
+    with obs.timed("kernel.candidates"):
         entities1 = list(tokens1)
         entities2 = list(tokens2)
         index2 = {entity: j for j, entity in enumerate(entities2)}
@@ -126,7 +126,7 @@ def intern_signatures(
     Key order follows ``retained`` iteration order — the same order the
     reference loop produces.
     """
-    with TIMINGS.timed("kernel.signatures"):
+    with obs.timed("kernel.signatures"):
         masks1: dict[str, int] = {}
         masks2: dict[str, int] = {}
         for pair in retained:

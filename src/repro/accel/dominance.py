@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.accel.runtime import TIMINGS
+from repro.obs import runtime as obs
 
 Vector = tuple[float, ...]
 
@@ -126,7 +126,7 @@ class PackedVectors:
         kernel runs on the distinct rows with multiplicity weights, and
         every original pair reads its distinct row's weighted count.
         """
-        with TIMINGS.timed("kernel.dominance"):
+        with obs.timed("kernel.dominance"):
             vectors = self._vectors
             slots: dict = {}
             first_rows: list[int] = []
@@ -190,7 +190,7 @@ def any_strict_dominator(
     if len(targets) * len(candidates) < _MIN_NUMPY_BLOCK**2:
         return _any_dominator_python(targets, candidates)
 
-    with TIMINGS.timed("kernel.dominance"):
+    with obs.timed("kernel.dominance"):
         return _any_dominator_numpy(
             np.asarray(targets, dtype=np.float64),
             np.asarray(candidates, dtype=np.float64),

@@ -22,9 +22,9 @@ contents make identical graphs.
 
 from __future__ import annotations
 
-from repro.accel.runtime import TIMINGS
 from repro.core.er_graph import INVERSE_PREFIX
 from repro.kb.model import KnowledgeBase
+from repro.obs import runtime as obs
 
 Pair = tuple[str, str]
 RelPair = tuple[str, str]
@@ -57,7 +57,7 @@ def accel_groups(
     vertices,
 ) -> dict[Pair, dict[RelPair, set[Pair]]]:
     """The ER graph's ``groups`` map over ``vertices``."""
-    with TIMINGS.timed("kernel.er_graph"):
+    with obs.timed("kernel.er_graph"):
         fwd1, inv1 = relation_adjacency(kb1)
         fwd2, inv2 = relation_adjacency(kb2)
 

@@ -30,7 +30,7 @@ states instead of every matching.
 
 from __future__ import annotations
 
-from repro.accel.runtime import TIMINGS
+from repro.obs import runtime as obs
 
 Pair = tuple[str, str]
 
@@ -149,5 +149,5 @@ def exact_marginal_map(pairs: list[Pair], odds: list[float]) -> dict[Pair, float
     """Marginal ``Pr[p ∈ M]`` per pair, given each pair's prior odds."""
     if not pairs:
         return {}
-    with TIMINGS.timed("kernel.marginals"):
+    with obs.timed("kernel.marginals"):
         return _marginals_dp(pairs, odds)

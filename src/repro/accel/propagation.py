@@ -45,7 +45,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable
 
-from repro.accel.runtime import TIMINGS
 from repro.obs import runtime as obs
 from repro.core.config import RempConfig
 from repro.core.consistency import (
@@ -147,7 +146,7 @@ class IncrementalPropagator:
         last call (all of them on the first); one already folded in is
         skipped.
         """
-        with TIMINGS.timed("loop.consistency"):
+        with obs.timed("loop.consistency"):
             matches = self._folded
             new_matches = {pair for pair in added if pair not in matches}
             matches.update(new_matches)
@@ -236,7 +235,7 @@ class IncrementalPropagator:
         gammas = {
             label: consistencies.get(label, fallback).gamma() for label in self._labels
         }
-        with TIMINGS.timed("loop.edges"):
+        with obs.timed("loop.edges"):
             dirty_groups, prior_dirty = self._dirty_groups(moved, gammas)
             for key in dirty_groups:
                 self._marginals[key] = self._group_marginals(
@@ -246,7 +245,7 @@ class IncrementalPropagator:
                     rebuild_signature=key in prior_dirty,
                 )
             dirty_vertices = self._rebuild_rows({v for v, _ in dirty_groups})
-        with TIMINGS.timed("loop.dijkstra"):
+        with obs.timed("loop.dijkstra"):
             maps = self._maps
             stale = set(entered)
             for vertex in dirty_vertices:

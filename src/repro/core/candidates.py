@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.accel.candidates import score_candidates
-from repro.accel.runtime import TIMINGS
 from repro.kb.model import KnowledgeBase
+from repro.obs import runtime as obs
 from repro.text.normalize import normalize_label
 
 Pair = tuple[str, str]
@@ -84,13 +84,13 @@ def generate_candidates(
     and ``|T1 ∪ T2| = |T1| + |T2| − |T1 ∩ T2|`` finishes the coefficient
     without materializing a set intersection/union per candidate pair.
     """
-    with TIMINGS.timed("candidates.token_index"):
+    with obs.timed("candidates.token_index"):
         tokens1, _ = _token_index(kb1)
         tokens2, inverted2 = _token_index(kb2)
     labels2 = _labels_index(kb2)
 
     result = CandidateSet()
-    with TIMINGS.timed("candidates.score"):
+    with obs.timed("candidates.score"):
         scored = score_candidates(tokens1, tokens2, inverted2, threshold)
         if scored is not None:
             result.pairs.update(scored)

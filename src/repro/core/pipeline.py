@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.accel.propagation import IncrementalPropagator
-from repro.accel.runtime import TIMINGS
 from repro.obs import runtime as obs
 from repro.core.attributes import AttributeMatch, match_attributes
 from repro.core.candidates import CandidateSet, generate_candidates
@@ -193,20 +192,20 @@ class Remp:
     def prepare(self, kb1: KnowledgeBase, kb2: KnowledgeBase) -> PreparedState:
         """Run ER-graph construction and return every intermediate artifact.
 
-        Each stage is timed into :data:`repro.accel.TIMINGS` so the
-        service can persist a per-run timing profile.
+        Each stage is timed with :func:`repro.obs.timed` into the active
+        run scope, so the service can persist a per-run timing profile.
         """
         config = self.config
-        with TIMINGS.timed("prepare.candidates"):
+        with obs.timed("prepare.candidates"):
             candidates = generate_candidates(kb1, kb2, config.label_similarity_threshold)
-        with TIMINGS.timed("prepare.attributes"):
+        with obs.timed("prepare.attributes"):
             attribute_matches = match_attributes(
                 kb1,
                 kb2,
                 candidates.initial_matches,
                 literal_threshold=config.literal_threshold,
             )
-        with TIMINGS.timed("prepare.vectors"):
+        with obs.timed("prepare.vectors"):
             vectors = build_similarity_vectors(
                 kb1, kb2, candidates.pairs, attribute_matches, config.literal_threshold
             )
@@ -219,7 +218,7 @@ class Remp:
                 for pair, vector in vectors.items()
             }
         index = VectorIndex(vectors)
-        with TIMINGS.timed("prepare.pruning"):
+        with obs.timed("prepare.pruning"):
             retained = partial_order_pruning(candidates.pairs, index, config.k)
         obs.count("prepare.pruning.candidates", len(candidates.pairs))
         obs.count("prepare.pruning.retained", len(retained))
@@ -229,9 +228,9 @@ class Remp:
                 "prepare.pruning.discard_rate",
                 round(1.0 - len(retained) / len(candidates.pairs), 6),
             )
-        with TIMINGS.timed("prepare.graph"):
+        with obs.timed("prepare.graph"):
             graph = build_er_graph(kb1, kb2, retained)
-        with TIMINGS.timed("prepare.signatures"):
+        with obs.timed("prepare.signatures"):
             signatures = build_signatures(kb1, kb2, retained, attribute_matches)
         priors = {pair: candidates.priors.get(pair, config.default_prior) for pair in retained}
         return PreparedState(
@@ -693,7 +692,7 @@ class LoopState:
         oracles run the full rebuild under Dijkstra too
         (:class:`repro.accel.reference.RebuildLoopState`).
         """
-        with TIMINGS.timed("loop.propagate"):
+        with obs.timed("loop.propagate"):
             if self._effective is None:
                 self._prime()
             infer = (

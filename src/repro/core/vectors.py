@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.accel.runtime import TIMINGS
 from repro.core.attributes import AttributeMatch
 from repro.kb.model import KnowledgeBase
+from repro.obs import runtime as obs
 from repro.substrate import literal_scorer
 
 Pair = tuple[str, str]
@@ -38,7 +38,7 @@ def build_similarity_vectors(
     """
     simL = literal_scorer(literal_threshold).set_similarity
     vectors: dict[Pair, Vector] = {}
-    with TIMINGS.timed("kernel.simL"):
+    with obs.timed("kernel.simL"):
         for entity1, entity2 in pairs:
             attrs1 = kb1.entity_attributes(entity1)
             attrs2 = kb2.entity_attributes(entity2)

@@ -7,19 +7,21 @@ A process-wide but run-scoped observability layer:
   sessions never contaminate each other's profiles.
 * :class:`Tracer` / :class:`MetricsRegistry` — the collectors; spans are
   gated by ``REPRO_NO_TRACE=1`` and never perturb results.
-* :func:`count` / :func:`gauge` / :func:`span` / :func:`event` — module
-  helpers that route to the active scope and no-op outside one, so
-  library code instruments unconditionally.
+* :func:`timed` / :func:`count` / :func:`gauge` / :func:`span` /
+  :func:`event` — module helpers that route to the active scope and
+  no-op outside one, so library code instruments unconditionally.
+  :func:`timed` is the one way to time a stage: it opens ``span(name)``
+  and adds the elapsed seconds to the scope's timings.
 * :func:`export_run_artifacts` — the ``runs/<run_id>/`` artifact
   contract (``meta.json`` + ``trace.jsonl`` + ``metrics.json`` +
   ``cost_ledger.json`` + ``result.json``).
 * :func:`get_logger` — stdlib logging for the serving layers, gated by
   ``REPRO_LOG=<level>``.
 
-Exports resolve lazily (PEP 562): :mod:`repro.accel.runtime` imports
-:mod:`repro.obs.context` from the very bottom of the dependency graph,
-which runs this ``__init__`` — an eager import of the artifact helpers
-here would re-enter :mod:`repro.core` mid-initialisation.
+Exports resolve lazily (PEP 562): the accel kernels import
+:mod:`repro.obs.runtime` from the very bottom of the dependency graph,
+which runs this ``__init__`` first — an eager import of the artifact
+helpers here would re-enter :mod:`repro.core` mid-initialisation.
 """
 
 from importlib import import_module
@@ -51,6 +53,7 @@ _EXPORTS = {
     "gauge": "repro.obs.runtime",
     "publish": "repro.obs.runtime",
     "span": "repro.obs.runtime",
+    "timed": "repro.obs.runtime",
     "compare": "repro.obs.sentinel",
     "load_snapshot": "repro.obs.sentinel",
     "render_report": "repro.obs.sentinel",

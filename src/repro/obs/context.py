@@ -1,11 +1,11 @@
 """The active run scope, as a :mod:`contextvars` variable.
 
 This module is the bottom of the observability dependency graph: it
-imports nothing from :mod:`repro`, so the low-level accel runtime (which
-everything else imports) can consult the current scope without a cycle.
+imports nothing from :mod:`repro`, so every other module can consult the
+current scope without a cycle.
 
 A *scope* is any object exposing ``timings`` (a
-:class:`repro.accel.runtime.KernelTimings`), ``tracer`` (a
+:class:`repro.obs.metrics.KernelTimings`), ``tracer`` (a
 :class:`repro.obs.trace.Tracer`) and ``metrics`` (a
 :class:`repro.obs.metrics.MetricsRegistry`) — in practice always a
 :class:`repro.obs.runtime.RunScope`.  Context variables give exact
@@ -16,6 +16,7 @@ no longer contaminate each other's persisted profiles.
 
 from __future__ import annotations
 
+import os
 from contextvars import ContextVar
 
 _SCOPE: ContextVar = ContextVar("repro_obs_scope", default=None)
@@ -36,10 +37,15 @@ def pop_scope(token) -> None:
 
 
 def clear_scope() -> None:
-    """Drop any inherited scope (used by the after-fork hook).
+    """Drop any inherited scope (the after-fork hook below).
 
     A pool worker forked mid-run inherits the parent's context — and
     with it the parent's scope object, whose buffers the child must not
-    write into (they would double-count once the shard delta ships back).
+    write into: the child records into its own shard scope and ships
+    that scope's export back.
     """
     _SCOPE.set(None)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=clear_scope)

@@ -1,11 +1,12 @@
-"""Run-scoped metrics: named counters and gauges.
+"""Run-scoped metrics: named counters and gauges, and stage timings.
 
 A :class:`MetricsRegistry` is the numeric half of :mod:`repro.obs`:
 counters accumulate (questions billed, cache hits, pruning discards,
 shard lifecycle transitions, stream unit reuse), gauges hold the last
-observed value (reuse rate, shard count).  Registries merge — shard
-workers ship their registry document back with the shard outcome and
-the parent folds it in, exactly like the pool timing deltas.
+observed value (reuse rate, shard count).  A :class:`KernelTimings`
+accumulates the seconds and calls of each timed stage.  Both merge — a
+pool worker ships its shard scope's export back with the shard outcome
+and the parent folds it in.
 """
 
 from __future__ import annotations
@@ -74,3 +75,39 @@ class MetricsRegistry:
         registry = cls()
         registry.merge(doc)
         return registry
+
+
+class KernelTimings:
+    """Thread-safe accumulator of stage timings: ``name -> (seconds, calls)``.
+
+    A :class:`~repro.obs.runtime.RunScope` holds one; :func:`repro.obs.timed`
+    adds to the active scope's, and :meth:`merge` folds in a shard
+    scope's exported :func:`stages_doc`.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._data: dict[str, list] = {}
+
+    def add(self, name: str, seconds: float, calls: int = 1) -> None:
+        with self._lock:
+            entry = self._data.setdefault(name, [0.0, 0])
+            entry[0] += seconds
+            entry[1] += calls
+
+    def snapshot(self) -> dict[str, tuple[float, int]]:
+        with self._lock:
+            return {name: (entry[0], entry[1]) for name, entry in self._data.items()}
+
+    def merge(self, stages: dict[str, dict]) -> None:
+        """Fold a :func:`stages_doc` document into this one."""
+        for name, doc in stages.items():
+            self.add(name, doc["seconds"], doc["calls"])
+
+
+def stages_doc(stages: dict[str, tuple[float, int]]) -> dict[str, dict[str, float]]:
+    """The one JSON shape for persisted stage timings."""
+    return {
+        name: {"seconds": round(seconds, 6), "calls": calls}
+        for name, (seconds, calls) in stages.items()
+    }

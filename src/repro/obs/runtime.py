@@ -3,20 +3,18 @@
 A :class:`RunScope` bundles the three collectors — a
 :class:`~repro.obs.trace.Tracer`, a
 :class:`~repro.obs.metrics.MetricsRegistry` and a private
-:class:`~repro.accel.runtime.KernelTimings` — and activates them via
-the :mod:`repro.obs.context` context variable.  While a scope is
-active, every :data:`repro.accel.runtime.TIMINGS` stage automatically
-lands in the scope's own timings *and* emits a span, and the module
-helpers below (:func:`count`, :func:`gauge`, :func:`span`,
-:func:`event`) route to the scope; outside any activation they are
-no-ops, so library code can instrument unconditionally.
+:class:`~repro.obs.metrics.KernelTimings` — and activates them via
+the :mod:`repro.obs.context` context variable.  The module helpers
+below (:func:`timed`, :func:`count`, :func:`gauge`, :func:`span`,
+:func:`event`) route to the active scope; outside any activation they
+are no-ops, so library code can instrument unconditionally.
 
-This replaces the snapshot/diff dance against the global ``TIMINGS``
-singleton: a session persists ``scope.timings`` — only what ran under
-its own activations — so concurrent sessions can no longer contaminate
-each other's profiles.  A scope built with a store also writes its run's
-progress events (:meth:`RunScope.publish`) to that store's
-``run_events`` table, which is what lets another process watch the run.
+A session persists ``scope.timings`` — only what ran under its own
+activations, plus what its pool shards shipped back — so concurrent
+sessions cannot contaminate each other's profiles.  A scope built with
+a store also writes its run's progress events (:meth:`RunScope.publish`)
+to that store's ``run_events`` table, which is what lets another
+process watch the run.
 """
 
 from __future__ import annotations
@@ -24,10 +22,9 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 
-from repro.accel.runtime import KernelTimings, stages_doc
 from repro.obs.context import current_scope, pop_scope, push_scope
 from repro.obs.logging import get_logger
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import KernelTimings, MetricsRegistry, stages_doc
 from repro.obs.profile import SamplingProfiler, profiling_enabled
 from repro.obs.trace import NO_SPAN, Tracer
 
@@ -128,22 +125,16 @@ class RunScope:
             self._writing = False
 
     # ------------------------------------------------------------------
-    def absorb(
-        self,
-        *,
-        spans: list | None = None,
-        metrics: dict | None = None,
-        profile: dict | None = None,
-    ) -> None:
-        """Fold a child scope's exported spans/metrics/profile into this one.
+    def absorb(self, doc: dict) -> None:
+        """Fold a child scope's :meth:`export` document into this one.
 
-        Shard timings travel separately (``TIMINGS.merge`` routes to the
-        active scope), mirroring how the pool has always shipped deltas.
+        Timings, spans, metrics and profile all fold in: a pool worker
+        ships its shard scope's export whole.
         """
-        if spans:
-            self.tracer.add_spans(spans)
-        if metrics:
-            self.metrics.merge(metrics)
+        self.timings.merge(doc["timings"])
+        self.tracer.add_spans(doc["trace"])
+        self.metrics.merge(doc["metrics"])
+        profile = doc.get("profile")
         if profile and profile.get("samples"):
             if self.profiler is None:
                 self.profiler = SamplingProfiler(
@@ -168,6 +159,21 @@ class RunScope:
 # ----------------------------------------------------------------------
 # Scope-routed module helpers (no-ops outside an activation)
 # ----------------------------------------------------------------------
+@contextmanager
+def timed(name: str):
+    """Time a stage: ``span(name)``, and its seconds into ``scope.timings``."""
+    scope = current_scope()
+    if scope is None:
+        yield
+        return
+    with span(name):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            scope.timings.add(name, time.perf_counter() - start)
+
+
 def count(name: str, value: float = 1) -> None:
     scope = current_scope()
     if scope is not None:
@@ -200,13 +206,8 @@ def publish(kind: str, **fields) -> None:
         scope.publish(kind, **fields)
 
 
-def absorb(
-    *,
-    spans: list | None = None,
-    metrics: dict | None = None,
-    profile: dict | None = None,
-) -> None:
-    """Fold child spans/metrics/profile into the active scope, if any."""
+def absorb(doc: dict) -> None:
+    """Fold a child scope's export into the active scope, if any."""
     scope = current_scope()
     if scope is not None:
-        scope.absorb(spans=spans, metrics=metrics, profile=profile)
+        scope.absorb(doc)

@@ -39,7 +39,6 @@ import traceback
 from dataclasses import dataclass, field, replace
 
 from repro import faults
-from repro.accel.runtime import TIMINGS
 from repro.core.config import RempConfig
 from repro.obs import runtime as obs
 from repro.obs.logging import get_logger
@@ -222,19 +221,11 @@ class _ShardOutcome:
     result: RempResult
     snapshot: dict = field(default_factory=dict)
     answer_log: list = field(default_factory=list)
-    #: Kernel-timing delta the shard produced (pool workers only — the
-    #: parent merges it into its own registry; inline execution already
-    #: accumulates in-process).
-    timings: dict = field(default_factory=dict)
-    #: Spans and metrics the shard's worker-side run scope buffered
-    #: (pool workers only — inline execution writes straight into the
-    #: session scope).  The parent absorbs both in ``_finish_shard``.
-    spans: list = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
-    #: Folded-stack wall-clock samples from the worker's profiler
-    #: (``REPRO_PROFILE=1`` only) — absorbed into the session scope so a
-    #: partitioned run's flamegraph covers its pool workers.
-    profile: dict = field(default_factory=dict)
+    #: The export of the shard's worker-side run scope: its timings,
+    #: spans, metrics and profile (pool workers only — inline execution
+    #: records straight into the session scope).  The parent absorbs it
+    #: in ``_finish_shard``.
+    telemetry: dict | None = None
 
 
 @dataclass(slots=True)
@@ -437,16 +428,11 @@ def _worker_main(base_state, crowd, conn, worker_index=0) -> None:
         try:
             # A per-task run scope gives exact attribution: the worker's
             # stages/spans/metrics land in the scope's private buffers
-            # (stamped with the shard id) and ship back with the outcome
-            # — no snapshot/diff against the process-wide registry.
+            # (stamped with the shard id) and ship back with the outcome.
             scope = obs.RunScope(shard_id=task.shard.shard_id)
             with scope.activate():
                 outcome = _execute_shard(task, base_state, crowd, conn.send)
-            outcome.timings = scope.timings.snapshot()
-            outcome.spans = scope.tracer.spans()
-            outcome.metrics = scope.metrics.as_doc()
-            if scope.profiler is not None and scope.profiler.samples:
-                outcome.profile = scope.profiler.as_doc()
+            outcome.telemetry = scope.export()
             conn.send(("done", task.shard.shard_id, outcome))
         except Exception:
             conn.send(("error", task.shard.shard_id, traceback.format_exc()))
@@ -1108,17 +1094,8 @@ class ParallelRunner:
         self, outcome: _ShardOutcome, outcomes: dict[int, _ShardOutcome]
     ) -> None:
         outcomes[outcome.shard_id] = outcome
-        if outcome.timings:
-            # Fold a pool worker's kernel timings into the parent registry
-            # so partitioned runs report a complete timing profile (merge
-            # routes to the active session scope as well).
-            TIMINGS.merge(outcome.timings)
-        if outcome.spans or outcome.metrics or outcome.profile:
-            obs.absorb(
-                spans=outcome.spans,
-                metrics=outcome.metrics,
-                profile=outcome.profile,
-            )
+        if outcome.telemetry is not None:
+            obs.absorb(outcome.telemetry)
         if self._store is not None:
             self._store.save_shard_result(
                 self._run_id,

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.accel.runtime import TIMINGS
 from repro.core.attributes import match_attributes
 from repro.obs import runtime as obs
 from repro.obs.logging import get_logger
@@ -264,11 +263,11 @@ def incremental_prepare(
     fingerprint = kb_pair_fingerprint(kb1, kb2)
     dirty1, dirty2 = _dirty_entities(delta, state.kb1, state.kb2)
 
-    with TIMINGS.timed("stream.splice_candidates"):
+    with obs.timed("stream.splice_candidates"):
         candidates = _splice_candidates(
             state.candidates, kb1, kb2, dirty1, dirty2, config.label_similarity_threshold
         )
-    with TIMINGS.timed("stream.attributes"):
+    with obs.timed("stream.attributes"):
         attribute_matches = match_attributes(
             kb1, kb2, candidates.initial_matches, literal_threshold=config.literal_threshold
         )
@@ -287,7 +286,7 @@ def incremental_prepare(
 
     # Vectors: only pairs whose entities were touched can change (the
     # attribute alignment is unchanged); removed pairs drop out.
-    with TIMINGS.timed("stream.vectors"):
+    with obs.timed("stream.vectors"):
         vectors = {
             p: v for p, v in state.vector_index.vectors.items() if p in candidates.pairs
         }
@@ -302,7 +301,7 @@ def incremental_prepare(
     # Pruning: re-run on the dirty closures only.  Blocks are per-entity
     # and closures are entity-closed, so the local verdicts coincide with
     # a global run's.
-    with TIMINGS.timed("stream.pruning"):
+    with obs.timed("stream.pruning"):
         dirty_new = closure & candidates.pairs
         retained = (state.retained - closure) | partial_order_pruning(
             dirty_new, index, config.k
@@ -310,7 +309,7 @@ def incremental_prepare(
 
     # ER graph: rebuild dirty-closure vertices wholesale, then the clean
     # vertices relation-adjacent to a pair whose retained status flipped.
-    with TIMINGS.timed("stream.graph_splice"):
+    with obs.timed("stream.graph_splice"):
         changed_retained = state.retained ^ retained
         graph = ERGraph(vertices=set(retained))
         rebuild = retained & closure

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel.runtime import TIMINGS
 from repro.datasets import load_dataset
 from repro.kb.io import kb_pair_fingerprint
 from repro.obs import (
@@ -184,14 +183,19 @@ class TestRunScope:
     def test_global_timings_route_to_scope(self):
         scope = RunScope("run-y", trace=True)
         with scope.activate():
-            with TIMINGS.timed("scoped.stage"):
+            with obs_runtime.timed("scoped.stage"):
                 pass
-        stages = scope.timings.snapshot()
-        assert "scoped.stage" in stages
-        # The process-wide registry still accumulates (complete totals).
-        assert "scoped.stage" in TIMINGS.snapshot()
-        # timed() under a scope also emits a span.
-        assert "scoped.stage" in [s["name"] for s in scope.tracer.spans()]
+            with obs_runtime.timed("scoped.stage"):
+                pass
+        seconds, calls = scope.timings.snapshot()["scoped.stage"]
+        assert calls == 2 and seconds >= 0
+        # timed() under a scope also emits its span, once per call.
+        assert [s["name"] for s in scope.tracer.spans()] == ["scoped.stage"] * 2
+        # Outside any activation it records nothing, anywhere.
+        with obs_runtime.timed("orphan.stage"):
+            pass
+        assert "orphan.stage" not in scope.timings.snapshot()
+        assert obs_runtime.current_scope() is None
 
     def test_scopes_do_not_leak_across_activations(self):
         inner, outer = RunScope("inner"), RunScope("outer")
@@ -208,12 +212,13 @@ class TestRunScope:
         with child.activate():
             obs_runtime.count("shard.work", 3)
             obs_runtime.event("shard.mark")
+            with obs_runtime.timed("shard.stage"):
+                pass
         with parent.activate():
-            obs_runtime.absorb(
-                spans=child.tracer.spans(), metrics=child.metrics.as_doc()
-            )
+            obs_runtime.absorb(child.export())
         assert parent.metrics.counter("shard.work") == 3
         assert parent.tracer.spans()[0]["shard_id"] == 1
+        assert parent.timings.snapshot()["shard.stage"][1] == 1
 
 
 def _export(service, run_id, root):

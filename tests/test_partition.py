@@ -1,6 +1,7 @@
 """Tests for the partition subsystem: partitioner, runner, merger, events."""
 
 import io
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -501,6 +502,36 @@ class TestServiceWorkers:
             # One execution: every shard started exactly once.
             started = [e.shard_id for e in events if e.kind == "started"]
             assert len(started) == len(set(started))
+
+    def test_pool_shard_telemetry_reaches_its_run(self, tmp_path, monkeypatch):
+        """A pool worker's timings, counters and spans reach its run's document.
+
+        ``evolving`` x0.4 plans several graph shards, so with two workers
+        each phase runs on the pool; with one it runs inline, straight
+        into the session scope.  The persisted telemetry must not tell
+        the two apart, except for the shard ids the workers stamp.
+        """
+        monkeypatch.delenv("REPRO_NO_TRACE", raising=False)
+        docs = {}
+        for workers in (1, 2):
+            with MatchingService(str(tmp_path / f"w{workers}.db")) as service:
+                run_id = service.submit(
+                    "evolving", scale=0.4, workers=workers, background=False
+                )
+                service.result(run_id)
+                docs[workers] = service.store.load_run_obs(run_id)
+        inline, pooled = docs[1], docs[2]
+
+        def calls(doc):
+            return {name: stage["calls"] for name, stage in doc["timings"].items()}
+
+        def span_names(doc):
+            return Counter(span["name"] for span in doc["trace"])
+
+        assert calls(pooled) == calls(inline)
+        assert pooled["metrics"]["counters"] == inline["metrics"]["counters"]
+        assert span_names(pooled) == span_names(inline)
+        assert any("shard_id" in span for span in pooled["trace"])
 
     def test_resume_monolithic_as_partitioned_guarded(self, tmp_path):
         with MatchingService(str(tmp_path / "svc.db")) as service:

@@ -144,7 +144,9 @@ class TestRunScopeIntegration:
         parent = RunScope("run-u", profile=False)
         shard_profile = {"samples": 7, "stacks": {"x;y": 7}}
         with parent.activate():
-            obs_runtime.absorb(spans=[], metrics={}, profile=shard_profile)
+            obs_runtime.absorb(
+                {"timings": {}, "trace": [], "metrics": {}, "profile": shard_profile}
+            )
         doc = parent.export()
         assert doc["profile"]["samples"] == 7
         assert doc["profile"]["stacks"] == {"x;y": 7}

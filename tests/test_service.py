@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import Remp, RempConfig
 from repro.crowd import CrowdPlatform
+from repro.obs import runtime as obs
 from repro.service import MatchingService
 from repro.store import RunStore
 from repro.store.serialize import checkpoint_to_doc, result_to_doc
@@ -663,19 +664,18 @@ class TestStreamSessions:
 
 class TestTimingIsolation:
     def test_concurrent_timings_do_not_contaminate_run(self, tmp_path):
-        """Another session's kernel timings never leak into a run's doc.
+        """Another session's stage timings never leak into a run's doc.
 
-        Before run-scoped timing, ``TIMINGS`` was snapshot/diffed around
-        the run, so any concurrent session writing to the global registry
-        contaminated the persisted per-run stages.
+        A thread timing its own stages under its own run scope, while the
+        run executes, must not contaminate the run's persisted stages.
         """
-        from repro.accel.runtime import TIMINGS
-
         stop = threading.Event()
 
         def poison():
-            while not stop.is_set():
-                TIMINGS.add("poison.stage", 1.0)
+            with obs.RunScope("poison", trace=False).activate():
+                while not stop.is_set():
+                    with obs.timed("poison.stage"):
+                        pass
 
         thread = threading.Thread(target=poison, daemon=True)
         thread.start()
