@@ -9,7 +9,7 @@ from repro.core import Remp
 from repro.core.discovery import dijkstra_inferred_sets
 from repro.core.propagation import ProbabilisticERGraph
 from repro.core.pruning import partial_order_pruning
-from repro.core.selection import greedy_question_selection, initial_gains
+from repro.core.selection import gain_bands, greedy_question_selection, initial_gains
 from repro.datasets import load_dataset
 from repro.ml import RandomForestClassifier
 
@@ -53,8 +53,8 @@ def test_greedy_selection(benchmark):
     inferred = dijkstra_inferred_sets(graph, sources, 0.9)
     priors = {s: 0.7 for s in sources}
     def select():
-        gains = initial_gains(sources, inferred, priors)
-        return greedy_question_selection(gains, inferred, priors, 10)
+        bands = gain_bands(initial_gains(sources, inferred, priors))
+        return greedy_question_selection(bands, inferred, priors, 10)
 
     selected = benchmark(select)
     assert 0 < len(selected) <= 10

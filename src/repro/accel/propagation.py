@@ -10,8 +10,13 @@ regions the last round could have influenced:
   hands over just the matches it added; new matches add observations
   and can only bump the ``observed`` lower bound of existing
   observations whose value sets contain them (found through the KB
-  relation indexes).  A label whose observations did not change keeps
-  its cached :class:`~repro.core.consistency.Consistency` verbatim.
+  relation indexes).  Each label keeps a count per observation shape
+  (n₁, n₂, observed) beside its observations: an added observation
+  counts up its shape, and a replaced one moves its count from the old
+  shape to the new.  A label whose observations changed is re-estimated
+  from those counts — a handful of shapes where it has hundreds of
+  observations — and one whose observations did not change keeps its
+  cached :class:`~repro.core.consistency.Consistency` verbatim.
 * **Edges** — a neighbor group's Eq. 9 marginals are recomputed only
   when its label's γ = ε₁ε₂/((1−ε₁)(1−ε₂)) changed or a member pair's
   effective prior did; the caller names the pairs whose prior moved.
@@ -42,7 +47,7 @@ order).
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Iterable
 
 from repro.obs import runtime as obs
@@ -112,10 +117,14 @@ class IncrementalPropagator:
                 self._label_vertices.setdefault(label, []).append(vertex)
                 for member in group:
                     self._pair_groups.setdefault(member, []).append((vertex, label))
-        # Consistency estimation state.
+        # Consistency estimation state: per label, each matched pair's
+        # observation and how many observations have each shape.
         self._folded: set[Pair] = set()
         self._observations: dict[RelPair, dict[Pair, _Observation]] = {
             label: {} for label in self._labels
+        }
+        self._shapes: dict[RelPair, Counter[_Observation]] = {
+            label: Counter() for label in self._labels
         }
         self._consistencies: dict[RelPair, Consistency] = {}
         # Edge / Dijkstra state.
@@ -155,7 +164,7 @@ class IncrementalPropagator:
                 changed = self._update_label_observations(label, new_matches, matches)
                 if changed or label not in self._consistencies:
                     self._consistencies[label] = label_consistency(
-                        list(self._observations[label].values()),
+                        self._shapes[label],
                         config.min_consistency_support,
                         config.epsilon_default,
                         config.epsilon_floor,
@@ -186,27 +195,34 @@ class IncrementalPropagator:
                     if (e1, e2) in observations:
                         affected.add((e1, e2))
         for pair in affected:
-            values1, values2 = value_sets(kb1, kb2, pair[0], pair[1], label)
-            observation = _Observation(
-                len(values1),
-                len(values2),
-                _observed_match_count(values1, values2, matches),
-            )
-            if observation != observations[pair]:
-                observations[pair] = observation
-                changed = True
+            changed |= self._observe(label, pair, matches)
         # New matched pairs contribute observations of their own.
         for pair in new_matches:
-            values1, values2 = value_sets(kb1, kb2, pair[0], pair[1], label)
-            if not values1 and not values2:
-                continue
-            observations[pair] = _Observation(
-                len(values1),
-                len(values2),
-                _observed_match_count(values1, values2, matches),
-            )
-            changed = True
+            changed |= self._observe(label, pair, matches)
         return changed
+
+    def _observe(self, label: RelPair, pair: Pair, matches: set[Pair]) -> bool:
+        """(Re)compute ``pair``'s observation under ``label`` and move the
+        shape counts with it; True if it changed.  A pair whose value sets
+        are both empty gives no observation."""
+        values1, values2 = value_sets(self._kb1, self._kb2, pair[0], pair[1], label)
+        if not values1 and not values2:
+            return False
+        observation = _Observation(
+            len(values1), len(values2), _observed_match_count(values1, values2, matches)
+        )
+        observations = self._observations[label]
+        old = observations.get(pair)
+        if old == observation:
+            return False
+        shapes = self._shapes[label]
+        if old is not None:
+            shapes[old] -= 1
+            if not shapes[old]:
+                del shapes[old]
+        observations[pair] = observation
+        shapes[observation] += 1
+        return True
 
     # ------------------------------------------------------------------
     # Incremental edges + Dijkstra

@@ -17,17 +17,23 @@ module under :mod:`repro` imports this one.
   :func:`repro.accel.marginals.exact_marginal_map`);
 * :func:`estimate_consistency` — the ε coordinate ascent once per
   observation (pins the per-shape ascent of
-  :func:`repro.core.consistency.estimate_consistency`);
+  :func:`repro.core.consistency.estimate_consistency`), and
+  :func:`estimate_from_shapes`, the same ascent over the observations a
+  shape count stands for (pins
+  :func:`repro.core.consistency.estimate_from_shapes`, which the loop
+  runs on the shape counts it keeps);
 * :class:`RebuildRemp` — a :class:`repro.core.Remp` whose loop rebuilds
   the probabilistic graph, reruns Dijkstra and filters every Eq. 12
   restricted set and the askable questions from scratch every loop
   (pins :class:`repro.accel.propagation.IncrementalPropagator` and the
-  restricted sets and askable gains :class:`repro.core.pipeline.LoopState`
-  keeps across loops), reached through the ``Remp._make_loop_state`` seam;
-* :func:`greedy_question_selection` — Algorithm 3's lazy greedy with
-  every initial gain summed per candidate (pins the stored initial
-  gains :func:`repro.core.selection.greedy_question_selection` starts
-  from).
+  restricted sets, askable gains and gain bands
+  :class:`repro.core.pipeline.LoopState` keeps across loops), reached
+  through the ``Remp._make_loop_state`` seam;
+* :func:`greedy_question_selection` — Algorithm 3's lazy greedy over
+  one heap of every candidate, each initial gain summed afresh (pins
+  the stored gain bands
+  :func:`repro.core.selection.greedy_question_selection` admits to its
+  heap band by band).
 
 :func:`reference_kernels` rebinds the product's kernel names to these
 references for the length of a ``with`` block, so a whole
@@ -55,6 +61,7 @@ from repro.core.consistency import Consistency, _best_latent, _Observation
 from repro.core.er_graph import INVERSE_PREFIX
 from repro.core.isolated import Signature, attribute_signature
 from repro.core.pipeline import LoopState, Remp
+from repro.core.selection import GainBands, gain_bands
 from repro.kb.model import KnowledgeBase
 from repro.obs import runtime as obs
 from repro.text.literal import literal_set_similarity
@@ -237,6 +244,19 @@ def estimate_consistency(
     return Consistency(eps1, eps2, len(relevant))
 
 
+def estimate_from_shapes(
+    shapes: Mapping[_Observation, int],
+    epsilon_floor: float = 0.01,
+    epsilon_ceiling: float = 0.99,
+    max_iterations: int = 30,
+) -> Consistency:
+    """The per-observation ascent over the observations ``shapes`` counts."""
+    observations = [
+        _Observation(*shape) for shape, count in shapes.items() for _ in range(count)
+    ]
+    return estimate_consistency(observations, epsilon_floor, epsilon_ceiling, max_iterations)
+
+
 # ----------------------------------------------------------------------
 # The loop: full rebuild with Dijkstra discovery
 # ----------------------------------------------------------------------
@@ -247,8 +267,8 @@ class RebuildLoopState(LoopState):
     probabilistic graph and reruns discovery from every source — the
     path ``LoopState`` takes for the Floyd–Warshall config, here also
     under ``use_dijkstra`` — and every loop filters each restricted set
-    afresh from its inferred map and sums every askable question's
-    initial gain afresh.
+    afresh from its inferred map, sums every askable question's initial
+    gain afresh and groups the gains into bands afresh.
     """
 
     def _infer_incremental(self, kb1, kb2):
@@ -263,7 +283,9 @@ class RebuildLoopState(LoopState):
         }
 
     def askable_questions(self, restricted) -> dict[Pair, float]:
-        return self._askable_gains(restricted, restricted)
+        gains = self._askable_gains(restricted, restricted)
+        self._bands = gain_bands(gains)
+        return gains
 
 
 class RebuildRemp(Remp):
@@ -277,12 +299,14 @@ class RebuildRemp(Remp):
 # Algorithm 3: lazy greedy question selection
 # ----------------------------------------------------------------------
 def greedy_question_selection(
-    candidates: list[Pair],
+    bands: GainBands,
     inferred: Mapping[Pair, Mapping[Pair, float]],
     priors: Mapping[Pair, float],
     mu: int,
 ) -> list[Pair]:
-    """The lazy greedy with every candidate's initial gain summed afresh."""
+    """The lazy greedy over one heap of the questions in ``bands``, with
+    every candidate's initial gain summed afresh."""
+    candidates = [question for band in bands.values() for question in band]
     if mu < 1:
         raise ValueError("mu must be positive")
     resolved_prob: dict[Pair, float] = {}
@@ -344,7 +368,7 @@ def reference_kernels():
         (repro.accel.er_graph, "accel_groups", er_graph_groups),
         (repro.accel.candidates, "intern_signatures", signatures),
         (repro.accel.marginals, "_marginals_dp", exact_marginal_map),
-        (repro.core.consistency, "estimate_consistency", estimate_consistency),
+        (repro.core.consistency, "estimate_from_shapes", estimate_from_shapes),
         (repro.core.pipeline, "greedy_question_selection", greedy_question_selection),
     ]
     saved = [(module, name, getattr(module, name)) for module, name, _ in bindings]

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Mapping, NamedTuple
 
 from repro.core.er_graph import RelPair, value_sets
 from repro.kb.model import KnowledgeBase
@@ -52,13 +53,23 @@ class Consistency:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class _Observation:
-    """One matched pair's evidence: value-set sizes and observed matches."""
+class _Observation(NamedTuple):
+    """One matched pair's evidence: value-set sizes and observed matches.
+
+    The tuple is the observation's shape: the ascent treats two
+    observations of one shape alike, so a label's evidence is a count
+    per shape (:func:`shape_counts`).
+    """
 
     n1: int
     n2: int
     observed: int  # lower bound on the latent L
+
+
+def shape_counts(observations: Iterable[_Observation]) -> Counter[_Observation]:
+    """How many observations have each shape, skipping those with both
+    value sets empty (they carry no evidence)."""
+    return Counter(o for o in observations if o.n1 > 0 or o.n2 > 0)
 
 
 def _observed_match_count(
@@ -101,7 +112,23 @@ def estimate_consistency(
     epsilon_ceiling: float = 0.99,
     max_iterations: int = 30,
 ) -> Consistency:
-    """Coordinate-ascent MLE for one relationship pair.
+    """Coordinate-ascent MLE for one relationship pair's observations.
+
+    Counts the observations per shape and runs
+    :func:`estimate_from_shapes` on the counts.
+    """
+    return estimate_from_shapes(
+        shape_counts(observations), epsilon_floor, epsilon_ceiling, max_iterations
+    )
+
+
+def estimate_from_shapes(
+    shapes: Mapping[_Observation, int],
+    epsilon_floor: float = 0.01,
+    epsilon_ceiling: float = 0.99,
+    max_iterations: int = 30,
+) -> Consistency:
+    """Coordinate-ascent MLE from a count per observation shape.
 
     Alternates the closed-form latent assignment and the binomial ε update
     until the latent counts stabilize, or for ``max_iterations`` rounds
@@ -112,11 +139,9 @@ def estimate_consistency(
     An observation's latent count depends only on its shape (n₁, n₂,
     observed) and ζ, and every total is an integer sum, so the ascent
     runs once per distinct shape, weighted by how many observations
-    share it.
+    share it.  ``shapes`` holds positive counts of shapes with a
+    non-empty value set (:func:`shape_counts`).
     """
-    shapes = Counter(
-        (o.n1, o.n2, o.observed) for o in observations if o.n1 > 0 or o.n2 > 0
-    )
     if not shapes:
         return Consistency(0.5, 0.5, 0)
     b1 = sum(n1 * count for (n1, _, _), count in shapes.items())
@@ -150,23 +175,23 @@ def estimate_consistency(
 
 
 def label_consistency(
-    observations: list[_Observation],
+    shapes: Mapping[_Observation, int],
     min_support: int,
     epsilon_default: float,
     epsilon_floor: float,
     epsilon_ceiling: float,
 ) -> Consistency:
-    """One label's ε from its observations, or the neutral default.
+    """One label's ε from its count per observation shape, or the default.
 
     A label with fewer than ``min_support`` informative observations
     (both value sets non-empty) gets ``epsilon_default`` for both ε,
     counted as ``consistency.default_fallback``.
     """
-    informative = sum(1 for o in observations if o.n1 and o.n2)
+    informative = sum(count for (n1, n2, _), count in shapes.items() if n1 and n2)
     if informative < min_support:
         obs.count("consistency.default_fallback")
         return Consistency(epsilon_default, epsilon_default, informative)
-    return estimate_consistency(observations, epsilon_floor, epsilon_ceiling)
+    return estimate_from_shapes(shapes, epsilon_floor, epsilon_ceiling)
 
 
 def estimate_all_consistencies(
@@ -189,14 +214,14 @@ def estimate_all_consistencies(
     result: dict[RelPair, Consistency] = {}
     match_list = list(matches)
     for label in labels:
-        observations = []
+        shapes: Counter[_Observation] = Counter()
         for entity1, entity2 in match_list:
             values1, values2 = value_sets(kb1, kb2, entity1, entity2, label)
             if not values1 and not values2:
                 continue
             observed = _observed_match_count(values1, values2, matches)
-            observations.append(_Observation(len(values1), len(values2), observed))
+            shapes[_Observation(len(values1), len(values2), observed)] += 1
         result[label] = label_consistency(
-            observations, min_support, epsilon_default, epsilon_floor, epsilon_ceiling
+            shapes, min_support, epsilon_default, epsilon_floor, epsilon_ceiling
         )
     return result

@@ -395,7 +395,9 @@ class Remp:
         if remaining_budget is not None:
             mu = min(mu, remaining_budget)
         if strategy == "remp":
-            return greedy_question_selection(candidates, restricted, loop_state.priors, mu)
+            return greedy_question_selection(
+                loop_state.askable_bands, restricted, loop_state.priors, mu
+            )
         if strategy == "maxinf":
             return max_inference_selection(candidates, restricted, mu)
         if strategy == "maxpr":
@@ -477,7 +479,8 @@ class LoopState:
     or :meth:`restore` on, propagation's inputs (effective priors,
     Dijkstra sources, new estimation matches), and downstream the Eq. 12
     restricted sets and the askable questions' initial gains, which also
-    follow the distance maps propagation replaces.
+    follow the distance maps propagation replaces, with the same
+    questions grouped by gain for greedy selection.
     """
 
     def __init__(self, state: PreparedState, config: RempConfig):
@@ -531,10 +534,12 @@ class LoopState:
         self._holders: dict[Pair, tuple[Pair, ...]] = {}
         self._taken: list[Pair] = []
         self._fresh: set[Pair] = set()
-        #: The askable questions with their initial gains, and the
-        #: questions whose restricted set or prior changed since the last
-        #: :meth:`askable_questions`.
+        #: The askable questions with their initial gains, the same
+        #: questions grouped by exact gain (:attr:`askable_bands`), and
+        #: the questions whose restricted set or prior changed since the
+        #: last :meth:`askable_questions`.
         self._askable: dict[Pair, float] = {}
+        self._bands: dict[float, set[Pair]] = {}
         self._regain: set[Pair] = set()
 
     def _take(self, pair: Pair) -> None:
@@ -819,18 +824,33 @@ class LoopState:
         itself.  ``restricted`` is this state's
         :meth:`restricted_inferred_sets`, kept across loops by this state
         and shared with question selection.  Returns each askable
-        question's initial gain (:func:`repro.core.selection.initial_gains`),
-        the heap greedy selection starts from.  The mapping is kept across
-        loops too: a call recomputes only the questions whose restricted
-        set or prior changed since the last one.  It is this state's own
-        and must be treated as read-only.
+        question's initial gain (:func:`repro.core.selection.initial_gains`).
+        The mapping is kept across loops too: a call recomputes only the
+        questions whose restricted set or prior changed since the last
+        one, and moves each of them from the band of its old gain to the
+        band of its new one in :attr:`askable_bands`.  It is this state's
+        own and must be treated as read-only.
         """
         regain, self._regain = self._regain, set()
-        askable = self._askable
+        askable, bands = self._askable, self._bands
         for question in regain:
-            askable.pop(question, None)
-        askable.update(self._askable_gains(regain, restricted))
+            gain = askable.pop(question, None)
+            if gain is not None:
+                band = bands[gain]
+                band.remove(question)
+                if not band:
+                    del bands[gain]
+        for question, gain in self._askable_gains(regain, restricted).items():
+            askable[question] = gain
+            bands.setdefault(gain, set()).add(question)
         return askable
+
+    @property
+    def askable_bands(self) -> dict[float, set[Pair]]:
+        """Greedy's input: the last :meth:`askable_questions` grouped by
+        exact gain (:func:`repro.core.selection.gain_bands`), kept with
+        it across loops.  This state's own: treat it as read-only."""
+        return self._bands
 
     def _askable_gains(self, questions, restricted) -> dict[Pair, float]:
         """The initial gains of those ``questions`` whose restricted set

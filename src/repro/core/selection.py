@@ -7,6 +7,11 @@ if at least one labeled-as-match question infers it, so
 The function is increasing and submodular (Theorem 2), so lazy greedy
 selection gives a (1 − 1/e) approximation.
 
+Greedy takes the candidates grouped into bands of equal initial gain
+(:func:`gain_bands`), which :class:`repro.core.pipeline.LoopState` keeps
+across loops, and pushes a band onto its heap only when the selection
+reaches the band's gain, not every askable question each loop.
+
 The MaxInf and MaxPr heuristics from the Figure 5 ablation are also
 provided.
 """
@@ -15,10 +20,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 Pair = tuple[str, str]
 InferredSets = Mapping[Pair, Mapping[Pair, float]]
+GainBands = Mapping[float, Collection[Pair]]
 
 
 def benefit(
@@ -58,22 +64,42 @@ def initial_gains(
     return gains
 
 
+def gain_bands(gains: Mapping[Pair, float]) -> dict[float, set[Pair]]:
+    """Group questions by their exact initial gain: greedy's input."""
+    bands: dict[float, set[Pair]] = {}
+    for question, gain in gains.items():
+        bands.setdefault(gain, set()).add(question)
+    return bands
+
+
 def greedy_question_selection(
-    gains: Mapping[Pair, float],
+    bands: GainBands,
     inferred: InferredSets,
     priors: Mapping[Pair, float],
     mu: int,
 ) -> list[Pair]:
     """Algorithm 3: lazy greedy maximization of the benefit function.
 
-    ``gains`` maps each candidate question to its initial gain
-    (:func:`initial_gains`).  A max-heap holds stale upper bounds on each
-    question's marginal gain; submodularity guarantees a recomputed gain
-    that still tops the heap is exact, so most candidates are never
-    re-evaluated.  Selection stops at ``mu`` questions or when no
-    candidate has positive gain.  The heap entries ``(-gain, question)``
-    are totally ordered, so the batch does not depend on the order of
-    ``gains``.
+    ``bands`` maps each initial gain (:func:`initial_gains`) to the
+    candidate questions that have exactly that gain (:func:`gain_bands`).
+    A max-heap holds stale upper bounds on each question's marginal gain;
+    submodularity guarantees a recomputed gain that still tops the heap
+    is exact, so most candidates are never re-evaluated.  A band enters
+    the heap only while the heap is empty or the band's gain is at least
+    the heap's best bound, so every pop, tie and stale re-push sees the
+    same heap top as one heap of all candidates would, and a band the
+    selection never reaches is never pushed.  The heap entries ``(-gain,
+    question)`` are totally ordered, so the batch does not depend on the
+    order of ``bands`` or of a band.
+
+    Selection stops at ``mu`` questions, when the candidates run out, or
+    at the first popped question whose recomputed gain is not positive.
+    That last stop does not mean no candidate has positive gain: the
+    popped question's gain is zero once the picks resolve its whole
+    inferred set with probability 1 (picks with prior 1 that cover it,
+    say), while a question with a lower bound may still infer pairs no
+    pick covers.  A batch can therefore hold fewer than ``mu`` questions
+    although more would add benefit.
     """
     if mu < 1:
         raise ValueError("mu must be positive")
@@ -89,18 +115,32 @@ def greedy_question_selection(
             for pair in inferred.get(question, ())
         )
 
-    heap = [(-gain, question) for question, gain in gains.items() if gain > 0.0]
-    heapq.heapify(heap)
+    order = sorted((gain for gain in bands if gain > 0.0), reverse=True)
+    heap: list[tuple[float, Pair]] = []
+    admitted = 0
+
+    def admit() -> None:
+        """Push every band whose gain reaches the heap's best bound."""
+        nonlocal admitted
+        while admitted < len(order) and (not heap or order[admitted] >= -heap[0][0]):
+            gain = order[admitted]
+            for question in bands[gain]:
+                heapq.heappush(heap, (-gain, question))
+            admitted += 1
 
     selected: list[Pair] = []
     chosen: set[Pair] = set()
-    while heap and len(selected) < mu:
+    while len(selected) < mu:
+        admit()
+        if not heap:
+            break
         neg_gain, question = heapq.heappop(heap)
         if question in chosen:
             continue
         gain = marginal_gain(question)
         if gain <= 0.0:
             break
+        admit()
         if heap and gain < -heap[0][0] - 1e-12:
             heapq.heappush(heap, (-gain, question))  # stale bound; retry later
             continue

@@ -19,7 +19,7 @@ from repro.core.discovery import inferred_sets
 from repro.core.er_graph import build_er_graph
 from repro.core.propagation import build_probabilistic_graph
 from repro.core.pruning import partial_order_pruning
-from repro.core.selection import greedy_question_selection, initial_gains
+from repro.core.selection import gain_bands, greedy_question_selection, initial_gains
 from repro.core.vectors import VectorIndex
 from repro.experiments.common import ExperimentResult, load
 
@@ -64,8 +64,8 @@ def run(
         alg2 = time.perf_counter() - start
 
         start = time.perf_counter()
-        gains = initial_gains(sources, sets, priors)
-        greedy_question_selection(gains, sets, priors, config.mu)
+        bands = gain_bands(initial_gains(sources, sets, priors))
+        greedy_question_selection(bands, sets, priors, config.mu)
         alg3 = time.perf_counter() - start
 
         rows.append(

@@ -128,11 +128,12 @@ class RunScope:
     def absorb(self, doc: dict) -> None:
         """Fold a child scope's :meth:`export` document into this one.
 
-        Timings, spans, metrics and profile all fold in: a pool worker
-        ships its shard scope's export whole.
+        Timings, spans (with the child's count of dropped spans),
+        metrics and profile all fold in: a pool worker ships its shard
+        scope's export whole.
         """
         self.timings.merge(doc["timings"])
-        self.tracer.add_spans(doc["trace"])
+        self.tracer.add_spans(doc["trace"], doc.get("trace_dropped", 0))
         self.metrics.merge(doc["metrics"])
         profile = doc.get("profile")
         if profile and profile.get("samples"):

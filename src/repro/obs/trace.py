@@ -121,8 +121,11 @@ class Tracer:
         self._append(span)
 
     # ------------------------------------------------------------------
-    def add_spans(self, spans: list[dict]) -> None:
-        """Absorb a child tracer's exported spans (shard workers)."""
+    def add_spans(self, spans: list[dict], dropped: int) -> None:
+        """Absorb a child tracer's exported spans (shard workers) and the
+        count of spans its cap dropped, so those stay counted here."""
+        with self._lock:
+            self.dropped += dropped
         for span in spans:
             self._append(dict(span))
 

@@ -18,9 +18,10 @@ claim four ways:
 * per-round identity: after every incremental propagate, the inferred
   sets equal a from-scratch reference rebuild of the same state, the
   kept propagation inputs equal those rebuilt from the resolution sets,
-  the Eq. 12 restricted sets and the askable questions' initial gains
-  kept across loops equal a from-scratch filter and sum, and greedy
-  picks the reference greedy's batch.
+  the Eq. 12 restricted sets, the askable questions' initial gains and
+  their gain bands kept across loops equal a from-scratch filter, sum
+  and grouping, each label's kept shape counts equal a recount of its
+  observations, and greedy picks the reference greedy's batch.
 """
 
 import functools
@@ -53,12 +54,14 @@ from repro.accel.reference import (
 from repro.core import Remp, RempConfig
 from repro.core.attributes import AttributeMatch
 from repro.core.candidates import _token_index
+from repro.core.consistency import shape_counts
 from repro.core.hybrid import _HybridLoopState
 from repro.core.pipeline import LoopState, parse_state_doc
 from repro.core.truth import TruthInferenceResult
 from repro.core.er_graph import build_er_graph
 from repro.core.isolated import build_signatures
 from repro.core.propagation import _marginals_exact, _odds
+from repro.core.selection import gain_bands
 from repro.kb.model import KnowledgeBase
 from repro.core.pruning import partial_order_pruning, pruning_error_rate
 from repro.core.vectors import VectorIndex
@@ -318,15 +321,18 @@ class _CheckedLoopState(LoopState):
     give the same inferred sets, in content and in per-source iteration
     order.  Before and after each propagate, the kept effective priors
     and source set must equal those rebuilt from the resolution sets.
-    The restricted sets this state keeps across loops must equal
+    After each propagate, each label's shape counts kept by the
+    propagator must equal a recount of its observations.  The
+    restricted sets this state keeps across loops must equal
     :class:`RebuildLoopState`'s from-scratch filter of those inferred
     sets, in content and in per-set order, and the askable questions'
     kept initial gains its from-scratch ones, whenever they are asked
-    for.  Each round's consistency records are kept so the test can tell
-    which re-estimation cases the run went through, and the kept sets
-    that lost pairs (``pruned``) and the sets rebuilt from a map new
-    this round (``rebuilt``) are counted, so a test can tell which
-    restricted-set paths it went through.
+    for.  Then, and after every restore, the kept gain bands must equal
+    the askable gains regrouped.  Each round's consistency records are
+    kept so the test can tell which re-estimation cases the run went
+    through, and the kept sets that lost pairs (``pruned``) and the sets
+    rebuilt from a map new this round (``rebuilt``) are counted, so a
+    test can tell which restricted-set paths it went through.
     """
 
     def __init__(self, state, config):
@@ -347,7 +353,12 @@ class _CheckedLoopState(LoopState):
             reference.propagate(kb1, kb2)
         assert _ordered(self._inferred_sets) == _ordered(reference._inferred_sets)
         if self._propagator is not None:
+            _assert_kept_shapes(self._propagator)
             self.rounds.append(dict(self._propagator._consistencies))
+
+    def restore(self, priors, sets):
+        super().restore(priors, sets)
+        _assert_kept_bands(self)
 
     def restricted_inferred_sets(self):
         fresh = set(self._fresh)
@@ -367,8 +378,24 @@ class _CheckedLoopState(LoopState):
 
     def askable_questions(self, restricted):
         askable = super().askable_questions(restricted)
-        assert askable == RebuildLoopState.askable_questions(self, restricted)
+        assert askable == self._askable_gains(restricted, restricted)
+        _assert_kept_bands(self)
         return askable
+
+
+def _assert_kept_bands(loop_state: LoopState) -> None:
+    """The kept gain bands equal the askable gains regrouped."""
+    assert loop_state.askable_bands == gain_bands(loop_state._askable)
+
+
+def _assert_kept_shapes(propagator: IncrementalPropagator) -> None:
+    """Each label's kept shape counts equal a recount of its observations.
+
+    Compared as plain dicts: ``Counter`` equality would take a shape
+    left at count zero for an absent one.
+    """
+    for label, observations in propagator._observations.items():
+        assert dict(propagator._shapes[label]) == dict(shape_counts(observations.values()))
 
 
 def _assert_kept_inputs(loop_state: LoopState) -> None:

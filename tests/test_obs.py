@@ -76,7 +76,7 @@ class TestTracer:
         parent = Tracer("run-5", enabled=True)
         child = Tracer("run-5", shard_id=0, enabled=True)
         child.event("child-work")
-        parent.add_spans(child.spans())
+        parent.add_spans(child.spans(), child.dropped)
         (span,) = parent.spans()
         assert span["shard_id"] == 0
 
@@ -219,6 +219,24 @@ class TestRunScope:
         assert parent.metrics.counter("shard.work") == 3
         assert parent.tracer.spans()[0]["shard_id"] == 1
         assert parent.timings.snapshot()["shard.stage"][1] == 1
+
+    def test_absorb_keeps_child_dropped_spans_counted(self, monkeypatch):
+        """A child's spans dropped at the cap stay counted in the parent."""
+        monkeypatch.setattr("repro.obs.trace.MAX_SPANS", 2)
+        parent = RunScope("p", trace=True)
+        child = RunScope("p", shard_id=1, trace=True)
+        with child.activate():
+            for _ in range(5):
+                obs_runtime.event("shard.mark")
+        with parent.activate():
+            obs_runtime.event("parent.mark")
+            obs_runtime.absorb(child.export())
+        # The child dropped 3 of its 5 spans; the parent kept its own
+        # span and one of the child's 2, and dropped the other.
+        assert child.export()["trace_dropped"] == 3
+        doc = parent.export()
+        assert len(doc["trace"]) == 2
+        assert doc["trace_dropped"] == 3 + 1
 
 
 def _export(service, run_id, root):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.accel.reference import greedy_question_selection as reference_greedy
 from repro.core.selection import (
     benefit,
+    gain_bands,
     greedy_question_selection,
     initial_gains,
     max_inference_selection,
@@ -21,9 +22,9 @@ def _sets(mapping):
 
 
 def _greedy(questions, inferred, priors, mu):
-    """Greedy from the questions' initial gains, as the loop hands them over."""
+    """Greedy from the questions' gain bands, as the loop hands them over."""
     return greedy_question_selection(
-        initial_gains(questions, inferred, priors), inferred, priors, mu
+        gain_bands(initial_gains(questions, inferred, priors)), inferred, priors, mu
     )
 
 
@@ -176,19 +177,49 @@ def _tied_selection_inputs(draw):
         {"q0": 0.1, "q1": 0.25},
     )
 )
+# After q0, q2's bound 2.0 goes stale at 1.0: the heap empties, the band
+# {q3} (1.5) enters, and q2 goes back at exactly the gain of the band
+# {q1} not yet admitted; q1 < q2 must then be picked first.
+@example(
+    (
+        ["q0", "q1", "q2", "q3"],
+        {
+            "q0": {f"p{i}": 0.0 for i in range(4)},
+            "q1": {"p4": 0.0, "p5": 0.0},
+            "q2": {f"p{i}": 0.0 for i in range(4)},
+            "q3": {"p6": 0.0, "p7": 0.0, "p8": 0.0},
+        },
+        {"q0": 0.5, "q1": 0.5, "q2": 0.5, "q3": 0.5},
+    )
+)
+# Popping q1 empties the heap before the last band {q2} (1.5) enters,
+# and q1's stale bound must be tested against it.
+@example(
+    (
+        ["q0", "q1", "q2"],
+        {
+            "q0": {f"p{i}": 0.0 for i in range(4)},
+            "q1": {f"p{i}": 0.0 for i in range(4)},
+            "q2": {"p4": 0.0, "p5": 0.0, "p6": 0.0},
+        },
+        {"q0": 0.5, "q1": 0.5, "q2": 0.5},
+    )
+)
 def test_greedy_matches_reference_greedy(inputs):
-    """Greedy from the memoized initial gains picks the reference greedy's batch.
+    """Greedy from the gain bands picks the reference greedy's batch.
 
-    Reversing the gains' order changes nothing: the heap entries are
+    The reference pushes every candidate onto one heap; greedy admits a
+    band only once the heap's best bound falls to the band's gain.
+    Reversing the bands' order changes nothing: the heap entries are
     totally ordered.
     """
     questions, inferred, priors = inputs
-    gains = initial_gains(questions, inferred, priors)
-    reversed_gains = dict(reversed(gains.items()))
+    bands = gain_bands(initial_gains(questions, inferred, priors))
+    reversed_bands = {gain: set(bands[gain]) for gain in reversed(bands)}
     for mu in range(1, len(questions) + 3):
-        expected = reference_greedy(questions, inferred, priors, mu)
-        assert greedy_question_selection(gains, inferred, priors, mu) == expected
-        assert greedy_question_selection(reversed_gains, inferred, priors, mu) == expected
+        expected = reference_greedy(bands, inferred, priors, mu)
+        assert greedy_question_selection(bands, inferred, priors, mu) == expected
+        assert greedy_question_selection(reversed_bands, inferred, priors, mu) == expected
 
 
 class TestHeuristics:
