@@ -9,7 +9,8 @@ module under :mod:`repro` imports this one.
   vector, one O(|B|²·d) loop (pins
   :class:`repro.accel.dominance.PackedVectors`);
 * :func:`er_graph_groups` — Definition 2's value-set-product ER-graph
-  construction (pins :func:`repro.accel.er_graph.accel_groups`);
+  construction, :func:`repro.core.er_graph.vertex_groups` per vertex
+  (pins :func:`repro.accel.er_graph.accel_groups`);
 * :func:`signatures` — the per-pair attribute-signature loop (pins
   :func:`repro.accel.candidates.intern_signatures`);
 * :func:`exact_marginal_map` — Eq. 9's unmemoized permanent recursion
@@ -28,7 +29,8 @@ module under :mod:`repro` imports this one.
   (pins :class:`repro.accel.propagation.IncrementalPropagator` and the
   restricted sets, askable gains and gain bands
   :class:`repro.core.pipeline.LoopState` keeps across loops), reached
-  through the ``Remp._make_loop_state`` seam;
+  through the ``Remp._make_loop_state`` seam; the only full rebuild, as
+  the product loop always propagates incrementally;
 * :func:`greedy_question_selection` — Algorithm 3's lazy greedy over
   one heap of every candidate, each initial gain summed afresh (pins
   the stored gain bands
@@ -57,10 +59,17 @@ import repro.core.pruning
 import repro.core.vectors
 from repro.accel.dominance import _any_dominator_python
 from repro.accel.marginals import MatchingPlan, matching_plan
-from repro.core.consistency import Consistency, _best_latent, _Observation
-from repro.core.er_graph import INVERSE_PREFIX
+from repro.core.consistency import (
+    Consistency,
+    _best_latent,
+    _Observation,
+    estimate_all_consistencies,
+)
+from repro.core.discovery import dijkstra_inferred_sets
+from repro.core.er_graph import vertex_groups
 from repro.core.isolated import Signature, attribute_signature
 from repro.core.pipeline import LoopState, Remp
+from repro.core.propagation import build_probabilistic_graph
 from repro.core.selection import GainBands, gain_bands
 from repro.kb.model import KnowledgeBase
 from repro.obs import runtime as obs
@@ -107,24 +116,7 @@ def er_graph_groups(
     """Probe every cell of each vertex's value-set product against ``vertices``."""
     groups: dict[Pair, dict[RelPair, set[Pair]]] = {}
     for vertex in vertices:
-        entity1, entity2 = vertex
-        by_label: dict[RelPair, set[Pair]] = {}
-        directions = (
-            (kb1.entity_relations(entity1), kb2.entity_relations(entity2), ""),
-            (
-                kb1.entity_inverse_relations(entity1),
-                kb2.entity_inverse_relations(entity2),
-                INVERSE_PREFIX,
-            ),
-        )
-        for rels1, rels2, prefix in directions:
-            for r1, targets1 in rels1.items():
-                for r2, targets2 in rels2.items():
-                    members = {
-                        (t1, t2) for t1 in targets1 for t2 in targets2 if (t1, t2) in vertices
-                    }
-                    if members:
-                        by_label[(prefix + r1, prefix + r2)] = members
+        by_label = vertex_groups(kb1, kb2, vertex, vertices)
         if by_label:
             groups[vertex] = by_label
     return groups
@@ -264,15 +256,35 @@ class RebuildLoopState(LoopState):
     """A loop state that never uses the incremental propagator.
 
     Every propagate re-estimates all consistencies, rebuilds the whole
-    probabilistic graph and reruns discovery from every source — the
-    path ``LoopState`` takes for the Floyd–Warshall config, here also
-    under ``use_dijkstra`` — and every loop filters each restricted set
-    afresh from its inferred map, sums every askable question's initial
-    gain afresh and groups the gains into bands afresh.
+    probabilistic graph and reruns Dijkstra from every source, from the
+    kept inputs the product path also reads, and every loop filters each
+    restricted set afresh from its inferred map, sums every askable
+    question's initial gain afresh and groups the gains into bands
+    afresh.
     """
 
-    def _infer_incremental(self, kb1, kb2):
-        return self._infer_rebuild(kb1, kb2)
+    def _infer_incremental(self, kb1, kb2) -> dict[Pair, dict[Pair, float]]:
+        """Every source's map, from a from-scratch probabilistic graph."""
+        config = self.config
+        labels = {
+            label
+            for by_label in self.state.graph.groups.values()
+            for label in by_label
+        }
+        consistencies = estimate_all_consistencies(
+            kb1,
+            kb2,
+            labels,
+            self._estimation_matches(),
+            min_support=config.min_consistency_support,
+            epsilon_default=config.epsilon_default,
+            epsilon_floor=config.epsilon_floor,
+            epsilon_ceiling=config.epsilon_ceiling,
+        )
+        prob_graph = build_probabilistic_graph(
+            self.state.graph, kb1, kb2, self._effective, consistencies, config
+        )
+        return dijkstra_inferred_sets(prob_graph, self._sources, config.tau)
 
     def restricted_inferred_sets(self) -> dict[Pair, dict[Pair, float]]:
         unresolved = self._unresolved

@@ -56,7 +56,8 @@ def vector_with_prior(state: PreparedState, pair: Pair) -> tuple[float, ...]:
     """The shared feature map of a pair.
 
     The pipeline's similarity vectors already lead with the label prior
-    (see ``Remp.prepare``), so this is the vector itself; the name records
-    the contract that callers get label + attribute similarities.
+    (:func:`repro.core.vectors.lead_with_prior`), so this is the vector
+    itself; the name records the contract that callers get label +
+    attribute similarities.
     """
     return state.vector_index.vectors[pair]

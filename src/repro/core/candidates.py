@@ -37,6 +37,21 @@ class CandidateSet:
     def prior(self, pair: Pair) -> float:
         return self.priors.get(pair, 0.0)
 
+    def add_exact_label_pair(
+        self, pair: Pair, tokens1: dict[str, frozenset[str]], tokens2: dict[str, frozenset[str]]
+    ) -> None:
+        """Put ``pair``, whose entities share an identical raw label, in ``M_in``.
+
+        A pair blocking never saw, because a side normalizes to no tokens
+        (``tokens1``/``tokens2`` are the token-set maps), enters with prior 1.0.
+        """
+        if pair in self.pairs:
+            self.initial_matches.add(pair)
+        elif pair[0] not in tokens1 or pair[1] not in tokens2:
+            self.pairs.add(pair)
+            self.priors[pair] = 1.0
+            self.initial_matches.add(pair)
+
 
 def _token_index(kb: KnowledgeBase) -> tuple[dict[str, frozenset[str]], dict[str, set[str]]]:
     """Normalize every labeled entity; return token sets and inverted index."""
@@ -64,6 +79,31 @@ def _labels_index(kb: KnowledgeBase) -> dict[str, set[str]]:
     return labels
 
 
+def score_row(
+    tokens: frozenset[str],
+    other_tokens: dict[str, frozenset[str]],
+    other_inverted: dict[str, set[str]],
+    threshold: float,
+) -> dict[str, float]:
+    """Jaccard scores of one entity's tokens against the other KB's entities.
+
+    Integer ``|T1 ∩ T2|`` counts off the postings and one float division
+    (``|T1 ∪ T2| = |T1| + |T2| − |T1 ∩ T2|``), so a row scored from
+    either side is bit-equal.  Scores below ``threshold`` are left out.
+    """
+    intersections: dict[str, int] = {}
+    for token in tokens:
+        for other in other_inverted.get(token, ()):
+            intersections[other] = intersections.get(other, 0) + 1
+    size = len(tokens)
+    row: dict[str, float] = {}
+    for other, shared in intersections.items():
+        sim = shared / (size + len(other_tokens[other]) - shared)
+        if sim >= threshold:
+            row[other] = sim
+    return row
+
+
 def generate_candidates(
     kb1: KnowledgeBase,
     kb2: KnowledgeBase,
@@ -79,10 +119,9 @@ def generate_candidates(
     normalizes to an *empty* token set (all-punctuation or non-Latin
     labels), which token-based blocking alone would silently drop.
 
-    The Jaccard scores are accumulated straight off the inverted index:
-    one pass over an entity's postings counts ``|T1 ∩ T2|`` per partner,
-    and ``|T1 ∪ T2| = |T1| + |T2| − |T1 ∩ T2|`` finishes the coefficient
-    without materializing a set intersection/union per candidate pair.
+    The Jaccard scores are accumulated straight off the inverted index
+    (:func:`score_row` per entity, or the vectorized
+    :func:`repro.accel.candidates.score_candidates` above its cutoff).
     """
     with obs.timed("candidates.token_index"):
         tokens1, _ = _token_index(kb1)
@@ -97,28 +136,13 @@ def generate_candidates(
             result.priors.update(scored)
         else:
             for entity1, tset1 in tokens1.items():
-                intersections: dict[str, int] = {}
-                for token in tset1:
-                    for entity2 in inverted2.get(token, ()):
-                        intersections[entity2] = intersections.get(entity2, 0) + 1
-                size1 = len(tset1)
-                for entity2, shared in intersections.items():
-                    sim = shared / (size1 + len(tokens2[entity2]) - shared)
-                    if sim >= threshold:
-                        pair = (entity1, entity2)
-                        result.pairs.add(pair)
-                        result.priors[pair] = sim
+                for entity2, sim in score_row(tset1, tokens2, inverted2, threshold).items():
+                    pair = (entity1, entity2)
+                    result.pairs.add(pair)
+                    result.priors[pair] = sim
 
     for entity1 in kb1.entities:
         for label in kb1.labels(entity1):
             for entity2 in labels2.get(label, ()):
-                pair = (entity1, entity2)
-                if pair in result.pairs:
-                    result.initial_matches.add(pair)
-                elif entity1 not in tokens1 or entity2 not in tokens2:
-                    # Identical raw labels that blocking never saw: at
-                    # least one side normalizes to no tokens at all.
-                    result.pairs.add(pair)
-                    result.priors[pair] = 1.0
-                    result.initial_matches.add(pair)
+                result.add_exact_label_pair((entity1, entity2), tokens1, tokens2)
     return result

@@ -4,6 +4,9 @@ Section VIII, Setup: "we uniformly assign k = 4, τ = 0.9 and µ = 10, and use
 0.3 as the label similarity threshold"; Section IV-C sets the literal
 threshold to 0.9; Section VII-A uses posterior thresholds 0.8 / 0.2 and five
 workers per question.
+
+Inferred sets are always found by ζ-bounded Dijkstra, which gives the
+same sets as the paper's Floyd–Warshall (:mod:`repro.core.discovery`).
 """
 
 from __future__ import annotations
@@ -59,9 +62,6 @@ class RempConfig:
     #: When a pair is resolved as a match, resolve all competing candidate
     #: pairs sharing an entity as non-matches (the 1:1 ER assumption).
     enforce_one_to_one: bool = True
-    #: Use Dijkstra (True) or the paper's modified Floyd–Warshall (False)
-    #: for inferred-match-set discovery; both compute the same sets.
-    use_dijkstra: bool = True
     #: Prior probability assigned to pairs whose label similarity is unknown.
     default_prior: float = 0.5
 

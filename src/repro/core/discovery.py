@@ -5,14 +5,18 @@ propagation probability Pr[m_p | m_q] is ``exp(−dist(q, p))`` for the
 shortest path distance, and the inferral condition Pr ≥ τ becomes
 ``dist(q, p) ≤ ζ = −log τ``.
 
-Two interchangeable implementations are provided:
+Two implementations compute the same sets:
 
 * :func:`dijkstra_inferred_sets` — a ζ-bounded Dijkstra from every source,
-  asymptotically better on the sparse graphs propagation produces (default).
+  asymptotically better on the sparse graphs propagation produces.  The
+  loop runs it source by source through
+  :class:`repro.accel.propagation.IncrementalPropagator`.
 * :func:`floyd_warshall_inferred_sets` — the paper's modified
   Floyd–Warshall (Algorithm 2), maintaining per-vertex distance maps (the
   paper's "binary trees" are ordered maps; Python dicts give the same
-  operations) and only iterating over the ζ-bounded neighborhoods.
+  operations) and only iterating over the ζ-bounded neighborhoods.  No
+  product path runs it; the tests and the ablation bench hold Dijkstra's
+  sets to it.
 
 Both return, for every candidate question ``q``, the map from inferred
 pairs to their distances.
@@ -139,15 +143,3 @@ def floyd_warshall_inferred_sets(
         distances[source] = 0.0
         result[source] = distances
     return result
-
-
-def inferred_sets(
-    graph: ProbabilisticERGraph,
-    sources: Iterable[Pair],
-    tau: float,
-    use_dijkstra: bool = True,
-) -> dict[Pair, DistanceMap]:
-    """Dispatch between the two equivalent discovery implementations."""
-    if use_dijkstra:
-        return dijkstra_inferred_sets(graph, sources, tau)
-    return floyd_warshall_inferred_sets(graph, sources, tau)

@@ -143,6 +143,37 @@ class ERGraph:
         return sub
 
 
+def vertex_groups(
+    kb1: KnowledgeBase, kb2: KnowledgeBase, vertex: Pair, vertices
+) -> dict[RelPair, set[Pair]]:
+    """One vertex's neighbor groups over ``vertices`` (Definition 2).
+
+    Probes each value-set product cell by cell, in the label order of
+    :func:`repro.accel.er_graph.accel_groups`.  That kernel builds whole
+    graphs; this serves the few vertices a stream splice rebuilds, where
+    snapshotting both KBs' adjacency per call would cost more.
+    """
+    entity1, entity2 = vertex
+    by_label: dict[RelPair, set[Pair]] = {}
+    directions = (
+        (kb1.entity_relations(entity1), kb2.entity_relations(entity2), ""),
+        (
+            kb1.entity_inverse_relations(entity1),
+            kb2.entity_inverse_relations(entity2),
+            INVERSE_PREFIX,
+        ),
+    )
+    for rels1, rels2, prefix in directions:
+        for r1, targets1 in rels1.items():
+            for r2, targets2 in rels2.items():
+                members = {
+                    (t1, t2) for t1 in targets1 for t2 in targets2 if (t1, t2) in vertices
+                }
+                if members:
+                    by_label[(prefix + r1, prefix + r2)] = members
+    return by_label
+
+
 def build_er_graph(
     kb1: KnowledgeBase,
     kb2: KnowledgeBase,

@@ -28,11 +28,8 @@ from repro.obs import runtime as obs
 from repro.core.attributes import AttributeMatch, match_attributes
 from repro.core.candidates import CandidateSet, generate_candidates
 from repro.core.config import RempConfig
-from repro.core.consistency import estimate_all_consistencies
-from repro.core.discovery import inferred_sets
 from repro.core.er_graph import ERGraph, build_er_graph
 from repro.core.isolated import IsolatedPairClassifier, Signature, build_signatures
-from repro.core.propagation import build_probabilistic_graph
 from repro.core.pruning import partial_order_pruning
 from repro.core.selection import (
     greedy_question_selection,
@@ -41,7 +38,7 @@ from repro.core.selection import (
     max_probability_selection,
 )
 from repro.core.truth import infer_truths
-from repro.core.vectors import VectorIndex, build_similarity_vectors
+from repro.core.vectors import VectorIndex, build_similarity_vectors, lead_with_prior
 from repro.crowd.platform import CrowdPlatform
 from repro.kb.model import KnowledgeBase
 
@@ -206,17 +203,12 @@ class Remp:
                 literal_threshold=config.literal_threshold,
             )
         with obs.timed("prepare.vectors"):
-            vectors = build_similarity_vectors(
-                kb1, kb2, candidates.pairs, attribute_matches, config.literal_threshold
+            vectors = lead_with_prior(
+                build_similarity_vectors(
+                    kb1, kb2, candidates.pairs, attribute_matches, config.literal_threshold
+                ),
+                candidates.priors,
             )
-            # The label similarity (= the prior) leads every vector: rdfs:label
-            # is itself an attribute match, and it is the finest-grained
-            # component, which keeps the partial order discriminative even when
-            # the other attributes produce mostly 0/1 similarities.
-            vectors = {
-                pair: (candidates.priors.get(pair, 0.0),) + vector
-                for pair, vector in vectors.items()
-            }
         index = VectorIndex(vectors)
         with obs.timed("prepare.pruning"):
             retained = partial_order_pruning(candidates.pairs, index, config.k)
@@ -508,7 +500,7 @@ class LoopState:
 
     def _clear_derived(self) -> None:
         """Forget the derived state; the next :meth:`propagate` rebuilds it."""
-        #: Dijkstra discovery only: derived propagation state across loops.
+        #: Derived propagation state across loops.
         self._propagator: IncrementalPropagator | None = None
         #: Propagation's kept inputs: each pair's effective prior (0.99 /
         #: 0.01 once resolved, else its prior), with the value each pair
@@ -682,28 +674,22 @@ class LoopState:
     def propagate(self, kb1: KnowledgeBase, kb2: KnowledgeBase) -> None:
         """Rebuild the probabilistic graph and infer from labeled matches.
 
-        With Dijkstra discovery (the default), the rebuild is
-        *incremental*: an :class:`IncrementalPropagator` takes the kept
-        inputs' changes (the estimation matches added, the pairs whose
-        effective prior moved, the sources that entered), re-estimates
-        only labels whose observations moved, recomputes only neighbor
-        groups containing a moved pair (or whose label's γ changed), and
-        re-runs Dijkstra only from sources whose ζ-reachable region
-        intersects the changed vertices.  It returns only the maps that
-        are new this round.  The paper's Floyd–Warshall config
-        (``use_dijkstra=False``) takes the full rebuild every loop, from
-        the same kept inputs.  The two produce identical inferred sets
-        (identical map contents *and* iteration order); the equivalence
-        oracles run the full rebuild under Dijkstra too
-        (:class:`repro.accel.reference.RebuildLoopState`).
+        The rebuild is *incremental*: an :class:`IncrementalPropagator`
+        takes the kept inputs' changes (the estimation matches added,
+        the pairs whose effective prior moved, the sources that
+        entered), re-estimates only labels whose observations moved,
+        recomputes only neighbor groups containing a moved pair (or
+        whose label's γ changed), and re-runs Dijkstra only from sources
+        whose ζ-reachable region intersects the changed vertices.  It
+        returns only the maps that are new this round.  The equivalence
+        oracles hold it to a full rebuild from the same kept inputs
+        (:class:`repro.accel.reference.RebuildLoopState`): identical
+        inferred sets, in map contents *and* iteration order.
         """
         with obs.timed("loop.propagate"):
             if self._effective is None:
                 self._prime()
-            infer = (
-                self._infer_incremental if self.config.use_dijkstra else self._infer_rebuild
-            )
-            fresh = infer(kb1, kb2)
+            fresh = self._infer_incremental(kb1, kb2)
             self._was, self._entered, self._new_matches = {}, set(), set()
             self._inferred_sets.update(fresh)
             self._fresh.update(fresh)
@@ -752,29 +738,6 @@ class LoopState:
         return self._propagator.update(
             effective, moved, consistencies, self._sources, self._entered
         )
-
-    def _infer_rebuild(self, kb1, kb2) -> dict[Pair, dict[Pair, float]]:
-        """Every source's map, from a from-scratch probabilistic graph."""
-        config = self.config
-        labels = {
-            label
-            for by_label in self.state.graph.groups.values()
-            for label in by_label
-        }
-        consistencies = estimate_all_consistencies(
-            kb1,
-            kb2,
-            labels,
-            self._estimation_matches(),
-            min_support=config.min_consistency_support,
-            epsilon_default=config.epsilon_default,
-            epsilon_floor=config.epsilon_floor,
-            epsilon_ceiling=config.epsilon_ceiling,
-        )
-        prob_graph = build_probabilistic_graph(
-            self.state.graph, kb1, kb2, self._effective, consistencies, config
-        )
-        return inferred_sets(prob_graph, self._sources, config.tau, config.use_dijkstra)
 
     # -- question candidates -------------------------------------------
     def restricted_inferred_sets(self) -> dict[Pair, dict[Pair, float]]:

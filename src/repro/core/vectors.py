@@ -54,6 +54,18 @@ def build_similarity_vectors(
     return vectors
 
 
+def lead_with_prior(
+    vectors: dict[Pair, Vector], priors: dict[Pair, float]
+) -> dict[Pair, Vector]:
+    """Prepend each pair's label similarity (its prior; 0.0 when absent).
+
+    rdfs:label is itself an attribute match, and it is the finest-grained
+    component, which keeps the partial order discriminative even when
+    the other attributes produce mostly 0/1 similarities.
+    """
+    return {pair: (priors.get(pair, 0.0),) + vector for pair, vector in vectors.items()}
+
+
 def dominates(s: Vector, t: Vector) -> bool:
     """``s ⪰ t``: every component of ``s`` at least matches ``t``."""
     return all(x >= y for x, y in zip(s, t))

@@ -15,7 +15,7 @@ import time
 
 from repro.core import Remp, RempConfig
 from repro.core.consistency import estimate_all_consistencies
-from repro.core.discovery import inferred_sets
+from repro.core.discovery import dijkstra_inferred_sets
 from repro.core.er_graph import build_er_graph
 from repro.core.propagation import build_probabilistic_graph
 from repro.core.pruning import partial_order_pruning
@@ -60,7 +60,7 @@ def run(
         )
         sources = [p for p in sorted(sample_r) if graph.groups.get(p)]
         start = time.perf_counter()
-        sets = inferred_sets(prob_graph, sources, config.tau)
+        sets = dijkstra_inferred_sets(prob_graph, sources, config.tau)
         alg2 = time.perf_counter() - start
 
         start = time.perf_counter()

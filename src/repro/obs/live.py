@@ -22,7 +22,7 @@ events — they are operational, like counters).
 
 from __future__ import annotations
 
-#: Event kinds that mean a shard will do no further work (mirrors
+#: Event kinds that mean a shard will do no further work (also read by
 #: :mod:`repro.partition.progress`).
 SHARD_TERMINAL = ("finished", "restored", "failed", "quarantined")
 

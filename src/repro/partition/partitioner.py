@@ -72,6 +72,17 @@ class UnionFind:
                 root_a, root_b = root_b, root_a
             self._parent[root_b] = root_a
 
+    def union_shared_entities(self, pairs) -> None:
+        """Add ``pairs``, linking every two that share their KB1 or KB2 entity."""
+        by_left: dict[str, Pair] = {}
+        by_right: dict[str, Pair] = {}
+        for pair in pairs:
+            self.find(pair)
+            for key, bucket in ((pair[0], by_left), (pair[1], by_right)):
+                anchor = bucket.setdefault(key, pair)
+                if anchor != pair:
+                    self.union(anchor, pair)
+
 
 def entity_closure_components(state: PreparedState) -> list[set[Pair]]:
     """Partition the retained pairs into loop-independent groups.
@@ -82,14 +93,7 @@ def entity_closure_components(state: PreparedState) -> list[set[Pair]]:
     follows edges, competitor demotion follows shared entities.
     """
     uf = UnionFind()
-    by_left: dict[str, Pair] = {}
-    by_right: dict[str, Pair] = {}
-    for pair in state.retained:
-        uf.find(pair)
-        for key, bucket in ((pair[0], by_left), (pair[1], by_right)):
-            anchor = bucket.setdefault(key, pair)
-            if anchor != pair:
-                uf.union(anchor, pair)
+    uf.union_shared_entities(state.retained)
     for vertex, by_label in state.graph.groups.items():
         for members in by_label.values():
             for neighbor in members:

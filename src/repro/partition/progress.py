@@ -13,10 +13,8 @@ from __future__ import annotations
 import sys
 from typing import TextIO
 
+from repro.obs.live import SHARD_TERMINAL
 from repro.partition.runner import ShardEvent
-
-#: Event kinds that mean a shard will do no further work.
-_TERMINAL = ("finished", "restored", "failed", "quarantined")
 
 
 class ShardProgressPrinter:
@@ -42,7 +40,7 @@ class ShardProgressPrinter:
         self._questions[event.shard_id] = max(
             event.questions, self._questions.get(event.shard_id, 0)
         )
-        if event.kind in _TERMINAL:
+        if event.kind in SHARD_TERMINAL:
             self._matches[event.shard_id] = event.matches
         if self.live:
             self.stream.write("\r\x1b[2K" + self.render())
@@ -69,7 +67,7 @@ class ShardProgressPrinter:
     def render(self) -> str:
         """The one-line summary for the current shard states."""
         total = len(self._status)
-        done = sum(1 for s in self._status.values() if s in _TERMINAL)
+        done = sum(1 for s in self._status.values() if s in SHARD_TERMINAL)
         running = total - done
         parts = [f"partitions {done}/{total} done"]
         if running:

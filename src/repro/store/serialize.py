@@ -54,6 +54,10 @@ def config_to_doc(config: RempConfig) -> dict:
 
 
 def config_from_doc(doc: dict) -> RempConfig:
+    """The config a ledger row stores, less the ``use_dijkstra`` switch
+    earlier releases wrote (either value ran the same inferred sets).
+    Any other unknown key still fails, as a corrupt row should."""
+    doc = {key: value for key, value in doc.items() if key != "use_dijkstra"}
     return RempConfig(**doc)
 
 

@@ -23,6 +23,12 @@ inside the regions a delta can actually influence:
   wholesale, and the only clean vertices that can change are those
   relation-adjacent to a pair whose retained status flipped — found via
   the KB neighborhood indexes and rebuilt individually.
+* **Signatures** are recomputed for touched and newly retained pairs.
+
+Each stage calls the code ``Remp.prepare`` runs for it, on the dirty
+region only; only the ER graph is rebuilt per vertex
+(:func:`~repro.core.er_graph.vertex_groups`), since the whole-graph
+kernel snapshots both KBs' adjacency on every call.
 
 The returned ``changed`` set (every pair whose prepared artifacts may
 differ, including removed pairs) is the dirty seed the stream runner
@@ -37,13 +43,13 @@ from dataclasses import dataclass
 from repro.core.attributes import match_attributes
 from repro.obs import runtime as obs
 from repro.obs.logging import get_logger
-from repro.core.candidates import CandidateSet, _labels_index, _token_index
+from repro.core.candidates import CandidateSet, _labels_index, _token_index, score_row
 from repro.core.config import RempConfig
-from repro.core.er_graph import INVERSE_PREFIX, ERGraph
-from repro.core.isolated import attribute_signature
+from repro.core.er_graph import ERGraph, vertex_groups
+from repro.core.isolated import build_signatures
 from repro.core.pipeline import PreparedState, Remp
 from repro.core.pruning import partial_order_pruning
-from repro.core.vectors import VectorIndex, build_similarity_vectors
+from repro.core.vectors import VectorIndex, build_similarity_vectors, lead_with_prior
 from repro.kb.io import kb_pair_fingerprint
 from repro.kb.model import KnowledgeBase
 from repro.partition.partitioner import UnionFind
@@ -97,32 +103,6 @@ def _dirty_entities(
     return dirty1, dirty2
 
 
-def _candidate_row(
-    entity: str,
-    tokens: frozenset[str],
-    other_tokens: dict[str, frozenset[str]],
-    other_inverted: dict[str, set[str]],
-    threshold: float,
-) -> dict[str, float]:
-    """Jaccard scores of one entity against the other KB, off its index.
-
-    The arithmetic mirrors ``generate_candidates`` exactly (integer
-    intersection counts, one float division), so recomputed scores are
-    bit-equal to a from-scratch run's.
-    """
-    intersections: dict[str, int] = {}
-    for token in tokens:
-        for other in other_inverted.get(token, ()):
-            intersections[other] = intersections.get(other, 0) + 1
-    size = len(tokens)
-    row: dict[str, float] = {}
-    for other, shared in intersections.items():
-        sim = shared / (size + len(other_tokens[other]) - shared)
-        if sim >= threshold:
-            row[other] = sim
-    return row
-
-
 def _splice_candidates(
     old: CandidateSet,
     kb1: KnowledgeBase,
@@ -136,52 +116,36 @@ def _splice_candidates(
     tokens2, inverted2 = _token_index(kb2)
 
     pairs = {p for p in old.pairs if p[0] not in dirty1 and p[1] not in dirty2}
-    priors = {p: old.priors[p] for p in pairs}
-    initial = {p for p in old.initial_matches if p in pairs}
+    result = CandidateSet(
+        pairs=pairs,
+        priors={p: old.priors[p] for p in pairs},
+        initial_matches={p for p in old.initial_matches if p in pairs},
+    )
+    rows1 = sorted(dirty1 & kb1.entities)
+    rows2 = sorted(dirty2 & kb2.entities)
+    for entity1 in rows1:
+        if entity1 in tokens1:
+            for entity2, sim in score_row(tokens1[entity1], tokens2, inverted2, threshold).items():
+                result.pairs.add((entity1, entity2))
+                result.priors[(entity1, entity2)] = sim
+    for entity2 in rows2:
+        if entity2 in tokens2:
+            for entity1, sim in score_row(tokens2[entity2], tokens1, inverted1, threshold).items():
+                result.pairs.add((entity1, entity2))
+                result.priors[(entity1, entity2)] = sim
 
-    for entity1 in sorted(dirty1 & kb1.entities):
-        tset = tokens1.get(entity1)
-        if tset is None:
-            continue
-        for entity2, sim in _candidate_row(
-            entity1, tset, tokens2, inverted2, threshold
-        ).items():
-            pairs.add((entity1, entity2))
-            priors[(entity1, entity2)] = sim
-    for entity2 in sorted(dirty2 & kb2.entities):
-        tset = tokens2.get(entity2)
-        if tset is None:
-            continue
-        for entity1, sim in _candidate_row(
-            entity2, tset, tokens1, inverted1, threshold
-        ).items():
-            pairs.add((entity1, entity2))
-            priors[(entity1, entity2)] = sim
-
-    # Exact-raw-label pass (M_in plus the empty-token special case),
-    # restricted to the dirty rows and columns.
+    # The exact-raw-label pass, restricted to the dirty rows and columns.
     labels1 = _labels_index(kb1)
     labels2 = _labels_index(kb2)
-
-    def exact_label_pair(entity1: str, entity2: str) -> None:
-        pair = (entity1, entity2)
-        if pair in pairs:
-            initial.add(pair)
-        elif entity1 not in tokens1 or entity2 not in tokens2:
-            pairs.add(pair)
-            priors[pair] = 1.0
-            initial.add(pair)
-
-    for entity1 in sorted(dirty1 & kb1.entities):
+    for entity1 in rows1:
         for label in kb1.labels(entity1):
             for entity2 in labels2.get(label, ()):
-                exact_label_pair(entity1, entity2)
-    for entity2 in sorted(dirty2 & kb2.entities):
+                result.add_exact_label_pair((entity1, entity2), tokens1, tokens2)
+    for entity2 in rows2:
         for label in kb2.labels(entity2):
             for entity1 in labels1.get(label, ()):
-                exact_label_pair(entity1, entity2)
-
-    return CandidateSet(pairs=pairs, priors=priors, initial_matches=initial)
+                result.add_exact_label_pair((entity1, entity2), tokens1, tokens2)
+    return result
 
 
 def _dirty_closure(
@@ -196,51 +160,10 @@ def _dirty_closure(
     """
     universe = old_pairs | new_pairs
     uf = UnionFind()
-    anchors_left: dict[str, Pair] = {}
-    anchors_right: dict[str, Pair] = {}
-    for pair in universe:
-        uf.find(pair)
-        for key, bucket in ((pair[0], anchors_left), (pair[1], anchors_right)):
-            anchor = bucket.setdefault(key, pair)
-            if anchor != pair:
-                uf.union(anchor, pair)
+    uf.union_shared_entities(universe)
     seeds = {p for p in universe if p[0] in dirty1 or p[1] in dirty2}
     dirty_roots = {uf.find(p) for p in seeds}
     return {p for p in universe if uf.find(p) in dirty_roots}
-
-
-def _vertex_groups(
-    kb1: KnowledgeBase, kb2: KnowledgeBase, vertex: Pair, retained: set[Pair]
-) -> dict:
-    """One vertex's neighbor groups, mirroring ``build_er_graph`` exactly."""
-    entity1, entity2 = vertex
-    by_label: dict = {}
-    directions = (
-        (kb1.entity_relations(entity1), kb2.entity_relations(entity2), ""),
-        (
-            kb1.entity_inverse_relations(entity1),
-            kb2.entity_inverse_relations(entity2),
-            INVERSE_PREFIX,
-        ),
-    )
-    for rels1, rels2, prefix in directions:
-        for r1, targets1 in rels1.items():
-            for r2, targets2 in rels2.items():
-                members = {
-                    (t1, t2) for t1 in targets1 for t2 in targets2 if (t1, t2) in retained
-                }
-                if members:
-                    by_label[(prefix + r1, prefix + r2)] = members
-    return by_label
-
-
-def _signature(state_kb1, state_kb2, pair, attribute_matches):
-    presence = tuple(
-        bool(state_kb1.attribute_values(pair[0], m.attr1))
-        and bool(state_kb2.attribute_values(pair[1], m.attr2))
-        for m in attribute_matches
-    )
-    return attribute_signature(presence)
 
 
 def incremental_prepare(
@@ -291,11 +214,14 @@ def incremental_prepare(
             p: v for p, v in state.vector_index.vectors.items() if p in candidates.pairs
         }
         if seeds:
-            raw = build_similarity_vectors(
-                kb1, kb2, seeds, attribute_matches, config.literal_threshold
+            vectors.update(
+                lead_with_prior(
+                    build_similarity_vectors(
+                        kb1, kb2, seeds, attribute_matches, config.literal_threshold
+                    ),
+                    candidates.priors,
+                )
             )
-            for pair, vector in raw.items():
-                vectors[pair] = (candidates.priors.get(pair, 0.0),) + vector
         index = VectorIndex(vectors)
 
     # Pruning: re-run on the dirty closures only.  Blocks are per-entity
@@ -332,7 +258,7 @@ def incremental_prepare(
                         affected.add(pair)
         group_changed: set[Pair] = set()
         for vertex in sorted(rebuild | affected):
-            groups = _vertex_groups(kb1, kb2, vertex, retained)
+            groups = vertex_groups(kb1, kb2, vertex, retained)
             if vertex in affected and groups != state.graph.groups.get(vertex, {}):
                 group_changed.add(vertex)
             if groups:
@@ -340,12 +266,13 @@ def incremental_prepare(
             else:
                 graph.groups.pop(vertex, None)
 
-    signatures = {}
-    for pair in retained:
-        if pair in seeds or pair not in state.signatures:
-            signatures[pair] = _signature(kb1, kb2, pair, attribute_matches)
-        else:
-            signatures[pair] = state.signatures[pair]
+    # Signatures: as with vectors, only touched or newly retained pairs
+    # can change.  An empty recomputed signature is a real result too.
+    kept = state.signatures
+    fresh = build_signatures(
+        kb1, kb2, [p for p in retained if p in seeds or p not in kept], attribute_matches
+    )
+    signatures = {p: fresh[p] if p in fresh else kept[p] for p in retained}
     priors = {
         pair: candidates.priors.get(pair, config.default_prior) for pair in retained
     }

@@ -314,10 +314,10 @@ def _assert_every_resume_matches(bundle) -> None:
 class _CheckedLoopState(LoopState):
     """Checks every incremental propagate against a from-scratch rebuild.
 
-    Each propagate snapshots the state first; afterwards a fresh loop
-    state restored from that snapshot propagates through the reference
-    path (``build_probabilistic_graph`` + ``inferred_sets``) with the
-    reference kernels.  Both must
+    Each propagate snapshots the state first; afterwards a fresh
+    :class:`RebuildLoopState` restored from that snapshot propagates
+    through the full rebuild (``build_probabilistic_graph`` +
+    ``dijkstra_inferred_sets``) with the reference kernels.  Both must
     give the same inferred sets, in content and in per-source iteration
     order.  Before and after each propagate, the kept effective priors
     and source set must equal those rebuilt from the resolution sets.
@@ -352,9 +352,8 @@ class _CheckedLoopState(LoopState):
         with reference_kernels():
             reference.propagate(kb1, kb2)
         assert _ordered(self._inferred_sets) == _ordered(reference._inferred_sets)
-        if self._propagator is not None:
-            _assert_kept_shapes(self._propagator)
-            self.rounds.append(dict(self._propagator._consistencies))
+        _assert_kept_shapes(self._propagator)
+        self.rounds.append(dict(self._propagator._consistencies))
 
     def restore(self, priors, sets):
         super().restore(priors, sets)
@@ -525,10 +524,9 @@ _loop_op = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(
     hybrid=st.booleans(),
-    use_dijkstra=st.booleans(),
     ops=st.lists(_loop_op, min_size=1, max_size=12),
 )
-def test_kept_loop_state_matches_rebuild_under_random_changes(hybrid, use_dijkstra, ops):
+def test_kept_loop_state_matches_rebuild_under_random_changes(hybrid, ops):
     """Random resolutions, truth rounds and restores keep the kept state exact.
 
     Every propagate checks the inferred sets against a from-scratch
@@ -541,7 +539,7 @@ def test_kept_loop_state_matches_rebuild_under_random_changes(hybrid, use_dijkst
     state = _small_state()
     pairs = sorted(state.retained)
     checked = _CheckedHybridLoopState if hybrid else _CheckedLoopState
-    loop_state = checked(state, RempConfig(use_dijkstra=use_dijkstra))
+    loop_state = checked(state, RempConfig())
     snapshots = [loop_state.snapshot()]
 
     def pair(index):

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import RempConfig
+from repro.core.consistency import estimate_all_consistencies
 from repro.core.discovery import (
     bounded_dijkstra,
     dijkstra_inferred_sets,
     edge_lengths,
     floyd_warshall_inferred_sets,
-    inferred_sets,
     zeta_from_tau,
 )
-from repro.core.propagation import ProbabilisticERGraph
+from repro.core.propagation import ProbabilisticERGraph, build_probabilistic_graph
 
 
 def _chain_graph(probabilities):
@@ -109,9 +110,28 @@ def test_fw_equals_dijkstra_on_random_graphs(edges, tau):
             assert a[source][target] == pytest.approx(b[source][target], abs=1e-9)
 
 
-def test_dispatch():
-    graph = _chain_graph([0.95])
-    sources = [("v0", "v0")]
-    a = inferred_sets(graph, sources, 0.9, use_dijkstra=True)
-    b = inferred_sets(graph, sources, 0.9, use_dijkstra=False)
-    assert set(a[sources[0]]) == set(b[sources[0]])
+def test_floyd_warshall_matches_dijkstra_on_a_prepared_world(prepared_iimb_04):
+    """Algorithm 2 and Dijkstra agree on a real probabilistic graph.
+
+    The graph is the one the loop's first propagate builds on a prepared
+    ``iimb`` world: consistencies estimated from ``M_in``, the prepared
+    priors, τ = 0.9, every vertex with neighbor groups a source.
+    """
+    state = prepared_iimb_04
+    config = RempConfig()
+    labels = {label for by_label in state.graph.groups.values() for label in by_label}
+    consistencies = estimate_all_consistencies(
+        state.kb1, state.kb2, labels, state.candidates.initial_matches
+    )
+    graph = build_probabilistic_graph(
+        state.graph, state.kb1, state.kb2, state.priors, consistencies, config
+    )
+    sources = sorted(v for v in state.retained if state.graph.groups.get(v))
+    a = dijkstra_inferred_sets(graph, sources, config.tau)
+    b = floyd_warshall_inferred_sets(graph, sources, config.tau)
+    assert any(len(inferred) > 1 for inferred in a.values())
+    assert a.keys() == b.keys()
+    for source in sources:
+        assert a[source].keys() == b[source].keys()
+        for target, distance in a[source].items():
+            assert distance == pytest.approx(b[source][target], abs=1e-9)

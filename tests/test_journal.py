@@ -316,7 +316,9 @@ class _OldStore:
     row and the mid-loop shard a ``kind='loop'`` row, and the next shard
     has a lease stub, in a ``shard_checkpoints`` table with the lease
     columns.  Like the releases of that time, it also holds a
-    ``prepared`` table of cached prepared states.
+    ``prepared`` table of cached prepared states, and each run's stored
+    config carries the discovery switch ``use_dijkstra`` (true for
+    ``mono``, false for ``part``).
     """
 
     def __init__(self, path, state, shard_state, crowd, kills):
@@ -398,6 +400,15 @@ class _OldStore:
                 " PRIMARY KEY (fingerprint, config_hash, version))"
             )
             conn.execute("INSERT INTO prepared VALUES ('f', 'x', 1, '{}', '2026-01-01')")
+            for run_id, use_dijkstra in ((self.mono, True), (self.part, False)):
+                (config_json,) = conn.execute(
+                    "SELECT config_json FROM runs WHERE run_id = ?", (run_id,)
+                ).fetchone()
+                config = {**json.loads(config_json), "use_dijkstra": use_dijkstra}
+                conn.execute(
+                    "UPDATE runs SET config_json = ? WHERE run_id = ?",
+                    (json.dumps(config, sort_keys=True), run_id),
+                )
             conn.execute("PRAGMA user_version = 0")
         conn.close()
 
@@ -451,6 +462,9 @@ class TestPreJournalMigration:
             assert units == {} and set(journals) == {old.loop_shard}
             answered = {tuple(e["question"]) for e in journals[old.loop_shard].answer_log}
             assert answered == old.loop_questions
+            # Either stored discovery switch loads as today's one config.
+            assert store.get_run_config(old.mono) == RempConfig()
+            assert store.get_run_config(old.part) == RempConfig()
         assert old.dump()[0] == 1
 
         with MatchingService(old.path) as service:

@@ -100,13 +100,6 @@ class TestRun:
             results.append(Remp().run(bundle.kb1, bundle.kb2, platform).matches)
         assert results[0] == results[1]
 
-    def test_floyd_warshall_config_runs(self, bundle):
-        config = RempConfig(use_dijkstra=False)
-        platform = CrowdPlatform.with_oracle(bundle.gold_matches)
-        result = Remp(config).run(bundle.kb1, bundle.kb2, platform)
-        quality = evaluate_matches(result.matches, bundle.gold_matches)
-        assert quality.f1 > 0.8
-
 
 class TestPropagateOnly:
     def test_seeds_propagate(self, bundle):

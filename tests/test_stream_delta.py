@@ -182,23 +182,29 @@ class TestIncrementalPrepare:
         config = RempConfig()
         state = Remp(config).prepare(bundle.kb1, bundle.kb2)
         label = bundle.kb2.label("y:m3_1")
-        delta = KBDelta(
-            ops=(
-                DeltaOp("add_entity", 1, "x:m2_77", value="studio002 film extra077"),
-                DeltaOp("add_entity", 2, "y:m2_77", value="studio002 film extra077"),
-                DeltaOp("add_relation", 1, "x:d2", "directed", "x:m2_77"),
-                DeltaOp("add_relation", 2, "y:d2", "directed", "y:m2_77"),
-                DeltaOp("remove_attribute", 2, "y:m3_1", "rdfs:label", label),
-                DeltaOp("add_attribute", 2, "y:m3_1", "rdfs:label", label + " cut"),
-                DeltaOp("remove_entity", 1, "x:a1_0"),
-                DeltaOp("remove_entity", 2, "y:a1_0"),
+        deltas = [
+            KBDelta(
+                ops=(
+                    DeltaOp("add_entity", 1, "x:m2_77", value="studio002 film extra077"),
+                    DeltaOp("add_entity", 2, "y:m2_77", value="studio002 film extra077"),
+                    DeltaOp("add_relation", 1, "x:d2", "directed", "x:m2_77"),
+                    DeltaOp("add_relation", 2, "y:d2", "directed", "y:m2_77"),
+                    DeltaOp("remove_attribute", 2, "y:m3_1", "rdfs:label", label),
+                    DeltaOp("add_attribute", 2, "y:m3_1", "rdfs:label", label + " cut"),
+                    DeltaOp("remove_entity", 1, "x:a1_0"),
+                    DeltaOp("remove_entity", 2, "y:a1_0"),
+                ),
             ),
-        )
-        prepared = incremental_prepare(state, delta, config)
-        assert not prepared.fell_back
-        full = Remp(config).prepare(*delta.apply(bundle.kb1, bundle.kb2))
-        assert prepared_state_to_doc(prepared.state) == prepared_state_to_doc(full)
-        assert prepared.fingerprint == kb_pair_fingerprint(full.kb1, full.kb2)
+            # Empties the signature of retained pairs such as
+            # ("x:a0_0", "y:a0_1"), and the attribute alignment holds.
+            KBDelta(ops=(DeltaOp("remove_attribute", 1, "x:a0_0", "born", 1950),)),
+        ]
+        for delta in deltas:
+            prepared = incremental_prepare(state, delta, config)
+            assert not prepared.fell_back
+            full = Remp(config).prepare(*delta.apply(bundle.kb1, bundle.kb2))
+            assert prepared_state_to_doc(prepared.state) == prepared_state_to_doc(full)
+            assert prepared.fingerprint == kb_pair_fingerprint(full.kb1, full.kb2)
 
     def test_changed_set_is_conservative(self, clustered6_bundle):
         """Every pair whose artifacts differ must be in the changed set."""
