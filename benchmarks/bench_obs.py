@@ -18,11 +18,6 @@ Scale knobs (environment):
 ``REPRO_BENCH_OBS_MOVIES``     movies per cluster (default 12)
 ``REPRO_BENCH_OBS_ROUNDS``     timing rounds per mode (default 3)
 
-A second test grades the **sampling profiler** the same way (``<= 5%``
-overhead over the unprofiled run, byte-identical results) and writes
-the folded stacks to ``BENCH_obs_profile.folded`` — a ready-made
-flamegraph input CI uploads as an artifact.
-
 Every run writes ``BENCH_obs.json`` (overridable via
 ``REPRO_BENCH_OBS_TRAJECTORY``) in the run-artifact metrics shape
 (:func:`repro.obs.benchmark_metrics_doc`), so CI uploads a
@@ -48,7 +43,6 @@ from repro.obs import (
     append_bench_history,
     benchmark_metrics_doc,
 )
-from repro.obs.profile import folded_text
 from repro.store.serialize import result_to_doc
 
 CLUSTERS = int(os.environ.get("REPRO_BENCH_OBS_CLUSTERS", "16"))
@@ -59,18 +53,11 @@ ERROR_RATE = 0.05
 #: Maximum tolerated tracing overhead, relative to the untraced run.
 MAX_OVERHEAD = 0.03
 
-#: Maximum tolerated sampling-profiler overhead (the acceptance bar).
-MAX_PROFILE_OVERHEAD = 0.05
-
 #: Untraced wall-clock below which an overhead ratio is noise, not signal.
 MIN_MEASURABLE_SECONDS = 2.0
 
 TRAJECTORY_PATH = Path(
     os.environ.get("REPRO_BENCH_OBS_TRAJECTORY", "BENCH_obs.json")
-)
-
-FLAMEGRAPH_PATH = Path(
-    os.environ.get("REPRO_BENCH_OBS_FLAMEGRAPH", "BENCH_obs_profile.folded")
 )
 
 
@@ -83,13 +70,13 @@ def _bundle():
     )
 
 
-def _timed_run(bundle, traced: bool, profiled: bool = False):
+def _timed_run(bundle, traced: bool):
     """(best wall seconds, result doc, scope of the best round)."""
     best = float("inf")
     doc = None
     best_scope = None
     for _ in range(ROUNDS):
-        scope = RunScope("bench-obs", trace=traced, profile=profiled)
+        scope = RunScope("bench-obs", trace=traced)
         platform = CrowdPlatform.with_simulated_workers(
             bundle.gold_matches, error_rate=ERROR_RATE, seed=0
         )
@@ -156,48 +143,4 @@ def test_tracing_overhead():
         )
     assert overhead <= MAX_OVERHEAD, (
         f"tracing overhead {overhead:+.2%} exceeds {MAX_OVERHEAD:.0%}"
-    )
-
-
-def test_profiler_overhead():
-    """Profiled vs unprofiled full run: identical results, <= 5% slower.
-
-    Always emits ``BENCH_obs_profile.folded`` (flamegraph input) so CI
-    uploads a profile artifact even at unmeasurable smoke scales.
-    """
-    bundle = _bundle()
-    _timed_run(bundle, traced=False)
-    t_off, doc_off, _ = _timed_run(bundle, traced=False)
-    t_on, doc_on, scope = _timed_run(bundle, traced=False, profiled=True)
-    assert json.dumps(doc_on, sort_keys=True) == json.dumps(
-        doc_off, sort_keys=True
-    ), "profiling perturbed the run result"
-    assert scope.profiler is not None, "profiled run never started the sampler"
-    profile = scope.profiler.as_doc()
-    FLAMEGRAPH_PATH.write_text(folded_text(profile))
-    overhead = (t_on - t_off) / t_off if t_off else 0.0
-    print(
-        f"\nprofiler overhead ({CLUSTERS}x{MOVIES}): profiled {t_on:.3f}s, "
-        f"plain {t_off:.3f}s -> {overhead:+.2%} "
-        f"({profile['samples']} samples, {len(profile['stacks'])} stacks)"
-    )
-    append_bench_history(
-        "obs_profile",
-        meta={
-            "bench": "obs_profile",
-            "clusters": CLUSTERS,
-            "movies": MOVIES,
-            "samples": profile["samples"],
-            "measurable": t_off >= MIN_MEASURABLE_SECONDS,
-        },
-        stages={"obs.profiled_run": t_on, "obs.unprofiled_run": t_off},
-    )
-    if t_off < MIN_MEASURABLE_SECONDS:
-        pytest.skip(
-            f"unprofiled run too fast to grade ({t_off:.2f}s < "
-            f"{MIN_MEASURABLE_SECONDS:.0f}s); measured {overhead:+.2%}"
-        )
-    assert profile["samples"] > 0, "profiler collected no samples"
-    assert overhead <= MAX_PROFILE_OVERHEAD, (
-        f"profiler overhead {overhead:+.2%} exceeds {MAX_PROFILE_OVERHEAD:.0%}"
     )

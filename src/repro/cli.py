@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -58,13 +59,8 @@ from repro.datasets import DATASET_NAMES, EVOLVING_NAME, load_dataset
 from repro.eval import evaluate_matches
 from repro.kb import describe, save_kb_json
 from repro.obs import export_run_artifacts
-from repro.partition import (
-    CrowdSpec,
-    ParallelRunner,
-    PartialResult,
-    ShardProgressPrinter,
-    partition_state,
-)
+from repro.obs.metrics import ROOT
+from repro.partition import PartialResult, ShardProgressPrinter, partition_state
 from repro.service import MatchingService
 from repro.store import RunStore
 from repro.stream import DeltaConflictError, KBDelta
@@ -98,23 +94,18 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_env_flags(args: argparse.Namespace) -> None:
-    """``--profile`` and ``--faults`` take effect through the environment.
+def _apply_faults(args: argparse.Namespace) -> None:
+    """``--faults`` takes effect through the environment.
 
-    ``--profile`` turns on the sampling wall-clock profiler, so shard
-    worker processes inherit it and the run's artifact directory gains
-    ``profile.folded``.
+    A fault plan rides ``REPRO_FAULTS`` so spawn-started shard workers
+    re-create it too; the value is JSON or @path-to-json.
     """
-    if getattr(args, "profile", False):
-        os.environ["REPRO_PROFILE"] = "1"
-    if getattr(args, "faults", None):
-        # A fault plan rides the environment so spawn-started shard
-        # workers re-create it too; the value is JSON or @path-to-json.
+    if args.faults:
         os.environ["REPRO_FAULTS"] = args.faults
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _apply_env_flags(args)
+    _apply_faults(args)
     if args.dataset is None and args.resume is None and args.since is None:
         print(
             "run: a dataset is required unless --resume or --since is given",
@@ -193,37 +184,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
             return 2
     config = RempConfig(mu=args.mu, tau=args.tau, budget=args.budget)
-    if args.store or args.resume or os.environ.get("REPRO_STORE"):
-        return _run_via_service(args, config)
-    bundle = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
-    crowd = CrowdSpec(
-        truth=bundle.gold_matches, error_rate=args.error_rate, seed=args.seed
-    )
-    if args.workers is not None:
-        # Partitioned in-process run: shard the ER graph and fan the
-        # shards onto a worker pool, streaming per-partition progress.
-        state = Remp(config, seed=args.seed).prepare(bundle.kb1, bundle.kb2)
-        progress = ShardProgressPrinter()
-        runner = ParallelRunner(
-            config, seed=args.seed, workers=args.workers, on_event=progress
-        )
-        try:
-            result = runner.run(state, crowd)
-        except PartialResult as exc:
-            # Graceful degradation: report the quarantined shards and
-            # the merged healthy result instead of a traceback.
-            print(f"run: degraded: {exc}", file=sys.stderr)
-            _print_run_summary(exc.result, bundle.gold_matches)
-            return 1
-        finally:
-            progress.close()
-        _print_run_summary(result, bundle.gold_matches)
-        return 0
-    result = Remp(config, seed=args.seed).run(
-        bundle.kb1, bundle.kb2, crowd.build_seeded(args.seed)
-    )
-    _print_run_summary(result, bundle.gold_matches)
-    return 0
+    return _run_via_service(args, config)
 
 
 def _print_run_summary(result, gold_matches, run_id: str | None = None) -> None:
@@ -240,13 +201,19 @@ def _print_run_summary(result, gold_matches, run_id: str | None = None) -> None:
 
 
 def _run_via_service(args: argparse.Namespace, config: RempConfig) -> int:
-    """Durable variant of ``run``: ledger row, checkpoints, resume."""
+    """Every ``run``: a session of a service on the store, or in memory.
+
+    Without ``--store``, ``--resume`` or ``REPRO_STORE`` the service's
+    store is ``:memory:`` and the summary names no run id.
+    """
+    durable = bool(args.store or args.resume or os.environ.get("REPRO_STORE"))
     # A resumed run may turn out to be partitioned (the ledger remembers);
     # give it a printer too — monolithic sessions simply emit no events.
     progress = (
         ShardProgressPrinter() if args.workers is not None or args.resume else None
     )
-    with MatchingService(_store_path(args), max_workers=1) as service:
+    store = _store_path(args) if durable else ":memory:"
+    with MatchingService(store, max_workers=1) as service:
         if args.resume:
             try:
                 run_id = service.resume(
@@ -271,6 +238,7 @@ def _run_via_service(args: argparse.Namespace, config: RempConfig) -> int:
                 on_event=progress,
                 stream=args.stream,
             )
+        shown = run_id if durable else None
         try:
             result = service.result(run_id)
         except PartialResult as exc:
@@ -278,12 +246,12 @@ def _run_via_service(args: argparse.Namespace, config: RempConfig) -> int:
             # as failed with the quarantined shards; show the merged
             # healthy remainder instead of a traceback.
             print(f"run: degraded: {exc}", file=sys.stderr)
-            _print_run_summary(exc.result, service.truth(run_id), run_id=run_id)
+            _print_run_summary(exc.result, service.truth(run_id), run_id=shown)
             return 1
         finally:
             if progress is not None:
                 progress.close()
-        _print_run_summary(result, service.truth(run_id), run_id=run_id)
+        _print_run_summary(result, service.truth(run_id), run_id=shown)
     return 0
 
 
@@ -354,7 +322,7 @@ def _run_since(args: argparse.Namespace) -> int:
 
 def _cmd_update(args: argparse.Namespace) -> int:
     """``update RUN_ID --delta FILE``: apply one KB delta incrementally."""
-    _apply_env_flags(args)
+    _apply_faults(args)
     delta_path = Path(args.delta)
     if not delta_path.exists():
         print(f"update: no such delta file {args.delta!r}", file=sys.stderr)
@@ -520,17 +488,22 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             )
         obs_doc = store.load_run_obs(args.run_id)
         if obs_doc is not None:
-            stages = obs_doc.get("timings", {})
+            stages = dict(obs_doc.get("timings", {}))
+            root = stages.pop(ROOT, None)
             if stages:
-                # Stages nest (prepare.candidates contains candidates.score,
-                # which contains kernel.candidates), so rows do not add up.
-                print("kernel timings (inclusive seconds x calls; nested stages overlap):")
+                # Own seconds leave out the stages nested inside, so the
+                # rows plus the unattributed remainder add up to the wall
+                # clock (a document older than the ledger has no own time).
+                print("stage timings (own seconds, inclusive seconds x calls):")
                 for name, entry in sorted(
-                    stages.items(), key=lambda item: -item[1]["seconds"]
+                    stages.items(), key=lambda item: -item[1].get("own", 0.0)
                 ):
                     print(
-                        f"  {name:<28} {entry['seconds']:>9.3f}s x{entry['calls']}"
+                        f"  {name:<28} {entry.get('own', math.nan):>9.3f}s"
+                        f" {entry['seconds']:>9.3f}s x{entry['calls']}"
                     )
+            if root is not None:
+                print(f"unattributed: {root['own']:.3f} s of {root['seconds']:.3f} s")
             counters = (obs_doc.get("metrics") or {}).get("counters", {})
             print(
                 "approximations: "
@@ -743,11 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="target stream step for --since",
     )
     p_run.add_argument(
-        "--profile", action="store_true",
-        help="sample wall-clock stacks during the run (REPRO_PROFILE=1);"
-        " with --store the folded stacks land in the run's artifacts",
-    )
-    p_run.add_argument(
         "--faults", default=None, metavar="JSON_OR_@FILE",
         help="activate a deterministic fault plan (repro.faults) for the"
         " run: inline JSON or @path/to/plan.json (sets REPRO_FAULTS)",
@@ -938,21 +906,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # --profile / --faults work by setting REPRO_PROFILE / REPRO_FAULTS
-    # (checked at call sites, including in worker processes); restore
-    # the prior values so embedding callers can invoke main() repeatedly
-    # without one command's flag leaking into the next.
-    previous = {
-        name: os.environ.get(name) for name in ("REPRO_PROFILE", "REPRO_FAULTS")
-    }
+    # --faults works by setting REPRO_FAULTS (checked at call sites,
+    # including in worker processes); restore the prior value so
+    # embedding callers can invoke main() repeatedly without one
+    # command's flag leaking into the next.
+    previous = os.environ.get("REPRO_FAULTS")
     try:
         return args.func(args)
     finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if previous is None:
+            os.environ.pop("REPRO_FAULTS", None)
+        else:
+            os.environ["REPRO_FAULTS"] = previous
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -315,7 +315,7 @@ class Remp:
         """
         config = self.config
         kb1, kb2 = loop_state.state.kb1, loop_state.state.kb2
-        with obs.span("loop.iteration", loop=loop_index):
+        with obs.timed("loop.iteration", loop=loop_index):
             loop_state.propagate(kb1, kb2)
             restricted = loop_state.restricted_inferred_sets()
             candidates = loop_state.askable_questions(restricted)
@@ -440,7 +440,7 @@ class Remp:
                 loop_state.move_priors(truth.unresolved)
                 return None
 
-        with obs.span("loop.isolated_classify", pairs=len(isolated_unresolved)):
+        with obs.timed("loop.isolated_classify", pairs=len(isolated_unresolved)):
             predicted = classifier.classify(
                 isolated_unresolved,
                 loop_state.resolved_matches,

@@ -132,9 +132,6 @@ class ProbabilisticERGraph:
             return 1.0
         return self.edge_probs.get(source, {}).get(target, 0.0)
 
-    def successors(self, source: Pair) -> dict[Pair, float]:
-        return self.edge_probs.get(source, {})
-
     @property
     def num_edges(self) -> int:
         return sum(len(t) for t in self.edge_probs.values())

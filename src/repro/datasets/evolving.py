@@ -42,10 +42,6 @@ class EvolvingBundle:
     base: DatasetBundle
     deltas: list[KBDelta]
 
-    @property
-    def num_steps(self) -> int:
-        return len(self.deltas)
-
     def gold_at(self, step: int) -> set[Pair]:
         gold = set(self.base.gold_matches)
         for delta in self.deltas[:step]:

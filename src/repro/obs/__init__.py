@@ -10,8 +10,11 @@ A process-wide but run-scoped observability layer:
 * :func:`timed` / :func:`count` / :func:`gauge` / :func:`span` /
   :func:`event` — module helpers that route to the active scope and
   no-op outside one, so library code instruments unconditionally.
-  :func:`timed` is the one way to time a stage: it opens ``span(name)``
-  and adds the elapsed seconds to the scope's timings.
+  :func:`timed` is the program's one time signal: it opens
+  ``span(name)`` and records the stage's inclusive seconds, calls and
+  own seconds in the scope's timings.  Each activation adds the scope's
+  ``root`` entry — its wall clock and the remainder no stage claimed —
+  so the own times and that remainder add up to the wall clock.
 * :func:`export_run_artifacts` — the ``runs/<run_id>/`` artifact
   contract (``meta.json`` + ``trace.jsonl`` + ``metrics.json`` +
   ``cost_ledger.json`` + ``result.json``).
@@ -43,9 +46,6 @@ _EXPORTS = {
     "render_top": "repro.obs.live",
     "get_logger": "repro.obs.logging",
     "MetricsRegistry": "repro.obs.metrics",
-    "SamplingProfiler": "repro.obs.profile",
-    "folded_text": "repro.obs.profile",
-    "profiling_enabled": "repro.obs.profile",
     "RunScope": "repro.obs.runtime",
     "absorb": "repro.obs.runtime",
     "count": "repro.obs.runtime",

@@ -5,7 +5,10 @@ CI and serving front ends all read the same shape:
 
 ``meta.json``
     Run identity and provenance: config hash, dataset/seed/scale,
-    package version, strategy, pool size, stream lineage fields.
+    package version, strategy, pool size, stream lineage fields — and
+    ``stage_timings``, the run's stage ledger: per stage its inclusive
+    ``seconds``, ``calls`` and ``own`` seconds, and the ``root`` entry
+    (wall clock, activations, unattributed remainder as ``own``).
 ``trace.jsonl``
     One span per line (start order) from the run's tracer.
 ``metrics.json``
@@ -16,9 +19,6 @@ CI and serving front ends all read the same shape:
     ``questions_asked``.
 ``result.json``
     The final :class:`~repro.core.RempResult` document.
-``profile.folded``
-    Optional: folded-stack wall-clock samples (flamegraph input), only
-    for runs executed with profiling on (``REPRO_PROFILE=1``).
 
 Benchmarks reuse the metrics shape through
 :func:`benchmark_metrics_doc` (``BENCH_obs.json``), and the CLI verbs
@@ -139,12 +139,6 @@ def export_run_artifacts(
     result = store.get_result(run_id)
     if result is not None:
         _dump(dest / "result.json", result_to_doc(result))
-
-    profile = obs_doc.get("profile")
-    if profile and profile.get("stacks"):
-        from repro.obs.profile import folded_text
-
-        (dest / "profile.folded").write_text(folded_text(profile))
     return dest
 
 

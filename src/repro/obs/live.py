@@ -22,6 +22,8 @@ events — they are operational, like counters).
 
 from __future__ import annotations
 
+from repro.obs.metrics import ROOT
+
 #: Event kinds that mean a shard will do no further work (also read by
 #: :mod:`repro.partition.progress`).
 SHARD_TERMINAL = ("finished", "restored", "failed", "quarantined")
@@ -146,12 +148,16 @@ class RunWatch:
                 f" executed={self.stream.get('executed', 0)}"
                 f" questions_new={self.stream.get('questions_new', 0)}"
             )
-        if timings:
-            top = sorted(
-                timings.items(), key=lambda kv: kv[1]["seconds"], reverse=True
-            )[:5]
+        stages = [
+            (name, doc.get("own", 0.0))
+            for name, doc in (timings or {}).items()
+            if name != ROOT
+        ]
+        if stages:
+            # Ranked by own time, which nested stages do not double-count.
+            top = sorted(stages, key=lambda kv: kv[1], reverse=True)[:5]
             lines.append("  stages: " + ", ".join(
-                f"{name} {doc['seconds']:.3f}s" for name, doc in top
+                f"{name} {own:.3f}s" for name, own in top
             ))
         return "\n".join(lines)
 

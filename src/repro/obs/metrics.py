@@ -4,9 +4,9 @@ A :class:`MetricsRegistry` is the numeric half of :mod:`repro.obs`:
 counters accumulate (questions billed, cache hits, pruning discards,
 shard lifecycle transitions, stream unit reuse), gauges hold the last
 observed value (reuse rate, shard count).  A :class:`KernelTimings`
-accumulates the seconds and calls of each timed stage.  Both merge — a
-pool worker ships its shard scope's export back with the shard outcome
-and the parent folds it in.
+accumulates the inclusive seconds, calls and own seconds of each timed
+stage.  Both merge — a pool worker ships its shard scope's export back
+with the shard outcome and the parent folds it in.
 """
 
 from __future__ import annotations
@@ -77,37 +77,46 @@ class MetricsRegistry:
         return registry
 
 
-class KernelTimings:
-    """Thread-safe accumulator of stage timings: ``name -> (seconds, calls)``.
+#: The name of a scope's root entry: its activations' wall clock, their
+#: count, and as own seconds the remainder that no stage claimed.
+ROOT = "root"
 
-    A :class:`~repro.obs.runtime.RunScope` holds one; :func:`repro.obs.timed`
-    adds to the active scope's, and :meth:`merge` folds in a shard
-    scope's exported :func:`stages_doc`.
+
+class KernelTimings:
+    """Thread-safe accumulator of stage timings: ``name -> (seconds, calls, own)``.
+
+    ``seconds`` is inclusive; ``own`` leaves out the seconds of the
+    stages timed inside it, so own times add up where inclusive ones
+    nest.  A :class:`~repro.obs.runtime.RunScope` holds one:
+    :func:`repro.obs.timed` adds each stage, each activation adds the
+    :data:`ROOT` entry, and :meth:`merge` folds in a shard scope's
+    exported :func:`stages_doc`.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._data: dict[str, list] = {}
 
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
+    def add(self, name: str, seconds: float, own: float, calls: int = 1) -> None:
         with self._lock:
-            entry = self._data.setdefault(name, [0.0, 0])
+            entry = self._data.setdefault(name, [0.0, 0, 0.0])
             entry[0] += seconds
             entry[1] += calls
+            entry[2] += own
 
-    def snapshot(self) -> dict[str, tuple[float, int]]:
+    def snapshot(self) -> dict[str, tuple[float, int, float]]:
         with self._lock:
-            return {name: (entry[0], entry[1]) for name, entry in self._data.items()}
+            return {name: tuple(entry) for name, entry in self._data.items()}
 
     def merge(self, stages: dict[str, dict]) -> None:
         """Fold a :func:`stages_doc` document into this one."""
         for name, doc in stages.items():
-            self.add(name, doc["seconds"], doc["calls"])
+            self.add(name, doc["seconds"], doc["own"], doc["calls"])
 
 
-def stages_doc(stages: dict[str, tuple[float, int]]) -> dict[str, dict[str, float]]:
+def stages_doc(stages: dict[str, tuple[float, int, float]]) -> dict[str, dict[str, float]]:
     """The one JSON shape for persisted stage timings."""
     return {
-        name: {"seconds": round(seconds, 6), "calls": calls}
-        for name, (seconds, calls) in stages.items()
+        name: {"seconds": round(seconds, 6), "calls": calls, "own": round(own, 6)}
+        for name, (seconds, calls, own) in stages.items()
     }

@@ -11,10 +11,16 @@ are no-ops, so library code can instrument unconditionally.
 
 A session persists ``scope.timings`` — only what ran under its own
 activations, plus what its pool shards shipped back — so concurrent
-sessions cannot contaminate each other's profiles.  A scope built with
-a store also writes its run's progress events (:meth:`RunScope.publish`)
-to that store's ``run_events`` table, which is what lets another
-process watch the run.
+sessions cannot contaminate each other's profiles.  The timings are a
+ledger: each stage records its inclusive seconds, its calls and its own
+seconds (inclusive minus the stages timed inside it), and each
+activation is the scope's root frame, whose :data:`ROOT` entry holds the
+wall clock, the activations and the remainder no stage claimed.  So the
+own times plus that remainder add up to the wall clock, except where
+pool workers ran in parallel (their stages overlap the parent's wait).
+A scope built with a store also writes its run's progress events
+(:meth:`RunScope.publish`) to that store's ``run_events`` table, which
+is what lets another process watch the run.
 """
 
 from __future__ import annotations
@@ -22,10 +28,15 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 
-from repro.obs.context import current_scope, pop_scope, push_scope
+from repro.obs.context import (
+    current_scope,
+    pop_frame,
+    pop_scope,
+    push_frame,
+    push_scope,
+)
 from repro.obs.logging import get_logger
-from repro.obs.metrics import KernelTimings, MetricsRegistry, stages_doc
-from repro.obs.profile import SamplingProfiler, profiling_enabled
+from repro.obs.metrics import ROOT, KernelTimings, MetricsRegistry, stages_doc
 from repro.obs.trace import NO_SPAN, Tracer
 
 log = get_logger("obs")
@@ -41,7 +52,6 @@ class RunScope:
         shard_id: int | None = None,
         stream_step: int | None = None,
         trace: bool | None = None,
-        profile: bool | None = None,
         store=None,
     ):
         self.run_id = run_id
@@ -50,43 +60,35 @@ class RunScope:
         )
         self.metrics = MetricsRegistry()
         self.timings = KernelTimings()
-        # The wall-clock sampler is created lazily on the first profiled
-        # activation; ``None`` for ``profile`` defers to the
-        # ``REPRO_PROFILE`` environment gate at each activation, so a
-        # scope built before the gate flips still honours it.
-        self._profile = profile
-        self.profiler: SamplingProfiler | None = None
         #: The :class:`repro.store.RunStore` that :meth:`publish` appends
         #: to (``None``: events are dropped).  Needs a ``run_id``.
         self._store = store
         #: Set while :meth:`publish` writes an event.
         self._writing = False
-
-    @property
-    def profiling(self) -> bool:
-        return profiling_enabled() if self._profile is None else self._profile
+        #: ``(start, children's-seconds cell)`` of each open activation.
+        self._open: list[tuple[float, list]] = []
 
     @contextmanager
     def activate(self):
         """Make this the current scope for the calling context.
 
-        A profiled scope samples the activating thread's wall-clock
-        stacks for the duration of the activation; samples accumulate
-        across activations (a session activates once per step).
+        The activation is the scope's root frame: it starts a fresh
+        frame chain, and on exit adds its wall clock, one call and its
+        own seconds (the wall clock minus the top-level stages) to the
+        :data:`ROOT` entry.  A session activates once per step.
         """
         token = push_scope(self)
-        profiler = None
-        if self.profiling:
-            if self.profiler is None:
-                self.profiler = SamplingProfiler()
-            profiler = self.profiler
-            profiler.start()
+        children, frame = push_frame()
+        opened = (time.perf_counter(), children)
+        self._open.append(opened)
         try:
             yield self
         finally:
-            if profiler is not None:
-                profiler.stop()
+            wall = time.perf_counter() - opened[0]
+            self._open.remove(opened)
+            pop_frame(frame)
             pop_scope(token)
+            self.timings.add(ROOT, wall, wall - children[0])
 
     # ------------------------------------------------------------------
     def publish(self, kind: str, **fields) -> None:
@@ -128,32 +130,36 @@ class RunScope:
     def absorb(self, doc: dict) -> None:
         """Fold a child scope's :meth:`export` document into this one.
 
-        Timings, spans (with the child's count of dropped spans),
-        metrics and profile all fold in: a pool worker ships its shard
-        scope's export whole.
+        Stage timings, spans (with the child's count of dropped spans)
+        and metrics fold in: a pool worker ships its shard scope's
+        export whole.  The child's root entry does not: its wall clock
+        overlaps this scope's.
         """
-        self.timings.merge(doc["timings"])
+        self.timings.merge(
+            {name: entry for name, entry in doc["timings"].items() if name != ROOT}
+        )
         self.tracer.add_spans(doc["trace"], doc.get("trace_dropped", 0))
         self.metrics.merge(doc["metrics"])
-        profile = doc.get("profile")
-        if profile and profile.get("samples"):
-            if self.profiler is None:
-                self.profiler = SamplingProfiler(
-                    interval=profile.get("interval")
-                )
-            self.profiler.absorb(profile)
 
     def export(self) -> dict:
-        """JSON-able document of everything the scope collected."""
+        """JSON-able document of everything the scope collected.
+
+        An open activation counts as far as it has run: a session
+        exports inside its last one.
+        """
+        stages = self.timings.snapshot()
+        now = time.perf_counter()
+        for start, children in self._open:
+            seconds, calls, own = stages.get(ROOT, (0.0, 0, 0.0))
+            wall = now - start
+            stages[ROOT] = (seconds + wall, calls + 1, own + wall - children[0])
         doc = {
             "metrics": self.metrics.as_doc(),
-            "timings": stages_doc(self.timings.snapshot()),
+            "timings": stages_doc(stages),
             "trace": self.tracer.spans(),
         }
         if self.tracer.dropped:
             doc["trace_dropped"] = self.tracer.dropped
-        if self.profiler is not None and self.profiler.samples:
-            doc["profile"] = self.profiler.as_doc()
         return doc
 
 
@@ -161,18 +167,27 @@ class RunScope:
 # Scope-routed module helpers (no-ops outside an activation)
 # ----------------------------------------------------------------------
 @contextmanager
-def timed(name: str):
-    """Time a stage: ``span(name)``, and its seconds into ``scope.timings``."""
+def timed(name: str, **fields):
+    """Time a stage into ``scope.timings``, inside ``span(name, **fields)``.
+
+    The stage records its inclusive seconds, one call and its own
+    seconds, and adds its inclusive seconds to the enclosing frame's
+    children, so the enclosing stage's own time leaves them out.
+    """
     scope = current_scope()
     if scope is None:
         yield
         return
-    with span(name):
+    with span(name, **fields):
+        children, frame = push_frame()
         start = time.perf_counter()
         try:
             yield
         finally:
-            scope.timings.add(name, time.perf_counter() - start)
+            seconds = time.perf_counter() - start
+            # Under an activation the enclosing frame is at least its root.
+            pop_frame(frame)[0] += seconds
+            scope.timings.add(name, seconds, seconds - children[0])
 
 
 def count(name: str, value: float = 1) -> None:

@@ -249,20 +249,17 @@ def partition_state(
     *,
     max_shard_size: int | None = None,
     target_shards: int = DEFAULT_TARGET_SHARDS,
-    isolated_shards: int = 1,
 ) -> PartitionPlan:
     """Compute the shard layout for ``state``.
 
     ``max_shard_size`` caps the number of pairs per graph shard; when
-    omitted it is derived as ``ceil(loop pairs / target_shards)``.
-    ``isolated_shards`` splits the isolated pairs into that many
-    classifier shards (1 keeps classification closest to the monolithic
-    run, where signature groups can share seed labels).
+    omitted it is derived as ``ceil(loop pairs / target_shards)``.  The
+    isolated pairs form one classifier shard, which keeps classification
+    closest to the monolithic run, where signature groups can share seed
+    labels.
     """
     if target_shards < 1:
         raise ValueError("target_shards must be positive")
-    if isolated_shards < 1:
-        raise ValueError("isolated_shards must be positive")
     isolated = set(state.isolated)
     # Pure-isolated groups have no graph vertex at all: nothing for the
     # loop to do, so they go straight to the classifier phase.
@@ -302,18 +299,14 @@ def partition_state(
     shards.sort(key=lambda s: s.vertices[0] if s.vertices else ("", ""))
 
     if isolated:
-        ordered = sorted(isolated)
-        chunk = math.ceil(len(ordered) / isolated_shards)
-        for start in range(0, len(ordered), chunk):
-            subset = ordered[start : start + chunk]
-            shards.append(
-                Shard(
-                    shard_id=0,
-                    kind=ISOLATED,
-                    vertices=tuple(subset),
-                    num_components=len(subset),
-                )
+        shards.append(
+            Shard(
+                shard_id=0,
+                kind=ISOLATED,
+                vertices=tuple(sorted(isolated)),
+                num_components=len(isolated),
             )
+        )
     for index, shard in enumerate(shards):
         shard.shard_id = index
     return PartitionPlan(

@@ -222,9 +222,9 @@ class _ShardOutcome:
     snapshot: dict = field(default_factory=dict)
     answer_log: list = field(default_factory=list)
     #: The export of the shard's worker-side run scope: its timings,
-    #: spans, metrics and profile (pool workers only — inline execution
-    #: records straight into the session scope).  The parent absorbs it
-    #: in ``_finish_shard``.
+    #: spans and metrics (pool workers only — inline execution records
+    #: straight into the session scope).  The parent absorbs it in
+    #: ``_finish_shard``.
     telemetry: dict | None = None
 
 
@@ -281,7 +281,7 @@ def _execute_shard(
     touch the store.
     """
     shard = task.shard
-    with obs.span(
+    with obs.timed(
         "shard.execute", shard=shard.shard_id, phase=shard.kind, pairs=shard.num_pairs
     ):
         return _run_shard(task, base_state, crowd, emit)
@@ -589,7 +589,8 @@ class ParallelRunner:
 
     def run(self, state: PreparedState, crowd: CrowdSpec) -> RempResult:
         """Execute the partitioned pipeline and merge the shard results."""
-        plan = self.plan(state)
+        with obs.timed("partition.plan"):
+            plan = self.plan(state)
         units, journals = (
             self._store.load_shard_records(self._run_id)
             if self._store is not None

@@ -948,12 +948,5 @@ class MatchingService:
             raise KeyError(f"run {run_id!r} has no stored result")
         return stored
 
-    def wait_all(self, timeout: float | None = None) -> None:
-        """Block until every background session has finished."""
-        with self._lock:
-            futures = list(self._futures.values())
-        for future in futures:
-            future.result(timeout=timeout)
-
     def list_runs(self, dataset: str | None = None) -> list[RunRecord]:
         return self._store.list_runs(dataset)

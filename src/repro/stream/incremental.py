@@ -182,8 +182,10 @@ def incremental_prepare(
     prepared under.
     """
     config = config or RempConfig()
-    kb1, kb2 = delta.apply(state.kb1, state.kb2, check_fingerprint=check_fingerprint)
-    fingerprint = kb_pair_fingerprint(kb1, kb2)
+    with obs.timed("stream.delta_apply"):
+        kb1, kb2 = delta.apply(state.kb1, state.kb2, check_fingerprint=check_fingerprint)
+    with obs.timed("stream.fingerprint"):
+        fingerprint = kb_pair_fingerprint(kb1, kb2)
     dirty1, dirty2 = _dirty_entities(delta, state.kb1, state.kb2)
 
     with obs.timed("stream.splice_candidates"):
@@ -204,7 +206,8 @@ def incremental_prepare(
             state=full, changed=None, fingerprint=fingerprint, fell_back=True
         )
 
-    closure = _dirty_closure(state.candidates.pairs, candidates.pairs, dirty1, dirty2)
+    with obs.timed("stream.dirty_closure"):
+        closure = _dirty_closure(state.candidates.pairs, candidates.pairs, dirty1, dirty2)
     seeds = {p for p in candidates.pairs if p[0] in dirty1 or p[1] in dirty2}
 
     # Vectors: only pairs whose entities were touched can change (the

@@ -22,6 +22,7 @@ from repro.obs import (
 )
 from repro.obs import runtime as obs_runtime
 from repro.obs.logging import get_logger
+from repro.obs.metrics import ROOT
 from repro.obs.trace import NO_SPAN
 from repro.service import MatchingService
 from repro.store import RunStore
@@ -187,8 +188,8 @@ class TestRunScope:
                 pass
             with obs_runtime.timed("scoped.stage"):
                 pass
-        seconds, calls = scope.timings.snapshot()["scoped.stage"]
-        assert calls == 2 and seconds >= 0
+        seconds, calls, own = scope.timings.snapshot()["scoped.stage"]
+        assert calls == 2 and seconds >= 0 and own == seconds
         # timed() under a scope also emits its span, once per call.
         assert [s["name"] for s in scope.tracer.spans()] == ["scoped.stage"] * 2
         # Outside any activation it records nothing, anywhere.
@@ -237,6 +238,124 @@ class TestRunScope:
         doc = parent.export()
         assert len(doc["trace"]) == 2
         assert doc["trace_dropped"] == 3 + 1
+
+
+class _Clock:
+    """A settable ``time.perf_counter``, so ledger assertions are exact."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+class TestStageLedger:
+    @pytest.fixture()
+    def clock(self, monkeypatch):
+        clock = _Clock()
+        monkeypatch.setattr(obs_runtime.time, "perf_counter", clock)
+        return clock
+
+    def test_own_seconds_leave_out_nested_stages(self, clock):
+        scope = RunScope("ledger", trace=False)
+        with scope.activate():
+            clock.now = 1.0
+            with obs_runtime.timed("outer"):
+                clock.now = 3.0
+                with obs_runtime.timed("inner"):
+                    clock.now = 7.0
+                with obs_runtime.timed("inner"):
+                    clock.now = 8.0
+                clock.now = 10.0
+            clock.now = 12.0
+        stages = scope.timings.snapshot()
+        assert stages["inner"] == (5.0, 2, 5.0)
+        assert stages["outer"] == (9.0, 1, 9.0 - 5.0)
+
+    def test_root_is_wall_clock_less_top_level_stages(self, clock):
+        scope = RunScope("ledger", trace=False)
+        for _ in range(2):
+            with scope.activate():
+                with obs_runtime.timed("outer"):
+                    with obs_runtime.timed("inner"):
+                        clock.now += 2.0
+                    clock.now += 1.0
+                clock.now += 0.5
+        stages = scope.timings.snapshot()
+        # Two activations of 3.5 s each; 0.5 s of each is in no stage.
+        assert stages[ROOT] == (7.0, 2, 1.0)
+        assert sum(own for _, _, own in stages.values()) == stages[ROOT][0]
+
+    def test_absorb_adds_child_stages_but_not_its_root(self, clock):
+        child = RunScope("p", shard_id=1, trace=False)
+        with child.activate():
+            with obs_runtime.timed("shard.stage"):
+                clock.now += 2.0
+            clock.now += 1.0
+        parent = RunScope("p", trace=False)
+        with parent.activate():
+            clock.now += 0.5
+            obs_runtime.absorb(child.export())
+        stages = parent.timings.snapshot()
+        assert stages["shard.stage"] == (2.0, 1, 2.0)
+        # The child's 3 s of wall clock overlap the parent's own.
+        assert stages[ROOT] == (0.5, 1, 0.5)
+
+    def test_export_inside_an_activation_counts_it_so_far(self, clock):
+        scope = RunScope("open", trace=False)
+        with scope.activate():
+            with obs_runtime.timed("stage"):
+                clock.now = 2.0
+            clock.now = 5.0
+            inside = scope.export()["timings"]
+            clock.now = 9.0
+        assert inside[ROOT] == {"seconds": 5.0, "calls": 1, "own": 3.0}
+        after = scope.export()["timings"]
+        assert after[ROOT] == {"seconds": 9.0, "calls": 1, "own": 7.0}
+        assert after["stage"] == {"seconds": 2.0, "calls": 1, "own": 2.0}
+
+
+def _assert_ledger_adds_up(store, run_id) -> dict:
+    """Every stage entry carries own seconds; with the root they sum to wall."""
+    stages = store.load_run_timings(run_id)["stages"]
+    root = stages.pop(ROOT)
+    assert stages
+    for entry in stages.values():
+        assert set(entry) == {"seconds", "calls", "own"}
+        assert 0 <= entry["own"] <= entry["seconds"] + 1e-6
+    own = sum(entry["own"] for entry in stages.values())
+    assert own + root["own"] == pytest.approx(root["seconds"], abs=1e-5)
+    return root
+
+
+class TestRunLedger:
+    def test_monolithic_and_stream_runs_add_up(self, tmp_path):
+        from repro.datasets import evolving_bundle
+
+        (delta,) = evolving_bundle(seed=0, scale=0.4, steps=1).deltas
+        with MatchingService(RunStore(tmp_path / "store.db")) as service:
+            run_id = service.submit("iimb", scale=0.2, background=False)
+            service.step(run_id)
+            service.result(run_id)
+            # One activation per step, and the finishing one.
+            assert _assert_ledger_adds_up(service.store, run_id)["calls"] >= 2
+            root_id = service.submit(
+                "evolving", scale=0.4, stream=True, workers=1, background=False
+            )
+            service.result(root_id)
+            _assert_ledger_adds_up(service.store, root_id)
+            update_id = service.update(root_id, delta, background=False)
+            service.result(update_id)
+            _assert_ledger_adds_up(service.store, update_id)
+            stages = service.store.load_run_timings(update_id)["stages"]
+            for name in (
+                "stream.delta_apply",
+                "stream.fingerprint",
+                "stream.dirty_closure",
+                "partition.plan",
+            ):
+                assert stages[name]["calls"] == 1
 
 
 def _export(service, run_id, root):

@@ -123,15 +123,12 @@ class TestPartitioner:
         assert [s.kind for s in first.shards] == [s.kind for s in second.shards]
 
     def test_isolated_split(self, state):
-        plan = partition_state(state, isolated_shards=3)
-        shards = plan.isolated_shards
-        assert len(shards) == 3
-        assert set().union(*(set(s.vertices) for s in shards)) == state.isolated
-        for shard in shards:
-            shard_state = shard.slice(state)
-            assert shard_state.isolated == set(shard.vertices)
-            # The classifier's neighborhoods span all retained pairs.
-            assert shard_state.retained == state.retained
+        (shard,) = partition_state(state).isolated_shards
+        assert set(shard.vertices) == state.isolated
+        shard_state = shard.slice(state)
+        assert shard_state.isolated == state.isolated
+        # The classifier's neighborhoods span all retained pairs.
+        assert shard_state.retained == state.retained
 
     def test_describe_mentions_every_shard(self, state):
         plan = partition_state(state)
@@ -144,8 +141,6 @@ class TestPartitioner:
             partition_state(state, target_shards=0)
         with pytest.raises(ValueError):
             partition_state(state, max_shard_size=0)
-        with pytest.raises(ValueError):
-            partition_state(state, isolated_shards=0)
 
 
 class TestPackComponents:
