@@ -5,9 +5,10 @@ clusters — well under 5% of the candidate pairs) is applied to a
 clustered world.  The *full* path re-prepares the post-delta KBs and
 re-runs every unit; the *incremental* path splices the cached prepared
 state (``incremental_prepare``) and re-runs only the dirty cluster,
-restoring every clean unit's recorded outcome.  Both must produce
-byte-identical results; at ≥ 12 clusters the incremental path must be
-≥ 3x faster (self-gating, like ``bench_partition``).
+restoring every clean unit's recorded outcome and taking the base run's
+isolated-pair forests.  Both must produce byte-identical results; at
+≥ 12 clusters the incremental path must be ≥ 3x faster (self-gating,
+like ``bench_partition``).
 
 Scale knobs (environment):
 
@@ -132,6 +133,14 @@ def test_stream_speedup(baseline):
         result_to_doc(full.result), sort_keys=True
     )
     assert incremental.reused_keys
+    # The update's isolated unit trains on the base run's training set,
+    # so it takes the base run's forests instead of refitting them.  (At
+    # the smoke scale's 6 x 3 no isolated group trains: both are empty.)
+    base_forests = records["isolated\x1f0"].forests
+    forests = incremental.records["isolated\x1f0"].forests
+    assert all(forests.get(key) is forest for key, forest in base_forests.items()), (
+        "the incremental update refit the base run's isolated forest"
+    )
     speedup = t_full / t_incremental if t_incremental else float("inf")
     reused = len(incremental.reused_keys)
     total = len(incremental.records)
@@ -139,7 +148,8 @@ def test_stream_speedup(baseline):
         f"\n{CLUSTERS} clusters x {MOVIES} movies, 1-movie rename: "
         f"full {t_full:.2f}s, incremental {t_incremental:.2f}s "
         f"-> {speedup:.2f}x speedup ({reused}/{total} units reused, "
-        f"{incremental.questions_new} newly billed questions)"
+        f"{incremental.questions_new} newly billed questions, "
+        f"{len(base_forests)} isolated forests reused)"
     )
     append_bench_history(
         "stream",

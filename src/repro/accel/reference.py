@@ -36,6 +36,9 @@ module under :mod:`repro` imports this one.
   the stored gain bands
   :func:`repro.core.selection.greedy_question_selection` admits to its
   heap band by band).
+* :func:`dirty_closure` — the stream splice's dirty region as one
+  union–find over every old ∪ new candidate pair (pins the by-entity
+  walk of :func:`repro.stream.incremental._dirty_closure`).
 
 :func:`reference_kernels` rebinds the product's kernel names to these
 references for the length of a ``with`` block, so a whole
@@ -73,6 +76,7 @@ from repro.core.propagation import build_probabilistic_graph
 from repro.core.selection import GainBands, gain_bands
 from repro.kb.model import KnowledgeBase
 from repro.obs import runtime as obs
+from repro.partition.partitioner import UnionFind
 from repro.text.literal import literal_set_similarity
 
 Pair = tuple[str, str]
@@ -358,6 +362,18 @@ def greedy_question_selection(
             previous = resolved_prob.get(pair, 0.0)
             resolved_prob[pair] = previous + (1.0 - previous) * prior
     return selected
+
+
+def dirty_closure(
+    old_pairs: set[Pair], new_pairs: set[Pair], dirty1: set[str], dirty2: set[str]
+) -> set[Pair]:
+    """All old ∪ new candidate pairs entity-chained to a touched entity."""
+    universe = old_pairs | new_pairs
+    uf = UnionFind()
+    uf.union_shared_entities(universe)
+    seeds = {p for p in universe if p[0] in dirty1 or p[1] in dirty2}
+    dirty_roots = {uf.find(p) for p in seeds}
+    return {p for p in universe if uf.find(p) in dirty_roots}
 
 
 @contextmanager

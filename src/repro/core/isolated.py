@@ -18,17 +18,26 @@ Two practical extensions (documented in DESIGN.md):
   isolated pairs dominate.
 * The label-similarity prior is appended to the feature vector, so pairs
   with few shared attributes are still classifiable.
+
+A forest is a pure function of its training set, the forest size and the
+seed, so each is keyed by a digest of exactly those (:func:`forest_key`).
+A caller may hand the classifier the forests of an earlier classify as a
+read-only memo; a training set whose key the memo holds takes its forest
+instead of fitting an identical one.  A stream update hands in its
+parent's, whose isolated group usually trains on the same set.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.core.config import RempConfig
 from repro.ml import RandomForestClassifier
+from repro.obs import runtime as obs
 from repro.text.similarity import jaccard
 
 Pair = tuple[str, str]
@@ -38,6 +47,19 @@ Vector = tuple[float, ...]
 #: Callback for crowd-labeling one pair: returns True (match), False
 #: (non-match) or None (labels were inconsistent / pair stays unresolved).
 AskFn = Callable[[Pair], bool | None]
+
+
+def forest_key(X: np.ndarray, y: np.ndarray, forest_size: int, seed: int) -> str:
+    """Digest of a forest's whole training input.
+
+    ``RandomForestClassifier.fit`` is a pure function of X (its float64
+    bytes and shape), y, the forest size and the seed, so two inputs
+    with one key fit identical forests.
+    """
+    digest = hashlib.sha256(repr((X.shape, forest_size, seed)).encode())
+    digest.update(np.asarray(X, dtype=np.float64).tobytes())
+    digest.update(np.asarray(y, dtype=np.float64).tobytes())
+    return digest.hexdigest()
 
 
 def attribute_signature(vector_presence: tuple[bool, ...]) -> Signature:
@@ -72,6 +94,9 @@ class IsolatedPairClassifier:
         Label-similarity priors (extra feature + seed-question ordering).
     config:
         Supplies ψ, the forest size and seed-question budget.
+    forests:
+        Read-only memo of fitted forests by :func:`forest_key`, e.g. the
+        :attr:`forests` of an earlier classify; never mutated.
     """
 
     def __init__(
@@ -81,13 +106,19 @@ class IsolatedPairClassifier:
         priors: dict[Pair, float],
         config: RempConfig | None = None,
         seed: int = 0,
+        forests: Mapping[str, RandomForestClassifier] | None = None,
     ):
         self._vectors = vectors
         self._signatures = signatures
         self._priors = priors
         self._config = config or RempConfig()
         self._seed = seed
+        self._memo = forests or {}
         self.questions_asked = 0
+        #: The forests this classifier used, fitted or taken from the
+        #: memo, by :func:`forest_key`.  A fitted forest is never mutated,
+        #: so runs may share it.
+        self.forests: dict[str, RandomForestClassifier] = {}
 
     # ------------------------------------------------------------------
     def neighborhood(self, pair: Pair) -> list[Pair]:
@@ -220,7 +251,14 @@ class IsolatedPairClassifier:
             [self._features(p) for p in positives + negatives], dtype=float
         )
         y = np.array([1.0] * len(positives) + [0.0] * len(negatives))
-        model = RandomForestClassifier(
-            n_estimators=self._config.forest_size, seed=self._seed
-        )
-        return model.fit(X, y)
+        forest_size = self._config.forest_size
+        key = forest_key(X, y, forest_size, self._seed)
+        model = self._memo.get(key)
+        if model is None:
+            model = RandomForestClassifier(n_estimators=forest_size, seed=self._seed)
+            model.fit(X, y)
+            obs.count("isolated.forest.fitted")
+        else:
+            obs.count("isolated.forest.reused")
+        self.forests[key] = model
+        return model

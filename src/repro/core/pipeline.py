@@ -21,7 +21,7 @@ mid-loop, and its ``on_checkpoint`` callback receives the running fold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.accel.propagation import IncrementalPropagator
 from repro.obs import runtime as obs
@@ -41,6 +41,7 @@ from repro.core.truth import infer_truths
 from repro.core.vectors import VectorIndex, build_similarity_vectors, lead_with_prior
 from repro.crowd.platform import CrowdPlatform
 from repro.kb.model import KnowledgeBase
+from repro.ml import RandomForestClassifier
 
 Pair = tuple[str, str]
 
@@ -401,7 +402,13 @@ class Remp:
         state: PreparedState,
         loop_state: "LoopState",
         platform: CrowdPlatform | None,
-    ) -> tuple[set[Pair], int]:
+        forests: Mapping[str, RandomForestClassifier] | None = None,
+    ) -> tuple[set[Pair], dict[str, RandomForestClassifier]]:
+        """The predicted isolated matches and the forests the classifier used.
+
+        ``forests`` is the classifier's read-only memo
+        (:class:`IsolatedPairClassifier`), e.g. a stream parent's.
+        """
         isolated_unresolved = sorted(
             pair
             for pair in state.isolated
@@ -409,13 +416,14 @@ class Remp:
             and pair not in loop_state.resolved_non_matches
         )
         if not isolated_unresolved:
-            return set(), 0
+            return set(), {}
         classifier = IsolatedPairClassifier(
             state.vector_index.vectors,
             state.signatures,
             loop_state.priors,
             self.config,
             self.seed,
+            forests,
         )
 
         ask = None
@@ -448,7 +456,7 @@ class Remp:
                 ask=ask,
             )
         obs.count("crowd.questions_billed", classifier.questions_asked)
-        return predicted, classifier.questions_asked
+        return predicted, classifier.forests
 
 
 class LoopState:

@@ -200,6 +200,9 @@ class _ShardTask:
     #: The graph shards' merged ``(priors, resolution sets)``
     #: (:func:`merge_loop_snapshots`); isolated shards only.
     merged_state: tuple | None = None
+    #: The classifier's read-only forest memo: on a stream update, the
+    #: forests of the parent's isolated unit; isolated shards only.
+    forests: dict = field(default_factory=dict)
     #: Content-derived seed overrides (stream mode); ``None`` falls back
     #: to the positional ``content_seed(seed, str(shard_id))`` derivation.
     remp_seed: int | None = None
@@ -226,6 +229,8 @@ class _ShardOutcome:
     #: straight into the session scope).  The parent absorbs it in
     #: ``_finish_shard``.
     telemetry: dict | None = None
+    #: The forests an isolated shard's classifier used, by content key.
+    forests: dict = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -244,6 +249,11 @@ class UnitRecord:
     origin for a reused one.  A store writes a unit whose origin is
     another run as a reference to that run's row.  Records are shared
     between runs, never mutated.
+
+    ``forests`` holds the forests an executed isolated unit's classifier
+    used, which the next update's classifier takes as its memo.  It
+    lives in memory only: no store row carries it, so a record loaded
+    from the store has none and the next update fits afresh.
     """
 
     key: str
@@ -252,6 +262,7 @@ class UnitRecord:
     snapshot: dict = field(default_factory=dict)
     answer_log: list = field(default_factory=list)
     origin: str | None = None
+    forests: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def unit_record_from_doc(doc: dict) -> UnitRecord:
@@ -358,7 +369,9 @@ def _run_shard(
         loop_state.restore(*task.merged_state)
         base_labeled = set(loop_state.labeled_matches)
         base_non_matches = set(loop_state.resolved_non_matches)
-        isolated_matches, _ = remp._classify_isolated(shard_state, loop_state, platform)
+        isolated_matches, forests = remp._classify_isolated(
+            shard_state, loop_state, platform, task.forests
+        )
         labeled_delta = loop_state.labeled_matches - base_labeled
         result = RempResult(
             matches=labeled_delta | isolated_matches,
@@ -373,6 +386,7 @@ def _run_shard(
             shard.kind,
             result,
             answer_log=platform.export_answer_log(),
+            forests=forests,
         )
     emit(
         (
@@ -513,6 +527,8 @@ class ParallelRunner:
         Stream mode only.  ``dirty`` (a pair set) plus ``reuse`` (a
         unit-keyed :class:`UnitRecord` map from a previous run) let
         clean shards restore a recorded outcome instead of executing.
+        The isolated shard always executes, with the forests of the
+        previous run's isolated record as its classifier's memo.
     """
 
     def __init__(
@@ -648,6 +664,9 @@ class ParallelRunner:
             if not self._restore_outcome(shard, units.get(key), outcomes):
                 task = self._make_task(shard, self.config, key)
                 task.merged_state = merged_state
+                parent = self._reuse.get(key)
+                if parent is not None:
+                    task.forests = parent.forests
                 isolated_tasks.append(task)
         self._execute(isolated_tasks, state, crowd, outcomes)
         if self.quarantined:
@@ -670,6 +689,7 @@ class ParallelRunner:
                         if key in self.reused_keys
                         else self._run_id
                     ),
+                    forests=outcome.forests,
                 )
 
         self.shard_costs = [

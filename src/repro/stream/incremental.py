@@ -15,8 +15,9 @@ inside the regions a delta can actually influence:
   falls back to a full re-prepare — correctness first.
 * **Vectors, pruning** couple through entity-sharing chains: pruning
   blocks are per-entity, and block survivors feed the next block, so the
-  dirty region is the *candidate entity closure* (union–find over
-  old ∪ new candidate pairs linked by a shared entity).  Pruning is
+  dirty region is the *candidate entity closure* (the old ∪ new
+  candidate pairs reachable from a touched entity through shared
+  entities).  Pruning is
   re-run on exactly the dirty closures; clean closures keep their
   retained verdicts.
 * **The ER graph** is spliced: vertices inside dirty closures are rebuilt
@@ -52,7 +53,6 @@ from repro.core.pruning import partial_order_pruning
 from repro.core.vectors import VectorIndex, build_similarity_vectors, lead_with_prior
 from repro.kb.io import kb_pair_fingerprint
 from repro.kb.model import KnowledgeBase
-from repro.partition.partitioner import UnionFind
 from repro.stream.delta import KBDelta
 
 Pair = tuple[str, str]
@@ -156,14 +156,31 @@ def _dirty_closure(
     Pruning blocks are per-entity and block survivors feed the opposite
     side's blocks, so pruning influence travels exactly along shared
     entities — the closure is the finest region outside which every
-    pruning verdict provably stands.
+    pruning verdict provably stands.  A walk over a by-entity index of
+    the pairs, outward from the touched entities, visits the closure
+    only (the union–find it replaced, now the oracle
+    :func:`repro.accel.reference.dirty_closure`, joined and found every
+    pair).
     """
-    universe = old_pairs | new_pairs
-    uf = UnionFind()
-    uf.union_shared_entities(universe)
-    seeds = {p for p in universe if p[0] in dirty1 or p[1] in dirty2}
-    dirty_roots = {uf.find(p) for p in seeds}
-    return {p for p in universe if uf.find(p) in dirty_roots}
+    index: tuple[dict[str, list[Pair]], dict[str, list[Pair]]] = ({}, {})
+    for pair in old_pairs | new_pairs:
+        index[0].setdefault(pair[0], []).append(pair)
+        index[1].setdefault(pair[1], []).append(pair)
+    reached = (dirty1 & index[0].keys(), dirty2 & index[1].keys())
+    frontier = [(0, entity) for entity in reached[0]]
+    frontier += [(1, entity) for entity in reached[1]]
+    closure: set[Pair] = set()
+    while frontier:
+        side, entity = frontier.pop()
+        for pair in index[side][entity]:
+            if pair in closure:
+                continue
+            closure.add(pair)
+            for other in (0, 1):
+                if pair[other] not in reached[other]:
+                    reached[other].add(pair[other])
+                    frontier.append((other, pair[other]))
+    return closure
 
 
 def incremental_prepare(

@@ -409,6 +409,40 @@ class TestStreamSessions:
         assert fresh_outcome.reused_keys == outcome.reused_keys
         assert fresh_outcome.executed_keys == outcome.executed_keys
 
+    def test_forests_ride_only_in_memory(self, tmp_path):
+        """A warm update reuses its parent's forest; a cold one fits afresh.
+
+        x4 is the smallest ``evolving`` scale whose isolated group trains.
+        The forest rides only in the in-memory unit records, so a fresh
+        service on a copy of the store fits, and lands on the same result.
+        """
+        from repro.datasets import evolving_bundle
+
+        deltas = evolving_bundle(seed=0, scale=4, steps=2).deltas
+        path = tmp_path / "svc.db"
+        with MatchingService(str(path)) as service:
+            run_ids = [service.submit("evolving", scale=4, stream=True, background=False)]
+            warm = [result_to_doc(service.result(run_ids[0]))]
+            for delta in deltas:
+                run_ids.append(service.update(run_ids[-1], delta, background=False))
+                warm.append(result_to_doc(service.result(run_ids[-1])))
+            counters = [
+                service.store.load_run_obs(run_id)["metrics"]["counters"]
+                for run_id in run_ids
+            ]
+        assert counters[0]["isolated.forest.fitted"] >= 1
+        for update in counters[1:]:
+            assert update["isolated.forest.reused"] >= 1
+            assert "isolated.forest.fitted" not in update
+        copy = tmp_path / "cold.db"
+        shutil.copyfile(path, copy)
+        with MatchingService(str(copy)) as cold:
+            run_id = cold.update(run_ids[1], deltas[1], background=False)
+            assert result_to_doc(cold.result(run_id)) == warm[2]
+            counters = cold.store.load_run_obs(run_id)["metrics"]["counters"]
+        assert counters["isolated.forest.fitted"] >= 1
+        assert "isolated.forest.reused" not in counters
+
     def test_update_inherits_parent_workers(self, tmp_path):
         """A lineage started parallel stays parallel across updates."""
         from repro.datasets import evolving_bundle

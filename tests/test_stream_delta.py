@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accel import reference
 from repro.core import Remp, RempConfig
 from repro.datasets import evolving_bundle
 from repro.kb import KnowledgeBase, kb_to_doc
@@ -16,6 +17,7 @@ from repro.stream import (
     incremental_prepare,
     kb_pair_fingerprint,
 )
+from repro.stream.incremental import _dirty_closure
 
 
 def _tiny_pair():
@@ -256,3 +258,18 @@ class TestIncrementalPrepare:
         after = evolving.bundle_at(step + 1)
         full = Remp(config).prepare(after.kb1, after.kb2)
         assert prepared_state_to_doc(prepared.state) == prepared_state_to_doc(full)
+
+
+_LEFT = st.sampled_from([f"x:{i}" for i in range(8)])
+_RIGHT = st.sampled_from([f"y:{i}" for i in range(8)])
+_PAIRS = st.sets(st.tuples(_LEFT, _RIGHT), max_size=24)
+
+
+class TestDirtyClosure:
+    @settings(max_examples=300, deadline=None)
+    @given(old=_PAIRS, new=_PAIRS, dirty1=st.sets(_LEFT), dirty2=st.sets(_RIGHT))
+    def test_walk_equals_union_find(self, old, new, dirty1, dirty2):
+        """The by-entity walk finds the union–find closure exactly."""
+        assert _dirty_closure(old, new, dirty1, dirty2) == reference.dirty_closure(
+            old, new, dirty1, dirty2
+        )

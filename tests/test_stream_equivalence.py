@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import Remp, RempConfig
 from repro.datasets import evolving_bundle
+from repro.obs import runtime as obs
 from repro.partition import CrowdSpec
 from repro.store.serialize import prepared_state_to_doc, result_to_doc
 from repro.stream import StreamRunner, incremental_prepare
@@ -94,6 +95,35 @@ class TestEquivalenceOracle:
             assert _doc(outcome.result) == _doc(ref.result), (
                 f"worker-count drift at step {step} (workers={workers})"
             )
+
+
+class TestForestReuse:
+    def test_updates_reuse_the_parent_forest(self):
+        """Every update takes its parent's isolated forest and fits none.
+
+        x4 is the smallest ``evolving`` scale whose isolated group trains
+        (on seed 0, x0.4 to x3 fit no forest), and its training set stays
+        the same across these three deltas.
+        """
+        evolving = evolving_bundle(seed=0, scale=4, steps=3)
+        chain = _incremental_chain(evolving, seed=0, workers=1, error_rate=0.1)
+        root_forests = None
+        for step in range(len(evolving.deltas) + 1):
+            scope = obs.RunScope(trace=False)
+            with scope.activate():
+                _, _, outcome = next(chain)
+            counters = scope.export()["metrics"]["counters"]
+            forests = outcome.records["isolated\x1f0"].forests
+            if step == 0:
+                assert counters["isolated.forest.fitted"] >= 1
+                root_forests = forests
+            else:
+                assert counters["isolated.forest.reused"] >= 1
+                assert "isolated.forest.fitted" not in counters
+                assert forests.keys() == root_forests.keys()
+                assert all(forests[key] is root_forests[key] for key in forests)
+            _, ref = _from_scratch(evolving, step, seed=0, workers=1, error_rate=0.1)
+            assert _doc(outcome.result) == _doc(ref.result), f"drift at step {step}"
 
 
 class TestBudgetConservation:
