@@ -20,7 +20,7 @@ mid-loop, and its ``on_checkpoint`` callback receives the running fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 from repro.accel.propagation import IncrementalPropagator
@@ -992,6 +992,30 @@ def merge_loop_snapshots(
     prepared state's key order, which is the order a restore gives them.
     """
     return _merge_state_docs(snapshots, dict(state.priors))
+
+
+def merge_shard_results(results: list[tuple[int, RempResult]]) -> RempResult:
+    """Deterministically reassemble shard results into one result.
+
+    Resolution sets are unioned (a match recorded by any shard wins over
+    a competitor demotion from another), questions and loops are summed
+    — shards ask about disjoint pair sets, so distinct-question billing
+    is additive — and histories concatenate in shard-id order with the
+    loop index rewritten to a single global sequence.
+    """
+    merged = RempResult(matches=set(), questions_asked=0, num_loops=0)
+    for _, result in sorted(results, key=lambda item: item[0]):
+        merged.matches |= result.matches
+        merged.labeled_matches |= result.labeled_matches
+        merged.inferred_matches |= result.inferred_matches
+        merged.isolated_matches |= result.isolated_matches
+        merged.non_matches |= result.non_matches
+        merged.questions_asked += result.questions_asked
+        for record in result.history:
+            merged.history.append(replace(record, loop_index=len(merged.history)))
+    merged.non_matches -= merged.matches
+    merged.num_loops = len(merged.history)
+    return merged
 
 
 def parse_state_doc(doc: dict) -> tuple[dict[Pair, float], dict[str, set[Pair]]]:

@@ -50,6 +50,7 @@ from repro.core.pipeline import (
     RempResult,
     fold_checkpoints,
     merge_loop_snapshots,
+    merge_shard_results,
 )
 from repro.crowd.interfaces import CrowdUnavailableError
 from repro.crowd.platform import CrowdPlatform
@@ -465,30 +466,6 @@ class _PoolWorker:
     task: _ShardTask | None = None
     #: Whether the readiness handshake arrived (assignable).
     ready: bool = False
-
-
-def merge_shard_results(results: list[tuple[int, RempResult]]) -> RempResult:
-    """Deterministically reassemble shard results into one result.
-
-    Resolution sets are unioned (a match recorded by any shard wins over
-    a competitor demotion from another), questions and loops are summed
-    — shards ask about disjoint pair sets, so distinct-question billing
-    is additive — and histories concatenate in shard-id order with the
-    loop index rewritten to a single global sequence.
-    """
-    merged = RempResult(matches=set(), questions_asked=0, num_loops=0)
-    for _, result in sorted(results, key=lambda item: item[0]):
-        merged.matches |= result.matches
-        merged.labeled_matches |= result.labeled_matches
-        merged.inferred_matches |= result.inferred_matches
-        merged.isolated_matches |= result.isolated_matches
-        merged.non_matches |= result.non_matches
-        merged.questions_asked += result.questions_asked
-        for record in result.history:
-            merged.history.append(replace(record, loop_index=len(merged.history)))
-    merged.non_matches -= merged.matches
-    merged.num_loops = len(merged.history)
-    return merged
 
 
 class ParallelRunner:

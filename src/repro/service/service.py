@@ -169,12 +169,15 @@ class MatchingSession:
         self._store.update_run_status(self.run_id, status)
         self._scope.publish(f"status.{status}", **fields)
 
-    def _finish(self, result: RempResult, cost_items: list[dict]) -> RempResult:
+    def _finish(
+        self, result: RempResult, cost_items: list[dict], units: dict | None = None
+    ) -> RempResult:
         """Record a finished run: ledger row, done event, obs document.
 
         ``cost_items`` itemise the billed questions (loop / shard /
         stream-unit scoped) and become the run's cost ledger, summing to
-        the result's ``questions_asked`` exactly.  The document's
+        the result's ``questions_asked`` exactly.  A stream run passes
+        its ``units`` (:meth:`RunStore.finish_run`).  The document's
         timings are the scope's private registry: only stages that ran
         under this session's activations (plus shard deltas merged back
         from its own pool workers) — exact attribution, not a diff
@@ -182,7 +185,7 @@ class MatchingSession:
         """
         self._result = result
         self.status = DONE
-        self._store.finish_run(self.run_id, result)
+        self._store.finish_run(self.run_id, result, units)
         self._scope.publish(
             "status.done",
             questions=result.questions_asked,
@@ -386,7 +389,8 @@ class MatchingSession:
         so an interrupted update resumes without re-asking a question.
         Unit rows persist past ``finish_run``: they are what the *next*
         update reuses.  Each unit this run executed wrote its row when it
-        finished; each reused unit writes a reference to its origin's row.
+        finished; ``finish_run`` stores the run's result as its unit keys
+        and writes each reused unit a reference to its origin's row.
         """
         with self._observed():
             if self._result is not None:
@@ -402,10 +406,6 @@ class MatchingSession:
                 on_event=self.on_event,
             )
             outcome = runner.run_incremental(state, crowd, dirty=dirty, reuse=reuse)
-            self._store.replace_unit_records(
-                self.run_id,
-                {key: outcome.records[key].origin for key in outcome.reused_keys},
-            )
             self.stream_outcome = outcome
             # Unit records cover every shard of the run (reused ones bill
             # their recorded, i.e. logical, question count), so the items
@@ -420,7 +420,8 @@ class MatchingSession:
                 }
                 for key, record in sorted(outcome.records.items())
             ]
-            return self._finish(outcome.result, cost_items)
+            units = {key: record.origin for key, record in outcome.records.items()}
+            return self._finish(outcome.result, cost_items, units)
 
     def result(self) -> RempResult | None:
         return self._result

@@ -10,12 +10,15 @@ One :class:`RunStore` file holds the durable state of runs:
   resumes mid-loop without re-asking questions.
 * **A run ledger** — configuration, status, question counts, lineage and
   the final :class:`repro.core.RempResult` of every run ever submitted,
-  for later querying (``repro runs list`` / ``repro runs show``).
+  for later querying (``repro runs list`` / ``repro runs show``).  A
+  stream run's result is its unit keys in shard order; ``get_result``
+  merges their results back.
 * **Unit rows** — a finished shard's outcome, keyed by its unit key and
   written in place of its journal.  A partitioned run resumes from them
   and ``finish_run`` drops them; a stream run keeps them for the next
-  update, and a unit it reused gets a reference row naming the run
-  that holds the payload, which a cold load resolves with one self-join.
+  update, and ``finish_run`` gives each unit it reused a reference row
+  naming the run that holds the payload, which a cold load resolves
+  with one self-join.
 * **Observability documents** — each run's trace, metrics and cost
   ledger, and its live ``run_events``.
 
@@ -50,7 +53,7 @@ from pathlib import Path
 
 from repro import faults
 from repro.core.config import RempConfig
-from repro.core.pipeline import LoopCheckpoint, RempResult, fold_checkpoints
+from repro.core.pipeline import LoopCheckpoint, RempResult, fold_checkpoints, merge_shard_results
 from repro.store.serialize import (
     checkpoint_from_doc,
     checkpoint_to_doc,
@@ -416,30 +419,43 @@ class RunStore:
 
         self._write("update_run_status", op)
 
-    def finish_run(self, run_id: str, result: RempResult) -> None:
+    def finish_run(self, run_id: str, result: RempResult, units: dict | None = None) -> None:
         """Record the final result, mark ``done`` and drop the resume state.
 
         The run's journal goes, and so do the unit rows of a non-stream
-        run: they only served its resume.  A stream run keeps them for
-        the next update.
+        run: they only served its resume.  A stream run keeps them and
+        passes ``units``, its unit keys in shard order mapped to their
+        origins, the runs whose rows hold the payloads.  The ledger row
+        then stores the keys for the result (:meth:`get_result` merges
+        it back), and each unit another run executed gets a reference
+        row, an empty payload with ``origin_run_id`` set, in place of
+        the run's earlier ones.  An origin always holds a payload row,
+        so references never chain; they name origin and key together,
+        since a dirty unit can re-execute on an unchanged vertex set.
         """
+        doc = result_to_doc(result) if units is None else {"units": list(units)}
+        now = _now()
+        references = [
+            (run_id, key, origin, now) for key, origin in (units or {}).items() if origin != run_id
+        ]
 
         def op(conn):
             conn.execute(
                 "UPDATE runs SET status = 'done', result_json = ?,"
                 " questions_asked = ?, updated_at = ? WHERE run_id = ?",
-                (
-                    json.dumps(result_to_doc(result), sort_keys=True),
-                    result.questions_asked,
-                    _now(),
-                    run_id,
-                ),
+                (json.dumps(doc, sort_keys=True), result.questions_asked, now, run_id),
             )
             conn.execute("DELETE FROM checkpoint_journal WHERE run_id = ?", (run_id,))
             conn.execute(
-                "DELETE FROM stream_units WHERE run_id = ?"
-                " AND (SELECT stream_step FROM runs WHERE run_id = ?) IS NULL",
+                "DELETE FROM stream_units WHERE run_id = ? AND (origin_run_id IS NOT"
+                " NULL OR (SELECT stream_step FROM runs WHERE run_id = ?) IS NULL)",
                 (run_id, run_id),
+            )
+            conn.executemany(
+                "INSERT INTO stream_units"
+                " (run_id, unit_key, payload, origin_run_id, updated_at)"
+                " VALUES (?, ?, '', ?, ?)",
+                references,
             )
 
         self._write("finish_run", op)
@@ -477,13 +493,23 @@ class RunStore:
         return config_from_doc(json.loads(row["config_json"]))
 
     def get_result(self, run_id: str) -> RempResult | None:
+        """A finished run's result, or ``None``.
+
+        A stream run's row holds its unit keys in shard order, whose
+        results merge to the result its runner returned.
+        """
         with self._lock:
             row = self._conn.execute(
                 "SELECT result_json FROM runs WHERE run_id = ?", (run_id,)
             ).fetchone()
         if row is None or row["result_json"] is None:
             return None
-        return result_from_doc(json.loads(row["result_json"]))
+        doc = json.loads(row["result_json"])
+        if "units" not in doc:
+            return result_from_doc(doc)
+        units = self.load_unit_record_docs(run_id)
+        results = [result_from_doc(units[key]["result"]) for key in doc["units"]]
+        return merge_shard_results(list(enumerate(results)))
 
     def list_runs(self, dataset: str | None = None) -> list[RunRecord]:
         query = (
@@ -540,7 +566,8 @@ class RunStore:
     # runs.  When it finishes, its outcome becomes one ``stream_units``
     # row keyed by its unit key, the content key of a graph shard or
     # ``isolated\x1f{i}`` for the i-th isolated one.  A stream run's rows
-    # survive ``finish_run``: they are what the next update reuses.
+    # survive ``finish_run``, which adds its reference rows: they are what
+    # the next update reuses.
 
     def save_shard_checkpoint(
         self, run_id: str, shard_id: int, checkpoint: LoopCheckpoint
@@ -627,36 +654,6 @@ class RunStore:
             {row["unit_key"]: _unit_doc(row, run_id) for row in units},
             {shard_id: fold_checkpoints(rows) for shard_id, rows in deltas.items()},
         )
-
-    def replace_unit_records(self, run_id: str, references: dict[str, str]) -> None:
-        """Write a stream run's reference rows, one per unit it reused.
-
-        ``references`` maps each reused unit's key to its origin, the run
-        whose row for that key holds the payload; the unit's row gets an
-        empty payload and the origin in ``origin_run_id``.  An origin
-        always holds a payload row, so references never chain.  Rows are
-        addressed by origin and key together: a dirty unit can re-execute
-        on an unchanged vertex set, so one key can carry different
-        payloads in different runs.  The run's executed units wrote
-        their payload rows as they finished (:meth:`save_shard_result`);
-        this replaces only its reference rows.
-        """
-        now = _now()
-        rows = [(run_id, key, origin, now) for key, origin in references.items()]
-
-        def op(conn):
-            conn.execute(
-                "DELETE FROM stream_units WHERE run_id = ? AND origin_run_id IS NOT NULL",
-                (run_id,),
-            )
-            conn.executemany(
-                "INSERT INTO stream_units"
-                " (run_id, unit_key, payload, origin_run_id, updated_at)"
-                " VALUES (?, ?, '', ?, ?)",
-                rows,
-            )
-
-        self._write("replace_unit_records", op)
 
     def load_unit_record_docs(self, run_id: str) -> dict[str, dict]:
         """All unit record documents of a stream run, keyed by unit key.

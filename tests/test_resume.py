@@ -301,3 +301,44 @@ class TestStreamUpdateResume:
         assert counters["prepared.cache.misses"] == 1
         assert "prepared.cache.hits" not in counters
         assert resumed == reference[2]
+
+    def test_a_failed_finish_writes_no_references_and_resumes(
+        self, evolving, reference, tmp_path
+    ):
+        """An update whose finish never commits fails with no reference rows.
+
+        Every write attempt of its ``finish_run`` fails, so neither its
+        result nor a reference row lands: its rows are the payloads of
+        the units it executed.  A resume in a fresh service finishes it
+        to the uninterrupted update, and then writes its references.
+        """
+        import sqlite3
+        from contextlib import closing
+
+        from repro import faults
+        from repro.service import MatchingService
+
+        plan = faults.FaultPlan(
+            [faults.FaultRule("store.write", times=None, where={"op": "finish_run"})]
+        )
+        path = tmp_path / "finish.db"
+        with MatchingService(str(path)) as service:
+            root = self._root(service)
+            run_id = service.update(root, evolving.deltas[0], background=False)
+            with faults.activate(plan), pytest.raises(faults.InjectedFault):
+                service.result(run_id)
+            assert service.store.get_run(run_id).status == "failed"
+            assert service.store.get_result(run_id) is None
+        read_origins = "SELECT unit_key, origin_run_id FROM stream_units WHERE run_id = ?"
+        with closing(sqlite3.connect(path)) as conn:
+            origins = dict(conn.execute(read_origins, (run_id,)).fetchall())
+        assert set(origins) == reference[1]["executed_keys"]
+        assert set(origins.values()) == {None}
+        resumed, _ = self._resume(path, run_id)
+        assert resumed == reference[1]
+        with closing(sqlite3.connect(path)) as conn:
+            origins = dict(conn.execute(read_origins, (run_id,)).fetchall())
+        assert origins == {
+            **{key: None for key in reference[1]["executed_keys"]},
+            **{key: root for key in reference[1]["reused_keys"]},
+        }

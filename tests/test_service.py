@@ -299,8 +299,10 @@ def warm_lineage(tmp_path_factory):
     run's ``warm`` result document, the ``deltas``, each run's in-memory
     unit ``records`` as documents and ``executed`` keys (collected as the
     run finishes: a finished update releases its parent's session), the
-    service's final ``(cache_hits, cache_misses)`` as ``cache`` and the
-    runs whose unit rows it loaded as ``unit_loads``.
+    service's final ``(cache_hits, cache_misses)`` as ``cache``, the
+    runs whose unit rows it loaded as ``unit_loads`` and, once the
+    lineage is built, each run's result as the service's store reads it
+    back as ``stored``.
     """
     from repro.datasets import evolving_bundle
 
@@ -334,6 +336,8 @@ def warm_lineage(tmp_path_factory):
                 finished(service.update(run_ids[-1], delta, background=False))
             )
         cache = (service.cache_hits, service.cache_misses)
+        del service.store.load_unit_record_docs
+        stored = [result_to_doc(service.store.get_result(run_id)) for run_id in run_ids]
     return SimpleNamespace(
         path=path,
         run_ids=run_ids,
@@ -346,6 +350,7 @@ def warm_lineage(tmp_path_factory):
         executed=[outcome.executed_keys for outcome in outcomes],
         cache=cache,
         unit_loads=unit_loads,
+        stored=stored,
     )
 
 
@@ -613,6 +618,68 @@ class TestStreamSessions:
         with MatchingService(str(copy)) as cold:
             for run_id, records in zip(warm_lineage.run_ids, warm_lineage.records):
                 assert cold.store.load_unit_record_docs(run_id) == records
+
+    def test_a_stream_result_is_stored_as_its_unit_keys(self, warm_lineage, tmp_path):
+        """Each stream run's ledger row holds its unit keys in shard order.
+
+        ``get_result`` merges the units' results back in that order to
+        the result the run returned, both in the serving service and in
+        a fresh one on a copy of the store.  In this lineage some units
+        with loop history run in an order their keys do not sort to, so
+        a merge in any other order shows in the history.
+        """
+        run_ids, warm = warm_lineage.run_ids, warm_lineage.warm
+        with_history = [
+            [key for key, doc in records.items() if doc["result"]["history"]]
+            for records in warm_lineage.records
+        ]
+        assert any(order != sorted(order) for order in with_history)
+        assert warm_lineage.stored == warm
+        with closing(sqlite3.connect(warm_lineage.path)) as conn:
+            stored = dict(conn.execute("SELECT run_id, result_json FROM runs"))
+        for run_id, records in zip(run_ids, warm_lineage.records):
+            assert json.loads(stored[run_id]) == {"units": list(records)}
+        copy = tmp_path / "cold.db"
+        shutil.copyfile(warm_lineage.path, copy)
+        with MatchingService(str(copy)) as cold:
+            for run_id, doc in zip(run_ids, warm):
+                assert result_to_doc(cold.store.get_result(run_id)) == doc
+                assert result_to_doc(cold.result(run_id)) == doc
+
+    def test_a_run_holding_its_full_result_reads_and_updates(
+        self, warm_lineage, tmp_path
+    ):
+        """A stream run whose ledger row holds the result document still works.
+
+        Stores written before stream results were stored as unit keys
+        hold the whole document, next to the same unit and reference
+        rows.  ``get_result`` reads such a row as written, and an update
+        from it in a fresh service lands on the from-scratch result of
+        the post-delta KB pair.
+        """
+        from repro.datasets import evolving_bundle
+        from repro.partition import CrowdSpec
+        from repro.stream import StreamRunner
+
+        step = 1
+        run_id, full = warm_lineage.run_ids[step], warm_lineage.warm[step]
+        copy = tmp_path / "full.db"
+        shutil.copyfile(warm_lineage.path, copy)
+        with closing(sqlite3.connect(copy)) as conn, conn:
+            conn.execute(
+                "UPDATE runs SET result_json = ? WHERE run_id = ?",
+                (json.dumps(full, sort_keys=True), run_id),
+            )
+        with MatchingService(str(copy)) as cold:
+            assert result_to_doc(cold.store.get_result(run_id)) == full
+            child = cold.update(run_id, warm_lineage.deltas[step], background=False)
+            updated = result_to_doc(cold.result(child))
+        bundle = evolving_bundle(seed=0, scale=0.4, steps=9).bundle_at(step + 1)
+        state = Remp(RempConfig()).prepare(bundle.kb1, bundle.kb2)
+        scratch = StreamRunner(RempConfig(), seed=0).run_full(
+            state, CrowdSpec(truth=bundle.gold_matches, error_rate=0.1, seed=0)
+        )
+        assert updated == result_to_doc(scratch.result)
 
     def test_store_with_full_payload_rows_upgrades_cleanly(
         self, warm_lineage, tmp_path, capsys

@@ -272,22 +272,30 @@ class TestUnitRecords:
         store.save_shard_result(run_id, 0, key, kind, result, {}, [])
 
     @staticmethod
+    def _finish(store, run_id, units):
+        """Finish stream run ``run_id`` with ``units`` (key -> origin)."""
+        result = RempResult(matches=set(), questions_asked=0, num_loops=0)
+        store.finish_run(run_id, result, units)
+
+    @staticmethod
     def _kinds(docs):
         return {key: (doc["kind"], doc["origin"]) for key, doc in docs.items()}
 
     def test_reference_reads_its_origins_payload(self, tmp_path):
         with RunStore(tmp_path / "store.db") as store:
+            store.create_run("iimb", 0, 0.2, None, run_id="a", stream_step=0)
+            store.create_run("iimb", 0, 0.2, None, run_id="b", stream_step=1)
             self._save(store, "a", "u", "graph")
             self._save(store, "a", "v", "x")
             self._save(store, "b", "v", "y")
-            store.replace_unit_records("b", {"u": "a"})
+            self._finish(store, "b", {"u": "a", "v": "b"})
             docs = store.load_unit_record_docs("b")
             assert self._kinds(docs) == {"u": ("graph", "a"), "v": ("y", "b")}
             assert {doc["key"] for doc in docs.values()} == {"u", "v"}
             # A rewrite replaces only the run's reference rows.
-            store.replace_unit_records("b", {})
+            self._finish(store, "b", {"v": "b"})
             assert self._kinds(store.load_unit_record_docs("b")) == {"v": ("y", "b")}
-            store.replace_unit_records("b", {"u": "a"})
+            self._finish(store, "b", {"u": "a", "v": "b"})
             assert store.stats()["stream_units"] == 4
             # A resume reads the run's own payload rows, not its references.
             units, _ = store.load_shard_records("b")
@@ -321,14 +329,17 @@ class TestUnitRecords:
 
         path = tmp_path / "store.db"
         with RunStore(path) as store:
+            store.create_run("iimb", 0, 0.2, None, run_id="b", stream_step=1)
             self._save(store, "a", "u", "graph")
-            store.replace_unit_records("b", {"u": "a"})
+            self._finish(store, "b", {"u": "a"})
         with sqlite3.connect(path) as conn:
             conn.execute("DELETE FROM stream_units WHERE run_id = 'a'")
         conn.close()
         with RunStore(path) as store:
             with pytest.raises(ValueError, match="'u' of run 'b' references run 'a'"):
                 store.load_unit_record_docs("b")
+            with pytest.raises(ValueError, match="'u' of run 'b' references run 'a'"):
+                store.get_result("b")
 
 
 class TestCheckpointSerialization:
