@@ -23,10 +23,6 @@ Scale knobs (environment):
 ``REPRO_BENCH_FAULT_MOVIES``    movies per cluster (default 24)
 ``REPRO_BENCH_WORKERS``         pool size (default 2)
 ``REPRO_BENCH_FAULT_ROUNDS``    timing repetitions, best-of (default 3)
-
-Every sample lands in the unified ``BENCH_history.jsonl`` trajectory
-(:func:`repro.obs.append_bench_history`) that ``repro bench compare``
-diffs across CI runs.
 """
 
 import json
@@ -38,7 +34,6 @@ import pytest
 from repro.core import Remp
 from repro.datasets import clustered_bundle
 from repro.faults import ENV_VAR
-from repro.obs import append_bench_history
 from repro.partition import CrowdSpec, ParallelRunner
 from repro.store.serialize import result_to_doc
 
@@ -124,17 +119,6 @@ def test_fault_plane_overhead():
         f"fault plane off {t_off:.2f}s, armed-inert {t_on:.2f}s "
         f"-> {ratio:.3f}x overhead"
     )
-    append_bench_history(
-        "faults",
-        meta={
-            "bench": "faults",
-            "clusters": CLUSTERS,
-            "movies": MOVIES,
-            "workers": WORKERS,
-            "overhead": round(ratio, 4),
-        },
-        stages={"faults.plane_off": t_off, "faults.plane_armed": t_on},
-    )
     if t_off >= MIN_MEASURABLE_SECONDS:
         assert ratio <= OVERHEAD_BAR, (
             f"expected <= {OVERHEAD_BAR}x with an inert plan, "
@@ -183,18 +167,6 @@ def test_killed_worker_recovery_cost():
     print(
         f"\nshard {victim} worker killed mid-shard: fault-free {t_clean:.2f}s, "
         f"recovered {t_killed:.2f}s -> {slowdown:.2f}x"
-    )
-    append_bench_history(
-        "faults",
-        meta={
-            "bench": "faults",
-            "clusters": CLUSTERS,
-            "movies": MOVIES,
-            "workers": WORKERS,
-            "victim": victim,
-            "recovery_slowdown": round(slowdown, 3),
-        },
-        stages={"faults.fault_free": t_clean, "faults.killed_worker": t_killed},
     )
     if t_clean >= MIN_MEASURABLE_SECONDS:
         assert slowdown <= RECOVERY_BAR, (

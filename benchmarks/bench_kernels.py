@@ -30,9 +30,7 @@ Scale knobs (environment):
 ``REPRO_BENCH_KERNEL_ENTITIES``  entities per side at top scale (default 3000)
 
 Every run appends machine-readable per-stage timings to
-``BENCH_kernels.json`` and mirrors each sample into the unified
-``BENCH_history.jsonl`` trajectory (:func:`repro.obs.append_bench_history`)
-that ``repro bench compare`` diffs across CI runs.
+``BENCH_kernels.json`` (the perf trajectory artifact CI uploads).
 """
 
 import json
@@ -49,7 +47,7 @@ from repro.core.candidates import generate_candidates
 from repro.core.er_graph import build_er_graph
 from repro.core.propagation import _marginals_exact
 from repro.kb.model import KnowledgeBase
-from repro.obs import RunScope, append_bench_history
+from repro.obs import RunScope
 from repro.text import normalize
 
 HUBS = int(os.environ.get("REPRO_BENCH_KERNEL_HUBS", "16"))
@@ -60,9 +58,7 @@ ENTITIES = int(os.environ.get("REPRO_BENCH_KERNEL_ENTITIES", "3000"))
 #: Fallback wall-clock below which a speedup ratio is noise, not signal.
 MIN_MEASURABLE_SECONDS = 2.0
 
-TRAJECTORY_PATH = Path(
-    os.environ.get("REPRO_BENCH_KERNELS_TRAJECTORY", "BENCH_kernels.json")
-)
+TRAJECTORY_PATH = Path("BENCH_kernels.json")
 
 
 def _append_trajectory(entry: dict) -> None:
@@ -75,16 +71,6 @@ def _append_trajectory(entry: dict) -> None:
             trajectory = []
     trajectory.append(entry)
     TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=1, sort_keys=True))
-
-    stages = {
-        f"{entry['bench']}.accel": entry["accel_seconds"],
-        f"{entry['bench']}.fallback": entry["fallback_seconds"],
-    }
-    for prefix, key in (("accel", "stages_accel"), ("fallback", "stages_fallback")):
-        for name, doc in entry.get(key, {}).items():
-            stages[f"{prefix}.{name}"] = doc
-    meta = {k: v for k, v in entry.items() if not k.startswith("stages")}
-    append_bench_history(entry["bench"], meta=meta, stages=stages)
 
 
 def _ramp(top: int) -> list[int]:

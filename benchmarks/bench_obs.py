@@ -18,13 +18,9 @@ Scale knobs (environment):
 ``REPRO_BENCH_OBS_MOVIES``     movies per cluster (default 12)
 ``REPRO_BENCH_OBS_ROUNDS``     timing rounds per mode (default 3)
 
-Every run writes ``BENCH_obs.json`` (overridable via
-``REPRO_BENCH_OBS_TRAJECTORY``) in the run-artifact metrics shape
-(:func:`repro.obs.benchmark_metrics_doc`), so CI uploads a
-machine-readable overhead record even when the bar is skipped, and
-appends each sample to the unified ``BENCH_history.jsonl`` trajectory
-(:func:`repro.obs.append_bench_history`) that ``repro bench compare``
-diffs across CI runs.
+Every run writes ``BENCH_obs.json`` — a ``meta`` document and the
+run-artifact ``metrics.json`` shape — so CI uploads a machine-readable
+overhead record even when the bar is skipped.
 """
 
 import json
@@ -37,12 +33,7 @@ import pytest
 from repro.core import Remp
 from repro.crowd import CrowdPlatform
 from repro.datasets import clustered_bundle
-from repro.obs import (
-    MetricsRegistry,
-    RunScope,
-    append_bench_history,
-    benchmark_metrics_doc,
-)
+from repro.obs import MetricsRegistry, RunScope
 from repro.store.serialize import result_to_doc
 
 CLUSTERS = int(os.environ.get("REPRO_BENCH_OBS_CLUSTERS", "16"))
@@ -56,9 +47,7 @@ MAX_OVERHEAD = 0.03
 #: Untraced wall-clock below which an overhead ratio is noise, not signal.
 MIN_MEASURABLE_SECONDS = 2.0
 
-TRAJECTORY_PATH = Path(
-    os.environ.get("REPRO_BENCH_OBS_TRAJECTORY", "BENCH_obs.json")
-)
+TRAJECTORY_PATH = Path("BENCH_obs.json")
 
 
 def _bundle():
@@ -124,16 +113,10 @@ def test_tracing_overhead():
     registry.gauge("bench.overhead", round(overhead, 4))
     TRAJECTORY_PATH.write_text(
         json.dumps(
-            benchmark_metrics_doc(meta, registry.as_doc()),
+            {"meta": meta, "metrics": registry.as_doc()},
             indent=1,
             sort_keys=True,
         )
-    )
-    append_bench_history(
-        "obs",
-        meta=meta,
-        metrics=registry.as_doc(),
-        stages={"obs.traced_run": t_on, "obs.untraced_run": t_off},
     )
 
     if t_off < MIN_MEASURABLE_SECONDS:

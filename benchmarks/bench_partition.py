@@ -26,7 +26,6 @@ import pytest
 from repro.core import Remp
 from repro.datasets import clustered_bundle
 from repro.eval import evaluate_matches
-from repro.obs import append_bench_history
 from repro.partition import CrowdSpec, ParallelRunner, partition_state
 
 CLUSTERS = int(os.environ.get("REPRO_BENCH_CLUSTERS", "24"))
@@ -103,21 +102,6 @@ def test_partition_speedup():
         f"{cores} usable cores: sequential {t_sequential:.2f}s, "
         f"pool {t_pooled:.2f}s -> {speedup:.2f}x speedup "
         f"({quality.as_row()}, {pooled.questions_asked} questions)"
-    )
-    append_bench_history(
-        "partition",
-        meta={
-            "bench": "partition",
-            "clusters": CLUSTERS,
-            "movies": MOVIES,
-            "workers": WORKERS,
-            "cores": cores,
-            "speedup": round(speedup, 3),
-        },
-        stages={
-            "partition.sequential": t_sequential,
-            "partition.pool": t_pooled,
-        },
     )
     if cores >= 4 and WORKERS >= 4:
         assert speedup >= 2.0, (

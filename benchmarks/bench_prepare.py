@@ -27,10 +27,7 @@ Scale knobs (environment):
 
 Every run appends machine-readable per-stage timings to
 ``BENCH_prepare.json`` (the perf trajectory artifact CI uploads), so
-future PRs can compare stage-level profiles across commits, and mirrors
-each sample into the unified ``BENCH_history.jsonl`` trajectory
-(:func:`repro.obs.append_bench_history`) that ``repro bench compare``
-diffs across CI runs.
+future changes can compare stage-level profiles across commits.
 """
 
 import json
@@ -45,7 +42,7 @@ from repro.accel.reference import RebuildRemp, reference_kernels
 from repro.core import Remp
 from repro.crowd import CrowdPlatform
 from repro.datasets import clustered_bundle
-from repro.obs import RunScope, append_bench_history
+from repro.obs import RunScope
 from repro.store.serialize import prepared_state_to_doc
 from repro.text import normalize
 
@@ -58,7 +55,7 @@ ERROR_RATE = 0.05
 #: Fallback wall-clock below which a speedup ratio is noise, not signal.
 MIN_MEASURABLE_SECONDS = 2.0
 
-TRAJECTORY_PATH = Path(os.environ.get("REPRO_BENCH_TRAJECTORY", "BENCH_prepare.json"))
+TRAJECTORY_PATH = Path("BENCH_prepare.json")
 
 
 def _blocking_bundle(scale: int):
@@ -115,18 +112,6 @@ def _append_trajectory(entry: dict) -> None:
             trajectory = []
     trajectory.append(entry)
     TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=1, sort_keys=True))
-
-    # Mirror into the unified cross-bench trajectory the regression
-    # sentinel (``repro bench compare``) reads.
-    stages = {
-        f"{entry['bench']}.accel": entry["accel_seconds"],
-        f"{entry['bench']}.fallback": entry["fallback_seconds"],
-    }
-    for prefix, key in (("accel", "stages_accel"), ("fallback", "stages_fallback")):
-        for name, doc in entry.get(key, {}).items():
-            stages[f"{prefix}.{name}"] = doc
-    meta = {k: v for k, v in entry.items() if not k.startswith("stages")}
-    append_bench_history(entry["bench"], meta=meta, stages=stages)
 
 
 def _scales() -> list[int]:

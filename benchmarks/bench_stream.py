@@ -29,7 +29,6 @@ import pytest
 
 from repro.core import Remp, RempConfig
 from repro.datasets import clustered_bundle
-from repro.obs import append_bench_history
 from repro.partition import CrowdSpec
 from repro.store.serialize import result_to_doc
 from repro.stream import DeltaOp, KBDelta, incremental_prepare, StreamRunner
@@ -157,21 +156,6 @@ def test_stream_speedup(baseline):
         f"-> {speedup:.2f}x speedup ({reused}/{total} units reused, "
         f"{incremental.questions_new} newly billed questions, "
         f"{len(reused_forests)} of {len(forests)} isolated forests reused)"
-    )
-    append_bench_history(
-        "stream",
-        meta={
-            "bench": "stream",
-            "clusters": CLUSTERS,
-            "movies": MOVIES,
-            "reused": reused,
-            "units": total,
-            "speedup": round(speedup, 3),
-        },
-        stages={
-            "stream.full_update": t_full,
-            "stream.incremental_update": t_incremental,
-        },
     )
     if CLUSTERS >= 12:
         assert speedup >= 3.0, (

@@ -7,17 +7,13 @@ must never change a result, so this bench asserts byte-identity across
 two concurrent sessions in one service, a session in a service of its
 own, a session on the reference kernels and full-rebuild loop
 (:mod:`repro.accel.reference`), and a ``workers``-wide partitioned run;
-the partitioned run's wall clock is recorded as a trajectory sample.
+the partitioned run's wall clock is printed.  The sessions run the
+``dbpedia_yago`` dataset.
 
 Scale knobs (environment):
 
-``REPRO_BENCH_SUBSTRATE_DATASET``  registry dataset (default dbpedia_yago)
 ``REPRO_BENCH_SUBSTRATE_SCALE``    dataset scale (default 2.0)
 ``REPRO_BENCH_WORKERS``            pool size for the partitioned case (default 4)
-
-Every sample lands in the unified ``BENCH_history.jsonl`` trajectory
-(:func:`repro.obs.append_bench_history`) that ``repro bench compare``
-diffs across CI runs.
 """
 
 import os
@@ -25,11 +21,10 @@ import time
 
 import repro.service.service
 from repro.accel.reference import RebuildRemp, reference_kernels
-from repro.obs import append_bench_history
 from repro.service import MatchingService
 from repro.store import RunStore
 
-DATASET = os.environ.get("REPRO_BENCH_SUBSTRATE_DATASET", "dbpedia_yago")
+DATASET = "dbpedia_yago"
 SCALE = float(os.environ.get("REPRO_BENCH_SUBSTRATE_SCALE", "2.0"))
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
 
@@ -70,8 +65,3 @@ def test_partitioned_pool_matches_monolithic(tmp_path):
     assert pooled.matches == mono.matches
     assert pooled.questions_asked == mono.questions_asked
     print(f"\n{WORKERS}-worker partitioned run: {t_pool:.2f}s")
-    append_bench_history(
-        "substrate",
-        meta={"bench": "substrate", "workers": WORKERS},
-        stages={"substrate.pool": t_pool},
-    )

@@ -32,10 +32,6 @@ Commands
 ``top``
     One line per in-flight run across the store — the live counterpart
     of ``runs list``.
-``bench``
-    Cross-run perf tooling: ``bench compare BASELINE CURRENT`` diffs
-    per-stage timings between two artifacts and flags slowdowns beyond
-    a noise-modelled threshold (the CI regression sentinel).
 ``cache``
     Inspect the store: its path, run counts and checkpoints (``cache info``).
 ``experiment``
@@ -591,27 +587,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
             print()
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``bench compare``: the cross-run regression sentinel."""
-    from repro.obs import sentinel
-
-    try:
-        baseline = sentinel.load_snapshot(args.baseline)
-        current = sentinel.load_snapshot(args.current)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"bench compare: {exc}", file=sys.stderr)
-        return 2
-    findings = sentinel.compare(
-        baseline,
-        current,
-        max_slowdown=args.max_slowdown,
-        min_seconds=args.min_seconds,
-        z=args.z,
-    )
-    print(sentinel.render_report(baseline, current, findings))
-    return 1 if sentinel.flagged(findings) else 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     """``cache info``: the store's path, run counts and checkpoints."""
     with RunStore(_store_path(args)) as store:
@@ -850,36 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after S seconds (with --watch)",
     )
     p_top.set_defaults(func=_cmd_top)
-
-    p_bench = sub.add_parser(
-        "bench", help="cross-run benchmark tooling (regression sentinel)"
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_bench_compare = bench_sub.add_parser(
-        "compare",
-        help="diff per-stage timings between two artifacts; exit 1 on a"
-        " flagged regression",
-    )
-    p_bench_compare.add_argument(
-        "baseline",
-        help="baseline artifact: a runs/<id>/ dir, BENCH_history.jsonl, or"
-        " BENCH_*.json",
-    )
-    p_bench_compare.add_argument("current", help="current artifact (same shapes)")
-    p_bench_compare.add_argument(
-        "--max-slowdown", type=float, default=0.5, metavar="FRAC",
-        help="minimum tolerated slowdown fraction before flagging (default 0.5)",
-    )
-    p_bench_compare.add_argument(
-        "--min-seconds", type=float, default=0.05, metavar="S",
-        help="ignore stages faster than S seconds on either side (default 0.05)",
-    )
-    p_bench_compare.add_argument(
-        "--z", type=float, default=3.0,
-        help="noise multiplier: allowance grows to z x the baseline's"
-        " coefficient of variation (default 3.0)",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_cache = sub.add_parser("cache", help="inspect the store")
     p_cache.add_argument("--store", default=None)

@@ -32,15 +32,12 @@ from importlib import import_module
 #: Public name -> defining submodule (resolved on first attribute access).
 _EXPORTS = {
     "ARTIFACT_FILES": "repro.obs.artifacts",
-    "benchmark_metrics_doc": "repro.obs.artifacts",
     "export_run_artifacts": "repro.obs.artifacts",
     "fallback_cost_ledger": "repro.obs.artifacts",
     "run_meta": "repro.obs.artifacts",
     "current_scope": "repro.obs.context",
-    "append_bench_history": "repro.obs.export",
     "chrome_trace": "repro.obs.export",
     "filter_spans": "repro.obs.export",
-    "load_bench_history": "repro.obs.export",
     "validate_chrome_trace": "repro.obs.export",
     "RunWatch": "repro.obs.live",
     "render_top": "repro.obs.live",
@@ -54,9 +51,6 @@ _EXPORTS = {
     "publish": "repro.obs.runtime",
     "span": "repro.obs.runtime",
     "timed": "repro.obs.runtime",
-    "compare": "repro.obs.sentinel",
-    "load_snapshot": "repro.obs.sentinel",
-    "render_report": "repro.obs.sentinel",
     "Tracer": "repro.obs.trace",
     "tracing_enabled": "repro.obs.trace",
 }

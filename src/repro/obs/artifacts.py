@@ -1,7 +1,7 @@
 """The per-run artifact contract: ``runs/<run_id>/``.
 
-Every stored run exports one directory with a fixed layout, so benches,
-CI and serving front ends all read the same shape:
+Every stored run exports one directory with a fixed layout, so CI and
+serving front ends read the same shape:
 
 ``meta.json``
     Run identity and provenance: config hash, dataset/seed/scale,
@@ -20,11 +20,10 @@ CI and serving front ends all read the same shape:
 ``result.json``
     The final :class:`~repro.core.RempResult` document.
 
-Benchmarks reuse the metrics shape through
-:func:`benchmark_metrics_doc` (``BENCH_obs.json``), and the CLI verbs
-``runs trace`` / ``runs metrics`` / ``runs export-artifacts`` read it.
-Runs persisted before the obs layer still export: meta falls back to
-the ledger row and the cost ledger collapses to one run-level item.
+The CLI verbs ``runs trace`` / ``runs metrics`` /
+``runs export-artifacts`` read it.  Runs persisted before the obs layer
+still export: meta falls back to the ledger row and the cost ledger
+collapses to one run-level item.
 """
 
 from __future__ import annotations
@@ -141,12 +140,3 @@ def export_run_artifacts(
         _dump(dest / "result.json", result_to_doc(result))
     return dest
 
-
-def benchmark_metrics_doc(meta: dict, metrics: dict) -> dict:
-    """The ``BENCH_*.json`` shape: run-artifact meta + metrics documents.
-
-    ``metrics`` is a :meth:`~repro.obs.metrics.MetricsRegistry.as_doc`
-    document — the exact shape ``metrics.json`` carries per run — so
-    trajectory tooling parses bench artifacts and run artifacts alike.
-    """
-    return {"meta": dict(meta), "metrics": dict(metrics)}

@@ -1,29 +1,14 @@
 """Standard-format exporters for run telemetry.
 
-Two interchange formats, both derived from the documents the rest of
-:mod:`repro.obs` already produces:
-
 * :func:`chrome_trace` — the span list (``trace.jsonl`` rows) as a
   Chrome ``trace_event`` JSON object, loadable in Perfetto /
   ``chrome://tracing``; :func:`validate_chrome_trace` checks the
   structural schema so CI can assert exports stay loadable.
-* :func:`append_bench_history` / :func:`load_bench_history` — the
-  unified ``BENCH_history.jsonl`` trajectory every benchmark appends
-  to, which the regression sentinel (:mod:`repro.obs.sentinel`) diffs
-  across CI runs.
-
-Plus :func:`filter_spans`, the server-side ``--span``/``--shard``
-filter behind ``repro runs trace``.
+* :func:`filter_spans` — the server-side ``--span``/``--shard`` filter
+  behind ``repro runs trace``.
 """
 
 from __future__ import annotations
-
-import json
-import os
-from pathlib import Path
-
-#: Default history file; ``REPRO_BENCH_HISTORY`` overrides.
-DEFAULT_HISTORY = "BENCH_history.jsonl"
 
 #: The trace_event phases this exporter emits.
 _COMPLETE, _INSTANT, _METADATA = "X", "i", "M"
@@ -119,62 +104,6 @@ def validate_chrome_trace(doc: dict) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Unified benchmark history
-# ----------------------------------------------------------------------
-def history_path(path: str | Path | None = None) -> Path:
-    """Resolve the history file: explicit > ``REPRO_BENCH_HISTORY`` > cwd."""
-    if path is not None:
-        return Path(path)
-    return Path(os.environ.get("REPRO_BENCH_HISTORY", "") or DEFAULT_HISTORY)
-
-
-def append_bench_history(
-    bench: str,
-    *,
-    meta: dict | None = None,
-    metrics: dict | None = None,
-    stages: dict | None = None,
-    path: str | Path | None = None,
-) -> Path:
-    """Append one benchmark sample to the unified history JSONL.
-
-    Every benchmark writes through this one appender so the regression
-    sentinel sees a single cross-bench trajectory: ``bench`` names the
-    sample source, ``stages`` maps stage name to seconds (or a
-    ``{"seconds": ...}`` doc), ``metrics``/``meta`` travel verbatim.
-    """
-    target = history_path(path)
-    entry: dict = {"bench": bench}
-    if meta:
-        entry["meta"] = meta
-    if metrics:
-        entry["metrics"] = metrics
-    if stages:
-        entry["stages"] = {
-            name: (doc["seconds"] if isinstance(doc, dict) else doc)
-            for name, doc in stages.items()
-        }
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-    return target
-
-
-def load_bench_history(path: str | Path | None = None) -> list[dict]:
-    """All samples from a history JSONL (missing file → empty list)."""
-    target = history_path(path)
-    if not target.exists():
-        return []
-    entries = []
-    with target.open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries
-
-
-# ----------------------------------------------------------------------
 # Server-side span filtering (``repro runs trace --span/--shard``)
 # ----------------------------------------------------------------------
 def filter_spans(
@@ -192,12 +121,4 @@ def filter_spans(
     return selected
 
 
-__all__ = [
-    "DEFAULT_HISTORY",
-    "append_bench_history",
-    "chrome_trace",
-    "filter_spans",
-    "history_path",
-    "load_bench_history",
-    "validate_chrome_trace",
-]
+__all__ = ["chrome_trace", "filter_spans", "validate_chrome_trace"]

@@ -170,22 +170,35 @@ class MatchingSession:
         self._scope.publish(f"status.{status}", **fields)
 
     def _finish(
-        self, result: RempResult, cost_items: list[dict], units: dict | None = None
+        self, result: RempResult, cost_items: list[dict], outcome=None
     ) -> RempResult:
         """Record a finished run: ledger row, done event, obs document.
 
         ``cost_items`` itemise the billed questions (loop / shard /
         stream-unit scoped) and become the run's cost ledger, summing to
         the result's ``questions_asked`` exactly.  A stream run passes
-        its ``units`` (:meth:`RunStore.finish_run`).  The document's
+        its ``outcome``, whose unit keys and origins
+        :meth:`RunStore.finish_run` stores.  The document's
         timings are the scope's private registry: only stages that ran
         under this session's activations (plus shard deltas merged back
         from its own pool workers) — exact attribution, not a diff
         against the shared process-wide singleton.
+
+        The session publishes its result and outcome only once
+        ``finish_run`` has committed.  When it fails, the run stays
+        unfinished, and a retry runs the finish again.
         """
+        units = None
+        if outcome is not None:
+            units = {key: record.origin for key, record in outcome.records.items()}
+        # ``result`` holds the driver's work.  A retry after a failed
+        # ledger write restarts from the journal, as after a failed
+        # checkpoint write in step().
+        self._driver = None
+        self._store.finish_run(self.run_id, result, units)
         self._result = result
         self.status = DONE
-        self._store.finish_run(self.run_id, result, units)
+        self.stream_outcome = outcome
         self._scope.publish(
             "status.done",
             questions=result.questions_asked,
@@ -199,18 +212,17 @@ class MatchingSession:
             "total": sum(item["questions"] for item in cost_items),
             "items": list(cost_items),
         }
-        if self.stream_outcome is not None:
-            ledger["questions_new"] = self.stream_outcome.questions_new
+        if outcome is not None:
+            ledger["questions_new"] = outcome.questions_new
         if ledger["total"] != result.questions_asked:  # pragma: no cover
             # Never expected; recorded rather than raised so a ledger
             # accounting bug can't fail an otherwise-finished run.
             ledger["mismatch"] = result.questions_asked - ledger["total"]
         doc["cost_ledger"] = ledger
         self._store.save_run_obs(self.run_id, doc)
-        # The store now holds what the driver and the scope collected;
-        # the session keeps only its result (and a stream outcome, which
-        # a child update reuses).
-        self._driver = None
+        # The store now holds what the scope collected; the session keeps
+        # only its result (and a stream outcome, which a child update
+        # reuses).
         self._scope = obs.RunScope(
             self.run_id, stream_step=self.record.stream_step, store=self._store
         )
@@ -406,7 +418,6 @@ class MatchingSession:
                 on_event=self.on_event,
             )
             outcome = runner.run_incremental(state, crowd, dirty=dirty, reuse=reuse)
-            self.stream_outcome = outcome
             # Unit records cover every shard of the run (reused ones bill
             # their recorded, i.e. logical, question count), so the items
             # sum to the merged result's questions_asked.
@@ -420,8 +431,7 @@ class MatchingSession:
                 }
                 for key, record in sorted(outcome.records.items())
             ]
-            units = {key: record.origin for key, record in outcome.records.items()}
-            return self._finish(outcome.result, cost_items, units)
+            return self._finish(outcome.result, cost_items, outcome)
 
     def result(self) -> RempResult | None:
         return self._result

@@ -1,16 +1,9 @@
-"""Standard exporters: Chrome trace, bench history, filters."""
+"""Standard exporters: Chrome trace, span filters."""
 
 import json
 
 from repro.cli import main
-from repro.obs.export import (
-    append_bench_history,
-    chrome_trace,
-    filter_spans,
-    history_path,
-    load_bench_history,
-    validate_chrome_trace,
-)
+from repro.obs.export import chrome_trace, filter_spans, validate_chrome_trace
 from repro.service import MatchingService
 from repro.store import RunStore
 
@@ -68,41 +61,6 @@ class TestChromeTrace:
         assert any("bad ts" in e for e in errors)
         assert any("missing scope" in e for e in errors)
         assert any("unknown phase" in e for e in errors)
-
-
-class TestBenchHistory:
-    def test_append_and_load_round_trip(self, tmp_path):
-        path = tmp_path / "BENCH_history.jsonl"
-        append_bench_history(
-            "obs",
-            meta={"clusters": 4},
-            metrics={"gauges": {"bench.overhead": 0.01}},
-            stages={"obs.traced_run": 1.25},
-            path=path,
-        )
-        append_bench_history(
-            "obs",
-            stages={"obs.traced_run": {"seconds": 1.5, "calls": 1}},
-            path=path,
-        )
-        entries = load_bench_history(path)
-        assert [e["bench"] for e in entries] == ["obs", "obs"]
-        assert entries[0]["meta"] == {"clusters": 4}
-        # Stage docs normalise to plain seconds.
-        assert entries[0]["stages"] == {"obs.traced_run": 1.25}
-        assert entries[1]["stages"] == {"obs.traced_run": 1.5}
-
-    def test_missing_history_loads_empty(self, tmp_path):
-        assert load_bench_history(tmp_path / "nope.jsonl") == []
-
-    def test_env_var_resolves_default_path(self, tmp_path, monkeypatch):
-        target = tmp_path / "hist.jsonl"
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", str(target))
-        assert history_path() == target
-        append_bench_history("obs", stages={"s": 1.0})
-        assert load_bench_history() and target.exists()
-        monkeypatch.delenv("REPRO_BENCH_HISTORY")
-        assert history_path().name == "BENCH_history.jsonl"
 
 
 class TestFilterSpans:

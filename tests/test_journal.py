@@ -216,6 +216,31 @@ class TestStoreJournal:
                 assert len(checkpoint.history) == checkpoint.next_loop_index
             assert result_to_doc(service.result(run_id)) == uninterrupted
 
+    def test_failed_finish_returns_only_a_committed_result(self, tmp_path, uninterrupted):
+        """A finish whose ledger write fails publishes no result.
+
+        Every write attempt of ``finish_run`` fails, twice: each
+        ``result()`` raises and the run stays ``failed`` with no stored
+        result.  Once the plan is lifted, the retry restarts from the
+        journal and lands on the uninterrupted run, stored as returned.
+        """
+        plan = faults.FaultPlan(
+            [faults.FaultRule("store.write", times=None, where={"op": "finish_run"})]
+        )
+        path = str(tmp_path / "s.db")
+        with MatchingService(path) as service:
+            run_id = _submit(service)
+            with faults.activate(plan):
+                for _ in range(2):
+                    with pytest.raises(faults.InjectedFault):
+                        service.result(run_id)
+                    assert service.status(run_id) == "failed"
+                    assert service.store.get_result(run_id) is None
+            returned = result_to_doc(service.result(run_id))
+            assert service.status(run_id) == "done"
+            assert result_to_doc(service.store.get_result(run_id)) == returned
+        assert returned == uninterrupted
+
     def test_cache_info_counts_runs_not_rows(self, tmp_path, capsys):
         path = str(tmp_path / "s.db")
         with MatchingService(path) as service:

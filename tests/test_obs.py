@@ -16,7 +16,6 @@ from repro.obs import (
     MetricsRegistry,
     RunScope,
     Tracer,
-    benchmark_metrics_doc,
     export_run_artifacts,
     fallback_cost_ledger,
 )
@@ -501,13 +500,13 @@ class TestTracingDoesNotPerturbResults:
         )
 
 
-class TestBenchmarkDoc:
-    def test_shape_matches_run_artifacts(self):
-        registry = MetricsRegistry()
-        registry.count("bench.iterations", 3)
-        doc = benchmark_metrics_doc({"bench": "obs"}, registry.as_doc())
-        assert doc["meta"] == {"bench": "obs"}
-        assert doc["metrics"]["counters"]["bench.iterations"] == 3
+class TestLazyExports:
+    def test_every_public_name_resolves(self):
+        """``_EXPORTS`` names no removed module or attribute."""
+        import repro.obs
+
+        for name in repro.obs.__all__:
+            getattr(repro.obs, name)
 
 
 class TestLoggingGate:

@@ -342,3 +342,38 @@ class TestStreamUpdateResume:
             **{key: None for key in reference[1]["executed_keys"]},
             **{key: root for key in reference[1]["reused_keys"]},
         }
+
+    def test_a_retried_failed_finish_returns_only_a_committed_result(
+        self, evolving, reference, tmp_path
+    ):
+        """A finish that did not commit publishes no result and keeps the parent.
+
+        Every write attempt of the update's ``finish_run`` fails, twice:
+        each ``result()`` raises, the run stays ``failed`` with no stored
+        result, and the service keeps the parent's session.  Once the
+        plan is lifted, a retry in the same service lands on the
+        uninterrupted update, ``done``, with the returned result stored.
+        """
+        from repro import faults
+        from repro.service import MatchingService
+        from repro.store.serialize import result_to_doc
+
+        plan = faults.FaultPlan(
+            [faults.FaultRule("store.write", times=None, where={"op": "finish_run"})]
+        )
+        with MatchingService(str(tmp_path / "retry.db")) as service:
+            root = self._root(service)
+            run_id = service.update(root, evolving.deltas[0], background=False)
+            with faults.activate(plan):
+                for _ in range(2):
+                    with pytest.raises(faults.InjectedFault):
+                        service.result(run_id)
+                    assert service.status(run_id) == "failed"
+                    assert service.store.get_result(run_id) is None
+                    assert service.stream_outcome(run_id) is None
+                    assert service.stream_outcome(root) is not None
+            retried = self._summary(service, run_id)
+            assert service.status(run_id) == "done"
+            assert result_to_doc(service.store.get_result(run_id)) == retried["result"]
+            assert service.stream_outcome(root) is None
+        assert retried == reference[1]
