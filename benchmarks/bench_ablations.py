@@ -1,4 +1,5 @@
-"""Ablation benches for the design decisions called out in DESIGN.md §6."""
+"""Ablation benches for three design decisions: Dijkstra against Floyd–Warshall
+inferred-set discovery, the exact-marginal group cap and one-to-one demotion."""
 
 import random
 

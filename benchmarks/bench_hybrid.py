@@ -1,4 +1,4 @@
-"""Ablation bench: base Remp vs the hybrid extension (DESIGN.md §6).
+"""Ablation bench: base Remp vs the hybrid extension (``repro.core.hybrid``).
 
 The hybrid adds entity-local partial-order inference to every crowd label
 (the paper's stated future work); the bench reports both systems' F1 and

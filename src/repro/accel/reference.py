@@ -38,7 +38,18 @@ module under :mod:`repro` imports this one.
   heap band by band).
 * :func:`dirty_closure` — the stream splice's dirty region as one
   union–find over every old ∪ new candidate pair (pins the by-entity
-  walk of :func:`repro.stream.incremental._dirty_closure`).
+  walk of :func:`repro.stream.incremental._dirty_closure`);
+* :func:`entity_closure_components` — a prepared state's entity-closure
+  components as one :class:`UnionFind` over every retained pair and
+  ER-graph edge (pins the by-entity and graph walk of
+  :func:`repro.partition.partitioner.closure_components`, and the
+  components a stream splice keeps from its parent's);
+* :func:`kb_to_doc` and :func:`kb_pair_fingerprint` — a KB's document
+  sorted afresh from its indexes on every call, and the digest of a
+  pair's (pin the canonical content
+  :class:`repro.kb.model.KnowledgeBase` keeps across mutations, and
+  :func:`repro.kb.io.kb_to_doc` and
+  :func:`repro.kb.io.kb_pair_fingerprint`, which read it).
 
 :func:`reference_kernels` rebinds the product's kernel names to these
 references for the length of a ``with`` block, so a whole
@@ -47,7 +58,9 @@ references for the length of a ``with`` block, so a whole
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
 from contextlib import contextmanager
 from typing import Mapping, Sequence
 
@@ -76,7 +89,6 @@ from repro.core.propagation import build_probabilistic_graph
 from repro.core.selection import GainBands, gain_bands
 from repro.kb.model import KnowledgeBase
 from repro.obs import runtime as obs
-from repro.partition.partitioner import UnionFind
 from repro.text.literal import literal_set_similarity
 
 Pair = tuple[str, str]
@@ -364,6 +376,57 @@ def greedy_question_selection(
     return selected
 
 
+# ----------------------------------------------------------------------
+# Entity closures: one union–find
+# ----------------------------------------------------------------------
+class UnionFind:
+    """Path-halving union–find over candidate pairs."""
+
+    def __init__(self) -> None:
+        self._parent: dict[Pair, Pair] = {}
+
+    def find(self, item: Pair) -> Pair:
+        parent = self._parent.setdefault(item, item)
+        while parent != item:
+            grandparent = self._parent[parent]
+            self._parent[item] = grandparent
+            item, parent = parent, self._parent.setdefault(grandparent, grandparent)
+        return item
+
+    def union(self, a: Pair, b: Pair) -> None:
+        root_a, root_b = self.find(a), self.find(b)
+        if root_a != root_b:
+            # Deterministic root choice keeps grouping order-independent.
+            if root_b < root_a:
+                root_a, root_b = root_b, root_a
+            self._parent[root_b] = root_a
+
+    def union_shared_entities(self, pairs) -> None:
+        """Add ``pairs``, linking every two that share their KB1 or KB2 entity."""
+        by_left: dict[str, Pair] = {}
+        by_right: dict[str, Pair] = {}
+        for pair in pairs:
+            self.find(pair)
+            for key, bucket in ((pair[0], by_left), (pair[1], by_right)):
+                anchor = bucket.setdefault(key, pair)
+                if anchor != pair:
+                    self.union(anchor, pair)
+
+
+def entity_closure_components(state) -> list[set[Pair]]:
+    """Retained pairs grouped by any chain of ER-graph edges or shared entities."""
+    uf = UnionFind()
+    uf.union_shared_entities(state.retained)
+    for vertex, by_label in state.graph.groups.items():
+        for members in by_label.values():
+            for neighbor in members:
+                uf.union(vertex, neighbor)
+    groups: dict[Pair, set[Pair]] = {}
+    for pair in state.retained:
+        groups.setdefault(uf.find(pair), set()).add(pair)
+    return list(groups.values())
+
+
 def dirty_closure(
     old_pairs: set[Pair], new_pairs: set[Pair], dirty1: set[str], dirty2: set[str]
 ) -> set[Pair]:
@@ -374,6 +437,41 @@ def dirty_closure(
     seeds = {p for p in universe if p[0] in dirty1 or p[1] in dirty2}
     dirty_roots = {uf.find(p) for p in seeds}
     return {p for p in universe if uf.find(p) in dirty_roots}
+
+
+# ----------------------------------------------------------------------
+# The KB-pair fingerprint: every document sorted afresh
+# ----------------------------------------------------------------------
+def _triple_key(triple: list) -> tuple:
+    """Type-stable sort key: literals of mixed types cannot be compared."""
+    subject, prop, value = triple
+    return (subject, prop, type(value).__name__, str(value))
+
+
+def kb_to_doc(kb: KnowledgeBase) -> dict:
+    """``kb`` as a JSON-able document, its triples sorted from its indexes."""
+    return {
+        "name": kb.name,
+        "entities": sorted(kb.entities),
+        "attribute_triples": sorted(
+            ([t.subject, t.prop, t.value] for t in kb.iter_attribute_triples()),
+            key=_triple_key,
+        ),
+        "relationship_triples": sorted(
+            [t.subject, t.prop, t.value] for t in kb.iter_relationship_triples()
+        ),
+    }
+
+
+def kb_pair_fingerprint(kb1: KnowledgeBase, kb2: KnowledgeBase) -> str:
+    """The digest of both KBs' :func:`kb_to_doc` documents."""
+    blob = json.dumps(
+        [kb_to_doc(kb1), kb_to_doc(kb2)],
+        sort_keys=True,
+        separators=(",", ":"),
+        default=str,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @contextmanager

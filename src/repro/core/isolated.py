@@ -8,7 +8,8 @@ isolated pair's — the neighborhood ``N_p`` with Jaccard ≥ ψ.  Unresolved
 neighbors count as non-matches to balance the heavily-positive labels that
 propagation produces.
 
-Two practical extensions (documented in DESIGN.md):
+Two practical extensions (``docs/design.md``, "The isolated phase against
+Section VII-B", lists them with the match threshold and the negative cap):
 
 * When a signature group has no positive labels at all — common when whole
   entity types are isolated — a small, bounded number of seed questions is

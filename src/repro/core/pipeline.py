@@ -70,6 +70,10 @@ class PreparedState:
     #: states stay picklable and serializable; slices (:meth:`restrict`)
     #: drop it.
     substrate_key: tuple[str, str] | None = None
+    #: The retained pairs' entity-closure components, kept once found
+    #: (:func:`repro.partition.entity_closure_components`); ``None``
+    #: until then.  Slices drop them.
+    components: list[frozenset[Pair]] | None = field(default=None, compare=False)
 
     def restrict(self, vertices: set[Pair], *, isolated: set[Pair] | None = None) -> "PreparedState":
         """A self-contained slice of this state over ``vertices``.

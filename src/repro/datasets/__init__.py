@@ -5,7 +5,8 @@ DBLP-ACM, IMDB-YAGO and DBpedia-YAGO.  The original dumps are not available
 offline, so this package synthesizes seeded two-KB worlds whose *structural
 profile* mirrors each dataset: schema heterogeneity, relationship density,
 entity-type mix, label noise, missing labels and the share of isolated
-entities.  See DESIGN.md §3 for the substitution rationale.
+entities.  ``docs/design.md``, "Why the datasets are synthetic", gives the
+substitution rationale.
 """
 
 from repro.datasets.clustered import clustered_bundle

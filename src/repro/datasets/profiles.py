@@ -1,7 +1,7 @@
 """The four dataset profiles mirroring Table II of the paper.
 
 Each profile reproduces the *shape* of one evaluation dataset at laptop
-scale (see DESIGN.md §3):
+scale (see ``docs/design.md``, "Why the datasets are synthetic"):
 
 * ``iimb`` — small benchmark, identical schemas in both KBs, almost total
   overlap, low noise, almost no isolated entities.

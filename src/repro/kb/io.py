@@ -21,29 +21,21 @@ from pathlib import Path
 from repro.kb.model import KnowledgeBase
 
 
-def _triple_key(triple: list) -> tuple:
-    """Type-stable sort key: literals of mixed types cannot be compared."""
-    subject, prop, value = triple
-    return (subject, prop, type(value).__name__, str(value))
-
-
 def kb_to_doc(kb: KnowledgeBase) -> dict:
     """``kb`` as a JSON-able document with deterministically ordered triples.
 
     Equal knowledge bases produce equal documents regardless of insertion
     order, so the document doubles as a stable serialization format for
-    :mod:`repro.store` and as an equality witness in tests.
+    :mod:`repro.store` and as an equality witness in tests.  The lists
+    are fresh copies of the KB's canonical content
+    (:meth:`~repro.kb.model.KnowledgeBase.canonical_content`).
     """
+    entities, attribute_triples, relationship_triples = kb.canonical_content()
     return {
         "name": kb.name,
-        "entities": sorted(kb.entities),
-        "attribute_triples": sorted(
-            ([t.subject, t.prop, t.value] for t in kb.iter_attribute_triples()),
-            key=_triple_key,
-        ),
-        "relationship_triples": sorted(
-            [t.subject, t.prop, t.value] for t in kb.iter_relationship_triples()
-        ),
+        "entities": list(entities),
+        "attribute_triples": [list(triple) for triple in attribute_triples],
+        "relationship_triples": [list(triple) for triple in relationship_triples],
     }
 
 
@@ -51,14 +43,22 @@ def kb_pair_fingerprint(kb1: KnowledgeBase, kb2: KnowledgeBase) -> str:
     """Stable digest identifying the *content* of a KB pair.
 
     Equal KB pairs (same entities and triples, regardless of insertion
-    order or mutation history) produce equal fingerprints.
+    order or mutation history) produce equal fingerprints.  It digests
+    the JSON of both KBs' :func:`kb_to_doc` documents, read straight off
+    their kept canonical content, so it sorts nothing.
     """
-    blob = json.dumps(
-        [kb_to_doc(kb1), kb_to_doc(kb2)],
-        sort_keys=True,
-        separators=(",", ":"),
-        default=str,
-    )
+    docs = []
+    for kb in (kb1, kb2):
+        entities, attribute_triples, relationship_triples = kb.canonical_content()
+        docs.append(
+            {
+                "name": kb.name,
+                "entities": entities,
+                "attribute_triples": attribute_triples,
+                "relationship_triples": relationship_triples,
+            }
+        )
+    blob = json.dumps(docs, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

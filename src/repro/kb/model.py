@@ -11,12 +11,19 @@ precomputed dictionaries for O(1) lookup.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
 #: Attribute conventionally holding an entity's human-readable label.
 LABEL_ATTRIBUTE = "rdfs:label"
+
+
+def attribute_triple_key(triple: tuple) -> tuple:
+    """Type-stable sort key: literals of mixed types cannot be compared."""
+    subject, prop, value = triple
+    return (subject, prop, type(value).__name__, str(value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,30 +80,43 @@ class KnowledgeBase:
         self._rel_counts: dict[str, int] = {}
         self._n_attr_triples = 0
         self._n_rel_triples = 0
+        # The canonical content (:meth:`canonical_content`): ``None`` until
+        # first requested, then patched by every mutator.
+        self._canonical: tuple[list[str], list[tuple], list[tuple]] | None = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _add_entity_name(self, entity: str) -> None:
+        if entity not in self._entities:
+            self._entities.add(entity)
+            if self._canonical is not None:
+                insort(self._canonical[0], entity)
+
     def add_entity(self, entity: str, label: str | None = None) -> None:
         """Register ``entity``; optionally attach a ``rdfs:label`` literal."""
-        self._entities.add(entity)
+        self._add_entity_name(entity)
         if label is not None:
             self.add_attribute_triple(entity, LABEL_ATTRIBUTE, label)
 
     def add_attribute_triple(self, entity: str, attribute: str, literal: object) -> None:
         """Add ``(entity, attribute, literal)`` to the attribute triples."""
-        self._entities.add(entity)
+        self._add_entity_name(entity)
         self._attributes.add(attribute)
         values = self._attr_values.setdefault(entity, {}).setdefault(attribute, set())
         if literal not in values:
             values.add(literal)
             self._n_attr_triples += 1
             self._attr_counts[attribute] = self._attr_counts.get(attribute, 0) + 1
+            if self._canonical is not None:
+                insort(
+                    self._canonical[1], (entity, attribute, literal), key=attribute_triple_key
+                )
 
     def add_relationship_triple(self, subject: str, relationship: str, obj: str) -> None:
         """Add ``(subject, relationship, object)`` to the relationship triples."""
-        self._entities.add(subject)
-        self._entities.add(obj)
+        self._add_entity_name(subject)
+        self._add_entity_name(obj)
         self._relationships.add(relationship)
         objs = self._rel_values.setdefault(subject, {}).setdefault(relationship, set())
         if obj not in objs:
@@ -104,6 +124,8 @@ class KnowledgeBase:
             self._n_rel_triples += 1
             self._rel_counts[relationship] = self._rel_counts.get(relationship, 0) + 1
             self._rel_sources.setdefault(obj, {}).setdefault(relationship, set()).add(subject)
+            if self._canonical is not None:
+                insort(self._canonical[2], (subject, relationship, obj))
 
     def add_triples(self, triples: Iterable[Triple]) -> None:
         for t in triples:
@@ -128,6 +150,14 @@ class KnowledgeBase:
         values = by_attr.get(attribute)
         if values is None or literal not in values:
             return False
+        if self._canonical is not None:
+            # The set may hold an equal literal of another type (1, 1.0
+            # and True are one element); the canonical triple is the one
+            # it holds.
+            held = next(v for v in values if v is literal or v == literal)
+            triples = self._canonical[1]
+            key = attribute_triple_key((entity, attribute, held))
+            del triples[bisect_left(triples, key, key=attribute_triple_key)]
         values.discard(literal)
         self._n_attr_triples -= 1
         remaining = self._attr_counts.get(attribute, 1) - 1
@@ -150,6 +180,9 @@ class KnowledgeBase:
         objs = by_rel.get(relationship)
         if objs is None or obj not in objs:
             return False
+        if self._canonical is not None:
+            triples = self._canonical[2]
+            del triples[bisect_left(triples, (subject, relationship, obj))]
         objs.discard(obj)
         self._n_rel_triples -= 1
         remaining = self._rel_counts.get(relationship, 1) - 1
@@ -186,10 +219,17 @@ class KnowledgeBase:
             for subject in list(subjects):
                 self.remove_relationship_triple(subject, relationship, entity)
         self._entities.discard(entity)
+        if self._canonical is not None:
+            entities = self._canonical[0]
+            del entities[bisect_left(entities, entity)]
         return True
 
     def copy(self, name: str | None = None) -> "KnowledgeBase":
-        """An independent deep copy (delta application never mutates in place)."""
+        """An independent deep copy (delta application never mutates in place).
+
+        The copy carries the canonical content, if built, so its own
+        mutations patch it too.
+        """
         clone = KnowledgeBase(name or self.name)
         clone._entities = set(self._entities)
         clone._attr_values = {
@@ -210,7 +250,41 @@ class KnowledgeBase:
         clone._rel_counts = dict(self._rel_counts)
         clone._n_attr_triples = self._n_attr_triples
         clone._n_rel_triples = self._n_rel_triples
+        if self._canonical is not None:
+            clone._canonical = tuple(list(part) for part in self._canonical)
         return clone
+
+    def canonical_content(self) -> tuple[list[str], list[tuple], list[tuple]]:
+        """The KB's content in canonical order, as the KB keeps it.
+
+        Returns the sorted entities, the attribute triples sorted by
+        :func:`attribute_triple_key` and the sorted relationship
+        triples, each triple a ``(subject, property, value)`` tuple.
+        Equal KBs give equal lists, whatever their insertion order or
+        mutation history.  The lists are built on the first call and
+        patched by every mutator after it, so a later call walks
+        nothing.  They are the KB's own: read them, never mutate them.
+        """
+        if self._canonical is None:
+            self._canonical = (
+                sorted(self._entities),
+                sorted(
+                    (
+                        (entity, attribute, literal)
+                        for entity, by_attr in self._attr_values.items()
+                        for attribute, literals in by_attr.items()
+                        for literal in literals
+                    ),
+                    key=attribute_triple_key,
+                ),
+                sorted(
+                    (subject, relationship, obj)
+                    for subject, by_rel in self._rel_values.items()
+                    for relationship, objs in by_rel.items()
+                    for obj in objs
+                ),
+            )
+        return self._canonical
 
     # ------------------------------------------------------------------
     # Accessors

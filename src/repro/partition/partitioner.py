@@ -9,8 +9,10 @@ Two mechanisms couple candidate pairs during the human–machine loop:
   pairs may sit in different graph components.
 
 A partition is therefore only closed under the loop when it unions graph
-components up to their *entity closure*: a union–find links pairs that
-are graph-adjacent, share their KB1 entity, or share their KB2 entity.
+components up to their *entity closure*: pairs join when they are
+graph-adjacent, share their KB1 entity, or share their KB2 entity.  One
+walk finds these components (:func:`closure_components`), and a state
+keeps them, so a stream update walks only the region its delta touched.
 The partitioner:
 
 * puts every entity-closure component whole into exactly one **graph
@@ -33,7 +35,9 @@ the same result as ``workers=1``).
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from repro.core.candidates import CandidateSet
 from repro.core.pipeline import PreparedState
@@ -50,58 +54,67 @@ ISOLATED = "isolated"
 DEFAULT_TARGET_SHARDS = 8
 
 
-class UnionFind:
-    """Path-halving union–find over candidate pairs."""
+def closure_components(
+    pairs: Collection[Pair], groups: Mapping[Pair, Mapping[object, Iterable[Pair]]]
+) -> list[frozenset[Pair]]:
+    """The entity-closure components of ``pairs``, found by one walk.
 
-    def __init__(self) -> None:
-        self._parent: dict[Pair, Pair] = {}
+    Two pairs join when they share their KB1 or their KB2 entity (a
+    by-entity index of ``pairs``) or when one is in an ER-graph neighbor
+    group of the other (``groups``, as ``ERGraph.groups``).  Inverse
+    labels make the groups symmetric, so following each pair's own
+    groups reaches both ends of every edge.  ``pairs`` must be closed
+    under both links: no pair outside it shares an entity with one
+    inside, and no group of a pair inside names one outside.  Each pair,
+    entity and edge is visited once.
+    """
+    index: tuple[dict[str, list[Pair]], dict[str, list[Pair]]] = ({}, {})
+    for pair in pairs:
+        index[0].setdefault(pair[0], []).append(pair)
+        index[1].setdefault(pair[1], []).append(pair)
+    seen: set[Pair] = set()
+    components: list[frozenset[Pair]] = []
+    for start in pairs:
+        if start in seen:
+            continue
+        seen.add(start)
+        component = []
+        frontier = [start]
+        while frontier:
+            pair = frontier.pop()
+            component.append(pair)
+            # An entity's pairs are linked once: popping its bucket
+            # leaves nothing to follow when another of them comes up.
+            linked = chain(
+                index[0].pop(pair[0], ()),
+                index[1].pop(pair[1], ()),
+                *groups.get(pair, {}).values(),
+            )
+            for other in linked:
+                if other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
+        components.append(frozenset(component))
+    return components
 
-    def find(self, item: Pair) -> Pair:
-        parent = self._parent.setdefault(item, item)
-        while parent != item:
-            grandparent = self._parent[parent]
-            self._parent[item] = grandparent
-            item, parent = parent, self._parent.setdefault(grandparent, grandparent)
-        return item
 
-    def union(self, a: Pair, b: Pair) -> None:
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a != root_b:
-            # Deterministic root choice keeps grouping order-independent.
-            if root_b < root_a:
-                root_a, root_b = root_b, root_a
-            self._parent[root_b] = root_a
-
-    def union_shared_entities(self, pairs) -> None:
-        """Add ``pairs``, linking every two that share their KB1 or KB2 entity."""
-        by_left: dict[str, Pair] = {}
-        by_right: dict[str, Pair] = {}
-        for pair in pairs:
-            self.find(pair)
-            for key, bucket in ((pair[0], by_left), (pair[1], by_right)):
-                anchor = bucket.setdefault(key, pair)
-                if anchor != pair:
-                    self.union(anchor, pair)
-
-
-def entity_closure_components(state: PreparedState) -> list[set[Pair]]:
+def entity_closure_components(state: PreparedState) -> list[frozenset[Pair]]:
     """Partition the retained pairs into loop-independent groups.
 
     Pairs land in the same group when connected through any chain of
     ER-graph edges or shared KB entities.  Groups are the finest
     partition the human–machine loop cannot leak across: propagation
     follows edges, competitor demotion follows shared entities.
+
+    The state keeps its groups (``state.components``): the first call
+    walks every retained pair and later calls return the kept list.  A
+    stream splice hands its state the list ready-made: its parent's
+    groups the delta left alone, plus a walk over the rest
+    (:func:`repro.stream.incremental.incremental_prepare`).
     """
-    uf = UnionFind()
-    uf.union_shared_entities(state.retained)
-    for vertex, by_label in state.graph.groups.items():
-        for members in by_label.values():
-            for neighbor in members:
-                uf.union(vertex, neighbor)
-    groups: dict[Pair, set[Pair]] = {}
-    for pair in state.retained:
-        groups.setdefault(uf.find(pair), set()).add(pair)
-    return list(groups.values())
+    if state.components is None:
+        state.components = closure_components(state.retained, state.graph.groups)
+    return state.components
 
 
 @dataclass(slots=True)
@@ -218,8 +231,8 @@ class PartitionPlan:
 
 
 def pack_components(
-    components: list[set[Pair]], max_shard_size: int
-) -> list[list[set[Pair]]]:
+    components: list[frozenset[Pair]], max_shard_size: int
+) -> list[list[frozenset[Pair]]]:
     """Greedy LPT packing of components into size-capped bins.
 
     Components are placed largest-first into the least-loaded bin that
@@ -229,7 +242,7 @@ def pack_components(
     fixed by (size, smallest vertex).
     """
     ordered = sorted(components, key=lambda c: (-len(c), min(c)))
-    bins: list[tuple[int, list[set[Pair]]]] = []
+    bins: list[tuple[int, list[frozenset[Pair]]]] = []
     for component in ordered:
         candidates = [
             (load, index)

@@ -144,19 +144,6 @@ class MatchingSession:
         self._result: RempResult | None = None
 
     # ------------------------------------------------------------------
-    @property
-    def questions_asked(self) -> int:
-        if self._result is not None:
-            return self._result.questions_asked
-        return self._driver.questions_asked if self._driver is not None else 0
-
-    @property
-    def num_loops(self) -> int:
-        if self._result is not None:
-            return self._result.num_loops
-        return len(self._driver.history) if self._driver is not None else 0
-
-    # ------------------------------------------------------------------
     @contextmanager
     def _observed(self):
         """The session lock plus the scope activation, together."""

@@ -507,8 +507,11 @@ class RunStore:
         doc = json.loads(row["result_json"])
         if "units" not in doc:
             return result_from_doc(doc)
-        units = self.load_unit_record_docs(run_id)
-        results = [result_from_doc(units[key]["result"]) for key in doc["units"]]
+        units = {
+            row["unit_key"]: row["payload"]
+            for row in self._resolved_units(run_id, "json_extract(payload, '$.result')")
+        }
+        results = [result_from_doc(json.loads(units[key])) for key in doc["units"]]
         return merge_shard_results(list(enumerate(results)))
 
     def list_runs(self, dataset: str | None = None) -> list[RunRecord]:
@@ -667,24 +670,38 @@ class RunStore:
         ``ValueError`` for a reference whose origin holds no payload row
         for its unit.
         """
+        return {
+            row["unit_key"]: _unit_doc(row, row["origin"])
+            for row in self._resolved_units(run_id, "payload")
+        }
+
+    def _resolved_units(self, run_id: str, part: str) -> list[sqlite3.Row]:
+        """A stream run's unit rows, ordered by key, references resolved.
+
+        One self-join reads each row's payload from its origin's row.
+        ``part`` is an SQL expression over that ``payload`` text (the
+        whole of it, or a ``json_extract`` of one field), returned as
+        the row's ``payload`` beside its ``unit_key`` and ``origin``.
+        Raises ``ValueError`` for a reference whose origin holds no
+        payload row for its unit.
+        """
         with self._lock:
             rows = self._conn.execute(
-                "SELECT u.unit_key, COALESCE(u.origin_run_id, u.run_id) AS origin,"
-                " COALESCE(o.payload, u.payload) AS payload"
+                f"SELECT unit_key, origin, {part} AS payload FROM ("
+                " SELECT u.unit_key, COALESCE(u.origin_run_id, u.run_id) AS origin,"
+                " NULLIF(COALESCE(o.payload, u.payload), '') AS payload"
                 " FROM stream_units AS u LEFT JOIN stream_units AS o"
                 " ON o.run_id = u.origin_run_id AND o.unit_key = u.unit_key"
-                " WHERE u.run_id = ? ORDER BY u.unit_key",
+                " WHERE u.run_id = ?) ORDER BY unit_key",
                 (run_id,),
             ).fetchall()
-        docs = {}
         for row in rows:
-            if not row["payload"]:
+            if row["payload"] is None:
                 raise ValueError(
                     f"unit {row['unit_key']!r} of run {run_id!r} references run "
                     f"{row['origin']!r}, which holds no payload for it"
                 )
-            docs[row["unit_key"]] = _unit_doc(row, row["origin"])
-        return docs
+        return rows
 
     # ------------------------------------------------------------------
     # Observability documents (repro.obs): trace + metrics + cost ledger

@@ -53,6 +53,7 @@ from repro.core.pruning import partial_order_pruning
 from repro.core.vectors import VectorIndex, build_similarity_vectors, lead_with_prior
 from repro.kb.io import kb_pair_fingerprint
 from repro.kb.model import KnowledgeBase
+from repro.partition.partitioner import closure_components
 from repro.stream.delta import KBDelta
 
 Pair = tuple[str, str]
@@ -183,6 +184,36 @@ def _dirty_closure(
     return closure
 
 
+def _splice_components(
+    parent: list[frozenset[Pair]] | None,
+    retained: set[Pair],
+    graph: ERGraph,
+    changed: set[Pair],
+) -> list[frozenset[Pair]] | None:
+    """The spliced state's entity-closure components, from its parent's.
+
+    A parent component holding no changed pair is a component of the
+    spliced state too: none of its pairs is in the dirty closure, so
+    each stays retained with the same neighbor groups (its vertices'
+    groups changed nowhere, and groups are symmetric, so no new edge
+    reaches it), and every pair sharing an entity with it was its
+    member before.  The rest of the retained pairs, the changed ones
+    and the other members of the parent components holding one, are
+    walked afresh.  Without the parent's components there is nothing to
+    keep: the state finds its own on first request.
+    """
+    if parent is None:
+        return None
+    kept: list[frozenset[Pair]] = []
+    rest = retained & changed
+    for component in parent:
+        if component.isdisjoint(changed):
+            kept.append(component)
+        else:
+            rest |= component & retained
+    return kept + closure_components(rest, graph.groups)
+
+
 def incremental_prepare(
     state: PreparedState,
     delta: KBDelta,
@@ -297,6 +328,9 @@ def incremental_prepare(
         pair: candidates.priors.get(pair, config.default_prior) for pair in retained
     }
 
+    changed = closure | group_changed
+    with obs.timed("stream.components"):
+        components = _splice_components(state.components, retained, graph, changed)
     new_state = PreparedState(
         kb1=kb1,
         kb2=kb2,
@@ -308,8 +342,8 @@ def incremental_prepare(
         signatures=signatures,
         priors=priors,
         isolated=graph.isolated_vertices(),
+        components=components,
     )
-    changed = closure | group_changed
     obs.count("stream.prepare.dirty_pairs", len(changed))
     log.info(
         "incremental prepare: %d dirty pairs of %d retained",

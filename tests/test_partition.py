@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accel import reference
 from repro.core import Remp, RempConfig
 from repro.core.pipeline import LoopState, merge_loop_snapshots, parse_state_doc
 from repro.crowd import CrowdPlatform
@@ -22,6 +23,7 @@ from repro.partition import (
     partition_state,
     split_budget,
 )
+from repro.partition.partitioner import closure_components
 from repro.service import MatchingService
 from repro.store import RunStore
 
@@ -66,6 +68,53 @@ class TestEntityClosure:
             g for g in entity_closure_components(state) if not g <= state.isolated
         ]
         assert len(groups) == 6  # one per studio cluster
+
+
+_LEFT = st.sampled_from([f"x:{i}" for i in range(8)])
+_RIGHT = st.sampled_from([f"y:{i}" for i in range(8)])
+
+
+@st.composite
+def _pairs_with_symmetric_groups(draw):
+    """Random pairs and ER-graph groups whose every edge has its inverse."""
+    pairs = sorted(draw(st.sets(st.tuples(_LEFT, _RIGHT), max_size=24)))
+    groups: dict = {}
+    if pairs:
+        edges = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(pairs), st.sampled_from(("r", "s")), st.sampled_from(pairs)
+                ),
+                max_size=12,
+            )
+        )
+        for source, label, target in edges:
+            groups.setdefault(source, {}).setdefault((label, label), set()).add(target)
+            inverse = ("~" + label, "~" + label)
+            groups.setdefault(target, {}).setdefault(inverse, set()).add(source)
+    return set(pairs), groups
+
+
+class TestClosureWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_pairs_with_symmetric_groups())
+    def test_walk_equals_union_find(self, case):
+        """The by-entity and graph walk finds the union–find's components."""
+        pairs, groups = case
+        state = SimpleNamespace(retained=pairs, graph=SimpleNamespace(groups=groups))
+        walked = closure_components(pairs, groups)
+        assert sum(map(len, walked)) == len(pairs)
+        assert set(walked) == {
+            frozenset(c) for c in reference.entity_closure_components(state)
+        }
+
+    def test_a_state_keeps_its_components(self, state):
+        components = entity_closure_components(state)
+        assert entity_closure_components(state) is components
+        assert set(components) == {
+            frozenset(c) for c in reference.entity_closure_components(state)
+        }
+        assert state.restrict(set(state.retained)).components is None
 
 
 class TestPartitioner:

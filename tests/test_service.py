@@ -448,6 +448,42 @@ class TestStreamSessions:
         assert counters["isolated.forest.fitted"] >= 1
         assert "isolated.forest.reused" not in counters
 
+    def test_updates_from_evicted_parents_equal_run_full(self, tmp_path):
+        """A warm lineage whose every parent leaves the cache before its update.
+
+        Two other keys fill the two-arena cache between updates, so each
+        update rebuilds its parent from the ledger with one prepare: a
+        state without kept components, whose splice then walks every
+        retained pair.  Each update still lands on ``run_full`` of its
+        post-delta KB pair.
+        """
+        from repro.datasets import evolving_bundle
+        from repro.partition import CrowdSpec
+        from repro.stream import StreamRunner
+
+        evolving = evolving_bundle(seed=0, scale=0.4, steps=4)
+        path = str(tmp_path / "evict.db")
+        with MatchingService(path, memory_cache_size=2) as service:
+            run_ids = [
+                service.submit(
+                    "evolving", scale=0.4, error_rate=0.1, background=False, stream=True
+                )
+            ]
+            service.result(run_ids[0])
+            for step, delta in enumerate(evolving.deltas, start=1):
+                for seed in (1, 2):
+                    service.prepared("evolving", seed=seed, scale=0.4)
+                misses = service.cache_misses
+                run_ids.append(service.update(run_ids[-1], delta, background=False))
+                updated = result_to_doc(service.result(run_ids[-1]))
+                assert service.cache_misses == misses + 1, f"parent held at step {step}"
+                bundle = evolving.bundle_at(step)
+                state = Remp(RempConfig()).prepare(bundle.kb1, bundle.kb2)
+                scratch = StreamRunner(RempConfig(), seed=0).run_full(
+                    state, CrowdSpec(truth=bundle.gold_matches, error_rate=0.1, seed=0)
+                )
+                assert updated == result_to_doc(scratch.result), f"drift at step {step}"
+
     def test_update_inherits_parent_workers(self, tmp_path):
         """A lineage started parallel stays parallel across updates."""
         from repro.datasets import evolving_bundle

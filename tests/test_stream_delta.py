@@ -17,7 +17,8 @@ from repro.stream import (
     incremental_prepare,
     kb_pair_fingerprint,
 )
-from repro.stream.incremental import _dirty_closure
+from repro.core.er_graph import ERGraph
+from repro.stream.incremental import _dirty_closure, _splice_components
 
 
 def _tiny_pair():
@@ -273,3 +274,24 @@ class TestDirtyClosure:
         assert _dirty_closure(old, new, dirty1, dirty2) == reference.dirty_closure(
             old, new, dirty1, dirty2
         )
+
+
+class TestSpliceComponents:
+    def test_a_touched_component_is_walked_whole(self):
+        """A parent component with a changed pair is walked, all of it.
+
+        ``(x:1, y:2)`` shares ``x:1`` with the changed pair but is not
+        changed itself (a vertex whose groups alone changed is such a
+        pair), so only the parent's component brings it into the walk.
+        The untouched component is kept as the parent's own object.
+        """
+        touched = frozenset({("x:1", "y:1"), ("x:1", "y:2")})
+        untouched = frozenset({("x:3", "y:3")})
+        retained = set(touched | untouched)
+        graph = ERGraph(vertices=set(retained))
+        spliced = _splice_components(
+            [touched, untouched], retained, graph, {("x:1", "y:1")}
+        )
+        assert set(spliced) == {touched, untouched}
+        assert any(component is untouched for component in spliced)
+        assert _splice_components(None, retained, graph, set()) is None

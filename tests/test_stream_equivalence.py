@@ -11,13 +11,15 @@ in a clean (reused) unit is never re-billed by an update.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.accel import reference
 from repro.core import Remp, RempConfig
 from repro.datasets import evolving_bundle
 from repro.obs import runtime as obs
-from repro.partition import CrowdSpec
+from repro.partition import CrowdSpec, entity_closure_components, partition_state
 from repro.store.serialize import prepared_state_to_doc, result_to_doc
 from repro.stream import StreamRunner, incremental_prepare
 
@@ -57,6 +59,46 @@ def _from_scratch(evolving, step, seed, workers, error_rate):
     return state, runner.run_full(state, _crowd(bundle.gold_matches, error_rate, seed))
 
 
+def _assert_kept_components(state, step):
+    """A run's kept components are the reference's, and plan like a fresh walk.
+
+    From step 1 on, the state's components were spliced from its
+    parent's; ``replace`` drops them, so the second plan walks every
+    retained pair.
+    """
+    assert state.components is not None, f"no kept components at step {step}"
+    assert set(state.components) == {
+        frozenset(c) for c in reference.entity_closure_components(state)
+    }, f"component drift at step {step}"
+    fresh = replace(state, components=None)
+    assert partition_state(state, max_shard_size=1) == partition_state(
+        fresh, max_shard_size=1
+    ), f"plan drift at step {step}"
+
+
+class TestKeptComponents:
+    def test_every_clustered_stream_step_keeps_exact_components(self):
+        """The seed-0 ``clustered-stream`` lineage: 16 spliced states."""
+        evolving = evolving_bundle(seed=0, scale=6, steps=16)
+        config = RempConfig()
+        state = Remp(config).prepare(evolving.base.kb1, evolving.base.kb2)
+        entity_closure_components(state)
+        for step, delta in enumerate(evolving.deltas, start=1):
+            prepared = incremental_prepare(state, delta, config)
+            assert not prepared.fell_back
+            state = prepared.state
+            _assert_kept_components(state, step)
+
+    def test_a_splice_without_parent_components_finds_its_own(self):
+        evolving = evolving_bundle(seed=0, scale=0.4, steps=1)
+        config = RempConfig()
+        state = Remp(config).prepare(evolving.base.kb1, evolving.base.kb2)
+        spliced = incremental_prepare(state, evolving.deltas[0], config).state
+        assert spliced.components is None
+        entity_closure_components(spliced)
+        _assert_kept_components(spliced, 1)
+
+
 class TestEquivalenceOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("scale", [0.4, 0.75])
@@ -75,26 +117,29 @@ class TestEquivalenceOracle:
             assert _doc(outcome.result) == _doc(ref.result), (
                 f"result drift at step {step} (seed={seed}, scale={scale})"
             )
+            _assert_kept_components(state, step)
 
     def test_equivalence_under_oracle_crowd(self):
         evolving = evolving_bundle(seed=3, scale=0.5, steps=3)
-        for step, _, outcome in _incremental_chain(
+        for step, state, outcome in _incremental_chain(
             evolving, seed=3, workers=1, error_rate=0.0
         ):
             _, ref = _from_scratch(evolving, step, seed=3, workers=1, error_rate=0.0)
             assert _doc(outcome.result) == _doc(ref.result)
+            _assert_kept_components(state, step)
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_equivalence_across_worker_counts(self, workers):
         """workers=4 incremental == workers=1 from-scratch, at every step."""
         evolving = evolving_bundle(seed=0, scale=0.75, steps=2)
-        for step, _, outcome in _incremental_chain(
+        for step, state, outcome in _incremental_chain(
             evolving, seed=0, workers=workers, error_rate=0.1
         ):
             _, ref = _from_scratch(evolving, step, seed=0, workers=1, error_rate=0.1)
             assert _doc(outcome.result) == _doc(ref.result), (
                 f"worker-count drift at step {step} (workers={workers})"
             )
+            _assert_kept_components(state, step)
 
 
 class TestForestReuse:
